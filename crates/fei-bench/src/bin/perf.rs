@@ -321,14 +321,13 @@ fn bench_gradient(sizes: &Sizes) -> (KernelRow, ScratchCounters) {
             black_box(&data),
             black_box(&indices),
             &mut scratch,
-            1,
         ));
     });
     let warm = scratch.allocations();
     // Steady state: further timed reps must not grow the workspace (this
     // includes the pack buffers inside the gradient's GEMM phase).
     let _ = min_ns(sizes.kernel_reps, || {
-        black_box(model.loss_and_gradient_into(&data, &indices, &mut scratch, 1));
+        black_box(model.loss_and_gradient_into(&data, &indices, &mut scratch));
     });
     let steady_delta = scratch.allocations() - warm;
     let row = KernelRow {

@@ -1,25 +1,24 @@
-//! The in-process FedAvg engine.
+//! The FedAvg round: its configuration, its record, and the one driver
+//! that runs it.
 
 use std::sync::Arc;
 
 use fei_data::Dataset;
-use fei_ml::{
-    Evaluation, GradReduction, GradScratch, LocalTrainer, LogisticRegression, Model, SgdConfig,
-    TrainStats, WorkerPool,
-};
-use fei_net::wire::{WireConfig, WireScratch};
+use fei_ml::{Evaluation, LogisticRegression, Model, SgdConfig, TrainStats};
+use fei_net::wire::WireConfig;
 use fei_proto::{control_round_bytes, DeviceReport, RoundMachine, RoundPolicy};
 use fei_sim::DetRng;
 use serde::{Deserialize, Serialize};
 
-use crate::adversary::{flip_dataset_labels, Adversary, AdversarySpec};
+use crate::adversary::{Adversary, AdversarySpec};
 use crate::aggregate::{try_aggregate, AggregationRule};
 use crate::error::FlError;
+use crate::executor::{ClientUpdate, Executor, Inline};
 use crate::fault::{FaultInjector, RetryPolicy};
 use crate::history::TrainingHistory;
 use crate::resume::EngineCheckpoint;
 use crate::robust::{robust_aggregate, DefenseConfig, UpdateScreen};
-use crate::runtime::{global_frame_len, update_frame_len, TransportStats};
+use crate::runtime::TransportStats;
 use crate::selection::{ClientSelector, SelectionStrategy};
 
 /// Configuration of a FedAvg run — the knobs of the paper's §III-A loop.
@@ -231,43 +230,38 @@ pub struct RoundRecord {
     pub faults: RoundFaultStats,
 }
 
-/// In-process FedAvg over a fixed set of client datasets, generic over the
-/// trained [`Model`] (multinomial logistic regression by default).
+/// The FedAvg round driver: one implementation of the paper's §III-A loop
+/// over a fixed set of client datasets, generic over the trained [`Model`]
+/// and over *where* local training runs (the sealed [`Executor`]).
+///
+/// Everything a round decides lives here exactly once — constructor
+/// validation, selection, dropout and fault planning, poisoning, retransmit
+/// billing, screening, quorum, control bytes, aggregation, the record,
+/// checkpoints. The executor only trains the planned clients and carries
+/// their updates back, so both public engines, [`FedAvg`] and
+/// [`crate::ThreadedFedAvg`], are this type and agree bit for bit.
 #[derive(Debug, Clone)]
-pub struct FedAvg<M: Model = LogisticRegression> {
+pub struct RoundDriver<M: Model, X: Executor> {
     config: FedAvgConfig,
     clients: Vec<Arc<Dataset>>,
     test: Dataset,
     global: M,
     selector: ClientSelector,
-    trainer: LocalTrainer,
-    /// Persistent worker pool for the parallel gradient reduction, shared
-    /// by every client's local training across all rounds (`None` for the
-    /// serial reductions). The pooled kernel is bit-identical to the scoped
-    /// one, so engines with and without a pool agree exactly.
-    pool: Option<Arc<WorkerPool>>,
-    /// Gradient workspace reused across every client and round: after the
-    /// first round sizes it, local training runs allocation-free.
-    scratch: GradScratch,
-    /// Wire-codec workspace: every update ships through the same
-    /// encode→decode round trip the threaded workers perform, so lossy
-    /// transport tiers affect both engines identically.
-    wire: WireScratch,
-    /// Reused staging buffer for the wire round trip.
-    wire_buf: Vec<u8>,
-    /// Simulated transport totals, byte-for-byte equal to the threaded
-    /// engine's measured [`TransportStats`] under the same configuration.
-    transport: TransportStats,
     dropout_rng: DetRng,
     injector: Option<FaultInjector>,
     adversary: Option<Adversary>,
-    /// Label-flipped copies of compromised clients' datasets, `None` for
-    /// honest devices. Built once at [`FedAvg::with_adversary`] time.
-    flipped: Vec<Option<Arc<Dataset>>>,
+    /// Transport totals, summed from the frame bytes the executor reports.
+    transport: TransportStats,
     round: usize,
+    pub(crate) exec: X,
 }
 
-impl FedAvg<LogisticRegression> {
+/// In-process FedAvg (multinomial logistic regression by default): the
+/// round driver over the [`Inline`] executor. Used by experiments that
+/// sweep many `(K, E)` combinations.
+pub type FedAvg<M = LogisticRegression> = RoundDriver<M, Inline>;
+
+impl<X: Executor> RoundDriver<LogisticRegression, X> {
     /// Creates a run training the paper's model — multinomial logistic
     /// regression starting at zero (`ω₀ = 0`).
     ///
@@ -283,13 +277,14 @@ impl FedAvg<LogisticRegression> {
     }
 }
 
-impl<M: Model> FedAvg<M> {
+impl<M: Model, X: Executor> RoundDriver<M, X> {
     /// Creates a run from per-client datasets, a test set, and an initial
-    /// global model `ω₀` of any [`Model`] type.
+    /// global model `ω₀` of any [`Model`] type, and starts the executor.
     ///
     /// # Panics
     ///
-    /// Same validation as [`FedAvg::new`], plus a model/dataset shape check.
+    /// Same validation as [`RoundDriver::new`], plus a model/dataset shape
+    /// check.
     pub fn with_model(
         config: FedAvgConfig,
         clients: Vec<Dataset>,
@@ -326,46 +321,33 @@ impl<M: Model> FedAvg<M> {
             (0.0..1.0).contains(&config.dropout_prob),
             "dropout probability must be in [0, 1)"
         );
-
         if let Some(defense) = &config.defense {
             defense.screen.validate();
         }
 
-        let selector = ClientSelector::new(config.selection, clients.len(), config.seed);
-        let trainer = LocalTrainer::new(config.sgd.clone());
-        let dropout_rng = DetRng::new(config.seed).fork(0xD80);
-        let flipped = vec![None; clients.len()];
-        let pool = match config.sgd.grad {
-            GradReduction::FusedParallel { threads } if threads > 1 => {
-                Some(Arc::new(WorkerPool::new(threads)))
-            }
-            _ => None,
-        };
         let clients: Vec<Arc<Dataset>> = clients.into_iter().map(Arc::new).collect();
+        let exec = X::start(&config, &clients, &global);
         Self {
+            selector: ClientSelector::new(config.selection, clients.len(), config.seed),
+            dropout_rng: DetRng::new(config.seed).fork(0xD80),
             config,
             clients,
             test,
             global,
-            selector,
-            trainer,
-            pool,
-            scratch: GradScratch::new(),
-            wire: WireScratch::new(),
-            wire_buf: Vec::new(),
-            transport: TransportStats::default(),
-            dropout_rng,
             injector: None,
             adversary: None,
-            flipped,
+            transport: TransportStats::default(),
             round: 0,
+            exec,
         }
     }
 
     /// Attaches a seeded fault injector: crashes, stragglers, and lossy or
     /// corrupting uplinks now perturb every round, and the coordinator
     /// responds with over-selection, deadlines, retry, and quorum from
-    /// [`FedAvgConfig::tolerance`].
+    /// [`FedAvgConfig::tolerance`]. Fault decisions are made
+    /// coordinator-side from a pure schedule, so every executor sees the
+    /// same faults under the same seed.
     ///
     /// # Panics
     ///
@@ -386,21 +368,17 @@ impl<M: Model> FedAvg<M> {
     }
 
     /// Compromises a seeded fraction of the fleet: those devices now run
-    /// `spec.behavior` every round they are selected. Label-flip cohorts
-    /// get their training sets flipped here, once, so every engine trains
-    /// them on identical poisoned data.
+    /// `spec.behavior` every round they are selected. Attacks on uploaded
+    /// parameters are applied coordinator-side to the decoded updates, and
+    /// label-flip cohorts are flagged to the executor so they train on
+    /// flipped copies of their data — every executor observes bit-identical
+    /// attacks under the same spec.
     ///
     /// # Panics
     ///
     /// Panics on an invalid [`AdversarySpec`] (see [`Adversary::new`]).
     pub fn with_adversary(mut self, spec: AdversarySpec) -> Self {
-        let adversary = Adversary::new(spec, self.clients.len());
-        for device in adversary.malicious_devices() {
-            if adversary.flips_labels(device) {
-                self.flipped[device] = Some(Arc::new(flip_dataset_labels(&self.clients[device])));
-            }
-        }
-        self.adversary = Some(adversary);
+        self.adversary = Some(Adversary::new(spec, self.clients.len()));
         self
     }
 
@@ -453,26 +431,11 @@ impl<M: Model> FedAvg<M> {
         self.round
     }
 
-    /// Heap-allocation events of the reused gradient workspace. Stops
-    /// increasing after the first round in steady state — the property the
-    /// perf harness (`fei-bench --bin perf`) records in `BENCH_perf.json`.
-    pub fn scratch_allocations(&self) -> u64 {
-        self.scratch.allocations()
-    }
-
-    /// Heap-allocation events of the wire-codec workspace. Like
-    /// [`FedAvg::scratch_allocations`], constant after the first round in
-    /// steady state — the zero-allocation property `BENCH_compression.json`
-    /// records for the transport hot path.
-    pub fn wire_allocations(&self) -> u64 {
-        self.wire.allocations()
-    }
-
-    /// Simulated transport totals: the exact frame bytes the threaded
-    /// engine moves for this configuration (lossless `F64` downlink
-    /// broadcasts, uplink updates under [`FedAvgConfig::transport`],
-    /// retransmissions from the fault schedule). The integration tests pin
-    /// serial and threaded equality byte for byte.
+    /// Cumulative transport totals: lossless `F64` downlink broadcasts,
+    /// uplink updates under [`FedAvgConfig::transport`], retransmissions
+    /// from the fault schedule, and control-plane bytes. The framed
+    /// executor measures its frames and the inline one charges the same
+    /// lengths, so the totals are equal byte for byte across engines.
     pub fn transport_stats(&self) -> TransportStats {
         self.transport
     }
@@ -502,15 +465,15 @@ impl<M: Model> FedAvg<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the round fails outright (see [`FedAvg::try_run_round`]);
-    /// impossible without a fault injector.
+    /// Panics if the round fails outright (see
+    /// [`RoundDriver::try_run_round`]); impossible without a fault injector.
     pub fn run_round(&mut self) -> RoundRecord {
         // fei-lint: allow(no-panic, reason = "documented panicking convenience wrapper; fallible callers use try_run_round")
         self.try_run_round().expect("federated round failed")
     }
 
-    /// Executes one global round, reporting fleet exhaustion as a typed
-    /// error instead of panicking.
+    /// Executes one global round — plan, execute, finish — reporting fleet
+    /// exhaustion as a typed error instead of panicking.
     ///
     /// Without a fault injector this never fails. With one, the round plays
     /// out under the injected fault schedule and the coordinator's
@@ -518,7 +481,8 @@ impl<M: Model> FedAvg<M> {
     /// and abandoned uploads drop out, late arrivals miss the deadline, the
     /// first `K` surviving arrivals are aggregated if they meet the quorum,
     /// and a quorum miss leaves the model unchanged
-    /// ([`RoundOutcome::Abandoned`]).
+    /// ([`RoundOutcome::Abandoned`]). A worker the executor loses mid-round
+    /// is one more dropout ([`RoundFaultStats::worker_losses`]).
     ///
     /// # Errors
     ///
@@ -532,168 +496,141 @@ impl<M: Model> FedAvg<M> {
     /// screening). The global model is unchanged.
     pub fn try_run_round(&mut self) -> Result<RoundRecord, FlError> {
         let t = self.round;
-        match self.injector.as_ref().filter(|i| i.is_enabled()).cloned() {
-            None => {
-                let selected = self.selector.select(t, self.config.clients_per_round);
-                let responded: Vec<usize> = selected
-                    .iter()
-                    .copied()
-                    .filter(|_| {
-                        // fei-lint: allow(float-eq, reason = "configuration sentinel: exactly-zero dropout must not consume RNG draws, or seeds diverge")
-                        self.config.dropout_prob == 0.0
-                            || self.dropout_rng.next_f64() >= self.config.dropout_prob
-                    })
-                    .collect();
-                self.complete_round(t, selected, responded, RoundFaultStats::default())
-            }
-            Some(injector) => {
-                let tol = self.config.tolerance.clone();
-                let n = self.clients.len();
-
-                // The protocol's round decision core: quorum gate,
-                // over-selection width, deadline admission, and the
-                // first-K-by-arrival race all live in fei-proto so this
-                // engine, the threaded engine, and the frame-driven
-                // coordinator share one implementation.
-                let policy = RoundPolicy {
-                    k: self.config.clients_per_round,
-                    over_select: tol.over_select,
-                    quorum: tol.effective_quorum(),
-                    deadline_s: tol.deadline_s,
-                };
-                let alive = injector.live_fleet(n, t).len();
-                // `RoundMachine::begin` fails only on quorum loss.
-                let mut machine = RoundMachine::begin(policy, t as u64, alive).map_err(|_| {
-                    FlError::FleetBelowQuorum {
-                        round: t,
-                        alive,
-                        required: policy.quorum,
-                    }
-                })?;
-
-                // Over-select K + m as a dropout hedge.
-                let selected = self.selector.select(t, machine.selection_width(n));
-
-                let mut faults = RoundFaultStats::default();
-                for &device in &selected {
-                    if injector.is_down(device, t) {
-                        machine.offer_crashed(device);
-                        continue;
-                    }
-                    let factor = injector.straggle_factor(device, t);
-                    let upload = injector.upload_outcome(device, t, &tol.retry);
-                    faults.corrupted_frames += upload.corrupted;
-                    faults.upload_retries += upload.attempts - 1;
-                    machine.offer(
-                        device,
-                        DeviceReport {
-                            straggle_factor: factor,
-                            delivered: upload.delivered,
-                            arrival_s: tol.nominal_round_s * factor + upload.backoff_s,
-                        },
-                    );
-                }
-
-                let closed = machine.close();
-                faults.crashed = closed.tally.crashed;
-                faults.stragglers = closed.tally.stragglers;
-                faults.abandoned_uploads = closed.tally.abandoned_uploads;
-                faults.deadline_misses = closed.tally.deadline_misses;
-                self.complete_round(t, selected, closed.accepted, faults)
-            }
-        }
+        let (selected, planned, mut faults) = self.plan(t)?;
+        let jobs: Vec<(usize, bool)> = planned
+            .into_iter()
+            .map(|client| {
+                let flip = self
+                    .adversary
+                    .as_ref()
+                    .is_some_and(|adv| adv.flips_labels(client));
+                (client, flip)
+            })
+            .collect();
+        let (updates, lost) = self
+            .exec
+            .execute(t, self.config.local_epochs, &self.global, &jobs);
+        faults.worker_losses = lost;
+        self.finish(t, selected, updates, faults)
     }
 
-    /// Trains the responders (compromised ones attack), screens and
-    /// aggregates if quorum is met, advances the round, and assembles the
-    /// record.
-    fn complete_round(
+    /// Decides the round coordinator-side: who is selected, and which of
+    /// them will deliver an update (before any executor-level worker loss).
+    fn plan(&mut self, t: usize) -> Result<(Vec<usize>, Vec<usize>, RoundFaultStats), FlError> {
+        let mut faults = RoundFaultStats::default();
+        let Some(injector) = self.injector.as_ref().filter(|i| i.is_enabled()) else {
+            let selected = self.selector.select(t, self.config.clients_per_round);
+            let dropout = self.config.dropout_prob;
+            let planned = selected
+                .iter()
+                .copied()
+                // fei-lint: allow(float-eq, reason = "configuration sentinel: exactly-zero dropout must not consume RNG draws, or seeds diverge")
+                .filter(|_| dropout == 0.0 || self.dropout_rng.next_f64() >= dropout)
+                .collect();
+            return Ok((selected, planned, faults));
+        };
+        let tol = &self.config.tolerance;
+        let n = self.clients.len();
+
+        // The protocol's round decision core: quorum gate, over-selection
+        // width, deadline admission, and the first-K-by-arrival race all
+        // live in fei-proto, shared with the frame-driven coordinator.
+        let policy = RoundPolicy {
+            k: self.config.clients_per_round,
+            over_select: tol.over_select,
+            quorum: tol.effective_quorum(),
+            deadline_s: tol.deadline_s,
+        };
+        let alive = injector.live_fleet(n, t).len();
+        // `RoundMachine::begin` fails only on quorum loss.
+        let mut machine = RoundMachine::begin(policy, t as u64, alive).map_err(|_| {
+            FlError::FleetBelowQuorum {
+                round: t,
+                alive,
+                required: policy.quorum,
+            }
+        })?;
+
+        // Over-select K + m as a dropout hedge.
+        let selected = self.selector.select(t, machine.selection_width(n));
+        for &device in &selected {
+            if injector.is_down(device, t) {
+                machine.offer_crashed(device);
+                continue;
+            }
+            let factor = injector.straggle_factor(device, t);
+            let upload = injector.upload_outcome(device, t, &tol.retry);
+            faults.corrupted_frames += upload.corrupted;
+            faults.upload_retries += upload.attempts - 1;
+            machine.offer(
+                device,
+                DeviceReport {
+                    straggle_factor: factor,
+                    delivered: upload.delivered,
+                    arrival_s: tol.nominal_round_s * factor + upload.backoff_s,
+                },
+            );
+        }
+
+        let closed = machine.close();
+        faults.crashed = closed.tally.crashed;
+        faults.stragglers = closed.tally.stragglers;
+        faults.abandoned_uploads = closed.tally.abandoned_uploads;
+        faults.deadline_misses = closed.tally.deadline_misses;
+        Ok((selected, closed.accepted, faults))
+    }
+
+    /// Takes the executor's updates through the coordinator's side of the
+    /// round: compromised clients attack, bytes are billed, the screen and
+    /// quorum decide, the survivors are aggregated, the round advances, and
+    /// the record is assembled.
+    fn finish(
         &mut self,
         t: usize,
         selected: Vec<usize>,
-        responded: Vec<usize>,
+        updates: Vec<ClientUpdate>,
         mut faults: RoundFaultStats,
     ) -> Result<RoundRecord, FlError> {
-        let quorum = self.config.tolerance.effective_quorum();
-        let global_flat = self.global.to_flat().to_vec();
-        let transport = self.config.transport;
-        let down_len = global_frame_len(global_flat.len()) as u64;
-        let up_len = update_frame_len(transport, global_flat.len()) as u64;
-
-        let mut updates = Vec::with_capacity(responded.len());
-        let mut local_stats = Vec::with_capacity(responded.len());
-        for &client in &responded {
-            // A label-flip cohort trains honestly, but on flipped data.
-            let data = self.flipped[client]
-                .as_ref()
-                .unwrap_or(&self.clients[client]);
-            let mut local = self.global.clone();
-            let stats = match &self.pool {
-                Some(pool) => self.trainer.train_with_pool(
-                    &mut local,
-                    data,
-                    self.config.local_epochs,
-                    t,
-                    &mut self.scratch,
-                    pool,
-                ),
-                None => self.trainer.train_with(
-                    &mut local,
-                    data,
-                    self.config.local_epochs,
-                    t,
-                    &mut self.scratch,
-                ),
-            };
-            let mut params = local.to_flat().to_vec();
-            // Ship the update through the same wire round trip the threaded
-            // workers perform: lossy tiers perturb the parameters exactly as
-            // the coordinator would decode them, and the byte counters match
-            // the threaded engine's measured frames.
-            self.wire.round_trip(
-                transport,
-                &mut params,
-                Some(&global_flat),
-                &mut self.wire_buf,
-            );
-            self.transport.bytes_down += down_len;
-            self.transport.bytes_up += up_len;
-            self.transport.jobs += 1;
+        let injector = self.injector.as_ref().filter(|i| i.is_enabled());
+        let mut responded = Vec::with_capacity(updates.len());
+        let mut local_stats = Vec::with_capacity(updates.len());
+        let mut pairs = Vec::with_capacity(updates.len());
+        for mut update in updates {
+            // Parameter attacks act on the decoded update, so the poisoned
+            // values do not depend on how the executor moved it.
             if let Some(adversary) = &self.adversary {
-                adversary.poison(client, t, &global_flat, &mut params);
+                adversary.poison(update.client, t, self.global.to_flat(), &mut update.params);
             }
-            updates.push((params, self.clients[client].len()));
-            local_stats.push(stats);
-        }
-
-        // Charge uplink retransmissions decided by the fault schedule, as
-        // the threaded coordinator does: each failed attempt resent the
-        // whole update frame.
-        if let Some(injector) = self.injector.as_ref().filter(|i| i.is_enabled()) {
-            let retry = &self.config.tolerance.retry;
-            let resent: u64 = responded
-                .iter()
-                .map(|&client| {
-                    (injector.upload_outcome(client, t, retry).attempts as u64 - 1) * up_len
-                })
-                .sum();
-            self.transport.bytes_retransmitted += resent;
+            self.transport.bytes_down += update.bytes_down;
+            self.transport.bytes_up += update.bytes_up;
+            self.transport.jobs += 1;
+            // Uplink retransmissions decided by the fault schedule: each
+            // failed attempt resent the whole update frame.
+            if let Some(injector) = injector {
+                let retry = &self.config.tolerance.retry;
+                let attempts = injector.upload_outcome(update.client, t, retry).attempts;
+                self.transport.bytes_retransmitted += (attempts as u64 - 1) * update.bytes_up;
+            }
+            responded.push(update.client);
+            local_stats.push(update.stats);
+            pairs.push((update.params, update.samples));
         }
 
         // The coordinator's screening boundary: malformed or outlying
         // uploads are discarded before they can reach aggregation, and a
         // screened-out update counts as undelivered for quorum purposes.
         if let Some(defense) = &self.config.defense {
-            let report = UpdateScreen::new(defense.screen).screen(&mut updates, global_flat.len());
+            let report =
+                UpdateScreen::new(defense.screen).screen(&mut pairs, self.global.num_params());
             faults.screened_updates = report.rejected_count();
             faults.clipped_updates = report.clipped;
         }
-        let outcome = RoundOutcome::of(updates.len(), selected.len(), quorum);
+        let quorum = self.config.tolerance.effective_quorum();
+        let outcome = RoundOutcome::of(pairs.len(), selected.len(), quorum);
 
         // Control-plane traffic of the protocol round: a selection notice
         // down to every selected device, one heartbeat up from each device
-        // that was up, and the commit-or-abort verdict back down. Charged
-        // identically by the threaded engine.
+        // that was up, and the commit-or-abort verdict back down.
         self.transport.bytes_control += control_round_bytes(
             selected.len(),
             selected.len() - faults.crashed,
@@ -701,10 +638,10 @@ impl<M: Model> FedAvg<M> {
             responded.len(),
         );
 
-        if outcome.committed() && !updates.is_empty() {
+        if outcome.committed() && !pairs.is_empty() {
             let merged = match &self.config.defense {
-                Some(defense) => robust_aggregate(&updates, defense.rule),
-                None => try_aggregate(&updates, self.config.aggregation),
+                Some(defense) => robust_aggregate(&pairs, defense.rule),
+                None => try_aggregate(&pairs, self.config.aggregation),
             }
             .map_err(|source| FlError::Aggregate { round: t, source })?;
             self.global.set_flat(&merged);
@@ -727,9 +664,10 @@ impl<M: Model> FedAvg<M> {
     /// Captures the engine's resumable state: round counter, global model,
     /// RNG streams, transport totals, and the current `(K, E)`. A driver
     /// recovering from a coordinator crash rebuilds the engine from its
-    /// construction inputs and [`FedAvg::restore`]s this checkpoint; future
-    /// rounds are then bit-identical to the uncrashed run. The checkpoint
-    /// is engine-agnostic — `ThreadedFedAvg::restore` accepts it too.
+    /// construction inputs and [`RoundDriver::restore`]s this checkpoint;
+    /// future rounds are then bit-identical to the uncrashed run. The
+    /// checkpoint does not depend on the executor — either engine restores
+    /// from it.
     pub fn checkpoint(&self) -> EngineCheckpoint<M> {
         EngineCheckpoint {
             round: self.round,
@@ -742,8 +680,10 @@ impl<M: Model> FedAvg<M> {
         }
     }
 
-    /// Rewinds the engine to a checkpoint taken from either execution
-    /// engine over the same fleet and configuration.
+    /// Rewinds the engine to a checkpoint taken from either engine over the
+    /// same fleet and configuration. Only coordinator-side state rewinds,
+    /// which is all a round depends on (executors are stateless between
+    /// rounds).
     ///
     /// # Panics
     ///
@@ -783,8 +723,8 @@ impl<M: Model> FedAvg<M> {
     ///
     /// # Panics
     ///
-    /// Panics if a round fails outright (see [`FedAvg::try_run_until`]);
-    /// impossible without a fault injector.
+    /// Panics if a round fails outright (see
+    /// [`RoundDriver::try_run_until`]); impossible without a fault injector.
     pub fn run_until(&mut self, stop: StopCondition) -> TrainingHistory {
         // fei-lint: allow(no-panic, reason = "documented panicking convenience wrapper; fallible callers use try_run_until")
         self.try_run_until(stop).expect("federated round failed")
@@ -820,14 +760,33 @@ impl<M: Model> FedAvg<M> {
     }
 }
 
+impl<M: Model> RoundDriver<M, Inline> {
+    /// Heap-allocation events of the inline executor's reused gradient
+    /// workspace. Stops increasing after the first round in steady state —
+    /// the property the perf harness (`fei-bench --bin perf`) records in
+    /// `BENCH_perf.json`.
+    pub fn scratch_allocations(&self) -> u64 {
+        self.exec.scratch.allocations()
+    }
+
+    /// Heap-allocation events of the inline executor's wire-codec
+    /// workspace. Like [`FedAvg::scratch_allocations`], constant after the
+    /// first round in steady state — the zero-allocation property
+    /// `BENCH_compression.json` records for the transport hot path.
+    pub fn wire_allocations(&self) -> u64 {
+        self.exec.wire.allocations()
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use fei_data::{Partition, SyntheticMnist, SyntheticMnistConfig};
     use fei_sim::DetRng;
 
     use super::*;
+    use crate::runtime::Framed;
 
-    fn setup(n_clients: usize, samples: usize) -> (Vec<Dataset>, Dataset) {
+    pub(crate) fn setup(n_clients: usize, samples: usize) -> (Vec<Dataset>, Dataset) {
         let gen = SyntheticMnist::new(SyntheticMnistConfig {
             pixel_noise_std: 0.2,
             label_flip_prob: 0.0,
@@ -942,25 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_every_skips_evaluations() {
-        let (clients, test) = setup(3, 60);
-        let config = FedAvgConfig {
-            clients_per_round: 1,
-            local_epochs: 1,
-            eval_every: 3,
-            ..Default::default()
-        };
-        let mut fed = FedAvg::new(config, clients, test);
-        let history = fed.run_until(StopCondition::rounds(6));
-        let evaluated: Vec<bool> = history
-            .records()
-            .iter()
-            .map(|r| r.test_eval.is_some())
-            .collect();
-        assert_eq!(evaluated, vec![false, false, true, false, false, true]);
-    }
-
-    #[test]
     fn dropout_shrinks_responders_but_training_continues() {
         let (clients, test) = setup(6, 180);
         let config = FedAvgConfig {
@@ -983,23 +923,6 @@ mod tests {
             fed.global_train_loss() < initial_loss,
             "training still progresses"
         );
-    }
-
-    #[test]
-    fn fully_dropped_round_is_a_no_op() {
-        let (clients, test) = setup(2, 40);
-        let config = FedAvgConfig {
-            clients_per_round: 1,
-            local_epochs: 1,
-            dropout_prob: 0.999_999,
-            ..Default::default()
-        };
-        let mut fed = FedAvg::new(config, clients, test);
-        let before = fed.global_model().clone();
-        let rec = fed.run_round();
-        assert!(rec.responded.is_empty());
-        assert_eq!(fed.global_model(), &before);
-        assert_eq!(fed.rounds_completed(), 1);
     }
 
     #[test]
@@ -1131,11 +1054,13 @@ mod tests {
             behavior: AttackBehavior::LabelFlip,
             seed: 3,
         };
-        let fed = FedAvg::new(config, clients, test).with_adversary(spec);
+        let mut fed = FedAvg::new(config, clients, test).with_adversary(spec);
+        // K = N: every compromised device trains, building its flipped copy.
+        fed.run_round();
         let adv = fed.adversary().expect("adversary attached");
         assert_eq!(adv.num_malicious(), 2);
         for device in adv.malicious_devices() {
-            let flipped = fed.flipped[device].as_ref().expect("flipped dataset");
+            let flipped = fed.exec.flipped[device].as_ref().expect("flipped dataset");
             let orig = &fed.clients[device];
             assert_eq!(flipped.len(), orig.len());
             let classes = orig.num_classes();
@@ -1173,74 +1098,128 @@ mod tests {
         assert_eq!(straight.transport_stats(), rebuilt.transport_stats());
     }
 
-    #[test]
-    fn checkpoint_carries_replanned_participation() {
-        let (clients, test) = setup(6, 120);
-        let config = FedAvgConfig {
-            clients_per_round: 4,
-            local_epochs: 3,
-            ..Default::default()
+    /// Driver behaviour does not depend on where training runs: every test
+    /// in the block is instantiated once per executor, as
+    /// `inline::<name>` and `framed::<name>`, with `$x` bound to it.
+    macro_rules! on_both_executors {
+        ($($(#[$attr:meta])* fn $name:ident<$x:ident>() $body:block)*) => {
+            mod inline {
+                use super::*;
+                $(#[test] $(#[$attr])* fn $name() { type $x = Inline; $body })*
+            }
+            mod framed {
+                use super::*;
+                $(#[test] $(#[$attr])* fn $name() { type $x = Framed; $body })*
+            }
         };
-        let mut fed = FedAvg::new(config.clone(), clients.clone(), test.clone());
-        fed.run_round();
-        fed.set_participation(2, 5);
-        let ckpt = fed.checkpoint();
-        assert_eq!(ckpt.participation(), (2, 5));
-        let mut rebuilt = FedAvg::new(config, clients, test);
-        rebuilt.restore(ckpt);
-        assert_eq!(rebuilt.config().clients_per_round, 2);
-        assert_eq!(rebuilt.config().local_epochs, 5);
-        assert_eq!(fed.run_round(), rebuilt.run_round());
     }
 
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn restore_rejects_oversized_k() {
-        let (clients, test) = setup(4, 80);
-        let config = FedAvgConfig {
-            clients_per_round: 4,
-            ..Default::default()
-        };
-        let ckpt = FedAvg::new(config, clients.clone(), test.clone()).checkpoint();
-        let (small_clients, small_test) = setup(2, 40);
-        let shrunk = FedAvgConfig {
-            clients_per_round: 2,
-            ..Default::default()
-        };
-        let mut fed = FedAvg::new(shrunk, small_clients, small_test);
-        fed.restore(ckpt);
-    }
+    on_both_executors! {
+        fn eval_every_skips_evaluations<X>() {
+            let (clients, test) = setup(3, 60);
+            let config = FedAvgConfig {
+                clients_per_round: 1,
+                local_epochs: 1,
+                eval_every: 3,
+                ..Default::default()
+            };
+            let mut fed = RoundDriver::<_, X>::new(config, clients, test);
+            let history = fed.run_until(StopCondition::rounds(6));
+            let evaluated: Vec<bool> = history
+                .records()
+                .iter()
+                .map(|r| r.test_eval.is_some())
+                .collect();
+            assert_eq!(evaluated, vec![false, false, true, false, false, true]);
+        }
 
-    #[test]
-    #[should_panic(expected = "dropout probability")]
-    fn rejects_certain_dropout() {
-        let (clients, test) = setup(2, 40);
-        let config = FedAvgConfig {
-            dropout_prob: 1.0,
-            ..Default::default()
-        };
-        let _ = FedAvg::new(config, clients, test);
-    }
+        fn fully_dropped_round_is_a_no_op<X>() {
+            let (clients, test) = setup(2, 40);
+            let config = FedAvgConfig {
+                clients_per_round: 1,
+                local_epochs: 1,
+                dropout_prob: 0.999_999,
+                ..Default::default()
+            };
+            let mut fed = RoundDriver::<_, X>::new(config, clients, test);
+            let before = fed.global_model().clone();
+            let rec = fed.run_round();
+            assert!(rec.responded.is_empty());
+            assert_eq!(fed.global_model(), &before);
+            assert_eq!(fed.rounds_completed(), 1);
+        }
 
-    #[test]
-    #[should_panic(expected = "exceeds N")]
-    fn rejects_k_above_n() {
-        let (clients, test) = setup(2, 40);
-        let config = FedAvgConfig {
-            clients_per_round: 3,
-            ..Default::default()
-        };
-        let _ = FedAvg::new(config, clients, test);
-    }
+        fn checkpoint_carries_replanned_participation<X>() {
+            let (clients, test) = setup(6, 120);
+            let config = FedAvgConfig {
+                clients_per_round: 4,
+                local_epochs: 3,
+                ..Default::default()
+            };
+            let mut fed = RoundDriver::<_, X>::new(config.clone(), clients.clone(), test.clone());
+            fed.run_round();
+            fed.set_participation(2, 5);
+            let ckpt = fed.checkpoint();
+            assert_eq!(ckpt.participation(), (2, 5));
+            let mut rebuilt = RoundDriver::<_, X>::new(config, clients, test);
+            rebuilt.restore(ckpt);
+            assert_eq!(rebuilt.config().clients_per_round, 2);
+            assert_eq!(rebuilt.config().local_epochs, 5);
+            assert_eq!(fed.run_round(), rebuilt.run_round());
+        }
 
-    #[test]
-    #[should_panic(expected = "E must be")]
-    fn rejects_zero_epochs() {
-        let (clients, test) = setup(2, 40);
-        let config = FedAvgConfig {
-            local_epochs: 0,
-            ..Default::default()
-        };
-        let _ = FedAvg::new(config, clients, test);
+        #[should_panic(expected = "out of range")]
+        fn restore_rejects_oversized_k<X>() {
+            let (clients, test) = setup(4, 80);
+            let config = FedAvgConfig {
+                clients_per_round: 4,
+                ..Default::default()
+            };
+            let ckpt = RoundDriver::<_, X>::new(config, clients.clone(), test.clone()).checkpoint();
+            let (small_clients, small_test) = setup(2, 40);
+            let shrunk = FedAvgConfig {
+                clients_per_round: 2,
+                ..Default::default()
+            };
+            let mut fed = RoundDriver::<_, X>::new(shrunk, small_clients, small_test);
+            fed.restore(ckpt);
+        }
+
+        #[should_panic(expected = "dropout probability")]
+        fn rejects_certain_dropout<X>() {
+            let (clients, test) = setup(2, 40);
+            let config = FedAvgConfig {
+                dropout_prob: 1.0,
+                ..Default::default()
+            };
+            let _ = RoundDriver::<_, X>::new(config, clients, test);
+        }
+
+        #[should_panic(expected = "exceeds N")]
+        fn rejects_k_above_n<X>() {
+            let (clients, test) = setup(2, 40);
+            let config = FedAvgConfig {
+                clients_per_round: 3,
+                ..Default::default()
+            };
+            let _ = RoundDriver::<_, X>::new(config, clients, test);
+        }
+
+        #[should_panic(expected = "E must be")]
+        fn rejects_zero_epochs<X>() {
+            let (clients, test) = setup(2, 40);
+            let config = FedAvgConfig {
+                local_epochs: 0,
+                ..Default::default()
+            };
+            let _ = RoundDriver::<_, X>::new(config, clients, test);
+        }
+
+        #[should_panic(expected = "test set dimension mismatch")]
+        fn rejects_mismatched_test_set<X>() {
+            let (clients, _) = setup(2, 40);
+            let test = Dataset::from_parts(3, vec![0.0; 6], vec![0, 1], 10);
+            let _ = RoundDriver::<_, X>::new(FedAvgConfig::default(), clients, test);
+        }
     }
 }

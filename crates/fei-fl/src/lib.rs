@@ -5,18 +5,25 @@
 //! runs `E` local SGD epochs on its own data, uploads its model, and the
 //! coordinator averages the uploads (Eq. 2).
 //!
-//! Two execution engines share the same configuration and produce identical
-//! results for the same seed:
+//! One round driver, [`fedavg::RoundDriver`], implements that loop once —
+//! validation, planning, billing, screening, aggregation, checkpoints —
+//! and delegates only *where local training runs* to a sealed
+//! [`executor::Executor`]. The two public engines are type aliases over it
+//! and produce identical results for the same configuration and seed:
 //!
-//! * [`fedavg::FedAvg`] — in-process, single-threaded; used by experiments
-//!   that sweep many `(K, E)` combinations;
-//! * [`runtime::ThreadedFedAvg`] — one OS thread per edge server, with model
-//!   parameters serialized into byte frames (via `fei-net`) and moved over
-//!   crossbeam channels, exercising the communication code path a real
-//!   deployment would use.
+//! * [`fedavg::FedAvg`] — the [`executor::Inline`] executor: in-process,
+//!   one reused gradient and wire workspace (zero steady-state
+//!   allocations); used by experiments that sweep many `(K, E)`
+//!   combinations;
+//! * [`runtime::ThreadedFedAvg`] — the [`runtime::Framed`] executor: one OS
+//!   thread per edge server, with model parameters serialized into byte
+//!   frames (via `fei-net`) and moved over crossbeam channels, exercising
+//!   the communication code path a real deployment would use, including
+//!   surviving a dead worker.
 //!
-//! A third, barrier-free engine — [`asynchronous::AsyncFedAvg`] — merges
-//! staleness-discounted updates as they arrive on a virtual clock.
+//! A barrier-free engine — [`asynchronous::AsyncFedAvg`], a different
+//! algorithm rather than a third executor — merges staleness-discounted
+//! updates as they arrive on a virtual clock.
 //!
 //! # Example
 //!
@@ -42,6 +49,7 @@ pub mod adversary;
 pub mod aggregate;
 pub mod asynchronous;
 pub mod error;
+pub mod executor;
 pub mod fault;
 pub mod fedavg;
 pub mod history;
@@ -54,9 +62,10 @@ pub use adversary::{Adversary, AdversarySpec, AttackBehavior};
 pub use aggregate::{aggregate, try_aggregate, AggregateError, AggregationRule};
 pub use asynchronous::{AsyncConfig, AsyncFedAvg, AsyncHistory, AsyncUpdateRecord};
 pub use error::FlError;
+pub use executor::{Executor, Inline};
 pub use fault::{FaultInjector, FaultSpec, RetryPolicy, UploadOutcome};
 pub use fedavg::{
-    FedAvg, FedAvgConfig, RoundFaultStats, RoundOutcome, RoundRecord, StopCondition,
+    FedAvg, FedAvgConfig, RoundDriver, RoundFaultStats, RoundOutcome, RoundRecord, StopCondition,
     ToleranceConfig,
 };
 pub use fei_net::wire::{Encoding, WireConfig};
@@ -66,5 +75,5 @@ pub use robust::{
     robust_aggregate, DefenseConfig, RobustRule, ScreenPolicy, ScreenReason, ScreenReport,
     UpdateScreen,
 };
-pub use runtime::{ThreadedFedAvg, TransportStats};
+pub use runtime::{Framed, ThreadedFedAvg, TransportStats};
 pub use selection::{ClientSelector, SelectionStrategy};

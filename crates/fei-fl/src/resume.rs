@@ -4,11 +4,11 @@
 //! (`fei_proto::Coordinator::recover`), the driver also has to put the
 //! *training* engine back where it was: same global model, same round
 //! counter, same selection and dropout RNG streams, same transport
-//! totals. An [`EngineCheckpoint`] captures exactly that state, and both
-//! execution engines can restore from it — a checkpoint taken from the
-//! serial [`crate::FedAvg`] resumes a [`crate::ThreadedFedAvg`] (and vice
-//! versa) with bit-identical future rounds, because the two engines share
-//! every deterministic component the checkpoint carries.
+//! totals. An [`EngineCheckpoint`] captures exactly that state — all of it
+//! lives in the one [`crate::RoundDriver`], none in an executor — so a
+//! checkpoint taken from the serial [`crate::FedAvg`] resumes a
+//! [`crate::ThreadedFedAvg`] (and vice versa) with bit-identical future
+//! rounds.
 //!
 //! The checkpoint deliberately excludes anything derivable from the
 //! engine's construction inputs (datasets, fault schedules, adversary
@@ -23,10 +23,10 @@ use crate::selection::ClientSelector;
 
 /// Resumable state of a FedAvg engine, generic over the trained model.
 ///
-/// Produced by `FedAvg::checkpoint` / `ThreadedFedAvg::checkpoint`;
-/// consumed by the corresponding `restore` methods. Checkpoints are
-/// engine-agnostic: serial and threaded engines restore from the same
-/// checkpoint to the same future behavior.
+/// Produced by [`crate::RoundDriver::checkpoint`], consumed by
+/// [`crate::RoundDriver::restore`]. Checkpoints do not name an executor:
+/// serial and threaded engines restore from the same checkpoint to the
+/// same future behavior.
 #[derive(Debug, Clone)]
 pub struct EngineCheckpoint<M: Model = LogisticRegression> {
     /// Rounds completed when the checkpoint was taken.

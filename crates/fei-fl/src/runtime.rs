@@ -1,11 +1,12 @@
-//! Threaded FedAvg: one OS thread per edge server.
+//! The framed executor: one OS thread per edge server.
 //!
 //! Exercises the full communication path of a real deployment: the
 //! coordinator serializes the global model into a byte frame (`fei-net`
-//! codec), sends it over a channel to each selected worker, and workers ship
-//! their trained models back the same way. Given equal configuration and
-//! seed the results are bit-identical to [`crate::FedAvg`] — an invariant the
-//! integration tests pin down.
+//! codec), sends it over a channel to each planned worker, and workers ship
+//! their trained models back the same way. Everything else about a round is
+//! [`crate::RoundDriver`]'s, shared with the in-process engine — so given
+//! equal configuration and seed the results are bit-identical to
+//! [`crate::FedAvg`], an invariant the integration tests pin down.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -15,21 +16,14 @@ use std::time::Duration;
 use bytes::Buf;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fei_data::Dataset;
-use fei_ml::{GradReduction, GradScratch, LocalTrainer, LogisticRegression, Model, WorkerPool};
+use fei_ml::{
+    GradScratch, LocalTrainer, LogisticRegression, Model, SgdConfig, TrainStats, WorkerPool,
+};
 use fei_net::codec::{decode_frame, encode_frame, encode_frame_into, FRAME_OVERHEAD};
 use fei_net::wire::{WireConfig, WireScratch};
-use fei_proto::{control_round_bytes, DeviceReport, RoundMachine, RoundPolicy};
-use parking_lot::Mutex;
 
-use crate::adversary::{flip_dataset_labels, Adversary, AdversarySpec};
-use crate::aggregate::try_aggregate;
-use crate::error::FlError;
-use crate::fault::FaultInjector;
-use crate::fedavg::{FedAvgConfig, RoundFaultStats, RoundOutcome, RoundRecord, StopCondition};
-use crate::history::TrainingHistory;
-use crate::resume::EngineCheckpoint;
-use crate::robust::{robust_aggregate, UpdateScreen};
-use crate::selection::ClientSelector;
+use crate::executor::{grad_pool, train_local, training_set, ClientUpdate, Executor};
+use crate::fedavg::{FedAvgConfig, RoundDriver};
 
 /// Wall-clock safety net for a worker reply. Fault schedules are virtual —
 /// this only fires when a worker thread genuinely died or wedged, in which
@@ -56,13 +50,13 @@ pub(crate) fn global_frame_len(n: usize) -> usize {
 }
 
 /// Exact length of a worker → coordinator update frame for an `n`-parameter
-/// model under `transport`. The serial engine charges these same lengths to
-/// its simulated [`TransportStats`], byte for byte.
+/// model under `transport`. The inline executor reports these same lengths
+/// for the frames it does not build, byte for byte.
 pub(crate) fn update_frame_len(transport: WireConfig, n: usize) -> usize {
     FRAME_OVERHEAD + UPDATE_META + transport.payload_len(n)
 }
 
-/// Bytes moved over the wire in both directions, tracked across workers.
+/// Bytes moved over the wire in both directions, summed over every job.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransportStats {
     /// Bytes of global-model frames received by workers.
@@ -189,118 +183,63 @@ fn decode_update(frame: &[u8], base: &[f64], wire: &mut WireScratch) -> Update {
     }
 }
 
-/// FedAvg with edge servers running on dedicated threads, generic over the
-/// trained [`Model`] (multinomial logistic regression by default).
-pub struct ThreadedFedAvg<M: Model = LogisticRegression> {
-    config: FedAvgConfig,
-    test: Dataset,
-    global: M,
-    selector: ClientSelector,
-    round: usize,
-    dropout_rng: fei_sim::DetRng,
-    client_sizes: Vec<usize>,
+/// The thread-per-server executor: every edge server is a persistent OS
+/// thread, and models cross to it and back as real `fei-net` byte frames
+/// over channels — the communication path of a real deployment.
+pub struct Framed {
     to_workers: Vec<Sender<ToWorker>>,
     from_workers: Receiver<Vec<u8>>,
     handles: Vec<JoinHandle<()>>,
-    stats: Arc<Mutex<TransportStats>>,
     /// Coordinator-side wire workspace: encodes the downlink broadcast and
     /// decodes every update frame, allocation-free once warm.
     wire: WireScratch,
-    injector: Option<FaultInjector>,
-    adversary: Option<Adversary>,
+    /// The run's optimizer settings: the update frame carries losses and
+    /// the sample count, and the step count follows from these.
+    sgd: SgdConfig,
     worker_timeout: Duration,
-    /// Kept so `global_train_loss` can be computed coordinator-side; shared
-    /// immutably with worker threads.
-    client_data: Vec<Arc<Dataset>>,
 }
 
-impl ThreadedFedAvg<LogisticRegression> {
-    /// Spawns one worker thread per client dataset, training the paper's
-    /// zero-initialized multinomial logistic regression.
+/// FedAvg with edge servers running on dedicated threads (multinomial
+/// logistic regression by default): the round driver over the [`Framed`]
+/// executor. Given equal configuration and seed the results are
+/// bit-identical to [`crate::FedAvg`].
+pub type ThreadedFedAvg<M = LogisticRegression> = RoundDriver<M, Framed>;
+
+impl<M: Model> RoundDriver<M, Framed> {
+    /// Overrides the wall-clock reply timeout used to detect dead workers.
+    pub fn with_worker_timeout(mut self, timeout: Duration) -> Self {
+        self.exec.worker_timeout = timeout;
+        self
+    }
+
+    /// Chaos hook: makes `client`'s worker thread panic on its next message,
+    /// simulating a process crash. Subsequent rounds count the dead worker
+    /// as a dropout — they never hang on it.
     ///
     /// # Panics
     ///
-    /// Same validation as [`crate::FedAvg::new`].
-    pub fn new(config: FedAvgConfig, clients: Vec<Dataset>, test: Dataset) -> Self {
-        assert!(!clients.is_empty(), "need at least one client dataset");
-        let global = LogisticRegression::zeros(clients[0].dim(), clients[0].num_classes());
-        Self::with_model(config, clients, test, global)
+    /// Panics if `client` is out of range.
+    pub fn inject_worker_panic(&self, client: usize) {
+        let _ = self.exec.to_workers[client].send(ToWorker::Poison);
     }
 }
 
-impl<M: Model> ThreadedFedAvg<M> {
-    /// Spawns one worker thread per client dataset with an explicit initial
-    /// global model `ω₀`.
-    ///
-    /// # Panics
-    ///
-    /// Same validation as [`crate::FedAvg::with_model`].
-    pub fn with_model(
-        config: FedAvgConfig,
-        clients: Vec<Dataset>,
-        test: Dataset,
-        global: M,
-    ) -> Self {
-        assert!(!clients.is_empty(), "need at least one client dataset");
-        assert!(
-            clients.iter().all(|c| !c.is_empty()),
-            "every client needs at least one sample"
-        );
-        let dim = clients[0].dim();
-        let classes = clients[0].num_classes();
-        assert!(
-            clients
-                .iter()
-                .all(|c| c.dim() == dim && c.num_classes() == classes),
-            "client datasets must share a shape"
-        );
-        assert!(config.clients_per_round > 0, "K must be at least 1");
-        assert!(
-            config.clients_per_round <= clients.len(),
-            "K = {} exceeds N = {}",
-            config.clients_per_round,
-            clients.len()
-        );
-        assert!(config.local_epochs > 0, "E must be at least 1");
-        assert!(config.eval_every > 0, "eval_every must be at least 1");
-        assert!(
-            (0.0..1.0).contains(&config.dropout_prob),
-            "dropout probability must be in [0, 1)"
-        );
-        if let Some(defense) = &config.defense {
-            defense.screen.validate();
-        }
-
-        assert_eq!(global.dim(), dim, "model dimension mismatch");
-        assert_eq!(global.num_classes(), classes, "model class mismatch");
-        let selector = ClientSelector::new(config.selection, clients.len(), config.seed);
-        let stats = Arc::new(Mutex::new(TransportStats::default()));
+impl Executor for Framed {
+    /// Spawns one worker thread per client dataset.
+    fn start<M: Model>(config: &FedAvgConfig, clients: &[Arc<Dataset>], template: &M) -> Self {
         let (result_tx, from_workers) = unbounded::<Vec<u8>>();
-
-        let client_sizes: Vec<usize> = clients.iter().map(Dataset::len).collect();
-        let client_data: Vec<Arc<Dataset>> = clients.into_iter().map(Arc::new).collect();
-        let mut to_workers = Vec::with_capacity(client_data.len());
-        let mut handles = Vec::with_capacity(client_data.len());
-
-        // One persistent gradient pool shared by every client worker (the
-        // pooled kernel is bit-identical to the scoped one, so sharing
-        // changes scheduling, never numerics). Dropped when the last client
-        // worker exits.
-        let grad_pool = match config.sgd.grad {
-            GradReduction::FusedParallel { threads } if threads > 1 => {
-                Some(Arc::new(WorkerPool::new(threads)))
-            }
-            _ => None,
-        };
-
-        for (id, data) in client_data.iter().enumerate() {
+        // One gradient pool shared by every client worker; dropped when the
+        // last of them exits.
+        let grad_pool = grad_pool(&config.sgd);
+        let mut to_workers = Vec::with_capacity(clients.len());
+        let mut handles = Vec::with_capacity(clients.len());
+        for (id, data) in clients.iter().enumerate() {
             let (tx, rx) = unbounded::<ToWorker>();
             to_workers.push(tx);
             let data = Arc::clone(data);
             let result_tx = result_tx.clone();
             let trainer = LocalTrainer::new(config.sgd.clone());
-            let stats = Arc::clone(&stats);
-            let template = global.clone();
+            let template = template.clone();
             let transport = config.transport;
             let grad_pool = grad_pool.clone();
             handles.push(std::thread::spawn(move || {
@@ -312,452 +251,91 @@ impl<M: Model> ThreadedFedAvg<M> {
                     transport,
                     &rx,
                     &result_tx,
-                    &stats,
                     grad_pool.as_deref(),
                 );
             }));
         }
-
-        let dropout_rng = fei_sim::DetRng::new(config.seed).fork(0xD80);
         Self {
-            config,
-            test,
-            global,
-            selector,
-            round: 0,
-            dropout_rng,
-            client_sizes,
             to_workers,
             from_workers,
             handles,
-            stats,
             wire: WireScratch::new(),
-            injector: None,
-            adversary: None,
+            sgd: config.sgd.clone(),
             worker_timeout: DEFAULT_WORKER_TIMEOUT,
-            client_data,
         }
     }
 
-    /// Attaches a seeded fault injector; see [`crate::FedAvg::with_faults`].
-    /// Fault decisions are made coordinator-side from the same pure
-    /// schedule, so both engines stay bit-identical under the same seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `dropout_prob` is also set.
-    pub fn with_faults(mut self, injector: FaultInjector) -> Self {
-        assert_eq!(
-            self.config.dropout_prob, 0.0,
-            "use either dropout_prob or a fault injector, not both"
-        );
-        self.injector = Some(injector);
-        self
-    }
-
-    /// Compromises a seeded fraction of the fleet; see
-    /// [`crate::FedAvg::with_adversary`]. Attacks on uploaded parameters are
-    /// applied coordinator-side to the decoded frames (the codec
-    /// round-trips `f64`s exactly), and label-flip cohorts are flagged in
-    /// the dispatch so workers train on flipped copies — both engines
-    /// observe bit-identical attacks under the same spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid [`AdversarySpec`] (see [`Adversary::new`]).
-    pub fn with_adversary(mut self, spec: AdversarySpec) -> Self {
-        self.adversary = Some(Adversary::new(spec, self.client_sizes.len()));
-        self
-    }
-
-    /// The attached adversary, if any.
-    pub fn adversary(&self) -> Option<&Adversary> {
-        self.adversary.as_ref()
-    }
-
-    /// Overrides the wall-clock reply timeout used to detect dead workers.
-    pub fn with_worker_timeout(mut self, timeout: Duration) -> Self {
-        self.worker_timeout = timeout;
-        self
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
-    }
-
-    /// Chaos hook: makes `client`'s worker thread panic on its next message,
-    /// simulating a process crash. Subsequent rounds count the dead worker
-    /// as a dropout — they never hang on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` is out of range.
-    pub fn inject_worker_panic(&self, client: usize) {
-        let _ = self.to_workers[client].send(ToWorker::Poison);
-    }
-
-    /// The run's configuration.
-    pub fn config(&self) -> &FedAvgConfig {
-        &self.config
-    }
-
-    /// The current global model.
-    pub fn global_model(&self) -> &M {
-        &self.global
-    }
-
-    /// Rounds completed so far.
-    pub fn rounds_completed(&self) -> usize {
-        self.round
-    }
-
-    /// Cumulative transport statistics across all workers.
-    pub fn transport_stats(&self) -> TransportStats {
-        *self.stats.lock()
-    }
-
-    /// Captures the engine's resumable state; see
-    /// [`crate::FedAvg::checkpoint`]. Checkpoints are interchangeable
-    /// between the serial and threaded engines.
-    pub fn checkpoint(&self) -> EngineCheckpoint<M> {
-        EngineCheckpoint {
-            round: self.round,
-            global: self.global.clone(),
-            selector: self.selector.clone(),
-            dropout_rng: self.dropout_rng.clone(),
-            transport: *self.stats.lock(),
-            clients_per_round: self.config.clients_per_round,
-            local_epochs: self.config.local_epochs,
-        }
-    }
-
-    /// Rewinds the engine to a checkpoint taken from either execution
-    /// engine over the same fleet and configuration. Worker threads keep
-    /// running — only coordinator-side state rewinds, which is all a round
-    /// depends on (workers are stateless between jobs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpointed model's shape does not match this
-    /// engine's datasets, or its `K` exceeds the fleet.
-    pub fn restore(&mut self, checkpoint: EngineCheckpoint<M>) {
-        assert_eq!(
-            checkpoint.global.dim(),
-            self.client_data[0].dim(),
-            "checkpoint model dimension mismatch"
-        );
-        assert_eq!(
-            checkpoint.global.num_classes(),
-            self.client_data[0].num_classes(),
-            "checkpoint model class mismatch"
-        );
-        assert!(
-            checkpoint.clients_per_round >= 1
-                && checkpoint.clients_per_round <= self.client_sizes.len(),
-            "checkpoint K = {} out of range for N = {}",
-            checkpoint.clients_per_round,
-            self.client_sizes.len()
-        );
-        assert!(
-            checkpoint.local_epochs >= 1,
-            "checkpoint E must be at least 1"
-        );
-        self.round = checkpoint.round;
-        self.global = checkpoint.global;
-        self.selector = checkpoint.selector;
-        self.dropout_rng = checkpoint.dropout_rng;
-        *self.stats.lock() = checkpoint.transport;
-        self.config.clients_per_round = checkpoint.clients_per_round;
-        self.config.local_epochs = checkpoint.local_epochs;
-    }
-
-    /// Loss of the current global model over all client data.
-    pub fn global_train_loss(&self) -> f64 {
-        let total: usize = self.client_sizes.iter().sum();
-        let weighted: f64 = self
-            .client_data
-            .iter()
-            .map(|c| self.global.loss(c) * c.len() as f64)
-            .sum();
-        weighted / total as f64
-    }
-
-    /// Executes one global round across the worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the round fails outright (see
-    /// [`ThreadedFedAvg::try_run_round`]); impossible without a fault
-    /// injector.
-    pub fn run_round(&mut self) -> RoundRecord {
-        // fei-lint: allow(no-panic, reason = "documented panicking convenience wrapper; fallible callers use try_run_round")
-        self.try_run_round().expect("federated round failed")
-    }
-
-    /// Executes one global round, reporting fleet exhaustion as a typed
-    /// error. Mirrors [`crate::FedAvg::try_run_round`] decision-for-decision
-    /// so both engines produce bit-identical records under the same seeds.
-    ///
-    /// The coordinator survives worker failures: a send to a dead worker or
-    /// a missing reply (panic, wedge) counts the worker as a dropout
-    /// ([`RoundFaultStats::worker_losses`]) after a wall-clock timeout —
-    /// the round always terminates.
-    ///
-    /// # Errors
-    ///
-    /// [`FlError::FleetBelowQuorum`] when fewer devices are up than the
-    /// quorum requires (the round counter is not advanced), and
-    /// [`FlError::Aggregate`] when the delivered updates could not be
-    /// combined (the global model is unchanged).
-    pub fn try_run_round(&mut self) -> Result<RoundRecord, FlError> {
-        let t = self.round;
-        let mut faults = RoundFaultStats::default();
-
-        // Decide the round plan coordinator-side (matching the in-process
-        // engine's decisions) so both engines stay bit-identical.
-        let (selected, planned) = match self.injector.as_ref().filter(|i| i.is_enabled()).cloned() {
-            None => {
-                let selected = self.selector.select(t, self.config.clients_per_round);
-                let planned: Vec<usize> = selected
-                    .iter()
-                    .copied()
-                    .filter(|_| {
-                        // fei-lint: allow(float-eq, reason = "configuration sentinel: exactly-zero dropout must not consume RNG draws, or seeds diverge")
-                        self.config.dropout_prob == 0.0
-                            || self.dropout_rng.next_f64() >= self.config.dropout_prob
-                    })
-                    .collect();
-                (selected, planned)
-            }
-            Some(injector) => {
-                let tol = self.config.tolerance.clone();
-                let n = self.client_sizes.len();
-
-                // The same fei-proto round decision core the in-process
-                // engine executes: one implementation of the quorum gate,
-                // selection width, deadline admission, and first-K race.
-                let policy = RoundPolicy {
-                    k: self.config.clients_per_round,
-                    over_select: tol.over_select,
-                    quorum: tol.effective_quorum(),
-                    deadline_s: tol.deadline_s,
-                };
-                let alive = injector.live_fleet(n, t).len();
-                // `RoundMachine::begin` fails only on quorum loss.
-                let mut machine = RoundMachine::begin(policy, t as u64, alive).map_err(|_| {
-                    FlError::FleetBelowQuorum {
-                        round: t,
-                        alive,
-                        required: policy.quorum,
-                    }
-                })?;
-
-                let selected = self.selector.select(t, machine.selection_width(n));
-
-                for &device in &selected {
-                    if injector.is_down(device, t) {
-                        machine.offer_crashed(device);
-                        continue;
-                    }
-                    let factor = injector.straggle_factor(device, t);
-                    let upload = injector.upload_outcome(device, t, &tol.retry);
-                    faults.corrupted_frames += upload.corrupted;
-                    faults.upload_retries += upload.attempts - 1;
-                    machine.offer(
-                        device,
-                        DeviceReport {
-                            straggle_factor: factor,
-                            delivered: upload.delivered,
-                            arrival_s: tol.nominal_round_s * factor + upload.backoff_s,
-                        },
-                    );
-                }
-
-                let closed = machine.close();
-                faults.crashed = closed.tally.crashed;
-                faults.stragglers = closed.tally.stragglers;
-                faults.abandoned_uploads = closed.tally.abandoned_uploads;
-                faults.deadline_misses = closed.tally.deadline_misses;
-                (selected, closed.accepted)
-            }
-        };
+    /// Broadcasts the global frame and collects the update frames. A send
+    /// to a dead worker or a missing reply (panic, wedge) counts the worker
+    /// as lost after a wall-clock timeout — the call always returns.
+    fn execute<M: Model>(
+        &mut self,
+        round: usize,
+        epochs: usize,
+        global: &M,
+        planned: &[(usize, bool)],
+    ) -> (Vec<ClientUpdate>, usize) {
+        let base = global.to_flat();
+        let (wire_round, wire_epochs) = (round as u32, epochs as u32);
+        let frame = encode_global(wire_round, wire_epochs, base, &mut self.wire);
 
         // Dispatch. A send failure means the worker's thread is gone (e.g.
-        // it panicked): count it as a dropout rather than crashing the run.
-        let frame = encode_global(
-            t as u32,
-            self.config.local_epochs as u32,
-            self.global.to_flat(),
-            &mut self.wire,
-        );
+        // it panicked): count it as lost rather than crashing the run.
+        let mut lost = 0;
         let mut pending = BTreeSet::new();
-        for &client in &planned {
-            let sent = self.to_workers[client]
-                .send(ToWorker::Train {
-                    round: t as u32,
-                    epochs: self.config.local_epochs as u32,
-                    frame: frame.clone(),
-                    flip: self
-                        .adversary
-                        .as_ref()
-                        .is_some_and(|adv| adv.flips_labels(client)),
-                })
-                .is_ok();
-            if sent {
+        for &(client, flip) in planned {
+            let job = ToWorker::Train {
+                round: wire_round,
+                epochs: wire_epochs,
+                frame: frame.clone(),
+                flip,
+            };
+            if self.to_workers[client].send(job).is_ok() {
                 pending.insert(client);
             } else {
-                faults.worker_losses += 1;
+                lost += 1;
             }
         }
 
         // Collect replies. The wall-clock timeout is a liveness safety net:
         // a worker that dies mid-job stops the wait, and its absence is a
         // dropout — the round never hangs and never poisons shared state.
-        let mut updates: Vec<(Update, usize)> = Vec::with_capacity(pending.len());
+        let mut updates = Vec::with_capacity(pending.len());
         while !pending.is_empty() {
             match self.from_workers.recv_timeout(self.worker_timeout) {
                 Ok(reply) => {
-                    let frame_len = reply.len();
-                    let update = decode_update(&reply, self.global.to_flat(), &mut self.wire);
+                    let update = decode_update(&reply, base, &mut self.wire);
                     // Discard stale frames from rounds a dead worker missed.
-                    if update.round == t as u32 && pending.remove(&update.client) {
-                        updates.push((update, frame_len));
+                    if update.round == wire_round && pending.remove(&update.client) {
+                        updates.push(ClientUpdate {
+                            client: update.client,
+                            samples: update.samples,
+                            params: update.params,
+                            stats: TrainStats {
+                                epochs_run: epochs,
+                                gradient_steps: self.sgd.gradient_steps(epochs, update.samples),
+                                initial_loss: update.initial_loss,
+                                final_loss: update.final_loss,
+                                samples: update.samples,
+                            },
+                            bytes_down: frame.len() as u64,
+                            bytes_up: reply.len() as u64,
+                        });
                     }
                 }
                 Err(_) => {
-                    faults.worker_losses += pending.len();
+                    lost += pending.len();
                     pending.clear();
                 }
             }
         }
         // Restore deterministic order: workers reply in arbitrary order.
-        updates.sort_by_key(|(u, _)| u.client);
-        let responded: Vec<usize> = updates.iter().map(|(u, _)| u.client).collect();
-
-        // Apply parameter attacks coordinator-side, on the decoded frames:
-        // the codec round-trips `f64`s exactly, so the poisoned values are
-        // bit-identical to the in-process engine's.
-        if let Some(adversary) = &self.adversary {
-            let global_flat = self.global.to_flat();
-            for (u, _) in updates.iter_mut() {
-                adversary.poison(u.client, t, global_flat, &mut u.params);
-            }
-        }
-
-        // Charge uplink retransmissions decided by the fault schedule: each
-        // failed attempt resent the full update frame.
-        if let Some(injector) = &self.injector {
-            if injector.is_enabled() {
-                let retry = &self.config.tolerance.retry;
-                let resent: u64 = updates
-                    .iter()
-                    .map(|(u, len)| {
-                        let attempts = injector.upload_outcome(u.client, t, retry).attempts;
-                        (attempts as u64 - 1) * *len as u64
-                    })
-                    .sum();
-                if resent > 0 {
-                    self.stats.lock().bytes_retransmitted += resent;
-                }
-            }
-        }
-
-        // Screen the delivered updates exactly as the in-process engine
-        // does: a screened-out update counts as undelivered for quorum.
-        let mut pairs: Vec<(Vec<f64>, usize)> = updates
-            .iter()
-            .map(|(u, _)| (u.params.clone(), u.samples))
-            .collect();
-        if let Some(defense) = &self.config.defense {
-            let report =
-                UpdateScreen::new(defense.screen).screen(&mut pairs, self.global.to_flat().len());
-            faults.screened_updates = report.rejected_count();
-            faults.clipped_updates = report.clipped;
-        }
-
-        let quorum = self.config.tolerance.effective_quorum();
-        let outcome = RoundOutcome::of(pairs.len(), selected.len(), quorum);
-
-        // Control-plane traffic of the protocol round, charged exactly as
-        // the in-process engine charges it.
-        self.stats.lock().bytes_control += control_round_bytes(
-            selected.len(),
-            selected.len() - faults.crashed,
-            outcome.committed(),
-            responded.len(),
-        );
-        if outcome.committed() && !pairs.is_empty() {
-            let merged = match &self.config.defense {
-                Some(defense) => robust_aggregate(&pairs, defense.rule),
-                None => try_aggregate(&pairs, self.config.aggregation),
-            }
-            .map_err(|source| FlError::Aggregate { round: t, source })?;
-            self.global.set_flat(&merged);
-        }
-        self.round += 1;
-
-        let evaluated = self.round.is_multiple_of(self.config.eval_every);
-        Ok(RoundRecord {
-            round: t,
-            selected,
-            responded,
-            local_stats: updates
-                .iter()
-                .map(|(u, _)| fei_ml::TrainStats {
-                    epochs_run: self.config.local_epochs,
-                    gradient_steps: self.config.local_epochs,
-                    initial_loss: u.initial_loss,
-                    final_loss: u.final_loss,
-                    samples: u.samples,
-                })
-                .collect(),
-            global_train_loss: evaluated.then(|| self.global_train_loss()),
-            test_eval: evaluated.then(|| fei_ml::Evaluation::of(&self.global, &self.test)),
-            outcome,
-            faults,
-        })
-    }
-
-    /// Runs rounds until `stop` is satisfied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a round fails outright; impossible without a fault
-    /// injector.
-    pub fn run_until(&mut self, stop: StopCondition) -> TrainingHistory {
-        // fei-lint: allow(no-panic, reason = "documented panicking convenience wrapper; fallible callers use try_run_until")
-        self.try_run_until(stop).expect("federated round failed")
-    }
-
-    /// Runs rounds until `stop` is satisfied, with the same missed-target
-    /// recording and error semantics as [`crate::FedAvg::try_run_until`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FlError::FleetBelowQuorum`] from a failed round.
-    pub fn try_run_until(&mut self, stop: StopCondition) -> Result<TrainingHistory, FlError> {
-        let mut history = TrainingHistory::new();
-        let mut reached = false;
-        for _ in 0..stop.max_rounds {
-            let record = self.try_run_round()?;
-            reached = match (stop.target_accuracy, &record.test_eval) {
-                (Some(target), Some(eval)) => eval.accuracy >= target,
-                _ => false,
-            };
-            history.push(record);
-            if reached {
-                break;
-            }
-        }
-        if let (Some(target), false) = (stop.target_accuracy, reached) {
-            history.record_missed_target(target);
-        }
-        Ok(history)
+        updates.sort_by_key(|u| u.client);
+        (updates, lost)
     }
 }
 
-impl<M: Model> Drop for ThreadedFedAvg<M> {
+impl Drop for Framed {
     fn drop(&mut self) {
         for tx in &self.to_workers {
             let _ = tx.send(ToWorker::Shutdown);
@@ -777,7 +355,6 @@ fn worker_loop<M: Model>(
     transport: WireConfig,
     rx: &Receiver<ToWorker>,
     result_tx: &Sender<Vec<u8>>,
-    stats: &Mutex<TransportStats>,
     grad_pool: Option<&WorkerPool>,
 ) {
     // Lazily built label-flipped copy, for compromised label-flip clients.
@@ -802,33 +379,19 @@ fn worker_loop<M: Model>(
                 frame,
                 flip,
             } => {
-                let frame_len = frame.len();
                 let (wire_round, wire_epochs) = decode_global_into(&frame, &mut params, &mut wire);
                 debug_assert_eq!(wire_round, round);
                 debug_assert_eq!(wire_epochs, epochs);
-                let train_data: &Arc<Dataset> = if flip {
-                    flipped.get_or_insert_with(|| Arc::new(flip_dataset_labels(data)))
-                } else {
-                    data
-                };
                 model.set_flat(&params);
-                let train_stats = match grad_pool {
-                    Some(pool) => trainer.train_with_pool(
-                        &mut model,
-                        train_data,
-                        epochs as usize,
-                        round as usize,
-                        &mut scratch,
-                        pool,
-                    ),
-                    None => trainer.train_with(
-                        &mut model,
-                        train_data,
-                        epochs as usize,
-                        round as usize,
-                        &mut scratch,
-                    ),
-                };
+                let train_stats = train_local(
+                    trainer,
+                    grad_pool,
+                    &mut model,
+                    training_set(data, &mut flipped, flip),
+                    epochs as usize,
+                    round as usize,
+                    &mut scratch,
+                );
                 let update = Update {
                     round,
                     client: id,
@@ -840,12 +403,6 @@ fn worker_loop<M: Model>(
                 // `params` still holds this round's decoded global model —
                 // the bit-exact delta base shared with the coordinator.
                 let reply = encode_update(&update, transport, &params, &mut wire, &mut payload_buf);
-                {
-                    let mut s = stats.lock();
-                    s.bytes_down += frame_len as u64;
-                    s.bytes_up += reply.len() as u64;
-                    s.jobs += 1;
-                }
                 if result_tx.send(reply).is_err() {
                     break;
                 }
@@ -856,23 +413,9 @@ fn worker_loop<M: Model>(
 
 #[cfg(test)]
 mod tests {
-    use fei_data::{Partition, SyntheticMnist, SyntheticMnistConfig};
-    use fei_sim::DetRng;
-
     use super::*;
-    use crate::fedavg::FedAvg;
-
-    fn setup(n_clients: usize, samples: usize) -> (Vec<Dataset>, Dataset) {
-        let gen = SyntheticMnist::new(SyntheticMnistConfig {
-            pixel_noise_std: 0.2,
-            label_flip_prob: 0.0,
-            ..Default::default()
-        });
-        let train = gen.generate(samples, 0);
-        let test = gen.generate(samples / 4, 1);
-        let parts = Partition::iid(train.len(), n_clients, &mut DetRng::new(7)).apply(&train);
-        (parts, test)
-    }
+    use crate::fedavg::tests::setup;
+    use crate::fedavg::{FedAvg, StopCondition};
 
     #[test]
     fn threaded_matches_in_process_bit_for_bit() {

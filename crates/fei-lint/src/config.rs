@@ -109,6 +109,10 @@ impl LintConfig {
                 "vendor".to_string(),
                 // The linter's own known-bad test corpus.
                 "fixtures".to_string(),
+                // The stand-alone benchmark package (its own `[workspace]`):
+                // BENCHMARK.json freezes its files, so a finding there could
+                // never be fixed by the change that meets it.
+                "perfbench".to_string(),
             ],
             // Integration tests, examples, and benches are test code: pass 1
             // reads them (wire-schema's "named in a test" leg needs them),

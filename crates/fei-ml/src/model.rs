@@ -255,11 +255,12 @@ impl LogisticRegression {
     /// The batch is split into fixed [`GRAD_CHUNK`]-sample chunks; each chunk
     /// accumulates an unnormalized partial gradient and loss, and the
     /// partials are combined by the fixed pairwise tree in
-    /// [`fei_math::reduce`]. With `threads <= 1` the chunks run on the
-    /// calling thread; with `threads > 1` they are dealt to scoped worker
-    /// threads in contiguous bands. Either way each chunk's arithmetic and
-    /// the combination schedule are pure functions of `indices.len()`, so
-    /// **the result is bit-identical for every thread count**.
+    /// [`fei_math::reduce`]. This is the serial reference: every chunk runs
+    /// on the calling thread. Each chunk's arithmetic and the combination
+    /// schedule are pure functions of `indices.len()`, which is what lets
+    /// [`LogisticRegression::pooled_loss_and_gradient_into`] deal the same
+    /// chunks to pool workers and land on **the same bits for every pool
+    /// size**.
     ///
     /// Returns the mean loss; the mean gradient is left in `scratch.grad()`.
     ///
@@ -271,70 +272,20 @@ impl LogisticRegression {
         data: &Dataset,
         indices: &[usize],
         scratch: &mut GradScratch,
-        threads: usize,
     ) -> f64 {
         assert!(!indices.is_empty(), "gradient over empty batch");
         self.check_shape(data);
         let np = self.params.len();
-        let nc = self.num_classes;
         let n_chunks = indices.len().div_ceil(GRAD_CHUNK);
-        let workers = threads.max(1).min(n_chunks);
-        scratch.prepare(np, nc, n_chunks, workers);
-        let (grad, partials, losses, works) = scratch.views(np, nc, n_chunks, workers);
-
-        if workers <= 1 {
-            let work = &mut works[0];
-            for ((chunk, part), loss) in indices
-                .chunks(GRAD_CHUNK)
-                .zip(partials.chunks_mut(np))
-                .zip(losses.iter_mut())
-            {
-                *loss = self.grad_chunk_into(data, chunk, part, work);
-            }
-        } else {
-            // Deal chunk ids to workers in contiguous bands. Band boundaries
-            // affect only which thread computes a chunk, never the chunk's
-            // content or the reduction order.
-            let base = n_chunks / workers;
-            let extra = n_chunks % workers;
-            std::thread::scope(|scope| {
-                let mut rest_partials = &mut *partials;
-                let mut rest_losses = &mut *losses;
-                let mut rest_works = &mut *works;
-                let mut chunk0 = 0usize;
-                for w in 0..workers {
-                    let band = base + usize::from(w < extra);
-                    let (band_partials, rp) = rest_partials.split_at_mut(band * np);
-                    rest_partials = rp;
-                    let (band_losses, rl) = rest_losses.split_at_mut(band);
-                    rest_losses = rl;
-                    let (work, rw) = rest_works.split_at_mut(1);
-                    rest_works = rw;
-                    let work = &mut work[0];
-                    let s0 = chunk0 * GRAD_CHUNK;
-                    let s1 = ((chunk0 + band) * GRAD_CHUNK).min(indices.len());
-                    let band_indices = &indices[s0..s1];
-                    chunk0 += band;
-                    scope.spawn(move || {
-                        for ((chunk, part), loss) in band_indices
-                            .chunks(GRAD_CHUNK)
-                            .zip(band_partials.chunks_mut(np))
-                            .zip(band_losses.iter_mut())
-                        {
-                            *loss = self.grad_chunk_into(data, chunk, part, work);
-                        }
-                    });
-                }
-            });
+        let (partials, losses, work) = scratch.prepare(np, self.num_classes, n_chunks);
+        for ((chunk, part), loss) in indices
+            .chunks(GRAD_CHUNK)
+            .zip(partials.chunks_mut(np))
+            .zip(losses.iter_mut())
+        {
+            *loss = self.grad_chunk_into(data, chunk, part, work);
         }
-
-        reduce::tree_reduce_into_first(partials, n_chunks, np);
-        let total_loss = reduce::tree_reduce_scalars(losses);
-        let inv_n = 1.0 / indices.len() as f64;
-        for (g, &p) in grad.iter_mut().zip(partials[..np].iter()) {
-            *g = p * inv_n;
-        }
-        total_loss * inv_n
+        scratch.reduce_mean(np, n_chunks, indices.len())
     }
 
     /// One chunk of the fused kernel: accumulates the unnormalized gradient
@@ -422,15 +373,15 @@ impl LogisticRegression {
     }
 
     /// [`LogisticRegression::fused_loss_and_gradient_into`] on a persistent
-    /// [`WorkerPool`] instead of per-call scoped threads: the batch is dealt
-    /// to `min(pool.size(), n_chunks)` contiguous chunk bands by the same
-    /// `base + (w < extra)` formula, each band is computed by pool worker
-    /// `w` against worker-owned buffers (shipped in and out of the job via
-    /// a result channel — no shared mutable state), and the partials are
-    /// combined by the identical fixed pairwise tree. **Bit-identical to
-    /// the scoped variant with `threads = pool.size()`** — and therefore to
-    /// every other thread count — at a fraction of the per-step overhead,
-    /// because no threads are spawned or joined per gradient step.
+    /// [`WorkerPool`] — the one parallel gradient path. The batch is dealt
+    /// to `min(pool.size(), n_chunks)` contiguous chunk bands by a static
+    /// `base + (w < extra)` formula (band boundaries decide only which
+    /// worker computes a chunk, never its content or the reduction order),
+    /// each band is computed by pool worker `w` against worker-owned buffers
+    /// (shipped in and out of the job via a result channel — no shared
+    /// mutable state), and the partials are combined by the identical fixed
+    /// pairwise tree. **Bit-identical to the serial kernel for every pool
+    /// size**, and no threads are spawned or joined per gradient step.
     ///
     /// Worker panics are re-raised on the calling thread after every band
     /// has reported, so the pool and the scratch stay reusable.
@@ -452,7 +403,7 @@ impl LogisticRegression {
         let n_chunks = indices.len().div_ceil(GRAD_CHUNK);
         let workers = pool.size().min(n_chunks);
         if workers <= 1 {
-            return self.fused_loss_and_gradient_into(data, indices, scratch, 1);
+            return self.fused_loss_and_gradient_into(data, indices, scratch);
         }
         scratch.prepare_pooled(np, n_chunks, workers);
         let snapshot = scratch.refresh_snapshot(self);
@@ -503,19 +454,12 @@ impl LogisticRegression {
             std::panic::resume_unwind(payload);
         }
 
-        let (grad, partials, losses) = scratch.reduce_views(np, n_chunks);
-        reduce::tree_reduce_into_first(partials, n_chunks, np);
-        let total_loss = reduce::tree_reduce_scalars(losses);
-        let inv_n = 1.0 / indices.len() as f64;
-        for (g, &p) in grad.iter_mut().zip(partials[..np].iter()) {
-            *g = p * inv_n;
-        }
-        total_loss * inv_n
+        scratch.reduce_mean(np, n_chunks, indices.len())
     }
 
     /// Computes one band of chunks into `state` (the pool-worker side of
     /// [`LogisticRegression::pooled_loss_and_gradient_into`]). Chunking and
-    /// per-chunk arithmetic are exactly those of the scoped-thread path.
+    /// per-chunk arithmetic are exactly those of the serial kernel.
     pub(crate) fn run_band(&self, data: &Dataset, state: &mut BandState) {
         let np = self.params.len();
         let BandState {
@@ -689,9 +633,8 @@ impl crate::traits::Model for LogisticRegression {
         data: &Dataset,
         indices: &[usize],
         scratch: &mut GradScratch,
-        threads: usize,
     ) -> f64 {
-        LogisticRegression::fused_loss_and_gradient_into(self, data, indices, scratch, threads)
+        LogisticRegression::fused_loss_and_gradient_into(self, data, indices, scratch)
     }
 
     fn loss_with(&self, data: &Dataset, scratch: &mut GradScratch) -> f64 {
@@ -879,40 +822,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_parallel_bit_identical_to_fused_serial() {
-        // 300 samples -> 5 chunks of GRAD_CHUNK=64 (last partial); every
-        // thread count must produce the same bits as the serial evaluation.
-        let data = chunky_dataset(300, 12, 4);
-        let model = warm_model(12, 4);
-        let indices: Vec<usize> = (0..data.len()).collect();
-
-        let mut serial = GradScratch::new();
-        let loss_serial = model.fused_loss_and_gradient_into(&data, &indices, &mut serial, 1);
-        for threads in [2, 3, 4, 8, 64] {
-            let mut parallel = GradScratch::new();
-            let loss_par =
-                model.fused_loss_and_gradient_into(&data, &indices, &mut parallel, threads);
-            assert_eq!(
-                loss_serial.to_bits(),
-                loss_par.to_bits(),
-                "loss differs at {threads} threads"
-            );
-            assert_eq!(
-                serial.grad(),
-                parallel.grad(),
-                "gradient differs at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
     fn fused_matches_naive_within_tolerance() {
         let data = chunky_dataset(200, 9, 3);
         let model = warm_model(9, 3);
         let indices: Vec<usize> = (0..data.len()).collect();
         let (naive_loss, naive_grad) = model.loss_and_gradient(&data, &indices);
         let mut scratch = GradScratch::new();
-        let fused_loss = model.fused_loss_and_gradient_into(&data, &indices, &mut scratch, 1);
+        let fused_loss = model.fused_loss_and_gradient_into(&data, &indices, &mut scratch);
         assert!(
             (fused_loss - naive_loss).abs() < 1e-12,
             "{fused_loss} vs {naive_loss}"
@@ -929,7 +845,7 @@ mod tests {
         m.set_flat(&[0.3, -0.2, 0.1, 0.4, 0.05, -0.1]);
         let indices: Vec<usize> = (0..data.len()).collect();
         let mut scratch = GradScratch::new();
-        m.fused_loss_and_gradient_into(&data, &indices, &mut scratch, 1);
+        m.fused_loss_and_gradient_into(&data, &indices, &mut scratch);
 
         let eps = 1e-6;
         let mut flat = m.to_flat().to_vec();
@@ -955,10 +871,10 @@ mod tests {
         let model = warm_model(8, 2);
         let indices: Vec<usize> = (0..data.len()).collect();
         let mut scratch = GradScratch::new();
-        model.fused_loss_and_gradient_into(&data, &indices, &mut scratch, 1);
+        model.fused_loss_and_gradient_into(&data, &indices, &mut scratch);
         let warm = scratch.allocations();
         for _ in 0..20 {
-            model.fused_loss_and_gradient_into(&data, &indices, &mut scratch, 1);
+            model.fused_loss_and_gradient_into(&data, &indices, &mut scratch);
         }
         assert_eq!(scratch.allocations(), warm, "warm kernel must not allocate");
     }
@@ -1003,14 +919,17 @@ mod tests {
     }
 
     #[test]
-    fn pooled_kernel_bit_identical_to_scoped_for_every_pool_size() {
+    fn pooled_kernel_bit_identical_to_serial_for_every_pool_size() {
+        // 300 samples -> 5 chunks of GRAD_CHUNK=64 (last partial); every
+        // pool size, including one wider than the chunk count, must produce
+        // the same bits as the serial evaluation.
         let data = Arc::new(chunky_dataset(300, 12, 4));
         let model = warm_model(12, 4);
         let indices: Vec<usize> = (0..data.len()).collect();
 
         let mut serial = GradScratch::new();
-        let loss_serial = model.fused_loss_and_gradient_into(&data, &indices, &mut serial, 1);
-        for size in 1..=8 {
+        let loss_serial = model.fused_loss_and_gradient_into(&data, &indices, &mut serial);
+        for size in (1..=8).chain([64]) {
             let pool = WorkerPool::new(size);
             let mut pooled = GradScratch::new();
             let loss_pooled =
@@ -1031,14 +950,14 @@ mod tests {
     #[test]
     fn pooled_kernel_handles_shuffled_indices_via_gather() {
         // Non-consecutive indices force the mini-batch gather path in every
-        // chunk; the result must still match the scoped kernel bit for bit.
+        // chunk; the result must still match the serial kernel bit for bit.
         let data = Arc::new(chunky_dataset(260, 10, 3));
         let model = warm_model(10, 3);
         let mut indices: Vec<usize> = (0..data.len()).rev().collect();
         indices.swap(5, 170);
 
         let mut serial = GradScratch::new();
-        let loss_serial = model.fused_loss_and_gradient_into(&data, &indices, &mut serial, 1);
+        let loss_serial = model.fused_loss_and_gradient_into(&data, &indices, &mut serial);
         let pool = WorkerPool::new(3);
         let mut pooled = GradScratch::new();
         let loss_pooled = model.pooled_loss_and_gradient_into(&data, &indices, &mut pooled, &pool);
@@ -1118,7 +1037,7 @@ mod proptests {
 
             let mut serial = GradScratch::new();
             let loss_serial =
-                model.fused_loss_and_gradient_into(&data, &indices, &mut serial, 1);
+                model.fused_loss_and_gradient_into(&data, &indices, &mut serial);
 
             let pool = WorkerPool::new(size);
             let mut pooled = GradScratch::new();

@@ -22,11 +22,12 @@ pub enum GradReduction {
     /// reused scratch workspace. The default.
     #[default]
     FusedSerial,
-    /// Same arithmetic as [`GradReduction::FusedSerial`] with chunks computed
-    /// on worker threads — bit-identical by construction, faster only when
-    /// batches are large enough to amortize thread spawn.
+    /// Same arithmetic as [`GradReduction::FusedSerial`] with chunk bands
+    /// computed on a persistent [`crate::WorkerPool`] — bit-identical by
+    /// construction for every pool size.
     FusedParallel {
-        /// Worker thread count; `0` behaves as `1`.
+        /// Pool size the engines build; `0` and `1` run on the calling
+        /// thread.
         threads: usize,
     },
 }
@@ -111,6 +112,14 @@ impl SgdConfig {
     /// `lr · decay^round`.
     pub fn lr_for_round(&self, round: usize) -> f64 {
         self.learning_rate * self.decay_per_round.powi(round as i32)
+    }
+
+    /// Gradient steps that `epochs` local epochs over `samples` samples
+    /// take: one per epoch full-batch, one per (possibly short) batch
+    /// otherwise. The trainer reports this count, and a coordinator that
+    /// only sees `(epochs, samples)` on the wire derives the same one.
+    pub fn gradient_steps(&self, epochs: usize, samples: usize) -> usize {
+        epochs * self.batch_size.map_or(1, |batch| samples.div_ceil(batch))
     }
 }
 

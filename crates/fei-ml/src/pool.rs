@@ -1,10 +1,9 @@
 //! Persistent worker-thread pool with deterministic job routing.
 //!
-//! The fused parallel gradient kernel, the threaded federated engine, and
+//! The fused parallel gradient kernel, both federated executors, and
 //! anything else that wants intra-step parallelism share one
-//! [`WorkerPool`] instead of re-spawning `std::thread::scope` workers on
-//! every call — on a 10-epoch round the scoped version pays thread
-//! spawn/join per gradient step, the pool pays it once per process.
+//! [`WorkerPool`], so thread spawn/join is paid once per process rather
+//! than once per gradient step.
 //!
 //! **Determinism contract.** The pool itself performs no scheduling
 //! decisions that could affect numerics: job `w` submitted through

@@ -1,10 +1,10 @@
 //! Preallocated gradient workspace for the fused training fast path.
 //!
 //! Every buffer the fused logistic-regression kernel needs — the flat
-//! gradient, per-chunk partial gradients, per-chunk loss partials, per-worker
-//! [`ChunkWork`] buffers (logits row, error matrix, gather block, GEMM pack
-//! scratch), and the per-worker [`BandState`]s plus model snapshot used by
-//! the pooled kernel — lives here, so a trainer that reuses one
+//! gradient, per-chunk partial gradients, per-chunk loss partials, the
+//! calling thread's `ChunkWork` buffers (logits row, error matrix, gather
+//! block, GEMM pack scratch), and the per-worker `BandState`s plus model
+//! snapshot used by the pooled kernel — lives here, so a trainer that reuses one
 //! [`GradScratch`] across epochs (and across rounds) performs **zero heap
 //! allocations per epoch** in steady state. The workspace also counts its own
 //! allocation events (including those of the nested
@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use fei_math::MatScratch;
+use fei_math::{reduce, MatScratch};
 
 use crate::model::LogisticRegression;
 
@@ -33,7 +33,7 @@ fn ensure_exact<T: Clone + Default>(buf: &mut Vec<T>, need: usize, allocations: 
     buf.truncate(need);
 }
 
-/// Per-worker working buffers for the fused gradient kernel's chunk loop:
+/// One thread's working buffers for the fused gradient kernel's chunk loop:
 /// one logits row, the chunk's error matrix `E` (`GRAD_CHUNK × num_classes`,
 /// row per sample), a gather block for non-consecutive mini-batch chunks,
 /// and the pack scratch for the `G += Eᵀ X` GEMM.
@@ -135,8 +135,8 @@ pub struct GradScratch {
     partials: Vec<f64>,
     /// Per-chunk unnormalized loss sums: `n_chunks` long.
     losses: Vec<f64>,
-    /// Per-worker chunk-loop buffers for the scoped-thread / serial paths.
-    works: Vec<ChunkWork>,
+    /// Chunk-loop buffers for the serial kernel and the loss pass.
+    work: ChunkWork,
     /// Per-worker band states for the pooled path.
     bands: Vec<BandState>,
     /// Immutable parameter snapshot shared with pool workers. Outside a
@@ -167,7 +167,7 @@ impl GradScratch {
     /// state — the property the perf harness asserts.
     pub fn allocations(&self) -> u64 {
         self.allocations
-            + self.works.iter().map(ChunkWork::allocations).sum::<u64>()
+            + self.work.allocations()
             + self.bands.iter().map(BandState::allocations).sum::<u64>()
     }
 
@@ -182,15 +182,9 @@ impl GradScratch {
         }
     }
 
-    /// Sizes every buffer for a kernel invocation and zeroes the accumulation
-    /// regions (a fill, not an allocation, once capacity exists).
-    pub(crate) fn prepare(
-        &mut self,
-        num_params: usize,
-        num_classes: usize,
-        n_chunks: usize,
-        workers: usize,
-    ) {
+    /// Sizes the reduction buffers for `n_chunks` chunks of a `num_params`
+    /// gradient (a no-op once capacity exists).
+    fn ensure_reduction(&mut self, num_params: usize, n_chunks: usize) {
         Self::ensure(&mut self.grad, num_params, &mut self.allocations);
         Self::ensure(
             &mut self.partials,
@@ -198,61 +192,55 @@ impl GradScratch {
             &mut self.allocations,
         );
         Self::ensure(&mut self.losses, n_chunks, &mut self.allocations);
-        let workers = workers.max(1);
-        if self.works.len() < workers {
-            self.allocations += 1;
-            self.works.resize_with(workers, ChunkWork::default);
-        }
-        for work in &mut self.works[..workers] {
-            work.prepare(num_classes);
-        }
-        self.partials[..n_chunks * num_params].fill(0.0);
-        self.losses[..n_chunks].fill(0.0);
     }
 
-    /// Mutable views for one kernel invocation: `(grad, partials, losses,
-    /// works)`, each truncated to the sizes passed to
-    /// [`GradScratch::prepare`].
-    pub(crate) fn views(
+    /// Sizes every buffer for a serial kernel invocation, zeroes the
+    /// accumulation regions (a fill, not an allocation, once capacity
+    /// exists), and returns `(partials, losses, work)` truncated to the
+    /// call's sizes.
+    pub(crate) fn prepare(
         &mut self,
         num_params: usize,
         num_classes: usize,
         n_chunks: usize,
-        workers: usize,
-    ) -> (&mut [f64], &mut [f64], &mut [f64], &mut [ChunkWork]) {
-        let _ = num_classes;
-        (
-            &mut self.grad[..num_params],
-            &mut self.partials[..n_chunks * num_params],
-            &mut self.losses[..n_chunks],
-            &mut self.works[..workers.max(1)],
-        )
+    ) -> (&mut [f64], &mut [f64], &mut ChunkWork) {
+        self.ensure_reduction(num_params, n_chunks);
+        self.work.prepare(num_classes);
+        let partials = &mut self.partials[..n_chunks * num_params];
+        let losses = &mut self.losses[..n_chunks];
+        partials.fill(0.0);
+        losses.fill(0.0);
+        (partials, losses, &mut self.work)
     }
 
-    /// Mutable views over just the reduction buffers — `(grad, partials,
-    /// losses)` — for paths (the pooled kernel) whose per-worker buffers
-    /// live in [`BandState`]s rather than `works`.
-    pub(crate) fn reduce_views(
+    /// Closes a kernel invocation, serial or pooled: combines the
+    /// `n_chunks` per-chunk partials by the fixed pairwise tree, leaves the
+    /// mean gradient over `n_samples` in [`GradScratch::grad`], and returns
+    /// the mean loss.
+    pub(crate) fn reduce_mean(
         &mut self,
         num_params: usize,
         n_chunks: usize,
-    ) -> (&mut [f64], &mut [f64], &mut [f64]) {
-        (
-            &mut self.grad[..num_params],
-            &mut self.partials[..n_chunks * num_params],
-            &mut self.losses[..n_chunks],
-        )
+        n_samples: usize,
+    ) -> f64 {
+        let partials = &mut self.partials[..n_chunks * num_params];
+        reduce::tree_reduce_into_first(partials, n_chunks, num_params);
+        let total_loss = reduce::tree_reduce_scalars(&mut self.losses[..n_chunks]);
+        let inv_n = 1.0 / n_samples as f64;
+        for (g, &p) in self.grad[..num_params]
+            .iter_mut()
+            .zip(&partials[..num_params])
+        {
+            *g = p * inv_n;
+        }
+        total_loss * inv_n
     }
 
-    /// A prepared worker-0 [`ChunkWork`] for single-threaded helpers (the
+    /// The prepared [`ChunkWork`] for single-threaded helpers (the
     /// buffer-reusing loss pass).
     pub(crate) fn loss_work(&mut self, num_classes: usize) -> &mut ChunkWork {
-        if self.works.is_empty() {
-            self.allocations += 1;
-            self.works.push(ChunkWork::default());
-        }
-        self.works[0].prepare(num_classes);
-        &mut self.works[0]
+        self.work.prepare(num_classes);
+        &mut self.work
     }
 
     /// Sizes the reduction buffers and band table for a pooled kernel call.
@@ -261,13 +249,7 @@ impl GradScratch {
     /// [`GradScratch::absorb_band`] copies, so they are *not* zero-filled
     /// here.
     pub(crate) fn prepare_pooled(&mut self, num_params: usize, n_chunks: usize, workers: usize) {
-        Self::ensure(&mut self.grad, num_params, &mut self.allocations);
-        Self::ensure(
-            &mut self.partials,
-            n_chunks * num_params,
-            &mut self.allocations,
-        );
-        Self::ensure(&mut self.losses, n_chunks, &mut self.allocations);
+        self.ensure_reduction(num_params, n_chunks);
         if self.bands.len() < workers {
             self.allocations += 1;
             self.bands.resize_with(workers, BandState::default);
@@ -343,11 +325,11 @@ mod tests {
     #[test]
     fn repeat_prepare_allocates_once() {
         let mut s = GradScratch::new();
-        s.prepare(100, 10, 4, 2);
+        s.prepare(100, 10, 4);
         let after_first = s.allocations();
         assert!(after_first >= 1);
         for _ in 0..50 {
-            s.prepare(100, 10, 4, 2);
+            s.prepare(100, 10, 4);
         }
         assert_eq!(
             s.allocations(),
@@ -359,23 +341,21 @@ mod tests {
     #[test]
     fn growth_is_counted() {
         let mut s = GradScratch::new();
-        s.prepare(10, 2, 1, 1);
+        s.prepare(10, 2, 1);
         let small = s.allocations();
-        s.prepare(1000, 2, 8, 4);
+        s.prepare(1000, 2, 8);
         assert!(s.allocations() > small);
     }
 
     #[test]
     fn prepare_zeroes_accumulators() {
         let mut s = GradScratch::new();
-        s.prepare(3, 2, 2, 1);
         {
-            let (_, partials, losses, _) = s.views(3, 2, 2, 1);
+            let (partials, losses, _) = s.prepare(3, 2, 2);
             partials.fill(7.0);
             losses.fill(7.0);
         }
-        s.prepare(3, 2, 2, 1);
-        let (_, partials, losses, _) = s.views(3, 2, 2, 1);
+        let (partials, losses, _) = s.prepare(3, 2, 2);
         assert!(partials.iter().all(|&x| x == 0.0));
         assert!(losses.iter().all(|&x| x == 0.0));
     }
@@ -412,10 +392,9 @@ mod tests {
             s.absorb_band(w, band, np, w * 2, 2);
         }
         assert_eq!(s.allocations(), warm, "warm pooled bands must not allocate");
-        let (_, partials, losses) = s.reduce_views(np, 4);
-        assert_eq!(partials[0], 1.0, "band 0 copied into chunk slot 0");
-        assert_eq!(partials[2 * np], 2.0, "band 1 copied into chunk slot 2");
-        assert_eq!(losses[3], 2.0);
+        assert_eq!(s.partials[0], 1.0, "band 0 copied into chunk slot 0");
+        assert_eq!(s.partials[2 * np], 2.0, "band 1 copied into chunk slot 2");
+        assert_eq!(s.losses[3], 2.0);
     }
 
     #[test]

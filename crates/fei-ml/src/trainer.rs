@@ -72,9 +72,10 @@ impl LocalTrainer {
     /// epoch over the whole dataset; mini-batch mode shuffles deterministic
     /// batches via an internal generator seeded from `(round, data length)`.
     /// The gradient kernel is selected by [`SgdConfig::grad`]; the fused
-    /// variants run against `scratch` without per-epoch heap allocations,
-    /// and [`GradReduction::FusedParallel`] is bit-identical to
-    /// [`GradReduction::FusedSerial`] (see DESIGN.md §10).
+    /// variants run against `scratch` without per-epoch heap allocations.
+    /// Without a pool, [`GradReduction::FusedParallel`] runs the same chunked
+    /// kernel as [`GradReduction::FusedSerial`] on the calling thread
+    /// (see DESIGN.md §10).
     ///
     /// # Panics
     ///
@@ -87,47 +88,13 @@ impl LocalTrainer {
         round: usize,
         scratch: &mut GradScratch,
     ) -> TrainStats {
-        assert!(!data.is_empty(), "cannot train on an empty dataset");
-        let lr = self.config.lr_for_round(round);
-        let initial_loss = self.eval_loss(model, data, scratch);
-        let all: Vec<usize> = (0..data.len()).collect();
-        let mut gradient_steps = 0;
-
-        match self.config.batch_size {
-            None => {
-                for _ in 0..epochs {
-                    self.step(model, data, &all, lr, scratch);
-                    gradient_steps += 1;
-                }
-            }
-            Some(batch) => {
-                let mut rng = DetRng::new(0xBA7C_0000 ^ round as u64).fork(data.len() as u64);
-                let mut order = all.clone();
-                for _ in 0..epochs {
-                    rng.shuffle(&mut order);
-                    for chunk in order.chunks(batch) {
-                        self.step(model, data, chunk, lr, scratch);
-                        gradient_steps += 1;
-                    }
-                }
-            }
-        }
-
-        TrainStats {
-            epochs_run: epochs,
-            gradient_steps,
-            initial_loss,
-            final_loss: self.eval_loss(model, data, scratch),
-            samples: data.len(),
-        }
+        self.run(model, data, None, epochs, round, scratch)
     }
 
-    /// [`LocalTrainer::train_with`] with gradient steps executed on a
-    /// persistent [`WorkerPool`] when the configuration asks for parallel
-    /// reduction. Bit-identical to `train_with` for every pool size (the
-    /// pooled kernel shares the scoped path's partitioning and reduction
-    /// schedule); with a pool of one or zero workers it simply *is*
-    /// `train_with`.
+    /// [`LocalTrainer::train_with`] with [`GradReduction::FusedParallel`]
+    /// gradient steps executed on a persistent [`WorkerPool`]. Bit-identical
+    /// to `train_with` for every pool size: the pooled kernel deals the same
+    /// fixed chunks to workers and combines them by the same pairwise tree.
     ///
     /// # Panics
     ///
@@ -141,30 +108,38 @@ impl LocalTrainer {
         scratch: &mut GradScratch,
         pool: &WorkerPool,
     ) -> TrainStats {
-        if pool.size() <= 1 {
-            return self.train_with(model, data, epochs, round, scratch);
-        }
+        self.run(model, data, Some((data, pool)), epochs, round, scratch)
+    }
+
+    /// The one epoch / mini-batch loop behind every `train*` entry point.
+    /// `pooled` carries the shared dataset handle and pool for the parallel
+    /// reduction; `None` keeps every step on the calling thread.
+    fn run<M: Model>(
+        &self,
+        model: &mut M,
+        data: &Dataset,
+        pooled: Option<(&Arc<Dataset>, &WorkerPool)>,
+        epochs: usize,
+        round: usize,
+        scratch: &mut GradScratch,
+    ) -> TrainStats {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
         let lr = self.config.lr_for_round(round);
         let initial_loss = self.eval_loss(model, data, scratch);
-        let all: Vec<usize> = (0..data.len()).collect();
-        let mut gradient_steps = 0;
+        let mut order: Vec<usize> = (0..data.len()).collect();
 
         match self.config.batch_size {
             None => {
                 for _ in 0..epochs {
-                    self.step_pooled(model, data, &all, lr, scratch, pool);
-                    gradient_steps += 1;
+                    self.step(model, data, pooled, &order, lr, scratch);
                 }
             }
             Some(batch) => {
                 let mut rng = DetRng::new(0xBA7C_0000 ^ round as u64).fork(data.len() as u64);
-                let mut order = all.clone();
                 for _ in 0..epochs {
                     rng.shuffle(&mut order);
                     for chunk in order.chunks(batch) {
-                        self.step_pooled(model, data, chunk, lr, scratch, pool);
-                        gradient_steps += 1;
+                        self.step(model, data, pooled, chunk, lr, scratch);
                     }
                 }
             }
@@ -172,7 +147,7 @@ impl LocalTrainer {
 
         TrainStats {
             epochs_run: epochs,
-            gradient_steps,
+            gradient_steps: self.config.gradient_steps(epochs, data.len()),
             initial_loss,
             final_loss: self.eval_loss(model, data, scratch),
             samples: data.len(),
@@ -196,48 +171,27 @@ impl LocalTrainer {
         &self,
         model: &mut M,
         data: &Dataset,
+        pooled: Option<(&Arc<Dataset>, &WorkerPool)>,
         batch: &[usize],
         lr: f64,
         scratch: &mut GradScratch,
     ) {
-        match self.config.grad {
+        match (self.config.grad, pooled) {
             // The reference path reproduces the pre-fast-path arithmetic
             // exactly: allocating kernel, separate step and decay passes.
-            GradReduction::Naive => {
+            (GradReduction::Naive, _) => {
                 let (_, grad) = model.loss_and_gradient(data, batch);
                 model.apply_gradient(&grad, lr);
                 if self.config.weight_decay > 0.0 {
                     model.apply_weight_decay(lr, self.config.weight_decay);
                 }
             }
-            GradReduction::FusedSerial => {
-                model.loss_and_gradient_into(data, batch, scratch, 1);
+            (GradReduction::FusedParallel { .. }, Some((shared, pool))) => {
+                model.loss_and_gradient_pooled(shared, batch, scratch, pool);
                 model.apply_gradient_decayed(scratch.grad(), lr, self.config.weight_decay);
             }
-            GradReduction::FusedParallel { threads } => {
-                model.loss_and_gradient_into(data, batch, scratch, threads.max(1));
-                model.apply_gradient_decayed(scratch.grad(), lr, self.config.weight_decay);
-            }
-        }
-    }
-
-    /// [`LocalTrainer::step`] with the parallel reduction routed through the
-    /// pool; the serial reductions are untouched.
-    fn step_pooled<M: Model>(
-        &self,
-        model: &mut M,
-        data: &Arc<Dataset>,
-        batch: &[usize],
-        lr: f64,
-        scratch: &mut GradScratch,
-        pool: &WorkerPool,
-    ) {
-        match self.config.grad {
-            GradReduction::Naive | GradReduction::FusedSerial => {
-                self.step(model, data, batch, lr, scratch);
-            }
-            GradReduction::FusedParallel { .. } => {
-                model.loss_and_gradient_pooled(data, batch, scratch, pool);
+            (GradReduction::FusedSerial | GradReduction::FusedParallel { .. }, _) => {
+                model.loss_and_gradient_into(data, batch, scratch);
                 model.apply_gradient_decayed(scratch.grad(), lr, self.config.weight_decay);
             }
         }
@@ -353,7 +307,7 @@ mod tests {
 
     #[test]
     fn fused_parallel_training_bit_identical_to_serial() {
-        let data = clean_data(130);
+        let data = Arc::new(clean_data(130));
         let serial = LocalTrainer::new(
             SgdConfig::new(0.1, 0.99, None).with_grad_reduction(GradReduction::FusedSerial),
         );
@@ -361,10 +315,11 @@ mod tests {
             SgdConfig::new(0.1, 0.99, None)
                 .with_grad_reduction(GradReduction::FusedParallel { threads: 4 }),
         );
+        let pool = WorkerPool::new(4);
         let mut a = LogisticRegression::zeros(data.dim(), data.num_classes());
         let mut b = LogisticRegression::zeros(data.dim(), data.num_classes());
         let sa = serial.train(&mut a, &data, 3, 2);
-        let sb = parallel.train(&mut b, &data, 3, 2);
+        let sb = parallel.train_with_pool(&mut b, &data, 3, 2, &mut GradScratch::new(), &pool);
         assert_eq!(a, b, "parallel gradient must not change the trained bits");
         assert_eq!(sa, sb);
     }

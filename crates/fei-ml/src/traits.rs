@@ -74,11 +74,11 @@ pub trait Model: Clone + Send + 'static {
     /// Mean loss over the given sample indices with the gradient written
     /// into a reused workspace (`scratch.grad()` afterwards).
     ///
-    /// Models with a fused kernel override this to run allocation-free and,
-    /// with `threads > 1`, bit-identically in parallel. The default falls
-    /// back to [`Model::loss_and_gradient`] and stores the allocated
-    /// gradient (counted by the scratch's allocation counter, which is how
-    /// the perf harness tells fused from fallback paths).
+    /// Models with a fused kernel override this to run allocation-free on
+    /// the calling thread. The default falls back to
+    /// [`Model::loss_and_gradient`] and stores the allocated gradient
+    /// (counted by the scratch's allocation counter, which is how the perf
+    /// harness tells fused from fallback paths).
     ///
     /// # Panics
     ///
@@ -88,7 +88,6 @@ pub trait Model: Clone + Send + 'static {
         data: &Dataset,
         indices: &[usize],
         scratch: &mut GradScratch,
-        _threads: usize,
     ) -> f64 {
         let (loss, grad) = self.loss_and_gradient(data, indices);
         scratch.store_allocated_grad(grad);
@@ -105,11 +104,9 @@ pub trait Model: Clone + Send + 'static {
 
     /// [`Model::loss_and_gradient_into`] executed on a persistent
     /// [`WorkerPool`]. Must be bit-identical to `loss_and_gradient_into`
-    /// for every pool size; the default ignores the pool and runs the
-    /// scoped/fallback path with `threads = pool.size()`, which satisfies
-    /// the contract trivially. Models with a pool-aware kernel (the fused
-    /// logistic regression) override this to skip per-step thread
-    /// spawn/join.
+    /// for every pool size; the default ignores the pool and runs that
+    /// serial path, which satisfies the contract trivially. Models with a
+    /// pool-aware kernel (the fused logistic regression) override this.
     ///
     /// # Panics
     ///
@@ -119,9 +116,9 @@ pub trait Model: Clone + Send + 'static {
         data: &Arc<Dataset>,
         indices: &[usize],
         scratch: &mut GradScratch,
-        pool: &WorkerPool,
+        _pool: &WorkerPool,
     ) -> f64 {
-        self.loss_and_gradient_into(data, indices, scratch, pool.size().max(1))
+        self.loss_and_gradient_into(data, indices, scratch)
     }
 
     /// Gradient step fused with weight decay: equivalent to

@@ -203,9 +203,10 @@ impl FlExperiment {
         union
     }
 
-    /// Builds the FedAvg engine for one `(K, E)` combination.
-    pub fn engine(&self, k: usize, e: usize) -> FedAvg {
-        let config = FedAvgConfig {
+    /// The engine configuration for one `(K, E)` combination; every engine
+    /// builder starts from it, so they differ only in what they add.
+    fn fedavg_config(&self, k: usize, e: usize) -> FedAvgConfig {
+        FedAvgConfig {
             clients_per_round: k,
             local_epochs: e,
             sgd: self.config.sgd.clone(),
@@ -213,7 +214,12 @@ impl FlExperiment {
             transport: self.config.transport,
             seed: self.config.seed ^ ((k as u64) << 32) ^ e as u64,
             ..Default::default()
-        };
+        }
+    }
+
+    /// Builds the FedAvg engine for one `(K, E)` combination.
+    pub fn engine(&self, k: usize, e: usize) -> FedAvg {
+        let config = self.fedavg_config(k, e);
         FedAvg::new(config, self.clients.clone(), self.test.clone())
     }
 
@@ -222,15 +228,7 @@ impl FlExperiment {
     /// [`FlExperiment::engine`], so the two runs are bit-for-bit
     /// interchangeable (see `tests/golden_numerics.rs`).
     pub fn threaded_engine(&self, k: usize, e: usize) -> ThreadedFedAvg {
-        let config = FedAvgConfig {
-            clients_per_round: k,
-            local_epochs: e,
-            sgd: self.config.sgd.clone(),
-            eval_every: self.config.eval_every,
-            transport: self.config.transport,
-            seed: self.config.seed ^ ((k as u64) << 32) ^ e as u64,
-            ..Default::default()
-        };
+        let config = self.fedavg_config(k, e);
         ThreadedFedAvg::new(config, self.clients.clone(), self.test.clone())
     }
 
@@ -245,14 +243,8 @@ impl FlExperiment {
         injector: fei_fl::FaultInjector,
     ) -> FedAvg {
         let config = FedAvgConfig {
-            clients_per_round: k,
-            local_epochs: e,
-            sgd: self.config.sgd.clone(),
-            eval_every: self.config.eval_every,
-            transport: self.config.transport,
-            seed: self.config.seed ^ ((k as u64) << 32) ^ e as u64,
             tolerance,
-            ..Default::default()
+            ..self.fedavg_config(k, e)
         };
         FedAvg::new(config, self.clients.clone(), self.test.clone()).with_faults(injector)
     }
@@ -271,15 +263,9 @@ impl FlExperiment {
         defense: Option<fei_fl::DefenseConfig>,
     ) -> FedAvg {
         let config = FedAvgConfig {
-            clients_per_round: k,
-            local_epochs: e,
-            sgd: self.config.sgd.clone(),
-            eval_every: self.config.eval_every,
-            transport: self.config.transport,
-            seed: self.config.seed ^ ((k as u64) << 32) ^ e as u64,
             tolerance,
             defense,
-            ..Default::default()
+            ..self.fedavg_config(k, e)
         };
         let mut engine = FedAvg::new(config, self.clients.clone(), self.test.clone());
         if let Some(injector) = injector {

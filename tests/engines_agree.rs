@@ -148,6 +148,23 @@ fn serial_threaded_and_chunked_parallel_records_are_identical() {
             .with_grad_reduction(GradReduction::FusedParallel { threads: 4 }),
         ..serial_cfg.clone()
     };
+
+    // One more input: mini-batch SGD. The update frame carries no step
+    // count, so the threaded coordinator derives it — 40 samples in batches
+    // of 16 is three steps per epoch, six per round, on both engines.
+    let batched_cfg = FedAvgConfig {
+        sgd: SgdConfig::new(0.05, 0.99, Some(16)),
+        ..serial_cfg.clone()
+    };
+    let mut batched_serial = FedAvg::new(batched_cfg.clone(), clients.clone(), test.clone());
+    let mut batched_threaded = ThreadedFedAvg::new(batched_cfg, clients.clone(), test.clone());
+    for round in 0..3 {
+        let a = batched_serial.run_round();
+        let b = batched_threaded.run_round();
+        assert!(a.local_stats.iter().all(|s| s.gradient_steps == 6));
+        assert_eq!(a, b, "round {round}: mini-batch records diverge");
+    }
+
     let mut serial = FedAvg::new(serial_cfg.clone(), clients.clone(), test.clone());
     let mut threaded = ThreadedFedAvg::new(serial_cfg, clients.clone(), test.clone());
     let mut parallel = FedAvg::new(parallel_cfg, clients, test);

@@ -262,6 +262,18 @@ fn serial_checkpoint_resumes_the_threaded_engine_bit_identically() {
         );
     }
     assert_eq!(reference.global_model(), resumed.global_model());
+
+    // Live re-planning works on the resumed threaded engine as it does on
+    // the serial one: same fleet view, same rounds after a new (K, E).
+    assert_eq!(resumed.live_fleet(), reference.live_fleet());
+    assert_eq!(resumed.live_fleet().len(), resumed.num_clients());
+    reference.set_participation(2, 3);
+    resumed.set_participation(2, 3);
+    assert_eq!(
+        reference.run_round(),
+        resumed.run_round(),
+        "diverged after re-planning (K, E) on both engines"
+    );
 }
 
 #[test]
