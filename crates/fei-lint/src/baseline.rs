@@ -473,7 +473,7 @@ mod tests {
     #[test]
     fn round_trip_and_filter() {
         let r = report(vec![
-            violation("wire-schema", "a.rs", 1, "const TAG_X: u8 = 1;"),
+            violation("enum-billing", "a.rs", 1, "Cancelled,"),
             violation("truncating-cast", "b.rs", 2, "n as u32"),
             violation("truncating-cast", "b.rs", 5, "n as u32"),
         ]);
@@ -490,7 +490,7 @@ mod tests {
 
         // One fixed, one new: the new one fails, the fixed one is stale.
         let drifted = report(vec![
-            violation("wire-schema", "a.rs", 1, "const TAG_X: u8 = 1;"),
+            violation("enum-billing", "a.rs", 1, "Cancelled,"),
             violation("truncating-cast", "b.rs", 2, "n as u32"),
             violation("enum-billing", "c.rs", 9, "Poisoned,"),
         ]);
@@ -518,7 +518,7 @@ mod tests {
     #[test]
     fn ratchet_rejects_growth_and_accepts_shrink() {
         let old = Baseline::from_report(&report(vec![
-            violation("wire-schema", "a.rs", 1, "const TAG_X: u8 = 1;"),
+            violation("enum-billing", "a.rs", 1, "Cancelled,"),
             violation("truncating-cast", "b.rs", 2, "n as u32"),
         ]));
         let shrunk = Baseline::from_report(&report(vec![violation(
@@ -529,7 +529,7 @@ mod tests {
         )]));
         assert!(shrunk.grows_over(&old).is_empty());
         let grown = Baseline::from_report(&report(vec![
-            violation("wire-schema", "a.rs", 1, "const TAG_X: u8 = 1;"),
+            violation("enum-billing", "a.rs", 1, "Cancelled,"),
             violation("truncating-cast", "b.rs", 2, "n as u32"),
             violation("truncating-cast", "b.rs", 9, "m as u16"),
         ]));

@@ -22,9 +22,8 @@ pub struct LintConfig {
     /// Crates whose public energy APIs must route joules through
     /// `EnergyUse` (the `ledger-discipline` rule).
     pub ledger_crates: Vec<String>,
-    /// Crates that own the wire schema. The cross-file `wire-schema` and
-    /// `truncating-cast` rules audit `TAG_*` constants and codec casts
-    /// here.
+    /// Crates that own the wire schema. The cross-file `truncating-cast`
+    /// rule audits codec casts here.
     pub wire_crates: Vec<String>,
     /// Enum names whose every variant must be billed and surfaced
     /// somewhere (the `enum-billing` rule).
@@ -77,6 +76,8 @@ impl LintConfig {
                 "wire".to_string(),
                 "frames".to_string(),
                 "journal".to_string(),
+                "record".to_string(),
+                "trace".to_string(),
             ],
             kernel_crates: vec!["fei-math".to_string(), "fei-ml".to_string()],
             kernel_file_stems: vec![
@@ -115,8 +116,8 @@ impl LintConfig {
                 "perfbench".to_string(),
             ],
             // Integration tests, examples, and benches are test code: pass 1
-            // reads them (wire-schema's "named in a test" leg needs them),
-            // the per-file rules do not.
+            // reads them (flagging every fact as test-context), the
+            // per-file rules do not.
             test_dirs: vec![
                 "tests".to_string(),
                 "examples".to_string(),

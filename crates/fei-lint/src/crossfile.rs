@@ -2,22 +2,19 @@
 //!
 //! Per-file rules ([`crate::rules`]) see one file's tokens; the rules here
 //! see the whole [`WorkspaceModel`] and catch drift *between* files — the
-//! failure modes that matter most once the wire schema and the energy
-//! ledger are consumed from several crates:
+//! failure modes that matter most once the energy ledger and the codec
+//! paths are consumed from several crates:
 //!
-//! * **wire-schema** — every `TAG_*` value unique across the wire crates,
-//!   every tag produced by an encode arm and matched by a decode arm, and
-//!   every tag named in at least one test;
 //! * **enum-billing** — every variant of a billed enum (`EnergyUse`,
 //!   `AbortReason`) constructed outside its defining file and surfaced in
 //!   a match arm somewhere (stats/report paths are matches);
 //! * **truncating-cast** — no bare `as` casts to ≤32-bit integers inside
-//!   codec/wire/frames/journal files of the wire crates;
+//!   codec/wire/frames/journal/record/trace files of the wire crates;
 //! * **journal-discipline** (v2) — coordinator `.phase =` transitions must
 //!   be preceded, in the same function or via a helper called earlier in
 //!   it, by a round-journal append (write-ahead logging).
 //!
-//! Findings anchor at one definite site (the tag/variant declaration, the
+//! Findings anchor at one definite site (the variant declaration, the
 //! cast, the phase write), so `// fei-lint: allow(rule, reason = "…")` on
 //! that site suppresses exactly that finding and nothing else.
 
@@ -36,9 +33,6 @@ pub fn check(
     lexed: &BTreeMap<String, LexedFile>,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    if config.rules.contains(&RuleId::WireSchema) {
-        wire_schema(config, model, lexed, &mut out);
-    }
     if config.rules.contains(&RuleId::EnumBilling) {
         enum_billing(config, model, lexed, &mut out);
     }
@@ -84,116 +78,6 @@ fn emit_at(
 
 fn is_wire_crate(config: &LintConfig, crate_name: &str) -> bool {
     config.wire_crates.iter().any(|c| c == crate_name)
-}
-
-/// wire-schema: tag uniqueness and encode/decode/test reachability.
-fn wire_schema(
-    config: &LintConfig,
-    model: &WorkspaceModel,
-    lexed: &BTreeMap<String, LexedFile>,
-    out: &mut Vec<Violation>,
-) {
-    // The schema under audit: non-test TAG_* declarations in wire crates.
-    let mut decls: Vec<(&FileFacts, &crate::model::TagConst)> = Vec::new();
-    for f in &model.files {
-        if !is_wire_crate(config, &f.crate_name) || f.in_test_tree {
-            continue;
-        }
-        for c in &f.tag_consts {
-            if !c.is_test {
-                decls.push((f, c));
-            }
-        }
-    }
-
-    // (a) Value uniqueness across the wire crates: a collision means two
-    // frame kinds decode into each other.
-    let mut by_value: BTreeMap<u8, Vec<&(&FileFacts, &crate::model::TagConst)>> = BTreeMap::new();
-    for d in &decls {
-        if let Some(v) = d.1.value {
-            by_value.entry(v).or_default().push(d);
-        }
-    }
-    for (value, group) in &by_value {
-        if group.len() < 2 {
-            continue;
-        }
-        // The first declarant (path, offset) keeps the value; later ones
-        // are the collision sites.
-        let first = group
-            .iter()
-            .min_by_key(|(f, c)| (&f.path, c.offset))
-            .expect("invariant: group has at least two entries");
-        for (f, c) in group {
-            if (&f.path, c.offset) == (&first.0.path, first.1.offset) {
-                continue;
-            }
-            emit_at(
-                RuleId::WireSchema,
-                &f.path,
-                c.offset,
-                format!(
-                    "wire tag value 0x{value:02x} collides with `{}` ({}): two \
-                     frame kinds would decode into each other; pick an unused \
-                     value from the tag table in frames.rs",
-                    first.1.name, first.0.path
-                ),
-                lexed,
-                out,
-            );
-        }
-    }
-
-    // (b)+(c) Reachability: every tag must be produced by an encode arm,
-    // matched by a decode arm (both in production code), and named by at
-    // least one test anywhere in the workspace.
-    for (f, c) in &decls {
-        let mut produced = false;
-        let mut matched = false;
-        let mut tested = false;
-        for other in &model.files {
-            for r in &other.tag_refs {
-                if r.name != c.name {
-                    continue;
-                }
-                if r.is_test {
-                    tested = true;
-                    continue;
-                }
-                match r.context {
-                    RefContext::Produced => produced = true,
-                    RefContext::MatchArm => matched = true,
-                    RefContext::Other => {}
-                }
-            }
-        }
-        let mut missing = Vec::new();
-        if !produced {
-            missing.push("an encode arm (`… => TAG`)");
-        }
-        if !matched {
-            missing.push("a decode arm (`TAG => …`)");
-        }
-        if !tested {
-            missing.push("a test that names it");
-        }
-        if missing.is_empty() {
-            continue;
-        }
-        emit_at(
-            RuleId::WireSchema,
-            &f.path,
-            c.offset,
-            format!(
-                "wire tag `{}` is not reachable from {}: a tag that only one \
-                 side of the wire knows about is silent schema drift",
-                c.name,
-                missing.join(" and ")
-            ),
-            lexed,
-            out,
-        );
-    }
 }
 
 /// enum-billing: every variant of a billed enum is constructed outside
@@ -436,66 +320,6 @@ mod tests {
 
     fn config() -> LintConfig {
         LintConfig::for_root(PathBuf::from("."))
-    }
-
-    const FRAMES_OK: &str = "pub const TAG_A: u8 = 0x10;\n\
-         pub const TAG_B: u8 = 0x11;\n\
-         fn tag(k: u32) -> u8 { match k { 0 => TAG_A, _ => TAG_B } }\n\
-         fn decode(t: u8) -> u32 { match t { TAG_A => 0, TAG_B => 1, _ => 2 } }\n";
-    const FRAMES_TESTS: &str = "fn t() { let _ = (TAG_A, TAG_B); }\n";
-
-    #[test]
-    fn wire_schema_clean_when_tags_unique_and_reachable() {
-        let (model, lexed) = workspace(&[
-            ("crates/fei-proto/src/frames.rs", FRAMES_OK),
-            ("crates/fei-proto/tests/wire.rs", FRAMES_TESTS),
-        ]);
-        let out = check(&config(), &model, &lexed);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn wire_schema_flags_value_collision_across_crates() {
-        let (model, lexed) = workspace(&[
-            ("crates/fei-proto/src/frames.rs", FRAMES_OK),
-            (
-                "crates/fei-net/src/codec.rs",
-                "pub const TAG_C: u8 = 0x10;\n\
-                 fn tag() -> u8 { match 0 { _ => TAG_C } }\n\
-                 fn dec(t: u8) { match t { TAG_C => {} _ => {} } }\n",
-            ),
-            ("crates/fei-proto/tests/wire.rs", FRAMES_TESTS),
-            (
-                "crates/fei-net/tests/codec.rs",
-                "fn t() { let _ = TAG_C; }\n",
-            ),
-        ]);
-        let out = check(&config(), &model, &lexed);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].path, "crates/fei-proto/src/frames.rs");
-        assert!(out[0].message.contains("collides with `TAG_C`"), "{out:?}");
-    }
-
-    #[test]
-    fn wire_schema_flags_missing_decode_arm_and_missing_test() {
-        let (model, lexed) = workspace(&[(
-            "crates/fei-proto/src/frames.rs",
-            "pub const TAG_A: u8 = 0x10;\n\
-             fn tag() -> u8 { match 0 { _ => TAG_A } }\n",
-        )]);
-        let out = check(&config(), &model, &lexed);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("a decode arm"), "{out:?}");
-        assert!(out[0].message.contains("a test"), "{out:?}");
-    }
-
-    #[test]
-    fn wire_schema_ignores_tags_outside_wire_crates() {
-        let (model, lexed) = workspace(&[(
-            "crates/fei-sim/src/events.rs",
-            "pub const TAG_EVT: u8 = 0x99;\n",
-        )]);
-        assert!(check(&config(), &model, &lexed).is_empty());
     }
 
     const LEDGER: &str = "pub enum EnergyUse { Useful, Wasted }\n\

@@ -4,10 +4,10 @@
 //! `examples/`, and `benches/` trees — lexing each once and extracting
 //! its [`FileFacts`] into a [`WorkspaceModel`]. Pass 2 runs the per-file
 //! rules on library files (test trees stay exempt, as before) and the
-//! cross-file rules ([`crate::crossfile`]) over the whole model, which is
-//! how wire-schema can demand that every tag is named in at least one
-//! test. `files_scanned` keeps its historical meaning: library files
-//! checked by per-file rules.
+//! cross-file rules ([`crate::crossfile`]) over the whole model, in which
+//! every test-tree fact is flagged so production reachability is never
+//! satisfied from test code. `files_scanned` keeps its historical meaning:
+//! library files checked by per-file rules.
 
 use std::collections::BTreeMap;
 use std::fs;

@@ -23,11 +23,13 @@
 //!
 //! Since v2 the engine runs **two passes**: pass 1 builds a lightweight
 //! [`model::WorkspaceModel`] from every file (including test trees), and
-//! pass 2 adds cross-file rules over it ([`crossfile`]): `wire-schema`
-//! (tag uniqueness + encode/decode/test reachability), `enum-billing`
+//! pass 2 adds cross-file rules over it ([`crossfile`]): `enum-billing`
 //! (no dead `EnergyUse`/`AbortReason` variants), `truncating-cast` (no
 //! bare narrowing `as` in codec paths), and `journal-discipline`
 //! (write-ahead phase transitions, followed across helper functions).
+//! (The wire schema itself needs no rule: `fei-proto`'s `record.rs` table
+//! declares each record kind once and asserts tag uniqueness at compile
+//! time.)
 //! Pre-existing findings can be pinned in a shrink-only
 //! [`baseline::Baseline`] (`--baseline` / `--write-baseline`) so new
 //! rules gate new code immediately while the burn-down stays visible.

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use fei_lint::{find_workspace_root, run, Baseline, LintConfig, RuleId};
 
 const USAGE: &str = "\
-fei-lint: workspace invariant linter (determinism / no-panic / float-eq / ledger / wire schema)
+fei-lint: workspace invariant linter (determinism / no-panic / float-eq / ledger / codec casts)
 
 USAGE: fei-lint [OPTIONS]
 

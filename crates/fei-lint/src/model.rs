@@ -1,18 +1,14 @@
 //! Pass 1 of the two-pass engine: a lightweight workspace model.
 //!
 //! Per-file rules can only see one file's tokens; the drift modes that
-//! actually bite the protocol stack are *cross-file*: a wire-tag value
-//! reused in another crate, an enum variant that is defined but never
-//! billed anywhere, a truncating cast hiding in a codec length path, a
+//! actually bite the protocol stack are *cross-file*: an enum variant
+//! that is defined but never billed anywhere, a truncating cast hiding in a codec length path, a
 //! phase transition whose journal append lives in a helper function. This
 //! module extracts just enough structure from the existing lexer's masked
 //! view — no external parser, staying dependency-free — for the
 //! cross-file rules in [`crate::crossfile`] to reason about the workspace
 //! as a whole:
 //!
-//! * `const TAG_*: u8 = …` declarations with their values;
-//! * references to those tags, classified as decode match arms
-//!   (`TAG_X => …`), encode arms (`… => TAG_X`), or plain mentions;
 //! * enum definitions with their variants;
 //! * `Enum::Variant` references, classified as match arms vs.
 //!   constructions/uses;
@@ -27,43 +23,14 @@
 
 use crate::lexer::{find_idents, ident_ending_at, ident_starting_at, is_ident_byte, LexedFile};
 
-/// How a tag or variant reference sits relative to a `match`.
+/// How a variant reference sits relative to a `match`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefContext {
-    /// The reference is a match pattern: `TAG_X => …` / `Enum::V => …`
-    /// (including struct/tuple-variant patterns before the arrow).
+    /// The reference is a match pattern: `Enum::V => …` (including
+    /// struct/tuple-variant patterns before the arrow).
     MatchArm,
-    /// The reference is an arm's *result*: `… => TAG_X` — the shape of
-    /// every `fn tag()`-style encoder table.
-    Produced,
     /// Any other expression or pattern position.
     Other,
-}
-
-/// One `const TAG_*: u8 = <value>;` declaration.
-#[derive(Debug, Clone)]
-pub struct TagConst {
-    /// The constant's name (starts with `TAG_`).
-    pub name: String,
-    /// Its `u8` value, when the initializer is a literal we can read.
-    pub value: Option<u8>,
-    /// Byte offset of the name in the file.
-    pub offset: usize,
-    /// Whether the declaration sits in test code.
-    pub is_test: bool,
-}
-
-/// One reference to a `TAG_*` identifier outside its declaration.
-#[derive(Debug, Clone)]
-pub struct TagRef {
-    /// The referenced tag name.
-    pub name: String,
-    /// Byte offset of the reference.
-    pub offset: usize,
-    /// Whether the reference sits in test code.
-    pub is_test: bool,
-    /// Match-arm / produced / other classification.
-    pub context: RefContext,
 }
 
 /// One variant of a parsed enum definition.
@@ -150,10 +117,6 @@ pub struct FileFacts {
     /// True for files under `tests/`, `examples/`, or `benches/` trees —
     /// every fact in such a file is test-context regardless of regions.
     pub in_test_tree: bool,
-    /// `const TAG_*: u8` declarations.
-    pub tag_consts: Vec<TagConst>,
-    /// `TAG_*` references (excluding the declarations themselves).
-    pub tag_refs: Vec<TagRef>,
     /// Enum definitions.
     pub enums: Vec<EnumDef>,
     /// `Enum::Variant` references.
@@ -183,14 +146,11 @@ impl FileFacts {
             path: path.to_string(),
             crate_name: crate_name.to_string(),
             in_test_tree,
-            tag_consts: Vec::new(),
-            tag_refs: Vec::new(),
             enums: Vec::new(),
             variant_refs: Vec::new(),
             casts: Vec::new(),
             fns: Vec::new(),
         };
-        facts.scan_tags(lexed);
         facts.scan_enums(lexed);
         facts.scan_variant_refs(lexed);
         facts.scan_casts(lexed);
@@ -200,49 +160,6 @@ impl FileFacts {
 
     fn is_test_at(&self, lexed: &LexedFile, offset: usize) -> bool {
         self.in_test_tree || lexed.is_test(offset)
-    }
-
-    /// Collects `TAG_*` declarations and references with arm context.
-    fn scan_tags(&mut self, lexed: &LexedFile) {
-        let masked = &lexed.masked;
-        let bytes = masked.as_bytes();
-        let mut at = 0;
-        while at < bytes.len() {
-            if !is_ident_byte(bytes[at]) {
-                at += 1;
-                continue;
-            }
-            let start = at;
-            while at < bytes.len() && is_ident_byte(bytes[at]) {
-                at += 1;
-            }
-            // Identifier boundary on the left too?
-            if start > 0 && is_ident_byte(bytes[start - 1]) {
-                continue;
-            }
-            let ident = &masked[start..at];
-            if !ident.starts_with("TAG_") || ident.len() <= 4 {
-                continue;
-            }
-            let is_test = self.is_test_at(lexed, start);
-            // A declaration: `const TAG_X: u8 = 0x10;`
-            let prev = ident_ending_at(bytes, prev_token_end(bytes, start));
-            if prev == b"const" {
-                self.tag_consts.push(TagConst {
-                    name: ident.to_string(),
-                    value: parse_tag_value(masked, at),
-                    offset: start,
-                    is_test,
-                });
-                continue;
-            }
-            self.tag_refs.push(TagRef {
-                name: ident.to_string(),
-                offset: start,
-                is_test,
-                context: classify_ref(bytes, start, at),
-            });
-        }
     }
 
     /// Collects enum definitions and their variants.
@@ -347,7 +264,7 @@ impl FileFacts {
                 variant: String::from_utf8_lossy(right).into_owned(),
                 offset: left_start,
                 is_test: self.is_test_at(lexed, left_start),
-                context: classify_ref(bytes, left_start, right_at + right.len()),
+                context: classify_ref(bytes, right_at + right.len()),
             });
         }
     }
@@ -493,15 +410,9 @@ fn match_brace(bytes: &[u8], open: usize) -> usize {
     k.saturating_sub(1)
 }
 
-/// Classifies a reference spanning `[start, end)` as a match arm
-/// (followed by `=>`, possibly across a fields group), an arm result
-/// (preceded by `=>`), or a plain mention.
-fn classify_ref(bytes: &[u8], start: usize, end: usize) -> RefContext {
-    // Preceded by `=>`? (`… => TAG_X` / `… => Enum::V`)
-    let before = prev_token_end(bytes, start);
-    if before >= 2 && &bytes[before - 2..before] == b"=>" {
-        return RefContext::Produced;
-    }
+/// Classifies a reference ending at `end` as a match arm (followed by
+/// `=>`, possibly across a fields group) or a plain mention.
+fn classify_ref(bytes: &[u8], end: usize) -> RefContext {
     // Followed by `=>`, optionally across one `{…}`/`(…)` fields group
     // (`Enum::V { .. } => …` and `Enum::V(x) => …` are still patterns).
     let mut k = end;
@@ -543,25 +454,6 @@ fn match_paren(bytes: &[u8], open: usize) -> usize {
     k.saturating_sub(1)
 }
 
-/// Parses the `u8` initializer after a `const TAG_X` name: expects
-/// `: u8 = <literal>;` and reads hex (`0x..`) or decimal literals.
-fn parse_tag_value(masked: &str, after_name: usize) -> Option<u8> {
-    let rest = masked[after_name..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix("u8")?.trim_start();
-    let rest = rest.strip_prefix('=')?.trim_start();
-    let end = rest.find([';', '\n']).unwrap_or_else(|| rest.len().min(32));
-    let literal = rest[..end].trim().replace('_', "");
-    if let Some(hex) = literal
-        .strip_prefix("0x")
-        .or_else(|| literal.strip_prefix("0X"))
-    {
-        u8::from_str_radix(hex, 16).ok()
-    } else {
-        literal.parse::<u8>().ok()
-    }
-}
-
 /// Bit width of an integer type token; `None` for anything else.
 /// `usize`/`isize` are treated as 64-bit (the narrowest target we build
 /// for), so casts *to* them never count as narrowing.
@@ -584,32 +476,6 @@ mod tests {
     fn facts(src: &str) -> FileFacts {
         let lexed = LexedFile::lex(src);
         FileFacts::extract("crates/fei-proto/src/frames.rs", "fei-proto", false, &lexed)
-    }
-
-    #[test]
-    fn tag_consts_and_refs_classified() {
-        let src = "pub const TAG_A: u8 = 0x10;\n\
-                   pub const TAG_B: u8 = 17;\n\
-                   fn tag(&self) -> u8 { match self { Frame::A { .. } => TAG_A, Frame::B(_) => TAG_B } }\n\
-                   fn decode(t: u8) { match t { TAG_A => {} TAG_B => {} _ => {} } }\n";
-        let f = facts(src);
-        assert_eq!(f.tag_consts.len(), 2);
-        assert_eq!(f.tag_consts[0].value, Some(0x10));
-        assert_eq!(f.tag_consts[1].value, Some(17));
-        let produced: Vec<_> = f
-            .tag_refs
-            .iter()
-            .filter(|r| r.context == RefContext::Produced)
-            .map(|r| r.name.as_str())
-            .collect();
-        assert_eq!(produced, vec!["TAG_A", "TAG_B"]);
-        let arms: Vec<_> = f
-            .tag_refs
-            .iter()
-            .filter(|r| r.context == RefContext::MatchArm)
-            .map(|r| r.name.as_str())
-            .collect();
-        assert_eq!(arms, vec!["TAG_A", "TAG_B"]);
     }
 
     #[test]
@@ -680,9 +546,9 @@ mod tests {
 
     #[test]
     fn test_tree_files_mark_every_fact_as_test() {
-        let lexed = LexedFile::lex("pub const TAG_T: u8 = 0x30;\nfn f() { let _ = TAG_T; }\n");
+        let lexed = LexedFile::lex("fn f(n: usize) -> Use { let _ = n as u8; Use::Wasted }\n");
         let f = FileFacts::extract("tests/recovery.rs", "ee-fei", true, &lexed);
-        assert!(f.tag_consts[0].is_test);
-        assert!(f.tag_refs.iter().all(|r| r.is_test));
+        assert!(f.casts[0].is_test);
+        assert!(f.variant_refs.iter().all(|r| r.is_test));
     }
 }

@@ -46,11 +46,6 @@ pub enum RuleId {
     /// (`tests/recovery.rs`). Cross-file since v2: the check walks the
     /// workspace model's call facts instead of a line window.
     JournalDiscipline,
-    /// Wire-schema conformance across `fei-proto`/`fei-net`: every
-    /// `TAG_*` value unique, every tag produced by an encode arm and
-    /// matched by a decode arm, every tag named in at least one test
-    /// (`tests/proto_wire.rs`). Cross-file.
-    WireSchema,
     /// Every `EnergyUse`/`AbortReason` variant must be constructed
     /// outside its defining file and surfaced in a match arm (stats or
     /// report path) — dead-variant detection for the energy accounting
@@ -65,7 +60,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in reporting order.
-    pub const ALL: [RuleId; 10] = [
+    pub const ALL: [RuleId; 9] = [
         RuleId::DetMapIter,
         RuleId::DetWallclock,
         RuleId::DetEntropy,
@@ -73,7 +68,6 @@ impl RuleId {
         RuleId::FloatEq,
         RuleId::LedgerDiscipline,
         RuleId::JournalDiscipline,
-        RuleId::WireSchema,
         RuleId::EnumBilling,
         RuleId::TruncatingCast,
     ];
@@ -83,10 +77,7 @@ impl RuleId {
     pub fn is_cross_file(self) -> bool {
         matches!(
             self,
-            RuleId::JournalDiscipline
-                | RuleId::WireSchema
-                | RuleId::EnumBilling
-                | RuleId::TruncatingCast
+            RuleId::JournalDiscipline | RuleId::EnumBilling | RuleId::TruncatingCast
         )
     }
 
@@ -100,7 +91,6 @@ impl RuleId {
             RuleId::FloatEq => "float-eq",
             RuleId::LedgerDiscipline => "ledger-discipline",
             RuleId::JournalDiscipline => "journal-discipline",
-            RuleId::WireSchema => "wire-schema",
             RuleId::EnumBilling => "enum-billing",
             RuleId::TruncatingCast => "truncating-cast",
         }
@@ -130,9 +120,6 @@ impl RuleId {
             RuleId::JournalDiscipline => {
                 "coordinator phase transitions must follow a round-journal append (write-ahead logging)"
             }
-            RuleId::WireSchema => {
-                "TAG_* values unique across wire crates; every tag encoded, decoded, and named in a test"
-            }
             RuleId::EnumBilling => {
                 "every EnergyUse/AbortReason variant constructed outside its file and surfaced in a match"
             }
@@ -156,10 +143,7 @@ impl RuleId {
                 config.det_crates.iter().any(|c| c == crate_name)
             }
             RuleId::LedgerDiscipline => config.ledger_crates.iter().any(|c| c == crate_name),
-            RuleId::JournalDiscipline
-            | RuleId::WireSchema
-            | RuleId::EnumBilling
-            | RuleId::TruncatingCast => false,
+            RuleId::JournalDiscipline | RuleId::EnumBilling | RuleId::TruncatingCast => false,
             RuleId::NoPanic => {
                 // Binary entry points (src/bin/, src/main.rs) may abort on
                 // operational errors; the contract covers library code.
@@ -174,10 +158,7 @@ impl RuleId {
     /// nothing here — they run in [`crate::crossfile::check`].
     pub fn check(self, file: &LexedFile, path: &str) -> Vec<Violation> {
         match self {
-            RuleId::JournalDiscipline
-            | RuleId::WireSchema
-            | RuleId::EnumBilling
-            | RuleId::TruncatingCast => Vec::new(),
+            RuleId::JournalDiscipline | RuleId::EnumBilling | RuleId::TruncatingCast => Vec::new(),
             RuleId::DetMapIter => check_idents(
                 self,
                 file,

@@ -21,7 +21,7 @@ fn lint_fixture(rel: &str) -> Report {
 }
 
 /// (fixture dir, the one rule its bad tree violates)
-const CASES: [(&str, RuleId); 10] = [
+const CASES: [(&str, RuleId); 9] = [
     ("det_map_iter", RuleId::DetMapIter),
     ("det_wallclock", RuleId::DetWallclock),
     ("det_entropy", RuleId::DetEntropy),
@@ -29,7 +29,6 @@ const CASES: [(&str, RuleId); 10] = [
     ("float_eq", RuleId::FloatEq),
     ("ledger_discipline", RuleId::LedgerDiscipline),
     ("journal_discipline", RuleId::JournalDiscipline),
-    ("wire_schema", RuleId::WireSchema),
     ("enum_billing", RuleId::EnumBilling),
     ("truncating_cast", RuleId::TruncatingCast),
 ];
@@ -116,12 +115,6 @@ fn allow_directives_scope_cross_file_rules_to_the_site() {
         report.render_human()
     );
     assert_eq!(
-        report.count_for(RuleId::WireSchema),
-        1,
-        "one of two untested tags is allowed:\n{}",
-        report.render_human()
-    );
-    assert_eq!(
         report.count_for(RuleId::JournalDiscipline),
         1,
         "one of two unjournalled phase writes is allowed:\n{}",
@@ -129,20 +122,12 @@ fn allow_directives_scope_cross_file_rules_to_the_site() {
     );
     assert_eq!(
         report.violations.len(),
-        3,
+        2,
         "unexpected extra violations:\n{}",
         report.render_human()
     );
     // The survivors are the sites without a directive, not the annotated
     // twins.
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.rule == "wire-schema" && v.message.contains("TAG_TRACE")),
-        "wire-schema survivor should be TAG_TRACE:\n{}",
-        report.render_human()
-    );
     assert!(
         report
             .violations

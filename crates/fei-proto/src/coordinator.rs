@@ -183,14 +183,6 @@ impl AbortBreakdown {
     pub fn total(&self) -> u64 {
         AbortReason::ALL.iter().map(|&r| self.count(r)).sum()
     }
-
-    /// Folds another breakdown into this one.
-    pub fn absorb(&mut self, other: AbortBreakdown) {
-        self.quorum_miss += other.quorum_miss;
-        self.fleet_collapse += other.fleet_collapse;
-        self.cancelled += other.cancelled;
-        self.coordinator_crash += other.coordinator_crash;
-    }
 }
 
 /// Control-plane traffic counters.
@@ -227,24 +219,40 @@ pub struct ControlStats {
     pub wasted_update_bytes: u64,
 }
 
+/// One [`ControlStats`] counter: its stats-file key and its accessor.
+pub(crate) type StatField = (&'static str, fn(&mut ControlStats) -> &mut u64);
+
 impl ControlStats {
+    /// Every counter, once — the list [`ControlStats::absorb`] and the
+    /// daemon's stats-file format and parser all walk.
+    pub(crate) const FIELDS: [StatField; 17] = [
+        ("frames_in", |s| &mut s.frames_in),
+        ("bytes_in", |s| &mut s.bytes_in),
+        ("frames_out", |s| &mut s.frames_out),
+        ("bytes_out", |s| &mut s.bytes_out),
+        ("rejected", |s| &mut s.rejected),
+        ("expired_rejections", |s| &mut s.expired_rejections),
+        ("committed_rounds", |s| &mut s.committed_rounds),
+        ("aborted_rounds", |s| &mut s.aborted_rounds),
+        ("aborts_quorum_miss", |s| &mut s.aborts.quorum_miss),
+        ("aborts_fleet_collapse", |s| &mut s.aborts.fleet_collapse),
+        ("aborts_cancelled", |s| &mut s.aborts.cancelled),
+        ("aborts_coordinator_crash", |s| {
+            &mut s.aborts.coordinator_crash
+        }),
+        ("resumed_rounds", |s| &mut s.resumed_rounds),
+        ("resumes_accepted", |s| &mut s.resumes_accepted),
+        ("resumes_rejoined", |s| &mut s.resumes_rejoined),
+        ("recovered_rejections", |s| &mut s.recovered_rejections),
+        ("wasted_update_bytes", |s| &mut s.wasted_update_bytes),
+    ];
+
     /// Folds another incarnation's counters into this one — how a driver
     /// totals traffic across coordinator restarts.
-    pub fn absorb(&mut self, other: ControlStats) {
-        self.frames_in += other.frames_in;
-        self.bytes_in += other.bytes_in;
-        self.frames_out += other.frames_out;
-        self.bytes_out += other.bytes_out;
-        self.rejected += other.rejected;
-        self.expired_rejections += other.expired_rejections;
-        self.committed_rounds += other.committed_rounds;
-        self.aborted_rounds += other.aborted_rounds;
-        self.aborts.absorb(other.aborts);
-        self.resumed_rounds += other.resumed_rounds;
-        self.resumes_accepted += other.resumes_accepted;
-        self.resumes_rejoined += other.resumes_rejoined;
-        self.recovered_rejections += other.recovered_rejections;
-        self.wasted_update_bytes += other.wasted_update_bytes;
+    pub fn absorb(&mut self, mut other: ControlStats) {
+        for (_, field) in Self::FIELDS {
+            *field(self) += *field(&mut other);
+        }
     }
 }
 
@@ -336,9 +344,8 @@ impl Coordinator {
         journal_bytes: &[u8],
         now: u64,
     ) -> Result<(Self, Vec<Effect>), ProtoError> {
-        let journal = RoundJournal::from_bytes(journal_bytes.to_vec());
-        let replay = journal.replay()?;
-        let state = JournalState::from_records(&replay.records);
+        let (journal, records) = RoundJournal::adopt(journal_bytes)?;
+        let state = JournalState::from_records(&records);
         let mut c = Self::new(config);
         c.journal = journal;
         c.epoch = state.epoch + 1;
@@ -1308,6 +1315,21 @@ mod tests {
         assert_eq!(c2.round(), a.round());
         assert_eq!(c2.epoch(), a.epoch() + 1);
         assert_eq!(c2.update_payloads(), a.update_payloads());
+    }
+
+    #[test]
+    fn recover_from_a_torn_log_leaves_a_recoverable_journal() {
+        let c = joined(3);
+        let full = c.journal().bytes();
+        // The crash tore the last of the three join records mid-append.
+        let (r, _) = Coordinator::recover(config(), &full[..full.len() - 5], 20).expect("torn");
+        // The boot marker and two joins survived; the torn fragment is gone,
+        // so the new epoch marker extends a clean log.
+        assert_eq!(r.journal().records(), 4);
+        let (again, _) = Coordinator::recover(config(), r.journal().bytes(), 30).expect("clean");
+        assert_eq!(again.epoch(), r.epoch() + 1);
+        assert_eq!(again.live_clients(30), r.live_clients(30));
+        assert_eq!(again.live_clients(30).len(), 2);
     }
 
     #[test]

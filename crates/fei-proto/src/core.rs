@@ -1,0 +1,205 @@
+//! The coordinator's decision core and the trace-replay oracle.
+//!
+//! [`CoordinatorCore`] is a [`Coordinator`] plus the bookkeeping that makes
+//! runs comparable ([`NodeAudit`]). The live socket node
+//! ([`crate::node::CoordinatorNode`]) and [`replay_trace`] drive **this**
+//! type with the same [`TraceEvent`]s, so a socket run is *conformant* iff
+//! its live audit equals the replay of its own trace — journal bytes,
+//! committed model bytes, round verdicts and [`ControlStats`], bit for bit.
+
+use std::collections::BTreeMap;
+
+use crate::cluster::RoundVerdict;
+use crate::coordinator::{ControlStats, Coordinator, CoordinatorConfig, Effect};
+use crate::error::ProtoError;
+use crate::trace::TraceEvent;
+
+/// Everything a run's coordinator decided, in comparable form. Two audits
+/// being `==` means the underlying decision histories were bit-identical:
+/// same journal bytes, same committed model payloads, same round verdicts,
+/// same traffic counters.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeAudit {
+    /// Traffic and verdict counters, folded across incarnations.
+    pub stats: ControlStats,
+    /// The write-ahead journal, byte for byte.
+    pub journal: Vec<u8>,
+    /// Every round verdict, in close order.
+    pub round_log: Vec<RoundVerdict>,
+    /// Committed model payloads: round → (client → (samples, bytes)),
+    /// snapshotted at the commit instant.
+    pub committed_models: BTreeMap<u64, BTreeMap<u64, (u32, Vec<u8>)>>,
+    /// The final incarnation number.
+    pub epoch: u64,
+}
+
+/// The shared decision core: a [`Coordinator`] plus the bookkeeping that
+/// makes runs comparable ([`NodeAudit`]). Both the live socket node and
+/// the trace-replay oracle drive **this** type with the same
+/// [`TraceEvent`]s — conformance is structural, not aspirational.
+#[derive(Debug)]
+pub struct CoordinatorCore {
+    config: CoordinatorConfig,
+    global: Vec<u8>,
+    coordinator: Coordinator,
+    /// Stats of previous incarnations (folded in at each recovery).
+    carry: ControlStats,
+    round_log: Vec<RoundVerdict>,
+    committed_models: BTreeMap<u64, BTreeMap<u64, (u32, Vec<u8>)>>,
+}
+
+impl CoordinatorCore {
+    /// A fresh core (coordinator idle, rendezvous not yet open).
+    pub fn new(config: CoordinatorConfig, global: Vec<u8>) -> Self {
+        let mut coordinator = Coordinator::new(config.clone());
+        coordinator.set_global(global.clone());
+        Self {
+            config,
+            global,
+            coordinator,
+            carry: ControlStats::default(),
+            round_log: Vec::new(),
+            committed_models: BTreeMap::new(),
+        }
+    }
+
+    /// The live coordinator.
+    pub fn coordinator(&self) -> &Coordinator {
+        &self.coordinator
+    }
+
+    /// Rounds that have closed (committed or aborted) across the run.
+    pub fn rounds_closed(&self) -> u64 {
+        self.round_log.len() as u64
+    }
+
+    /// Rounds that committed across the run.
+    pub fn rounds_committed(&self) -> u64 {
+        self.round_log.iter().filter(|v| v.committed).count() as u64
+    }
+
+    /// Traffic counters folded across incarnations.
+    pub fn stats(&self) -> ControlStats {
+        let mut stats = self.carry;
+        stats.absorb(self.coordinator.stats());
+        stats
+    }
+
+    /// Applies one event to the decision core, exactly as the live node
+    /// does — this method *is* the conformance boundary.
+    ///
+    /// # Errors
+    ///
+    /// Frame rejections propagate as their typed [`ProtoError`] (already
+    /// counted in the stats); replay callers ignore them, node callers
+    /// may react (e.g. nudge an unknown client). Recovery errors mean a
+    /// corrupt journal and are fatal.
+    pub fn apply(&mut self, event: &TraceEvent) -> Result<Vec<Effect>, ProtoError> {
+        match event {
+            TraceEvent::Open => {
+                self.coordinator.open_rendezvous()?;
+                Ok(Vec::new())
+            }
+            TraceEvent::Deliver { tick, bytes } => {
+                let effects = self.coordinator.handle_frame(bytes, *tick)?;
+                self.observe(&effects, *tick);
+                Ok(effects)
+            }
+            TraceEvent::StartRound { tick } => {
+                // A failed attempt (quorum) still expired leases; the
+                // journal mutation is the reason the attempt was recorded.
+                let effects = self.coordinator.start_round(*tick).unwrap_or_default();
+                self.observe(&effects, *tick);
+                Ok(effects)
+            }
+            TraceEvent::Tick { tick } => {
+                let effects = self.coordinator.tick(*tick);
+                self.observe(&effects, *tick);
+                Ok(effects)
+            }
+            TraceEvent::Recover { tick, journal_len } => {
+                let len = usize::try_from(*journal_len)
+                    .unwrap_or(usize::MAX)
+                    .min(self.coordinator.journal().len());
+                let bytes = self.coordinator.journal().bytes()[..len].to_vec();
+                self.recover_from(&bytes, *tick)
+            }
+        }
+    }
+
+    /// Replaces the coordinator with one recovered from `journal_bytes`
+    /// at `now`, folding the outgoing incarnation's stats into the carry.
+    ///
+    /// # Errors
+    ///
+    /// Journal decode errors from [`Coordinator::recover`].
+    pub fn recover_from(
+        &mut self,
+        journal_bytes: &[u8],
+        now: u64,
+    ) -> Result<Vec<Effect>, ProtoError> {
+        self.carry.absorb(self.coordinator.stats());
+        let (mut recovered, effects) =
+            Coordinator::recover(self.config.clone(), journal_bytes, now)?;
+        recovered.set_global(self.global.clone());
+        self.coordinator = recovered;
+        self.observe(&effects, now);
+        Ok(effects)
+    }
+
+    /// Records round verdicts and snapshots committed model payloads.
+    fn observe(&mut self, effects: &[Effect], tick: u64) {
+        for effect in effects {
+            match effect {
+                Effect::RoundCommitted { round, accepted } => {
+                    self.round_log.push(RoundVerdict {
+                        round: *round,
+                        committed: true,
+                        accepted: accepted.clone(),
+                        closed_at: tick,
+                        reason: None,
+                    });
+                    // The payload snapshot at the commit instant is the
+                    // committed model set — identical capture point live
+                    // and in replay.
+                    self.committed_models
+                        .insert(*round, self.coordinator.update_payloads().clone());
+                }
+                Effect::RoundAborted { round, reason } => {
+                    self.round_log.push(RoundVerdict {
+                        round: *round,
+                        committed: false,
+                        accepted: Vec::new(),
+                        closed_at: tick,
+                        reason: Some(*reason),
+                    });
+                }
+                Effect::Send { .. } | Effect::FleetShrunk { .. } => {}
+            }
+        }
+    }
+
+    /// The comparable summary of everything decided so far.
+    pub fn audit(&self) -> NodeAudit {
+        NodeAudit {
+            stats: self.stats(),
+            journal: self.coordinator.journal().bytes().to_vec(),
+            round_log: self.round_log.clone(),
+            committed_models: self.committed_models.clone(),
+            epoch: self.coordinator.epoch(),
+        }
+    }
+}
+
+/// The oracle: re-drives a fresh decision core from a recorded trace,
+/// with no sockets and no clock. A socket run is *conformant* iff its
+/// live [`NodeAudit`] equals `replay_trace` of its own trace.
+pub fn replay_trace(config: &CoordinatorConfig, global: &[u8], events: &[TraceEvent]) -> NodeAudit {
+    let mut core = CoordinatorCore::new(config.clone(), global.to_vec());
+    for event in events {
+        // Rejections are part of the recorded history: the live node
+        // counted them in the stats and moved on, and so does the oracle.
+        let _ = core.apply(event);
+    }
+    core.audit()
+}

@@ -5,90 +5,56 @@
 //! interleave control and data frames. Every control payload leads with a
 //! one-byte protocol version that is checked *before* any body parsing —
 //! a peer speaking a different protocol gets a typed
-//! [`ProtoError::VersionMismatch`], not a confusing parse failure further
-//! in.
+//! [`ProtoError::VersionMismatch`](crate::error::ProtoError::VersionMismatch),
+//! not a confusing parse failure further in.
 //!
 //! ## The authoritative tag table
 //!
 //! Model payload frames use low tags (caller-defined, below 0x10). The
-//! protocol stack owns two disjoint ranges — `0x10..=0x1A` for the
-//! control plane (this module) and `0x20..=0x26` for the durable round
-//! journal ([`crate::journal`]):
+//! protocol stack owns three disjoint ranges — `0x10..=0x1A` for the
+//! control plane (this module), `0x20..=0x26` for the durable round
+//! journal ([`crate::journal`]) and `0x30..=0x34` for the coordinator's
+//! frame trace ([`crate::trace`]):
 //!
-//! | Tag  | Constant              | Range   | Meaning                                |
-//! |------|-----------------------|---------|----------------------------------------|
-//! | 0x10 | `TAG_JOIN_REQUEST`    | control | participant asks to join the roster    |
-//! | 0x11 | `TAG_JOIN_ACK`        | control | join accepted, heartbeat contract      |
-//! | 0x12 | `TAG_HEARTBEAT`       | control | periodic liveness beacon               |
-//! | 0x13 | `TAG_SELECT`          | control | round selection + global model         |
-//! | 0x14 | `TAG_UPDATE_SUBMIT`   | control | trained-update submission              |
-//! | 0x15 | `TAG_ROUND_ABORT`     | control | round closed without commit            |
-//! | 0x16 | `TAG_ROUND_COMMIT`    | control | round committed, aggregated clients    |
-//! | 0x17 | `TAG_EPOCH_NOTICE`    | control | recovered coordinator's new epoch      |
-//! | 0x18 | `TAG_RESUME`          | control | participant asks to resume a session   |
-//! | 0x19 | `TAG_RESUME_ACK`      | control | resume-vs-rejoin verdict               |
-//! | 0x1A | `TAG_SHUTDOWN`        | control | supervisor-ordered graceful shutdown   |
-//! | 0x20 | `TAG_EPOCH_STARTED`   | journal | incarnation began                      |
-//! | 0x21 | `TAG_CLIENT_JOINED`   | journal | roster admission became durable        |
-//! | 0x22 | `TAG_CLIENT_EXPIRED`  | journal | lease expiry became durable            |
-//! | 0x23 | `TAG_ROUND_OPENED`    | journal | round selection became durable         |
-//! | 0x24 | `TAG_UPDATE_ACCEPTED` | journal | accepted update became durable         |
-//! | 0x25 | `TAG_ROUND_COMMITTED` | journal | commit became durable                  |
-//! | 0x26 | `TAG_ROUND_ABORTED`   | journal | abort became durable                   |
+//! | Tag  | Constant                | Range   | Meaning                                |
+//! |------|-------------------------|---------|----------------------------------------|
+//! | 0x10 | `TAG_JOIN_REQUEST`      | control | participant asks to join the roster    |
+//! | 0x11 | `TAG_JOIN_ACK`          | control | join accepted, heartbeat contract      |
+//! | 0x12 | `TAG_HEARTBEAT`         | control | periodic liveness beacon               |
+//! | 0x13 | `TAG_SELECT`            | control | round selection + global model         |
+//! | 0x14 | `TAG_UPDATE_SUBMIT`     | control | trained-update submission              |
+//! | 0x15 | `TAG_ROUND_ABORT`       | control | round closed without commit            |
+//! | 0x16 | `TAG_ROUND_COMMIT`      | control | round committed, aggregated clients    |
+//! | 0x17 | `TAG_EPOCH_NOTICE`      | control | recovered coordinator's new epoch      |
+//! | 0x18 | `TAG_RESUME`            | control | participant asks to resume a session   |
+//! | 0x19 | `TAG_RESUME_ACK`        | control | resume-vs-rejoin verdict               |
+//! | 0x1A | `TAG_SHUTDOWN`          | control | supervisor-ordered graceful shutdown   |
+//! | 0x20 | `TAG_EPOCH_STARTED`     | journal | incarnation began                      |
+//! | 0x21 | `TAG_CLIENT_JOINED`     | journal | roster admission became durable        |
+//! | 0x22 | `TAG_CLIENT_EXPIRED`    | journal | lease expiry became durable            |
+//! | 0x23 | `TAG_ROUND_OPENED`      | journal | round selection became durable         |
+//! | 0x24 | `TAG_UPDATE_ACCEPTED`   | journal | accepted update became durable         |
+//! | 0x25 | `TAG_ROUND_COMMITTED`   | journal | commit became durable                  |
+//! | 0x26 | `TAG_ROUND_ABORTED`     | journal | abort became durable                   |
+//! | 0x30 | `TAG_TRACE_OPEN`        | trace   | rendezvous opened (fresh boot)         |
+//! | 0x31 | `TAG_TRACE_DELIVER`     | trace   | inbound frame reached the core         |
+//! | 0x32 | `TAG_TRACE_START_ROUND` | trace   | round-open attempt                     |
+//! | 0x33 | `TAG_TRACE_TICK`        | trace   | virtual-clock advance                  |
+//! | 0x34 | `TAG_TRACE_RECOVER`     | trace   | restart recovered from the journal     |
 //!
-//! [`CONTROL_TAGS`] and [`crate::journal::JOURNAL_TAGS`] enumerate the
-//! two ranges in code; a unit test asserts they stay disjoint, and the
-//! `wire-schema` lint rule checks every tag is encoded, decoded, and
-//! exercised by a test.
+//! This table is documentation; the code form is the three `record_table!`
+//! invocations (here, in [`crate::journal`] and in [`crate::trace`]), each
+//! of which declares a kind's tag, variant and ordered fields exactly once.
+//! `record.rs` derives the enum, the `TAG_*` consts, [`CONTROL_TAGS`] /
+//! [`crate::journal::JOURNAL_TAGS`] / [`crate::trace::TRACE_TAGS`] and the
+//! codec from them, asserts at compile time that no value is used twice,
+//! and `tests/wire_golden.rs` pins every kind's bytes.
 //!
 //! Integers are big-endian throughout, matching the frame and wire codecs.
 
-use fei_net::codec::{decode_frame, encode_frame, len_u32, FRAME_OVERHEAD};
+use crate::record::record_table;
 
-use crate::error::ProtoError;
-
-/// Version of the control-plane protocol this crate speaks.
-pub const PROTO_VERSION: u8 = 1;
-
-/// Tag space for control frames; model payload frames use low tags.
-pub const TAG_JOIN_REQUEST: u8 = 0x10;
-/// Coordinator's acceptance of a join, carrying the heartbeat contract.
-pub const TAG_JOIN_ACK: u8 = 0x11;
-/// Periodic liveness beacon from a participant.
-pub const TAG_HEARTBEAT: u8 = 0x12;
-/// Round-selection notice (with the global model payload) to one client.
-pub const TAG_SELECT: u8 = 0x13;
-/// A participant's trained-update submission.
-pub const TAG_UPDATE_SUBMIT: u8 = 0x14;
-/// Round closed without commit.
-pub const TAG_ROUND_ABORT: u8 = 0x15;
-/// Round committed, listing the aggregated clients.
-pub const TAG_ROUND_COMMIT: u8 = 0x16;
-/// Recovered coordinator announcing its new incarnation to the roster.
-pub const TAG_EPOCH_NOTICE: u8 = 0x17;
-/// Participant asking to resume its session after a coordinator restart.
-pub const TAG_RESUME: u8 = 0x18;
-/// Coordinator's resume-vs-rejoin verdict on a resume request.
-pub const TAG_RESUME_ACK: u8 = 0x19;
-/// Supervisor-ordered graceful shutdown of the coordinator process.
-pub const TAG_SHUTDOWN: u8 = 0x1A;
-
-/// Every control-plane tag, in value order — the code form of the tag
-/// table in the module docs. New control frames must be added here (the
-/// disjointness test in [`crate::journal`] walks this array).
-pub const CONTROL_TAGS: [u8; 11] = [
-    TAG_JOIN_REQUEST,
-    TAG_JOIN_ACK,
-    TAG_HEARTBEAT,
-    TAG_SELECT,
-    TAG_UPDATE_SUBMIT,
-    TAG_ROUND_ABORT,
-    TAG_ROUND_COMMIT,
-    TAG_EPOCH_NOTICE,
-    TAG_RESUME,
-    TAG_RESUME_ACK,
-    TAG_SHUTDOWN,
-];
+pub use crate::record::PROTO_VERSION;
 
 /// Why a coordinator aborted a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,9 +111,15 @@ impl AbortReason {
     ];
 }
 
-/// One control-plane message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ControlFrame {
+record_table! {
+    /// One control-plane message.
+    pub enum ControlFrame;
+    /// Every control-plane tag, in value order — the code form of the tag
+    /// table in the module docs.
+    pub const CONTROL_TAGS;
+
+    /// Tag space for control frames; model payload frames use low tags.
+    0x10 TAG_JOIN_REQUEST =>
     /// Participant → coordinator: request to join the federation,
     /// declaring the wire-codec version it encodes payloads with.
     JoinRequest {
@@ -157,6 +129,8 @@ pub enum ControlFrame {
         /// ([`fei_net::wire::WIRE_VERSION`]).
         wire_version: u8,
     },
+    /// Coordinator's acceptance of a join, carrying the heartbeat contract.
+    0x11 TAG_JOIN_ACK =>
     /// Coordinator → participant: join accepted; heartbeat contract.
     JoinAck {
         /// The accepted client id.
@@ -166,6 +140,8 @@ pub enum ControlFrame {
         /// Ticks of silence after which the client is expired.
         heartbeat_timeout: u32,
     },
+    /// Periodic liveness beacon from a participant.
+    0x12 TAG_HEARTBEAT =>
     /// Participant → coordinator: liveness beacon.
     Heartbeat {
         /// Sending client id.
@@ -173,6 +149,8 @@ pub enum ControlFrame {
         /// The sender's local tick when the beacon was emitted.
         tick: u64,
     },
+    /// Round-selection notice (with the global model payload) to one client.
+    0x13 TAG_SELECT =>
     /// Coordinator → participant: you are selected this round; train on
     /// the carried global model and submit before the deadline.
     Select {
@@ -187,6 +165,8 @@ pub enum ControlFrame {
         /// Wire-v2 payload of the global model.
         global: Vec<u8>,
     },
+    /// A participant's trained-update submission.
+    0x14 TAG_UPDATE_SUBMIT =>
     /// Participant → coordinator: the trained update.
     UpdateSubmit {
         /// Round the update belongs to.
@@ -198,6 +178,8 @@ pub enum ControlFrame {
         /// Wire-v2 payload of the local model or delta.
         update: Vec<u8>,
     },
+    /// Round closed without commit.
+    0x15 TAG_ROUND_ABORT =>
     /// Coordinator → participants: round closed without commit.
     RoundAbort {
         /// The aborted round.
@@ -205,6 +187,8 @@ pub enum ControlFrame {
         /// Why it aborted.
         reason: AbortReason,
     },
+    /// Round committed, listing the aggregated clients.
+    0x16 TAG_ROUND_COMMIT =>
     /// Coordinator → participants: round committed.
     RoundCommit {
         /// The committed round.
@@ -212,6 +196,8 @@ pub enum ControlFrame {
         /// Clients whose updates were aggregated, ascending.
         accepted: Vec<u64>,
     },
+    /// Recovered coordinator announcing its new incarnation to the roster.
+    0x17 TAG_EPOCH_NOTICE =>
     /// Coordinator → participant: a recovered coordinator announcing its
     /// new incarnation; the receiver must answer with [`Resume`] or rejoin.
     ///
@@ -222,6 +208,8 @@ pub enum ControlFrame {
         /// The round the recovered coordinator is at.
         round: u64,
     },
+    /// Participant asking to resume its session after a coordinator restart.
+    0x18 TAG_RESUME =>
     /// Participant → coordinator: session-resume request after a
     /// coordinator restart, carrying the last state the participant saw.
     Resume {
@@ -232,6 +220,8 @@ pub enum ControlFrame {
         /// The last round the client saw open (or closed).
         last_round: u64,
     },
+    /// Coordinator's resume-vs-rejoin verdict on a resume request.
+    0x19 TAG_RESUME_ACK =>
     /// Coordinator → participant: resume verdict. `resume = true` keeps the
     /// session (lease re-armed, in-flight uploads still wanted);
     /// `resume = false` orders a fresh join handshake.
@@ -243,362 +233,58 @@ pub enum ControlFrame {
         /// Whether the session resumes (vs. full rejoin).
         resume: bool,
     },
+    /// Supervisor-ordered graceful shutdown of the coordinator process.
+    0x1A TAG_SHUTDOWN =>
     /// Supervisor → coordinator: shut down gracefully. An open round is
     /// cancelled ([`AbortReason::Cancelled`] journaled and broadcast) before
     /// the process exits; a coordinator between rounds just exits.
     Shutdown,
 }
 
-impl ControlFrame {
-    /// The frame-codec tag this message is framed under.
-    pub fn tag(&self) -> u8 {
-        match self {
-            ControlFrame::JoinRequest { .. } => TAG_JOIN_REQUEST,
-            ControlFrame::JoinAck { .. } => TAG_JOIN_ACK,
-            ControlFrame::Heartbeat { .. } => TAG_HEARTBEAT,
-            ControlFrame::Select { .. } => TAG_SELECT,
-            ControlFrame::UpdateSubmit { .. } => TAG_UPDATE_SUBMIT,
-            ControlFrame::RoundAbort { .. } => TAG_ROUND_ABORT,
-            ControlFrame::RoundCommit { .. } => TAG_ROUND_COMMIT,
-            ControlFrame::EpochNotice { .. } => TAG_EPOCH_NOTICE,
-            ControlFrame::Resume { .. } => TAG_RESUME,
-            ControlFrame::ResumeAck { .. } => TAG_RESUME_ACK,
-            ControlFrame::Shutdown => TAG_SHUTDOWN,
-        }
-    }
-
-    /// Human-readable frame kind, used in typed rejections.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ControlFrame::JoinRequest { .. } => "JoinRequest",
-            ControlFrame::JoinAck { .. } => "JoinAck",
-            ControlFrame::Heartbeat { .. } => "Heartbeat",
-            ControlFrame::Select { .. } => "Select",
-            ControlFrame::UpdateSubmit { .. } => "UpdateSubmit",
-            ControlFrame::RoundAbort { .. } => "RoundAbort",
-            ControlFrame::RoundCommit { .. } => "RoundCommit",
-            ControlFrame::EpochNotice { .. } => "EpochNotice",
-            ControlFrame::Resume { .. } => "Resume",
-            ControlFrame::ResumeAck { .. } => "ResumeAck",
-            ControlFrame::Shutdown => "Shutdown",
-        }
-    }
-
-    /// Exact encoded length (frame overhead + version byte + body).
-    pub fn encoded_len(&self) -> usize {
-        let body = match self {
-            ControlFrame::JoinRequest { .. } => 8 + 1,
-            ControlFrame::JoinAck { .. } => 8 + 4 + 4,
-            ControlFrame::Heartbeat { .. } => 8 + 8,
-            ControlFrame::Select { global, .. } => 8 + 8 + 4 + 8 + 4 + global.len(),
-            ControlFrame::UpdateSubmit { update, .. } => 8 + 8 + 4 + 4 + update.len(),
-            ControlFrame::RoundAbort { .. } => 8 + 1,
-            ControlFrame::RoundCommit { accepted, .. } => 8 + 4 + 8 * accepted.len(),
-            ControlFrame::EpochNotice { .. } => 8 + 8,
-            ControlFrame::Resume { .. } => 8 + 8 + 8,
-            ControlFrame::ResumeAck { .. } => 8 + 8 + 1,
-            ControlFrame::Shutdown => 0,
-        };
-        FRAME_OVERHEAD + 1 + body
-    }
-
-    /// Serializes into a complete frame (magic, tag, length, payload, CRC).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(self.encoded_len() - FRAME_OVERHEAD);
-        payload.push(PROTO_VERSION);
-        match self {
-            ControlFrame::JoinRequest {
-                client,
-                wire_version,
-            } => {
-                payload.extend_from_slice(&client.to_be_bytes());
-                payload.push(*wire_version);
-            }
-            ControlFrame::JoinAck {
-                client,
-                heartbeat_interval,
-                heartbeat_timeout,
-            } => {
-                payload.extend_from_slice(&client.to_be_bytes());
-                payload.extend_from_slice(&heartbeat_interval.to_be_bytes());
-                payload.extend_from_slice(&heartbeat_timeout.to_be_bytes());
-            }
-            ControlFrame::Heartbeat { client, tick } => {
-                payload.extend_from_slice(&client.to_be_bytes());
-                payload.extend_from_slice(&tick.to_be_bytes());
-            }
-            ControlFrame::Select {
-                round,
-                client,
-                epochs,
-                deadline_tick,
-                global,
-            } => {
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.extend_from_slice(&client.to_be_bytes());
-                payload.extend_from_slice(&epochs.to_be_bytes());
-                payload.extend_from_slice(&deadline_tick.to_be_bytes());
-                payload.extend_from_slice(&len_u32(global.len()).to_be_bytes());
-                payload.extend_from_slice(global);
-            }
-            ControlFrame::UpdateSubmit {
-                round,
-                client,
-                samples,
-                update,
-            } => {
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.extend_from_slice(&client.to_be_bytes());
-                payload.extend_from_slice(&samples.to_be_bytes());
-                payload.extend_from_slice(&len_u32(update.len()).to_be_bytes());
-                payload.extend_from_slice(update);
-            }
-            ControlFrame::RoundAbort { round, reason } => {
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.push(reason.tag());
-            }
-            ControlFrame::RoundCommit { round, accepted } => {
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.extend_from_slice(&len_u32(accepted.len()).to_be_bytes());
-                for client in accepted {
-                    payload.extend_from_slice(&client.to_be_bytes());
-                }
-            }
-            ControlFrame::EpochNotice { epoch, round } => {
-                payload.extend_from_slice(&epoch.to_be_bytes());
-                payload.extend_from_slice(&round.to_be_bytes());
-            }
-            ControlFrame::Resume {
-                client,
-                epoch,
-                last_round,
-            } => {
-                payload.extend_from_slice(&client.to_be_bytes());
-                payload.extend_from_slice(&epoch.to_be_bytes());
-                payload.extend_from_slice(&last_round.to_be_bytes());
-            }
-            ControlFrame::ResumeAck {
-                client,
-                epoch,
-                resume,
-            } => {
-                payload.extend_from_slice(&client.to_be_bytes());
-                payload.extend_from_slice(&epoch.to_be_bytes());
-                payload.push(u8::from(*resume));
-            }
-            ControlFrame::Shutdown => {}
-        }
-        encode_frame(self.tag(), &payload).to_vec()
-    }
-
-    /// Decodes one control frame from the front of `bytes`, returning the
-    /// message and the bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Codec`] on framing/CRC failures,
-    /// [`ProtoError::UnknownFrameType`] on a tag outside the control space,
-    /// and [`ProtoError::VersionMismatch`] when the payload's leading
-    /// version byte differs from [`PROTO_VERSION`] — checked before any
-    /// body field is parsed.
-    pub fn decode(bytes: &[u8]) -> Result<(ControlFrame, usize), ProtoError> {
-        let (frame, consumed) = decode_frame(bytes)?;
-        let payload = &frame.payload[..];
-        let mut reader = Reader::new(payload);
-        let version = reader.u8()?;
-        if version != PROTO_VERSION {
-            return Err(ProtoError::VersionMismatch {
-                expected: PROTO_VERSION,
-                found: version,
-            });
-        }
-        let message = match frame.msg_type {
-            TAG_JOIN_REQUEST => ControlFrame::JoinRequest {
-                client: reader.u64()?,
-                wire_version: reader.u8()?,
-            },
-            TAG_JOIN_ACK => ControlFrame::JoinAck {
-                client: reader.u64()?,
-                heartbeat_interval: reader.u32()?,
-                heartbeat_timeout: reader.u32()?,
-            },
-            TAG_HEARTBEAT => ControlFrame::Heartbeat {
-                client: reader.u64()?,
-                tick: reader.u64()?,
-            },
-            TAG_SELECT => {
-                let round = reader.u64()?;
-                let client = reader.u64()?;
-                let epochs = reader.u32()?;
-                let deadline_tick = reader.u64()?;
-                let len = reader.u32()? as usize;
-                ControlFrame::Select {
-                    round,
-                    client,
-                    epochs,
-                    deadline_tick,
-                    global: reader.bytes(len)?.to_vec(),
-                }
-            }
-            TAG_UPDATE_SUBMIT => {
-                let round = reader.u64()?;
-                let client = reader.u64()?;
-                let samples = reader.u32()?;
-                let len = reader.u32()? as usize;
-                ControlFrame::UpdateSubmit {
-                    round,
-                    client,
-                    samples,
-                    update: reader.bytes(len)?.to_vec(),
-                }
-            }
-            TAG_ROUND_ABORT => {
-                let round = reader.u64()?;
-                let tag = reader.u8()?;
-                let reason =
-                    AbortReason::from_tag(tag).ok_or(ProtoError::UnknownFrameType { tag })?;
-                ControlFrame::RoundAbort { round, reason }
-            }
-            TAG_ROUND_COMMIT => {
-                let round = reader.u64()?;
-                let count = reader.u32()? as usize;
-                let mut accepted = Vec::with_capacity(count.min(payload.len() / 8));
-                for _ in 0..count {
-                    accepted.push(reader.u64()?);
-                }
-                ControlFrame::RoundCommit { round, accepted }
-            }
-            TAG_EPOCH_NOTICE => ControlFrame::EpochNotice {
-                epoch: reader.u64()?,
-                round: reader.u64()?,
-            },
-            TAG_RESUME => ControlFrame::Resume {
-                client: reader.u64()?,
-                epoch: reader.u64()?,
-                last_round: reader.u64()?,
-            },
-            TAG_RESUME_ACK => {
-                let client = reader.u64()?;
-                let epoch = reader.u64()?;
-                let resume = match reader.u8()? {
-                    0 => false,
-                    1 => true,
-                    tag => return Err(ProtoError::UnknownFrameType { tag }),
-                };
-                ControlFrame::ResumeAck {
-                    client,
-                    epoch,
-                    resume,
-                }
-            }
-            TAG_SHUTDOWN => ControlFrame::Shutdown,
-            tag => return Err(ProtoError::UnknownFrameType { tag }),
-        };
-        Ok((message, consumed))
-    }
-}
-
-/// Bounds-checked big-endian payload reader.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let slice = &self.bytes[self.at..end];
-                self.at = end;
-                Ok(slice)
-            }
-            None => Err(ProtoError::Codec(fei_net::CodecError::Truncated {
-                needed: self.at.saturating_add(n),
-                available: self.bytes.len(),
-            })),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        let raw = self.bytes(4)?;
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(raw);
-        Ok(u32::from_be_bytes(buf))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        let raw = self.bytes(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(raw);
-        Ok(u64::from_be_bytes(buf))
-    }
-}
-
 /// Encoded length of a heartbeat frame.
 pub fn heartbeat_frame_len() -> usize {
-    FRAME_OVERHEAD + 1 + 16
-}
-
-/// Encoded length of a join-request frame.
-pub fn join_request_frame_len() -> usize {
-    FRAME_OVERHEAD + 1 + 9
-}
-
-/// Encoded length of a join-ack frame.
-pub fn join_ack_frame_len() -> usize {
-    FRAME_OVERHEAD + 1 + 16
+    ControlFrame::Heartbeat { client: 0, tick: 0 }.encoded_len()
 }
 
 /// Encoded length of a selection notice carrying a `payload`-byte global.
 pub fn select_frame_len(payload: usize) -> usize {
-    FRAME_OVERHEAD + 1 + 32 + payload
+    let empty = ControlFrame::Select {
+        round: 0,
+        client: 0,
+        epochs: 0,
+        deadline_tick: 0,
+        global: Vec::new(),
+    };
+    empty.encoded_len() + payload
 }
 
 /// Encoded length of an update submission carrying a `payload`-byte model.
 pub fn update_submit_frame_len(payload: usize) -> usize {
-    FRAME_OVERHEAD + 1 + 24 + payload
+    let empty = ControlFrame::UpdateSubmit {
+        round: 0,
+        client: 0,
+        samples: 0,
+        update: Vec::new(),
+    };
+    empty.encoded_len() + payload
 }
 
 /// Encoded length of a commit broadcast naming `accepted` clients.
 pub fn commit_frame_len(accepted: usize) -> usize {
-    FRAME_OVERHEAD + 1 + 12 + 8 * accepted
+    let empty = ControlFrame::RoundCommit {
+        round: 0,
+        accepted: Vec::new(),
+    };
+    empty.encoded_len() + std::mem::size_of::<u64>() * accepted
 }
 
 /// Encoded length of an abort broadcast.
 pub fn abort_frame_len() -> usize {
-    FRAME_OVERHEAD + 1 + 9
-}
-
-/// Encoded length of an epoch notice.
-pub fn epoch_notice_frame_len() -> usize {
-    FRAME_OVERHEAD + 1 + 16
-}
-
-/// Encoded length of a session-resume request.
-pub fn resume_frame_len() -> usize {
-    FRAME_OVERHEAD + 1 + 24
-}
-
-/// Encoded length of a resume verdict.
-pub fn resume_ack_frame_len() -> usize {
-    FRAME_OVERHEAD + 1 + 17
-}
-
-/// Encoded length of a shutdown order.
-pub fn shutdown_frame_len() -> usize {
-    FRAME_OVERHEAD + 1
+    let abort = ControlFrame::RoundAbort {
+        round: 0,
+        reason: AbortReason::Cancelled,
+    };
+    abort.encoded_len()
 }
 
 /// Control-plane bytes one engine-driven round moves, for energy
@@ -625,10 +311,11 @@ pub fn control_round_bytes(
 
 #[cfg(test)]
 mod tests {
-    use fei_net::codec::encode_frame;
+    use fei_net::codec::{decode_frame, encode_frame};
     use fei_net::CodecError;
 
     use super::*;
+    use crate::error::ProtoError;
 
     fn all_frames() -> Vec<ControlFrame> {
         vec![
@@ -699,91 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn length_helpers_match_encodings() {
-        assert_eq!(
-            heartbeat_frame_len(),
-            ControlFrame::Heartbeat { client: 0, tick: 0 }.encoded_len()
-        );
-        assert_eq!(
-            join_request_frame_len(),
-            ControlFrame::JoinRequest {
-                client: 0,
-                wire_version: 2
-            }
-            .encoded_len()
-        );
-        assert_eq!(
-            join_ack_frame_len(),
-            ControlFrame::JoinAck {
-                client: 0,
-                heartbeat_interval: 1,
-                heartbeat_timeout: 2
-            }
-            .encoded_len()
-        );
-        assert_eq!(
-            select_frame_len(17),
-            ControlFrame::Select {
-                round: 0,
-                client: 0,
-                epochs: 1,
-                deadline_tick: 2,
-                global: vec![0; 17]
-            }
-            .encoded_len()
-        );
-        assert_eq!(
-            update_submit_frame_len(9),
-            ControlFrame::UpdateSubmit {
-                round: 0,
-                client: 0,
-                samples: 1,
-                update: vec![0; 9]
-            }
-            .encoded_len()
-        );
-        assert_eq!(
-            commit_frame_len(3),
-            ControlFrame::RoundCommit {
-                round: 0,
-                accepted: vec![0, 1, 2]
-            }
-            .encoded_len()
-        );
-        assert_eq!(
-            abort_frame_len(),
-            ControlFrame::RoundAbort {
-                round: 0,
-                reason: AbortReason::Cancelled
-            }
-            .encoded_len()
-        );
-        assert_eq!(
-            epoch_notice_frame_len(),
-            ControlFrame::EpochNotice { epoch: 0, round: 0 }.encoded_len()
-        );
-        assert_eq!(
-            resume_frame_len(),
-            ControlFrame::Resume {
-                client: 0,
-                epoch: 0,
-                last_round: 0
-            }
-            .encoded_len()
-        );
-        assert_eq!(
-            resume_ack_frame_len(),
-            ControlFrame::ResumeAck {
-                client: 0,
-                epoch: 0,
-                resume: true
-            }
-            .encoded_len()
-        );
-        assert_eq!(shutdown_frame_len(), ControlFrame::Shutdown.encoded_len());
-    }
-
-    #[test]
     fn abort_reasons_round_trip_tags() {
         for reason in AbortReason::ALL {
             assert_eq!(AbortReason::from_tag(reason.tag()), Some(reason));
@@ -791,15 +393,25 @@ mod tests {
         assert_eq!(AbortReason::from_tag(AbortReason::ALL.len() as u8), None);
     }
 
+    /// `frame` re-framed (valid CRC) with its first or last payload byte
+    /// replaced — a peer that speaks the container but not the schema.
+    fn with_payload_byte(frame: &ControlFrame, last: bool, byte: u8) -> Vec<u8> {
+        let (framed, _) = decode_frame(&frame.encode()).expect("own encoding");
+        let mut payload = framed.payload.to_vec();
+        let at = if last { payload.len() - 1 } else { 0 };
+        payload[at] = byte;
+        encode_frame(framed.msg_type, &payload).to_vec()
+    }
+
     #[test]
     fn bad_resume_verdict_byte_is_rejected() {
-        let mut payload = vec![PROTO_VERSION];
-        payload.extend_from_slice(&7u64.to_be_bytes());
-        payload.extend_from_slice(&2u64.to_be_bytes());
-        payload.push(9);
-        let bytes = encode_frame(TAG_RESUME_ACK, &payload).to_vec();
+        let ack = ControlFrame::ResumeAck {
+            client: 7,
+            epoch: 2,
+            resume: true,
+        };
         assert_eq!(
-            ControlFrame::decode(&bytes),
+            ControlFrame::decode(&with_payload_byte(&ack, true, 9)),
             Err(ProtoError::UnknownFrameType { tag: 9 })
         );
     }
@@ -809,12 +421,12 @@ mod tests {
         // A well-formed frame (valid CRC) from a future protocol version:
         // the rejection must name the version, not fall through to a
         // checksum or parse error.
-        let mut payload = vec![PROTO_VERSION + 1];
-        payload.extend_from_slice(&7u64.to_be_bytes());
-        payload.extend_from_slice(&42u64.to_be_bytes());
-        let bytes = encode_frame(TAG_HEARTBEAT, &payload).to_vec();
+        let beat = ControlFrame::Heartbeat {
+            client: 7,
+            tick: 42,
+        };
         assert_eq!(
-            ControlFrame::decode(&bytes),
+            ControlFrame::decode(&with_payload_byte(&beat, false, PROTO_VERSION + 1)),
             Err(ProtoError::VersionMismatch {
                 expected: PROTO_VERSION,
                 found: PROTO_VERSION + 1,
@@ -850,12 +462,12 @@ mod tests {
 
     #[test]
     fn bad_abort_reason_is_rejected() {
-        let mut payload = vec![PROTO_VERSION];
-        payload.extend_from_slice(&1u64.to_be_bytes());
-        payload.push(9);
-        let bytes = encode_frame(TAG_ROUND_ABORT, &payload).to_vec();
+        let abort = ControlFrame::RoundAbort {
+            round: 1,
+            reason: AbortReason::QuorumMiss,
+        };
         assert_eq!(
-            ControlFrame::decode(&bytes),
+            ControlFrame::decode(&with_payload_byte(&abort, true, 9)),
             Err(ProtoError::UnknownFrameType { tag: 9 })
         );
     }

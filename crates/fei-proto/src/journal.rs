@@ -18,45 +18,20 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fei_net::codec::{decode_frame, encode_frame, len_u32};
-use fei_net::CodecError;
-
 use crate::error::ProtoError;
-use crate::frames::{AbortReason, PROTO_VERSION};
+use crate::frames::AbortReason;
+use crate::record::{record_table, scan};
 
-/// Journal tag space: a new coordinator epoch began (fresh start or
-/// recovery).
-pub const TAG_EPOCH_STARTED: u8 = 0x20;
-/// A client joined the roster.
-pub const TAG_CLIENT_JOINED: u8 = 0x21;
-/// A client's heartbeat lease lapsed and it left the roster.
-pub const TAG_CLIENT_EXPIRED: u8 = 0x22;
-/// A round opened with a selection set and a deadline.
-pub const TAG_ROUND_OPENED: u8 = 0x23;
-/// An update was accepted into the open round's buffer.
-pub const TAG_UPDATE_ACCEPTED: u8 = 0x24;
-/// The open round committed.
-pub const TAG_ROUND_COMMITTED: u8 = 0x25;
-/// The open round aborted.
-pub const TAG_ROUND_ABORTED: u8 = 0x26;
+record_table! {
+    /// One durable state transition of the coordinator.
+    pub enum JournalRecord;
+    /// Every journal tag, in value order — the journal part of the tag table
+    /// documented in [`crate::frames`].
+    pub const JOURNAL_TAGS;
 
-/// Every journal tag, in value order — the journal half of the tag table
-/// documented in [`crate::frames`]. New record kinds must be added here
-/// (the disjointness test below walks this array against
-/// [`crate::frames::CONTROL_TAGS`]).
-pub const JOURNAL_TAGS: [u8; 7] = [
-    TAG_EPOCH_STARTED,
-    TAG_CLIENT_JOINED,
-    TAG_CLIENT_EXPIRED,
-    TAG_ROUND_OPENED,
-    TAG_UPDATE_ACCEPTED,
-    TAG_ROUND_COMMITTED,
-    TAG_ROUND_ABORTED,
-];
-
-/// One durable state transition of the coordinator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalRecord {
+    /// Journal tag space: a new coordinator epoch began (fresh start or
+    /// recovery).
+    0x20 TAG_EPOCH_STARTED =>
     /// A coordinator incarnation began (epoch 0 is the first boot; each
     /// recovery bumps it).
     EpochStarted {
@@ -65,6 +40,8 @@ pub enum JournalRecord {
         /// Tick the incarnation started.
         tick: u64,
     },
+    /// A client joined the roster.
+    0x21 TAG_CLIENT_JOINED =>
     /// `client` joined the roster.
     ClientJoined {
         /// The joined client id.
@@ -72,6 +49,8 @@ pub enum JournalRecord {
         /// Tick of the join.
         tick: u64,
     },
+    /// A client's heartbeat lease lapsed and it left the roster.
+    0x22 TAG_CLIENT_EXPIRED =>
     /// `client`'s lease lapsed; it left the roster.
     ClientExpired {
         /// The expired client id.
@@ -79,6 +58,8 @@ pub enum JournalRecord {
         /// Tick of the expiry.
         tick: u64,
     },
+    /// A round opened with a selection set and a deadline.
+    0x23 TAG_ROUND_OPENED =>
     /// A round opened.
     RoundOpened {
         /// The opened round.
@@ -90,6 +71,8 @@ pub enum JournalRecord {
         /// Selected clients, ascending.
         selected: Vec<u64>,
     },
+    /// An update was accepted into the open round's buffer.
+    0x24 TAG_UPDATE_ACCEPTED =>
     /// An update entered the open round's buffer.
     UpdateAccepted {
         /// The round the update belongs to.
@@ -104,6 +87,8 @@ pub enum JournalRecord {
         update: Vec<u8>,
     },
     /// The open round committed.
+    0x25 TAG_ROUND_COMMITTED =>
+    /// The open round committed.
     RoundCommitted {
         /// The committed round.
         round: u64,
@@ -112,6 +97,8 @@ pub enum JournalRecord {
         /// Aggregated clients, ascending.
         accepted: Vec<u64>,
     },
+    /// The open round aborted.
+    0x26 TAG_ROUND_ABORTED =>
     /// The open round aborted.
     RoundAborted {
         /// The aborted round.
@@ -123,247 +110,13 @@ pub enum JournalRecord {
     },
 }
 
-impl JournalRecord {
-    /// The journal tag this record is framed under.
-    pub fn tag(&self) -> u8 {
-        match self {
-            JournalRecord::EpochStarted { .. } => TAG_EPOCH_STARTED,
-            JournalRecord::ClientJoined { .. } => TAG_CLIENT_JOINED,
-            JournalRecord::ClientExpired { .. } => TAG_CLIENT_EXPIRED,
-            JournalRecord::RoundOpened { .. } => TAG_ROUND_OPENED,
-            JournalRecord::UpdateAccepted { .. } => TAG_UPDATE_ACCEPTED,
-            JournalRecord::RoundCommitted { .. } => TAG_ROUND_COMMITTED,
-            JournalRecord::RoundAborted { .. } => TAG_ROUND_ABORTED,
-        }
-    }
-
-    /// Human-readable record kind.
-    pub fn name(&self) -> &'static str {
-        match self {
-            JournalRecord::EpochStarted { .. } => "EpochStarted",
-            JournalRecord::ClientJoined { .. } => "ClientJoined",
-            JournalRecord::ClientExpired { .. } => "ClientExpired",
-            JournalRecord::RoundOpened { .. } => "RoundOpened",
-            JournalRecord::UpdateAccepted { .. } => "UpdateAccepted",
-            JournalRecord::RoundCommitted { .. } => "RoundCommitted",
-            JournalRecord::RoundAborted { .. } => "RoundAborted",
-        }
-    }
-
-    /// Serializes into one complete journal frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        payload.push(PROTO_VERSION);
-        match self {
-            JournalRecord::EpochStarted { epoch, tick } => {
-                payload.extend_from_slice(&epoch.to_be_bytes());
-                payload.extend_from_slice(&tick.to_be_bytes());
-            }
-            JournalRecord::ClientJoined { client, tick }
-            | JournalRecord::ClientExpired { client, tick } => {
-                payload.extend_from_slice(&client.to_be_bytes());
-                payload.extend_from_slice(&tick.to_be_bytes());
-            }
-            JournalRecord::RoundOpened {
-                round,
-                deadline_tick,
-                tick,
-                selected,
-            } => {
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.extend_from_slice(&deadline_tick.to_be_bytes());
-                payload.extend_from_slice(&tick.to_be_bytes());
-                payload.extend_from_slice(&len_u32(selected.len()).to_be_bytes());
-                for client in selected {
-                    payload.extend_from_slice(&client.to_be_bytes());
-                }
-            }
-            JournalRecord::UpdateAccepted {
-                round,
-                client,
-                samples,
-                tick,
-                update,
-            } => {
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.extend_from_slice(&client.to_be_bytes());
-                payload.extend_from_slice(&samples.to_be_bytes());
-                payload.extend_from_slice(&tick.to_be_bytes());
-                payload.extend_from_slice(&len_u32(update.len()).to_be_bytes());
-                payload.extend_from_slice(update);
-            }
-            JournalRecord::RoundCommitted {
-                round,
-                tick,
-                accepted,
-            } => {
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.extend_from_slice(&tick.to_be_bytes());
-                payload.extend_from_slice(&len_u32(accepted.len()).to_be_bytes());
-                for client in accepted {
-                    payload.extend_from_slice(&client.to_be_bytes());
-                }
-            }
-            JournalRecord::RoundAborted {
-                round,
-                reason,
-                tick,
-            } => {
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.push(reason.tag());
-                payload.extend_from_slice(&tick.to_be_bytes());
-            }
-        }
-        encode_frame(self.tag(), &payload).to_vec()
-    }
-
-    /// Decodes one journal record from the front of `bytes`, returning the
-    /// record and the bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Codec`] on framing/CRC failures,
-    /// [`ProtoError::UnknownFrameType`] on a tag outside the journal space,
-    /// and [`ProtoError::VersionMismatch`] on a foreign version byte.
-    pub fn decode(bytes: &[u8]) -> Result<(JournalRecord, usize), ProtoError> {
-        let (frame, consumed) = decode_frame(bytes)?;
-        let payload = &frame.payload[..];
-        let mut reader = Reader::new(payload);
-        let version = reader.u8()?;
-        if version != PROTO_VERSION {
-            return Err(ProtoError::VersionMismatch {
-                expected: PROTO_VERSION,
-                found: version,
-            });
-        }
-        let record = match frame.msg_type {
-            TAG_EPOCH_STARTED => JournalRecord::EpochStarted {
-                epoch: reader.u64()?,
-                tick: reader.u64()?,
-            },
-            TAG_CLIENT_JOINED => JournalRecord::ClientJoined {
-                client: reader.u64()?,
-                tick: reader.u64()?,
-            },
-            TAG_CLIENT_EXPIRED => JournalRecord::ClientExpired {
-                client: reader.u64()?,
-                tick: reader.u64()?,
-            },
-            TAG_ROUND_OPENED => {
-                let round = reader.u64()?;
-                let deadline_tick = reader.u64()?;
-                let tick = reader.u64()?;
-                let count = reader.u32()? as usize;
-                let mut selected = Vec::with_capacity(count.min(payload.len() / 8));
-                for _ in 0..count {
-                    selected.push(reader.u64()?);
-                }
-                JournalRecord::RoundOpened {
-                    round,
-                    deadline_tick,
-                    tick,
-                    selected,
-                }
-            }
-            TAG_UPDATE_ACCEPTED => {
-                let round = reader.u64()?;
-                let client = reader.u64()?;
-                let samples = reader.u32()?;
-                let tick = reader.u64()?;
-                let len = reader.u32()? as usize;
-                JournalRecord::UpdateAccepted {
-                    round,
-                    client,
-                    samples,
-                    tick,
-                    update: reader.bytes(len)?.to_vec(),
-                }
-            }
-            TAG_ROUND_COMMITTED => {
-                let round = reader.u64()?;
-                let tick = reader.u64()?;
-                let count = reader.u32()? as usize;
-                let mut accepted = Vec::with_capacity(count.min(payload.len() / 8));
-                for _ in 0..count {
-                    accepted.push(reader.u64()?);
-                }
-                JournalRecord::RoundCommitted {
-                    round,
-                    tick,
-                    accepted,
-                }
-            }
-            TAG_ROUND_ABORTED => {
-                let round = reader.u64()?;
-                let tag = reader.u8()?;
-                let reason =
-                    AbortReason::from_tag(tag).ok_or(ProtoError::UnknownFrameType { tag })?;
-                JournalRecord::RoundAborted {
-                    round,
-                    reason,
-                    tick: reader.u64()?,
-                }
-            }
-            tag => return Err(ProtoError::UnknownFrameType { tag }),
-        };
-        Ok((record, consumed))
-    }
-}
-
-/// Bounds-checked big-endian payload reader (journal twin of the
-/// control-frame reader).
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let slice = &self.bytes[self.at..end];
-                self.at = end;
-                Ok(slice)
-            }
-            None => Err(ProtoError::Codec(CodecError::Truncated {
-                needed: self.at.saturating_add(n),
-                available: self.bytes.len(),
-            })),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        let raw = self.bytes(4)?;
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(raw);
-        Ok(u32::from_be_bytes(buf))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        let raw = self.bytes(8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(raw);
-        Ok(u64::from_be_bytes(buf))
-    }
-}
-
 /// The append-only write-ahead log.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundJournal {
     bytes: Vec<u8>,
     records: u64,
+    /// Torn trailing bytes dropped when the log was adopted.
+    torn_bytes: usize,
 }
 
 /// What [`RoundJournal::replay`] recovered from the log.
@@ -383,21 +136,34 @@ impl RoundJournal {
     }
 
     /// Adopts an existing durable log (e.g. the bytes that survived a
-    /// coordinator crash).
+    /// coordinator crash). A torn trailing record is dropped here, so
+    /// appends extend the valid prefix; [`RoundJournal::replay`] still
+    /// reports how many bytes were cut. A log corrupt mid-way is kept
+    /// whole, for `replay` to reject.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        let records = Self::count_records(&bytes).unwrap_or_default();
-        Self { bytes, records }
+        match Self::adopt(&bytes) {
+            Ok((journal, _)) => journal,
+            Err(_) => Self {
+                bytes,
+                ..Self::default()
+            },
+        }
     }
 
-    fn count_records(bytes: &[u8]) -> Result<u64, ProtoError> {
-        let mut at = 0;
-        let mut n = 0;
-        while at < bytes.len() {
-            let (_, consumed) = JournalRecord::decode(&bytes[at..])?;
-            at += consumed;
-            n += 1;
-        }
-        Ok(n)
+    /// [`RoundJournal::from_bytes`] in one scan: the journal over the valid
+    /// prefix of `bytes`, plus the records that prefix decodes to.
+    ///
+    /// # Errors
+    ///
+    /// As [`RoundJournal::replay`].
+    pub(crate) fn adopt(bytes: &[u8]) -> Result<(Self, Vec<JournalRecord>), ProtoError> {
+        let (records, torn_bytes) = scan(bytes, JournalRecord::decode)?;
+        let journal = Self {
+            bytes: bytes[..bytes.len() - torn_bytes].to_vec(),
+            records: records.len() as u64,
+            torn_bytes,
+        };
+        Ok((journal, records))
     }
 
     /// Appends one record; the write is the transition's durability point.
@@ -437,29 +203,10 @@ impl RoundJournal {
     /// [`ProtoError::Codec`], [`ProtoError::UnknownFrameType`], or
     /// [`ProtoError::VersionMismatch`] on mid-log corruption.
     pub fn replay(&self) -> Result<JournalReplay, ProtoError> {
-        let mut records = Vec::new();
-        let mut at = 0;
-        while at < self.bytes.len() {
-            match JournalRecord::decode(&self.bytes[at..]) {
-                Ok((record, consumed)) => {
-                    records.push(record);
-                    at += consumed;
-                }
-                // A torn tail is only acceptable as the *last* thing in the
-                // log: the decode failed because the bytes ran out, not
-                // because acknowledged bytes changed underneath us.
-                Err(ProtoError::Codec(CodecError::Truncated { .. })) => {
-                    return Ok(JournalReplay {
-                        records,
-                        torn_bytes: self.bytes.len() - at,
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let (records, _) = scan(&self.bytes, JournalRecord::decode)?;
         Ok(JournalReplay {
             records,
-            torn_bytes: 0,
+            torn_bytes: self.torn_bytes,
         })
     }
 }
@@ -568,66 +315,6 @@ impl JournalState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn control_and_journal_tag_ranges_are_disjoint() {
-        use crate::frames::{
-            CONTROL_TAGS, TAG_EPOCH_NOTICE, TAG_HEARTBEAT, TAG_JOIN_ACK, TAG_JOIN_REQUEST,
-            TAG_RESUME, TAG_RESUME_ACK, TAG_ROUND_ABORT, TAG_ROUND_COMMIT, TAG_SELECT,
-            TAG_SHUTDOWN, TAG_UPDATE_SUBMIT,
-        };
-        // Name every tag explicitly: this is the executable twin of the
-        // tag table in the frames.rs module docs, and the reference the
-        // wire-schema lint's "named in a test" leg checks for.
-        let control: [(u8, &str); 11] = [
-            (TAG_JOIN_REQUEST, "TAG_JOIN_REQUEST"),
-            (TAG_JOIN_ACK, "TAG_JOIN_ACK"),
-            (TAG_HEARTBEAT, "TAG_HEARTBEAT"),
-            (TAG_SELECT, "TAG_SELECT"),
-            (TAG_UPDATE_SUBMIT, "TAG_UPDATE_SUBMIT"),
-            (TAG_ROUND_ABORT, "TAG_ROUND_ABORT"),
-            (TAG_ROUND_COMMIT, "TAG_ROUND_COMMIT"),
-            (TAG_EPOCH_NOTICE, "TAG_EPOCH_NOTICE"),
-            (TAG_RESUME, "TAG_RESUME"),
-            (TAG_RESUME_ACK, "TAG_RESUME_ACK"),
-            (TAG_SHUTDOWN, "TAG_SHUTDOWN"),
-        ];
-        let journal: [(u8, &str); 7] = [
-            (TAG_EPOCH_STARTED, "TAG_EPOCH_STARTED"),
-            (TAG_CLIENT_JOINED, "TAG_CLIENT_JOINED"),
-            (TAG_CLIENT_EXPIRED, "TAG_CLIENT_EXPIRED"),
-            (TAG_ROUND_OPENED, "TAG_ROUND_OPENED"),
-            (TAG_UPDATE_ACCEPTED, "TAG_UPDATE_ACCEPTED"),
-            (TAG_ROUND_COMMITTED, "TAG_ROUND_COMMITTED"),
-            (TAG_ROUND_ABORTED, "TAG_ROUND_ABORTED"),
-        ];
-        let control_values: Vec<u8> = control.iter().map(|&(t, _)| t).collect();
-        let journal_values: Vec<u8> = journal.iter().map(|&(t, _)| t).collect();
-        assert_eq!(
-            control_values, CONTROL_TAGS,
-            "table drifted from CONTROL_TAGS"
-        );
-        assert_eq!(
-            journal_values, JOURNAL_TAGS,
-            "table drifted from JOURNAL_TAGS"
-        );
-        for (tag, name) in control {
-            assert!(
-                (0x10..=0x1A).contains(&tag),
-                "{name} (0x{tag:02x}) outside the documented control range"
-            );
-        }
-        for (tag, name) in journal {
-            assert!(
-                (0x20..=0x26).contains(&tag),
-                "{name} (0x{tag:02x}) outside the documented journal range"
-            );
-        }
-        let mut all: Vec<u8> = control_values.into_iter().chain(journal_values).collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 18, "control and journal tag values overlap");
-    }
 
     fn sample_records() -> Vec<JournalRecord> {
         vec![

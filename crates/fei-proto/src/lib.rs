@@ -7,7 +7,11 @@
 //! * [`ControlFrame`] — the control plane (join handshake with a wire
 //!   version gate, heartbeats, selection notices, update submissions,
 //!   commit/abort broadcasts), encoded through the same `fei-net` frame
-//!   codec as model payloads;
+//!   codec as model payloads. Control frames, journal records and trace
+//!   events are three tables over **one record codec** (the private
+//!   `record` module: field kinds, bounds-checked reader, version-byte
+//!   envelope, torn-tail scan) — each record kind's tag, variant and
+//!   ordered fields are declared exactly once;
 //! * [`Coordinator`] — the server-side machine
 //!   (`Idle → Rendezvous → Selected → Training → Aggregating →
 //!   RoundClosed`) with heartbeat leases, round deadlines, quorum-gated
@@ -35,9 +39,11 @@
 //!   lock-file single-writer guarantee;
 //! * [`node`] — `CoordinatorNode`/`ParticipantNode`, which drive the same
 //!   state machines from real localhost TCP sockets
-//!   ([`fei_net::transport`]) while persisting a frame trace whose
-//!   deterministic replay ([`replay_trace`]) must reproduce the live run's
-//!   decisions bit for bit;
+//!   ([`fei_net::transport`]) while persisting a frame trace ([`trace`])
+//!   whose deterministic replay through the shared decision core
+//!   ([`core`], [`replay_trace`]) must reproduce the live run's decisions
+//!   bit for bit; [`daemon`] wraps a node in the `fei_coordinatord`
+//!   command line and stats file;
 //! * [`Supervisor`] — spawns the coordinator as a real OS process, detects
 //!   death, breaks the stale journal lock, and respawns against the same
 //!   journal path.
@@ -55,15 +61,19 @@
 pub mod chaos;
 pub mod cluster;
 pub mod coordinator;
+pub mod core;
+pub mod daemon;
 pub mod error;
 pub mod frames;
 pub mod journal;
 pub mod liveness;
 pub mod node;
 pub mod participant;
+mod record;
 pub mod round;
 pub mod store;
 pub mod supervisor;
+pub mod trace;
 
 pub use chaos::{ChaosConfig, ChaosLink, ChaosStats, Envelope, COORDINATOR_ADDR};
 pub use cluster::{Cluster, ClusterConfig, ClusterReport, CoordinatorCrash, RoundVerdict};

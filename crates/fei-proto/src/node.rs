@@ -1,22 +1,27 @@
-//! Socket-driven protocol nodes and the frame-trace oracle.
+//! Socket-driven protocol nodes.
 //!
 //! This module converts the simulated protocol into a runnable distributed
 //! system: [`CoordinatorNode`] and [`ParticipantNode`] drive the *same*
-//! [`Coordinator`]/[`Participant`] state machines the deterministic
-//! [`crate::Cluster`] drives, but from real localhost TCP sockets
-//! ([`fei_net::transport`]) instead of scripted ticks. The OS scheduler and
-//! the kernel's read boundaries introduce nondeterminism — and the **frame
-//! trace** pins it back down:
+//! [`Coordinator`](crate::Coordinator)/[`Participant`] state machines the
+//! deterministic [`crate::Cluster`] drives, but from real localhost TCP
+//! sockets ([`fei_net::transport`]) instead of scripted ticks. The OS
+//! scheduler and the kernel's read boundaries introduce nondeterminism —
+//! and the **frame trace** ([`crate::trace`]) pins it back down:
 //!
-//! * every input the coordinator's decision core consumes (delivered
-//!   frames, round-open attempts, tick advances, recoveries) is recorded
-//!   as a [`TraceEvent`] *before* it is applied;
+//! * every input the coordinator's decision core ([`crate::core`])
+//!   consumes (delivered frames, round-open attempts, tick advances,
+//!   recoveries) is recorded as a [`TraceEvent`] *before* it is applied;
 //! * [`replay_trace`] re-drives a fresh decision core from the recorded
 //!   events alone, with no sockets, producing a [`NodeAudit`];
 //! * the conformance tests assert the live run's audit and the replayed
 //!   audit are **bit-identical** — journal bytes, committed model bytes,
-//!   round verdicts, and [`ControlStats`] — and cross-check the round
-//!   outcomes against a matched deterministic [`crate::Cluster`] run.
+//!   round verdicts, and [`ControlStats`](crate::ControlStats) — and
+//!   cross-check the round outcomes against a matched deterministic
+//!   [`crate::Cluster`] run.
+//!
+//! The trace codec, the decision core and the daemon wrapper live in
+//! [`crate::trace`], [`crate::core`] and [`crate::daemon`]; their public
+//! names are re-exported here, where they were first defined.
 //!
 //! ## Crash-consistency protocol
 //!
@@ -29,212 +34,33 @@
 //! journal, and records a [`TraceEvent::Recover`] carrying the disk
 //! journal's surviving length — which is exactly how the oracle replays
 //! the same recovery later: by truncating its own (bit-identical) journal
-//! to that length and handing it to [`Coordinator::recover`].
+//! to that length and handing it to
+//! [`Coordinator::recover`](crate::Coordinator::recover).
 //!
 //! Determinism hygiene: nodes pace themselves with cycle counters and
 //! `thread::sleep`; there is no wall clock anywhere in this module, so the
 //! `det-wallclock` lint holds for the whole crate.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use fei_net::codec::{decode_frame, encode_frame, len_u32, CodecError};
 use fei_net::transport::{FrameConn, RawFrame};
 
-use crate::cluster::RoundVerdict;
-use crate::coordinator::{ControlStats, Coordinator, CoordinatorConfig, Effect};
+use crate::coordinator::{CoordinatorConfig, Effect};
 use crate::error::ProtoError;
-use crate::frames::{ControlFrame, PROTO_VERSION};
+use crate::frames::ControlFrame;
 use crate::participant::{Participant, ParticipantConfig, ParticipantStats};
 use crate::store::{DiskJournal, StoreError};
 
-/// Trace record: the coordinator opened its rendezvous (fresh boot).
-pub const TAG_TRACE_OPEN: u8 = 0x30;
-/// Trace record: one inbound frame was delivered to the decision core.
-pub const TAG_TRACE_DELIVER: u8 = 0x31;
-/// Trace record: the node attempted to open the next round.
-pub const TAG_TRACE_START_ROUND: u8 = 0x32;
-/// Trace record: the node advanced the decision core's virtual clock.
-pub const TAG_TRACE_TICK: u8 = 0x33;
-/// Trace record: a restarted node recovered from the disk journal.
-pub const TAG_TRACE_RECOVER: u8 = 0x34;
-
-/// Every trace tag, in value order (disjoint from the control and journal
-/// ranges — see the tag table in [`crate::frames`]).
-pub const TRACE_TAGS: [u8; 5] = [
-    TAG_TRACE_OPEN,
-    TAG_TRACE_DELIVER,
-    TAG_TRACE_START_ROUND,
-    TAG_TRACE_TICK,
-    TAG_TRACE_RECOVER,
-];
-
-/// One recorded input to the coordinator's decision core. The trace of
-/// these events is a complete, replayable account of a socket run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// Fresh boot: the rendezvous opened (always the first event).
-    Open,
-    /// An inbound frame, byte for byte as it arrived off the socket.
-    Deliver {
-        /// The node's tick when the frame was applied.
-        tick: u64,
-        /// The complete encoded frame.
-        bytes: Vec<u8>,
-    },
-    /// A round-open attempt (recorded even when it fails quorum: the
-    /// attempt expires leases, mutating the journal).
-    StartRound {
-        /// The tick of the attempt.
-        tick: u64,
-    },
-    /// A virtual-clock advance (deadline and lease checks run here).
-    Tick {
-        /// The new tick.
-        tick: u64,
-    },
-    /// A restarted node ran [`Coordinator::recover`] against the disk
-    /// journal. `journal_len` is the length of the valid journal prefix
-    /// that survived on disk — replay truncates its own journal to this
-    /// length to reproduce the exact recovery input.
-    Recover {
-        /// The restarted node's starting tick.
-        tick: u64,
-        /// Bytes of journal that survived on disk (post torn-tail cut).
-        journal_len: u64,
-    },
-}
-
-fn take<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8], ProtoError> {
-    let end = at.checked_add(n).filter(|&end| end <= bytes.len());
-    match end {
-        Some(end) => {
-            let slice = &bytes[*at..end];
-            *at = end;
-            Ok(slice)
-        }
-        None => Err(ProtoError::Codec(CodecError::Truncated {
-            needed: at.saturating_add(n),
-            available: bytes.len(),
-        })),
-    }
-}
-
-fn take_u64(bytes: &[u8], at: &mut usize) -> Result<u64, ProtoError> {
-    let raw = take(bytes, at, 8)?;
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(raw);
-    Ok(u64::from_be_bytes(buf))
-}
-
-impl TraceEvent {
-    /// The frame-codec tag this event is persisted under.
-    pub fn tag(&self) -> u8 {
-        match self {
-            TraceEvent::Open => TAG_TRACE_OPEN,
-            TraceEvent::Deliver { .. } => TAG_TRACE_DELIVER,
-            TraceEvent::StartRound { .. } => TAG_TRACE_START_ROUND,
-            TraceEvent::Tick { .. } => TAG_TRACE_TICK,
-            TraceEvent::Recover { .. } => TAG_TRACE_RECOVER,
-        }
-    }
-
-    /// Human-readable event kind.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Open => "Open",
-            TraceEvent::Deliver { .. } => "Deliver",
-            TraceEvent::StartRound { .. } => "StartRound",
-            TraceEvent::Tick { .. } => "Tick",
-            TraceEvent::Recover { .. } => "Recover",
-        }
-    }
-
-    /// The tick the event carries (0 for [`TraceEvent::Open`]).
-    pub fn tick(&self) -> u64 {
-        match self {
-            TraceEvent::Open => 0,
-            TraceEvent::Deliver { tick, .. }
-            | TraceEvent::StartRound { tick }
-            | TraceEvent::Tick { tick }
-            | TraceEvent::Recover { tick, .. } => *tick,
-        }
-    }
-
-    /// Serializes into a complete CRC32 frame (same container as control
-    /// frames and journal records, so torn-tail detection is uniform).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = vec![PROTO_VERSION];
-        match self {
-            TraceEvent::Open => {}
-            TraceEvent::Deliver { tick, bytes } => {
-                payload.extend_from_slice(&tick.to_be_bytes());
-                payload.extend_from_slice(&len_u32(bytes.len()).to_be_bytes());
-                payload.extend_from_slice(bytes);
-            }
-            TraceEvent::StartRound { tick } | TraceEvent::Tick { tick } => {
-                payload.extend_from_slice(&tick.to_be_bytes());
-            }
-            TraceEvent::Recover { tick, journal_len } => {
-                payload.extend_from_slice(&tick.to_be_bytes());
-                payload.extend_from_slice(&journal_len.to_be_bytes());
-            }
-        }
-        encode_frame(self.tag(), &payload).to_vec()
-    }
-
-    /// Decodes one trace event from the front of `bytes`, returning the
-    /// event and the bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::Codec`] on framing/CRC failures,
-    /// [`ProtoError::UnknownFrameType`] on a tag outside the trace space,
-    /// [`ProtoError::VersionMismatch`] on a foreign version byte.
-    pub fn decode(bytes: &[u8]) -> Result<(TraceEvent, usize), ProtoError> {
-        let (frame, consumed) = decode_frame(bytes)?;
-        let payload = &frame.payload[..];
-        let mut at = 0;
-        let version = take(payload, &mut at, 1)?[0];
-        if version != PROTO_VERSION {
-            return Err(ProtoError::VersionMismatch {
-                expected: PROTO_VERSION,
-                found: version,
-            });
-        }
-        let event = match frame.msg_type {
-            TAG_TRACE_OPEN => TraceEvent::Open,
-            TAG_TRACE_DELIVER => {
-                let tick = take_u64(payload, &mut at)?;
-                let len_raw = take(payload, &mut at, 4)?;
-                let mut len_buf = [0u8; 4];
-                len_buf.copy_from_slice(len_raw);
-                let len = u32::from_be_bytes(len_buf) as usize;
-                TraceEvent::Deliver {
-                    tick,
-                    bytes: take(payload, &mut at, len)?.to_vec(),
-                }
-            }
-            TAG_TRACE_START_ROUND => TraceEvent::StartRound {
-                tick: take_u64(payload, &mut at)?,
-            },
-            TAG_TRACE_TICK => TraceEvent::Tick {
-                tick: take_u64(payload, &mut at)?,
-            },
-            TAG_TRACE_RECOVER => TraceEvent::Recover {
-                tick: take_u64(payload, &mut at)?,
-                journal_len: take_u64(payload, &mut at)?,
-            },
-            tag => return Err(ProtoError::UnknownFrameType { tag }),
-        };
-        Ok((event, consumed))
-    }
-}
+pub use crate::core::{replay_trace, CoordinatorCore, NodeAudit};
+pub use crate::daemon::{format_stats, parse_stats, run_daemon, DaemonConfig};
+pub use crate::trace::{
+    read_trace, TraceEvent, TraceSink, TAG_TRACE_DELIVER, TAG_TRACE_OPEN, TAG_TRACE_RECOVER,
+    TAG_TRACE_START_ROUND, TAG_TRACE_TICK, TRACE_TAGS,
+};
 
 /// Errors from the socket nodes.
 #[derive(Debug)]
@@ -309,295 +135,11 @@ impl From<ProtoError> for NodeError {
     }
 }
 
-fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> NodeError {
+pub(crate) fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> NodeError {
     move |e| NodeError::Io {
         op,
         message: e.to_string(),
     }
-}
-
-/// Append-only, torn-tail-aware persistence for the frame trace.
-#[derive(Debug)]
-pub struct TraceSink {
-    file: File,
-}
-
-impl TraceSink {
-    /// Creates (truncating) a fresh trace file.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Io`] on OS failures.
-    pub fn create(path: &Path) -> Result<Self, NodeError> {
-        let file = File::create(path).map_err(io_err("trace create"))?;
-        Ok(Self { file })
-    }
-
-    /// Reopens an existing trace for appending: reads the surviving
-    /// events, cuts a torn trailing record (truncating the file to the
-    /// valid prefix), and returns the sink plus the prefix events.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Proto`] on mid-file corruption, [`NodeError::Io`] on
-    /// OS failures.
-    pub fn open_resume(path: &Path) -> Result<(Self, Vec<TraceEvent>), NodeError> {
-        let bytes = std::fs::read(path).map_err(io_err("trace read"))?;
-        let (events, valid) = decode_trace(&bytes)?;
-        let file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(io_err("trace open"))?;
-        file.set_len(valid as u64)
-            .map_err(io_err("trace truncate"))?;
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::Start(valid as u64))
-            .map_err(io_err("trace seek"))?;
-        Ok((Self { file }, events))
-    }
-
-    /// Appends one event (buffered; call [`TraceSink::sync`] to make it
-    /// durable — the node does so before every journal fsync).
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Io`] on OS failures.
-    pub fn append(&mut self, event: &TraceEvent) -> Result<(), NodeError> {
-        self.file
-            .write_all(&event.encode())
-            .map_err(io_err("trace append"))
-    }
-
-    /// `fdatasync`s the trace file.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Io`] on OS failures.
-    pub fn sync(&mut self) -> Result<(), NodeError> {
-        self.file.sync_data().map_err(io_err("trace fsync"))
-    }
-}
-
-/// Decodes a byte buffer of trace records, tolerating a torn tail.
-/// Returns the events and the valid prefix length.
-fn decode_trace(bytes: &[u8]) -> Result<(Vec<TraceEvent>, usize), NodeError> {
-    let mut events = Vec::new();
-    let mut at = 0;
-    while at < bytes.len() {
-        match TraceEvent::decode(&bytes[at..]) {
-            Ok((event, consumed)) => {
-                events.push(event);
-                at += consumed;
-            }
-            Err(ProtoError::Codec(CodecError::Truncated { .. })) => break,
-            Err(e) => return Err(NodeError::Proto(e)),
-        }
-    }
-    Ok((events, at))
-}
-
-/// Reads a trace file, tolerating a torn tail (reported as leftover
-/// bytes). The file is not modified.
-///
-/// # Errors
-///
-/// [`NodeError::Io`] when the file cannot be read, [`NodeError::Proto`]
-/// on mid-file corruption.
-pub fn read_trace(path: &Path) -> Result<(Vec<TraceEvent>, usize), NodeError> {
-    let bytes = std::fs::read(path).map_err(io_err("trace read"))?;
-    let (events, valid) = decode_trace(&bytes)?;
-    Ok((events, bytes.len() - valid))
-}
-
-/// Everything a run's coordinator decided, in comparable form. Two audits
-/// being `==` means the underlying decision histories were bit-identical:
-/// same journal bytes, same committed model payloads, same round verdicts,
-/// same traffic counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeAudit {
-    /// Traffic and verdict counters, folded across incarnations.
-    pub stats: ControlStats,
-    /// The write-ahead journal, byte for byte.
-    pub journal: Vec<u8>,
-    /// Every round verdict, in close order.
-    pub round_log: Vec<RoundVerdict>,
-    /// Committed model payloads: round → (client → (samples, bytes)),
-    /// snapshotted at the commit instant.
-    pub committed_models: BTreeMap<u64, BTreeMap<u64, (u32, Vec<u8>)>>,
-    /// The final incarnation number.
-    pub epoch: u64,
-}
-
-/// The shared decision core: a [`Coordinator`] plus the bookkeeping that
-/// makes runs comparable ([`NodeAudit`]). Both the live socket node and
-/// the trace-replay oracle drive **this** type with the same
-/// [`TraceEvent`]s — conformance is structural, not aspirational.
-#[derive(Debug)]
-pub struct CoordinatorCore {
-    config: CoordinatorConfig,
-    global: Vec<u8>,
-    coordinator: Coordinator,
-    /// Stats of previous incarnations (folded in at each recovery).
-    carry: ControlStats,
-    round_log: Vec<RoundVerdict>,
-    committed_models: BTreeMap<u64, BTreeMap<u64, (u32, Vec<u8>)>>,
-}
-
-impl CoordinatorCore {
-    /// A fresh core (coordinator idle, rendezvous not yet open).
-    pub fn new(config: CoordinatorConfig, global: Vec<u8>) -> Self {
-        let mut coordinator = Coordinator::new(config.clone());
-        coordinator.set_global(global.clone());
-        Self {
-            config,
-            global,
-            coordinator,
-            carry: ControlStats::default(),
-            round_log: Vec::new(),
-            committed_models: BTreeMap::new(),
-        }
-    }
-
-    /// The live coordinator.
-    pub fn coordinator(&self) -> &Coordinator {
-        &self.coordinator
-    }
-
-    /// Rounds that have closed (committed or aborted) across the run.
-    pub fn rounds_closed(&self) -> u64 {
-        self.round_log.len() as u64
-    }
-
-    /// Rounds that committed across the run.
-    pub fn rounds_committed(&self) -> u64 {
-        self.round_log.iter().filter(|v| v.committed).count() as u64
-    }
-
-    /// Traffic counters folded across incarnations.
-    pub fn stats(&self) -> ControlStats {
-        let mut stats = self.carry;
-        stats.absorb(self.coordinator.stats());
-        stats
-    }
-
-    /// Applies one event to the decision core, exactly as the live node
-    /// does — this method *is* the conformance boundary.
-    ///
-    /// # Errors
-    ///
-    /// Frame rejections propagate as their typed [`ProtoError`] (already
-    /// counted in the stats); replay callers ignore them, node callers
-    /// may react (e.g. nudge an unknown client). Recovery errors mean a
-    /// corrupt journal and are fatal.
-    pub fn apply(&mut self, event: &TraceEvent) -> Result<Vec<Effect>, ProtoError> {
-        match event {
-            TraceEvent::Open => {
-                self.coordinator.open_rendezvous()?;
-                Ok(Vec::new())
-            }
-            TraceEvent::Deliver { tick, bytes } => {
-                let effects = self.coordinator.handle_frame(bytes, *tick)?;
-                self.observe(&effects, *tick);
-                Ok(effects)
-            }
-            TraceEvent::StartRound { tick } => {
-                // A failed attempt (quorum) still expired leases; the
-                // journal mutation is the reason the attempt was recorded.
-                let effects = self.coordinator.start_round(*tick).unwrap_or_default();
-                self.observe(&effects, *tick);
-                Ok(effects)
-            }
-            TraceEvent::Tick { tick } => {
-                let effects = self.coordinator.tick(*tick);
-                self.observe(&effects, *tick);
-                Ok(effects)
-            }
-            TraceEvent::Recover { tick, journal_len } => {
-                let len = usize::try_from(*journal_len)
-                    .unwrap_or(usize::MAX)
-                    .min(self.coordinator.journal().len());
-                let bytes = self.coordinator.journal().bytes()[..len].to_vec();
-                self.recover_from(&bytes, *tick)
-            }
-        }
-    }
-
-    /// Replaces the coordinator with one recovered from `journal_bytes`
-    /// at `now`, folding the outgoing incarnation's stats into the carry.
-    ///
-    /// # Errors
-    ///
-    /// Journal decode errors from [`Coordinator::recover`].
-    pub fn recover_from(
-        &mut self,
-        journal_bytes: &[u8],
-        now: u64,
-    ) -> Result<Vec<Effect>, ProtoError> {
-        self.carry.absorb(self.coordinator.stats());
-        let (mut recovered, effects) =
-            Coordinator::recover(self.config.clone(), journal_bytes, now)?;
-        recovered.set_global(self.global.clone());
-        self.coordinator = recovered;
-        self.observe(&effects, now);
-        Ok(effects)
-    }
-
-    /// Records round verdicts and snapshots committed model payloads.
-    fn observe(&mut self, effects: &[Effect], tick: u64) {
-        for effect in effects {
-            match effect {
-                Effect::RoundCommitted { round, accepted } => {
-                    self.round_log.push(RoundVerdict {
-                        round: *round,
-                        committed: true,
-                        accepted: accepted.clone(),
-                        closed_at: tick,
-                        reason: None,
-                    });
-                    // The payload snapshot at the commit instant is the
-                    // committed model set — identical capture point live
-                    // and in replay.
-                    self.committed_models
-                        .insert(*round, self.coordinator.update_payloads().clone());
-                }
-                Effect::RoundAborted { round, reason } => {
-                    self.round_log.push(RoundVerdict {
-                        round: *round,
-                        committed: false,
-                        accepted: Vec::new(),
-                        closed_at: tick,
-                        reason: Some(*reason),
-                    });
-                }
-                Effect::Send { .. } | Effect::FleetShrunk { .. } => {}
-            }
-        }
-    }
-
-    /// The comparable summary of everything decided so far.
-    pub fn audit(&self) -> NodeAudit {
-        NodeAudit {
-            stats: self.stats(),
-            journal: self.coordinator.journal().bytes().to_vec(),
-            round_log: self.round_log.clone(),
-            committed_models: self.committed_models.clone(),
-            epoch: self.coordinator.epoch(),
-        }
-    }
-}
-
-/// The oracle: re-drives a fresh decision core from a recorded trace,
-/// with no sockets and no clock. A socket run is *conformant* iff its
-/// live [`NodeAudit`] equals `replay_trace` of its own trace.
-pub fn replay_trace(config: &CoordinatorConfig, global: &[u8], events: &[TraceEvent]) -> NodeAudit {
-    let mut core = CoordinatorCore::new(config.clone(), global.to_vec());
-    for event in events {
-        // Rejections are part of the recorded history: the live node
-        // counted them in the stats and moved on, and so does the oracle.
-        let _ = core.apply(event);
-    }
-    core.audit()
 }
 
 /// Where a participant finds the coordinator.
@@ -733,7 +275,8 @@ impl CoordinatorNode {
         let listener = TcpListener::bind(listen).map_err(io_err("bind"))?;
         listener.set_nonblocking(true).map_err(io_err("bind"))?;
         if let Some(path) = &persist.port_file {
-            write_port_file(path, &listener.local_addr().map_err(io_err("local addr"))?)?;
+            let addr = listener.local_addr().map_err(io_err("local addr"))?;
+            write_atomic(path, &format!("{addr}\n"))?;
         }
         let (store, disk_prefix) = match &persist.journal {
             Some(path) => {
@@ -1057,14 +600,18 @@ fn last_tick(events: &[TraceEvent]) -> u64 {
     events.iter().map(TraceEvent::tick).max().unwrap_or(0)
 }
 
-/// Atomically (re)writes the coordinator's bound address for
-/// [`CoordinatorAddr::PortFile`] followers.
-fn write_port_file(path: &Path, addr: &SocketAddr) -> Result<(), NodeError> {
+/// Atomically (re)writes `path`: the contents land in `<path>.tmp` and are
+/// renamed over it, so a reader never sees a partial file.
+pub(crate) fn write_atomic(path: &Path, contents: &str) -> Result<(), NodeError> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, format!("{addr}\n")).map_err(io_err("port file write"))?;
-    std::fs::rename(&tmp, path).map_err(io_err("port file rename"))
+    let failed = |e: std::io::Error| NodeError::Io {
+        op: "atomic write",
+        message: format!("{}: {e}", path.display()),
+    };
+    std::fs::write(&tmp, contents).map_err(failed)?;
+    std::fs::rename(&tmp, path).map_err(failed)
 }
 
 /// Configuration of a [`ParticipantNode`].
@@ -1179,7 +726,7 @@ impl ParticipantNode {
             if let Some(c) = conn.as_mut() {
                 if !lost {
                     for frame in &out {
-                        if c.conn_send(frame).is_err() {
+                        if c.send(&frame.encode()).is_err() {
                             lost = true;
                             break;
                         }
@@ -1196,363 +743,5 @@ impl ParticipantNode {
             cycles,
             reconnects,
         })
-    }
-}
-
-trait ConnSend {
-    fn conn_send(&mut self, frame: &ControlFrame) -> Result<(), fei_net::TransportError>;
-}
-
-impl ConnSend for FrameConn {
-    fn conn_send(&mut self, frame: &ControlFrame) -> Result<(), fei_net::TransportError> {
-        self.send(&frame.encode())
-    }
-}
-
-/// Full configuration of a coordinator daemon process — everything
-/// `fei_coordinatord` (and the soak bin's self-spawned daemon role)
-/// parses from its command line.
-#[derive(Debug, Clone)]
-pub struct DaemonConfig {
-    /// Listen address (e.g. `"127.0.0.1:0"`).
-    pub listen: String,
-    /// Port file to advertise the bound address in.
-    pub port_file: Option<PathBuf>,
-    /// Disk journal path.
-    pub journal: Option<PathBuf>,
-    /// Frame-trace path.
-    pub trace: Option<PathBuf>,
-    /// Stats file written (atomically) on orderly exit.
-    pub stats: Option<PathBuf>,
-    /// The node configuration.
-    pub node: CoordinatorNodeConfig,
-}
-
-impl DaemonConfig {
-    /// Parses daemon arguments. Flags (all `--flag value`):
-    /// `--listen`, `--port-file`, `--journal`, `--trace`, `--stats`,
-    /// `--rounds`, `--max-cycles`, `--tick-ms`, `--restart-lag`,
-    /// `--global-bytes`, `--k`, `--over-select`, `--quorum`, `--epochs`,
-    /// `--heartbeat-interval`, `--heartbeat-timeout`, `--round-deadline`.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::BadArg`] naming the offending flag or value.
-    pub fn from_args(args: &[String]) -> Result<DaemonConfig, NodeError> {
-        let mut config = DaemonConfig {
-            listen: "127.0.0.1:0".to_string(),
-            port_file: None,
-            journal: None,
-            trace: None,
-            stats: None,
-            node: CoordinatorNodeConfig::new(CoordinatorConfig {
-                k: 3,
-                over_select: 0,
-                quorum: 2,
-                epochs: 1,
-                heartbeat_interval: 10,
-                heartbeat_timeout: 200,
-                round_deadline: 400,
-            }),
-        };
-        let mut iter = args.iter();
-        while let Some(flag) = iter.next() {
-            let value = iter.next().ok_or_else(|| NodeError::BadArg {
-                message: format!("{flag} needs a value"),
-            })?;
-            let bad = |message: String| NodeError::BadArg { message };
-            let parse_u64 = |value: &String, flag: &str| {
-                value.parse::<u64>().map_err(|_| NodeError::BadArg {
-                    message: format!("{flag} wants an integer, got {value:?}"),
-                })
-            };
-            match flag.as_str() {
-                "--listen" => config.listen = value.clone(),
-                "--port-file" => config.port_file = Some(PathBuf::from(value)),
-                "--journal" => config.journal = Some(PathBuf::from(value)),
-                "--trace" => config.trace = Some(PathBuf::from(value)),
-                "--stats" => config.stats = Some(PathBuf::from(value)),
-                "--rounds" => config.node.target_rounds = parse_u64(value, flag)?,
-                "--max-cycles" => config.node.max_cycles = parse_u64(value, flag)?,
-                "--tick-ms" => config.node.cycle_sleep_ms = parse_u64(value, flag)?,
-                "--restart-lag" => config.node.restart_lag = parse_u64(value, flag)?,
-                "--global-bytes" => {
-                    config.node.global = vec![0xAB; parse_u64(value, flag)? as usize];
-                }
-                "--k" => config.node.coordinator.k = parse_u64(value, flag)? as usize,
-                "--over-select" => {
-                    config.node.coordinator.over_select = parse_u64(value, flag)? as usize;
-                }
-                "--quorum" => config.node.coordinator.quorum = parse_u64(value, flag)? as usize,
-                "--epochs" => config.node.coordinator.epochs = parse_u64(value, flag)? as u32,
-                "--heartbeat-interval" => {
-                    config.node.coordinator.heartbeat_interval = parse_u64(value, flag)?;
-                }
-                "--heartbeat-timeout" => {
-                    config.node.coordinator.heartbeat_timeout = parse_u64(value, flag)?;
-                }
-                "--round-deadline" => {
-                    config.node.coordinator.round_deadline = parse_u64(value, flag)?;
-                }
-                other => return Err(bad(format!("unknown flag {other:?}"))),
-            }
-        }
-        Ok(config)
-    }
-}
-
-/// Runs a coordinator daemon to completion: start (fresh or recovered),
-/// serve, and on orderly exit write the stats file atomically.
-///
-/// # Errors
-///
-/// Any [`NodeError`] from [`CoordinatorNode::start`] / `run`, or an I/O
-/// error writing the stats file.
-pub fn run_daemon(config: DaemonConfig) -> Result<NodeReport, NodeError> {
-    let persist = NodePersistence {
-        journal: config.journal.clone(),
-        trace: config.trace.clone(),
-        port_file: config.port_file.clone(),
-    };
-    let mut node = CoordinatorNode::start(&config.listen, config.node.clone(), persist)?;
-    let report = node.run()?;
-    if let Some(path) = &config.stats {
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, format_stats(&report.audit.stats)).map_err(io_err("stats write"))?;
-        std::fs::rename(&tmp, path).map_err(io_err("stats rename"))?;
-    }
-    Ok(report)
-}
-
-/// Serializes [`ControlStats`] as `key value` lines (the daemon's stats
-/// file format; [`parse_stats`] is the inverse).
-pub fn format_stats(stats: &ControlStats) -> String {
-    let mut out = String::new();
-    for (key, value) in stats_fields(stats) {
-        out.push_str(&format!("{key} {value}\n"));
-    }
-    out
-}
-
-/// Parses a [`format_stats`] stats file. Unknown keys are ignored so the
-/// format can grow; missing keys read as zero.
-pub fn parse_stats(text: &str) -> ControlStats {
-    let mut stats = ControlStats::default();
-    for line in text.lines() {
-        let mut parts = line.split_whitespace();
-        let (Some(key), Some(value)) = (parts.next(), parts.next()) else {
-            continue;
-        };
-        let Ok(value) = value.parse::<u64>() else {
-            continue;
-        };
-        match key {
-            "frames_in" => stats.frames_in = value,
-            "bytes_in" => stats.bytes_in = value,
-            "frames_out" => stats.frames_out = value,
-            "bytes_out" => stats.bytes_out = value,
-            "rejected" => stats.rejected = value,
-            "expired_rejections" => stats.expired_rejections = value,
-            "committed_rounds" => stats.committed_rounds = value,
-            "aborted_rounds" => stats.aborted_rounds = value,
-            "aborts_quorum_miss" => stats.aborts.quorum_miss = value,
-            "aborts_fleet_collapse" => stats.aborts.fleet_collapse = value,
-            "aborts_cancelled" => stats.aborts.cancelled = value,
-            "aborts_coordinator_crash" => stats.aborts.coordinator_crash = value,
-            "resumed_rounds" => stats.resumed_rounds = value,
-            "resumes_accepted" => stats.resumes_accepted = value,
-            "resumes_rejoined" => stats.resumes_rejoined = value,
-            "recovered_rejections" => stats.recovered_rejections = value,
-            "wasted_update_bytes" => stats.wasted_update_bytes = value,
-            _ => {}
-        }
-    }
-    stats
-}
-
-fn stats_fields(stats: &ControlStats) -> [(&'static str, u64); 17] {
-    [
-        ("frames_in", stats.frames_in),
-        ("bytes_in", stats.bytes_in),
-        ("frames_out", stats.frames_out),
-        ("bytes_out", stats.bytes_out),
-        ("rejected", stats.rejected),
-        ("expired_rejections", stats.expired_rejections),
-        ("committed_rounds", stats.committed_rounds),
-        ("aborted_rounds", stats.aborted_rounds),
-        ("aborts_quorum_miss", stats.aborts.quorum_miss),
-        ("aborts_fleet_collapse", stats.aborts.fleet_collapse),
-        ("aborts_cancelled", stats.aborts.cancelled),
-        ("aborts_coordinator_crash", stats.aborts.coordinator_crash),
-        ("resumed_rounds", stats.resumed_rounds),
-        ("resumes_accepted", stats.resumes_accepted),
-        ("resumes_rejoined", stats.resumes_rejoined),
-        ("recovered_rejections", stats.recovered_rejections),
-        ("wasted_update_bytes", stats.wasted_update_bytes),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use std::sync::atomic::AtomicU64;
-
-    use super::*;
-
-    #[test]
-    fn trace_tags_are_named_and_disjoint_from_control_and_journal() {
-        // The executable reference for the wire-schema lint: every trace
-        // tag named, valued, and outside the 0x10..=0x1A / 0x20..=0x26
-        // ranges.
-        let named: [(u8, &str); 5] = [
-            (TAG_TRACE_OPEN, "TAG_TRACE_OPEN"),
-            (TAG_TRACE_DELIVER, "TAG_TRACE_DELIVER"),
-            (TAG_TRACE_START_ROUND, "TAG_TRACE_START_ROUND"),
-            (TAG_TRACE_TICK, "TAG_TRACE_TICK"),
-            (TAG_TRACE_RECOVER, "TAG_TRACE_RECOVER"),
-        ];
-        let values: Vec<u8> = named.iter().map(|&(t, _)| t).collect();
-        assert_eq!(values, TRACE_TAGS, "table drifted from TRACE_TAGS");
-        for (tag, name) in named {
-            assert!(
-                (0x30..=0x34).contains(&tag),
-                "{name} (0x{tag:02x}) outside the trace range"
-            );
-            assert!(!crate::frames::CONTROL_TAGS.contains(&tag));
-            assert!(!crate::journal::JOURNAL_TAGS.contains(&tag));
-        }
-    }
-
-    fn all_events() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::Open,
-            TraceEvent::Deliver {
-                tick: 3,
-                bytes: ControlFrame::Heartbeat { client: 7, tick: 3 }.encode(),
-            },
-            TraceEvent::StartRound { tick: 5 },
-            TraceEvent::Tick { tick: 6 },
-            TraceEvent::Recover {
-                tick: 9,
-                journal_len: 42,
-            },
-        ]
-    }
-
-    #[test]
-    fn every_trace_event_round_trips() {
-        for event in all_events() {
-            let bytes = event.encode();
-            let (decoded, consumed) = TraceEvent::decode(&bytes)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", event.name()));
-            assert_eq!(decoded, event);
-            assert_eq!(consumed, bytes.len());
-        }
-    }
-
-    #[test]
-    fn trace_decoding_tolerates_a_torn_tail_only() {
-        let mut bytes = Vec::new();
-        for event in all_events() {
-            bytes.extend_from_slice(&event.encode());
-        }
-        let (events, valid) = decode_trace(&bytes).expect("clean trace");
-        assert_eq!(events, all_events());
-        assert_eq!(valid, bytes.len());
-        // Torn tail: cut mid-record.
-        let (events, valid) = decode_trace(&bytes[..bytes.len() - 3]).expect("torn tail ok");
-        assert_eq!(events.len(), all_events().len() - 1);
-        assert!(valid < bytes.len() - 3);
-        // Mid-file corruption is fatal.
-        let mut corrupt = bytes.clone();
-        corrupt[2] ^= 0xFF;
-        assert!(decode_trace(&corrupt).is_err());
-    }
-
-    static UNIQUE: AtomicU64 = AtomicU64::new(0);
-
-    fn temp_path(tag: &str) -> PathBuf {
-        let n = UNIQUE.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("fei-node-{tag}-{}-{n}.bin", std::process::id()))
-    }
-
-    #[test]
-    fn trace_sink_resume_cuts_torn_tail() {
-        let path = temp_path("sink");
-        let events = all_events();
-        {
-            let mut sink = TraceSink::create(&path).expect("create");
-            for event in &events {
-                sink.append(event).expect("append");
-            }
-            sink.sync().expect("sync");
-        }
-        // Tear the tail by hand.
-        let bytes = std::fs::read(&path).expect("read");
-        std::fs::write(&path, &bytes[..bytes.len() - 2]).expect("tear");
-        let (mut sink, survivors) = TraceSink::open_resume(&path).expect("resume");
-        assert_eq!(survivors.len(), events.len() - 1);
-        sink.append(&TraceEvent::Tick { tick: 10 }).expect("append");
-        sink.sync().expect("sync");
-        let (reread, torn) = read_trace(&path).expect("reread");
-        assert_eq!(torn, 0);
-        assert_eq!(reread.len(), events.len());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn stats_round_trip_through_the_file_format() {
-        let mut stats = ControlStats {
-            frames_in: 1,
-            bytes_in: 2,
-            frames_out: 3,
-            bytes_out: 4,
-            rejected: 5,
-            expired_rejections: 6,
-            committed_rounds: 7,
-            aborted_rounds: 8,
-            resumed_rounds: 9,
-            resumes_accepted: 10,
-            resumes_rejoined: 11,
-            recovered_rejections: 12,
-            wasted_update_bytes: 13,
-            ..ControlStats::default()
-        };
-        stats.aborts.quorum_miss = 3;
-        stats.aborts.fleet_collapse = 2;
-        stats.aborts.cancelled = 2;
-        stats.aborts.coordinator_crash = 1;
-        assert_eq!(parse_stats(&format_stats(&stats)), stats);
-    }
-
-    #[test]
-    fn daemon_args_parse_and_reject_typed() {
-        let args: Vec<String> = [
-            "--listen",
-            "127.0.0.1:0",
-            "--rounds",
-            "7",
-            "--k",
-            "3",
-            "--quorum",
-            "2",
-            "--tick-ms",
-            "2",
-            "--restart-lag",
-            "5",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let config = DaemonConfig::from_args(&args).expect("parse");
-        assert_eq!(config.node.target_rounds, 7);
-        assert_eq!(config.node.coordinator.k, 3);
-        assert_eq!(config.node.cycle_sleep_ms, 2);
-        assert_eq!(config.node.restart_lag, 5);
-        let bad = DaemonConfig::from_args(&["--rounds".to_string(), "x".to_string()]);
-        assert!(matches!(bad, Err(NodeError::BadArg { .. })));
-        let bad = DaemonConfig::from_args(&["--nope".to_string(), "1".to_string()]);
-        assert!(matches!(bad, Err(NodeError::BadArg { .. })));
     }
 }

@@ -29,7 +29,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::ProtoError;
-use crate::journal::RoundJournal;
+use crate::journal::JournalRecord;
+use crate::record::scan;
 
 /// Errors from the disk journal.
 #[derive(Debug)]
@@ -95,7 +96,8 @@ fn lock_path_for(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// A single-writer, fsync-disciplined disk image of a [`RoundJournal`].
+/// A single-writer, fsync-disciplined disk image of a
+/// [`crate::journal::RoundJournal`].
 #[derive(Debug)]
 pub struct DiskJournal {
     file: File,
@@ -156,13 +158,11 @@ impl DiskJournal {
             .map_err(io_err("open"))?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes).map_err(io_err("read"))?;
-        // Replay to find the valid prefix; mid-log damage is fatal, a torn
+        // Scan to find the valid prefix; mid-log damage is fatal, a torn
         // tail is the expected signature of a crash mid-append.
-        let replay = RoundJournal::from_bytes(bytes.clone())
-            .replay()
-            .map_err(StoreError::Corrupt)?;
-        let valid = bytes.len() - replay.torn_bytes;
-        if replay.torn_bytes > 0 {
+        let (_, torn_bytes) = scan(&bytes, JournalRecord::decode).map_err(StoreError::Corrupt)?;
+        let valid = bytes.len() - torn_bytes;
+        if torn_bytes > 0 {
             bytes.truncate(valid);
             file.set_len(valid as u64).map_err(io_err("truncate"))?;
             file.sync_data().map_err(io_err("fsync"))?;
@@ -260,7 +260,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use super::*;
-    use crate::journal::JournalRecord;
+    use crate::journal::RoundJournal;
 
     static UNIQUE: AtomicU64 = AtomicU64::new(0);
 
@@ -389,15 +389,15 @@ mod tests {
     }
 
     /// Byte offsets where each journal record starts.
-    pub(crate) fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
-        let mut starts = Vec::new();
-        let mut at = 0;
-        while at < bytes.len() {
-            starts.push(at);
-            let (_, consumed) =
-                JournalRecord::decode(&bytes[at..]).expect("sample journal is well-formed");
-            at += consumed;
-        }
-        starts
+    fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
+        let (records, _) = scan(bytes, JournalRecord::decode).expect("sample journal");
+        records
+            .iter()
+            .scan(0, |at, record| {
+                let start = *at;
+                *at += record.encoded_len();
+                Some(start)
+            })
+            .collect()
     }
 }
