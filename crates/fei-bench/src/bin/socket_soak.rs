@@ -46,18 +46,28 @@ struct Soak {
     budget: Duration,
 }
 
+/// Rounds per campaign, in both configurations: long enough that the one
+/// retransmit a campaign owes (its first round has no verdict latency to go
+/// by, so the fast device's fixed first timeout fires behind the slow one)
+/// is 1 in ~49 submissions, well under [`RETRANSMIT_RATIO_GATE`].
+const ROUNDS: u64 = 16;
+
 const FULL: Soak = Soak {
     runs: 4,
-    rounds: 8,
+    rounds: ROUNDS,
     budget: Duration::from_secs(120),
 };
 
 /// Seconds-scale configuration for the CI smoke step.
 const SMOKE: Soak = Soak {
     runs: 2,
-    rounds: 5,
+    rounds: ROUNDS,
     budget: Duration::from_secs(60),
 };
+
+/// The largest share of its update submissions the median quiet loopback
+/// campaign may spend on retransmits.
+const RETRANSMIT_RATIO_GATE: f64 = 0.05;
 
 fn coordinator_config() -> CoordinatorConfig {
     CoordinatorConfig {
@@ -74,6 +84,10 @@ fn coordinator_config() -> CoordinatorConfig {
 struct RunOutcome {
     shape: &'static str,
     audit: NodeAudit,
+    /// Update submissions the fleet sent, retransmits included.
+    submits: u64,
+    /// Retransmits among them.
+    retries: u64,
     trace_events: usize,
     wall_ms: u128,
     replay_identical: bool,
@@ -112,7 +126,7 @@ fn run_campaign(dir: &Path, rounds: u64, restart: bool) -> RunOutcome {
         let mut config = CoordinatorNodeConfig::new(coordinator_config());
         config.target_rounds = if restart { rounds / 2 } else { rounds };
         config.max_cycles = 60_000;
-        let mut node = CoordinatorNode::start("127.0.0.1:0", config, persist.clone())
+        let node = CoordinatorNode::start("127.0.0.1:0", config, persist.clone())
             .expect("coordinator start");
         node.run().expect("coordinator run")
     };
@@ -123,14 +137,17 @@ fn run_campaign(dir: &Path, rounds: u64, restart: bool) -> RunOutcome {
         let mut config = CoordinatorNodeConfig::new(coordinator_config());
         config.target_rounds = rounds;
         config.max_cycles = 60_000;
-        let mut node =
+        let node =
             CoordinatorNode::start("127.0.0.1:0", config, persist).expect("coordinator restart");
         report = node.run().expect("coordinator resumed run");
     }
     let wall_ms = started.elapsed().as_millis();
     stop.store(true, Ordering::Relaxed);
+    let (mut submits, mut retries) = (0, 0);
     for worker in workers {
-        worker.join().expect("participant thread");
+        let fleet = worker.join().expect("participant thread").stats;
+        submits += fleet.submits;
+        retries += fleet.retries;
     }
 
     // Oracle gates.
@@ -145,6 +162,8 @@ fn run_campaign(dir: &Path, rounds: u64, restart: bool) -> RunOutcome {
         shape: if restart { "restart" } else { "single" },
         trace_events: report.trace.len(),
         audit: report.audit,
+        submits,
+        retries,
         wall_ms,
         replay_identical,
         disk_identical,
@@ -171,13 +190,14 @@ fn main() {
         soak.runs, soak.runs, soak.rounds
     ));
     println!(
-        "{:>3} {:>8} {:>7} {:>9} {:>7} {:>9} {:>9} {:>8} {:>7} {:>6}",
+        "{:>3} {:>8} {:>7} {:>9} {:>7} {:>9} {:>9} {:>8} {:>8} {:>7} {:>6}",
         "#",
         "shape",
         "rounds",
         "committed",
         "epochs",
         "frames",
+        "re/submit",
         "trace ev",
         "wall ms",
         "replay",
@@ -209,13 +229,14 @@ fn main() {
             && (!restart || outcome.audit.epoch >= 1);
         all_ok &= ok;
         println!(
-            "{:>3} {:>8} {:>7} {:>9} {:>7} {:>9} {:>9} {:>8} {:>7} {:>6}",
+            "{:>3} {:>8} {:>7} {:>9} {:>7} {:>9} {:>9} {:>8} {:>8} {:>7} {:>6}",
             run,
             outcome.shape,
             outcome.audit.round_log.len(),
             outcome.audit.stats.committed_rounds,
             outcome.audit.epoch + 1,
             outcome.audit.stats.frames_in + outcome.audit.stats.frames_out,
+            format!("{}/{}", outcome.retries, outcome.submits),
             outcome.trace_events,
             outcome.wall_ms,
             if outcome.replay_identical {
@@ -230,6 +251,23 @@ fn main() {
     let elapsed = started.elapsed();
     let within_budget = elapsed < soak.budget;
     all_ok &= within_budget;
+    // Retransmit gate, on the quiet (single-incarnation) campaigns: nothing
+    // is lost on loopback, so every retransmit there is a timer firing
+    // before a verdict that was on its way. One per campaign is owed to the
+    // first round, which has no verdict latency to go by yet. Gated on the
+    // median campaign (the lower middle of an even count): a timer
+    // regression re-sends in every campaign, while a scheduler or disk
+    // stall on the host — three node clocks running on against a stalled
+    // coordinator — fires the fleet's timers in the one campaign it hits.
+    let mut quiet_ratios: Vec<f64> = outcomes
+        .iter()
+        .filter(|o| o.shape == "single")
+        .map(|o| o.retries as f64 / o.submits.max(1) as f64)
+        .collect();
+    quiet_ratios.sort_by(f64::total_cmp);
+    let retransmit_ratio = quiet_ratios[(quiet_ratios.len() - 1) / 2];
+    let retransmits_ok = retransmit_ratio <= RETRANSMIT_RATIO_GATE;
+    all_ok &= retransmits_ok;
 
     section("machine-readable (JSON)");
     let mut json = String::new();
@@ -251,13 +289,19 @@ fn main() {
         "  \"control_joules\": {:.6},\n",
         ledger.control_joules()
     ));
+    json.push_str(&format!(
+        "  \"quiet_retransmit_ratio_median\": {retransmit_ratio:.4}, \
+         \"retransmit_ratio_gate\": {RETRANSMIT_RATIO_GATE}, \
+         \"retransmits_ok\": {retransmits_ok},\n"
+    ));
     json.push_str("  \"runs\": [\n");
     for (i, o) in outcomes.iter().enumerate() {
         let comma = if i + 1 == outcomes.len() { "" } else { "," };
         json.push_str(&format!(
             "    {{\"shape\": \"{}\", \"rounds_closed\": {}, \"committed\": {}, \
              \"aborted\": {}, \"incarnations\": {}, \"frames_in\": {}, \"frames_out\": {}, \
-             \"bytes_in\": {}, \"bytes_out\": {}, \"journal_bytes\": {}, \"trace_events\": {}, \
+             \"bytes_in\": {}, \"bytes_out\": {}, \"submits\": {}, \"retries\": {}, \
+             \"journal_bytes\": {}, \"trace_events\": {}, \
              \"wall_ms\": {}, \"replay_identical\": {}, \"disk_identical\": {}}}{comma}\n",
             o.shape,
             o.audit.round_log.len(),
@@ -268,6 +312,8 @@ fn main() {
             o.audit.stats.frames_out,
             o.audit.stats.bytes_in,
             o.audit.stats.bytes_out,
+            o.submits,
+            o.retries,
             o.audit.journal.len(),
             o.trace_events,
             o.wall_ms,
@@ -296,6 +342,11 @@ fn main() {
         fmt_joules(ledger.control_joules())
     );
 
+    assert!(
+        retransmits_ok,
+        "the median quiet loopback campaign retransmitted {retransmit_ratio:.3} of its update \
+         submissions (gate {RETRANSMIT_RATIO_GATE})"
+    );
     assert!(
         all_ok,
         "socket soak found a parity failure, a shortfall, or a blown budget"

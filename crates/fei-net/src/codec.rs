@@ -34,10 +34,19 @@ const MAGIC: [u8; 2] = [0xFE, 0x1A];
 /// Fixed overhead: magic + type + length + checksum.
 pub const FRAME_OVERHEAD: usize = 2 + 1 + 4 + 4;
 
-/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
+/// How many bytes one step of the slicing CRC kernel folds.
+const CRC_SLICE: usize = 16;
+
+/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup tables,
 /// generated at compile time so the codec stays dependency-free.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+///
+/// `CRC32_TABLES[0]` is the classic byte-at-a-time table; `[k][n]` is the
+/// CRC of byte `n` followed by `k` zero bytes, which lets
+/// [`Crc32::update`] fold [`CRC_SLICE`] input bytes per step with
+/// independent lookups (slicing-by-16) instead of one dependent lookup per
+/// byte.
+const CRC32_TABLES: [[u32; 256]; CRC_SLICE] = {
+    let mut tables = [[0u32; 256]; CRC_SLICE];
     let mut n: u32 = 0;
     while n < 256 {
         let mut crc = n;
@@ -50,10 +59,20 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[n as usize] = crc;
+        tables[0][n as usize] = crc;
         n += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC_SLICE {
+        let mut n = 0;
+        while n < 256 {
+            let prev = tables[k - 1][n];
+            tables[k][n] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Converts a payload length to the wire's big-endian `u32` length field.
@@ -76,17 +95,66 @@ impl Crc32 {
         Self(0xFFFF_FFFF)
     }
 
+    /// Folds `bytes` into the running CRC, [`CRC_SLICE`] bytes per step; the
+    /// tail shorter than a step goes through table 0 one byte at a time, so
+    /// any split of the input over several calls gives the same value.
     fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
+        let ix = usize::from;
         let mut crc = self.0;
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        let (steps, tail) = bytes.as_chunks::<CRC_SLICE>();
+        for c in steps {
+            // Only the first four bytes meet the running register; the
+            // other twelve index their tables as they are.
+            let [h0, h1, h2, h3] =
+                (u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc).to_le_bytes();
+            crc = t[15][ix(h0)]
+                ^ t[14][ix(h1)]
+                ^ t[13][ix(h2)]
+                ^ t[12][ix(h3)]
+                ^ t[11][ix(c[4])]
+                ^ t[10][ix(c[5])]
+                ^ t[9][ix(c[6])]
+                ^ t[8][ix(c[7])]
+                ^ t[7][ix(c[8])]
+                ^ t[6][ix(c[9])]
+                ^ t[5][ix(c[10])]
+                ^ t[4][ix(c[11])]
+                ^ t[3][ix(c[12])]
+                ^ t[2][ix(c[13])]
+                ^ t[1][ix(c[14])]
+                ^ t[0][ix(c[15])];
         }
-        self.0 = crc;
+        self.0 = crc32_bytewise(crc, tail);
     }
 
     fn finish(self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
+}
+
+/// One table lookup per byte over the raw (un-inverted) CRC register: the
+/// tail step of [`Crc32::update`] and the whole of [`crc32_reference`].
+fn crc32_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = (crc >> 8) ^ CRC32_TABLES[0][usize::from(crc.to_le_bytes()[0] ^ b)];
+    }
+    crc
+}
+
+/// CRC32/IEEE of `bytes` — the checksum kernel every frame, journal record
+/// and trace event goes through.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// The byte-at-a-time CRC32 the slicing kernel replaced. No product path
+/// calls it: it is the oracle the kernel's tests compare against and the
+/// baseline of the `crc32` row of `fei-bench`'s `perf` harness.
+pub fn crc32_reference(bytes: &[u8]) -> u32 {
+    crc32_bytewise(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
 /// A decoded frame: a type tag and the payload bytes.
@@ -166,17 +234,8 @@ impl fmt::Display for CodecError {
 
 impl Error for CodecError {}
 
-/// Frame checksum: CRC32 over the type byte, the big-endian length field,
-/// and the payload. Covering the header fields means a corrupted type or
-/// length byte fails the checksum instead of silently re-routing or
-/// re-sizing the frame.
-fn checksum(msg_type: u8, payload: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(&[msg_type]);
-    crc.update(&len_u32(payload.len()).to_be_bytes());
-    crc.update(payload);
-    crc.finish()
-}
+/// Bytes before the payload: magic + type + length.
+const HEADER_LEN: usize = 2 + 1 + 4;
 
 /// Encodes a frame.
 ///
@@ -195,13 +254,9 @@ fn checksum(msg_type: u8, payload: &[u8]) -> u32 {
 /// # }
 /// ```
 pub fn encode_frame(msg_type: u8, payload: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(FRAME_OVERHEAD + payload.len());
-    buf.put_slice(&MAGIC);
-    buf.put_u8(msg_type);
-    buf.put_u32(len_u32(payload.len()));
-    buf.put_slice(payload);
-    buf.put_u32(checksum(msg_type, payload));
-    buf.freeze()
+    let mut out = Vec::new();
+    encode_frame_into(msg_type, payload, &mut out);
+    Bytes::from(out)
 }
 
 /// Encodes a frame by appending to a caller-owned buffer — the zero-copy
@@ -209,11 +264,73 @@ pub fn encode_frame(msg_type: u8, payload: &[u8]) -> Bytes {
 /// no heap allocation once its capacity covers the frame.
 pub fn encode_frame_into(msg_type: u8, payload: &[u8], out: &mut Vec<u8>) {
     out.reserve(FRAME_OVERHEAD + payload.len());
+    encode_frame_with(msg_type, out, |out| out.extend_from_slice(payload));
+}
+
+/// Encodes a frame whose payload is whatever `put_payload` appends to `out`
+/// — for callers that serialize the payload field by field and would
+/// otherwise build it in a buffer of its own first. The length field is
+/// patched and the checksum taken once the payload is in place: one CRC
+/// pass over `type ‖ length ‖ payload`, which sit contiguously in the
+/// frame, and no copy.
+///
+/// Covering the header fields means a corrupted type or length byte fails
+/// the checksum instead of silently re-routing or re-sizing the frame.
+pub fn encode_frame_with(msg_type: u8, out: &mut Vec<u8>, put_payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
     out.extend_from_slice(&MAGIC);
     out.push(msg_type);
-    out.extend_from_slice(&len_u32(payload.len()).to_be_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(msg_type, payload).to_be_bytes());
+    out.extend_from_slice(&[0; 4]);
+    put_payload(out);
+    let len = len_u32(out.len() - start - HEADER_LEN);
+    out[start + 3..start + HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+    let crc = crc32(&out[start + MAGIC.len()..]);
+    out.extend_from_slice(&crc.to_be_bytes());
+}
+
+/// A verified frame borrowed from the buffer it was parsed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRef<'a> {
+    /// Caller-defined message type tag.
+    pub msg_type: u8,
+    /// Payload bytes, in place.
+    pub payload: &'a [u8],
+}
+
+/// Verifies one frame at the start of `bytes` and borrows its payload,
+/// returning the frame and the number of bytes consumed. [`decode_frame`]
+/// is this plus a copy of the payload.
+///
+/// # Errors
+///
+/// As [`decode_frame`].
+pub fn split_frame(bytes: &[u8]) -> Result<(FrameRef<'_>, usize), CodecError> {
+    let truncated = |needed| CodecError::Truncated {
+        needed,
+        available: bytes.len(),
+    };
+    let Some((header, _)) = bytes.split_first_chunk::<HEADER_LEN>() else {
+        return Err(truncated(FRAME_OVERHEAD));
+    };
+    let [m0, m1, msg_type, l0, l1, l2, l3] = *header;
+    if [m0, m1] != MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    // The length is the peer's claim: on a 32-bit target it can exceed
+    // what `usize` arithmetic holds, and no buffer is ever that long.
+    let total = usize::try_from(u32::from_be_bytes([l0, l1, l2, l3]))
+        .ok()
+        .and_then(|len| len.checked_add(FRAME_OVERHEAD))
+        .ok_or_else(|| truncated(usize::MAX))?;
+    if bytes.len() < total {
+        return Err(truncated(total));
+    }
+    let (checked, declared) = bytes[MAGIC.len()..total].split_at(total - MAGIC.len() - 4);
+    if declared != crc32(checked).to_be_bytes().as_slice() {
+        return Err(CodecError::ChecksumMismatch);
+    }
+    let payload = &checked[HEADER_LEN - MAGIC.len()..];
+    Ok((FrameRef { msg_type, payload }, total))
 }
 
 /// Decodes one frame from the start of `bytes`, returning the frame and the
@@ -222,41 +339,18 @@ pub fn encode_frame_into(msg_type: u8, payload: &[u8], out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Returns [`CodecError::Truncated`] when `bytes` does not yet hold a whole
-/// frame (streaming callers should read more and retry),
+/// frame (streaming callers should read more and retry) — which includes a
+/// declared length no buffer can ever satisfy —
 /// [`CodecError::BadMagic`] on a corrupt prefix, and
 /// [`CodecError::ChecksumMismatch`] on payload corruption.
 pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), CodecError> {
-    if bytes.len() < 7 {
-        return Err(CodecError::Truncated {
-            needed: FRAME_OVERHEAD,
-            available: bytes.len(),
-        });
-    }
-    if bytes[0..2] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let msg_type = bytes[2];
-    let mut len_bytes = &bytes[3..7];
-    let len = len_bytes.get_u32() as usize;
-    let total = FRAME_OVERHEAD + len;
-    if bytes.len() < total {
-        return Err(CodecError::Truncated {
-            needed: total,
-            available: bytes.len(),
-        });
-    }
-    let payload = &bytes[7..7 + len];
-    let mut csum_bytes = &bytes[7 + len..total];
-    let declared = csum_bytes.get_u32();
-    if declared != checksum(msg_type, payload) {
-        return Err(CodecError::ChecksumMismatch);
-    }
+    let (frame, consumed) = split_frame(bytes)?;
     Ok((
         Frame {
-            msg_type,
-            payload: Bytes::copy_from_slice(payload),
+            msg_type: frame.msg_type,
+            payload: Bytes::copy_from_slice(frame.payload),
         },
-        total,
+        consumed,
     ))
 }
 
@@ -471,6 +565,40 @@ mod tests {
     }
 
     #[test]
+    fn oversized_declared_length_is_typed_not_an_overflow() {
+        // A peer-supplied length of u32::MAX: `FRAME_OVERHEAD + len` does
+        // not fit a 32-bit usize. Either way the answer is the typed "not
+        // enough bytes yet" the streaming callers already handle.
+        let mut wire = encode_frame(1, b"abc").to_vec();
+        wire[3..7].copy_from_slice(&u32::MAX.to_be_bytes());
+        let needed = usize::try_from(u32::MAX)
+            .ok()
+            .and_then(|len| len.checked_add(FRAME_OVERHEAD))
+            .unwrap_or(usize::MAX);
+        assert_eq!(
+            decode_frame(&wire).unwrap_err(),
+            CodecError::Truncated {
+                needed,
+                available: wire.len()
+            }
+        );
+    }
+
+    #[test]
+    fn encode_frame_with_frames_an_appended_payload_in_place() {
+        let mut out = b"prefix".to_vec();
+        encode_frame_with(9, &mut out, |out| {
+            out.extend_from_slice(b"pay");
+            out.extend_from_slice(b"load");
+        });
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], &encode_frame(9, b"payload")[..]);
+        let (frame, consumed) = split_frame(&out[6..]).unwrap();
+        assert_eq!((frame.msg_type, frame.payload), (9, &b"payload"[..]));
+        assert_eq!(consumed, out.len() - 6);
+    }
+
+    #[test]
     fn encode_frame_into_matches_encode_frame() {
         let mut out = Vec::new();
         encode_frame_into(9, b"payload", &mut out);
@@ -513,6 +641,14 @@ mod proptests {
 
     use super::*;
 
+    /// Longest buffer the CRC equivalence sweep covers. Miri runs the
+    /// interpreter ~100x slower than native; a few slicing steps plus every
+    /// remainder is what the UB lane needs.
+    #[cfg(miri)]
+    const CRC_SWEEP_LEN: usize = 70;
+    #[cfg(not(miri))]
+    const CRC_SWEEP_LEN: usize = 4096;
+
     proptest! {
         #[test]
         fn any_payload_round_trips(
@@ -536,6 +672,51 @@ mod proptests {
             let idx = 7 + byte_sel as usize % payload.len();
             wire[idx] ^= 1 << bit;
             prop_assert_eq!(decode_frame(&wire).unwrap_err(), CodecError::ChecksumMismatch);
+        }
+
+        /// The slicing kernel against the byte-at-a-time reference at
+        /// every length from every start offset of a shared buffer, so
+        /// every head alignment meets every tail remainder. (One offset per
+        /// case keeps the quadratic sweep affordable in a debug build; the
+        /// 64 seeded cases visit each of the eight offsets several times.)
+        #[test]
+        fn slicing_crc_equals_the_bytewise_reference_at_every_length_and_offset(
+            buf in proptest::collection::vec(any::<u8>(), CRC_SWEEP_LEN + 8),
+            offset in 0usize..8,
+        ) {
+            let window = &buf[offset..offset + CRC_SWEEP_LEN];
+            // The reference is streamed: its state after `len` bytes is the
+            // raw register of `crc32_reference(&window[..len])`.
+            let mut reference = 0xFFFF_FFFF;
+            for len in 0..=CRC_SWEEP_LEN {
+                prop_assert_eq!(
+                    crc32(&window[..len]),
+                    reference ^ 0xFFFF_FFFF,
+                    "offset {} len {}", offset, len
+                );
+                if let Some(next) = window.get(len..len + 1) {
+                    reference = crc32_bytewise(reference, next);
+                }
+            }
+            prop_assert_eq!(crc32(window), crc32_reference(window));
+        }
+
+        /// Streaming: feeding a buffer in two or three pieces, cut anywhere,
+        /// gives the CRC of the whole.
+        #[test]
+        fn crc_update_over_split_regions_equals_one_update(
+            bytes in proptest::collection::vec(any::<u8>(), 0..CRC_SWEEP_LEN),
+            cut_a in any::<u16>(),
+            cut_b in any::<u16>(),
+        ) {
+            let a = usize::from(cut_a) % (bytes.len() + 1);
+            let b = a + usize::from(cut_b) % (bytes.len() - a + 1);
+            let mut split = Crc32::new();
+            split.update(&bytes[..a]);
+            split.update(&bytes[a..b]);
+            split.update(&bytes[b..]);
+            prop_assert_eq!(split.finish(), crc32(&bytes));
+            prop_assert_eq!(split.finish(), crc32_reference(&bytes));
         }
 
         #[test]

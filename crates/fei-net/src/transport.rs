@@ -25,7 +25,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
-use crate::codec::{decode_frame, CodecError};
+use crate::codec::{split_frame, CodecError};
 
 /// One reassembled frame: the decoded tag/payload plus the exact wire bytes
 /// it was parsed from (for trace capture and re-decoding by protocol-layer
@@ -111,18 +111,18 @@ impl FrameBuffer {
     /// bytes stay at the front of the buffer; callers are expected to
     /// discard the buffer with the connection.
     pub fn next_frame(&mut self) -> Result<Option<RawFrame>, TransportError> {
-        match decode_frame(&self.buf[self.at..]) {
+        match split_frame(&self.buf[self.at..]) {
             Ok((frame, consumed)) => {
-                let bytes = self.buf[self.at..self.at + consumed].to_vec();
+                let raw = RawFrame {
+                    msg_type: frame.msg_type,
+                    bytes: self.buf[self.at..self.at + consumed].to_vec(),
+                };
                 self.at += consumed;
                 if self.at >= COMPACT_THRESHOLD {
                     self.buf.drain(..self.at);
                     self.at = 0;
                 }
-                Ok(Some(RawFrame {
-                    msg_type: frame.msg_type,
-                    bytes,
-                }))
+                Ok(Some(raw))
             }
             Err(CodecError::Truncated { .. }) => Ok(None),
             Err(e) => Err(TransportError::Desync(e)),

@@ -430,6 +430,11 @@ impl Coordinator {
         &self.journal
     }
 
+    /// The write-ahead journal, by value (the coordinator is finished).
+    pub fn into_journal(self) -> RoundJournal {
+        self.journal
+    }
+
     /// The round abandoned by the last recovery, if any.
     pub fn recovered_round(&self) -> Option<u64> {
         self.recovered_round
@@ -563,12 +568,25 @@ impl Coordinator {
     /// Any [`ProtoError`]; rejected frames are counted in
     /// [`ControlStats::rejected`] and leave the round state unchanged.
     pub fn handle_frame(&mut self, bytes: &[u8], now: u64) -> Result<Vec<Effect>, ProtoError> {
+        let frame = self.admit(bytes)?;
+        self.handle_control(frame, now)
+    }
+
+    /// The decode half of [`Coordinator::handle_frame`]: verifies and
+    /// decodes one inbound byte frame and counts it as traffic, leaving the
+    /// transition to [`Coordinator::handle_control`] — for drivers that
+    /// need to look at the frame (who sent it) without decoding it twice.
+    ///
+    /// # Errors
+    ///
+    /// The decode's [`ProtoError`], counted in [`ControlStats::rejected`].
+    pub fn admit(&mut self, bytes: &[u8]) -> Result<ControlFrame, ProtoError> {
         let (frame, consumed) = ControlFrame::decode(bytes).inspect_err(|_| {
             self.stats.rejected += 1;
         })?;
         self.stats.frames_in += 1;
         self.stats.bytes_in += consumed as u64;
-        self.handle_control(frame, now)
+        Ok(frame)
     }
 
     /// Feeds one decoded control frame at `now` (the typed twin of

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use crate::cluster::RoundVerdict;
 use crate::coordinator::{ControlStats, Coordinator, CoordinatorConfig, Effect};
 use crate::error::ProtoError;
+use crate::frames::ControlFrame;
 use crate::trace::TraceEvent;
 
 /// Everything a run's coordinator decided, in comparable form. Two audits
@@ -31,6 +32,24 @@ pub struct NodeAudit {
     pub committed_models: BTreeMap<u64, BTreeMap<u64, (u32, Vec<u8>)>>,
     /// The final incarnation number.
     pub epoch: u64,
+}
+
+/// What [`CoordinatorCore::apply`] did with one event.
+#[derive(Debug)]
+pub struct Applied {
+    /// The transition's effects, or its typed rejection.
+    ///
+    /// Frame rejections are already counted in the stats; replay callers
+    /// ignore them, node callers may react (e.g. nudge an unknown client).
+    /// An error from [`TraceEvent::Recover`] means a corrupt journal and is
+    /// fatal.
+    pub outcome: Result<Vec<Effect>, ProtoError>,
+    /// The participant a delivered frame identified itself as — known
+    /// whenever the frame decoded, whether or not the coordinator then
+    /// accepted it.
+    pub sender: Option<u64>,
+    /// Whether the delivered frame was a [`ControlFrame::Shutdown`].
+    pub shutdown: bool,
 }
 
 /// The shared decision core: a [`Coordinator`] plus the bookkeeping that
@@ -86,44 +105,41 @@ impl CoordinatorCore {
     }
 
     /// Applies one event to the decision core, exactly as the live node
-    /// does — this method *is* the conformance boundary.
-    ///
-    /// # Errors
-    ///
-    /// Frame rejections propagate as their typed [`ProtoError`] (already
-    /// counted in the stats); replay callers ignore them, node callers
-    /// may react (e.g. nudge an unknown client). Recovery errors mean a
-    /// corrupt journal and are fatal.
-    pub fn apply(&mut self, event: &TraceEvent) -> Result<Vec<Effect>, ProtoError> {
-        match event {
-            TraceEvent::Open => {
-                self.coordinator.open_rendezvous()?;
-                Ok(Vec::new())
-            }
+    /// does — this method *is* the conformance boundary. A delivered frame
+    /// is decoded (and its CRC verified) here and nowhere else; what the
+    /// caller needs to know about it rides back in the [`Applied`].
+    pub fn apply(&mut self, event: &TraceEvent) -> Applied {
+        let (mut sender, mut shutdown) = (None, false);
+        let outcome = match event {
+            TraceEvent::Open => self.coordinator.open_rendezvous().map(|()| Vec::new()),
             TraceEvent::Deliver { tick, bytes } => {
-                let effects = self.coordinator.handle_frame(bytes, *tick)?;
-                self.observe(&effects, *tick);
-                Ok(effects)
+                self.coordinator.admit(bytes).and_then(|frame| {
+                    sender = frame.sender();
+                    shutdown = matches!(frame, ControlFrame::Shutdown);
+                    self.coordinator.handle_control(frame, *tick)
+                })
             }
+            // A failed attempt (quorum) still expired leases; the journal
+            // mutation is the reason the attempt was recorded.
             TraceEvent::StartRound { tick } => {
-                // A failed attempt (quorum) still expired leases; the
-                // journal mutation is the reason the attempt was recorded.
-                let effects = self.coordinator.start_round(*tick).unwrap_or_default();
-                self.observe(&effects, *tick);
-                Ok(effects)
+                Ok(self.coordinator.start_round(*tick).unwrap_or_default())
             }
-            TraceEvent::Tick { tick } => {
-                let effects = self.coordinator.tick(*tick);
-                self.observe(&effects, *tick);
-                Ok(effects)
-            }
+            TraceEvent::Tick { tick } => Ok(self.coordinator.tick(*tick)),
             TraceEvent::Recover { tick, journal_len } => {
                 let len = usize::try_from(*journal_len)
                     .unwrap_or(usize::MAX)
                     .min(self.coordinator.journal().len());
                 let bytes = self.coordinator.journal().bytes()[..len].to_vec();
-                self.recover_from(&bytes, *tick)
+                self.recover(&bytes, *tick)
             }
+        };
+        if let Ok(effects) = &outcome {
+            self.observe(effects, event.tick());
+        }
+        Applied {
+            outcome,
+            sender,
+            shutdown,
         }
     }
 
@@ -138,12 +154,17 @@ impl CoordinatorCore {
         journal_bytes: &[u8],
         now: u64,
     ) -> Result<Vec<Effect>, ProtoError> {
+        let effects = self.recover(journal_bytes, now)?;
+        self.observe(&effects, now);
+        Ok(effects)
+    }
+
+    fn recover(&mut self, journal_bytes: &[u8], now: u64) -> Result<Vec<Effect>, ProtoError> {
         self.carry.absorb(self.coordinator.stats());
         let (mut recovered, effects) =
             Coordinator::recover(self.config.clone(), journal_bytes, now)?;
         recovered.set_global(self.global.clone());
         self.coordinator = recovered;
-        self.observe(&effects, now);
         Ok(effects)
     }
 
@@ -179,14 +200,16 @@ impl CoordinatorCore {
         }
     }
 
-    /// The comparable summary of everything decided so far.
-    pub fn audit(&self) -> NodeAudit {
+    /// The comparable summary of everything decided. By value: the journal
+    /// and every committed payload move into the audit instead of being
+    /// copied beside themselves.
+    pub fn into_audit(self) -> NodeAudit {
         NodeAudit {
             stats: self.stats(),
-            journal: self.coordinator.journal().bytes().to_vec(),
-            round_log: self.round_log.clone(),
-            committed_models: self.committed_models.clone(),
             epoch: self.coordinator.epoch(),
+            journal: self.coordinator.into_journal().into_bytes(),
+            round_log: self.round_log,
+            committed_models: self.committed_models,
         }
     }
 }
@@ -201,5 +224,5 @@ pub fn replay_trace(config: &CoordinatorConfig, global: &[u8], events: &[TraceEv
         // counted them in the stats and moved on, and so does the oracle.
         let _ = core.apply(event);
     }
-    core.audit()
+    core.into_audit()
 }

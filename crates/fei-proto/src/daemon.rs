@@ -121,7 +121,7 @@ pub fn run_daemon(config: DaemonConfig) -> Result<NodeReport, NodeError> {
         trace: config.trace.clone(),
         port_file: config.port_file.clone(),
     };
-    let mut node = CoordinatorNode::start(&config.listen, config.node.clone(), persist)?;
+    let node = CoordinatorNode::start(&config.listen, config.node.clone(), persist)?;
     let report = node.run()?;
     if let Some(path) = &config.stats {
         write_atomic(path, &format_stats(&report.audit.stats))?;

@@ -241,6 +241,21 @@ record_table! {
     Shutdown,
 }
 
+impl ControlFrame {
+    /// The participant an upstream frame identifies itself as (`None` for
+    /// downstream frames and [`ControlFrame::Shutdown`], which name no
+    /// sender).
+    pub fn sender(&self) -> Option<u64> {
+        match self {
+            ControlFrame::JoinRequest { client, .. }
+            | ControlFrame::Heartbeat { client, .. }
+            | ControlFrame::UpdateSubmit { client, .. }
+            | ControlFrame::Resume { client, .. } => Some(*client),
+            _ => None,
+        }
+    }
+}
+
 /// Encoded length of a heartbeat frame.
 pub fn heartbeat_frame_len() -> usize {
     ControlFrame::Heartbeat { client: 0, tick: 0 }.encoded_len()

@@ -168,13 +168,18 @@ impl RoundJournal {
 
     /// Appends one record; the write is the transition's durability point.
     pub fn append(&mut self, record: &JournalRecord) {
-        self.bytes.extend_from_slice(&record.encode());
+        record.encode_into(&mut self.bytes);
         self.records += 1;
     }
 
     /// The durable log, byte for byte.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
+    }
+
+    /// The durable log, by value.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 
     /// Records appended so far.

@@ -55,7 +55,7 @@ use crate::frames::ControlFrame;
 use crate::participant::{Participant, ParticipantConfig, ParticipantStats};
 use crate::store::{DiskJournal, StoreError};
 
-pub use crate::core::{replay_trace, CoordinatorCore, NodeAudit};
+pub use crate::core::{replay_trace, Applied, CoordinatorCore, NodeAudit};
 pub use crate::daemon::{format_stats, parse_stats, run_daemon, DaemonConfig};
 pub use crate::trace::{
     read_trace, TraceEvent, TraceSink, TAG_TRACE_DELIVER, TAG_TRACE_OPEN, TAG_TRACE_RECOVER,
@@ -332,7 +332,7 @@ impl CoordinatorNode {
                 journal_len: disk_prefix.len() as u64,
             };
             node.record(&event)?;
-            let effects = node.core.apply(&event)?;
+            let effects = node.core.apply(&event).outcome?;
             node.sync_store()?;
             node.dispatch(effects);
         } else if !disk_prefix.is_empty() {
@@ -344,7 +344,7 @@ impl CoordinatorNode {
         } else {
             let event = TraceEvent::Open;
             node.record(&event)?;
-            node.core.apply(&event)?;
+            node.core.apply(&event).outcome?;
             node.sync_store()?;
         }
         Ok(node)
@@ -360,13 +360,14 @@ impl CoordinatorNode {
     }
 
     /// Runs until the round target is met, a shutdown frame arrives, or
-    /// the cycle budget trips.
+    /// the cycle budget trips, and hands the node's history over in the
+    /// report.
     ///
     /// # Errors
     ///
     /// [`NodeError::CycleBudget`] on the liveness bound; persistence and
     /// socket errors as their typed variants.
-    pub fn run(&mut self) -> Result<NodeReport, NodeError> {
+    pub fn run(mut self) -> Result<NodeReport, NodeError> {
         loop {
             self.cycles += 1;
             self.tick += 1;
@@ -389,15 +390,17 @@ impl CoordinatorNode {
             }
             std::thread::sleep(Duration::from_millis(self.config.cycle_sleep_ms));
         }
-        if let Some(mut sink) = self.sink.take() {
+        if let Some(sink) = self.sink.as_mut() {
             sink.sync()?;
         }
-        if let Some(store) = self.store.take() {
+        if let Some(store) = self.store {
             store.close()?;
         }
+        // The node is finished: its history moves into the report (a copy
+        // would double the process's memory at its largest).
         Ok(NodeReport {
-            audit: self.core.audit(),
-            trace: self.trace.clone(),
+            audit: self.core.into_audit(),
+            trace: self.trace,
             cycles: self.cycles,
             shutdown: self.shutdown,
         })
@@ -449,29 +452,19 @@ impl CoordinatorNode {
     }
 
     fn on_frame(&mut self, conn_index: usize, raw: RawFrame) -> Result<(), NodeError> {
-        let decoded = ControlFrame::decode(&raw.bytes)
-            .ok()
-            .map(|(frame, _)| frame);
-        if let Some(frame) = &decoded {
-            let from = match frame {
-                ControlFrame::JoinRequest { client, .. }
-                | ControlFrame::Heartbeat { client, .. }
-                | ControlFrame::UpdateSubmit { client, .. }
-                | ControlFrame::Resume { client, .. } => Some(*client),
-                _ => None,
-            };
-            if let Some(client) = from {
-                self.register(conn_index, client);
-            }
-        }
         let event = TraceEvent::Deliver {
             tick: self.tick,
             bytes: raw.bytes,
         };
         self.record(&event)?;
+        // The one decode of the frame happens inside `apply`, on the path
+        // replay shares; it reports who the frame was from.
         let applied = self.core.apply(&event);
         self.sync_store()?;
-        match applied {
+        if let Some(client) = applied.sender {
+            self.register(conn_index, client);
+        }
+        match applied.outcome {
             Ok(effects) => self.dispatch(effects),
             Err(ProtoError::UnknownClient { .. }) => {
                 // Node-layer nudge (not part of the decision history): an
@@ -489,9 +482,7 @@ impl CoordinatorNode {
             // Any other rejection is typed, counted, and final.
             Err(_) => {}
         }
-        if matches!(decoded, Some(ControlFrame::Shutdown)) {
-            self.shutdown = true;
-        }
+        self.shutdown |= applied.shutdown;
         Ok(())
     }
 
@@ -532,7 +523,7 @@ impl CoordinatorNode {
         }
         let event = TraceEvent::StartRound { tick: self.tick };
         self.record(&event)?;
-        let effects = self.core.apply(&event).unwrap_or_default();
+        let effects = self.core.apply(&event).outcome.unwrap_or_default();
         self.sync_store()?;
         self.dispatch(effects);
         Ok(())
@@ -541,7 +532,7 @@ impl CoordinatorNode {
     fn advance_tick(&mut self) -> Result<(), NodeError> {
         let event = TraceEvent::Tick { tick: self.tick };
         self.record(&event)?;
-        let effects = self.core.apply(&event).unwrap_or_default();
+        let effects = self.core.apply(&event).outcome.unwrap_or_default();
         self.sync_store()?;
         self.dispatch(effects);
         Ok(())

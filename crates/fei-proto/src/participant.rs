@@ -13,11 +13,34 @@
 //! the coordinator it owns no transport and no clock: drivers feed frames
 //! and ticks, it answers with frames to send.
 //!
-//! Retransmit discipline: backoff state (attempt counts, next-send ticks)
-//! is only ever touched by the frame that *acknowledges* the pending
-//! message — the round verdict for an update, the ack for a join or
-//! resume. Unrelated inbound frames (duplicate acks, stale verdicts,
-//! repeated epoch notices) never reset a schedule.
+//! Retransmit discipline: backoff state (attempt counts, next-send ticks,
+//! the verdict-latency estimate) is only ever touched by the frame that
+//! *acknowledges* the pending message — the round verdict for an update,
+//! the ack for a join or resume. Unrelated inbound frames (duplicate acks,
+//! stale verdicts, repeated epoch notices) never reset a schedule.
+//!
+//! ## The update retransmit timer
+//!
+//! The only acknowledgement of an [`crate::ControlFrame::UpdateSubmit`] is
+//! the round verdict, and the verdict cannot arrive before the *slowest*
+//! selected peer has finished — however healthy this device's own link is.
+//! A fixed first timeout therefore re-sends the whole model on every round
+//! longer than the timeout, and again and again behind a straggler: radio
+//! energy (the paper's `e_U`, proportional to bits sent) spent on frames
+//! the coordinator can only reject as duplicates. So the first timeout is
+//! estimated, RFC 6298-style, in integer virtual ticks: every verdict that
+//! acknowledges a pending upload yields one sample
+//! `verdict tick − first-submit tick` for a smoothed latency and its
+//! deviation (`srtt`, `rttvar`), and the next round's first retransmit is
+//! armed `max(2·retry_base, srtt + max(1, 4·rttvar))` ticks after the
+//! submission, doubling per attempt as before and never beyond the longest
+//! step the fixed schedule could produce (`retry_base · 2^(max_retries+1)`).
+//! `retry_base` is the floor and `max_retries` the budget, as they always
+//! were; with no sample yet (the first round, or after the coordinator
+//! ordered a rejoin) the schedule is exactly the fixed one. A lost update is still recovered —
+//! one estimated verdict latency later instead of `2·retry_base` ticks
+//! later. The estimate is a pure function of the tick-stamped inputs the
+//! driver feeds, so simulated and replayed runs stay deterministic.
 
 use crate::error::ProtoError;
 use crate::frames::ControlFrame;
@@ -115,6 +138,45 @@ struct PendingUpload {
     payload: Vec<u8>,
     attempts: u32,
     next_send: u64,
+    /// Tick of the first transmission (`None` until it has been sent).
+    first_sent: Option<u64>,
+}
+
+/// Smoothed submit-to-verdict latency in virtual ticks: RFC 6298's
+/// `SRTT`/`RTTVAR` with `α = 1/8`, `β = 1/4`, `K = 4` and a clock
+/// granularity of one tick, in the fixed-point form of Jacobson's
+/// estimator (`srtt` scaled by 8, `rttvar` by 4) so it needs no floats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct VerdictLatency {
+    srtt_x8: u64,
+    rttvar_x4: u64,
+}
+
+impl VerdictLatency {
+    /// Folds one sample into the estimate (`None` = this is the first).
+    fn sampled(prior: Option<Self>, sample: u64) -> Self {
+        // Far beyond any timeout the machine can arm; keeps the scaled
+        // arithmetic clear of overflow whatever ticks a driver feeds.
+        let sample = sample.min(1 << 32);
+        match prior {
+            None => Self {
+                srtt_x8: sample * 8,
+                rttvar_x4: sample * 2,
+            },
+            Some(Self { srtt_x8, rttvar_x4 }) => {
+                let error = sample.abs_diff(srtt_x8 / 8);
+                Self {
+                    rttvar_x4: rttvar_x4 - rttvar_x4 / 4 + error,
+                    srtt_x8: srtt_x8 - srtt_x8 / 8 + sample,
+                }
+            }
+        }
+    }
+
+    /// Ticks to wait for a verdict before concluding the update was lost.
+    fn timeout(self) -> u64 {
+        self.srtt_x8 / 8 + self.rttvar_x4.max(1)
+    }
 }
 
 /// The participant state machine.
@@ -139,6 +201,9 @@ pub struct Participant {
     global: Vec<u8>,
     update_override: Option<(u32, Vec<u8>)>,
     pending: Option<PendingUpload>,
+    /// Submit-to-verdict latency learned from this session's verdicts
+    /// (`None` until one has acknowledged an upload).
+    verdict_latency: Option<VerdictLatency>,
     /// The newest coordinator epoch this device has confirmed (via ack).
     epoch: u64,
     /// The epoch announced by the notice currently being resumed toward.
@@ -166,6 +231,7 @@ impl Participant {
             global: Vec::new(),
             update_override: None,
             pending: None,
+            verdict_latency: None,
             epoch: 0,
             notice_epoch: 0,
             resume_from: ParticipantPhase::Ready,
@@ -303,13 +369,13 @@ impl Participant {
                 if round == self.round && self.phase == ParticipantPhase::Uploading {
                     self.stats.commits += 1;
                 }
-                self.finish_round(round)
+                self.finish_round(round, now)
             }
             ControlFrame::RoundAbort { round, .. } => {
                 if round == self.round && self.phase == ParticipantPhase::Uploading {
                     self.stats.aborts += 1;
                 }
-                self.finish_round(round)
+                self.finish_round(round, now)
             }
             ControlFrame::EpochNotice { epoch, .. } => self.on_epoch_notice(epoch, now),
             ControlFrame::ResumeAck {
@@ -391,6 +457,9 @@ impl Participant {
             self.stats.sessions_rejoined += 1;
             self.heartbeat_interval = 0;
             self.pending = None;
+            // A new session: what the old one learned about its rounds'
+            // pace went with it.
+            self.verdict_latency = None;
             Ok(vec![self.start(now)])
         }
     }
@@ -445,6 +514,7 @@ impl Participant {
                 payload,
                 attempts: 0,
                 next_send: now,
+                first_sent: None,
             });
             self.phase = ParticipantPhase::Uploading;
         }
@@ -461,12 +531,18 @@ impl Participant {
             out.push(self.resume_frame());
         }
         if self.phase == ParticipantPhase::Uploading {
+            let first_timeout = self.first_upload_timeout();
+            let longest_timeout = self.longest_backoff_step();
             if let Some(pending) = &mut self.pending {
                 if now >= pending.next_send && pending.attempts <= self.config.max_retries {
                     pending.attempts += 1;
-                    // Exponential backoff, capped shift: base · 2^attempts.
-                    let shift = pending.attempts.min(16);
-                    pending.next_send = now + self.config.retry_base.max(1) * (1u64 << shift);
+                    pending.first_sent.get_or_insert(now);
+                    // Exponential backoff on the first timeout, doubled
+                    // per attempt, capped at the longest step.
+                    let timeout = first_timeout
+                        .saturating_mul(1u64 << (pending.attempts - 1).min(15))
+                        .min(longest_timeout);
+                    pending.next_send = now.saturating_add(timeout);
                     self.stats.submits += 1;
                     if pending.attempts > 1 {
                         self.stats.retries += 1;
@@ -483,6 +559,23 @@ impl Participant {
         out
     }
 
+    /// Ticks between an update's first transmission and its first
+    /// retransmit: the learned verdict latency, never below the configured
+    /// `2·retry_base` (which is all of it while nothing has been learned).
+    fn first_upload_timeout(&self) -> u64 {
+        let floor = self.config.retry_base.max(1) * 2;
+        self.verdict_latency
+            .map_or(floor, |latency| latency.timeout().max(floor))
+    }
+
+    /// The longest wait the doubling schedule reaches on the floor alone —
+    /// the clamp on every estimated step, so a wild sample cannot park an
+    /// upload for longer than a fixed timer could have.
+    fn longest_backoff_step(&self) -> u64 {
+        let shift = self.config.max_retries.saturating_add(1).min(16);
+        self.config.retry_base.max(1).saturating_mul(1u64 << shift)
+    }
+
     fn check_recipient(&self, client: u64) -> Result<(), ProtoError> {
         if client != self.config.client {
             return Err(ProtoError::WrongRecipient {
@@ -494,26 +587,38 @@ impl Participant {
     }
 
     /// Handles a round verdict: the matching round clears any pending
-    /// upload; verdicts for other rounds are stale broadcasts and ignored.
-    /// A verdict landing mid-resume settles the round (nothing left to
-    /// retransmit) but the negotiation itself still awaits its ack.
-    fn finish_round(&mut self, round: u64) -> Result<Vec<ControlFrame>, ProtoError> {
-        if round == self.round {
-            match self.phase {
-                ParticipantPhase::Training | ParticipantPhase::Uploading => {
-                    self.pending = None;
-                    self.phase = ParticipantPhase::Ready;
-                }
-                ParticipantPhase::Resuming
-                    if matches!(
-                        self.resume_from,
-                        ParticipantPhase::Training | ParticipantPhase::Uploading
-                    ) =>
-                {
-                    self.pending = None;
-                    self.resume_from = ParticipantPhase::Ready;
-                }
-                _ => {}
+    /// upload — and, being the upload's acknowledgement, is the one frame
+    /// that feeds the verdict-latency estimate; verdicts for other rounds
+    /// are stale broadcasts and ignored. A verdict landing mid-resume
+    /// settles the round (nothing left to retransmit) but the negotiation
+    /// itself still awaits its ack.
+    fn finish_round(&mut self, round: u64, now: u64) -> Result<Vec<ControlFrame>, ProtoError> {
+        if round != self.round {
+            return Ok(Vec::new());
+        }
+        let settled = match self.phase {
+            ParticipantPhase::Training | ParticipantPhase::Uploading => {
+                self.phase = ParticipantPhase::Ready;
+                true
+            }
+            ParticipantPhase::Resuming
+                if matches!(
+                    self.resume_from,
+                    ParticipantPhase::Training | ParticipantPhase::Uploading
+                ) =>
+            {
+                self.resume_from = ParticipantPhase::Ready;
+                true
+            }
+            _ => false,
+        };
+        if settled {
+            let acknowledged = self.pending.take().and_then(|pending| pending.first_sent);
+            if let Some(first_sent) = acknowledged {
+                self.verdict_latency = Some(VerdictLatency::sampled(
+                    self.verdict_latency,
+                    now.saturating_sub(first_sent),
+                ));
             }
         }
         Ok(Vec::new())
@@ -761,6 +866,192 @@ mod tests {
         }
         assert_eq!(quiet_sends, vec![3, 7, 15, 31, 63]);
         assert_eq!(noisy_sends, quiet_sends, "inbound noise shifted backoff");
+    }
+
+    fn commit(round: u64) -> ControlFrame {
+        ControlFrame::RoundCommit {
+            round,
+            accepted: vec![7],
+        }
+    }
+
+    /// Drives one round of a ready participant (train_ticks = 3): selected
+    /// at `at`, ticked every tick, the verdict delivered `verdict_after`
+    /// ticks after the first submission (`None` = never; the round is then
+    /// watched for `watch` ticks). Returns the ticks at which the update
+    /// went out.
+    fn upload_ticks(
+        p: &mut Participant,
+        round: u64,
+        at: u64,
+        verdict_after: Option<u64>,
+        watch: u64,
+    ) -> Vec<u64> {
+        p.handle_control(select(round, 7, at), at)
+            .expect("selected");
+        let submit_at = at + 3;
+        let mut sends = Vec::new();
+        for t in at + 1..=at + watch {
+            if verdict_after.is_some_and(|after| t == submit_at + after) {
+                p.handle_control(commit(round), t).expect("verdict");
+                assert_eq!(p.phase(), ParticipantPhase::Ready);
+                break;
+            }
+            if p.tick(t)
+                .iter()
+                .any(|f| matches!(f, ControlFrame::UpdateSubmit { .. }))
+            {
+                sends.push(t);
+            }
+        }
+        sends
+    }
+
+    #[test]
+    fn learned_verdict_latency_stops_resending_behind_a_slow_round() {
+        let mut p = ready_participant();
+        // Round 0 knows nothing: the verdict is 6 ticks out, the fixed
+        // first timeout is 4, so the whole update goes out twice.
+        assert_eq!(upload_ticks(&mut p, 0, 0, Some(6), 100), vec![3, 7]);
+        assert_eq!(p.stats().retries, 1);
+        // Every later round at the same pace sends it exactly once.
+        for round in 1..20u64 {
+            let at = round * 100;
+            assert_eq!(
+                upload_ticks(&mut p, round, at, Some(6), 100),
+                vec![at + 3],
+                "round {round} re-sent behind an on-time verdict"
+            );
+        }
+        assert_eq!(p.stats().submits, 21);
+        assert_eq!(p.stats().retries, 1);
+    }
+
+    #[test]
+    fn a_lost_update_is_still_retransmitted_on_the_learned_schedule() {
+        let mut p = ready_participant();
+        for round in 0..8u64 {
+            upload_ticks(&mut p, round, round * 100, Some(6), 100);
+        }
+        // Samples of 6 settle at srtt = 6 with the deviation decayed to
+        // its integer floor of 3/4 tick: first timeout 6 + 3 = 9.
+        assert_eq!(p.first_upload_timeout(), 9);
+        let retries_before = p.stats().retries;
+        // The verdict never comes: first retransmit one learned timeout
+        // after the submission, then doubling, capped at the longest step
+        // the fixed schedule has (2 · 2^9 = 1024), max_retries in all.
+        let sends = upload_ticks(&mut p, 8, 10_000, None, 10_000);
+        let gaps: Vec<u64> = sends.windows(2).map(|w| w[1] - w[0]).collect();
+        assert_eq!(sends[0], 10_003);
+        assert_eq!(gaps, vec![9, 18, 36, 72, 144, 288, 576, 1024]);
+        assert_eq!(
+            p.stats().retries - retries_before,
+            8,
+            "max_retries bounds it"
+        );
+    }
+
+    #[test]
+    fn only_the_acknowledging_verdict_moves_the_estimate() {
+        let mut learned = ready_participant();
+        upload_ticks(&mut learned, 0, 0, Some(6), 100);
+        let estimate = learned.verdict_latency;
+        assert!(estimate.is_some());
+        // Between rounds: nothing is pending, so nothing is acknowledged.
+        learned.handle_control(ack(7), 50).expect("duplicate ack");
+        learned
+            .handle_control(commit(0), 51)
+            .expect("repeated verdict");
+        learned
+            .handle_control(commit(99), 52)
+            .expect("stale verdict");
+        learned
+            .handle_control(ControlFrame::EpochNotice { epoch: 0, round: 0 }, 53)
+            .expect("stale notice");
+        assert_eq!(learned.verdict_latency, estimate);
+        // Mid-upload: the same noise shifts neither estimate nor schedule.
+        let mut quiet = learned.clone();
+        let mut noisy = learned;
+        for p in [&mut quiet, &mut noisy] {
+            p.handle_control(select(1, 7, 100), 100).expect("selected");
+        }
+        let mut sends = [Vec::new(), Vec::new()];
+        for t in 101..400u64 {
+            if t == 110 {
+                noisy.handle_control(ack(7), t).expect("duplicate ack");
+                noisy.handle_control(commit(0), t).expect("stale verdict");
+                for _ in 0..2 {
+                    noisy
+                        .handle_control(ControlFrame::EpochNotice { epoch: 0, round: 1 }, t)
+                        .expect("repeated notice");
+                }
+            }
+            for (p, sends) in [&mut quiet, &mut noisy].into_iter().zip(&mut sends) {
+                if p.tick(t)
+                    .iter()
+                    .any(|f| matches!(f, ControlFrame::UpdateSubmit { .. }))
+                {
+                    sends.push(t);
+                }
+            }
+        }
+        assert_eq!(noisy.verdict_latency, estimate);
+        // First timeout after one 6-tick sample: 6 + 4·3 = 18.
+        assert_eq!(sends[0], vec![103, 121, 157, 229, 373]);
+        assert_eq!(sends[1], sends[0], "inbound noise shifted the schedule");
+    }
+
+    #[test]
+    fn a_rejoin_forgets_the_learned_latency() {
+        let mut p = ready_participant();
+        upload_ticks(&mut p, 0, 0, Some(40), 100);
+        assert!(p.first_upload_timeout() > 4);
+        p.handle_control(ControlFrame::EpochNotice { epoch: 1, round: 1 }, 60)
+            .expect("notice");
+        p.handle_control(
+            ControlFrame::ResumeAck {
+                client: 7,
+                epoch: 1,
+                resume: false,
+            },
+            61,
+        )
+        .expect("rejoin ordered");
+        p.handle_control(ack(7), 62).expect("rejoined");
+        // Back to the fixed schedule of a first round.
+        assert_eq!(
+            upload_ticks(&mut p, 1, 100, None, 70),
+            vec![103, 107, 115, 131, 163]
+        );
+    }
+
+    #[test]
+    fn identical_tick_stamped_inputs_give_identical_schedules() {
+        // Irregular verdict latencies, one never arriving: two machines fed
+        // the same inputs agree on every send tick and end bit-equal.
+        let script = [
+            Some(6),
+            Some(2),
+            Some(31),
+            None,
+            Some(9),
+            Some(9),
+            Some(1),
+            None,
+        ];
+        let run = || {
+            let mut p = ready_participant();
+            let sends: Vec<Vec<u64>> = (0u64..)
+                .zip(script)
+                .map(|(round, verdict)| upload_ticks(&mut p, round, round * 3_000, verdict, 2_900))
+                .collect();
+            (p, sends)
+        };
+        let (a, a_sends) = run();
+        let (b, b_sends) = run();
+        assert_eq!(a_sends, b_sends);
+        assert_eq!(a, b);
+        assert!(a_sends.iter().all(|sends| !sends.is_empty()));
     }
 
     #[test]

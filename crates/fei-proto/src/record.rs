@@ -21,7 +21,7 @@
 //! Tag values are unique across all three tables by a compile-time
 //! assertion at the bottom of this file.
 
-use fei_net::codec::{decode_frame, encode_frame, len_u32, FRAME_OVERHEAD};
+use fei_net::codec::{encode_frame_with, len_u32, split_frame, FRAME_OVERHEAD};
 use fei_net::CodecError;
 
 use crate::error::ProtoError;
@@ -163,13 +163,14 @@ impl Field for Vec<u64> {
     }
 }
 
-/// Frames a record: version byte, then whatever `put_body` appends, under
-/// `tag` (magic, tag, length, payload, CRC).
-pub(crate) fn encode(tag: u8, encoded_len: usize, put_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(encoded_len.saturating_sub(FRAME_OVERHEAD));
-    payload.push(PROTO_VERSION);
-    put_body(&mut payload);
-    encode_frame(tag, &payload).to_vec()
+/// Appends a framed record to `out`: version byte, then whatever `put_body`
+/// appends, under `tag` (magic, tag, length, payload, CRC) — serialized in
+/// place, so the body is written once and checksummed once.
+pub(crate) fn encode_into(tag: u8, out: &mut Vec<u8>, put_body: impl FnOnce(&mut Vec<u8>)) {
+    encode_frame_with(tag, out, |out| {
+        out.push(PROTO_VERSION);
+        put_body(out);
+    });
 }
 
 /// Unframes one record from the front of `bytes`: checks the CRC, then the
@@ -179,9 +180,9 @@ pub(crate) fn decode<T>(
     bytes: &[u8],
     take_body: impl FnOnce(u8, &mut Reader<'_>) -> Result<T, ProtoError>,
 ) -> Result<(T, usize), ProtoError> {
-    let (frame, consumed) = decode_frame(bytes)?;
+    let (frame, consumed) = split_frame(bytes)?;
     let mut reader = Reader {
-        bytes: &frame.payload,
+        bytes: frame.payload,
         at: 0,
     };
     let version = u8::take(&mut reader)?;
@@ -281,8 +282,17 @@ macro_rules! record_table {
             /// Serializes into one complete frame (magic, tag, length,
             /// version byte, body, CRC).
             pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::with_capacity(self.encoded_len());
+                self.encode_into(&mut out);
+                out
+            }
+
+            /// Appends the [`encode`](Self::encode)d frame to `out`,
+            /// serializing in place (logs append records without an
+            /// intermediate buffer).
+            pub fn encode_into(&self, out: &mut Vec<u8>) {
                 use $crate::record::Field;
-                $crate::record::encode(self.tag(), self.encoded_len(), |out| match self {
+                $crate::record::encode_into(self.tag(), out, |out| match self {
                     $(
                         Self::$variant $({ $($field),* })? => {
                             $($( $field.put(out); )*)?

@@ -59,8 +59,8 @@ fn coordinator_config() -> CoordinatorConfig {
 
 /// Runs a coordinator (in-process) + 3 participant threads over real
 /// localhost sockets until `target_rounds` rounds close.
-fn run_socket_campaign(dir: &Path, target_rounds: u64) -> NodeReport {
-    let mut node_config = CoordinatorNodeConfig::new(coordinator_config());
+fn run_socket_campaign(dir: &Path, config: CoordinatorConfig, target_rounds: u64) -> NodeReport {
+    let mut node_config = CoordinatorNodeConfig::new(config);
     node_config.target_rounds = target_rounds;
     node_config.max_cycles = 30_000;
     let persist = NodePersistence {
@@ -68,7 +68,7 @@ fn run_socket_campaign(dir: &Path, target_rounds: u64) -> NodeReport {
         trace: Some(dir.join("coordinator.trace")),
         port_file: Some(dir.join("coordinator.port")),
     };
-    let mut node =
+    let node =
         CoordinatorNode::start("127.0.0.1:0", node_config, persist).expect("coordinator start");
     let addr = node.local_addr().expect("local addr");
 
@@ -103,7 +103,7 @@ fn run_socket_campaign(dir: &Path, target_rounds: u64) -> NodeReport {
 #[test]
 fn socket_run_matches_oracle_replay_bit_for_bit() {
     let dir = temp_dir("oracle");
-    let report = run_socket_campaign(&dir, 5);
+    let report = run_socket_campaign(&dir, coordinator_config(), 5);
 
     // The campaign actually did federated learning over TCP.
     assert!(report.audit.round_log.len() >= 5, "five rounds must close");
@@ -164,11 +164,20 @@ fn socket_run_matches_oracle_replay_bit_for_bit() {
 #[test]
 fn socket_run_agrees_with_the_cluster_oracle() {
     let dir = temp_dir("cluster");
-    let report = run_socket_campaign(&dir, 5);
+    // Quorum = fleet for this comparison: the node opens a round as soon
+    // as a quorum is live, and over real sockets the three joins land in
+    // scheduler order — with quorum 2 the first round could open on
+    // whichever two arrived first, where the simulated fleet joins as one.
+    // Waiting for all three makes round 0's roster the oracle's.
+    let config = CoordinatorConfig {
+        quorum: 3,
+        ..coordinator_config()
+    };
+    let report = run_socket_campaign(&dir, config.clone(), 5);
 
     // The deterministic harness runs the same protocol configuration on
     // a quiet simulated network.
-    let oracle = Cluster::new(ClusterConfig::quiet(coordinator_config(), 3, 5)).run();
+    let oracle = Cluster::new(ClusterConfig::quiet(config, 3, 5)).run();
     assert!(oracle.liveness_ok() && oracle.safety_ok());
 
     assert!(oracle.round_log.len() >= 5);
