@@ -31,8 +31,9 @@ fn bench_inference(c: &mut Criterion) {
     c.bench_function("loss_eval_500", |b| {
         b.iter(|| black_box(&model).loss(black_box(&data)));
     });
-    c.bench_function("accuracy_eval_500", |b| {
-        b.iter(|| fei_ml::accuracy(black_box(&model), black_box(&data)));
+    // Loss and accuracy from the one forward pass per sample.
+    c.bench_function("evaluation_500", |b| {
+        b.iter(|| fei_ml::Evaluation::of(black_box(&model), black_box(&data)));
     });
 }
 

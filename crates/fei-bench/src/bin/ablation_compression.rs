@@ -268,7 +268,7 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for tier in TIERS {
-        let (engine, steady_delta) = run_tier(&sizes, tier);
+        let (mut engine, steady_delta) = run_tier(&sizes, tier);
         let params = engine.global_model().to_flat().to_vec();
         let payload_bytes = tier.payload_len(params.len());
         let stats = engine.transport_stats();
@@ -342,9 +342,8 @@ fn main() {
     ));
     report.push_str("}\n");
     print!("{report}");
-    std::fs::write("BENCH_compression.json", &report)
+    fei_bench::write_bench_report("compression", smoke, &report)
         .expect("failed to write BENCH_compression.json");
-    println!("\nwrote BENCH_compression.json");
 
     println!(
         "\nreading: q8+delta moves {reduction:.1}x fewer uplink bytes than lossless\n\

@@ -275,8 +275,8 @@ fn main() {
     json.push_str(&format!("  \"all_ok\": {all_ok}\n"));
     json.push_str("}\n");
     print!("{json}");
-    std::fs::write("BENCH_chaos_soak.json", &json).expect("failed to write BENCH_chaos_soak.json");
-    println!("\nwrote BENCH_chaos_soak.json");
+    fei_bench::write_bench_report("chaos_soak", smoke, &json)
+        .expect("failed to write BENCH_chaos_soak.json");
 
     println!(
         "\nreading: liveness means every round closed — commit or abort — inside\n\

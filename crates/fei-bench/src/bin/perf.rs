@@ -1,7 +1,8 @@
 //! Perf-regression harness: kernel microbenches + headline round timing.
 //!
 //! Times the deterministic fast-path kernels (lane-unrolled dot, packed
-//! matmul / `matmul_tn`, fused axpy+shrink, fused gradient, slicing CRC32)
+//! matmul / `matmul_tn`, fused axpy+shrink, fused gradient, slicing CRC32,
+//! single-pass evaluation, the `E = 1` local job)
 //! against the naive reference implementations they replaced, then times a full
 //! headline-config federated round under both gradient paths
 //! ([`GradReduction::Naive`] vs [`GradReduction::FusedSerial`]) with
@@ -15,9 +16,12 @@
 //! [`GradScratch`] / [`MatScratch`] event counters.
 //!
 //! Results are printed as a table and written to `BENCH_perf.json`
-//! (schema `BENCH_perf.v2`, documented in EXPERIMENTS.md). Gates:
+//! (schema `BENCH_perf.v2`, documented in EXPERIMENTS.md; a `--smoke` run
+//! writes `target/bench/BENCH_perf.json` and leaves the committed file
+//! alone). Gates:
 //! per-kernel speedup floors (matmul >= 2.0, matmul_tn >= 2.0,
-//! axpy_shrink >= 1.6, crc32 >= 3.0) and zero steady-state scratch allocations are
+//! axpy_shrink >= 1.6, crc32 >= 3.0, evaluate >= 1.6) and zero steady-state
+//! scratch allocations are
 //! enforced in every mode; the headline `round.speedup_vs_naive >= 1.5`
 //! gate applies to the full configuration only (smoke rounds are too
 //! short to time reliably). EXPERIMENTS.md records why the kernel floors
@@ -33,9 +37,12 @@ use std::time::Instant;
 
 use fei_bench::{banner, section};
 use fei_data::{Dataset, SyntheticMnist, SyntheticMnistConfig};
+use fei_math::func::log_sum_exp;
 use fei_math::pack::MatScratch;
 use fei_math::{reduce, Matrix};
-use fei_ml::{GradReduction, GradScratch, LogisticRegression, Model, SgdConfig};
+use fei_ml::{
+    Evaluation, GradReduction, GradScratch, LocalTrainer, LogisticRegression, Model, SgdConfig,
+};
 use fei_net::codec::{crc32, crc32_reference};
 use fei_testbed::{FlExperiment, FlExperimentConfig};
 
@@ -79,13 +86,16 @@ const FULL: Sizes = Sizes {
     rounds: 5,
 };
 
-/// Seconds-scale configuration for the CI smoke step. The axpy length is
-/// NOT scaled down: the kernel is microseconds-scale already and the gate
-/// is calibrated at the trainer's real update shape.
+/// Seconds-scale configuration for the CI smoke step. A gated kernel keeps
+/// the shape its floor was calibrated at: the axpy length is NOT scaled
+/// down (microseconds-scale already, gated at the trainer's real update
+/// shape), and neither is the matmul side — at 96 the packing overhead is
+/// a larger share and the ratio has read as low as 1.88x on a CI-class VM,
+/// under the 2.0x floor that 256 clears; both run in well under a second.
 const SMOKE: Sizes = Sizes {
     vec_len: 1 << 12,
     axpy_len: 7840,
-    mat_dim: 96,
+    mat_dim: 256,
     grad_samples: 256,
     kernel_reps: 11,
     devices: 5,
@@ -377,6 +387,103 @@ fn bench_gradient(sizes: &Sizes) -> (KernelRow, ScratchCounters) {
     (row, ScratchCounters { warm, steady_delta })
 }
 
+/// A 784 -> 10 model a few epochs into training on `data`: real logits,
+/// not the zero model's uniform softmax.
+fn trained_model(data: &Dataset) -> LogisticRegression {
+    let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
+    LocalTrainer::new(SgdConfig::paper_default()).train(&mut model, data, 3, 0);
+    model
+}
+
+/// Loss and accuracy of the global model on the headline test set
+/// (2 000 x 784, the same in smoke mode — the gate is calibrated there):
+/// the pre-single-pass two calls, rebuilt from the single-sample API (an
+/// allocating `logits` pass for the loss, a `predict` pass for the
+/// accuracy), vs `Evaluation::of`'s one buffer-reusing pass.
+fn bench_evaluate(sizes: &Sizes) -> KernelRow {
+    const TEST_SAMPLES: usize = 2000;
+    fn two_calls(model: &LogisticRegression, data: &Dataset) -> Evaluation {
+        let mut total = 0.0;
+        for (x, y) in data.iter() {
+            let logits = model.logits(x);
+            total += log_sum_exp(&logits) - logits[y];
+        }
+        let correct = data.iter().filter(|(x, y)| model.predict(x) == *y).count();
+        Evaluation {
+            loss: total / data.len() as f64,
+            accuracy: correct as f64 / data.len() as f64,
+        }
+    }
+
+    let data = SyntheticMnist::new(SyntheticMnistConfig::default()).generate(TEST_SAMPLES, 1);
+    let model = trained_model(&data);
+    let (reference, single) = (two_calls(&model, &data), Evaluation::of(&model, &data));
+    assert_eq!(
+        (reference.loss.to_bits(), reference.accuracy.to_bits()),
+        (single.loss.to_bits(), single.accuracy.to_bits()),
+        "single-pass evaluation must reproduce the two calls bit for bit"
+    );
+    let baseline_ns = min_ns(sizes.kernel_reps, || {
+        black_box(two_calls(black_box(&model), black_box(&data)));
+    });
+    let fast_ns = min_ns(sizes.kernel_reps, || {
+        black_box(Evaluation::of(black_box(&model), black_box(&data)));
+    });
+    KernelRow {
+        name: "evaluate",
+        size: format!("{TEST_SAMPLES} samples"),
+        reps: sizes.kernel_reps,
+        baseline_ns,
+        fast_ns,
+        // Half the forward passes, each a little cheaper (paired striped
+        // dots into a reused row vs one allocating dot per class):
+        // measured 2.4-2.6x on the 2-core VM. 1.6x catches the return of
+        // the second pass.
+        gate: Some(1.6),
+        throughput: TEST_SAMPLES as f64 / (fast_ns * 1e-9),
+        throughput_unit: "sample/s",
+    }
+}
+
+/// One `E = 1` local job on a headline-sized client (150 x 784, the same in
+/// smoke mode): the pre-derivation composition — loss pass, gradient step,
+/// loss pass — vs `train_with`, which reads the initial loss off the step.
+/// Reported, not gated: the job is the planner's small-`E` corner, and the
+/// ratio it can reach is bounded by 3 forwards + 1 backward over 2 + 1.
+fn bench_local_job(sizes: &Sizes) -> KernelRow {
+    const CLIENT_SAMPLES: usize = 150;
+    let data = SyntheticMnist::new(SyntheticMnistConfig::default()).generate(CLIENT_SAMPLES, 3);
+    let global = trained_model(&data);
+    let indices: Vec<usize> = (0..data.len()).collect();
+    let config = SgdConfig::paper_default();
+    let lr = config.lr_for_round(0);
+    let trainer = LocalTrainer::new(config);
+    let mut scratch = GradScratch::new();
+    let reps = sizes.kernel_reps.max(31);
+    let baseline_ns = min_ns(reps, || {
+        let mut local = black_box(&global).clone();
+        let initial = local.loss_with(&data, &mut scratch);
+        local.loss_and_gradient_into(&data, &indices, &mut scratch);
+        local.apply_gradient_decayed(scratch.grad(), lr, 0.0);
+        black_box((initial, local.loss_with(&data, &mut scratch), local));
+    });
+    let fast_ns = min_ns(reps, || {
+        let mut local = black_box(&global).clone();
+        let stats = trainer.train_with(&mut local, &data, 1, 0, &mut scratch);
+        black_box((stats, local));
+    });
+    KernelRow {
+        name: "local_job_e1",
+        size: format!("{CLIENT_SAMPLES} samples"),
+        reps,
+        baseline_ns,
+        fast_ns,
+        gate: None,
+        throughput: CLIENT_SAMPLES as f64 / (fast_ns * 1e-9),
+        throughput_unit: "sample/s",
+    }
+}
+
 /// Builds the end-to-end experiment with evaluation disabled and the given
 /// gradient path.
 fn round_experiment(sizes: &Sizes, grad: GradReduction) -> FlExperiment {
@@ -542,6 +649,8 @@ fn main() {
     let (grad_row, grad_counters) = bench_gradient(&sizes);
     kernels.push(grad_row);
     kernels.push(bench_crc32());
+    kernels.push(bench_evaluate(&sizes));
+    kernels.push(bench_local_job(&sizes));
     for row in &kernels {
         println!(
             "{:>12} {:>16} {:>12} {:>12} {:>8.2}x {:>6} {:>13.3e} {}",
@@ -589,8 +698,7 @@ fn main() {
         &grad_counters,
         &round,
     );
-    std::fs::write("BENCH_perf.json", &report).expect("failed to write BENCH_perf.json");
-    println!("\nwrote BENCH_perf.json");
+    fei_bench::write_bench_report("perf", smoke, &report).expect("failed to write BENCH_perf.json");
 
     // Gates. Per-kernel speedups and zero steady-state allocations are
     // enforced in every mode (the smoke lane runs them in CI); the

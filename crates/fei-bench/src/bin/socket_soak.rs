@@ -325,9 +325,8 @@ fn main() {
     json.push_str(&format!("  \"all_ok\": {all_ok}\n"));
     json.push_str("}\n");
     print!("{json}");
-    std::fs::write("BENCH_socket_soak.json", &json)
+    fei_bench::write_bench_report("socket_soak", smoke, &json)
         .expect("failed to write BENCH_socket_soak.json");
-    println!("\nwrote BENCH_socket_soak.json");
 
     println!(
         "\nreading: every campaign ran the real protocol over real localhost\n\

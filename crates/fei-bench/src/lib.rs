@@ -142,6 +142,24 @@ pub fn section(title: &str) {
     println!("\n--- {title} ---");
 }
 
+/// Writes a bin's `BENCH_<name>.json` report and prints where it went.
+///
+/// A full run refreshes the committed record at the working directory's
+/// root. A `--smoke` run is a verification pass, not a record: its
+/// seconds-scale numbers go under `target/bench/` (ignored by git, uploaded
+/// from there by CI), so checking a change never dirties the tree.
+pub fn write_bench_report(name: &str, smoke: bool, json: &str) -> std::io::Result<()> {
+    let path = if smoke {
+        std::fs::create_dir_all("target/bench")?;
+        format!("target/bench/BENCH_{name}.json")
+    } else {
+        format!("BENCH_{name}.json")
+    };
+    std::fs::write(&path, json)?;
+    println!("\nwrote {path}");
+    Ok(())
+}
+
 /// Renders a crude ASCII sparkline of `values` scaled into `height` rows —
 /// enough to see the Fig. 3 power plateaus in a terminal.
 pub fn sparkline(values: &[f64], width: usize) -> String {

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use fei_data::Dataset;
-use fei_ml::{Evaluation, LogisticRegression, Model, SgdConfig, TrainStats};
+use fei_ml::{Evaluation, GradScratch, LogisticRegression, Model, SgdConfig, TrainStats};
 use fei_net::wire::WireConfig;
 use fei_proto::{control_round_bytes, DeviceReport, RoundMachine, RoundPolicy};
 use fei_sim::DetRng;
@@ -253,6 +253,10 @@ pub struct RoundDriver<M: Model, X: Executor> {
     /// Transport totals, summed from the frame bytes the executor reports.
     transport: TransportStats,
     round: usize,
+    /// Workspace of the coordinator-side evaluation passes, reused across
+    /// rounds: an evaluated round forwards `Σ n_k + n_test` samples through
+    /// it, each once, and allocates nothing once it is warm.
+    eval: GradScratch,
     pub(crate) exec: X,
 }
 
@@ -338,6 +342,7 @@ impl<M: Model, X: Executor> RoundDriver<M, X> {
             adversary: None,
             transport: TransportStats::default(),
             round: 0,
+            eval: GradScratch::new(),
             exec,
         }
     }
@@ -442,19 +447,20 @@ impl<M: Model, X: Executor> RoundDriver<M, X> {
 
     /// Loss of the current global model over the union of all client data
     /// (the "global loss value" of Fig. 4).
-    pub fn global_train_loss(&self) -> f64 {
+    pub fn global_train_loss(&mut self) -> f64 {
         let total: usize = self.clients.iter().map(|c| c.len()).sum();
         let weighted: f64 = self
             .clients
             .iter()
-            .map(|c| self.global.loss(c) * c.len() as f64)
+            .map(|c| self.global.loss_with(c, &mut self.eval) * c.len() as f64)
             .sum();
         weighted / total as f64
     }
 
-    /// Test-set evaluation of the current global model.
-    pub fn evaluate(&self) -> Evaluation {
-        Evaluation::of(&self.global, &self.test)
+    /// Test-set evaluation of the current global model: loss and accuracy
+    /// from one forward pass per test sample.
+    pub fn evaluate(&mut self) -> Evaluation {
+        self.global.evaluate_with(&self.test, &mut self.eval)
     }
 
     /// Executes one global round (§III-A steps 2–4) and returns its record.
@@ -834,6 +840,43 @@ pub(crate) mod tests {
         let final_rec = history.last().unwrap();
         assert!(final_rec.global_train_loss.unwrap() < initial_loss * 0.7);
         assert!(final_rec.test_eval.unwrap().accuracy > initial_acc);
+    }
+
+    #[test]
+    fn an_evaluated_round_forwards_every_sample_once_without_allocating() {
+        // 5 clients x 60 samples, 75 test samples, K = 2, E = 3, evaluated
+        // every second round.
+        let (clients, test) = setup(5, 300);
+        let (n_train, n_test) = (300u64, test.len() as u64);
+        let per_client = clients[0].len() as u64;
+        let config = FedAvgConfig {
+            clients_per_round: 2,
+            local_epochs: 3,
+            eval_every: 2,
+            ..Default::default()
+        };
+
+        fn check<X: Executor>(fed: &mut RoundDriver<LogisticRegression, X>, per_round: u64) {
+            fed.run_until(StopCondition::rounds(2));
+            let warm = fed.eval.allocations();
+            assert_eq!(fed.eval.forward_passes(), per_round);
+            let history = fed.run_until(StopCondition::rounds(6));
+            assert_eq!(history.accuracy_curve().len(), 3);
+            assert_eq!(fed.eval.forward_passes(), 4 * per_round);
+            assert_eq!(fed.eval.allocations(), warm);
+        }
+        let mut serial = FedAvg::new(config.clone(), clients.clone(), test.clone());
+        check(&mut serial, n_train + n_test);
+        let mut threaded = RoundDriver::<_, Framed>::new(config, clients, test);
+        check(&mut threaded, n_train + n_test);
+
+        // Device side of the same rounds: each of the K jobs forwards its
+        // n_k samples E + 1 times — E gradient steps and the final-loss
+        // pass; the initial loss rides on the first step.
+        assert_eq!(
+            serial.exec.scratch.forward_passes(),
+            8 * 2 * (3 + 1) * per_client
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use fei_data::Dataset;
 use serde::{Deserialize, Serialize};
 
+use crate::scratch::GradScratch;
 use crate::traits::Model;
 
 /// Classification accuracy of `model` on `data`, in `[0, 1]`.
@@ -22,9 +23,7 @@ use crate::traits::Model;
 /// assert_eq!(accuracy(&model, &data), 1.0);
 /// ```
 pub fn accuracy<M: Model>(model: &M, data: &Dataset) -> f64 {
-    assert!(!data.is_empty(), "accuracy over empty dataset");
-    let correct = data.iter().filter(|(x, y)| model.predict(x) == *y).count();
-    correct as f64 / data.len() as f64
+    Evaluation::of(model, data).accuracy
 }
 
 /// A paired loss/accuracy measurement of a model on a dataset — one point of
@@ -38,16 +37,14 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Evaluates `model` on `data`.
+    /// Evaluates `model` on `data` ([`Model::evaluate_with`] against a
+    /// throwaway workspace; callers in a loop hold a [`GradScratch`]).
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or shapes mismatch.
     pub fn of<M: Model>(model: &M, data: &Dataset) -> Self {
-        Self {
-            loss: model.loss(data),
-            accuracy: accuracy(model, data),
-        }
+        model.evaluate_with(data, &mut GradScratch::new())
     }
 }
 
@@ -85,6 +82,24 @@ mod tests {
         let eval = Evaluation::of(&model, &data);
         assert!((eval.loss - (2.0f64).ln()).abs() < 1e-12);
         assert_eq!(eval.accuracy, 0.5);
+    }
+
+    #[test]
+    fn models_without_a_single_pass_are_evaluated_by_the_two_calls() {
+        // The Mlp takes the trait's default: `loss`, then `predict` per
+        // sample.
+        let data = Dataset::from_parts(
+            2,
+            vec![0.0, 0.1, 0.9, 1.0, 0.2, 0.8, 1.0, 0.0, 0.4, 0.6],
+            vec![0, 1, 1, 0, 1],
+            2,
+        );
+        let mlp = crate::Mlp::new(2, 4, 2, 11);
+        let correct = data.iter().filter(|(x, y)| mlp.predict(x) == *y).count();
+        let eval = Evaluation::of(&mlp, &data);
+        assert_eq!(eval.loss.to_bits(), mlp.loss(&data).to_bits());
+        assert_eq!(eval.accuracy.to_bits(), (correct as f64 / 5.0).to_bits());
+        assert_eq!(accuracy(&mlp, &data).to_bits(), eval.accuracy.to_bits());
     }
 
     #[test]

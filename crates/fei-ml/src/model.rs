@@ -9,6 +9,7 @@ use fei_math::pack::{packed_gemm, AOrder};
 use fei_math::reduce;
 use serde::{Deserialize, Serialize};
 
+use crate::metrics::Evaluation;
 use crate::pool::WorkerPool;
 use crate::scratch::{BandState, ChunkWork, GradScratch};
 
@@ -116,7 +117,11 @@ impl LogisticRegression {
         self.params[self.num_classes * self.dim + class]
     }
 
-    /// Raw logits `W x + b` for one sample.
+    /// Raw logits `W x + b` for one sample. With
+    /// [`LogisticRegression::predict_proba`] and
+    /// [`LogisticRegression::predict`] this is the single-sample API;
+    /// anything that walks a dataset goes through the buffer-reusing
+    /// [`LogisticRegression::evaluate_with`] or the gradient kernels.
     ///
     /// # Panics
     ///
@@ -158,43 +163,56 @@ impl LogisticRegression {
         argmax(&self.logits(x))
     }
 
-    /// Mean cross-entropy loss over a dataset (the local loss `F_k`, Eq. 1).
+    /// Mean cross-entropy loss (the local loss `F_k`, Eq. 1) and accuracy
+    /// over a dataset, from **one** forward pass per sample — the crate's
+    /// only dataset-level forward loop outside the gradient kernels. Logits
+    /// land in the workspace's reused row (paired striped dots, no
+    /// allocation once `scratch` is warm); the loss terms go into a single
+    /// accumulator in sample order and are divided by `n`, and a sample
+    /// counts as correct when [`argmax`] (first on ties) hits its label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset is empty or its shape mismatches the model.
+    pub fn evaluate_with(&self, data: &Dataset, scratch: &mut GradScratch) -> Evaluation {
+        assert!(!data.is_empty(), "evaluation over empty dataset");
+        self.check_shape(data);
+        let work = scratch.work();
+        work.forward_passes += data.len() as u64;
+        let logits = work.logits_row(self.num_classes);
+        let mut total = 0.0;
+        let mut correct = 0usize;
+        for (x, y) in data.iter() {
+            self.logits_into(x, logits);
+            total += log_sum_exp(logits) - logits[y];
+            correct += usize::from(argmax(logits) == y);
+        }
+        let n = data.len() as f64;
+        Evaluation {
+            loss: total / n,
+            accuracy: correct as f64 / n,
+        }
+    }
+
+    /// The loss half of [`LogisticRegression::evaluate_with`] against a
+    /// throwaway workspace.
     ///
     /// # Panics
     ///
     /// Panics if the dataset is empty or its shape mismatches the model.
     pub fn loss(&self, data: &Dataset) -> f64 {
-        assert!(!data.is_empty(), "loss over empty dataset");
-        self.check_shape(data);
-        let mut total = 0.0;
-        for (x, y) in data.iter() {
-            let logits = self.logits(x);
-            total += log_sum_exp(&logits) - logits[y];
-        }
-        total / data.len() as f64
+        self.loss_with(data, &mut GradScratch::new())
     }
 
-    /// [`LogisticRegression::loss`] against a reused workspace: same
-    /// sample-ascending accumulation and the same (striped) dot kernel, but
-    /// zero heap allocations once `scratch` is warm. Bit-identical to
-    /// [`LogisticRegression::loss`] — the fused trainer paths use it for
-    /// their before/after loss measurements.
+    /// The loss half of [`LogisticRegression::evaluate_with`]: what the
+    /// trainer and the round driver call against their long-lived
+    /// workspaces.
     ///
     /// # Panics
     ///
     /// Panics if the dataset is empty or its shape mismatches the model.
     pub fn loss_with(&self, data: &Dataset, scratch: &mut GradScratch) -> f64 {
-        assert!(!data.is_empty(), "loss over empty dataset");
-        self.check_shape(data);
-        let nc = self.num_classes;
-        let work = scratch.loss_work(nc);
-        let logits = &mut work.logits[..nc];
-        let mut total = 0.0;
-        for (x, y) in data.iter() {
-            self.logits_into(x, logits);
-            total += log_sum_exp(logits) - logits[y];
-        }
-        total / data.len() as f64
+        self.evaluate_with(data, scratch).loss
     }
 
     /// Mean cross-entropy loss and its gradient over `indices` of `data`
@@ -253,16 +271,21 @@ impl LogisticRegression {
     /// scratch buffers, with zero heap allocations once `scratch` is warm.
     ///
     /// The batch is split into fixed [`GRAD_CHUNK`]-sample chunks; each chunk
-    /// accumulates an unnormalized partial gradient and loss, and the
-    /// partials are combined by the fixed pairwise tree in
-    /// [`fei_math::reduce`]. This is the serial reference: every chunk runs
-    /// on the calling thread. Each chunk's arithmetic and the combination
-    /// schedule are pure functions of `indices.len()`, which is what lets
+    /// accumulates an unnormalized partial gradient and records its
+    /// samples' loss terms, and the partials are combined by the fixed
+    /// pairwise tree in [`fei_math::reduce`]. This is the serial reference:
+    /// every chunk runs on the calling thread. Each chunk's arithmetic and
+    /// the combination schedule are pure functions of `indices.len()`,
+    /// which is what lets
     /// [`LogisticRegression::pooled_loss_and_gradient_into`] deal the same
     /// chunks to pool workers and land on **the same bits for every pool
     /// size**.
     ///
-    /// Returns the mean loss; the mean gradient is left in `scratch.grad()`.
+    /// Returns the mean loss of the batch under the current parameters —
+    /// the recorded per-sample terms summed in batch order and divided by
+    /// their count, so over the identity batch it equals
+    /// [`LogisticRegression::loss_with`] bit for bit. The mean gradient is
+    /// left in `scratch.grad()`.
     ///
     /// # Panics
     ///
@@ -277,27 +300,28 @@ impl LogisticRegression {
         self.check_shape(data);
         let np = self.params.len();
         let n_chunks = indices.len().div_ceil(GRAD_CHUNK);
-        let (partials, losses, work) = scratch.prepare(np, self.num_classes, n_chunks);
-        for ((chunk, part), loss) in indices
+        let (partials, terms, work) =
+            scratch.prepare(np, self.num_classes, n_chunks, indices.len());
+        for ((chunk, part), terms) in indices
             .chunks(GRAD_CHUNK)
             .zip(partials.chunks_mut(np))
-            .zip(losses.iter_mut())
+            .zip(terms.chunks_mut(GRAD_CHUNK))
         {
-            *loss = self.grad_chunk_into(data, chunk, part, work);
+            self.grad_chunk_into(data, chunk, part, terms, work);
         }
-        scratch.reduce_mean(np, n_chunks, indices.len())
+        scratch.reduce_mean(np, n_chunks)
     }
 
     /// One chunk of the fused kernel: accumulates the unnormalized gradient
-    /// of `chunk` into `out` and returns the unnormalized loss sum. Pure in
-    /// `(self, data, chunk)`, which is what makes chunk-to-thread assignment
-    /// irrelevant to the result.
+    /// of `chunk` into `out` and writes each sample's loss term into
+    /// `terms`. Pure in `(self, data, chunk)`, which is what makes
+    /// chunk-to-thread assignment irrelevant to the result.
     ///
     /// Two phases. **Phase A** walks the chunk's samples in order: logits
-    /// (paired striped dots), loss, softmax, the error row `E[s, ·]`, and
-    /// the bias gradients. **Phase B** accumulates the whole weight-block
-    /// gradient as one packed GEMM, `G += Eᵀ X`, over the chunk's sample
-    /// rows. The packed kernel adds contributions `k`(=sample)-ascending
+    /// (paired striped dots), the loss term, softmax, the error row
+    /// `E[s, ·]`, and the bias gradients. **Phase B** accumulates the whole
+    /// weight-block gradient as one packed GEMM, `G += Eᵀ X`, over the
+    /// chunk's sample rows. The packed kernel adds contributions `k`(=sample)-ascending
     /// per output element with an exact per-`(i, k)` zero skip on `E` —
     /// precisely the order and skip of the historical per-sample loop — so
     /// the restructure changes throughput, not a single output bit.
@@ -306,13 +330,14 @@ impl LogisticRegression {
         data: &Dataset,
         chunk: &[usize],
         out: &mut [f64],
+        terms: &mut [f64],
         work: &mut ChunkWork,
-    ) -> f64 {
+    ) {
         let nc = self.num_classes;
         let dim = self.dim;
         let bias_base = nc * dim;
         let m = chunk.len();
-        let mut loss_sum = 0.0;
+        work.forward_passes += m as u64;
 
         // Phase A: per-sample logits → loss → softmax → error row + bias grad.
         for (s, &i) in chunk.iter().enumerate() {
@@ -320,7 +345,7 @@ impl LogisticRegression {
             let y = data.label(i);
             let logits = &mut work.logits[..nc];
             self.logits_into(x, logits);
-            loss_sum += log_sum_exp(logits) - logits[y];
+            terms[s] = log_sum_exp(logits) - logits[y];
             softmax_in_place(logits);
             for c in 0..nc {
                 let err = work.logits[c] - f64::from(u8::from(c == y));
@@ -369,7 +394,6 @@ impl LogisticRegression {
                 &mut work.pack,
             );
         }
-        loss_sum
     }
 
     /// [`LogisticRegression::fused_loss_and_gradient_into`] on a persistent
@@ -405,7 +429,7 @@ impl LogisticRegression {
         if workers <= 1 {
             return self.fused_loss_and_gradient_into(data, indices, scratch);
         }
-        scratch.prepare_pooled(np, n_chunks, workers);
+        scratch.prepare_pooled(np, n_chunks, indices.len(), workers);
         let snapshot = scratch.refresh_snapshot(self);
 
         let base = n_chunks / workers;
@@ -454,7 +478,7 @@ impl LogisticRegression {
             std::panic::resume_unwind(payload);
         }
 
-        scratch.reduce_mean(np, n_chunks, indices.len())
+        scratch.reduce_mean(np, n_chunks)
     }
 
     /// Computes one band of chunks into `state` (the pool-worker side of
@@ -464,17 +488,17 @@ impl LogisticRegression {
         let np = self.params.len();
         let BandState {
             partials,
-            losses,
+            terms,
             indices,
             work,
             ..
         } = state;
-        for ((chunk, part), loss) in indices
+        for ((chunk, part), terms) in indices
             .chunks(GRAD_CHUNK)
             .zip(partials.chunks_mut(np))
-            .zip(losses.iter_mut())
+            .zip(terms.chunks_mut(GRAD_CHUNK))
         {
-            *loss = self.grad_chunk_into(data, chunk, part, work);
+            self.grad_chunk_into(data, chunk, part, terms, work);
         }
     }
 
@@ -639,6 +663,10 @@ impl crate::traits::Model for LogisticRegression {
 
     fn loss_with(&self, data: &Dataset, scratch: &mut GradScratch) -> f64 {
         LogisticRegression::loss_with(self, data, scratch)
+    }
+
+    fn evaluate_with(&self, data: &Dataset, scratch: &mut GradScratch) -> Evaluation {
+        LogisticRegression::evaluate_with(self, data, scratch)
     }
 
     fn loss_and_gradient_pooled(
@@ -900,22 +928,110 @@ mod tests {
         assert_eq!(no_decay.to_flat(), plain.to_flat());
     }
 
+    /// Sizes around the GRAD_CHUNK = 64 boundaries, plus a single sample.
+    const EDGE_SIZES: [usize; 6] = [1, 63, 64, 65, 130, 333];
+
+    /// Loss and accuracy the pre-single-pass way, from the single-sample
+    /// API: one pass of allocating `logits` for the loss, a second pass of
+    /// `predict` for the accuracy.
+    pub(super) fn two_call_reference(model: &LogisticRegression, data: &Dataset) -> Evaluation {
+        let mut total = 0.0;
+        for (x, y) in data.iter() {
+            let logits = model.logits(x);
+            total += log_sum_exp(&logits) - logits[y];
+        }
+        let correct = data.iter().filter(|(x, y)| model.predict(x) == *y).count();
+        Evaluation {
+            loss: total / data.len() as f64,
+            accuracy: correct as f64 / data.len() as f64,
+        }
+    }
+
+    fn assert_same_bits(got: Evaluation, want: Evaluation, what: &str) {
+        assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "loss, {what}");
+        assert_eq!(
+            got.accuracy.to_bits(),
+            want.accuracy.to_bits(),
+            "accuracy, {what}"
+        );
+    }
+
     #[test]
-    fn loss_with_bit_identical_to_loss() {
+    fn single_pass_evaluation_matches_the_two_call_reference_bits() {
+        let mut scratch = GradScratch::new();
+        // Even and odd class counts: the odd one exercises the single-row
+        // tail of logits_into.
+        for (dim, classes) in [(11, 4), (7, 3)] {
+            let model = warm_model(dim, classes);
+            for n in EDGE_SIZES {
+                let data = chunky_dataset(n, dim, classes);
+                let want = two_call_reference(&model, &data);
+                let what = format!("n = {n}, {classes} classes");
+                assert_same_bits(model.evaluate_with(&data, &mut scratch), want, &what);
+                assert_same_bits(Evaluation::of(&model, &data), want, &what);
+                assert_eq!(model.loss(&data).to_bits(), want.loss.to_bits(), "{what}");
+                assert_eq!(
+                    model.loss_with(&data, &mut scratch).to_bits(),
+                    want.loss.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(
+                    crate::accuracy(&model, &data).to_bits(),
+                    want.accuracy.to_bits(),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn evaluation_counts_one_forward_pass_per_sample_and_stays_allocation_free() {
         let data = chunky_dataset(130, 11, 5);
         let model = warm_model(11, 5);
         let mut scratch = GradScratch::new();
+        model.evaluate_with(&data, &mut scratch);
+        assert_eq!(scratch.forward_passes(), 130);
+        let warm = scratch.allocations();
+        for _ in 0..10 {
+            model.evaluate_with(&data, &mut scratch);
+            model.loss_with(&data, &mut scratch);
+        }
+        assert_eq!(scratch.forward_passes(), 130 * 21);
         assert_eq!(
-            model.loss(&data).to_bits(),
-            model.loss_with(&data, &mut scratch).to_bits()
+            scratch.allocations(),
+            warm,
+            "warm evaluation must not allocate"
         );
-        // Odd class count exercises the single-row tail of logits_into.
-        let data3 = chunky_dataset(70, 7, 3);
-        let model3 = warm_model(7, 3);
-        assert_eq!(
-            model3.loss(&data3).to_bits(),
-            model3.loss_with(&data3, &mut scratch).to_bits()
-        );
+    }
+
+    #[test]
+    fn kernel_loss_is_the_serial_mean_of_its_sample_terms() {
+        // Over the identity batch the kernel's returned loss is loss_with
+        // of the same model, bit for bit, serial and pooled alike; the
+        // recorded terms are the per-sample losses in batch order.
+        let pool = WorkerPool::new(3);
+        for n in EDGE_SIZES {
+            let data = Arc::new(chunky_dataset(n, 9, 4));
+            let model = warm_model(9, 4);
+            let indices: Vec<usize> = (0..n).collect();
+            let want = two_call_reference(&model, &data).loss;
+
+            let mut serial = GradScratch::new();
+            let loss = model.fused_loss_and_gradient_into(&data, &indices, &mut serial);
+            assert_eq!(loss.to_bits(), want.to_bits(), "serial, n = {n}");
+            assert_eq!(serial.forward_passes(), n as u64);
+            for (i, &term) in serial.sample_losses().iter().enumerate() {
+                let logits = model.logits(data.sample(i));
+                let expect = log_sum_exp(&logits) - logits[data.label(i)];
+                assert_eq!(term.to_bits(), expect.to_bits(), "term {i}, n = {n}");
+            }
+
+            let mut pooled = GradScratch::new();
+            let loss = model.pooled_loss_and_gradient_into(&data, &indices, &mut pooled, &pool);
+            assert_eq!(loss.to_bits(), want.to_bits(), "pooled, n = {n}");
+            assert_eq!(pooled.sample_losses(), serial.sample_losses());
+            assert_eq!(pooled.forward_passes(), n as u64);
+        }
     }
 
     #[test]
@@ -1021,6 +1137,25 @@ mod proptests {
             let (before, grad) = m.loss_and_gradient(&data, &[0, 1]);
             m.apply_gradient(&grad, 1e-3);
             prop_assert!(m.loss(&data) <= before + 1e-9);
+        }
+
+        /// One pass yields exactly the loss and accuracy of the two-call
+        /// reference, for any size, shape and parameters.
+        #[test]
+        fn single_pass_evaluation_matches_reference_for_any_model(
+            n in 1usize..200,
+            classes in 2usize..6,
+            scale in 0.1f64..20.0,
+        ) {
+            let dim = 5;
+            let data = super::tests::chunky_dataset(n, dim, classes);
+            let mut model = super::tests::warm_model(dim, classes);
+            let scaled: Vec<f64> = model.to_flat().iter().map(|w| w * scale).collect();
+            model.set_flat(&scaled);
+            let want = super::tests::two_call_reference(&model, &data);
+            let got = model.evaluate_with(&data, &mut GradScratch::new());
+            prop_assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+            prop_assert_eq!(got.accuracy.to_bits(), want.accuracy.to_bits());
         }
 
         /// Pool partitioning is a pure function of chunk count, never

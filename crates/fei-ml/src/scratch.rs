@@ -1,12 +1,14 @@
 //! Preallocated gradient workspace for the fused training fast path.
 //!
 //! Every buffer the fused logistic-regression kernel needs — the flat
-//! gradient, per-chunk partial gradients, per-chunk loss partials, the
+//! gradient, per-chunk partial gradients, the per-sample loss terms, the
 //! calling thread's `ChunkWork` buffers (logits row, error matrix, gather
 //! block, GEMM pack scratch), and the per-worker `BandState`s plus model
 //! snapshot used by the pooled kernel — lives here, so a trainer that reuses one
 //! [`GradScratch`] across epochs (and across rounds) performs **zero heap
-//! allocations per epoch** in steady state. The workspace also counts its own
+//! allocations per epoch** in steady state. The evaluation pass
+//! ([`crate::Model::evaluate_with`]) borrows the same logits row. The
+//! workspace also counts its own
 //! allocation events (including those of the nested
 //! [`fei_math::MatScratch`] pack buffers), which the perf harness reports in
 //! `BENCH_perf.json` (see EXPERIMENTS.md): after warm-up, the counter must
@@ -49,13 +51,21 @@ pub(crate) struct ChunkWork {
     pub(crate) xgather: Vec<f64>,
     /// Pack buffers for the chunk-gradient GEMM.
     pub(crate) pack: MatScratch,
+    /// Samples forwarded through [`ChunkWork::logits`] so far.
+    pub(crate) forward_passes: u64,
     allocations: u64,
 }
 
 impl ChunkWork {
+    /// Sizes the logits row and returns it.
+    pub(crate) fn logits_row(&mut self, num_classes: usize) -> &mut [f64] {
+        ensure_exact(&mut self.logits, num_classes, &mut self.allocations);
+        &mut self.logits
+    }
+
     /// Sizes the fixed-shape buffers (logits row, error matrix).
     pub(crate) fn prepare(&mut self, num_classes: usize) {
-        ensure_exact(&mut self.logits, num_classes, &mut self.allocations);
+        self.logits_row(num_classes);
         ensure_exact(
             &mut self.errs,
             crate::model::GRAD_CHUNK * num_classes,
@@ -76,8 +86,8 @@ impl ChunkWork {
 }
 
 /// Everything one pool worker owns while computing its band of chunks:
-/// partial gradients and loss sums for the band, the band's sample indices,
-/// and its [`ChunkWork`]. The state is `take`n out of the scratch, moved
+/// partial gradients and per-sample loss terms for the band, the band's
+/// sample indices, and its [`ChunkWork`]. The state is `take`n out of the scratch, moved
 /// into the pool job, and returned through the caller's result channel, so
 /// the buffers survive (and stay warm) across gradient steps without any
 /// shared-memory aliasing between workers.
@@ -85,8 +95,8 @@ impl ChunkWork {
 pub(crate) struct BandState {
     /// Flattened per-chunk unnormalized gradients: `band_chunks × num_params`.
     pub(crate) partials: Vec<f64>,
-    /// Per-chunk unnormalized loss sums: `band_chunks` long.
-    pub(crate) losses: Vec<f64>,
+    /// Per-sample loss terms, parallel to `indices`.
+    pub(crate) terms: Vec<f64>,
     /// The band's sample indices (a contiguous slice of the batch order).
     pub(crate) indices: Vec<usize>,
     /// The worker's chunk-loop buffers.
@@ -110,7 +120,7 @@ impl BandState {
             &mut self.allocations,
         );
         self.partials.fill(0.0);
-        ensure_exact(&mut self.losses, band_chunks, &mut self.allocations);
+        ensure_exact(&mut self.terms, band_indices.len(), &mut self.allocations);
         ensure_exact(&mut self.indices, band_indices.len(), &mut self.allocations);
         self.indices.copy_from_slice(band_indices);
         self.work.prepare(num_classes);
@@ -133,9 +143,10 @@ pub struct GradScratch {
     grad: Vec<f64>,
     /// Flattened per-chunk unnormalized gradients: `n_chunks × num_params`.
     partials: Vec<f64>,
-    /// Per-chunk unnormalized loss sums: `n_chunks` long.
-    losses: Vec<f64>,
-    /// Chunk-loop buffers for the serial kernel and the loss pass.
+    /// Per-sample loss terms of the most recent kernel call, in batch
+    /// order: `indices.len()` long.
+    terms: Vec<f64>,
+    /// Chunk-loop buffers for the serial kernel and the evaluation pass.
     work: ChunkWork,
     /// Per-worker band states for the pooled path.
     bands: Vec<BandState>,
@@ -161,6 +172,14 @@ impl GradScratch {
         &self.grad
     }
 
+    /// Each sample's loss term `log_sum_exp(logits) − logits[y]` from the
+    /// most recent kernel call, in batch order. Empty when the model has no
+    /// kernel that records them (the allocating fallback of
+    /// [`crate::Model::loss_and_gradient_into`]).
+    pub(crate) fn sample_losses(&self) -> &[f64] {
+        &self.terms
+    }
+
     /// Number of buffer-growth (heap allocation) events so far, across the
     /// scratch's own vectors, every worker's chunk buffers and GEMM pack
     /// scratch, every pooled band, and the snapshot. Constant in steady
@@ -169,6 +188,19 @@ impl GradScratch {
         self.allocations
             + self.work.allocations()
             + self.bands.iter().map(BandState::allocations).sum::<u64>()
+    }
+
+    /// Samples forwarded through this workspace so far (one count per
+    /// sample per pass: gradient kernel, pooled bands and evaluation
+    /// alike). A pure function of the calls made, so tests pin the number
+    /// of forward passes a job or a round performs independently of timing.
+    pub fn forward_passes(&self) -> u64 {
+        self.work.forward_passes
+            + self
+                .bands
+                .iter()
+                .map(|band| band.work.forward_passes)
+                .sum::<u64>()
     }
 
     /// Grows `buf` to at least `need` elements, counting a heap allocation
@@ -183,73 +215,76 @@ impl GradScratch {
     }
 
     /// Sizes the reduction buffers for `n_chunks` chunks of a `num_params`
-    /// gradient (a no-op once capacity exists).
-    fn ensure_reduction(&mut self, num_params: usize, n_chunks: usize) {
+    /// gradient over `n_samples` samples (a no-op once capacity exists).
+    fn ensure_reduction(&mut self, num_params: usize, n_chunks: usize, n_samples: usize) {
         Self::ensure(&mut self.grad, num_params, &mut self.allocations);
         Self::ensure(
             &mut self.partials,
             n_chunks * num_params,
             &mut self.allocations,
         );
-        Self::ensure(&mut self.losses, n_chunks, &mut self.allocations);
+        ensure_exact(&mut self.terms, n_samples, &mut self.allocations);
     }
 
     /// Sizes every buffer for a serial kernel invocation, zeroes the
-    /// accumulation regions (a fill, not an allocation, once capacity
-    /// exists), and returns `(partials, losses, work)` truncated to the
-    /// call's sizes.
+    /// gradient accumulators (a fill, not an allocation, once capacity
+    /// exists), and returns `(partials, terms, work)` truncated to the
+    /// call's sizes. The kernel overwrites every term, so those are not
+    /// cleared.
     pub(crate) fn prepare(
         &mut self,
         num_params: usize,
         num_classes: usize,
         n_chunks: usize,
+        n_samples: usize,
     ) -> (&mut [f64], &mut [f64], &mut ChunkWork) {
-        self.ensure_reduction(num_params, n_chunks);
+        self.ensure_reduction(num_params, n_chunks, n_samples);
         self.work.prepare(num_classes);
         let partials = &mut self.partials[..n_chunks * num_params];
-        let losses = &mut self.losses[..n_chunks];
         partials.fill(0.0);
-        losses.fill(0.0);
-        (partials, losses, &mut self.work)
+        (partials, &mut self.terms[..], &mut self.work)
     }
 
     /// Closes a kernel invocation, serial or pooled: combines the
     /// `n_chunks` per-chunk partials by the fixed pairwise tree, leaves the
-    /// mean gradient over `n_samples` in [`GradScratch::grad`], and returns
-    /// the mean loss.
-    pub(crate) fn reduce_mean(
-        &mut self,
-        num_params: usize,
-        n_chunks: usize,
-        n_samples: usize,
-    ) -> f64 {
+    /// mean gradient in [`GradScratch::grad`], and returns the mean loss —
+    /// the per-sample terms summed by one accumulator in batch order and
+    /// divided by their count, the crate's one definition of a loss (so
+    /// over the identity batch it is [`crate::Model::loss_with`] to the
+    /// bit).
+    pub(crate) fn reduce_mean(&mut self, num_params: usize, n_chunks: usize) -> f64 {
         let partials = &mut self.partials[..n_chunks * num_params];
         reduce::tree_reduce_into_first(partials, n_chunks, num_params);
-        let total_loss = reduce::tree_reduce_scalars(&mut self.losses[..n_chunks]);
-        let inv_n = 1.0 / n_samples as f64;
+        let n = self.terms.len() as f64;
+        let inv_n = 1.0 / n;
         for (g, &p) in self.grad[..num_params]
             .iter_mut()
             .zip(&partials[..num_params])
         {
             *g = p * inv_n;
         }
-        total_loss * inv_n
+        self.terms.iter().fold(0.0, |total, &term| total + term) / n
     }
 
-    /// The prepared [`ChunkWork`] for single-threaded helpers (the
-    /// buffer-reusing loss pass).
-    pub(crate) fn loss_work(&mut self, num_classes: usize) -> &mut ChunkWork {
-        self.work.prepare(num_classes);
+    /// The calling thread's [`ChunkWork`] (the evaluation pass sizes and
+    /// borrows its logits row).
+    pub(crate) fn work(&mut self) -> &mut ChunkWork {
         &mut self.work
     }
 
     /// Sizes the reduction buffers and band table for a pooled kernel call.
     /// Band partials are zeroed per band in [`BandState::load`]; the main
-    /// `partials`/`losses` regions are fully overwritten by
+    /// `partials`/`terms` regions are fully overwritten by
     /// [`GradScratch::absorb_band`] copies, so they are *not* zero-filled
     /// here.
-    pub(crate) fn prepare_pooled(&mut self, num_params: usize, n_chunks: usize, workers: usize) {
-        self.ensure_reduction(num_params, n_chunks);
+    pub(crate) fn prepare_pooled(
+        &mut self,
+        num_params: usize,
+        n_chunks: usize,
+        n_samples: usize,
+        workers: usize,
+    ) {
+        self.ensure_reduction(num_params, n_chunks, n_samples);
         if self.bands.len() < workers {
             self.allocations += 1;
             self.bands.resize_with(workers, BandState::default);
@@ -261,10 +296,11 @@ impl GradScratch {
         std::mem::take(&mut self.bands[w])
     }
 
-    /// Returns a computed band: copies its partial gradients and loss sums
-    /// into the band's slots of the main reduction buffers (band `w` covers
-    /// chunks `[start_chunk, start_chunk + band_chunks)`) and stores the
-    /// buffers for reuse by the next call.
+    /// Returns a computed band: copies its partial gradients and its loss
+    /// terms into the band's slots of the main reduction buffers (band `w`
+    /// covers chunks `[start_chunk, start_chunk + band_chunks)`, so its
+    /// samples start at `start_chunk * GRAD_CHUNK`) and stores the buffers
+    /// for reuse by the next call.
     pub(crate) fn absorb_band(
         &mut self,
         w: usize,
@@ -276,8 +312,8 @@ impl GradScratch {
         let p0 = start_chunk * num_params;
         let plen = band_chunks * num_params;
         self.partials[p0..p0 + plen].copy_from_slice(&state.partials[..plen]);
-        self.losses[start_chunk..start_chunk + band_chunks]
-            .copy_from_slice(&state.losses[..band_chunks]);
+        let s0 = start_chunk * crate::model::GRAD_CHUNK;
+        self.terms[s0..s0 + state.terms.len()].copy_from_slice(&state.terms);
         self.bands[w] = state;
     }
 
@@ -310,10 +346,12 @@ impl GradScratch {
     }
 
     /// Stores an externally-computed gradient (the allocating fallback used
-    /// by models without a fused kernel). Always counts one allocation: the
-    /// fallback allocated to produce `grad`.
+    /// by models without a fused kernel), which comes without per-sample
+    /// loss terms. Always counts one allocation: the fallback allocated to
+    /// produce `grad`.
     pub(crate) fn store_allocated_grad(&mut self, grad: Vec<f64>) {
         self.grad = grad;
+        self.terms.clear();
         self.allocations += 1;
     }
 }
@@ -325,11 +363,11 @@ mod tests {
     #[test]
     fn repeat_prepare_allocates_once() {
         let mut s = GradScratch::new();
-        s.prepare(100, 10, 4);
+        s.prepare(100, 10, 4, 200);
         let after_first = s.allocations();
         assert!(after_first >= 1);
         for _ in 0..50 {
-            s.prepare(100, 10, 4);
+            s.prepare(100, 10, 4, 200);
         }
         assert_eq!(
             s.allocations(),
@@ -341,9 +379,9 @@ mod tests {
     #[test]
     fn growth_is_counted() {
         let mut s = GradScratch::new();
-        s.prepare(10, 2, 1);
+        s.prepare(10, 2, 1, 40);
         let small = s.allocations();
-        s.prepare(1000, 2, 8);
+        s.prepare(1000, 2, 8, 500);
         assert!(s.allocations() > small);
     }
 
@@ -351,13 +389,12 @@ mod tests {
     fn prepare_zeroes_accumulators() {
         let mut s = GradScratch::new();
         {
-            let (partials, losses, _) = s.prepare(3, 2, 2);
+            let (partials, _, _) = s.prepare(3, 2, 2, 100);
             partials.fill(7.0);
-            losses.fill(7.0);
         }
-        let (partials, losses, _) = s.prepare(3, 2, 2);
+        let (partials, terms, _) = s.prepare(3, 2, 2, 70);
         assert!(partials.iter().all(|&x| x == 0.0));
-        assert!(losses.iter().all(|&x| x == 0.0));
+        assert_eq!(terms.len(), 70, "one term per sample of this call");
     }
 
     #[test]
@@ -369,32 +406,46 @@ mod tests {
     }
 
     #[test]
-    fn pooled_band_round_trip_is_allocation_free_when_warm() {
+    fn fallback_gradient_comes_without_sample_losses() {
         let mut s = GradScratch::new();
+        s.prepare(3, 2, 1, 5);
+        assert_eq!(s.sample_losses().len(), 5);
+        s.store_allocated_grad(vec![0.0; 3]);
+        assert!(s.sample_losses().is_empty());
+    }
+
+    #[test]
+    fn pooled_band_round_trip_is_allocation_free_when_warm() {
+        // Band 0 holds two full chunks, band 1 one 4-sample partial chunk.
         let np = 12;
-        for _ in 0..3 {
-            s.prepare_pooled(np, 4, 2);
-            for w in 0..2 {
+        let round_trip = |s: &mut GradScratch| {
+            let chunk = crate::model::GRAD_CHUNK;
+            let indices: Vec<usize> = (0..2 * chunk + 4).collect();
+            s.prepare_pooled(np, 3, indices.len(), 2);
+            for (w, (chunks, span)) in [(2, 0..2 * chunk), (1, 2 * chunk..2 * chunk + 4)]
+                .into_iter()
+                .enumerate()
+            {
                 let mut band = s.take_band(w);
-                band.load(np, 3, 2, &[0, 1, 2, 3]);
-                band.partials[..2 * np].fill(w as f64 + 1.0);
-                band.losses.fill(w as f64 + 1.0);
-                s.absorb_band(w, band, np, w * 2, 2);
+                band.load(np, 3, chunks, &indices[span]);
+                band.partials.fill(w as f64 + 1.0);
+                band.terms.fill(w as f64 + 1.0);
+                s.absorb_band(w, band, np, w * 2, chunks);
             }
+        };
+        let mut s = GradScratch::new();
+        for _ in 0..3 {
+            round_trip(&mut s);
         }
         let warm = s.allocations();
-        s.prepare_pooled(np, 4, 2);
-        for w in 0..2 {
-            let mut band = s.take_band(w);
-            band.load(np, 3, 2, &[0, 1, 2, 3]);
-            band.partials[..2 * np].fill(w as f64 + 1.0);
-            band.losses.fill(w as f64 + 1.0);
-            s.absorb_band(w, band, np, w * 2, 2);
-        }
+        round_trip(&mut s);
         assert_eq!(s.allocations(), warm, "warm pooled bands must not allocate");
         assert_eq!(s.partials[0], 1.0, "band 0 copied into chunk slot 0");
         assert_eq!(s.partials[2 * np], 2.0, "band 1 copied into chunk slot 2");
-        assert_eq!(s.losses[3], 2.0);
+        let chunk = crate::model::GRAD_CHUNK;
+        assert_eq!(s.sample_losses().len(), 2 * chunk + 4);
+        assert_eq!(s.sample_losses()[2 * chunk - 1], 1.0, "band 0's last term");
+        assert_eq!(s.sample_losses()[2 * chunk], 2.0, "band 1's first term");
     }
 
     #[test]

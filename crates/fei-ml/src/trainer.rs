@@ -114,6 +114,17 @@ impl LocalTrainer {
     /// The one epoch / mini-batch loop behind every `train*` entry point.
     /// `pooled` carries the shared dataset handle and pool for the parallel
     /// reduction; `None` keeps every step on the calling thread.
+    ///
+    /// `initial_loss` is settled at the job's first step, between computing
+    /// the gradient and applying it, while `model` is still the untrained
+    /// one. When the kernel recorded a loss term for every sample of a
+    /// batch that is the whole dataset in dataset order, the mean it
+    /// returned *is* [`Model::loss_with`] of that model — same terms, same
+    /// single accumulator, same order, same bits — and is taken as is, so
+    /// `E` full-batch epochs forward the data `E + 1` times, not `E + 2`.
+    /// Otherwise (a mini-batch, the naive kernel, a model whose kernel
+    /// records no terms) the loss is measured by an explicit pass.
+    /// `final_loss` is always a pass over the trained model.
     fn run<M: Model>(
         &self,
         model: &mut M,
@@ -125,13 +136,28 @@ impl LocalTrainer {
     ) -> TrainStats {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
         let lr = self.config.lr_for_round(round);
-        let initial_loss = self.eval_loss(model, data, scratch);
         let mut order: Vec<usize> = (0..data.len()).collect();
+        let mut initial_loss = None;
+        let mut step = |model: &mut M, batch: &[usize], scratch: &mut GradScratch| {
+            let batch_loss = self.gradient(model, data, pooled, batch, scratch);
+            if initial_loss.is_none() {
+                let whole_dataset_in_order = batch.iter().copied().eq(0..data.len())
+                    && scratch.sample_losses().len() == batch.len();
+                initial_loss = Some(if whole_dataset_in_order {
+                    batch_loss
+                } else {
+                    // Reads the workspace's logits row only; the gradient
+                    // stays in place for the update below.
+                    model.loss_with(data, scratch)
+                });
+            }
+            self.apply(model, lr, scratch);
+        };
 
         match self.config.batch_size {
             None => {
                 for _ in 0..epochs {
-                    self.step(model, data, pooled, &order, lr, scratch);
+                    step(model, &order, scratch);
                 }
             }
             Some(batch) => {
@@ -139,61 +165,60 @@ impl LocalTrainer {
                 for _ in 0..epochs {
                     rng.shuffle(&mut order);
                     for chunk in order.chunks(batch) {
-                        self.step(model, data, pooled, chunk, lr, scratch);
+                        step(model, chunk, scratch);
                     }
                 }
             }
         }
 
+        let final_loss = model.loss_with(data, scratch);
         TrainStats {
             epochs_run: epochs,
             gradient_steps: self.config.gradient_steps(epochs, data.len()),
-            initial_loss,
-            final_loss: self.eval_loss(model, data, scratch),
+            // No step ran (`epochs == 0`): the model is the one passed in.
+            initial_loss: initial_loss.unwrap_or(final_loss),
+            final_loss,
             samples: data.len(),
         }
     }
 
-    /// The before/after loss measurement for [`TrainStats`]: the naive
-    /// reduction keeps the historical allocating pass, the fused reductions
-    /// use the buffer-reusing (bit-identical) one.
-    fn eval_loss<M: Model>(&self, model: &M, data: &Dataset, scratch: &mut GradScratch) -> f64 {
-        match self.config.grad {
-            GradReduction::Naive => model.loss(data),
-            GradReduction::FusedSerial | GradReduction::FusedParallel { .. } => {
-                model.loss_with(data, scratch)
+    /// The mean loss and gradient of `batch` under `model`, by the kernel
+    /// [`SgdConfig::grad`] selects; the gradient is left in `scratch.grad()`.
+    fn gradient<M: Model>(
+        &self,
+        model: &M,
+        data: &Dataset,
+        pooled: Option<(&Arc<Dataset>, &WorkerPool)>,
+        batch: &[usize],
+        scratch: &mut GradScratch,
+    ) -> f64 {
+        match (self.config.grad, pooled) {
+            // The reference path reproduces the pre-fast-path arithmetic
+            // exactly: the allocating kernel.
+            (GradReduction::Naive, _) => {
+                let (loss, grad) = model.loss_and_gradient(data, batch);
+                scratch.store_allocated_grad(grad);
+                loss
+            }
+            (GradReduction::FusedParallel { .. }, Some((shared, pool))) => {
+                model.loss_and_gradient_pooled(shared, batch, scratch, pool)
+            }
+            (GradReduction::FusedSerial | GradReduction::FusedParallel { .. }, _) => {
+                model.loss_and_gradient_into(data, batch, scratch)
             }
         }
     }
 
-    /// One gradient step on `batch`, dispatched by [`SgdConfig::grad`].
-    fn step<M: Model>(
-        &self,
-        model: &mut M,
-        data: &Dataset,
-        pooled: Option<(&Arc<Dataset>, &WorkerPool)>,
-        batch: &[usize],
-        lr: f64,
-        scratch: &mut GradScratch,
-    ) {
-        match (self.config.grad, pooled) {
-            // The reference path reproduces the pre-fast-path arithmetic
-            // exactly: allocating kernel, separate step and decay passes.
-            (GradReduction::Naive, _) => {
-                let (_, grad) = model.loss_and_gradient(data, batch);
-                model.apply_gradient(&grad, lr);
-                if self.config.weight_decay > 0.0 {
-                    model.apply_weight_decay(lr, self.config.weight_decay);
-                }
+    /// Descends along `scratch.grad()`: separate step and decay passes on
+    /// the reference path, the fused update otherwise.
+    fn apply<M: Model>(&self, model: &mut M, lr: f64, scratch: &GradScratch) {
+        if self.config.grad == GradReduction::Naive {
+            model.apply_gradient(scratch.grad(), lr);
+            if self.config.weight_decay > 0.0 {
+                model.apply_weight_decay(lr, self.config.weight_decay);
             }
-            (GradReduction::FusedParallel { .. }, Some((shared, pool))) => {
-                model.loss_and_gradient_pooled(shared, batch, scratch, pool);
-                model.apply_gradient_decayed(scratch.grad(), lr, self.config.weight_decay);
-            }
-            (GradReduction::FusedSerial | GradReduction::FusedParallel { .. }, _) => {
-                model.loss_and_gradient_into(data, batch, scratch);
-                model.apply_gradient_decayed(scratch.grad(), lr, self.config.weight_decay);
-            }
+        } else {
+            model.apply_gradient_decayed(scratch.grad(), lr, self.config.weight_decay);
         }
     }
 }
@@ -343,6 +368,163 @@ mod tests {
         );
     }
 
+    /// A small deterministic dataset (`dim` 6, 3 classes) for the
+    /// bit-identity sweeps, where synthetic MNIST's 784 columns buy nothing.
+    fn small_data(n: usize) -> Dataset {
+        let mut rng = DetRng::new(0x1055 ^ n as u64);
+        let xs = (0..n * 6).map(|_| rng.gaussian_with(0.0, 1.0)).collect();
+        Dataset::from_parts(6, xs, (0..n).map(|i| i % 3).collect(), 3)
+    }
+
+    /// Trains a fresh model and checks both `TrainStats` losses against
+    /// explicit passes over the model before and after.
+    fn assert_losses_are_honest(
+        trainer: &LocalTrainer,
+        data: &Arc<Dataset>,
+        epochs: usize,
+        pool: Option<&WorkerPool>,
+        what: &str,
+    ) {
+        let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
+        // Not the zero model: a uniform softmax would hide ordering bugs.
+        LocalTrainer::default().train(&mut model, data, 2, 0);
+        let before = model.loss(data);
+        let mut scratch = GradScratch::new();
+        let stats = match pool {
+            Some(pool) => trainer.train_with_pool(&mut model, data, epochs, 3, &mut scratch, pool),
+            None => trainer.train_with(&mut model, data, epochs, 3, &mut scratch),
+        };
+        assert_eq!(
+            stats.initial_loss.to_bits(),
+            before.to_bits(),
+            "initial, {what}"
+        );
+        assert_eq!(
+            stats.final_loss.to_bits(),
+            model.loss(data).to_bits(),
+            "final, {what}"
+        );
+    }
+
+    const EDGE_SIZES: [usize; 6] = [1, 63, 64, 65, 130, 333];
+
+    #[test]
+    fn derived_initial_loss_equals_an_explicit_pass_bit_for_bit() {
+        let serial = LocalTrainer::new(SgdConfig::new(0.1, 0.99, None));
+        let parallel = LocalTrainer::new(
+            SgdConfig::new(0.1, 0.99, None)
+                .with_grad_reduction(GradReduction::FusedParallel { threads: 4 }),
+        );
+        for n in EDGE_SIZES {
+            let data = Arc::new(small_data(n));
+            assert_losses_are_honest(&serial, &data, 3, None, &format!("serial, n = {n}"));
+            for size in 1..=4 {
+                let pool = WorkerPool::new(size);
+                let what = format!("pool of {size}, n = {n}");
+                assert_losses_are_honest(&parallel, &data, 3, Some(&pool), &what);
+            }
+        }
+        // The paper's shape, on the paper's data.
+        let data = Arc::new(clean_data(150));
+        assert_losses_are_honest(&serial, &data, 1, None, "synthetic MNIST, E = 1");
+    }
+
+    #[test]
+    fn explicit_pass_fallbacks_report_the_same_losses() {
+        let shuffled = LocalTrainer::new(SgdConfig::new(0.1, 0.99, Some(16)));
+        // One batch spans the dataset, but in shuffled order.
+        let one_shuffled_batch = LocalTrainer::new(SgdConfig::new(0.1, 0.99, Some(1000)));
+        let naive = LocalTrainer::new(
+            SgdConfig::new(0.1, 0.99, None).with_grad_reduction(GradReduction::Naive),
+        );
+        for n in EDGE_SIZES {
+            let data = Arc::new(small_data(n));
+            assert_losses_are_honest(&shuffled, &data, 2, None, &format!("mini-batch, n = {n}"));
+            let what = format!("one shuffled batch, n = {n}");
+            assert_losses_are_honest(&one_shuffled_batch, &data, 2, None, &what);
+            assert_losses_are_honest(&naive, &data, 2, None, &format!("naive, n = {n}"));
+        }
+    }
+
+    #[test]
+    fn models_without_sample_terms_keep_the_explicit_pass() {
+        let data = small_data(70);
+        let mut mlp = crate::Mlp::new(data.dim(), 5, data.num_classes(), 9);
+        let before = Model::loss(&mlp, &data);
+        let stats = LocalTrainer::new(SgdConfig::new(0.1, 0.99, None)).train(&mut mlp, &data, 2, 0);
+        assert_eq!(stats.initial_loss.to_bits(), before.to_bits());
+        assert_eq!(
+            stats.final_loss.to_bits(),
+            Model::loss(&mlp, &data).to_bits()
+        );
+    }
+
+    #[test]
+    fn a_full_batch_job_forwards_the_data_e_plus_one_times() {
+        let n = 150u64;
+        let data = Arc::new(small_data(n as usize));
+        let pool = WorkerPool::new(3);
+        let parallel = LocalTrainer::new(
+            SgdConfig::new(0.1, 0.99, None)
+                .with_grad_reduction(GradReduction::FusedParallel { threads: 3 }),
+        );
+        for epochs in [1u64, 2, 10] {
+            let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
+            let mut scratch = GradScratch::new();
+            LocalTrainer::default().train_with(&mut model, &data, epochs as usize, 0, &mut scratch);
+            assert_eq!(
+                scratch.forward_passes(),
+                (epochs + 1) * n,
+                "serial, E = {epochs}"
+            );
+
+            let mut scratch = GradScratch::new();
+            parallel.train_with_pool(&mut model, &data, epochs as usize, 0, &mut scratch, &pool);
+            assert_eq!(
+                scratch.forward_passes(),
+                (epochs + 1) * n,
+                "pooled, E = {epochs}"
+            );
+        }
+        // No step to read the initial loss off: one pass serves both fields.
+        let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
+        let mut scratch = GradScratch::new();
+        LocalTrainer::default().train_with(&mut model, &data, 0, 0, &mut scratch);
+        assert_eq!(scratch.forward_passes(), n);
+        // Mini-batches cover the data once per epoch, and both losses are
+        // explicit passes.
+        let mut scratch = GradScratch::new();
+        LocalTrainer::new(SgdConfig::new(0.1, 0.99, Some(16))).train_with(
+            &mut model,
+            &data,
+            2,
+            0,
+            &mut scratch,
+        );
+        assert_eq!(scratch.forward_passes(), (2 + 2) * n);
+    }
+
+    #[test]
+    fn training_and_evaluation_share_a_warm_workspace_without_allocating() {
+        let big = clean_data(150);
+        let small = clean_data(90);
+        let trainer = LocalTrainer::new(SgdConfig::paper_default());
+        let mut model = LogisticRegression::zeros(big.dim(), big.num_classes());
+        let mut scratch = GradScratch::new();
+        trainer.train_with(&mut model, &big, 1, 0, &mut scratch);
+        let warm = scratch.allocations();
+        for round in 1..5 {
+            // The term buffer was sized by the largest client; smaller
+            // ones, evaluation and loss passes all fit inside it.
+            let stats = trainer.train_with(&mut model, &small, 2, round, &mut scratch);
+            assert_eq!(scratch.sample_losses().len(), small.len());
+            trainer.train_with(&mut model, &big, 1, round, &mut scratch);
+            let eval = model.evaluate_with(&small, &mut scratch);
+            assert!(eval.loss.is_finite() && stats.initial_loss.is_finite());
+        }
+        assert_eq!(scratch.allocations(), warm);
+    }
+
     #[test]
     fn reused_scratch_stops_allocating_after_first_round() {
         let data = clean_data(60);
@@ -359,5 +541,44 @@ mod tests {
             warm,
             "steady-state training must not grow the workspace"
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::model::LogisticRegression;
+
+    proptest! {
+        /// Whatever the size, epoch count, pool width or batching, both
+        /// `TrainStats` losses are what an explicit pass over the model
+        /// before and after training measures, to the bit.
+        #[test]
+        fn train_stats_losses_equal_explicit_passes(
+            n in 1usize..200,
+            epochs in 0usize..4,
+            pool_size in 1usize..=4,
+            batch in 0usize..80,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = DetRng::new(seed);
+            let xs = (0..n * 4).map(|_| rng.gaussian_with(0.0, 1.0)).collect();
+            let data = Arc::new(Dataset::from_parts(4, xs, (0..n).map(|i| i % 3).collect(), 3));
+            let trainer = LocalTrainer::new(
+                // Batch size 0 draws the full-batch mode.
+                SgdConfig::new(0.2, 0.99, (batch > 0).then_some(batch))
+                    .with_grad_reduction(GradReduction::FusedParallel { threads: pool_size }),
+            );
+            let pool = WorkerPool::new(pool_size);
+            let mut model = LogisticRegression::zeros(4, 3);
+            trainer.train(&mut model, &data, 1, 0);
+            let before = model.loss(&data);
+            let stats =
+                trainer.train_with_pool(&mut model, &data, epochs, 1, &mut GradScratch::new(), &pool);
+            prop_assert_eq!(stats.initial_loss.to_bits(), before.to_bits());
+            prop_assert_eq!(stats.final_loss.to_bits(), model.loss(&data).to_bits());
+        }
     }
 }

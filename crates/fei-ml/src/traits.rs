@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use fei_data::Dataset;
 
+use crate::metrics::Evaluation;
 use crate::pool::WorkerPool;
 use crate::scratch::GradScratch;
 
@@ -100,6 +101,25 @@ pub trait Model: Clone + Send + 'static {
     /// simply delegates.
     fn loss_with(&self, data: &Dataset, _scratch: &mut GradScratch) -> f64 {
         self.loss(data)
+    }
+
+    /// Loss and accuracy over a dataset against a reused workspace — what
+    /// [`Evaluation::of`] and [`crate::accuracy`] measure. The loss must be
+    /// bit-identical to [`Model::loss`] and the accuracy must count the
+    /// samples [`Model::predict`] gets right. The default makes those two
+    /// passes; a model that can score a sample from the logits it already
+    /// has (the logistic regression) overrides it with a single pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset is empty or shapes mismatch.
+    fn evaluate_with(&self, data: &Dataset, scratch: &mut GradScratch) -> Evaluation {
+        let loss = self.loss_with(data, scratch);
+        let correct = data.iter().filter(|(x, y)| self.predict(x) == *y).count();
+        Evaluation {
+            loss,
+            accuracy: correct as f64 / data.len() as f64,
+        }
     }
 
     /// [`Model::loss_and_gradient_into`] executed on a persistent
