@@ -30,9 +30,7 @@
 //! (The wire schema itself needs no rule: `fei-proto`'s `record.rs` table
 //! declares each record kind once and asserts tag uniqueness at compile
 //! time.)
-//! Pre-existing findings can be pinned in a shrink-only
-//! [`baseline::Baseline`] (`--baseline` / `--write-baseline`) so new
-//! rules gate new code immediately while the burn-down stays visible.
+//! The gate is zero findings.
 //!
 //! Sites that deliberately break a rule carry an escape comment on the
 //! same line or the line above:
@@ -48,7 +46,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod config;
 pub mod crossfile;
 pub mod engine;
@@ -57,7 +54,6 @@ pub mod model;
 pub mod report;
 pub mod rules;
 
-pub use baseline::{Baseline, BaselineOutcome};
 pub use config::LintConfig;
 pub use engine::{find_workspace_root, lint_source, run};
 pub use report::{Report, Violation};

@@ -12,11 +12,10 @@
 #![forbid(unsafe_code)]
 
 use std::env;
-use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fei_lint::{find_workspace_root, run, Baseline, LintConfig, RuleId};
+use fei_lint::{find_workspace_root, run, LintConfig, RuleId};
 
 const USAGE: &str = "\
 fei-lint: workspace invariant linter (determinism / no-panic / float-eq / ledger / codec casts)
@@ -29,8 +28,6 @@ OPTIONS:
   --only <RULE>           run only this rule (repeatable)
   --skip <RULE>           disable this rule (repeatable)
   --include-bins          apply no-panic to src/bin/ and src/main.rs too
-  --baseline <PATH>       suppress findings pinned in this baseline; fail only on new ones
-  --write-baseline <PATH> pin the current findings (ratchet: refuses to grow an existing file)
   --list-rules            print every rule with a one-line summary
   -h, --help              this help
 ";
@@ -51,8 +48,6 @@ fn cli() -> Result<ExitCode, String> {
     let mut only: Vec<RuleId> = Vec::new();
     let mut skip: Vec<RuleId> = Vec::new();
     let mut include_bins = false;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
 
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -62,16 +57,6 @@ fn cli() -> Result<ExitCode, String> {
             "--root" => {
                 let p = args.next().ok_or("--root needs a path argument")?;
                 root = Some(PathBuf::from(p));
-            }
-            "--baseline" => {
-                let p = args.next().ok_or("--baseline needs a path argument")?;
-                baseline_path = Some(PathBuf::from(p));
-            }
-            "--write-baseline" => {
-                let p = args
-                    .next()
-                    .ok_or("--write-baseline needs a path argument")?;
-                write_baseline = Some(PathBuf::from(p));
             }
             "--only" | "--skip" => {
                 let name = args
@@ -110,54 +95,7 @@ fn cli() -> Result<ExitCode, String> {
         config.rules.remove(&rule);
     }
 
-    let mut report = run(&config).map_err(|e| format!("scan failed: {e}"))?;
-
-    if let Some(path) = write_baseline {
-        let new = Baseline::from_report(&report);
-        // The ratchet only turns one way: an existing baseline may shrink
-        // but never grow. Growing the debt requires fixing the finding or
-        // an allow directive at the site — both visible in review.
-        if let Ok(text) = fs::read_to_string(&path) {
-            let old = Baseline::parse(&text)
-                .map_err(|e| format!("cannot read existing baseline {}: {e}", path.display()))?;
-            let grown = new.grows_over(&old);
-            if !grown.is_empty() {
-                let mut msg = format!(
-                    "ratchet: refusing to grow the baseline ({} finding class(es) \
-                     exceed their pinned count):\n",
-                    grown.len()
-                );
-                for e in grown {
-                    msg.push_str(&format!(
-                        "  [{}] {} x{}: {}\n",
-                        e.key.rule, e.key.path, e.count, e.snippet
-                    ));
-                }
-                msg.push_str("fix the findings or justify them with allow directives");
-                return Err(msg);
-            }
-        }
-        fs::write(&path, new.to_json())
-            .map_err(|e| format!("cannot write baseline {}: {e}", path.display()))?;
-        eprintln!(
-            "fei-lint: baseline written to {} ({} finding(s) pinned)",
-            path.display(),
-            new.total()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if let Some(path) = baseline_path {
-        let text = fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
-        let baseline = Baseline::parse(&text)
-            .map_err(|e| format!("cannot parse baseline {}: {e}", path.display()))?;
-        let outcome = baseline.filter(&report);
-        report.violations = outcome.new;
-        report.baselined = outcome.baselined;
-        report.stale_baseline = outcome.stale.len();
-        report.finish();
-    }
+    let report = run(&config).map_err(|e| format!("scan failed: {e}"))?;
 
     if json {
         print!("{}", report.render_json());

@@ -28,17 +28,10 @@ pub struct Violation {
 /// The outcome of one lint run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// All violations, ordered by (path, line, col, rule). When a
-    /// baseline was applied, only the *new* (unpinned) findings remain
-    /// here — these are what fail the run.
+    /// All violations, ordered by (path, line, col, rule).
     pub violations: Vec<Violation>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Findings suppressed by the baseline (`--baseline`).
-    pub baselined: usize,
-    /// Baseline entries that no longer match any finding: the debt
-    /// shrank; rewrite the baseline to lock it in.
-    pub stale_baseline: usize,
 }
 
 impl Report {
@@ -78,20 +71,6 @@ impl Report {
             self.files_scanned,
             self.violations.len()
         );
-        if self.baselined > 0 {
-            let _ = writeln!(
-                out,
-                "  {} pinned finding(s) suppressed by the baseline",
-                self.baselined
-            );
-        }
-        if self.stale_baseline > 0 {
-            let _ = writeln!(
-                out,
-                "  {} stale baseline entr(y/ies): debt shrank — rewrite with --write-baseline",
-                self.stale_baseline
-            );
-        }
         for rule in RuleId::ALL {
             let n = self.count_for(rule);
             if n > 0 {
@@ -107,8 +86,6 @@ impl Report {
         out.push_str("{\n");
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(out, "  \"violations_total\": {},", self.violations.len());
-        let _ = writeln!(out, "  \"baselined\": {},", self.baselined);
-        let _ = writeln!(out, "  \"stale_baseline\": {},", self.stale_baseline);
         out.push_str("  \"rules\": {\n");
         for (i, rule) in RuleId::ALL.into_iter().enumerate() {
             let comma = if i + 1 < RuleId::ALL.len() { "," } else { "" };

@@ -1,42 +1,25 @@
 //! The linter's own gate on this repository: the whole workspace must lint
-//! clean with the default configuration, modulo the committed baseline.
-//! This is the test-suite twin of the CI `lint` job — it keeps
-//! `cargo test --workspace` and the blocking CI lane enforcing the same
-//! contract: no NEW findings, and no stale debt left pinned.
+//! clean with the default configuration. This is the test-suite twin of the
+//! CI `lint` job — it keeps `cargo test --workspace` and the blocking CI
+//! lane enforcing the same contract: zero findings.
 
-use std::fs;
 use std::path::Path;
 
-use fei_lint::{find_workspace_root, run, Baseline, LintConfig};
+use fei_lint::{find_workspace_root, run, LintConfig};
 
 #[test]
-fn the_workspace_lints_clean_modulo_the_baseline() {
+fn the_workspace_lints_clean() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")));
-    let mut report = run(&LintConfig::for_root(root.clone()))
+    let report = run(&LintConfig::for_root(root))
         .expect("invariant: the workspace that built this test is readable");
     assert!(
         report.files_scanned >= 95,
         "suspiciously few files scanned ({}) — walker broke?",
         report.files_scanned
     );
-
-    let baseline_path = root.join("lint-baseline.json");
-    if let Ok(text) = fs::read_to_string(&baseline_path) {
-        let baseline = Baseline::parse(&text)
-            .expect("invariant: the committed lint-baseline.json is well-formed");
-        let outcome = baseline.filter(&report);
-        assert!(
-            outcome.stale.is_empty(),
-            "baseline pins findings that no longer occur — shrink it with \
-             `cargo run -p fei-lint -- --write-baseline lint-baseline.json`:\n{:?}",
-            outcome.stale
-        );
-        report.violations = outcome.new;
-        report.finish();
-    }
     assert!(
         report.is_clean(),
-        "NEW workspace invariant violations (not in lint-baseline.json):\n{}",
+        "workspace invariant violations:\n{}",
         report.render_human()
     );
 }

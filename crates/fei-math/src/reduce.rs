@@ -210,26 +210,6 @@ pub fn tree_reduce_into_first(buf: &mut [f64], parts: usize, len: usize) {
     }
 }
 
-/// The stride-doubling tree over `parts` scalars, in place over a slice.
-/// Companion to [`tree_reduce_into_first`] for per-chunk scalar partials
-/// (losses); identical combination schedule.
-pub fn tree_reduce_scalars(parts: &mut [f64]) -> f64 {
-    let n = parts.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut gap = 1;
-    while gap < n {
-        let mut i = 0;
-        while i + gap < n {
-            parts[i] += parts[i + gap];
-            i += 2 * gap;
-        }
-        gap *= 2;
-    }
-    parts[0]
-}
-
 /// Number of additions the pairwise tree performs for `parts` segments —
 /// exposed so tests can pin the fixed shape.
 pub fn tree_reduce_len(parts: usize) -> usize {
@@ -353,12 +333,7 @@ mod tests {
 
     #[test]
     fn tree_reduce_shape_is_fixed() {
-        // The schedule depends only on `parts`: reducing permuted segment
-        // contents in two different orders is impossible by construction,
-        // but the scalar variant lets us pin the tree directly.
-        let mut a = [1.0, 2.0, 4.0, 8.0, 16.0];
-        assert_eq!(tree_reduce_scalars(&mut a), 31.0);
-        assert_eq!(tree_reduce_scalars(&mut []), 0.0);
+        // The schedule depends only on `parts`.
         assert_eq!(tree_reduce_len(5), 4);
         assert_eq!(tree_reduce_len(0), 0);
     }

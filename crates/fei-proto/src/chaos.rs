@@ -12,14 +12,12 @@ use fei_sim::DetRng;
 /// One addressed frame in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
-    /// Destination client id (`u64::MAX` addresses the coordinator).
+    /// Where the frame is going, in the driver's own addressing (the
+    /// [`crate::Cluster`] routes by connection id).
     pub to: u64,
     /// Encoded wire frame.
     pub bytes: Vec<u8>,
 }
-
-/// Destination id conventionally used for coordinator-bound frames.
-pub const COORDINATOR_ADDR: u64 = u64::MAX;
 
 /// Probabilities of each misbehaviour, applied independently per frame.
 #[derive(Debug, Clone, Copy, PartialEq)]

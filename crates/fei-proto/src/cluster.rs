@@ -1,13 +1,17 @@
 //! Deterministic in-process protocol cluster.
 //!
-//! A [`Cluster`] wires one [`Coordinator`] to a fleet of [`Participant`]s
-//! through two [`ChaosLink`]s (uplink and downlink) and drives everything
-//! on a single virtual clock. All traffic crosses the links as encoded
-//! wire frames — the same bytes a real deployment would ship — so chaos
-//! (drops, duplicates, reordering, corruption) hits the protocol exactly
-//! where a lossy network would.
+//! A [`Cluster`] runs the shipped node loops — one [`CoordinatorNode`] and
+//! a fleet of [`ParticipantNode`]s, the same `cycle()` bodies
+//! `fei_coordinatord` runs — over the simulated backend (`sim.rs`): an
+//! in-memory wire whose two directions each cross a [`ChaosLink`], and an
+//! in-memory disk that forgets unsynced bytes at a crash. One virtual tick
+//! is one `cycle()` of every node, in lock-step. All traffic crosses the
+//! links as encoded wire frames — the same bytes a real deployment would
+//! ship — so chaos (drops, duplicates, reordering, corruption) hits the
+//! protocol exactly where a lossy network would.
 //!
-//! The cluster also audits the protocol from outside:
+//! The cluster drives nothing itself; what it adds is the audit from
+//! outside:
 //!
 //! * **liveness** — the run either closes its target number of rounds
 //!   (each committed or aborted) or reports itself `stuck`;
@@ -16,24 +20,31 @@
 //!   client whose lease had lapsed is counted as a
 //!   [`ClusterReport::safety_violations`];
 //! * **crash-recovery** — scheduled [`CoordinatorCrash`] events kill the
-//!   coordinator (keeping only its durable journal bytes) and restart it
-//!   via [`Coordinator::recover`]; the audit then also checks that no
-//!   update is ever aggregated twice across a restart
-//!   ([`ClusterReport::double_aggregations`]) and that every round open at
-//!   a crash commits or aborts within one recovery budget of the restart
-//!   ([`ClusterReport::recovery_violations`]).
+//!   coordinator node (keeping only the synced bytes of its journal and
+//!   trace files) and restart it through the node's own start path; the
+//!   audit then also checks that no update is ever aggregated twice across
+//!   a restart ([`ClusterReport::double_aggregations`]) and that every
+//!   round open at a crash commits or aborts within one recovery budget of
+//!   the restart ([`ClusterReport::recovery_violations`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::chaos::{ChaosConfig, ChaosLink, ChaosStats, Envelope, COORDINATOR_ADDR};
-use crate::coordinator::{ControlStats, Coordinator, CoordinatorConfig, Effect, Phase};
-use crate::error::ProtoError;
+use crate::chaos::{ChaosConfig, ChaosLink, ChaosStats};
+use crate::coordinator::{ControlStats, CoordinatorConfig, Effect, Phase};
 use crate::frames::{AbortReason, ControlFrame};
-use crate::participant::{Participant, ParticipantConfig, ParticipantStats};
+use crate::node::{
+    CoordinatorNode, CoordinatorNodeConfig, NodeError, NodeReport, ParticipantNode,
+    ParticipantNodeConfig,
+};
+use crate::participant::{ParticipantConfig, ParticipantStats};
+use crate::sim::{SimFile, SimNet, DOWN, UP};
+use crate::store::DiskJournal;
+use crate::trace::TraceSink;
 
 /// One scheduled coordinator failure: the process dies at `at_tick`
-/// (losing all volatile state; only the journal bytes survive) and
-/// restarts `down_ticks` later via [`Coordinator::recover`].
+/// (losing all volatile state; only the synced bytes of its journal and
+/// trace survive) and restarts `down_ticks` later through the node's own
+/// start path.
 ///
 /// Crash ticks landing while the coordinator is already down are skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,8 +107,27 @@ pub struct RoundVerdict {
     pub reason: Option<AbortReason>,
 }
 
+impl RoundVerdict {
+    /// The verdict `effect` announces, landing at `closed_at` — `None` for
+    /// the effects that are not verdicts.
+    pub(crate) fn of(effect: &Effect, closed_at: u64) -> Option<Self> {
+        let (round, accepted, reason) = match effect {
+            Effect::RoundCommitted { round, accepted } => (*round, accepted.clone(), None),
+            Effect::RoundAborted { round, reason } => (*round, Vec::new(), Some(*reason)),
+            Effect::Send { .. } | Effect::FleetShrunk { .. } => return None,
+        };
+        Some(Self {
+            round,
+            committed: reason.is_none(),
+            accepted,
+            closed_at,
+            reason,
+        })
+    }
+}
+
 /// What one cluster run produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterReport {
     /// Rounds that committed.
     pub committed: u64,
@@ -164,12 +194,20 @@ impl ClusterReport {
     }
 }
 
-/// The in-process cluster driver.
+/// The in-process cluster: the node loops over the simulated backend, and
+/// the audits that watch them.
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
-    coordinator: Coordinator,
-    participants: Vec<Participant>,
+    net: SimNet,
+    journal: SimFile,
+    trace: SimFile,
+    /// Unsynced trace bytes a crash leaves on the simulated disk (a torn
+    /// tail for the restart to cut); 0 = only synced bytes survive.
+    torn_tail: usize,
+    /// The live coordinator node (`None` before the run and while crashed).
+    coordinator: Option<CoordinatorNode<SimNet, SimFile>>,
+    participants: Vec<ParticipantNode<SimNet>>,
     uplink: ChaosLink,
     downlink: ChaosLink,
     /// Independent record of the last tick each client's join/heartbeat was
@@ -180,9 +218,6 @@ pub struct Cluster {
     aggregated: BTreeSet<(u64, u64)>,
     /// Round numbers already committed — no round may commit twice.
     committed_rounds: BTreeSet<u64>,
-    /// Counters from pre-crash coordinator incarnations, folded into the
-    /// final report alongside the live instance's stats.
-    stats_carry: ControlStats,
     /// `(round, settle_by)` recovery budget for the round that was open at
     /// the most recent crash; cleared when its verdict lands in time.
     recovery_watch: Option<(u64, u64)>,
@@ -192,133 +227,100 @@ pub struct Cluster {
 impl Cluster {
     /// Builds a cluster; nothing runs until [`Cluster::run`].
     pub fn new(config: ClusterConfig) -> Self {
-        let mut coordinator = Coordinator::new(config.coordinator.clone());
-        coordinator.set_global(config.global_payload.clone());
-        let participants: Vec<Participant> = config
+        let net = SimNet::default();
+        let participants = config
             .participants
             .iter()
-            .map(|p| Participant::new(p.clone()))
+            .map(|p| ParticipantNode::new(net.clone(), ParticipantNodeConfig::new(p.clone())))
             .collect();
-        let report = ClusterReport {
-            committed: 0,
-            aborted: 0,
-            ticks: 0,
-            stuck: false,
-            safety_violations: 0,
-            coordinator_crashes: 0,
-            recovery_violations: 0,
-            double_aggregations: 0,
-            replan_events: Vec::new(),
-            round_log: Vec::new(),
-            uplink: ChaosStats::default(),
-            downlink: ChaosStats::default(),
-            control_bytes_up: 0,
-            control_bytes_down: 0,
-            coordinator: ControlStats::default(),
-            participants: Vec::new(),
-        };
         Self {
             uplink: ChaosLink::new(config.uplink),
             downlink: ChaosLink::new(config.downlink),
             config,
-            coordinator,
+            net,
+            journal: SimFile::default(),
+            trace: SimFile::default(),
+            torn_tail: 0,
+            coordinator: None,
             participants,
             shadow_beat: BTreeMap::new(),
             aggregated: BTreeSet::new(),
             committed_rounds: BTreeSet::new(),
-            stats_carry: ControlStats::default(),
             recovery_watch: None,
-            report,
+            report: ClusterReport::default(),
         }
     }
 
     /// Runs the cluster to its round target (or tick budget) and reports.
-    pub fn run(mut self) -> ClusterReport {
-        self.coordinator
-            .open_rendezvous()
-            .expect("invariant: a fresh coordinator is idle");
+    pub fn run(self) -> ClusterReport {
+        self.run_to_end().0
+    }
+
+    /// [`Cluster::run`], also handing back the coordinator node's own
+    /// report (`None` when the run ended during an outage) for the
+    /// trace-replay oracle.
+    pub(crate) fn run_to_end(mut self) -> (ClusterReport, Option<NodeReport>) {
+        self.start_coordinator(1);
         let mut crashes = self.config.crashes.clone();
         crashes.sort_by_key(|c| c.at_tick);
         let mut next_crash = 0usize;
         let mut outage: Option<Outage> = None;
-        let mut inbox: Vec<Envelope> = Vec::new();
-        // Tick 0: the whole fleet fires its join handshake.
-        for i in 0..self.participants.len() {
-            let join = self.participants[i].start(0);
-            self.send_up(join, &mut inbox);
-        }
         let mut tick = 0;
         while tick < self.config.max_ticks {
-            let mut outbox: Vec<Envelope> = Vec::new();
-            // 0a. Restart a downed coordinator once its outage has elapsed:
-            //     recover from the surviving journal bytes.
+            // 0a. Restart a downed coordinator once its outage has elapsed,
+            //     from whatever its files retained.
             if outage.as_ref().is_some_and(|o| tick >= o.restart) {
                 let o = outage.take().expect("invariant: checked above");
-                self.restart_coordinator(&o, tick, &mut outbox);
+                self.restart_coordinator(&o, tick);
             }
             // 0b. Kill the coordinator at its scheduled crash tick. Only
-            //     the durable journal bytes survive; crashes scheduled
-            //     while it is already down are skipped.
+            //     synced file bytes survive, and every connection made to
+            //     this incarnation is lost; crashes scheduled while it is
+            //     already down are skipped.
             while next_crash < crashes.len() && crashes[next_crash].at_tick <= tick {
                 let crash = crashes[next_crash];
                 next_crash += 1;
-                if outage.is_some() || crash.at_tick < tick {
+                if crash.at_tick < tick {
                     continue;
                 }
-                let open_round =
-                    matches!(self.coordinator.phase(), Phase::Selected | Phase::Training)
-                        .then(|| self.coordinator.round());
-                self.stats_carry.absorb(self.coordinator.stats());
+                let Some(node) = self.coordinator.take() else {
+                    continue;
+                };
+                let coordinator = node.core().coordinator();
+                let open_round = matches!(coordinator.phase(), Phase::Selected | Phase::Training)
+                    .then(|| coordinator.round());
+                // Should the run end during the outage, this is the last
+                // the coordinator was heard of.
+                self.report.coordinator = node.core().stats();
+                drop(node);
+                self.net.hang_up();
+                self.journal.crash(0);
+                self.trace.crash(self.torn_tail);
                 outage = Some(Outage {
                     restart: tick + crash.down_ticks.max(1),
                     crash_tick: tick,
-                    journal: self.coordinator.journal().bytes().to_vec(),
                     open_round,
                 });
                 self.report.coordinator_crashes += 1;
             }
-            // 1. Participants act on the current tick.
-            for i in 0..self.participants.len() {
-                for frame in self.participants[i].tick(tick) {
-                    self.send_up(frame, &mut inbox);
-                }
+            // 1. Every participant node takes its turn: dial when
+            //    disconnected, read what was delivered, act, send.
+            for participant in &mut self.participants {
+                participant.cycle();
             }
-            self.uplink.drain(&mut inbox);
-            // 2. Deliver upstream traffic to the coordinator. While it is
-            //    down, delivered frames are lost on the floor — and they do
-            //    not count as shadow beats either.
-            let deliveries = std::mem::take(&mut inbox);
-            if outage.is_none() {
-                for envelope in deliveries {
-                    self.deliver_up(envelope, tick, &mut inbox, &mut outbox);
-                }
-                // 3. Open the next round whenever the coordinator is between
-                //    rounds and the target is still ahead.
-                if self.rounds_closed() < self.config.target_rounds
-                    && matches!(
-                        self.coordinator.phase(),
-                        Phase::Rendezvous | Phase::RoundClosed
-                    )
-                {
-                    // Quorum not yet live (joins still in flight, or the
-                    // fleet shrank): wait a tick and retry. The phase gate
-                    // above makes any other rejection impossible, so it is
-                    // safe to wait on those too rather than panic.
-                    if let Ok(effects) = self.coordinator.start_round(tick) {
-                        self.absorb(effects, tick, &mut outbox);
-                    }
-                }
-                // 4. Advance the coordinator clock: expiry, collapse,
-                //    deadline.
-                let effects = self.coordinator.tick(tick);
-                self.absorb(effects, tick, &mut outbox);
+            // 2. Carry upstream traffic across the uplink.
+            self.carry(UP, tick);
+            // 3. The coordinator node takes its turn on what arrived.
+            if let Some(node) = self.coordinator.as_mut() {
+                let effects = node.cycle().expect(
+                    "invariant: the simulated disk is fault-free and the cycle budget unbounded",
+                );
+                self.absorb(effects, tick);
             }
-            // 5. Deliver downstream traffic (frames already in flight keep
-            //    arriving even while the coordinator is down).
-            self.downlink.drain(&mut outbox);
-            for envelope in outbox {
-                self.deliver_down(envelope, tick, &mut inbox);
-            }
+            // 4. Carry downstream traffic across the downlink (frames
+            //    already in flight keep arriving even while the
+            //    coordinator is down).
+            self.carry(DOWN, tick);
             self.report.ticks = tick + 1;
             if self.rounds_closed() >= self.config.target_rounds {
                 break;
@@ -335,22 +337,40 @@ impl Cluster {
         }
         self.report.uplink = self.uplink.stats();
         self.report.downlink = self.downlink.stats();
-        let mut stats = self.stats_carry;
-        stats.absorb(self.coordinator.stats());
-        self.report.coordinator = stats;
-        self.report.participants = self.participants.iter().map(|p| p.stats()).collect();
-        self.report
+        self.report.participants = self.participants.iter().map(|p| p.report().stats).collect();
+        let node_report = self.coordinator.take().map(|node| {
+            node.finish()
+                .expect("invariant: the simulated disk is fault-free")
+        });
+        if let Some(node_report) = &node_report {
+            self.report.coordinator = node_report.audit.stats;
+        }
+        (self.report, node_report)
     }
 
-    /// Rebuilds the coordinator from durable journal bytes and re-syncs the
-    /// shadow audit with the recovered leases.
-    fn restart_coordinator(&mut self, outage: &Outage, tick: u64, outbox: &mut Vec<Envelope>) {
-        let (coordinator, effects) =
-            Coordinator::recover(self.config.coordinator.clone(), &outage.journal, tick)
-                .expect("invariant: our own journal bytes replay cleanly");
-        self.coordinator = coordinator;
-        self.coordinator
-            .set_global(self.config.global_payload.clone());
+    /// Boots a coordinator node over the simulated files — fresh when they
+    /// are empty, otherwise through the node's recovery path, resuming its
+    /// clock `restart_lag` ticks after the last tick its trace retained.
+    fn start_coordinator(&mut self, restart_lag: u64) {
+        let mut config = CoordinatorNodeConfig::new(self.config.coordinator.clone());
+        config.global = self.config.global_payload.clone();
+        config.target_rounds = self.config.target_rounds;
+        config.max_cycles = u64::MAX;
+        config.restart_lag = restart_lag;
+        let store = DiskJournal::over(self.journal.clone()).map_err(NodeError::from);
+        let node = store.and_then(|store| {
+            let sink = TraceSink::over(self.trace.clone())?;
+            CoordinatorNode::boot(self.net.listen(), config, Some(store), Some(sink))
+        });
+        self.coordinator =
+            Some(node.expect("invariant: the simulated files hold only this run's own history"));
+    }
+
+    /// Restarts the coordinator after an outage and re-syncs the shadow
+    /// audit with the recovered leases. (The recovery's own verdicts
+    /// surface from the node's first cycle, later this same tick.)
+    fn restart_coordinator(&mut self, outage: &Outage, tick: u64) {
+        self.start_coordinator(tick - outage.crash_tick);
         // Recovery re-arms every surviving roster lease at the restart
         // tick; grant the shadow the same grace — but only to clients whose
         // shadow lease had not already lapsed when the crash hit.
@@ -365,119 +385,61 @@ impl Cluster {
         if let Some(round) = outage.open_round {
             self.recovery_watch = Some((round, tick + self.config.coordinator.round_deadline));
         }
-        self.absorb(effects, tick, outbox);
     }
 
     fn rounds_closed(&self) -> u64 {
         self.report.committed + self.report.aborted
     }
 
-    /// Encodes and offers one upstream frame to the uplink, charging its
-    /// bytes at the sender (duplicates are the network's doing, not the
-    /// device's radio).
-    fn send_up(&mut self, frame: ControlFrame, inbox: &mut Vec<Envelope>) {
-        let bytes = frame.encode();
-        self.report.control_bytes_up += bytes.len() as u64;
-        self.uplink.push(
-            Envelope {
-                to: COORDINATOR_ADDR,
-                bytes,
-            },
-            inbox,
-        );
-    }
-
-    /// Delivers one upstream envelope to the coordinator, maintaining the
-    /// shadow liveness record and bouncing unknown clients into a rejoin.
-    fn deliver_up(
-        &mut self,
-        envelope: Envelope,
-        tick: u64,
-        inbox: &mut Vec<Envelope>,
-        outbox: &mut Vec<Envelope>,
-    ) {
-        // Shadow the liveness-bearing frames *as delivered*, independently
-        // of the coordinator's own bookkeeping.
-        if let Ok((
-            ControlFrame::JoinRequest { client, .. } | ControlFrame::Heartbeat { client, .. },
-            _,
-        )) = ControlFrame::decode(&envelope.bytes)
-        {
-            let entry = self.shadow_beat.entry(client).or_insert(tick);
-            *entry = (*entry).max(tick);
+    /// Carries every frame the nodes sent in direction `dir` across that
+    /// direction's chaos link and delivers what survives. Bytes are charged
+    /// at the sender (duplicates are the network's doing, not the radio's).
+    fn carry(&mut self, dir: usize, tick: u64) {
+        let (link, offered) = if dir == UP {
+            (&mut self.uplink, &mut self.report.control_bytes_up)
+        } else {
+            (&mut self.downlink, &mut self.report.control_bytes_down)
+        };
+        let mut arriving = Vec::new();
+        for envelope in self.net.take_sent(dir) {
+            *offered += envelope.bytes.len() as u64;
+            link.push(envelope, &mut arriving);
         }
-        match self.coordinator.handle_frame(&envelope.bytes, tick) {
-            Ok(effects) => self.absorb(effects, tick, outbox),
-            // A heartbeat from a client the coordinator already expired:
-            // the driver kicks that participant back into the handshake.
-            Err(ProtoError::UnknownClient { client }) => {
-                if let Some(i) = self.participant_index(client) {
-                    let rejoin = self.participants[i].start(tick);
-                    self.send_up(rejoin, inbox);
-                }
-            }
-            // Everything else — corrupted frames, stale rounds, duplicate
-            // or expired submissions — is a typed rejection the protocol
-            // absorbs by design.
-            Err(_) => {}
-        }
-    }
-
-    /// Routes one downstream envelope to its participant, pushing any
-    /// response (resume requests, rejoin handshakes) back onto the uplink.
-    fn deliver_down(&mut self, envelope: Envelope, tick: u64, inbox: &mut Vec<Envelope>) {
-        if let Some(i) = self.participant_index(envelope.to) {
-            // Typed rejections (corruption, stale rounds, misroutes) are
-            // absorbed by the protocol.
-            if let Ok(frames) = self.participants[i].handle_frame(&envelope.bytes, tick) {
-                for frame in frames {
-                    self.send_up(frame, inbox);
-                }
+        link.drain(&mut arriving);
+        for envelope in arriving {
+            // Shadow the liveness-bearing frames *as delivered* to a live
+            // coordinator, independently of its own bookkeeping.
+            let beat = match (dir == UP).then(|| ControlFrame::decode(&envelope.bytes)) {
+                Some(Ok((ControlFrame::JoinRequest { client, .. }, _)))
+                | Some(Ok((ControlFrame::Heartbeat { client, .. }, _))) => Some(client),
+                _ => None,
+            };
+            if let (true, Some(client)) = (self.net.deliver(dir, envelope), beat) {
+                let entry = self.shadow_beat.entry(client).or_insert(tick);
+                *entry = (*entry).max(tick);
             }
         }
     }
 
-    fn participant_index(&self, client: u64) -> Option<usize> {
-        self.participants.iter().position(|p| p.client() == client)
-    }
-
-    /// Folds coordinator effects into the report and the downlink.
-    fn absorb(&mut self, effects: Vec<Effect>, tick: u64, outbox: &mut Vec<Envelope>) {
+    /// Folds what the coordinator node decided this cycle into the report
+    /// and the audits.
+    fn absorb(&mut self, effects: Vec<Effect>, tick: u64) {
         for effect in effects {
-            match effect {
-                Effect::Send { to, frame } => {
-                    let bytes = frame.encode();
-                    self.report.control_bytes_down += bytes.len() as u64;
-                    self.downlink.push(Envelope { to, bytes }, outbox);
-                }
-                Effect::RoundCommitted { round, accepted } => {
-                    self.audit_commit(&accepted, tick);
-                    self.audit_once(round, &accepted);
-                    self.settle_recovery(round, tick);
-                    self.report.committed += 1;
-                    self.report.round_log.push(RoundVerdict {
-                        round,
-                        committed: true,
-                        accepted,
-                        closed_at: tick,
-                        reason: None,
-                    });
-                }
-                Effect::RoundAborted { round, reason } => {
-                    self.settle_recovery(round, tick);
-                    self.report.aborted += 1;
-                    self.report.round_log.push(RoundVerdict {
-                        round,
-                        committed: false,
-                        accepted: Vec::new(),
-                        closed_at: tick,
-                        reason: Some(reason),
-                    });
-                }
-                Effect::FleetShrunk { round, alive } => {
-                    self.report.replan_events.push((round, alive));
-                }
+            if let Effect::FleetShrunk { round, alive } = effect {
+                self.report.replan_events.push((round, alive));
             }
+            let Some(verdict) = RoundVerdict::of(&effect, tick) else {
+                continue;
+            };
+            if verdict.committed {
+                self.audit_commit(&verdict.accepted, tick);
+                self.audit_once(verdict.round, &verdict.accepted);
+                self.report.committed += 1;
+            } else {
+                self.report.aborted += 1;
+            }
+            self.settle_recovery(verdict.round, tick);
+            self.report.round_log.push(verdict);
         }
     }
 
@@ -524,13 +486,12 @@ impl Cluster {
     }
 }
 
-/// Volatile bookkeeping for one coordinator outage: what survives the
-/// crash (the journal bytes) and when the process comes back.
+/// Volatile bookkeeping for one coordinator outage: when the process
+/// comes back, and what the audits need to remember about the crash.
 #[derive(Debug)]
 struct Outage {
     restart: u64,
     crash_tick: u64,
-    journal: Vec<u8>,
     open_round: Option<u64>,
 }
 
@@ -538,7 +499,7 @@ struct Outage {
 mod tests {
     use super::*;
 
-    fn coordinator_config() -> CoordinatorConfig {
+    pub(super) fn coordinator_config() -> CoordinatorConfig {
         CoordinatorConfig {
             k: 2,
             over_select: 1,
@@ -612,7 +573,7 @@ mod tests {
     /// A quiet fleet whose training times are staggered, so uploads
     /// straggle in over several ticks and every round stays open long
     /// enough for a crash to land mid-round with updates buffered.
-    fn staggered_config(target_rounds: u64) -> ClusterConfig {
+    pub(super) fn staggered_config(target_rounds: u64) -> ClusterConfig {
         let mut config = ClusterConfig::quiet(coordinator_config(), 4, target_rounds);
         for (i, p) in config.participants.iter_mut().enumerate() {
             p.train_ticks = 2 + 4 * i as u64;
@@ -747,5 +708,163 @@ mod tests {
         assert!(report.liveness_ok(), "{report:?}");
         assert!(!report.replan_events.is_empty());
         assert!(report.replan_events.iter().all(|&(_, alive)| alive == 2));
+    }
+}
+
+/// What only the shipped loops over the simulated backend can say: the
+/// conformance oracle under chaos and crashes, torn tails through the node's
+/// start path, and byte-level determinism.
+#[cfg(test)]
+mod oracle_tests {
+    use super::tests::{coordinator_config, staggered_config};
+    use super::*;
+    use crate::node::replay_trace;
+
+    /// What one audited run left behind: its report, the simulated trace
+    /// file's bytes, and how many unsynced trace bytes its last crash lost.
+    struct Audited {
+        report: ClusterReport,
+        disk_trace: Vec<u8>,
+        lost_tail: usize,
+    }
+
+    /// Runs `config` (crashes keeping `torn_tail` unsynced trace bytes) and
+    /// holds the run to the conformance oracle: the coordinator node's live
+    /// audit equals the replay of its own trace, and its files on the
+    /// simulated disk are exactly its journal and its trace.
+    fn audited(config: ClusterConfig, torn_tail: usize) -> Audited {
+        let mut cluster = Cluster::new(config.clone());
+        cluster.torn_tail = torn_tail;
+        let (journal, trace) = (cluster.journal.clone(), cluster.trace.clone());
+        let (report, node) = cluster.run_to_end();
+        let node = node.expect("the run ended with the coordinator up");
+        let replayed = replay_trace(&config.coordinator, &config.global_payload, &node.trace);
+        assert_eq!(
+            replayed, node.audit,
+            "live audit != replay of its own trace"
+        );
+        assert_eq!(journal.bytes(), node.audit.journal, "disk journal diverged");
+        let encoded: Vec<u8> = node.trace.iter().flat_map(|e| e.encode()).collect();
+        assert_eq!(trace.bytes(), encoded, "disk trace diverged");
+        assert_eq!(report.round_log.len(), node.audit.round_log.len());
+        Audited {
+            report,
+            disk_trace: trace.bytes(),
+            lost_tail: trace.lost(),
+        }
+    }
+
+    fn hostile(seed: u64) -> ChaosConfig {
+        ChaosConfig {
+            drop_prob: 0.12,
+            dup_prob: 0.10,
+            reorder_prob: 0.12,
+            corrupt_prob: 0.06,
+            seed,
+        }
+    }
+
+    /// The `tests/protocol.rs` fleet: five honest devices and a muted probe.
+    fn protocol_config(seed: u64) -> ClusterConfig {
+        let mut config = ClusterConfig::quiet(
+            CoordinatorConfig {
+                k: 3,
+                ..coordinator_config()
+            },
+            5,
+            6,
+        );
+        config.participants.push(ParticipantConfig {
+            mute_heartbeats: true,
+            ..ParticipantConfig::new(5, 3)
+        });
+        config.uplink = hostile(seed * 2 + 1);
+        config.downlink = hostile(seed * 2 + 2);
+        config
+    }
+
+    fn crash(at_tick: u64, down_ticks: u64) -> CoordinatorCrash {
+        CoordinatorCrash {
+            at_tick,
+            down_ticks,
+        }
+    }
+
+    /// Every crash schedule the unit tests above run.
+    fn crash_schedules() -> Vec<ClusterConfig> {
+        let with = |mut config: ClusterConfig, crashes: Vec<CoordinatorCrash>| {
+            config.crashes = crashes;
+            config
+        };
+        let mut chaotic = ClusterConfig::quiet(coordinator_config(), 5, 8);
+        chaotic.uplink = hostile(42);
+        chaotic.downlink = hostile(43);
+        vec![
+            with(staggered_config(5), vec![crash(5, 5)]),
+            with(
+                ClusterConfig::quiet(coordinator_config(), 4, 5),
+                vec![crash(12, 4), crash(33, 7)],
+            ),
+            with(staggered_config(5), vec![crash(4, 10), crash(8, 10)]),
+            with(staggered_config(4), vec![crash(5, 60)]),
+            with(chaotic, vec![crash(18, 6), crash(90, 12)]),
+        ]
+    }
+
+    #[test]
+    fn live_audit_equals_trace_replay_under_hostile_chaos() {
+        for seed in [1u64, 3, 7, 23, 42, 99, 1234] {
+            let run = audited(protocol_config(seed), 0).report;
+            assert!(run.liveness_ok() && run.safety_ok(), "seed {seed}: {run:?}");
+        }
+    }
+
+    #[test]
+    fn live_audit_equals_trace_replay_across_kill_and_restart() {
+        for (i, config) in crash_schedules().into_iter().enumerate() {
+            let run = audited(config, 0).report;
+            assert!(run.coordinator_crashes >= 1, "schedule {i}: {run:?}");
+            assert!(
+                run.liveness_ok() && run.safety_ok() && run.recovery_ok(),
+                "schedule {i}: {run:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_torn_trace_tail_at_every_crash_tick_recovers_through_the_start_path() {
+        let mut tails = 0;
+        for at_tick in 0..=24 {
+            let config = || {
+                let mut config = staggered_config(5);
+                config.crashes = vec![crash(at_tick, 3)];
+                config
+            };
+            // With nothing kept, the crash reports how long the unsynced
+            // tail was; then keep every prefix of it in turn.
+            let unsynced = audited(config(), 0).lost_tail;
+            for keep in 0..=unsynced {
+                let run = audited(config(), keep).report;
+                let at = format!("crash at {at_tick} keeping {keep} of {unsynced}");
+                assert_eq!(run.coordinator_crashes, 1, "{at}");
+                assert!(run.liveness_ok(), "{at}: {run:?}");
+                assert!(run.safety_ok() && run.recovery_ok(), "{at}: {run:?}");
+                assert_eq!(run.committed + run.aborted, 5, "{at}");
+            }
+            tails += unsynced;
+        }
+        assert!(tails > 500, "the sweep must actually tear tails: {tails}");
+    }
+
+    #[test]
+    fn identical_campaigns_write_byte_identical_traces() {
+        let mut configs = crash_schedules();
+        configs.push(protocol_config(7));
+        for (i, config) in configs.into_iter().enumerate() {
+            let (a, b) = (audited(config.clone(), 0), audited(config, 0));
+            assert!(!a.disk_trace.is_empty());
+            assert_eq!(a.disk_trace, b.disk_trace, "campaign {i}: traces diverged");
+            assert_eq!(a.report, b.report, "campaign {i}: reports diverged");
+        }
     }
 }

@@ -170,33 +170,15 @@ impl CoordinatorCore {
 
     /// Records round verdicts and snapshots committed model payloads.
     fn observe(&mut self, effects: &[Effect], tick: u64) {
-        for effect in effects {
-            match effect {
-                Effect::RoundCommitted { round, accepted } => {
-                    self.round_log.push(RoundVerdict {
-                        round: *round,
-                        committed: true,
-                        accepted: accepted.clone(),
-                        closed_at: tick,
-                        reason: None,
-                    });
-                    // The payload snapshot at the commit instant is the
-                    // committed model set — identical capture point live
-                    // and in replay.
-                    self.committed_models
-                        .insert(*round, self.coordinator.update_payloads().clone());
-                }
-                Effect::RoundAborted { round, reason } => {
-                    self.round_log.push(RoundVerdict {
-                        round: *round,
-                        committed: false,
-                        accepted: Vec::new(),
-                        closed_at: tick,
-                        reason: Some(*reason),
-                    });
-                }
-                Effect::Send { .. } | Effect::FleetShrunk { .. } => {}
+        for verdict in effects.iter().filter_map(|e| RoundVerdict::of(e, tick)) {
+            if verdict.committed {
+                // The payload snapshot at the commit instant is the
+                // committed model set — identical capture point live and
+                // in replay.
+                let payloads = self.coordinator.update_payloads().clone();
+                self.committed_models.insert(verdict.round, payloads);
             }
+            self.round_log.push(verdict);
         }
     }
 

@@ -28,36 +28,39 @@
 //!   roster, leases, and in-flight round state after a crash, resuming the
 //!   round when quorum is still reachable in the deadline budget and
 //!   aborting it cleanly otherwise;
-//! * [`ChaosLink`] and [`Cluster`] — a deterministic lossy network and an
-//!   in-process driver that audits the protocol's liveness (every opened
-//!   round commits or aborts — across coordinator restarts, within a
-//!   bounded recovery budget) and safety (no expired client's update is
-//!   ever aggregated, no update aggregated twice across a restart) under
-//!   seeded chaos, including seeded coordinator kill/restart events;
+//! * [`node`] — `CoordinatorNode`/`ParticipantNode`, the one loop per role
+//!   that drives those state machines, generic over the sealed [`backend`]
+//!   seam (frame connection, listener, dialer, durable log). Over the
+//!   default backend — localhost TCP ([`fei_net::transport`]) and files —
+//!   it is what `fei_coordinatord` runs ([`daemon`] wraps it in the command
+//!   line and stats file), persisting a frame trace ([`trace`]) whose
+//!   deterministic replay through the shared decision core ([`core`],
+//!   [`replay_trace`]) must reproduce the live run's decisions bit for bit;
 //! * [`DiskJournal`] — the journal pinned to disk with append+fsync before
 //!   every transition effect, torn-tail truncation on open, and a
 //!   lock-file single-writer guarantee;
-//! * [`node`] — `CoordinatorNode`/`ParticipantNode`, which drive the same
-//!   state machines from real localhost TCP sockets
-//!   ([`fei_net::transport`]) while persisting a frame trace ([`trace`])
-//!   whose deterministic replay through the shared decision core
-//!   ([`core`], [`replay_trace`]) must reproduce the live run's decisions
-//!   bit for bit; [`daemon`] wraps a node in the `fei_coordinatord`
-//!   command line and stats file;
+//! * [`ChaosLink`] and [`Cluster`] — a deterministic lossy link, and the
+//!   same node loops run in lock-step over a simulated wire and disk, with
+//!   an audit from outside of the protocol's liveness (every opened round
+//!   commits or aborts — across coordinator restarts, within a bounded
+//!   recovery budget) and safety (no expired client's update is ever
+//!   aggregated, no update aggregated twice across a restart) under seeded
+//!   chaos, including seeded coordinator kill/restart events;
 //! * [`Supervisor`] — spawns the coordinator as a real OS process, detects
 //!   death, breaks the stale journal lock, and respawns against the same
 //!   journal path.
 //!
-//! The simulation core stays deterministic: no wall clock, no ambient
-//! randomness, no unordered iteration. Identical configurations and seeds
-//! replay identical protocol histories, byte for byte. The socket runtime
-//! in [`node`] is the one place scheduling nondeterminism enters — and the
-//! frame trace pins it down again: replaying the trace through the same
-//! decision core is required (and tested) to be bit-identical.
+//! The crate stays deterministic: no wall clock, no ambient randomness, no
+//! unordered iteration. Identical configurations and seeds replay identical
+//! protocol histories, byte for byte. The real backend under [`node`] is
+//! the one place scheduling nondeterminism enters — and the frame trace
+//! pins it down again: replaying the trace through the same decision core
+//! is required (and tested) to be bit-identical.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod chaos;
 pub mod cluster;
 pub mod coordinator;
@@ -71,11 +74,12 @@ pub mod node;
 pub mod participant;
 mod record;
 pub mod round;
+mod sim;
 pub mod store;
 pub mod supervisor;
 pub mod trace;
 
-pub use chaos::{ChaosConfig, ChaosLink, ChaosStats, Envelope, COORDINATOR_ADDR};
+pub use chaos::{ChaosConfig, ChaosLink, ChaosStats, Envelope};
 pub use cluster::{Cluster, ClusterConfig, ClusterReport, CoordinatorCrash, RoundVerdict};
 pub use coordinator::{
     AbortBreakdown, ControlStats, Coordinator, CoordinatorConfig, Effect, Phase,

@@ -1,12 +1,15 @@
-//! Socket-driven protocol nodes.
+//! The protocol nodes: one loop per role, over either backend.
 //!
-//! This module converts the simulated protocol into a runnable distributed
-//! system: [`CoordinatorNode`] and [`ParticipantNode`] drive the *same*
-//! [`Coordinator`](crate::Coordinator)/[`Participant`] state machines the
-//! deterministic [`crate::Cluster`] drives, but from real localhost TCP
-//! sockets ([`fei_net::transport`]) instead of scripted ticks. The OS
-//! scheduler and the kernel's read boundaries introduce nondeterminism —
-//! and the **frame trace** ([`crate::trace`]) pins it back down:
+//! [`CoordinatorNode`] and [`ParticipantNode`] are the only drivers of the
+//! [`Coordinator`](crate::Coordinator)/[`Participant`] state machines. Each
+//! is one `cycle()` — the loop body — generic over the [`crate::backend`]
+//! seam: over the default backend (localhost TCP sockets from
+//! [`fei_net::transport`], files on disk) `run()` = `cycle()` + a sleep is
+//! what `fei_coordinatord` ships; over the simulated backend the
+//! deterministic [`crate::Cluster`] calls the same `cycle()` in lock-step.
+//! On real sockets the OS scheduler and the kernel's read boundaries
+//! introduce nondeterminism — and the **frame trace** ([`crate::trace`])
+//! pins it back down:
 //!
 //! * every input the coordinator's decision core ([`crate::core`])
 //!   consumes (delivered frames, round-open attempts, tick advances,
@@ -37,18 +40,18 @@
 //! to that length and handing it to
 //! [`Coordinator::recover`](crate::Coordinator::recover).
 //!
-//! Determinism hygiene: nodes pace themselves with cycle counters and
-//! `thread::sleep`; there is no wall clock anywhere in this module, so the
-//! `det-wallclock` lint holds for the whole crate.
+//! Determinism hygiene: nodes count cycles, and only the two `run()`
+//! wrappers ever `thread::sleep`; there is no wall clock anywhere in this
+//! module, so the `det-wallclock` lint holds for the whole crate.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fs::File;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use fei_net::transport::{FrameConn, RawFrame};
-
+use crate::backend::{drain, Conn, Dialer, Listener, Log};
 use crate::coordinator::{CoordinatorConfig, Effect};
 use crate::error::ProtoError;
 use crate::frames::ControlFrame;
@@ -231,26 +234,32 @@ pub struct NodeReport {
 /// participants retransmit, so dropping beyond the cap is safe.
 const QUEUE_CAP: usize = 256;
 
-struct ClientConn {
-    conn: FrameConn,
+#[derive(Debug)]
+struct ClientConn<C> {
+    conn: C,
     client: Option<u64>,
 }
 
-/// The coordinator as a socket server: accepts participant connections,
+/// The coordinator as a frame server: accepts participant connections,
 /// pumps frames into the shared decision core, and persists trace +
 /// journal with the crash-consistency ordering described in the module
-/// docs.
-pub struct CoordinatorNode {
+/// docs. Generic over the [`crate::backend`] seam; the defaults are real
+/// sockets and files.
+#[derive(Debug)]
+pub struct CoordinatorNode<L: Listener = TcpListener, G: Log = File> {
     config: CoordinatorNodeConfig,
-    listener: TcpListener,
-    conns: Vec<ClientConn>,
+    listener: L,
+    conns: Vec<ClientConn<L::Conn>>,
     /// Frames addressed to clients with no live connection (flushed when
     /// the client next identifies itself on a connection).
     queued: BTreeMap<u64, Vec<Vec<u8>>>,
     core: CoordinatorCore,
     trace: Vec<TraceEvent>,
-    sink: Option<TraceSink>,
-    store: Option<DiskJournal>,
+    sink: Option<TraceSink<G>>,
+    store: Option<DiskJournal<G>>,
+    /// Verdicts and re-plan cues of the current cycle, handed to
+    /// [`CoordinatorNode::cycle`]'s caller.
+    surfaced: Vec<Effect>,
     tick: u64,
     cycles: u64,
     shutdown: bool,
@@ -278,45 +287,59 @@ impl CoordinatorNode {
             let addr = listener.local_addr().map_err(io_err("local addr"))?;
             write_atomic(path, &format!("{addr}\n"))?;
         }
-        let (store, disk_prefix) = match &persist.journal {
-            Some(path) => {
-                let (store, prefix) = DiskJournal::open(path)?;
-                (Some(store), prefix)
-            }
-            None => (None, Vec::new()),
-        };
-        let (sink, prefix_events) = match &persist.trace {
-            Some(path) if path.exists() => {
-                let (sink, events) = TraceSink::open_resume(path)?;
-                (Some(sink), events)
-            }
-            Some(path) => (Some(TraceSink::create(path)?), Vec::new()),
-            None => (None, Vec::new()),
-        };
+        let store = persist.journal.as_deref().map(DiskJournal::open);
+        let store = store.transpose()?;
+        let sink = persist.trace.as_deref().map(TraceSink::open_resume);
+        Self::boot(listener, config, store, sink.transpose()?)
+    }
 
+    /// The bound listening address.
+    ///
+    /// # Errors
+    ///
+    /// [`NodeError::Io`] if the OS cannot report it.
+    pub fn local_addr(&self) -> Result<SocketAddr, NodeError> {
+        self.listener.local_addr().map_err(io_err("local addr"))
+    }
+}
+
+impl<L: Listener, G: Log> CoordinatorNode<L, G> {
+    /// The start path of every incarnation on either backend, given the
+    /// opened journal store and trace sink with what survived in them:
+    /// fresh when both are empty, otherwise recovered — replay the
+    /// persisted trace, verify the journal is a prefix of the replayed
+    /// one, record the recovery.
+    pub(crate) fn boot(
+        listener: L,
+        config: CoordinatorNodeConfig,
+        store: Option<(DiskJournal<G>, Vec<u8>)>,
+        sink: Option<(TraceSink<G>, Vec<TraceEvent>)>,
+    ) -> Result<Self, NodeError> {
+        let (store, disk_prefix) = store.map_or((None, Vec::new()), |(s, p)| (Some(s), p));
+        let (sink, prefix_events) = sink.map_or((None, Vec::new()), |(s, e)| (Some(s), e));
         let mut node = Self {
             core: CoordinatorCore::new(config.coordinator.clone(), config.global.clone()),
             config,
             listener,
             conns: Vec::new(),
             queued: BTreeMap::new(),
-            trace: prefix_events,
+            trace: Vec::new(),
             sink,
             store,
+            surfaced: Vec::new(),
             tick: 0,
             cycles: 0,
             shutdown: false,
         };
 
-        if !node.trace.is_empty() {
+        if !prefix_events.is_empty() {
             // Restart with a trace: rebuild the previous incarnations'
             // exact decision state by replaying our own recorded history,
             // then recover from what the disk journal actually retained.
-            let prefix = std::mem::take(&mut node.trace);
-            for event in &prefix {
+            for event in &prefix_events {
                 let _ = node.core.apply(event);
             }
-            node.trace = prefix;
+            node.trace = prefix_events;
             let replayed = node.core.coordinator().journal().bytes();
             if disk_prefix.len() > replayed.len()
                 || replayed[..disk_prefix.len()] != disk_prefix[..]
@@ -331,9 +354,7 @@ impl CoordinatorNode {
                 tick: node.tick,
                 journal_len: disk_prefix.len() as u64,
             };
-            node.record(&event)?;
-            let effects = node.core.apply(&event).outcome?;
-            node.sync_store()?;
+            let effects = node.step(event)?.outcome?;
             node.dispatch(effects);
         } else if !disk_prefix.is_empty() {
             // Journal without a trace: recover directly from disk.
@@ -342,21 +363,15 @@ impl CoordinatorNode {
             node.sync_store()?;
             node.dispatch(effects);
         } else {
-            let event = TraceEvent::Open;
-            node.record(&event)?;
-            node.core.apply(&event).outcome?;
-            node.sync_store()?;
+            node.step(TraceEvent::Open)?.outcome?;
         }
         Ok(node)
     }
 
-    /// The bound listening address.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Io`] if the OS cannot report it.
-    pub fn local_addr(&self) -> Result<SocketAddr, NodeError> {
-        self.listener.local_addr().map_err(io_err("local addr"))
+    /// The decision core (read-only: the simulator's audits look at the
+    /// phase and round a crash interrupts).
+    pub(crate) fn core(&self) -> &CoordinatorCore {
+        &self.core
     }
 
     /// Runs until the round target is met, a shutdown frame arrives, or
@@ -369,35 +384,64 @@ impl CoordinatorNode {
     /// socket errors as their typed variants.
     pub fn run(mut self) -> Result<NodeReport, NodeError> {
         loop {
-            self.cycles += 1;
-            self.tick += 1;
-            if self.cycles > self.config.max_cycles {
-                return Err(NodeError::CycleBudget {
-                    cycles: self.cycles,
-                });
-            }
-            self.accept_new();
-            self.poll_connections()?;
-            if self.shutdown {
-                break;
-            }
-            self.maybe_start_round()?;
-            self.advance_tick()?;
-            if self.config.target_rounds > 0
-                && self.core.rounds_closed() >= self.config.target_rounds
-            {
-                break;
+            self.cycle()?;
+            if self.done() {
+                return self.finish();
             }
             std::thread::sleep(Duration::from_millis(self.config.cycle_sleep_ms));
         }
+    }
+
+    /// One turn of the loop, advancing the node's clock one tick: accept →
+    /// poll and apply inbound frames → maybe open a round → tick. Returns
+    /// the round verdicts and fleet-shrink cues decided since the previous
+    /// cycle returned (start-up recovery's included); frames it sends.
+    ///
+    /// # Errors
+    ///
+    /// [`NodeError::CycleBudget`] on the liveness bound; a failed trace or
+    /// journal write, typed — its transition then has sent nothing.
+    pub(crate) fn cycle(&mut self) -> Result<Vec<Effect>, NodeError> {
+        self.cycles += 1;
+        self.tick += 1;
+        if self.cycles > self.config.max_cycles {
+            return Err(NodeError::CycleBudget {
+                cycles: self.cycles,
+            });
+        }
+        while let Some(conn) = self.listener.accept() {
+            self.conns.push(ClientConn { conn, client: None });
+        }
+        self.poll_connections()?;
+        if !self.shutdown {
+            self.maybe_start_round()?;
+            self.advance_tick()?;
+        }
+        Ok(std::mem::take(&mut self.surfaced))
+    }
+
+    /// Whether the loop is over: a shutdown frame arrived or the round
+    /// target is met.
+    pub(crate) fn done(&self) -> bool {
+        self.shutdown
+            || (self.config.target_rounds > 0
+                && self.core.rounds_closed() >= self.config.target_rounds)
+    }
+
+    /// Orderly exit: final trace sync, journal close, and the node's
+    /// history moves into the report (a copy would double the process's
+    /// memory at its largest).
+    ///
+    /// # Errors
+    ///
+    /// The final sync's typed error.
+    pub(crate) fn finish(mut self) -> Result<NodeReport, NodeError> {
         if let Some(sink) = self.sink.as_mut() {
             sink.sync()?;
         }
         if let Some(store) = self.store {
             store.close()?;
         }
-        // The node is finished: its history moves into the report (a copy
-        // would double the process's memory at its largest).
         Ok(NodeReport {
             audit: self.core.into_audit(),
             trace: self.trace,
@@ -406,36 +450,18 @@ impl CoordinatorNode {
         })
     }
 
-    fn accept_new(&mut self) {
-        // WouldBlock = no pending connection; transient accept errors
-        // (ECONNABORTED) just wait for the next cycle.
-        while let Ok((stream, _)) = self.listener.accept() {
-            if let Ok(conn) = FrameConn::from_stream(stream) {
-                self.conns.push(ClientConn { conn, client: None });
-            }
-        }
-    }
-
     fn poll_connections(&mut self) -> Result<(), NodeError> {
-        let mut inbound: Vec<(usize, RawFrame)> = Vec::new();
+        let mut inbound: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut dead: BTreeSet<usize> = BTreeSet::new();
         for (i, cc) in self.conns.iter_mut().enumerate() {
-            loop {
-                match cc.conn.poll() {
-                    Ok(Some(raw)) => inbound.push((i, raw)),
-                    Ok(None) => break,
-                    // Closed, desync, or I/O failure: the frames already
-                    // reassembled above still get delivered; the
-                    // connection itself is dropped below.
-                    Err(_) => {
-                        dead.insert(i);
-                        break;
-                    }
-                }
+            // A lost connection's already-reassembled frames still get
+            // delivered; the connection itself is dropped below.
+            if drain(&mut cc.conn, |bytes| inbound.push((i, bytes))) {
+                dead.insert(i);
             }
         }
-        for (i, raw) in inbound {
-            self.on_frame(i, raw)?;
+        for (i, bytes) in inbound {
+            self.on_frame(i, bytes)?;
             if self.shutdown {
                 break;
             }
@@ -451,16 +477,11 @@ impl CoordinatorNode {
         Ok(())
     }
 
-    fn on_frame(&mut self, conn_index: usize, raw: RawFrame) -> Result<(), NodeError> {
-        let event = TraceEvent::Deliver {
-            tick: self.tick,
-            bytes: raw.bytes,
-        };
-        self.record(&event)?;
+    fn on_frame(&mut self, conn_index: usize, bytes: Vec<u8>) -> Result<(), NodeError> {
         // The one decode of the frame happens inside `apply`, on the path
         // replay shares; it reports who the frame was from.
-        let applied = self.core.apply(&event);
-        self.sync_store()?;
+        let tick = self.tick;
+        let applied = self.step(TraceEvent::Deliver { tick, bytes })?;
         if let Some(client) = applied.sender {
             self.register(conn_index, client);
         }
@@ -494,24 +515,25 @@ impl CoordinatorNode {
         {
             return;
         }
+        // Newest identified connection wins. A device that restarted and
+        // re-dialed may leave its old connection half-open (no FIN yet);
+        // were that one to keep the id, `deliver` would feed it every frame
+        // meant for the live one.
+        for cc in self.conns.iter_mut().filter(|cc| cc.client == Some(client)) {
+            cc.client = None;
+        }
         if let Some(cc) = self.conns.get_mut(conn_index) {
             cc.client = Some(client);
-        }
-        if let Some(frames) = self.queued.remove(&client) {
-            if let Some(cc) = self.conns.get_mut(conn_index) {
-                for bytes in frames {
-                    let _ = cc.conn.send(&bytes);
-                }
+            for bytes in self.queued.remove(&client).unwrap_or_default() {
+                let _ = cc.conn.send(&bytes);
             }
         }
     }
 
     fn maybe_start_round(&mut self) -> Result<(), NodeError> {
         use crate::coordinator::Phase;
-        let target_met =
-            self.config.target_rounds > 0 && self.core.rounds_closed() >= self.config.target_rounds;
         let phase = self.core.coordinator().phase();
-        if target_met || !matches!(phase, Phase::Rendezvous | Phase::RoundClosed) {
+        if self.done() || !matches!(phase, Phase::Rendezvous | Phase::RoundClosed) {
             return Ok(());
         }
         // Gate on a live quorum so the trace is not flooded with doomed
@@ -521,32 +543,31 @@ impl CoordinatorNode {
         if live < self.config.coordinator.quorum {
             return Ok(());
         }
-        let event = TraceEvent::StartRound { tick: self.tick };
-        self.record(&event)?;
-        let effects = self.core.apply(&event).outcome.unwrap_or_default();
-        self.sync_store()?;
-        self.dispatch(effects);
+        let tick = self.tick;
+        let effects = self.step(TraceEvent::StartRound { tick })?.outcome;
+        self.dispatch(effects.unwrap_or_default());
         Ok(())
     }
 
     fn advance_tick(&mut self) -> Result<(), NodeError> {
-        let event = TraceEvent::Tick { tick: self.tick };
-        self.record(&event)?;
-        let effects = self.core.apply(&event).outcome.unwrap_or_default();
-        self.sync_store()?;
-        self.dispatch(effects);
+        let tick = self.tick;
+        let effects = self.step(TraceEvent::Tick { tick })?.outcome;
+        self.dispatch(effects.unwrap_or_default());
         Ok(())
     }
 
-    /// Appends to the in-memory trace and the sink (buffered; the sink is
-    /// fsync'd before any journal fsync, keeping the trace ahead of the
-    /// journal on disk).
-    fn record(&mut self, event: &TraceEvent) -> Result<(), NodeError> {
-        self.trace.push(event.clone());
+    /// Feeds one input to the decision core in the crash-consistent order:
+    /// the event joins the trace (buffered in the sink, then in memory) →
+    /// it is applied → what it journaled is made durable. Only then may
+    /// the caller act on what was decided.
+    fn step(&mut self, event: TraceEvent) -> Result<Applied, NodeError> {
         if let Some(sink) = self.sink.as_mut() {
-            sink.append(event)?;
+            sink.append(&event)?;
         }
-        Ok(())
+        let applied = self.core.apply(&event);
+        self.trace.push(event);
+        self.sync_store()?;
+        Ok(applied)
     }
 
     /// Makes the journal's new suffix durable (trace first, then journal
@@ -565,10 +586,12 @@ impl CoordinatorNode {
         Ok(())
     }
 
+    /// Sends the frames among `effects`; the rest surface from `cycle`.
     fn dispatch(&mut self, effects: Vec<Effect>) {
         for effect in effects {
-            if let Effect::Send { to, frame } = effect {
-                self.deliver(to, frame.encode());
+            match effect {
+                Effect::Send { to, frame } => self.deliver(to, frame.encode()),
+                other => self.surfaced.push(other),
             }
         }
     }
@@ -642,18 +665,34 @@ pub struct ParticipantReport {
     pub reconnects: u64,
 }
 
-/// A participant as a socket client: connects (and reconnects, following
+/// A participant as a frame client: connects (and reconnects, following
 /// the port file across coordinator respawns), pumps frames between the
-/// socket and the [`Participant`] state machine, and stops when told.
-pub struct ParticipantNode {
-    addr: CoordinatorAddr,
+/// connection and the [`Participant`] state machine, and stops when told.
+/// Generic over how it dials ([`crate::backend::Dialer`]); the default is
+/// a TCP connect to a [`CoordinatorAddr`].
+#[derive(Debug)]
+pub struct ParticipantNode<D: Dialer = CoordinatorAddr> {
+    dialer: D,
     config: ParticipantNodeConfig,
+    participant: Participant,
+    conn: Option<D::Conn>,
+    started: bool,
+    reconnects: u64,
+    cycles: u64,
 }
 
-impl ParticipantNode {
+impl<D: Dialer> ParticipantNode<D> {
     /// Creates a node that will dial `addr`.
-    pub fn new(addr: CoordinatorAddr, config: ParticipantNodeConfig) -> Self {
-        Self { addr, config }
+    pub fn new(addr: D, config: ParticipantNodeConfig) -> Self {
+        Self {
+            dialer: addr,
+            participant: Participant::new(config.participant.clone()),
+            config,
+            conn: None,
+            started: false,
+            reconnects: 0,
+            cycles: 0,
+        }
     }
 
     /// Runs until `stop` is raised or the cycle budget is spent. Frames
@@ -667,72 +706,63 @@ impl ParticipantNode {
     /// budget is a clean stop); the `Result` keeps room for future typed
     /// failures.
     pub fn run(&mut self, stop: &AtomicBool) -> Result<ParticipantReport, NodeError> {
-        let mut participant = Participant::new(self.config.participant.clone());
-        let mut conn: Option<FrameConn> = None;
-        let mut started = false;
-        let mut reconnects = 0u64;
-        let mut cycles = 0u64;
-        for cycle in 1..=self.config.max_cycles {
-            cycles = cycle;
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let now = cycle;
-            if conn.is_none() && (cycle == 1 || cycle % self.config.reconnect_cycles == 0) {
-                if let Some(addr) = self.addr.resolve() {
-                    if let Ok(mut fresh) = FrameConn::connect(addr) {
-                        if started {
-                            reconnects += 1;
-                        } else {
-                            let join = participant.start(now);
-                            let _ = fresh.send(&join.encode());
-                            started = true;
-                        }
-                        conn = Some(fresh);
-                    }
-                }
-            }
-            let mut out: Vec<ControlFrame> = Vec::new();
-            let mut lost = false;
-            if let Some(c) = conn.as_mut() {
-                loop {
-                    match c.poll() {
-                        Ok(Some(raw)) => {
-                            // Rejections leave the machine unchanged; the
-                            // coordinator's typed errors are its own
-                            // bookkeeping.
-                            if let Ok(frames) = participant.handle_frame(&raw.bytes, now) {
-                                out.extend(frames);
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            lost = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            out.extend(participant.tick(now));
-            if let Some(c) = conn.as_mut() {
-                if !lost {
-                    for frame in &out {
-                        if c.send(&frame.encode()).is_err() {
-                            lost = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if lost {
-                conn = None;
-            }
+        while self.cycles < self.config.max_cycles && !stop.load(Ordering::Relaxed) {
+            self.cycle();
             std::thread::sleep(Duration::from_millis(self.config.cycle_sleep_ms));
         }
-        Ok(ParticipantReport {
-            stats: participant.stats(),
-            cycles,
-            reconnects,
-        })
+        Ok(self.report())
+    }
+
+    /// What the node has done so far.
+    pub(crate) fn report(&self) -> ParticipantReport {
+        ParticipantReport {
+            stats: self.participant.stats(),
+            cycles: self.cycles,
+            reconnects: self.reconnects,
+        }
+    }
+
+    /// One turn of the loop, advancing the node's clock one tick: dial
+    /// when disconnected → poll and apply inbound frames → tick → send.
+    pub(crate) fn cycle(&mut self) {
+        self.cycles += 1;
+        let now = self.cycles;
+        if self.conn.is_none() && (now == 1 || now.is_multiple_of(self.config.reconnect_cycles)) {
+            if let Some(mut fresh) = self.dialer.dial() {
+                if self.started {
+                    self.reconnects += 1;
+                } else {
+                    let join = self.participant.start(now);
+                    let _ = fresh.send(&join.encode());
+                    self.started = true;
+                }
+                self.conn = Some(fresh);
+            }
+        }
+        let mut out: Vec<ControlFrame> = Vec::new();
+        let mut lost = false;
+        if let Some(c) = self.conn.as_mut() {
+            lost = drain(c, |bytes| {
+                // Rejections leave the machine unchanged; the coordinator's
+                // typed errors are its own bookkeeping.
+                if let Ok(frames) = self.participant.handle_frame(&bytes, now) {
+                    out.extend(frames);
+                }
+            });
+        }
+        out.extend(self.participant.tick(now));
+        if let Some(c) = self.conn.as_mut() {
+            if !lost {
+                for frame in &out {
+                    if c.send(&frame.encode()).is_err() {
+                        lost = true;
+                        break;
+                    }
+                }
+            }
+        }
+        if lost {
+            self.conn = None;
+        }
     }
 }

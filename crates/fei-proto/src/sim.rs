@@ -1,0 +1,499 @@
+//! The simulated backend: an in-memory wire and disk under the node loops,
+//! which [`crate::Cluster`] drives in lock-step. DESIGN.md §14 lists what it
+//! models and what it does not; in short:
+//!
+//! * **Frames are datagrams.** A sent frame waits in [`SimNet`] until the
+//!   driver carries it across a [`crate::ChaosLink`] and delivers it —
+//!   whole, or dropped, duplicated, reordered or bit-flipped, never split.
+//! * **A connection dies with the coordinator incarnation it was made to**,
+//!   and by nothing else: there is no FIN, an abandoned connection stays
+//!   half-open on the coordinator's side.
+//! * **A file is its synced prefix.** Only `sync` advances [`SimFile`]'s
+//!   watermark; a crash keeps what lies below it.
+//!
+//! Time is the driver's tick; nothing here has a clock.
+
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::io;
+use std::rc::Rc;
+
+use fei_net::transport::TransportError;
+
+use crate::backend::{sealed::Sealed, Conn, Dialer, Listener, Log};
+use crate::chaos::Envelope;
+
+/// Index of the participant → coordinator direction.
+pub(crate) const UP: usize = 0;
+/// Index of the coordinator → participant direction.
+pub(crate) const DOWN: usize = 1;
+
+#[derive(Debug)]
+struct Link {
+    /// Cleared when the coordinator incarnation it was made to dies.
+    alive: bool,
+    /// Delivered frames not yet polled, per direction.
+    arrived: [VecDeque<Vec<u8>>; 2],
+}
+
+#[derive(Debug, Default)]
+struct Wire {
+    /// Whether a coordinator incarnation is up and accepting.
+    listening: bool,
+    /// Every connection ever dialed; a connection's id is its index.
+    links: Vec<Link>,
+    /// Dialed, not yet accepted.
+    backlog: VecDeque<usize>,
+    /// Frames sent and not yet carried, per direction; `Envelope::to` is
+    /// the connection id.
+    sent: [Vec<Envelope>; 2],
+}
+
+/// A handle on the simulated network: the coordinator's [`Listener`], every
+/// participant's [`Dialer`], and the driver's view of frames in flight.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SimNet(Rc<RefCell<Wire>>);
+
+impl SimNet {
+    /// A coordinator incarnation starts listening; this is its listener.
+    pub(crate) fn listen(&self) -> SimNet {
+        self.0.borrow_mut().listening = true;
+        self.clone()
+    }
+
+    /// The coordinator died: every connection made to it dies with it.
+    pub(crate) fn hang_up(&self) {
+        let mut wire = self.0.borrow_mut();
+        wire.listening = false;
+        wire.backlog.clear();
+        wire.links.iter_mut().for_each(|link| link.alive = false);
+    }
+
+    /// Takes the frames sent in direction `dir` since the last call.
+    pub(crate) fn take_sent(&self, dir: usize) -> Vec<Envelope> {
+        std::mem::take(&mut self.0.borrow_mut().sent[dir])
+    }
+
+    /// Delivers one carried frame to the far end of its connection and says
+    /// whether that connection is alive. Frames bound for a dead
+    /// coordinator are lost; frames already in flight to a participant
+    /// still arrive (it reads them, then finds the connection lost).
+    pub(crate) fn deliver(&self, dir: usize, envelope: Envelope) -> bool {
+        let mut wire = self.0.borrow_mut();
+        let link = usize::try_from(envelope.to).ok();
+        let Some(link) = link.and_then(|id| wire.links.get_mut(id)) else {
+            return false;
+        };
+        if link.alive || dir == DOWN {
+            link.arrived[dir].push_back(envelope.bytes);
+        }
+        link.alive
+    }
+}
+
+impl Sealed for SimNet {}
+impl Listener for SimNet {
+    type Conn = SimConn;
+
+    fn accept(&mut self) -> Option<SimConn> {
+        let id = self.0.borrow_mut().backlog.pop_front()?;
+        let net = self.clone();
+        Some(SimConn { net, id, reads: UP })
+    }
+}
+
+impl Dialer for SimNet {
+    type Conn = SimConn;
+
+    fn dial(&mut self) -> Option<SimConn> {
+        let mut wire = self.0.borrow_mut();
+        if !wire.listening {
+            return None;
+        }
+        let id = wire.links.len();
+        wire.links.push(Link {
+            alive: true,
+            arrived: Default::default(),
+        });
+        wire.backlog.push_back(id);
+        let net = self.clone();
+        Some(SimConn {
+            net,
+            id,
+            reads: DOWN,
+        })
+    }
+}
+
+/// One end of a simulated connection.
+#[derive(Debug)]
+pub(crate) struct SimConn {
+    net: SimNet,
+    id: usize,
+    /// The direction this end reads (it sends in the other).
+    reads: usize,
+}
+
+impl Sealed for SimConn {}
+impl Conn for SimConn {
+    fn poll(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+        let mut wire = self.net.0.borrow_mut();
+        let link = wire.links.get_mut(self.id).ok_or(TransportError::Closed)?;
+        match link.arrived[self.reads].pop_front() {
+            Some(frame) => Ok(Some(frame)),
+            None if link.alive => Ok(None),
+            None => Err(TransportError::Closed),
+        }
+    }
+
+    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        let mut wire = self.net.0.borrow_mut();
+        if !wire.links.get(self.id).is_some_and(|link| link.alive) {
+            return Err(TransportError::Closed);
+        }
+        wire.sent[1 - self.reads].push(Envelope {
+            to: self.id as u64,
+            bytes: frame.to_vec(),
+        });
+        Ok(())
+    }
+}
+
+#[derive(Debug, Default)]
+struct Disk {
+    bytes: Vec<u8>,
+    /// Bytes below this mark survive a crash.
+    synced: usize,
+    /// Appends and syncs attempted so far, and the one that fails, if any.
+    ops: u64,
+    fail_at: Option<u64>,
+    /// Unsynced bytes the most recent crash discarded.
+    lost: usize,
+}
+
+impl Disk {
+    fn op(&mut self) -> io::Result<()> {
+        self.ops += 1;
+        if self.fail_at == Some(self.ops) {
+            return Err(io::Error::other("injected disk fault"));
+        }
+        Ok(())
+    }
+}
+
+/// A handle on one simulated file. Clones share the file, so the driver
+/// keeps one across the death of the node that was writing it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SimFile(Rc<RefCell<Disk>>);
+
+impl SimFile {
+    /// The writer was killed: unsynced bytes vanish, except the first
+    /// `keep_tail` of them (a write the device happened to complete).
+    pub(crate) fn crash(&self, keep_tail: usize) {
+        let mut disk = self.0.borrow_mut();
+        let keep = disk.synced.saturating_add(keep_tail).min(disk.bytes.len());
+        disk.lost = disk.bytes.len() - keep;
+        disk.bytes.truncate(keep);
+        disk.synced = keep;
+    }
+}
+
+impl Sealed for SimFile {}
+impl Log for SimFile {
+    fn contents(&mut self) -> io::Result<Vec<u8>> {
+        Ok(self.0.borrow().bytes.clone())
+    }
+
+    fn truncate(&mut self, len: usize) -> io::Result<()> {
+        let mut disk = self.0.borrow_mut();
+        disk.bytes.truncate(len);
+        disk.synced = disk.bytes.len();
+        Ok(())
+    }
+
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let mut disk = self.0.borrow_mut();
+        disk.op()?;
+        disk.bytes.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        let mut disk = self.0.borrow_mut();
+        disk.op()?;
+        disk.synced = disk.bytes.len();
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coordinator::{CoordinatorConfig, Effect};
+    use crate::frames::{AbortReason, ControlFrame};
+    use crate::journal::{JournalRecord, RoundJournal};
+    use crate::node::{
+        replay_trace, CoordinatorNode, CoordinatorNodeConfig, NodeError, ParticipantNode,
+        ParticipantNodeConfig,
+    };
+    use crate::participant::ParticipantConfig;
+    use crate::store::DiskJournal;
+    use crate::trace::TraceSink;
+
+    /// What the tests need to see of, and do to, a simulated file.
+    impl SimFile {
+        /// The file's current contents.
+        pub(crate) fn bytes(&self) -> Vec<u8> {
+            self.0.borrow().bytes.clone()
+        }
+
+        /// The bytes a crash right now would keep.
+        pub(crate) fn durable(&self) -> Vec<u8> {
+            let disk = self.0.borrow();
+            disk.bytes[..disk.synced].to_vec()
+        }
+
+        /// Unsynced bytes the most recent crash discarded.
+        pub(crate) fn lost(&self) -> usize {
+            self.0.borrow().lost
+        }
+
+        /// Appends and syncs attempted so far.
+        pub(crate) fn ops(&self) -> u64 {
+            self.0.borrow().ops
+        }
+
+        /// Makes the `op`-th append-or-sync (counted from the file's
+        /// creation) fail.
+        pub(crate) fn fail_at(&self, op: u64) {
+            self.0.borrow_mut().fail_at = Some(op);
+        }
+    }
+
+    type SimCoordinator = CoordinatorNode<SimNet, SimFile>;
+
+    /// One coordinator node over a quiet simulated wire and disk, stepped
+    /// in the cluster's lock-step order.
+    struct Rig {
+        net: SimNet,
+        journal: SimFile,
+        trace: SimFile,
+        config: CoordinatorNodeConfig,
+    }
+
+    impl Rig {
+        fn new(k: usize, rounds: u64) -> Rig {
+            let mut config = CoordinatorNodeConfig::new(CoordinatorConfig {
+                k,
+                over_select: 0,
+                quorum: k,
+                epochs: 1,
+                heartbeat_interval: 5,
+                heartbeat_timeout: 20,
+                round_deadline: 30,
+            });
+            config.target_rounds = rounds;
+            Rig {
+                net: SimNet::default(),
+                journal: SimFile::default(),
+                trace: SimFile::default(),
+                config,
+            }
+        }
+
+        /// The node's start path over this rig's files.
+        fn boot(&self) -> Result<SimCoordinator, NodeError> {
+            let store = DiskJournal::over(self.journal.clone())?;
+            let sink = TraceSink::over(self.trace.clone())?;
+            let listener = self.net.listen();
+            CoordinatorNode::boot(listener, self.config.clone(), Some(store), Some(sink))
+        }
+
+        fn participant(&self, client: u64) -> ParticipantNode<SimNet> {
+            let config = ParticipantNodeConfig::new(ParticipantConfig::new(client, 2));
+            ParticipantNode::new(self.net.clone(), config)
+        }
+
+        /// One tick: participants cycle, their frames cross, the
+        /// coordinator cycles, its frames cross. Returns what the
+        /// coordinator surfaced and the frames that left it.
+        fn tick(
+            &self,
+            coordinator: &mut SimCoordinator,
+            fleet: &mut [&mut ParticipantNode<SimNet>],
+        ) -> (Result<Vec<Effect>, NodeError>, Vec<ControlFrame>) {
+            for participant in fleet.iter_mut() {
+                participant.cycle();
+            }
+            for envelope in self.net.take_sent(UP) {
+                self.net.deliver(UP, envelope);
+            }
+            let surfaced = coordinator.cycle();
+            let mut left = Vec::new();
+            for envelope in self.net.take_sent(DOWN) {
+                let (frame, _) = ControlFrame::decode(&envelope.bytes).expect("own frame");
+                left.push(frame);
+                self.net.deliver(DOWN, envelope);
+            }
+            (surfaced, left)
+        }
+    }
+
+    #[test]
+    fn a_device_that_redials_over_a_half_open_connection_is_not_starved() {
+        // K = quorum = 1. Device 7 dials and sends its join, then restarts
+        // before the coordinator has even accepted: the restarted process
+        // dials again while the first connection stays half-open (the
+        // simulated wire has no FIN — a partition, SIGSTOP or NAT timeout).
+        // Both connections identify as client 7; every selection notice
+        // must go to the one that is alive.
+        let rig = Rig::new(1, 3);
+        let mut coordinator = rig.boot().expect("boot");
+        let mut before_restart = rig.participant(7);
+        before_restart.cycle();
+        let mut device = rig.participant(7);
+        let mut verdicts = Vec::new();
+        for _ in 0..200 {
+            let (surfaced, _) = rig.tick(&mut coordinator, &mut [&mut device]);
+            verdicts.extend(surfaced.expect("fault-free disk"));
+            if coordinator.done() {
+                break;
+            }
+        }
+        let committed =
+            |e: &Effect| matches!(e, Effect::RoundCommitted { accepted, .. } if accepted == &[7]);
+        assert_eq!(verdicts.len(), 3, "{verdicts:?}");
+        assert!(
+            verdicts.iter().all(committed),
+            "a connected, heartbeating device was starved: {verdicts:?}"
+        );
+        device.cycle();
+        assert_eq!(device.report().stats.commits, 3);
+    }
+
+    /// The journal record that must be durable before `frame` may leave the
+    /// coordinator, if it announces a journaled transition.
+    fn justified(frame: &ControlFrame, durable: &[JournalRecord]) -> bool {
+        durable.iter().any(|record| match (frame, record) {
+            (
+                ControlFrame::JoinAck { client, .. },
+                JournalRecord::ClientJoined { client: c, .. },
+            ) => client == c,
+            (ControlFrame::Select { round, .. }, JournalRecord::RoundOpened { round: r, .. })
+            | (
+                ControlFrame::RoundCommit { round, .. },
+                JournalRecord::RoundCommitted { round: r, .. },
+            )
+            | (
+                ControlFrame::RoundAbort { round, .. },
+                JournalRecord::RoundAborted { round: r, .. },
+            ) => round == r,
+            (
+                ControlFrame::EpochNotice { epoch, .. },
+                JournalRecord::EpochStarted { epoch: e, .. },
+            ) => epoch == e,
+            _ => false,
+        }) || matches!(frame, ControlFrame::ResumeAck { .. })
+    }
+
+    /// Runs a two-device, three-round campaign over `rig` until it
+    /// completes or the disk fails, asserting the write-ahead order on
+    /// every frame that leaves the coordinator. Returns the typed error, if
+    /// one surfaced.
+    fn campaign(rig: &Rig) -> Option<NodeError> {
+        let mut coordinator = match rig.boot() {
+            Ok(node) => node,
+            Err(e) => return Some(e),
+        };
+        let (mut a, mut b) = (rig.participant(1), rig.participant(2));
+        for _ in 0..400 {
+            let (surfaced, left) = rig.tick(&mut coordinator, &mut [&mut a, &mut b]);
+            let durable = RoundJournal::from_bytes(rig.journal.durable())
+                .replay()
+                .expect("own journal")
+                .records;
+            for frame in &left {
+                assert!(
+                    justified(frame, &durable),
+                    "{frame:?} left the node before its transition was durable: {durable:?}"
+                );
+            }
+            match surfaced {
+                Err(e) => return Some(e),
+                Ok(_) if coordinator.done() => break,
+                Ok(_) => {}
+            }
+        }
+        let report = match coordinator.finish() {
+            Ok(report) => report,
+            Err(e) => return Some(e),
+        };
+        assert_eq!(report.audit.round_log.len(), 3, "campaign must finish");
+        let replayed = replay_trace(&rig.config.coordinator, &rig.config.global, &report.trace);
+        assert_eq!(replayed, report.audit);
+        assert_eq!(rig.journal.bytes(), report.audit.journal);
+        None
+    }
+
+    #[test]
+    fn a_failing_disk_is_a_typed_error_and_never_outruns_the_journal() {
+        // How many disk operations a fault-free campaign makes.
+        let clean = Rig::new(2, 3);
+        assert!(campaign(&clean).is_none());
+        let (journal_ops, trace_ops) = (clean.journal.ops(), clean.trace.ops());
+        assert!(journal_ops > 10 && trace_ops > journal_ops);
+
+        // Fail each of them in turn, on either file.
+        for (on_journal, ops) in [(true, journal_ops), (false, trace_ops)] {
+            for op in 1..=ops {
+                let rig = Rig::new(2, 3);
+                let file = if on_journal { &rig.journal } else { &rig.trace };
+                file.fail_at(op);
+                let error = campaign(&rig);
+                assert!(
+                    matches!(error, Some(NodeError::Store(_) | NodeError::Io { .. })),
+                    "op {op} (journal: {on_journal}): {error:?}"
+                );
+                // The process dies of it; what the disk kept restarts
+                // cleanly through the node's start path and finishes.
+                rig.net.hang_up();
+                rig.journal.crash(0);
+                rig.trace.crash(0);
+                assert!(campaign(&rig).is_none(), "op {op} (journal: {on_journal})");
+            }
+        }
+    }
+
+    #[test]
+    fn aborts_are_journaled_before_they_are_announced() {
+        // A campaign whose only device goes silent mid-round ends in a
+        // quorum miss; the abort broadcast obeys the same write-ahead rule.
+        let rig = Rig::new(1, 1);
+        let mut coordinator = rig.boot().expect("boot");
+        let mut device = rig.participant(3);
+        let mut aborted = false;
+        for tick in 0..200 {
+            let fleet: &mut [&mut ParticipantNode<SimNet>] = if tick < 3 {
+                &mut [&mut device]
+            } else {
+                &mut []
+            };
+            let (surfaced, left) = rig.tick(&mut coordinator, fleet);
+            let durable = RoundJournal::from_bytes(rig.journal.durable())
+                .replay()
+                .expect("own journal")
+                .records;
+            assert!(left.iter().all(|frame| justified(frame, &durable)));
+            aborted |= surfaced.expect("fault-free").iter().any(|e| {
+                matches!(
+                    e,
+                    Effect::RoundAborted {
+                        reason: AbortReason::QuorumMiss | AbortReason::FleetCollapse,
+                        ..
+                    }
+                )
+            });
+        }
+        assert!(aborted);
+    }
+}

@@ -25,12 +25,12 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use crate::backend::{open_file, open_log, Log};
 use crate::error::ProtoError;
 use crate::journal::JournalRecord;
-use crate::record::scan;
 
 /// Errors from the disk journal.
 #[derive(Debug)]
@@ -97,15 +97,15 @@ fn lock_path_for(path: &Path) -> PathBuf {
 }
 
 /// A single-writer, fsync-disciplined disk image of a
-/// [`crate::journal::RoundJournal`].
+/// [`crate::journal::RoundJournal`]. Generic over the [`Log`] that holds
+/// the bytes; the default is a real file guarded by a lock file.
 #[derive(Debug)]
-pub struct DiskJournal {
-    file: File,
-    lock_path: PathBuf,
+pub struct DiskJournal<G: Log = File> {
+    log: G,
+    /// The writer lock held (`None` over a simulated file, and once
+    /// [`DiskJournal::close`] has released it).
+    lock_path: Option<PathBuf>,
     synced: usize,
-    /// Set by [`DiskJournal::close`] so `Drop` leaves the lock of an
-    /// explicitly-closed store alone (it was already removed).
-    closed: bool,
 }
 
 impl DiskJournal {
@@ -140,44 +140,49 @@ impl DiskJournal {
             }
             Err(e) => return Err(io_err("lock")(e)),
         }
-        let opened = Self::open_locked(path, &lock_path);
+        let opened = open_file(path).map_err(io_err("open")).and_then(Self::over);
         if opened.is_err() {
             // Don't leave a lock behind for a store that never existed.
             let _ = std::fs::remove_file(&lock_path);
         }
-        opened
+        opened.map(|(mut store, prefix)| {
+            store.lock_path = Some(lock_path);
+            (store, prefix)
+        })
     }
 
-    fn open_locked(path: &Path, lock_path: &Path) -> Result<(Self, Vec<u8>), StoreError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(io_err("open"))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(io_err("read"))?;
-        // Scan to find the valid prefix; mid-log damage is fatal, a torn
-        // tail is the expected signature of a crash mid-append.
-        let (_, torn_bytes) = scan(&bytes, JournalRecord::decode).map_err(StoreError::Corrupt)?;
-        let valid = bytes.len() - torn_bytes;
-        if torn_bytes > 0 {
-            bytes.truncate(valid);
-            file.set_len(valid as u64).map_err(io_err("truncate"))?;
-            file.sync_data().map_err(io_err("fsync"))?;
+    /// Removes the lock file guarding `path`, returning whether one
+    /// existed. **Only** for a supervisor that has positively observed the
+    /// previous writer's death (reaped the process) — breaking the lock of
+    /// a live writer forfeits the single-writer guarantee.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the lock exists but cannot be removed.
+    pub fn break_lock(path: &Path) -> Result<bool, StoreError> {
+        let lock_path = lock_path_for(path);
+        match std::fs::remove_file(&lock_path) {
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+            Err(e) => Err(io_err("unlock")(e)),
         }
-        file.seek(SeekFrom::Start(valid as u64))
-            .map_err(io_err("seek"))?;
-        Ok((
-            Self {
-                file,
-                lock_path: lock_path.to_path_buf(),
-                synced: valid,
-                closed: false,
-            },
-            bytes,
-        ))
+    }
+}
+
+impl<G: Log> DiskJournal<G> {
+    /// A store over an already-open log, without a lock: scans it to find
+    /// the valid prefix — mid-log damage is fatal, a torn tail is the
+    /// expected signature of a crash mid-append and is cut.
+    pub(crate) fn over(mut log: G) -> Result<(Self, Vec<u8>), StoreError> {
+        let (prefix, _) = open_log(&mut log, JournalRecord::decode)
+            .map_err(io_err("read"))?
+            .map_err(StoreError::Corrupt)?;
+        let store = Self {
+            log,
+            lock_path: None,
+            synced: prefix.len(),
+        };
+        Ok((store, prefix))
     }
 
     /// Bytes durably on disk.
@@ -208,8 +213,8 @@ impl DiskJournal {
         if suffix.is_empty() {
             return Ok(0);
         }
-        self.file.write_all(suffix).map_err(io_err("append"))?;
-        self.file.sync_data().map_err(io_err("fsync"))?;
+        self.log.append(suffix).map_err(io_err("append"))?;
+        self.log.sync().map_err(io_err("fsync"))?;
         self.synced += suffix.len();
         Ok(suffix.len())
     }
@@ -220,37 +225,21 @@ impl DiskJournal {
     ///
     /// [`StoreError::Io`] if the final fsync or the lock removal fails.
     pub fn close(mut self) -> Result<(), StoreError> {
-        self.file.sync_data().map_err(io_err("fsync"))?;
-        std::fs::remove_file(&self.lock_path).map_err(io_err("unlock"))?;
-        self.closed = true;
-        Ok(())
-    }
-
-    /// Removes the lock file guarding `path`, returning whether one
-    /// existed. **Only** for a supervisor that has positively observed the
-    /// previous writer's death (reaped the process) — breaking the lock of
-    /// a live writer forfeits the single-writer guarantee.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the lock exists but cannot be removed.
-    pub fn break_lock(path: &Path) -> Result<bool, StoreError> {
-        let lock_path = lock_path_for(path);
-        match std::fs::remove_file(&lock_path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_err("unlock")(e)),
+        self.log.sync().map_err(io_err("fsync"))?;
+        match self.lock_path.take() {
+            Some(lock) => std::fs::remove_file(lock).map_err(io_err("unlock")),
+            None => Ok(()),
         }
     }
 }
 
-impl Drop for DiskJournal {
+impl<G: Log> Drop for DiskJournal<G> {
     fn drop(&mut self) {
         // Best-effort unlock for orderly exits (including test panics).
         // A SIGKILL skips Drop — exactly the stale-lock case break_lock
         // and the supervisor exist for.
-        if !self.closed {
-            let _ = std::fs::remove_file(&self.lock_path);
+        if let Some(lock) = &self.lock_path {
+            let _ = std::fs::remove_file(lock);
         }
     }
 }
@@ -261,6 +250,7 @@ mod tests {
 
     use super::*;
     use crate::journal::RoundJournal;
+    use crate::record::scan;
 
     static UNIQUE: AtomicU64 = AtomicU64::new(0);
 

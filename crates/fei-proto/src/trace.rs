@@ -9,10 +9,10 @@
 //! them back for [`crate::core::replay_trace`], the oracle that re-drives
 //! a fresh decision core from the events alone.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::fs::File;
 use std::path::Path;
 
+use crate::backend::{open_file, open_log, Log};
 use crate::node::{io_err, NodeError};
 use crate::record::{record_table, scan};
 
@@ -79,10 +79,11 @@ impl TraceEvent {
     }
 }
 
-/// Append-only, torn-tail-aware persistence for the frame trace.
+/// Append-only, torn-tail-aware persistence for the frame trace, over any
+/// [`Log`] (a real file by default).
 #[derive(Debug)]
-pub struct TraceSink {
-    file: File,
+pub struct TraceSink<G: Log = File> {
+    log: G,
 }
 
 impl TraceSink {
@@ -92,30 +93,30 @@ impl TraceSink {
     ///
     /// [`NodeError::Io`] on OS failures.
     pub fn create(path: &Path) -> Result<Self, NodeError> {
-        let file = File::create(path).map_err(io_err("trace create"))?;
-        Ok(Self { file })
+        let log = File::create(path).map_err(io_err("trace create"))?;
+        Ok(Self { log })
     }
 
-    /// Reopens an existing trace for appending: reads the surviving
-    /// events, cuts a torn trailing record (truncating the file to the
-    /// valid prefix), and returns the sink plus the prefix events.
+    /// Opens a trace for appending, creating it when absent: reads the
+    /// surviving events, cuts a torn trailing record (truncating the file
+    /// to the valid prefix), and returns the sink plus the prefix events.
     ///
     /// # Errors
     ///
     /// [`NodeError::Proto`] on mid-file corruption, [`NodeError::Io`] on
     /// OS failures.
     pub fn open_resume(path: &Path) -> Result<(Self, Vec<TraceEvent>), NodeError> {
-        let bytes = std::fs::read(path).map_err(io_err("trace read"))?;
-        let (events, torn_bytes) = scan(&bytes, TraceEvent::decode)?;
-        let valid = (bytes.len() - torn_bytes) as u64;
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(io_err("trace open"))?;
-        file.set_len(valid).map_err(io_err("trace truncate"))?;
-        file.seek(SeekFrom::Start(valid))
-            .map_err(io_err("trace seek"))?;
-        Ok((Self { file }, events))
+        Self::over(open_file(path).map_err(io_err("trace open"))?)
+    }
+}
+
+impl<G: Log> TraceSink<G> {
+    /// A sink over an already-open log: the surviving events come back,
+    /// a torn trailing record is cut.
+    pub(crate) fn over(mut log: G) -> Result<(Self, Vec<TraceEvent>), NodeError> {
+        let (_, events) =
+            open_log(&mut log, TraceEvent::decode).map_err(io_err("trace read"))??;
+        Ok((Self { log }, events))
     }
 
     /// Appends one event (buffered; call [`TraceSink::sync`] to make it
@@ -125,8 +126,8 @@ impl TraceSink {
     ///
     /// [`NodeError::Io`] on OS failures.
     pub fn append(&mut self, event: &TraceEvent) -> Result<(), NodeError> {
-        self.file
-            .write_all(&event.encode())
+        self.log
+            .append(&event.encode())
             .map_err(io_err("trace append"))
     }
 
@@ -136,7 +137,7 @@ impl TraceSink {
     ///
     /// [`NodeError::Io`] on OS failures.
     pub fn sync(&mut self) -> Result<(), NodeError> {
-        self.file.sync_data().map_err(io_err("trace fsync"))
+        self.log.sync().map_err(io_err("trace fsync"))
     }
 }
 
