@@ -15,7 +15,9 @@
 //!   mid-campaign and restarts it against the same journal + trace: the
 //!   second incarnation replays its own history, recovers, re-rendezvouses
 //!   the fleet over fresh sockets, and the *combined* trace still replays
-//!   bit-identically.
+//!   bit-identically;
+//! * **the clocks run** — the coordinator and every device tick at no less
+//!   than half their nominal 1 000 /s over the campaign.
 //!
 //! Control traffic is billed at WiFi link energy so the soak reports what
 //! real-socket coordination costs next to the simulated chaos soak.
@@ -69,6 +71,14 @@ const SMOKE: Soak = Soak {
 /// campaign may spend on retransmits.
 const RETRANSMIT_RATIO_GATE: f64 = 0.05;
 
+/// The slowest any node's clock may run, in ticks per second of campaign
+/// wall time. Every node here ticks each millisecond, and every protocol
+/// timer (heartbeat, lease, deadline, training time) is counted in ticks: a
+/// loop whose wait overshoots — a socket timeout rounded up to scheduler
+/// jiffies turns 1 ms into ≈ 7 — slows the fleet without failing anything
+/// else this soak checks. Half the nominal rate leaves room for a busy host.
+const TICK_RATE_GATE: f64 = 500.0;
+
 fn coordinator_config() -> CoordinatorConfig {
     CoordinatorConfig {
         k: 3,
@@ -88,6 +98,10 @@ struct RunOutcome {
     submits: u64,
     /// Retransmits among them.
     retries: u64,
+    /// The coordinator's cycles (all incarnations) per second of campaign.
+    coordinator_ticks_per_s: f64,
+    /// The slowest participant's cycles per second of its own run.
+    fleet_min_ticks_per_s: f64,
     trace_events: usize,
     wall_ms: u128,
     replay_identical: bool,
@@ -115,9 +129,11 @@ fn run_campaign(dir: &Path, rounds: u64, restart: bool) -> RunOutcome {
             let mut config =
                 ParticipantNodeConfig::new(ParticipantConfig::new(client, 2 + 2 * client));
             config.max_cycles = 240_000;
-            ParticipantNode::new(CoordinatorAddr::PortFile(port_file), config)
+            let started = Instant::now();
+            let report = ParticipantNode::new(CoordinatorAddr::PortFile(port_file), config)
                 .run(&stop)
-                .expect("participant run")
+                .expect("participant run");
+            (report, started.elapsed())
         }));
     }
 
@@ -130,6 +146,7 @@ fn run_campaign(dir: &Path, rounds: u64, restart: bool) -> RunOutcome {
             .expect("coordinator start");
         node.run().expect("coordinator run")
     };
+    let mut coordinator_cycles = report.cycles;
     if restart {
         // Second incarnation: same journal + trace, fresh sockets. It
         // replays its own persisted history, records a Recover event, and
@@ -140,14 +157,16 @@ fn run_campaign(dir: &Path, rounds: u64, restart: bool) -> RunOutcome {
         let node =
             CoordinatorNode::start("127.0.0.1:0", config, persist).expect("coordinator restart");
         report = node.run().expect("coordinator resumed run");
+        coordinator_cycles += report.cycles;
     }
-    let wall_ms = started.elapsed().as_millis();
+    let wall = started.elapsed();
     stop.store(true, Ordering::Relaxed);
-    let (mut submits, mut retries) = (0, 0);
+    let (mut submits, mut retries, mut fleet_min_ticks_per_s) = (0, 0, f64::INFINITY);
     for worker in workers {
-        let fleet = worker.join().expect("participant thread").stats;
-        submits += fleet.submits;
-        retries += fleet.retries;
+        let (device, ran) = worker.join().expect("participant thread");
+        submits += device.stats.submits;
+        retries += device.stats.retries;
+        fleet_min_ticks_per_s = fleet_min_ticks_per_s.min(device.cycles as f64 / ran.as_secs_f64());
     }
 
     // Oracle gates.
@@ -164,7 +183,9 @@ fn run_campaign(dir: &Path, rounds: u64, restart: bool) -> RunOutcome {
         audit: report.audit,
         submits,
         retries,
-        wall_ms,
+        coordinator_ticks_per_s: coordinator_cycles as f64 / wall.as_secs_f64(),
+        fleet_min_ticks_per_s,
+        wall_ms: wall.as_millis(),
         replay_identical,
         disk_identical,
     }
@@ -190,7 +211,7 @@ fn main() {
         soak.runs, soak.runs, soak.rounds
     ));
     println!(
-        "{:>3} {:>8} {:>7} {:>9} {:>7} {:>9} {:>9} {:>8} {:>8} {:>7} {:>6}",
+        "{:>3} {:>8} {:>7} {:>9} {:>7} {:>9} {:>9} {:>8} {:>8} {:>11} {:>7} {:>6}",
         "#",
         "shape",
         "rounds",
@@ -200,6 +221,7 @@ fn main() {
         "re/submit",
         "trace ev",
         "wall ms",
+        "ticks/s c|p",
         "replay",
         "disk"
     );
@@ -223,13 +245,17 @@ fn main() {
             control_joules,
             "socket control frames",
         );
+        let slowest_clock = outcome
+            .coordinator_ticks_per_s
+            .min(outcome.fleet_min_ticks_per_s);
         let ok = outcome.replay_identical
             && outcome.disk_identical
+            && slowest_clock >= TICK_RATE_GATE
             && outcome.audit.stats.committed_rounds >= soak.rounds.saturating_sub(1)
             && (!restart || outcome.audit.epoch >= 1);
         all_ok &= ok;
         println!(
-            "{:>3} {:>8} {:>7} {:>9} {:>7} {:>9} {:>9} {:>8} {:>8} {:>7} {:>6}",
+            "{:>3} {:>8} {:>7} {:>9} {:>7} {:>9} {:>9} {:>8} {:>8} {:>11} {:>7} {:>6}",
             run,
             outcome.shape,
             outcome.audit.round_log.len(),
@@ -239,6 +265,10 @@ fn main() {
             format!("{}/{}", outcome.retries, outcome.submits),
             outcome.trace_events,
             outcome.wall_ms,
+            format!(
+                "{:.0}|{:.0}",
+                outcome.coordinator_ticks_per_s, outcome.fleet_min_ticks_per_s
+            ),
             if outcome.replay_identical {
                 "ok"
             } else {
@@ -294,6 +324,7 @@ fn main() {
          \"retransmit_ratio_gate\": {RETRANSMIT_RATIO_GATE}, \
          \"retransmits_ok\": {retransmits_ok},\n"
     ));
+    json.push_str(&format!("  \"tick_rate_gate\": {TICK_RATE_GATE},\n"));
     json.push_str("  \"runs\": [\n");
     for (i, o) in outcomes.iter().enumerate() {
         let comma = if i + 1 == outcomes.len() { "" } else { "," };
@@ -301,8 +332,9 @@ fn main() {
             "    {{\"shape\": \"{}\", \"rounds_closed\": {}, \"committed\": {}, \
              \"aborted\": {}, \"incarnations\": {}, \"frames_in\": {}, \"frames_out\": {}, \
              \"bytes_in\": {}, \"bytes_out\": {}, \"submits\": {}, \"retries\": {}, \
-             \"journal_bytes\": {}, \"trace_events\": {}, \
-             \"wall_ms\": {}, \"replay_identical\": {}, \"disk_identical\": {}}}{comma}\n",
+             \"journal_bytes\": {}, \"trace_events\": {}, \"wall_ms\": {}, \
+             \"coordinator_ticks_per_s\": {:.1}, \"fleet_min_ticks_per_s\": {:.1}, \
+             \"replay_identical\": {}, \"disk_identical\": {}}}{comma}\n",
             o.shape,
             o.audit.round_log.len(),
             o.audit.stats.committed_rounds,
@@ -317,6 +349,8 @@ fn main() {
             o.audit.journal.len(),
             o.trace_events,
             o.wall_ms,
+            o.coordinator_ticks_per_s,
+            o.fleet_min_ticks_per_s,
             o.replay_identical,
             o.disk_identical,
         ));
@@ -348,6 +382,7 @@ fn main() {
     );
     assert!(
         all_ok,
-        "socket soak found a parity failure, a shortfall, or a blown budget"
+        "socket soak found a parity failure, a shortfall, a clock under {TICK_RATE_GATE} ticks/s, \
+         or a blown budget"
     );
 }

@@ -1,29 +1,38 @@
-//! Blocking TCP transport for CRC32-framed protocol traffic.
+//! TCP transport for CRC32-framed protocol traffic.
 //!
 //! The [`crate::codec`] frame format is self-delimiting — magic, type, a
 //! big-endian `u32` length, payload, CRC32 — so a byte stream of
 //! concatenated frames can be cut at *any* boundary by the kernel and
-//! reassembled exactly. This module supplies the two pieces the socket
-//! runtime in `fei-proto::node` needs:
+//! reassembled exactly. This module supplies the pieces the socket runtime
+//! in `fei-proto::node` needs:
 //!
 //! * [`FrameBuffer`] — a streaming reassembler: feed it arbitrary chunks
 //!   (1-byte reads, coalesced writes, truncated tails) and pop complete
 //!   frames. A short tail is simply "not yet"; a bad magic or checksum is a
 //!   typed [`TransportError::Desync`] — the connection is unrecoverable
 //!   because frame boundaries are lost, but the process never panics.
-//! * [`FrameConn`] — a non-blocking `TcpStream` wrapped around a
-//!   [`FrameBuffer`]. `poll()` drains whatever the kernel has and returns at
+//! * [`FrameConn`] — the non-blocking primitive, for callers with a clock
+//!   of their own: `poll()` drains whatever the kernel has and returns at
 //!   most one frame per call; `send()` writes a whole encoded frame,
-//!   spinning briefly on `WouldBlock` (localhost socket buffers dwarf our
-//!   frames, so back-pressure is a failure signal, not a steady state).
+//!   spinning briefly on `WouldBlock`.
+//! * [`FrameStream`] / [`FrameListener`] — what the node loops run on: a
+//!   blocking socket whose *reader thread* reassembles and checks frames
+//!   into an inbox, so the owner can **block until input** instead of
+//!   sleeping between polls (why threads: DESIGN.md §14). Sends are bounded,
+//!   and every thread is joined when what it serves is dropped.
+//! * [`Pacer`] — the loop's only wall clock: when the next tick is due.
 //!
 //! Raw frame bytes are kept alongside the decoded frame: the coordinator
 //! node persists exactly the bytes it received into its frame trace, so the
 //! deterministic oracle replays bit-identical input.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::codec::{split_frame, CodecError};
 
@@ -48,6 +57,9 @@ pub enum TransportError {
     Desync(CodecError),
     /// The peer closed the connection and no complete frame remains buffered.
     Closed,
+    /// The peer stopped reading: a frame could not be written within the
+    /// send bound. The stream may hold half a frame; drop the connection.
+    Stalled,
 }
 
 impl fmt::Display for TransportError {
@@ -56,6 +68,7 @@ impl fmt::Display for TransportError {
             TransportError::Io(e) => write!(f, "transport i/o error: {e}"),
             TransportError::Desync(e) => write!(f, "frame stream desynchronized: {e}"),
             TransportError::Closed => write!(f, "peer closed the connection"),
+            TransportError::Stalled => write!(f, "peer stopped reading: send timed out"),
         }
     }
 }
@@ -170,15 +183,6 @@ impl FrameConn {
         Self::from_stream(TcpStream::connect(addr)?)
     }
 
-    /// The peer's address.
-    ///
-    /// # Errors
-    ///
-    /// Returns the OS error if the socket is no longer connected.
-    pub fn peer_addr(&self) -> io::Result<SocketAddr> {
-        self.stream.peer_addr()
-    }
-
     /// Sends one complete encoded frame, retrying short writes.
     ///
     /// # Errors
@@ -204,13 +208,7 @@ impl FrameConn {
                     std::thread::yield_now();
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::BrokenPipe
-                        || e.kind() == io::ErrorKind::ConnectionReset =>
-                {
-                    return Err(TransportError::Closed)
-                }
-                Err(e) => return Err(TransportError::Io(e)),
+                Err(e) => return Err(ended_by(e)),
             }
         }
         Ok(())
@@ -258,6 +256,330 @@ impl FrameConn {
             None if self.eof => Err(TransportError::Closed),
             None => Ok(None),
         }
+    }
+}
+
+/// Longest a [`FrameStream::send`] may take: readers drain sockets whether or
+/// not their owner is busy, so a peer with no room by then has stopped.
+const SEND_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Stack of a transport thread: the 8 KiB read buffer plus shallow calls.
+const THREAD_STACK: usize = 64 * 1024;
+
+fn spawn(name: &str, body: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
+    let thread = std::thread::Builder::new().name(name.to_string());
+    thread.stack_size(THREAD_STACK).spawn(body)
+}
+
+/// Locks a mutex whose every update (a flag set, a queue push or pop) leaves
+/// it valid, so a poisoned one is as good as new.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How transport threads wake the loop they feed. (Not `std::sync::mpsc`:
+/// every channel links all three flavours, ≈ 50 kB resident in a 4 MB daemon.)
+#[derive(Debug, Default)]
+struct Bell {
+    rung: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Bell {
+    fn ring(&self) {
+        // An earlier ring nobody has waited out yet has done the notifying.
+        if !std::mem::replace(&mut *lock(&self.rung), true) {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Waits up to `timeout` for a ring, pending or new, and clears it.
+    fn wait(&self, timeout: Duration) -> bool {
+        let waited = self
+            .wake
+            .wait_timeout_while(lock(&self.rung), timeout, |rung| !*rung);
+        let (mut rung, _) = waited.unwrap_or_else(PoisonError::into_inner);
+        std::mem::take(&mut *rung)
+    }
+}
+
+/// What a transport thread has produced and its owner has yet to take. A
+/// thread [`READ_AHEAD`] items ahead waits, and TCP pushes back on the peer.
+#[derive(Debug)]
+struct Inbox<T> {
+    /// The items, and whether the owner is gone (nobody waits for it).
+    state: Mutex<(VecDeque<T>, bool)>,
+    room: Condvar,
+    bell: Arc<Bell>,
+}
+
+const READ_AHEAD: usize = 64;
+
+impl<T> Inbox<T> {
+    fn new(bell: Arc<Bell>) -> Arc<Self> {
+        let (state, room) = Default::default();
+        Arc::new(Self { state, room, bell })
+    }
+
+    fn put(&self, item: T) {
+        let full = |state: &mut (VecDeque<T>, bool)| state.0.len() >= READ_AHEAD && !state.1;
+        let waited = self.room.wait_while(lock(&self.state), full);
+        let mut state = waited.unwrap_or_else(PoisonError::into_inner);
+        state.0.push_back(item);
+        drop(state);
+        self.bell.ring();
+    }
+
+    fn take(&self) -> Option<T> {
+        let (item, left) = {
+            let mut state = lock(&self.state);
+            (state.0.pop_front(), state.0.len())
+        };
+        if left + 1 == READ_AHEAD {
+            self.room.notify_one();
+        }
+        item
+    }
+
+    fn close(&self) {
+        lock(&self.state).1 = true;
+        self.room.notify_all();
+    }
+
+    fn closed(&self) -> bool {
+        lock(&self.state).1
+    }
+}
+
+/// What a reader thread hands over: frames, then the error that ended it.
+type Inbound = Result<RawFrame, TransportError>;
+
+/// A framed TCP connection its owner can block on: a reader thread
+/// reassembles and CRC-checks inbound frames into an inbox and rings.
+#[derive(Debug)]
+pub struct FrameStream {
+    stream: TcpStream,
+    inbox: Arc<Inbox<Inbound>>,
+    reader: Option<JoinHandle<()>>,
+}
+
+impl Drop for FrameStream {
+    fn drop(&mut self) {
+        self.inbox.close();
+        // Returns the reader's blocking read (and tells the peer).
+        let _ = self.stream.shutdown(Shutdown::Both);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+impl FrameStream {
+    /// Connects to `addr` and starts the reader.
+    ///
+    /// # Errors
+    ///
+    /// The OS error, should either fail.
+    pub fn connect(addr: SocketAddr) -> io::Result<Self> {
+        Self::start(TcpStream::connect(addr)?, Arc::default())
+    }
+
+    /// Wraps a blocking stream; the reader rings `bell` after each item.
+    fn start(stream: TcpStream, bell: Arc<Bell>) -> io::Result<Self> {
+        stream.set_nodelay(true)?;
+        stream.set_write_timeout(Some(SEND_TIMEOUT))?;
+        let read_half = stream.try_clone()?;
+        let inbox = Inbox::new(bell);
+        let filled = Arc::clone(&inbox);
+        let reader = Some(spawn("fei-reader", move || {
+            read_frames(read_half, &filled)
+        })?);
+        Ok(Self {
+            stream,
+            inbox,
+            reader,
+        })
+    }
+
+    /// The next whole frame, if one has arrived (never blocks).
+    ///
+    /// # Errors
+    ///
+    /// Once the frames that arrived before it are drained, what ended the
+    /// connection (`Closed`, `Desync` or `Io`); nothing arrives after it.
+    pub fn poll(&mut self) -> Result<Option<RawFrame>, TransportError> {
+        self.inbox.take().transpose()
+    }
+
+    /// Blocks until something has arrived since the last wait (so drain
+    /// [`FrameStream::poll`] to `None` before waiting again) or `timeout`
+    /// passes; true if woken.
+    pub fn wait(&mut self, timeout: Duration) -> bool {
+        self.inbox.bell.wait(timeout)
+    }
+
+    /// Sends one complete encoded frame, blocking at most 100 ms.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Stalled`] when the peer does not take the frame in
+    /// time, `Closed` on a broken pipe, `Io` otherwise. The stream may then
+    /// hold a partial frame: drop the connection.
+    pub fn send(&mut self, frame_bytes: &[u8]) -> Result<(), TransportError> {
+        loop {
+            return match self.stream.write(frame_bytes) {
+                Ok(n) if n == frame_bytes.len() => Ok(()),
+                // A blocking write returns once everything is buffered: a
+                // short count is the write timeout firing part-way.
+                Ok(_) => Err(TransportError::Stalled),
+                Err(e) => match e.kind() {
+                    io::ErrorKind::Interrupted => continue,
+                    // The write timeout (reported as either kind).
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                        Err(TransportError::Stalled)
+                    }
+                    _ => Err(ended_by(e)),
+                },
+            };
+        }
+    }
+}
+
+/// The typed end of a connection whose socket call failed with `e`.
+fn ended_by(e: io::Error) -> TransportError {
+    match e.kind() {
+        io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset => TransportError::Closed,
+        _ => TransportError::Io(e),
+    }
+}
+
+/// The reader thread: puts every whole frame off `stream` into `inbox`, then
+/// the error that ended the stream.
+fn read_frames(mut stream: TcpStream, inbox: &Inbox<Inbound>) {
+    let mut buf = FrameBuffer::new();
+    let mut chunk = [0u8; 8 * 1024];
+    loop {
+        let end = match stream.read(&mut chunk) {
+            Ok(0) => Some(TransportError::Closed),
+            Ok(n) => {
+                buf.extend(&chunk[..n]);
+                None
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => None,
+            Err(e) => Some(ended_by(e)),
+        };
+        let desync = loop {
+            match buf.next_frame() {
+                Ok(Some(frame)) => inbox.put(Ok(frame)),
+                Ok(None) => break None,
+                Err(desync) => break Some(desync),
+            }
+        };
+        if let Some(end) = desync.or(end) {
+            return inbox.put(Err(end));
+        }
+    }
+}
+
+/// A listening socket its owner can block on: an acceptor thread queues
+/// pending connections; it and every accepted connection's reader ring one bell.
+#[derive(Debug)]
+pub struct FrameListener {
+    addr: SocketAddr,
+    accepted: Arc<Inbox<FrameStream>>,
+    acceptor: Option<JoinHandle<()>>,
+}
+
+impl Drop for FrameListener {
+    fn drop(&mut self) {
+        self.accepted.close();
+        // The thread is in a blocking accept: a connection to ourselves
+        // returns it. (Were that to fail, better a stray thread than a hang.)
+        if TcpStream::connect(self.addr).is_ok() {
+            if let Some(acceptor) = self.acceptor.take() {
+                let _ = acceptor.join();
+            }
+        }
+    }
+}
+
+impl FrameListener {
+    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts the acceptor.
+    ///
+    /// # Errors
+    ///
+    /// The OS error, should either fail.
+    pub fn bind(addr: &str) -> io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let accepted = Inbox::new(Arc::default());
+        let queue = Arc::clone(&accepted);
+        let acceptor = spawn("fei-acceptor", move || loop {
+            let pending = listener.accept();
+            if queue.closed() {
+                return;
+            }
+            let conn =
+                pending.and_then(|(stream, _)| FrameStream::start(stream, queue.bell.clone()));
+            match conn {
+                Ok(conn) => queue.put(conn),
+                // ECONNABORTED, EMFILE, …: nothing to hand over; do not
+                // spin on one that persists.
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            }
+        })?;
+        let acceptor = Some(acceptor);
+        Ok(Self {
+            addr,
+            accepted,
+            acceptor,
+        })
+    }
+
+    /// The bound address.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The next pending connection, if any (never blocks).
+    pub fn accept(&mut self) -> Option<FrameStream> {
+        self.accepted.take()
+    }
+
+    /// Blocks until a connection is pending or an accepted connection has
+    /// something to poll, or `timeout` passes; true if woken by either.
+    pub fn wait(&mut self, timeout: Duration) -> bool {
+        self.accepted.bell.wait(timeout)
+    }
+}
+
+/// Paces a loop at one tick per `period` of wall time, however often the
+/// loop wakes for input in between.
+#[derive(Debug)]
+pub struct Pacer {
+    period: Duration,
+    next: Instant,
+}
+
+impl Pacer {
+    /// A pacer whose first tick is due now.
+    pub fn new(period: Duration) -> Self {
+        let next = Instant::now();
+        Self { period, next }
+    }
+
+    /// `None` when a tick is due: the caller takes it, and the next falls
+    /// due one period after this one was. Otherwise how long until it is —
+    /// never more than the period. A loop that stalled skips the ticks it
+    /// missed instead of bursting through them.
+    pub fn until_tick(&mut self) -> Option<Duration> {
+        let now = Instant::now();
+        if let Some(late) = now.checked_duration_since(self.next) {
+            let from = if late < self.period { self.next } else { now };
+            self.next = from + self.period;
+            return None;
+        }
+        Some(self.next - now)
     }
 }
 
@@ -376,6 +698,186 @@ mod tests {
             }
         }
         assert!(saw_frame);
+    }
+
+    /// Polls `conn` until `want` frames arrived (blocking on `wait`).
+    fn collect(conn: &mut FrameStream, want: usize) -> Vec<RawFrame> {
+        let mut got = Vec::new();
+        while got.len() < want {
+            assert!(conn.wait(Duration::from_secs(10)), "no input for 10 s");
+            while got.len() < want {
+                match conn.poll().expect("live connection") {
+                    Some(frame) => got.push(frame),
+                    None => break,
+                }
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn streams_wake_their_owner_and_end_with_a_typed_close() {
+        let mut listener = FrameListener::bind("127.0.0.1:0").unwrap();
+        let mut dialed = FrameStream::connect(listener.local_addr()).unwrap();
+        // The acceptor rings for the pending connection.
+        assert!(listener.wait(Duration::from_secs(10)));
+        let mut accepted = listener.accept().expect("pending connection");
+        assert!(listener.accept().is_none());
+
+        // A model-sized frame and a burst of small ones, both directions.
+        let big = encode_frame(3, &vec![0xAB; 62_807]);
+        dialed.send(&big).unwrap();
+        for i in 0..10u8 {
+            dialed.send(&encode_frame(i, &[i; 5])).unwrap();
+        }
+        let mut got = Vec::new();
+        while got.len() < 11 {
+            // The accepted connection's reader rings the listener's bell.
+            assert!(listener.wait(Duration::from_secs(10)), "no input for 10 s");
+            while let Some(frame) = accepted.poll().unwrap() {
+                got.push(frame);
+            }
+        }
+        assert_eq!(got[0].bytes, big.to_vec());
+        assert_eq!(got[10].bytes, encode_frame(9, &[9; 5]).to_vec());
+        accepted.send(&encode_frame(7, b"back")).unwrap();
+        assert_eq!(collect(&mut dialed, 1)[0].msg_type, 7);
+
+        // Nothing pending: a wait is a wait, and no longer than asked.
+        let started = Instant::now();
+        assert!(!dialed.wait(Duration::from_millis(20)));
+        assert!(started.elapsed() >= Duration::from_millis(20));
+
+        // Dropping one end closes the other, after its last frame.
+        dialed.send(&encode_frame(8, b"last")).unwrap();
+        drop(dialed);
+        // (One ring may cover both: a woken owner drains until `None`.)
+        let mut last = None;
+        let end = loop {
+            match accepted.poll() {
+                Ok(Some(frame)) => last = Some(frame.msg_type),
+                Ok(None) => assert!(listener.wait(Duration::from_secs(10))),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(last, Some(8));
+        assert!(matches!(end, TransportError::Closed), "{end}");
+    }
+
+    #[test]
+    fn a_corrupt_stream_is_a_typed_desync_after_its_good_frames() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = FrameStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut wire = encode_frame(1, b"good").to_vec();
+        wire.extend_from_slice(&[0u8; 32]);
+        peer.write_all(&wire).unwrap();
+        assert_eq!(collect(&mut conn, 1)[0].msg_type, 1);
+        let end = loop {
+            match conn.poll() {
+                Ok(_) => assert!(conn.wait(Duration::from_secs(10))),
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(end, TransportError::Desync(_)), "{end}");
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_is_a_bounded_typed_stall() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = FrameStream::connect(listener.local_addr().unwrap()).unwrap();
+        // Accepted, held open, never read.
+        let (_peer, _) = listener.accept().unwrap();
+        let frame = encode_frame(3, &vec![0xAB; 62_807]);
+        let started = Instant::now();
+        let mut sent = 0u32;
+        let end = loop {
+            let before = Instant::now();
+            match conn.send(&frame) {
+                Ok(()) => sent += 1,
+                Err(e) => break (e, before.elapsed()),
+            }
+            assert!(sent < 10_000, "the kernel never pushed back");
+        };
+        assert!(matches!(end.0, TransportError::Stalled), "{}", end.0);
+        // The one send that stalled took the bound, not the spin of old.
+        assert!(
+            end.1 >= SEND_TIMEOUT && end.1 < SEND_TIMEOUT * 10,
+            "{:?}",
+            end.1
+        );
+        assert!(started.elapsed() < Duration::from_secs(30));
+    }
+
+    #[test]
+    fn threads_end_with_what_they_served() {
+        let mut listener = FrameListener::bind("127.0.0.1:0").unwrap();
+        // Every reader holds its inbox, every inbox of this listener its
+        // bell, and the acceptor the pending queue: a count of zero means
+        // the thread has ended and let go.
+        let acceptor = Arc::downgrade(&listener.accepted);
+        let readers = Arc::downgrade(&listener.accepted.bell);
+        let mut accepted = Vec::new();
+        for _ in 0..200 {
+            let dialed = FrameStream::connect(listener.local_addr()).unwrap();
+            let reader = Arc::downgrade(&dialed.inbox);
+            assert_eq!(reader.strong_count(), 2);
+            drop(dialed);
+            assert_eq!(
+                reader.strong_count(),
+                0,
+                "a dialed reader outlived its stream"
+            );
+            // Hold some accepted ends; leave the rest pending in the listener.
+            if accepted.len() < 100 {
+                assert!(listener.wait(Duration::from_secs(10)));
+                accepted.extend(listener.accept());
+            }
+        }
+        assert!(!accepted.is_empty());
+        drop(listener);
+        assert_eq!(
+            acceptor.strong_count(),
+            0,
+            "the acceptor outlived its listener"
+        );
+        assert!(readers.strong_count() > 0);
+        drop(accepted);
+        assert_eq!(
+            readers.strong_count(),
+            0,
+            "an accepted reader outlived its stream"
+        );
+    }
+
+    #[test]
+    fn the_pacer_never_waits_longer_than_a_period_and_never_bursts() {
+        let period = Duration::from_millis(5);
+        let mut pacer = Pacer::new(period);
+        // The first tick is due at once; then every wait is within a period.
+        assert!(pacer.until_tick().is_none());
+        let mut ticks = 0;
+        let started = Instant::now();
+        while started.elapsed() < period * 20 {
+            match pacer.until_tick() {
+                None => ticks += 1,
+                Some(wait) => {
+                    assert!(wait <= period, "{wait:?}");
+                    std::thread::sleep(wait);
+                }
+            }
+        }
+        assert!((10..=21).contains(&ticks), "{ticks} ticks in 20 periods");
+
+        // A loop that stalled ten periods owes one tick, not ten.
+        std::thread::sleep(period * 10);
+        assert!(pacer.until_tick().is_none());
+        let wait = pacer.until_tick().expect("the missed ticks are skipped");
+        assert!(wait <= period, "{wait:?}");
+        // Waking early (for input) does not move the deadline.
+        std::thread::sleep(wait / 2);
+        let rest = pacer.until_tick().expect("not due yet");
+        assert!(rest <= wait, "{rest:?} after {wait:?}");
     }
 }
 

@@ -5,8 +5,8 @@
 //! through four small traits — a frame connection ([`Conn`]), the two ways
 //! of getting one ([`Listener`], [`Dialer`]) and an append-only durable
 //! file ([`Log`]) — and are generic, statically dispatched, over them. The
-//! real backend is the default: the impls below, on `TcpListener`,
-//! [`FrameConn`], [`CoordinatorAddr`] and `File`. The only other one is the
+//! real backend is the default: the impls below, on [`FrameListener`],
+//! [`FrameStream`], [`CoordinatorAddr`] and `File`. The only other one is the
 //! simulator (`sim.rs`) that [`crate::Cluster`] runs the same loops on, and
 //! the traits are sealed to keep it so: the loops rely on what these two
 //! guarantee (whole frames or nothing, a sync that means durable).
@@ -14,10 +14,10 @@
 use std::fmt::Debug;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::net::TcpListener;
 use std::path::Path;
+use std::time::Duration;
 
-use fei_net::transport::{FrameConn, TransportError};
+use fei_net::transport::{FrameListener, FrameStream, TransportError};
 
 use crate::error::ProtoError;
 use crate::node::CoordinatorAddr;
@@ -28,15 +28,20 @@ pub(crate) mod sealed {
 }
 use sealed::Sealed;
 
-/// One framed, non-blocking connection. Any error means the connection is
-/// lost: the caller drops it (and, dialing, makes another).
+/// One framed connection. Any error means the connection is lost: the
+/// caller drops it (and, dialing, makes another).
 pub trait Conn: Sealed + Debug {
     /// The next whole frame's bytes; `Ok(None)` when none has arrived yet.
     /// A dead connection errs only once its buffered frames are drained.
     fn poll(&mut self) -> Result<Option<Vec<u8>>, TransportError>;
 
-    /// Sends one whole encoded frame.
+    /// Sends one whole encoded frame, in bounded time.
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError>;
+
+    /// Blocks until something — a frame or the connection's end — has
+    /// arrived for [`Conn::poll`] since the last wait, or `timeout` passes;
+    /// true if it has.
+    fn wait(&mut self, timeout: Duration) -> bool;
 }
 
 /// Hands every frame `conn` has ready to `on_frame`; true when the
@@ -58,6 +63,10 @@ pub trait Listener: Sealed + Debug {
 
     /// The next pending connection, if any (never blocks).
     fn accept(&mut self) -> Option<Self::Conn>;
+
+    /// Blocks until a connection is pending or an accepted one has
+    /// something to poll, or `timeout` passes; true if woken by input.
+    fn wait(&mut self, timeout: Duration) -> bool;
 }
 
 /// The participant's side of connection setup.
@@ -110,39 +119,40 @@ pub(crate) fn open_log<G: Log, T>(
     Ok(Ok((bytes, records)))
 }
 
-impl Sealed for FrameConn {}
-impl Conn for FrameConn {
+impl Sealed for FrameStream {}
+impl Conn for FrameStream {
     fn poll(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        Ok(FrameConn::poll(self)?.map(|raw| raw.bytes))
+        Ok(FrameStream::poll(self)?.map(|raw| raw.bytes))
     }
 
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        FrameConn::send(self, frame)
+        FrameStream::send(self, frame)
+    }
+
+    fn wait(&mut self, timeout: Duration) -> bool {
+        FrameStream::wait(self, timeout)
     }
 }
 
-impl Sealed for TcpListener {}
-impl Listener for TcpListener {
-    type Conn = FrameConn;
+impl Sealed for FrameListener {}
+impl Listener for FrameListener {
+    type Conn = FrameStream;
 
-    fn accept(&mut self) -> Option<FrameConn> {
-        // WouldBlock = no pending connection; transient accept errors
-        // (ECONNABORTED) just wait for the next cycle.
-        loop {
-            let (stream, _) = TcpListener::accept(self).ok()?;
-            if let Ok(conn) = FrameConn::from_stream(stream) {
-                return Some(conn);
-            }
-        }
+    fn accept(&mut self) -> Option<FrameStream> {
+        FrameListener::accept(self)
+    }
+
+    fn wait(&mut self, timeout: Duration) -> bool {
+        FrameListener::wait(self, timeout)
     }
 }
 
 impl Sealed for CoordinatorAddr {}
 impl Dialer for CoordinatorAddr {
-    type Conn = FrameConn;
+    type Conn = FrameStream;
 
-    fn dial(&mut self) -> Option<FrameConn> {
-        FrameConn::connect(self.resolve()?).ok()
+    fn dial(&mut self) -> Option<FrameStream> {
+        FrameStream::connect(self.resolve()?).ok()
     }
 }
 

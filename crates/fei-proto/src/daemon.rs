@@ -39,6 +39,12 @@ impl DaemonConfig {
     /// `--global-bytes`, `--k`, `--over-select`, `--quorum`, `--epochs`,
     /// `--heartbeat-interval`, `--heartbeat-timeout`, `--round-deadline`.
     ///
+    /// `--tick-ms` is the tick period ([`CoordinatorNodeConfig::cycle_sleep_ms`],
+    /// default 1): the wall time one tick of the node's clock takes, and so
+    /// the unit of every other duration here (`--max-cycles`,
+    /// `--restart-lag`, the three protocol timers). It is not a polling
+    /// interval — frames are handled as they arrive, at any tick length.
+    ///
     /// # Errors
     ///
     /// [`NodeError::BadArg`] naming the offending flag or value.

@@ -2,11 +2,13 @@
 //!
 //! [`CoordinatorNode`] and [`ParticipantNode`] are the only drivers of the
 //! [`Coordinator`](crate::Coordinator)/[`Participant`] state machines. Each
-//! is one `cycle()` — the loop body — generic over the [`crate::backend`]
-//! seam: over the default backend (localhost TCP sockets from
-//! [`fei_net::transport`], files on disk) `run()` = `cycle()` + a sleep is
-//! what `fei_coordinatord` ships; over the simulated backend the
-//! deterministic [`crate::Cluster`] calls the same `cycle()` in lock-step.
+//! is one loop body generic over the [`crate::backend`] seam: `cycle()`
+//! advances the node's clock one tick, `pump()` does the same work between
+//! ticks. Over the default backend (localhost TCP sockets from
+//! [`fei_net::transport`], files on disk) `run()` — what `fei_coordinatord`
+//! ships — blocks until input arrives or a tick falls due, and pumps or
+//! cycles; over the simulated backend the deterministic [`crate::Cluster`]
+//! calls `cycle()` only, in lock-step.
 //! On real sockets the OS scheduler and the kernel's read boundaries
 //! introduce nondeterminism — and the **frame trace** ([`crate::trace`])
 //! pins it back down:
@@ -29,8 +31,10 @@
 //! ## Crash-consistency protocol
 //!
 //! With a disk journal ([`crate::DiskJournal`]) and a trace file attached,
-//! the per-event ordering is: trace append → apply → (if the journal grew)
-//! trace fsync, then journal append + fsync → effects leave the node. The
+//! every event of a turn (a `cycle()` or a `pump()`) is trace-appended,
+//! then applied, and the frames it decided wait in an outbox; the turn ends
+//! in one group commit: (if the journal grew) trace fsync, then journal
+//! append + fsync → the outbox leaves the node. The
 //! trace is therefore always *ahead of or equal to* the journal on disk,
 //! so a restarted coordinator first replays its own trace prefix through a
 //! fresh core, verifies the disk journal is a byte prefix of the replayed
@@ -41,15 +45,18 @@
 //! [`Coordinator::recover`](crate::Coordinator::recover).
 //!
 //! Determinism hygiene: nodes count cycles, and only the two `run()`
-//! wrappers ever `thread::sleep`; there is no wall clock anywhere in this
-//! module, so the `det-wallclock` lint holds for the whole crate.
+//! wrappers ever wait (on input, for as long as the [`Pacer`] says the next
+//! tick is away); there is no wall clock anywhere in this module, so the
+//! `det-wallclock` lint holds for the whole crate.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+
+use fei_net::transport::{FrameListener, Pacer};
 
 use crate::backend::{drain, Conn, Dialer, Listener, Log};
 use crate::coordinator::{CoordinatorConfig, Effect};
@@ -181,7 +188,8 @@ pub struct CoordinatorNodeConfig {
     pub target_rounds: u64,
     /// Liveness bound: give up (typed error) after this many cycles.
     pub max_cycles: u64,
-    /// Sleep per cycle; one cycle advances the virtual clock one tick.
+    /// The tick period: one cycle, advancing the virtual clock one tick,
+    /// per this much wall time (input in between is handled as it arrives).
     pub cycle_sleep_ms: u64,
     /// Ticks a restarted node assumes passed while it was down (added to
     /// the last traced tick to form the recovery tick).
@@ -190,7 +198,7 @@ pub struct CoordinatorNodeConfig {
 
 impl CoordinatorNodeConfig {
     /// Defaults tuned for localhost test campaigns: 64-byte global,
-    /// 5 target rounds, 1 ms cycles, a 60 000-cycle liveness bound.
+    /// 5 target rounds, 1 ms ticks, a 60 000-cycle liveness bound.
     pub fn new(coordinator: CoordinatorConfig) -> Self {
         Self {
             coordinator,
@@ -224,8 +232,10 @@ pub struct NodeReport {
     pub audit: NodeAudit,
     /// The full in-memory trace, including any prefix recovered from disk.
     pub trace: Vec<TraceEvent>,
-    /// Cycles spent.
+    /// Cycles spent: the ticks of this incarnation's clock.
     pub cycles: u64,
+    /// Turns taken between ticks because input arrived.
+    pub pumps: u64,
     /// Whether the run ended on a [`ControlFrame::Shutdown`] frame.
     pub shutdown: bool,
 }
@@ -246,13 +256,16 @@ struct ClientConn<C> {
 /// docs. Generic over the [`crate::backend`] seam; the defaults are real
 /// sockets and files.
 #[derive(Debug)]
-pub struct CoordinatorNode<L: Listener = TcpListener, G: Log = File> {
+pub struct CoordinatorNode<L: Listener = FrameListener, G: Log = File> {
     config: CoordinatorNodeConfig,
     listener: L,
     conns: Vec<ClientConn<L::Conn>>,
     /// Frames addressed to clients with no live connection (flushed when
     /// the client next identifies itself on a connection).
     queued: BTreeMap<u64, Vec<Vec<u8>>>,
+    /// Frames decided this turn, each with the client it is for; only
+    /// [`CoordinatorNode::commit`] sends.
+    outbox: Vec<(u64, Vec<u8>)>,
     core: CoordinatorCore,
     trace: Vec<TraceEvent>,
     sink: Option<TraceSink<G>>,
@@ -262,6 +275,7 @@ pub struct CoordinatorNode<L: Listener = TcpListener, G: Log = File> {
     surfaced: Vec<Effect>,
     tick: u64,
     cycles: u64,
+    pumps: u64,
     shutdown: bool,
 }
 
@@ -281,11 +295,9 @@ impl CoordinatorNode {
         config: CoordinatorNodeConfig,
         persist: NodePersistence,
     ) -> Result<Self, NodeError> {
-        let listener = TcpListener::bind(listen).map_err(io_err("bind"))?;
-        listener.set_nonblocking(true).map_err(io_err("bind"))?;
+        let listener = FrameListener::bind(listen).map_err(io_err("bind"))?;
         if let Some(path) = &persist.port_file {
-            let addr = listener.local_addr().map_err(io_err("local addr"))?;
-            write_atomic(path, &format!("{addr}\n"))?;
+            write_atomic(path, &format!("{}\n", listener.local_addr()))?;
         }
         let store = persist.journal.as_deref().map(DiskJournal::open);
         let store = store.transpose()?;
@@ -297,9 +309,10 @@ impl CoordinatorNode {
     ///
     /// # Errors
     ///
-    /// [`NodeError::Io`] if the OS cannot report it.
+    /// None: the address is read once, at bind. (The `Result` is the
+    /// signature callers have always had.)
     pub fn local_addr(&self) -> Result<SocketAddr, NodeError> {
-        self.listener.local_addr().map_err(io_err("local addr"))
+        Ok(self.listener.local_addr())
     }
 }
 
@@ -323,12 +336,14 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
             listener,
             conns: Vec::new(),
             queued: BTreeMap::new(),
+            outbox: Vec::new(),
             trace: Vec::new(),
             sink,
             store,
             surfaced: Vec::new(),
             tick: 0,
             cycles: 0,
+            pumps: 0,
             shutdown: false,
         };
 
@@ -360,11 +375,11 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
             // Journal without a trace: recover directly from disk.
             node.tick = node.config.restart_lag.max(1);
             let effects = node.core.recover_from(&disk_prefix, node.tick)?;
-            node.sync_store()?;
             node.dispatch(effects);
         } else {
             node.step(TraceEvent::Open)?.outcome?;
         }
+        node.commit()?;
         Ok(node)
     }
 
@@ -383,24 +398,29 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
     /// [`NodeError::CycleBudget`] on the liveness bound; persistence and
     /// socket errors as their typed variants.
     pub fn run(mut self) -> Result<NodeReport, NodeError> {
+        let mut pacer = Pacer::new(Duration::from_millis(self.config.cycle_sleep_ms));
         loop {
-            self.cycle()?;
+            match pacer.until_tick() {
+                None => drop(self.cycle()?),
+                Some(wait) if self.listener.wait(wait) => drop(self.pump()?),
+                Some(_) => continue,
+            }
             if self.done() {
                 return self.finish();
             }
-            std::thread::sleep(Duration::from_millis(self.config.cycle_sleep_ms));
         }
     }
 
     /// One turn of the loop, advancing the node's clock one tick: accept →
-    /// poll and apply inbound frames → maybe open a round → tick. Returns
-    /// the round verdicts and fleet-shrink cues decided since the previous
-    /// cycle returned (start-up recovery's included); frames it sends.
+    /// poll and apply inbound frames → maybe open a round → tick → commit.
+    /// Returns the round verdicts and fleet-shrink cues decided since the
+    /// previous turn returned (start-up recovery's included); frames it
+    /// sends.
     ///
     /// # Errors
     ///
     /// [`NodeError::CycleBudget`] on the liveness bound; a failed trace or
-    /// journal write, typed — its transition then has sent nothing.
+    /// journal write, typed — the turn then has sent nothing.
     pub(crate) fn cycle(&mut self) -> Result<Vec<Effect>, NodeError> {
         self.cycles += 1;
         self.tick += 1;
@@ -409,14 +429,29 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
                 cycles: self.cycles,
             });
         }
+        self.turn(true)
+    }
+
+    /// A turn between ticks, for input that should not wait for the next:
+    /// [`CoordinatorNode::cycle`] without the clock (its events carry the
+    /// current tick, no timer moves) and under the same error contract.
+    pub(crate) fn pump(&mut self) -> Result<Vec<Effect>, NodeError> {
+        self.pumps += 1;
+        self.turn(false)
+    }
+
+    fn turn(&mut self, tick: bool) -> Result<Vec<Effect>, NodeError> {
         while let Some(conn) = self.listener.accept() {
             self.conns.push(ClientConn { conn, client: None });
         }
         self.poll_connections()?;
         if !self.shutdown {
             self.maybe_start_round()?;
-            self.advance_tick()?;
+            if tick {
+                self.advance_tick()?;
+            }
         }
+        self.commit()?;
         Ok(std::mem::take(&mut self.surfaced))
     }
 
@@ -446,6 +481,7 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
             audit: self.core.into_audit(),
             trace: self.trace,
             cycles: self.cycles,
+            pumps: self.pumps,
             shutdown: self.shutdown,
         })
     }
@@ -487,18 +523,16 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
         }
         match applied.outcome {
             Ok(effects) => self.dispatch(effects),
-            Err(ProtoError::UnknownClient { .. }) => {
+            Err(ProtoError::UnknownClient { client }) => {
                 // Node-layer nudge (not part of the decision history): an
-                // unknown sender is told the current epoch so it
+                // unknown sender is told the current epoch, on the
+                // connection it just identified itself on, so it
                 // renegotiates via Resume/rejoin.
                 let notice = ControlFrame::EpochNotice {
                     epoch: self.core.coordinator().epoch(),
                     round: self.core.coordinator().round(),
-                }
-                .encode();
-                if let Some(cc) = self.conns.get_mut(conn_index) {
-                    let _ = cc.conn.send(&notice);
-                }
+                };
+                self.outbox.push((client, notice.encode()));
             }
             // Any other rejection is typed, counted, and final.
             Err(_) => {}
@@ -524,9 +558,10 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
         }
         if let Some(cc) = self.conns.get_mut(conn_index) {
             cc.client = Some(client);
-            for bytes in self.queued.remove(&client).unwrap_or_default() {
-                let _ = cc.conn.send(&bytes);
-            }
+            // What waited for the client goes out ahead of the replies.
+            let waiting = self.queued.remove(&client).unwrap_or_default();
+            self.outbox
+                .extend(waiting.into_iter().map(|bytes| (client, bytes)));
         }
     }
 
@@ -556,51 +591,58 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
         Ok(())
     }
 
-    /// Feeds one input to the decision core in the crash-consistent order:
-    /// the event joins the trace (buffered in the sink, then in memory) →
-    /// it is applied → what it journaled is made durable. Only then may
-    /// the caller act on what was decided.
+    /// Feeds one input to the decision core: the event joins the trace
+    /// (buffered in the sink, then in memory) → it is applied. Nothing is
+    /// durable, and nothing leaves, before the turn's `commit`.
     fn step(&mut self, event: TraceEvent) -> Result<Applied, NodeError> {
         if let Some(sink) = self.sink.as_mut() {
             sink.append(&event)?;
         }
         let applied = self.core.apply(&event);
         self.trace.push(event);
-        self.sync_store()?;
         Ok(applied)
     }
 
-    /// Makes the journal's new suffix durable (trace first, then journal
-    /// — the write-ahead ordering both recovery paths rely on).
-    fn sync_store(&mut self) -> Result<(), NodeError> {
-        let Some(store) = self.store.as_mut() else {
-            return Ok(());
-        };
-        let bytes = self.core.coordinator().journal().bytes();
-        if bytes.len() > store.synced_len() {
-            if let Some(sink) = self.sink.as_mut() {
-                sink.sync()?;
+    /// The turn's group commit: makes everything it journaled durable (trace
+    /// first, then journal — the write-ahead ordering both recovery paths
+    /// rely on), one sync per file however many events there were, and only
+    /// then sends what it decided.
+    fn commit(&mut self) -> Result<(), NodeError> {
+        if let Some(store) = self.store.as_mut() {
+            let bytes = self.core.coordinator().journal().bytes();
+            if bytes.len() > store.synced_len() {
+                if let Some(sink) = self.sink.as_mut() {
+                    sink.sync()?;
+                }
+                store.sync_to(bytes)?;
             }
-            store.sync_to(bytes)?;
+        }
+        for (to, bytes) in std::mem::take(&mut self.outbox) {
+            self.deliver(to, bytes);
         }
         Ok(())
     }
 
-    /// Sends the frames among `effects`; the rest surface from `cycle`.
+    /// Queues the frames among `effects` for the commit; the rest surface
+    /// from the turn.
     fn dispatch(&mut self, effects: Vec<Effect>) {
         for effect in effects {
             match effect {
-                Effect::Send { to, frame } => self.deliver(to, frame.encode()),
+                Effect::Send { to, frame } => self.outbox.push((to, frame.encode())),
                 other => self.surfaced.push(other),
             }
         }
     }
 
     fn deliver(&mut self, to: u64, bytes: Vec<u8>) {
-        if let Some(cc) = self.conns.iter_mut().find(|cc| cc.client == Some(to)) {
-            if cc.conn.send(&bytes).is_ok() {
+        if let Some(index) = self.conns.iter().position(|cc| cc.client == Some(to)) {
+            if self.conns[index].conn.send(&bytes).is_ok() {
                 return;
             }
+            // A failed send may have left half a frame on the stream, and a
+            // peer that stopped reading would stall every later one: the
+            // connection goes; the device redials and collects its queue.
+            self.conns.remove(index);
         }
         let queue = self.queued.entry(to).or_default();
         if queue.len() < QUEUE_CAP {
@@ -633,7 +675,8 @@ pub(crate) fn write_atomic(path: &Path, contents: &str) -> Result<(), NodeError>
 pub struct ParticipantNodeConfig {
     /// The participant state-machine configuration.
     pub participant: ParticipantConfig,
-    /// Sleep per cycle; one cycle advances the participant one tick.
+    /// The tick period: one cycle, advancing the participant one tick, per
+    /// this much wall time (inbound frames are answered as they arrive).
     pub cycle_sleep_ms: u64,
     /// Liveness bound: stop after this many cycles regardless.
     pub max_cycles: u64,
@@ -706,9 +749,18 @@ impl<D: Dialer> ParticipantNode<D> {
     /// budget is a clean stop); the `Result` keeps room for future typed
     /// failures.
     pub fn run(&mut self, stop: &AtomicBool) -> Result<ParticipantReport, NodeError> {
+        let mut pacer = Pacer::new(Duration::from_millis(self.config.cycle_sleep_ms));
         while self.cycles < self.config.max_cycles && !stop.load(Ordering::Relaxed) {
-            self.cycle();
-            std::thread::sleep(Duration::from_millis(self.config.cycle_sleep_ms));
+            let Some(wait) = pacer.until_tick() else {
+                self.cycle();
+                continue;
+            };
+            match self.conn.as_mut().map(|conn| conn.wait(wait)) {
+                Some(true) => self.pump(),
+                Some(false) => {}
+                // Nothing to wake on while disconnected.
+                None => std::thread::sleep(wait),
+            }
         }
         Ok(self.report())
     }
@@ -739,6 +791,15 @@ impl<D: Dialer> ParticipantNode<D> {
                 self.conn = Some(fresh);
             }
         }
+        self.pump();
+    }
+
+    /// A turn at the current tick, for frames that should not wait for the
+    /// next: poll and apply inbound frames → send what is due. (The state
+    /// machine's timers compare against the tick, so asking again at the
+    /// same tick sends only what the new frames made due.)
+    pub(crate) fn pump(&mut self) {
+        let now = self.cycles;
         let mut out: Vec<ControlFrame> = Vec::new();
         let mut lost = false;
         if let Some(c) = self.conn.as_mut() {

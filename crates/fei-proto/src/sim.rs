@@ -17,6 +17,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io;
 use std::rc::Rc;
+use std::time::Duration;
 
 use fei_net::transport::TransportError;
 
@@ -100,6 +101,12 @@ impl Listener for SimNet {
         let net = self.clone();
         Some(SimConn { net, id, reads: UP })
     }
+
+    /// The simulated wire has no time to wait out: whatever this tick
+    /// brings has already been delivered.
+    fn wait(&mut self, _: Duration) -> bool {
+        true
+    }
 }
 
 impl Dialer for SimNet {
@@ -157,6 +164,10 @@ impl Conn for SimConn {
         });
         Ok(())
     }
+
+    fn wait(&mut self, _: Duration) -> bool {
+        true
+    }
 }
 
 #[derive(Debug, Default)]
@@ -167,6 +178,8 @@ struct Disk {
     /// Appends and syncs attempted so far, and the one that fails, if any.
     ops: u64,
     fail_at: Option<u64>,
+    /// Syncs among them.
+    syncs: u64,
     /// Unsynced bytes the most recent crash discarded.
     lost: usize,
 }
@@ -221,6 +234,7 @@ impl Log for SimFile {
     fn sync(&mut self) -> io::Result<()> {
         let mut disk = self.0.borrow_mut();
         disk.op()?;
+        disk.syncs += 1;
         disk.synced = disk.bytes.len();
         Ok(())
     }
@@ -238,7 +252,7 @@ mod tests {
     };
     use crate::participant::ParticipantConfig;
     use crate::store::DiskJournal;
-    use crate::trace::TraceSink;
+    use crate::trace::{TraceEvent, TraceSink};
 
     /// What the tests need to see of, and do to, a simulated file.
     impl SimFile {
@@ -261,6 +275,11 @@ mod tests {
         /// Appends and syncs attempted so far.
         pub(crate) fn ops(&self) -> u64 {
             self.0.borrow().ops
+        }
+
+        /// Syncs performed so far.
+        pub(crate) fn syncs(&self) -> u64 {
+            self.0.borrow().syncs
         }
 
         /// Makes the `op`-th append-or-sync (counted from the file's
@@ -495,5 +514,156 @@ mod tests {
             });
         }
         assert!(aborted);
+    }
+
+    /// The journal records a crash right now would keep.
+    fn durable_records(rig: &Rig) -> Vec<JournalRecord> {
+        let journal = RoundJournal::from_bytes(rig.journal.durable());
+        journal.replay().expect("own journal").records
+    }
+
+    #[test]
+    fn a_cycle_commits_once_however_many_events_it_journals() {
+        // Three joins land in one cycle: three journaled transitions (and the
+        // round they make possible), one sync per file, and every ack leaves
+        // only after it.
+        let rig = Rig::new(3, 1);
+        let mut coordinator = rig.boot().expect("boot");
+        let (mut a, mut b, mut c) = (rig.participant(1), rig.participant(2), rig.participant(3));
+        let before = (
+            rig.journal.syncs(),
+            rig.trace.syncs(),
+            durable_records(&rig).len(),
+        );
+        let (surfaced, left) = rig.tick(&mut coordinator, &mut [&mut a, &mut b, &mut c]);
+        surfaced.expect("fault-free disk");
+        let durable = durable_records(&rig);
+        assert!(durable.len() >= before.2 + 3, "{durable:?}");
+        assert_eq!(rig.journal.syncs(), before.0 + 1);
+        assert_eq!(rig.trace.syncs(), before.1 + 1);
+        let acks = left
+            .iter()
+            .filter(|f| matches!(f, ControlFrame::JoinAck { .. }));
+        assert_eq!(acks.count(), 3, "{left:?}");
+        assert!(
+            left.iter().all(|frame| justified(frame, &durable)),
+            "{left:?}"
+        );
+        // Nothing journaled, nothing synced: a quiet cycle costs no fsync.
+        let quiet = (rig.journal.syncs(), rig.trace.syncs());
+        rig.tick(&mut coordinator, &mut [])
+            .0
+            .expect("fault-free disk");
+        assert_eq!((rig.journal.syncs(), rig.trace.syncs()), quiet);
+    }
+
+    #[test]
+    fn nudges_and_queued_frames_wait_for_the_commit_too() {
+        // A coordinator restarts mid-campaign: recovery's notices queue for
+        // devices that have yet to redial and flush when they do; a stranger
+        // is nudged. Both kinds leave through the same commit as any reply.
+        let rig = Rig::new(2, 3);
+        let mut coordinator = rig.boot().expect("boot");
+        let (mut a, mut b) = (rig.participant(1), rig.participant(2));
+        for _ in 0..8 {
+            rig.tick(&mut coordinator, &mut [&mut a, &mut b])
+                .0
+                .expect("fault-free disk");
+        }
+        drop(coordinator);
+        rig.net.hang_up();
+        rig.journal.crash(0);
+        rig.trace.crash(0);
+        let mut coordinator = rig.boot().expect("restart");
+        let mut stranger = rig.net.clone().dial().expect("listening");
+        let hello = ControlFrame::Heartbeat {
+            client: 99,
+            tick: 1,
+        };
+        stranger.send(&hello.encode()).expect("live connection");
+        let mut notices = 0;
+        for _ in 0..40 {
+            let (surfaced, left) = rig.tick(&mut coordinator, &mut [&mut a, &mut b]);
+            surfaced.expect("fault-free disk");
+            let durable = durable_records(&rig);
+            assert!(
+                left.iter().all(|frame| justified(frame, &durable)),
+                "{left:?}"
+            );
+            let notice = |f: &&ControlFrame| matches!(f, ControlFrame::EpochNotice { .. });
+            notices += left.iter().filter(notice).count();
+        }
+        // Two out of the queue (recovery found no connection to send them
+        // on), one nudge to the stranger.
+        assert!(notices >= 3, "{notices} epoch notices left");
+        assert!(
+            stranger.poll().expect("live connection").is_some(),
+            "the stranger was nudged"
+        );
+    }
+
+    #[test]
+    fn pumps_carry_a_whole_round_without_moving_the_clock() {
+        // Devices that train in zero ticks: everything a round needs is an
+        // answer to a frame, so between two ticks pumps alone carry it.
+        let rig = Rig::new(2, 4);
+        let mut coordinator = rig.boot().expect("boot");
+        let device = |client| {
+            let config = ParticipantNodeConfig::new(ParticipantConfig::new(client, 0));
+            ParticipantNode::new(rig.net.clone(), config)
+        };
+        let (mut a, mut b) = (device(1), device(2));
+        // Ticks until the first round is open (selection notices sent)...
+        let mut opened = false;
+        while !opened {
+            let (surfaced, left) = rig.tick(&mut coordinator, &mut [&mut a, &mut b]);
+            surfaced.expect("fault-free disk");
+            opened = left
+                .iter()
+                .any(|f| matches!(f, ControlFrame::Select { .. }));
+        }
+        // ...then none: pumps only, until two more rounds have committed.
+        let (mut verdicts, mut selects) = (Vec::new(), 0);
+        for _ in 0..20 {
+            a.pump();
+            b.pump();
+            for envelope in rig.net.take_sent(UP) {
+                rig.net.deliver(UP, envelope);
+            }
+            verdicts.extend(coordinator.pump().expect("fault-free disk"));
+            for envelope in rig.net.take_sent(DOWN) {
+                let (frame, _) = ControlFrame::decode(&envelope.bytes).expect("own frame");
+                selects += usize::from(matches!(frame, ControlFrame::Select { .. }));
+                rig.net.deliver(DOWN, envelope);
+            }
+        }
+        let committed = |e: &Effect| matches!(e, Effect::RoundCommitted { .. });
+        assert!(
+            verdicts.len() >= 2 && verdicts.iter().all(committed),
+            "{verdicts:?}"
+        );
+        assert!(selects >= 4, "each commit opened the next round: {selects}");
+
+        let report = coordinator.finish().expect("fault-free disk");
+        assert!(report.pumps >= 20);
+        // The clock stood still: every event of the pumped span carries the
+        // last tick's label, a burst of deliveries included, and none is a Tick.
+        let last_tick = report
+            .trace
+            .iter()
+            .rposition(|e| matches!(e, TraceEvent::Tick { .. }));
+        let pumped = &report.trace[last_tick.expect("ticked before") + 1..];
+        let delivers = pumped
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Deliver { .. }));
+        assert!(delivers.count() >= 4, "{pumped:?}");
+        assert!(
+            pumped.iter().all(|e| e.tick() == report.cycles),
+            "{pumped:?}"
+        );
+        // And the oracle replays it bit for bit.
+        let replayed = replay_trace(&rig.config.coordinator, &rig.config.global, &report.trace);
+        assert_eq!(replayed, report.audit);
+        assert_eq!(rig.journal.bytes(), report.audit.journal);
     }
 }
