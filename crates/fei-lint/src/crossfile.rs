@@ -9,20 +9,17 @@
 //!   `AbortReason`) constructed outside its defining file and surfaced in
 //!   a match arm somewhere (stats/report paths are matches);
 //! * **truncating-cast** — no bare `as` casts to ≤32-bit integers inside
-//!   codec/wire/frames/journal/record/trace files of the wire crates;
-//! * **journal-discipline** (v2) — coordinator `.phase =` transitions must
-//!   be preceded, in the same function or via a helper called earlier in
-//!   it, by a round-journal append (write-ahead logging).
+//!   codec/wire/frames/journal/record/trace files of the wire crates.
 //!
 //! Findings anchor at one definite site (the variant declaration, the
-//! cast, the phase write), so `// fei-lint: allow(rule, reason = "…")` on
-//! that site suppresses exactly that finding and nothing else.
+//! cast), so `// fei-lint: allow(rule, reason = "…")` on that site
+//! suppresses exactly that finding and nothing else.
 
 use std::collections::BTreeMap;
 
 use crate::config::LintConfig;
 use crate::lexer::LexedFile;
-use crate::model::{FileFacts, RefContext, WorkspaceModel};
+use crate::model::{RefContext, WorkspaceModel};
 use crate::report::Violation;
 use crate::rules::RuleId;
 
@@ -38,9 +35,6 @@ pub fn check(
     }
     if config.rules.contains(&RuleId::TruncatingCast) {
         truncating_cast(config, model, lexed, &mut out);
-    }
-    if config.rules.contains(&RuleId::JournalDiscipline) {
-        journal_discipline(model, lexed, &mut out);
     }
     out
 }
@@ -215,82 +209,6 @@ fn literal_fits(tok: &str, target: &str) -> bool {
     v <= max
 }
 
-/// journal-discipline v2: each coordinator `.phase =` write must follow a
-/// journal append in the same function, directly or through a helper
-/// called earlier in the function body.
-fn journal_discipline(
-    model: &WorkspaceModel,
-    lexed: &BTreeMap<String, LexedFile>,
-    out: &mut Vec<Violation>,
-) {
-    for f in &model.files {
-        if f.crate_name != "fei-proto" || f.in_test_tree {
-            continue;
-        }
-        let file_name = f.path.rsplit('/').next().unwrap_or(&f.path);
-        if !file_name.contains("coordinator") {
-            continue;
-        }
-        for func in &f.fns {
-            for &write in &func.phase_writes {
-                // Only the innermost function owns the write; outer spans
-                // that merely contain a nested fn's body skip it.
-                if f.enclosing_fn(write)
-                    .is_some_and(|inner| inner.offset != func.offset)
-                {
-                    continue;
-                }
-                let direct = func.journal_touches.iter().any(|&t| t < write);
-                let via_helper = func.calls.iter().any(|(callee, at)| {
-                    *at < write && helper_touches_journal(f, callee, 3, &mut Vec::new())
-                });
-                if direct || via_helper {
-                    continue;
-                }
-                emit_at(
-                    RuleId::JournalDiscipline,
-                    &f.path,
-                    write,
-                    format!(
-                        "phase transition in `{}` without a prior round-journal \
-                         append (directly or via a helper called earlier in the \
-                         function): append the transition's JournalRecord first \
-                         (write-ahead), or justify with an allow directive",
-                        func.name
-                    ),
-                    lexed,
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// Whether any same-file function named `callee` touches the journal,
-/// following same-file calls up to `depth` levels (cycle-guarded).
-fn helper_touches_journal<'a>(
-    f: &'a FileFacts,
-    callee: &'a str,
-    depth: usize,
-    visiting: &mut Vec<&'a str>,
-) -> bool {
-    if visiting.contains(&callee) {
-        return false;
-    }
-    visiting.push(callee);
-    let hit = f.fns_named(callee).any(|g| {
-        if !g.journal_touches.is_empty() {
-            return true;
-        }
-        depth > 0
-            && g.calls
-                .iter()
-                .any(|(next, _)| helper_touches_journal(f, next, depth - 1, visiting))
-    });
-    visiting.pop();
-    hit
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,38 +328,5 @@ mod tests {
         let out = check(&config(), &model, &lexed);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].snippet.contains("300"), "{out:?}");
-    }
-
-    #[test]
-    fn journal_v2_accepts_append_via_helper_called_earlier() {
-        let (model, lexed) = workspace(&[(
-            "crates/fei-proto/src/coordinator.rs",
-            "impl C {\n\
-             fn persist(&mut self) { self.journal.append(&r); }\n\
-             fn ok(&mut self) {\n        self.persist();\n        self.phase = Phase::Next;\n    }\n\
-             fn bad(&mut self) {\n        self.phase = Phase::Idle;\n        self.persist();\n    }\n\
-             }\n",
-        )]);
-        let out = check(&config(), &model, &lexed);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("`bad`"), "{out:?}");
-    }
-
-    #[test]
-    fn journal_v2_follows_helpers_transitively_but_not_cycles() {
-        let (model, lexed) = workspace(&[(
-            "crates/fei-proto/src/coordinator.rs",
-            "impl C {\n\
-             fn l2(&mut self) { self.journal.append(&r); }\n\
-             fn l1(&mut self) { self.l2(); }\n\
-             fn ok(&mut self) {\n        self.l1();\n        self.phase = Phase::Next;\n    }\n\
-             fn spin_a(&mut self) { self.spin_b(); }\n\
-             fn spin_b(&mut self) { self.spin_a(); }\n\
-             fn bad(&mut self) {\n        self.spin_a();\n        self.phase = Phase::Idle;\n    }\n\
-             }\n",
-        )]);
-        let out = check(&config(), &model, &lexed);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("`bad`"), "{out:?}");
     }
 }

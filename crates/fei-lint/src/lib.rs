@@ -24,12 +24,13 @@
 //! Since v2 the engine runs **two passes**: pass 1 builds a lightweight
 //! [`model::WorkspaceModel`] from every file (including test trees), and
 //! pass 2 adds cross-file rules over it ([`crossfile`]): `enum-billing`
-//! (no dead `EnergyUse`/`AbortReason` variants), `truncating-cast` (no
-//! bare narrowing `as` in codec paths), and `journal-discipline`
-//! (write-ahead phase transitions, followed across helper functions).
-//! (The wire schema itself needs no rule: `fei-proto`'s `record.rs` table
-//! declares each record kind once and asserts tag uniqueness at compile
-//! time.)
+//! (no dead `EnergyUse`/`AbortReason` variants) and `truncating-cast` (no
+//! bare narrowing `as` in codec paths).
+//! (Two properties need no rule. The wire schema: `fei-proto`'s
+//! `record.rs` table declares each record kind once and asserts tag
+//! uniqueness at compile time. Write-ahead order: the coordinator's
+//! journaled state sits behind `&JournalState`, and only the journal's own
+//! append-then-fold can change it.)
 //! The gate is zero findings.
 //!
 //! Sites that deliberately break a rule carry an escape comment on the

@@ -2,9 +2,8 @@
 //!
 //! Per-file rules can only see one file's tokens; the drift modes that
 //! actually bite the protocol stack are *cross-file*: an enum variant
-//! that is defined but never billed anywhere, a truncating cast hiding in a codec length path, a
-//! phase transition whose journal append lives in a helper function. This
-//! module extracts just enough structure from the existing lexer's masked
+//! that is defined but never billed anywhere, a truncating cast hiding in
+//! a codec length path. This module extracts just enough structure from the existing lexer's masked
 //! view — no external parser, staying dependency-free — for the
 //! cross-file rules in [`crate::crossfile`] to reason about the workspace
 //! as a whole:
@@ -12,16 +11,14 @@
 //! * enum definitions with their variants;
 //! * `Enum::Variant` references, classified as match arms vs.
 //!   constructions/uses;
-//! * `expr as <int>` casts with the target width and the source token;
-//! * functions with their body spans, call sites, journal touches, and
-//!   `.phase =` writes (for the cross-function journal-discipline rule).
+//! * `expr as <int>` casts with the target width and the source token.
 //!
 //! Every fact carries its byte offset and an `is_test` flag (true inside
 //! `#[cfg(test)]`/`#[test]` regions *or* anywhere in a `tests/`,
 //! `examples/`, or `benches/` tree), so rules can distinguish production
 //! reachability from test reachability.
 
-use crate::lexer::{find_idents, ident_ending_at, ident_starting_at, is_ident_byte, LexedFile};
+use crate::lexer::{find_idents, ident_ending_at, ident_starting_at, LexedFile};
 
 /// How a variant reference sits relative to a `match`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,24 +86,6 @@ pub struct CastSite {
     pub line_has_checked: bool,
 }
 
-/// One function definition with the facts journal-discipline v2 needs.
-#[derive(Debug, Clone)]
-pub struct FnFacts {
-    /// The function's name.
-    pub name: String,
-    /// Byte offset of the name.
-    pub offset: usize,
-    /// Body span (after `{`, before matching `}`); `None` for bodyless
-    /// trait-method declarations.
-    pub body: Option<(usize, usize)>,
-    /// Offsets of `journal` identifier touches inside the body.
-    pub journal_touches: Vec<usize>,
-    /// Offsets of `.phase = …` writes inside the body.
-    pub phase_writes: Vec<usize>,
-    /// `(callee name, offset)` for every `ident(`-shaped call in the body.
-    pub calls: Vec<(String, usize)>,
-}
-
 /// Everything pass 1 extracted from one file.
 #[derive(Debug)]
 pub struct FileFacts {
@@ -123,8 +102,6 @@ pub struct FileFacts {
     pub variant_refs: Vec<VariantRef>,
     /// Narrow-integer cast sites.
     pub casts: Vec<CastSite>,
-    /// Function facts (journal-discipline v2).
-    pub fns: Vec<FnFacts>,
 }
 
 /// The pass-1 model: one [`FileFacts`] per scanned file, in path order.
@@ -149,12 +126,10 @@ impl FileFacts {
             enums: Vec::new(),
             variant_refs: Vec::new(),
             casts: Vec::new(),
-            fns: Vec::new(),
         };
         facts.scan_enums(lexed);
         facts.scan_variant_refs(lexed);
         facts.scan_casts(lexed);
-        facts.scan_fns(lexed);
         facts
     }
 
@@ -294,93 +269,6 @@ impl FileFacts {
                 line_has_checked: line_text.contains("try_from") || line_text.contains("try_into"),
             });
         }
-    }
-
-    /// Collects function spans, their journal touches, phase writes, and
-    /// call sites.
-    fn scan_fns(&mut self, lexed: &LexedFile) {
-        let masked = &lexed.masked;
-        let bytes = masked.as_bytes();
-        for kw in find_idents(masked, "fn") {
-            let (name_at, name) = ident_starting_at(bytes, kw + 2);
-            if name.is_empty() {
-                continue;
-            }
-            // Body: the first `{` before any `;` (bodyless trait methods
-            // end in `;`).
-            let mut k = name_at + name.len();
-            while k < bytes.len() && bytes[k] != b'{' && bytes[k] != b';' {
-                k += 1;
-            }
-            let body = if k < bytes.len() && bytes[k] == b'{' {
-                Some((k + 1, match_brace(bytes, k)))
-            } else {
-                None
-            };
-            let mut facts = FnFacts {
-                name: String::from_utf8_lossy(name).into_owned(),
-                offset: name_at,
-                body,
-                journal_touches: Vec::new(),
-                phase_writes: Vec::new(),
-                calls: Vec::new(),
-            };
-            if let Some((s, e)) = body {
-                let body_text = &masked[s..e.min(masked.len())];
-                for off in find_idents(body_text, "journal") {
-                    facts.journal_touches.push(s + off);
-                }
-                for off in find_idents(body_text, "phase") {
-                    let abs = s + off;
-                    if abs == 0 || bytes[abs - 1] != b'.' {
-                        continue;
-                    }
-                    let rest = masked[abs + "phase".len()..].trim_start();
-                    if rest.starts_with('=') && !rest.starts_with("==") && !rest.starts_with("=>") {
-                        facts.phase_writes.push(abs);
-                    }
-                }
-                // `ident(` call sites (methods and free functions alike).
-                let body_bytes = body_text.as_bytes();
-                let mut at = 0;
-                while at < body_bytes.len() {
-                    if !is_ident_byte(body_bytes[at]) {
-                        at += 1;
-                        continue;
-                    }
-                    let start = at;
-                    while at < body_bytes.len() && is_ident_byte(body_bytes[at]) {
-                        at += 1;
-                    }
-                    if start > 0 && is_ident_byte(body_bytes[start - 1]) {
-                        continue;
-                    }
-                    let mut k = at;
-                    while k < body_bytes.len() && body_bytes[k] == b' ' {
-                        k += 1;
-                    }
-                    if k < body_bytes.len() && body_bytes[k] == b'(' {
-                        facts
-                            .calls
-                            .push((body_text[start..at].to_string(), s + start));
-                    }
-                }
-            }
-            self.fns.push(facts);
-        }
-    }
-
-    /// The innermost function whose body contains `offset`.
-    pub fn enclosing_fn(&self, offset: usize) -> Option<&FnFacts> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(s, e)| offset >= s && offset < e))
-            .min_by_key(|f| f.body.map_or(usize::MAX, |(s, e)| e - s))
-    }
-
-    /// Looks up functions by name (several `impl` blocks may reuse one).
-    pub fn fns_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a FnFacts> + 'a {
-        self.fns.iter().filter(move |f| f.name == name)
     }
 }
 
@@ -526,22 +414,6 @@ mod tests {
         assert_eq!(targets, vec!["u32", "u64", "u32"]);
         assert_eq!(f.casts[0].source_token, "n");
         assert_eq!(f.casts[0].target_bits, 32);
-    }
-
-    #[test]
-    fn fns_record_journal_touches_phase_writes_and_calls() {
-        let src = "impl C {\n\
-                   fn persist(&mut self) { self.journal.append(&r); }\n\
-                   fn advance(&mut self) {\n        self.persist();\n        self.phase = Phase::Next;\n    }\n\
-                   }\n";
-        let f = facts(src);
-        let persist = f.fns_named("persist").next().expect("persist parsed");
-        assert_eq!(persist.journal_touches.len(), 1);
-        let advance = f.fns_named("advance").next().expect("advance parsed");
-        assert_eq!(advance.phase_writes.len(), 1);
-        assert!(advance.calls.iter().any(|(n, _)| n == "persist"));
-        let inner = f.enclosing_fn(advance.phase_writes[0]).expect("enclosed");
-        assert_eq!(inner.name, "advance");
     }
 
     #[test]

@@ -38,14 +38,6 @@ pub enum RuleId {
     /// classification, so no joule can bypass the `EnergyLedger` buckets
     /// (`tests/energy_accounting.rs`).
     LedgerDiscipline,
-    /// Write-ahead logging in the coordinator: every `.phase =` state
-    /// transition in `fei-proto` coordinator code must follow a
-    /// round-journal append — in the same function or via a helper called
-    /// earlier in it — so no transition can outrun its durability point
-    /// and crash recovery never loses acknowledged state
-    /// (`tests/recovery.rs`). Cross-file since v2: the check walks the
-    /// workspace model's call facts instead of a line window.
-    JournalDiscipline,
     /// Every `EnergyUse`/`AbortReason` variant must be constructed
     /// outside its defining file and surfaced in a match arm (stats or
     /// report path) — dead-variant detection for the energy accounting
@@ -60,14 +52,13 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in reporting order.
-    pub const ALL: [RuleId; 9] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::DetMapIter,
         RuleId::DetWallclock,
         RuleId::DetEntropy,
         RuleId::NoPanic,
         RuleId::FloatEq,
         RuleId::LedgerDiscipline,
-        RuleId::JournalDiscipline,
         RuleId::EnumBilling,
         RuleId::TruncatingCast,
     ];
@@ -75,10 +66,7 @@ impl RuleId {
     /// Whether this rule runs over the pass-1 workspace model
     /// ([`crate::crossfile`]) rather than per file.
     pub fn is_cross_file(self) -> bool {
-        matches!(
-            self,
-            RuleId::JournalDiscipline | RuleId::EnumBilling | RuleId::TruncatingCast
-        )
+        matches!(self, RuleId::EnumBilling | RuleId::TruncatingCast)
     }
 
     /// The kebab-case name used in reports and allow directives.
@@ -90,7 +78,6 @@ impl RuleId {
             RuleId::NoPanic => "no-panic",
             RuleId::FloatEq => "float-eq",
             RuleId::LedgerDiscipline => "ledger-discipline",
-            RuleId::JournalDiscipline => "journal-discipline",
             RuleId::EnumBilling => "enum-billing",
             RuleId::TruncatingCast => "truncating-cast",
         }
@@ -117,9 +104,6 @@ impl RuleId {
             RuleId::LedgerDiscipline => {
                 "public joule-taking fns in fei-core/fei-power must take an EnergyUse classification"
             }
-            RuleId::JournalDiscipline => {
-                "coordinator phase transitions must follow a round-journal append (write-ahead logging)"
-            }
             RuleId::EnumBilling => {
                 "every EnergyUse/AbortReason variant constructed outside its file and surfaced in a match"
             }
@@ -143,7 +127,7 @@ impl RuleId {
                 config.det_crates.iter().any(|c| c == crate_name)
             }
             RuleId::LedgerDiscipline => config.ledger_crates.iter().any(|c| c == crate_name),
-            RuleId::JournalDiscipline | RuleId::EnumBilling | RuleId::TruncatingCast => false,
+            RuleId::EnumBilling | RuleId::TruncatingCast => false,
             RuleId::NoPanic => {
                 // Binary entry points (src/bin/, src/main.rs) may abort on
                 // operational errors; the contract covers library code.
@@ -158,7 +142,7 @@ impl RuleId {
     /// nothing here — they run in [`crate::crossfile::check`].
     pub fn check(self, file: &LexedFile, path: &str) -> Vec<Violation> {
         match self {
-            RuleId::JournalDiscipline | RuleId::EnumBilling | RuleId::TruncatingCast => Vec::new(),
+            RuleId::EnumBilling | RuleId::TruncatingCast => Vec::new(),
             RuleId::DetMapIter => check_idents(
                 self,
                 file,

@@ -21,14 +21,13 @@ fn lint_fixture(rel: &str) -> Report {
 }
 
 /// (fixture dir, the one rule its bad tree violates)
-const CASES: [(&str, RuleId); 9] = [
+const CASES: [(&str, RuleId); 8] = [
     ("det_map_iter", RuleId::DetMapIter),
     ("det_wallclock", RuleId::DetWallclock),
     ("det_entropy", RuleId::DetEntropy),
     ("no_panic", RuleId::NoPanic),
     ("float_eq", RuleId::FloatEq),
     ("ledger_discipline", RuleId::LedgerDiscipline),
-    ("journal_discipline", RuleId::JournalDiscipline),
     ("enum_billing", RuleId::EnumBilling),
     ("truncating_cast", RuleId::TruncatingCast),
 ];
@@ -115,9 +114,9 @@ fn allow_directives_scope_cross_file_rules_to_the_site() {
         report.render_human()
     );
     assert_eq!(
-        report.count_for(RuleId::JournalDiscipline),
+        report.count_for(RuleId::EnumBilling),
         1,
-        "one of two unjournalled phase writes is allowed:\n{}",
+        "one of two dead variants is allowed:\n{}",
         report.render_human()
     );
     assert_eq!(
@@ -132,8 +131,8 @@ fn allow_directives_scope_cross_file_rules_to_the_site() {
         report
             .violations
             .iter()
-            .any(|v| v.rule == "journal-discipline" && v.message.contains("`force_open`")),
-        "journal survivor should be force_open:\n{}",
+            .any(|v| v.rule == "enum-billing" && v.message.contains("`EnergyUse::Phantom`")),
+        "billing survivor should be Phantom:\n{}",
         report.render_human()
     );
 }

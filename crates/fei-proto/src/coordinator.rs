@@ -19,8 +19,14 @@
 //!   expired is never aggregated: late submissions are rejected with
 //!   [`ProtoError::ExpiredClient`], and buffered updates are discarded the
 //!   moment their sender expires.
+//!
+//! Whatever must survive a crash — epoch, roster membership, round number,
+//! the open round's selection, deadline and buffered updates — lives in the
+//! [`RoundJournal`] alone: a transition builds its [`JournalRecord`], the
+//! one private `record` appends then folds it, and the machine reads the
+//! outcome back as [`JournalState`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use fei_net::wire::WIRE_VERSION;
 
@@ -90,24 +96,36 @@ impl CoordinatorConfig {
     /// (zero interval/timeout, or a timeout not beyond the interval), or
     /// the round deadline is zero.
     pub fn validated(self) -> Self {
-        assert!(self.k > 0, "K must be at least 1");
-        assert!(self.quorum > 0, "quorum must be at least 1");
-        assert!(
-            self.quorum <= self.k + self.over_select,
-            "quorum {} cannot exceed the selection width {}",
-            self.quorum,
-            self.k + self.over_select
-        );
-        assert!(
-            self.heartbeat_interval > 0,
-            "heartbeat interval must be positive"
-        );
-        assert!(
-            self.heartbeat_timeout > self.heartbeat_interval,
-            "heartbeat timeout must exceed the interval, or every client flaps"
-        );
-        assert!(self.round_deadline > 0, "round deadline must be positive");
+        let broken = self.violation().map(|(_, message)| message);
+        assert!(broken.is_none(), "{}", broken.unwrap_or_default());
         self
+    }
+
+    /// The first rule the configuration breaks, if any: the daemon flags
+    /// that set the fields involved, and what is wrong with them.
+    pub(crate) fn violation(&self) -> Option<(&'static str, String)> {
+        let (quorum, width) = (self.quorum, self.k.saturating_add(self.over_select));
+        let too_wide = format!("quorum {quorum} cannot exceed the selection width {width}");
+        let flapping = "heartbeat timeout must exceed the interval, or every client flaps";
+        let (flags, message) = if self.k == 0 {
+            ("--k", "K must be at least 1")
+        } else if quorum == 0 {
+            ("--quorum", "quorum must be at least 1")
+        } else if quorum > width {
+            ("--quorum/--k/--over-select", too_wide.as_str())
+        } else if self.heartbeat_interval == 0 {
+            (
+                "--heartbeat-interval",
+                "heartbeat interval must be positive",
+            )
+        } else if self.heartbeat_timeout <= self.heartbeat_interval {
+            ("--heartbeat-timeout/--heartbeat-interval", flapping)
+        } else if self.round_deadline == 0 {
+            ("--round-deadline", "round deadline must be positive")
+        } else {
+            return None;
+        };
+        Some((flags, message.to_string()))
     }
 }
 
@@ -261,22 +279,12 @@ impl ControlStats {
 pub struct Coordinator {
     config: CoordinatorConfig,
     phase: Phase,
-    round: u64,
-    /// Incarnation number: 0 on first boot, bumped by every recovery.
-    epoch: u64,
+    /// Lease ticks of the roster in [`JournalState::roster`].
     liveness: LivenessTracker,
     /// Wire-v2 payload of the current global model, shipped in `Select`.
     global: Vec<u8>,
-    /// Clients selected for the open round.
-    selected: BTreeSet<u64>,
-    /// In-time submissions, in arrival order: `(tick, client)`.
-    received: Vec<(u64, u64)>,
-    /// Buffered update payloads: client → (samples, wire payload).
-    payloads: BTreeMap<u64, (u32, Vec<u8>)>,
-    /// Tick after which the open round closes.
-    deadline_tick: u64,
-    /// The write-ahead log: appended before any transition's effects leave
-    /// the machine, so `recover` can rebuild this exact state.
+    /// The write-ahead log and the state it folds to (epoch, roster, round
+    /// number, the open round), changed only by [`Coordinator::record`].
     journal: RoundJournal,
     /// The round recovery abandoned, if any — late frames for it get a
     /// typed [`ProtoError::Recovered`] rather than a confusing
@@ -297,14 +305,8 @@ impl Coordinator {
         Self {
             config,
             phase: Phase::Idle,
-            round: 0,
-            epoch: 0,
             liveness,
             global: Vec::new(),
-            selected: BTreeSet::new(),
-            received: Vec::new(),
-            payloads: BTreeMap::new(),
-            deadline_tick: 0,
             journal: RoundJournal::new(),
             recovered_round: None,
             stats: ControlStats::default(),
@@ -314,13 +316,14 @@ impl Coordinator {
     /// Rebuilds a coordinator from the durable journal of a crashed
     /// incarnation, at tick `now`.
     ///
-    /// The roster and epoch are folded out of the journal; every surviving
-    /// roster member gets its lease re-armed at `now` (they will be
-    /// re-expired on their usual timeout if they do not answer the epoch
-    /// notice). If a round was in flight, it is **resumed** — selection,
-    /// deadline, and buffered updates restored exactly — when its deadline
-    /// has not passed and enough selected clients survive in the roster to
-    /// still reach quorum; otherwise it is **aborted** with
+    /// Adopting the journal runs the fold the crashed incarnation ran on
+    /// every append, so roster, epoch and any in-flight round are back as
+    /// it held them; every roster member gets its lease re-armed at `now`
+    /// (they will be re-expired on their usual timeout if they do not
+    /// answer the epoch notice). A round in flight is **resumed** as it
+    /// stood — minus any buffered update an expiry had already voided —
+    /// when its deadline has not passed and enough selected clients survive
+    /// in the roster to still reach quorum; otherwise it is **aborted** with
     /// [`AbortReason::CoordinatorCrash`], its buffered upload bytes are
     /// counted into [`ControlStats::wasted_update_bytes`], and late frames
     /// for it are rejected with [`ProtoError::Recovered`]. Either way the
@@ -344,65 +347,50 @@ impl Coordinator {
         journal_bytes: &[u8],
         now: u64,
     ) -> Result<(Self, Vec<Effect>), ProtoError> {
-        let (journal, records) = RoundJournal::adopt(journal_bytes)?;
-        let state = JournalState::from_records(&records);
         let mut c = Self::new(config);
-        c.journal = journal;
-        c.epoch = state.epoch + 1;
-        c.round = state.next_round;
-        for &client in &state.roster {
+        c.journal = RoundJournal::adopt(journal_bytes)?;
+        let roster: Vec<u64> = c.state().roster.iter().copied().collect();
+        for &client in &roster {
             c.liveness.register(client, now);
         }
-        c.journal.append(&JournalRecord::EpochStarted {
-            epoch: c.epoch,
+        c.record(JournalRecord::EpochStarted {
+            epoch: c.epoch() + 1,
             tick: now,
         });
         c.phase = Phase::Rendezvous;
 
         let mut effects = Vec::new();
-        if let Some(open) = state.open_round {
-            c.round = open.round;
-            let live_selected = open
-                .selected
-                .iter()
-                .filter(|client| state.roster.contains(client))
-                .count();
-            if now < open.deadline_tick && live_selected >= c.config.quorum {
-                // Resume: re-journal the open marker under the new
-                // incarnation (the fold treats it as a duplicate) and put
-                // the round back exactly where the crash left it.
-                c.journal.append(&JournalRecord::RoundOpened {
-                    round: open.round,
-                    deadline_tick: open.deadline_tick,
-                    tick: now,
-                    selected: open.selected.iter().copied().collect(),
-                });
+        if let Some(open) = c.journal.state().open_round.as_ref() {
+            let live_selected = open.selected.intersection(&c.journal.state().roster);
+            if now < open.deadline_tick && live_selected.count() >= c.config.quorum {
+                // Resume: the fold holds the round; re-journal its marker
+                // under the new incarnation (a duplicate to the fold).
                 c.phase = if open.updates.is_empty() {
                     Phase::Selected
                 } else {
                     Phase::Training
                 };
-                c.selected = open.selected;
-                c.received = open.arrivals;
-                c.payloads = open.updates;
-                c.deadline_tick = open.deadline_tick;
                 c.stats.resumed_rounds += 1;
+                c.record(JournalRecord::RoundOpened {
+                    round: open.round,
+                    deadline_tick: open.deadline_tick,
+                    tick: now,
+                    selected: open.selected.iter().copied().collect(),
+                });
             } else {
                 // Abort cleanly: the pre-crash upload bytes are wasted
                 // work for the energy ledger to bill.
                 for (_, payload) in open.updates.values() {
                     c.stats.wasted_update_bytes += update_submit_frame_len(payload.len()) as u64;
                 }
-                c.selected = open.selected;
                 c.recovered_round = Some(open.round);
                 effects.extend(c.close_round(now, Some(AbortReason::CoordinatorCrash)));
             }
         }
-        let roster: Vec<u64> = state.roster.iter().copied().collect();
         for client in roster {
             let notice = ControlFrame::EpochNotice {
-                epoch: c.epoch,
-                round: c.round,
+                epoch: c.epoch(),
+                round: c.round(),
             };
             effects.push(c.send(client, notice));
         }
@@ -416,18 +404,33 @@ impl Coordinator {
 
     /// The round in progress (or the next to open).
     pub fn round(&self) -> u64 {
-        self.round
+        let state = self.state();
+        state
+            .open_round
+            .as_ref()
+            .map_or(state.next_round, |o| o.round)
     }
 
     /// The incarnation number (0 until the first recovery).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.state().epoch
     }
 
     /// The write-ahead journal. A driver modelling a durable log snapshots
     /// [`RoundJournal::bytes`] and feeds them to [`Coordinator::recover`].
     pub fn journal(&self) -> &RoundJournal {
         &self.journal
+    }
+
+    /// The journaled state, as of the last record.
+    fn state(&self) -> &JournalState {
+        self.journal.state()
+    }
+
+    /// The one mutator of journaled state: write-ahead append, then fold.
+    /// A transition's effects are built only after its record.
+    fn record(&mut self, record: JournalRecord) {
+        self.journal.record(record);
     }
 
     /// The write-ahead journal, by value (the coordinator is finished).
@@ -461,9 +464,14 @@ impl Coordinator {
     }
 
     /// Buffered update payloads of the open round (client → samples,
-    /// wire-v2 bytes), for drivers that aggregate on commit.
+    /// wire-v2 bytes); once it commits and until the next round opens,
+    /// exactly the accepted set — for drivers that aggregate on commit.
     pub fn update_payloads(&self) -> &BTreeMap<u64, (u32, Vec<u8>)> {
-        &self.payloads
+        let state = self.state();
+        state
+            .open_round
+            .as_ref()
+            .map_or(&state.committed, |o| &o.updates)
     }
 
     /// Replaces the global-model payload shipped in selection notices.
@@ -479,8 +487,8 @@ impl Coordinator {
     pub fn open_rendezvous(&mut self) -> Result<(), ProtoError> {
         match self.phase {
             Phase::Idle => {
-                self.journal.append(&JournalRecord::EpochStarted {
-                    epoch: self.epoch,
+                self.record(JournalRecord::EpochStarted {
+                    epoch: self.epoch(),
                     tick: 0,
                 });
                 self.phase = Phase::Rendezvous;
@@ -509,15 +517,13 @@ impl Coordinator {
                 frame: "start_round",
             });
         }
-        for client in self.liveness.expire(now) {
-            self.journal
-                .append(&JournalRecord::ClientExpired { client, tick: now });
-        }
-        let live = self.liveness.live_clients(now);
+        self.expire(now);
+        let mut live = self.liveness.live_clients(now);
         let policy = self.policy();
+        let round = self.round();
         if live.len() < policy.quorum {
             return Err(ProtoError::QuorumLost {
-                round: self.round,
+                round,
                 alive: live.len(),
                 required: policy.quorum,
             });
@@ -525,31 +531,27 @@ impl Coordinator {
         let mut effects = Vec::new();
         if live.len() < self.config.k {
             effects.push(Effect::FleetShrunk {
-                round: self.round,
+                round,
                 alive: live.len(),
             });
         }
-        let width = policy.selection_width(live.len());
-        self.selected = live.iter().copied().take(width).collect();
-        self.received.clear();
-        self.payloads.clear();
-        self.deadline_tick = now + self.config.round_deadline;
-        let selected: Vec<u64> = self.selected.iter().copied().collect();
-        self.journal.append(&JournalRecord::RoundOpened {
-            round: self.round,
-            deadline_tick: self.deadline_tick,
+        live.truncate(policy.selection_width(live.len()));
+        let deadline_tick = now + self.config.round_deadline;
+        self.record(JournalRecord::RoundOpened {
+            round,
+            deadline_tick,
             tick: now,
-            selected: selected.clone(),
+            selected: live.clone(),
         });
         self.phase = Phase::Selected;
-        for client in selected {
+        for client in live {
             effects.push(self.send(
                 client,
                 ControlFrame::Select {
-                    round: self.round,
+                    round,
                     client,
                     epochs: self.config.epochs,
-                    deadline_tick: self.deadline_tick,
+                    deadline_tick,
                     global: self.global.clone(),
                 },
             ));
@@ -636,33 +638,31 @@ impl Coordinator {
     /// update of an expired client), aborts the round if the live fleet
     /// collapses below quorum, and closes the round at its deadline tick.
     pub fn tick(&mut self, now: u64) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        let expired = self.liveness.expire(now);
-        for client in &expired {
-            self.journal.append(&JournalRecord::ClientExpired {
-                client: *client,
-                tick: now,
-            });
-            // Safety invariant: an expired client's update never survives
-            // to aggregation.
-            self.payloads.remove(client);
-            self.received.retain(|&(_, c)| c != *client);
+        self.expire(now);
+        let Some(open) = self.state().open_round.as_ref() else {
+            return Vec::new();
+        };
+        let alive = self.liveness.live_count(now);
+        if alive < self.config.quorum {
+            let mut effects = vec![Effect::FleetShrunk {
+                round: open.round,
+                alive,
+            }];
+            effects.extend(self.close_round(now, Some(AbortReason::FleetCollapse)));
+            return effects;
         }
-        if matches!(self.phase, Phase::Selected | Phase::Training) {
-            let alive = self.liveness.live_count(now);
-            if alive < self.config.quorum {
-                effects.push(Effect::FleetShrunk {
-                    round: self.round,
-                    alive,
-                });
-                effects.extend(self.close_round(now, Some(AbortReason::FleetCollapse)));
-                return effects;
-            }
-            if now >= self.deadline_tick {
-                effects.extend(self.close_round(now, None));
-            }
+        if now >= open.deadline_tick {
+            return self.close_round(now, None);
         }
-        effects
+        Vec::new()
+    }
+
+    /// Journals every lease that lapsed by `now`; the fold drops the client
+    /// from the roster and voids its buffered update.
+    fn expire(&mut self, now: u64) {
+        for client in self.liveness.expire(now) {
+            self.record(JournalRecord::ClientExpired { client, tick: now });
+        }
     }
 
     /// Cancels the open round for a graceful shutdown (the
@@ -672,11 +672,7 @@ impl Coordinator {
     /// burning energy on a round nobody will aggregate. With no round open
     /// this is a no-op — the coordinator can exit without ceremony.
     pub fn cancel_round(&mut self, now: u64) -> Vec<Effect> {
-        if matches!(self.phase, Phase::Selected | Phase::Training) {
-            self.close_round(now, Some(AbortReason::Cancelled))
-        } else {
-            Vec::new()
-        }
+        self.close_round(now, Some(AbortReason::Cancelled))
     }
 
     /// The round policy derived from the configuration. Deadline admission
@@ -710,9 +706,8 @@ impl Coordinator {
                 found: wire_version,
             });
         }
-        if !self.liveness.contains(client) {
-            self.journal
-                .append(&JournalRecord::ClientJoined { client, tick: now });
+        if !self.state().roster.contains(&client) {
+            self.record(JournalRecord::ClientJoined { client, tick: now });
         }
         self.liveness.register(client, now);
         let ack = self.send(
@@ -736,7 +731,7 @@ impl Coordinator {
                 frame: "Resume",
             });
         }
-        let resume = self.liveness.contains(client) && epoch <= self.epoch;
+        let resume = self.state().roster.contains(&client) && epoch <= self.epoch();
         if resume {
             self.stats.resumes_accepted += 1;
             self.liveness.register(client, now);
@@ -747,7 +742,7 @@ impl Coordinator {
             client,
             ControlFrame::ResumeAck {
                 client,
-                epoch: self.epoch,
+                epoch: self.epoch(),
                 resume,
             },
         );
@@ -762,70 +757,71 @@ impl Coordinator {
         update: Vec<u8>,
         now: u64,
     ) -> Result<Vec<Effect>, ProtoError> {
-        if self.recovered_round == Some(round) && round != self.round {
+        let current = self.round();
+        if self.recovered_round == Some(round) && round != current {
             self.stats.recovered_rejections += 1;
             return Err(ProtoError::Recovered { round });
         }
-        if !matches!(self.phase, Phase::Selected | Phase::Training) {
+        let Some(open) = self.state().open_round.as_ref() else {
             return Err(ProtoError::UnexpectedFrame {
                 state: self.phase.name(),
                 frame: "UpdateSubmit",
             });
-        }
-        if round != self.round {
+        };
+        if round != current {
             return Err(ProtoError::WrongRound {
-                current: self.round,
+                current,
                 got: round,
             });
         }
-        if !self.selected.contains(&client) {
+        if !open.selected.contains(&client) {
             return Err(ProtoError::NotSelected { client });
         }
         if !self.liveness.is_live(client, now) {
             self.stats.expired_rejections += 1;
             return Err(ProtoError::ExpiredClient { client });
         }
-        if self.payloads.contains_key(&client) {
+        if open.updates.contains_key(&client) {
             return Err(ProtoError::DuplicateUpdate { client });
         }
-        let record = JournalRecord::UpdateAccepted {
+        self.record(JournalRecord::UpdateAccepted {
             round,
             client,
             samples,
             tick: now,
-            update: update.clone(),
-        };
-        self.journal.append(&record);
+            update,
+        });
         self.phase = Phase::Training;
-        self.received.push((now, client));
-        self.payloads.insert(client, (samples, update));
         // Early close: every selected client delivered; no reason to wait
         // for the deadline.
-        if self.payloads.len() == self.selected.len() {
+        let open = self.state().open_round.as_ref();
+        if open.is_some_and(|open| open.updates.len() == open.selected.len()) {
             return Ok(self.close_round(now, None));
         }
         Ok(Vec::new())
     }
 
-    /// Closes the open round: ranks the surviving arrivals through the
-    /// shared decision core, commits a quorum-satisfying set or aborts,
+    /// Closes the open round, if any: ranks the surviving arrivals through
+    /// the shared decision core, commits a quorum-satisfying set or aborts,
     /// and broadcasts the verdict to every selected client.
     fn close_round(&mut self, now: u64, forced: Option<AbortReason>) -> Vec<Effect> {
+        let Some(open) = self.state().open_round.as_ref() else {
+            return Vec::new();
+        };
+        let round = open.round;
+        let selected: Vec<u64> = open.selected.iter().copied().collect();
         // Only arrivals whose sender is *still live* survive to ranking —
         // expiry between submission and close voids the update.
-        let arrivals: Vec<(f64, usize)> = self
-            .received
+        let arrivals: Vec<(f64, usize)> = open
+            .arrivals
             .iter()
-            .filter(|&&(_, client)| {
-                self.liveness.is_live(client, now) && self.payloads.contains_key(&client)
-            })
+            .filter(|&&(_, client)| self.liveness.is_live(client, now))
             .map(|&(tick, client)| (tick as f64, client as usize))
             .collect();
         let accepted: Vec<u64> = first_k_by_arrival(arrivals, self.config.k)
             .into_iter()
             .map(|c| c as u64)
             .collect();
-        self.payloads.retain(|client, _| accepted.contains(client));
 
         let verdict = match forced {
             Some(reason) => Err(reason),
@@ -834,69 +830,37 @@ impl Coordinator {
         };
         // The verdict is durable before any verdict effect leaves the
         // machine: a crash from here on replays as a closed round.
-        let record = match verdict {
+        self.record(match verdict {
             Ok(()) => JournalRecord::RoundCommitted {
-                round: self.round,
+                round,
                 tick: now,
                 accepted: accepted.clone(),
             },
             Err(reason) => JournalRecord::RoundAborted {
-                round: self.round,
+                round,
                 reason,
                 tick: now,
             },
-        };
-        self.journal.append(&record);
-        self.phase = Phase::Aggregating;
-        let effects = self.verdict_effects(verdict, accepted);
+        });
         self.phase = Phase::RoundClosed;
-        self.round += 1;
-        effects
-    }
 
-    /// Builds the commit-or-abort broadcast and driver effect for the
-    /// closing round, and counts the verdict in the stats.
-    fn verdict_effects(
-        &mut self,
-        verdict: Result<(), AbortReason>,
-        accepted: Vec<u64>,
-    ) -> Vec<Effect> {
         let mut effects = Vec::new();
-        let selected: Vec<u64> = self.selected.iter().copied().collect();
         match verdict {
             Ok(()) => {
                 self.stats.committed_rounds += 1;
-                for &client in &selected {
-                    effects.push(self.send(
-                        client,
-                        ControlFrame::RoundCommit {
-                            round: self.round,
-                            accepted: accepted.clone(),
-                        },
-                    ));
+                for client in selected {
+                    let accepted = accepted.clone();
+                    effects.push(self.send(client, ControlFrame::RoundCommit { round, accepted }));
                 }
-                effects.push(Effect::RoundCommitted {
-                    round: self.round,
-                    accepted,
-                });
+                effects.push(Effect::RoundCommitted { round, accepted });
             }
             Err(reason) => {
                 self.stats.aborted_rounds += 1;
                 self.stats.aborts.record(reason);
-                self.payloads.clear();
-                for &client in &selected {
-                    effects.push(self.send(
-                        client,
-                        ControlFrame::RoundAbort {
-                            round: self.round,
-                            reason,
-                        },
-                    ));
+                for client in selected {
+                    effects.push(self.send(client, ControlFrame::RoundAbort { round, reason }));
                 }
-                effects.push(Effect::RoundAborted {
-                    round: self.round,
-                    reason,
-                });
+                effects.push(Effect::RoundAborted { round, reason });
             }
         }
         effects
@@ -912,6 +876,7 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     pub(crate) fn config() -> CoordinatorConfig {
         CoordinatorConfig {
@@ -1399,6 +1364,79 @@ mod tests {
         ));
         assert_eq!(r.stats().resumes_accepted, 1);
         assert_eq!(r.stats().resumes_rejoined, 1);
+    }
+
+    /// One input of the prefix property: any frame a device can send, a
+    /// round open, or a clock jump long enough to lapse a quiet lease.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Join(u64),
+        Beat(u64),
+        Submit(u64),
+        Resume(u64, u64),
+        StartRound,
+        Tick(u64),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let client = 0u64..4;
+        prop_oneof![
+            2 => client.clone().prop_map(Step::Join),
+            3 => client.clone().prop_map(Step::Beat),
+            3 => client.clone().prop_map(Step::Submit),
+            1 => (client, 0u64..3).prop_map(|(client, epoch)| Step::Resume(client, epoch)),
+            1 => Just(Step::StartRound),
+            3 => (1u64..12).prop_map(Step::Tick),
+        ]
+    }
+
+    proptest! {
+        /// Recover ≡ live at every prefix: after each step of any
+        /// interleaving (leases lapse and clients rejoin mid-round) the
+        /// journal's state is the fold of its replayed records, and a
+        /// recovery that resumes holds the round the live machine holds.
+        #[test]
+        fn recover_equals_live_at_every_prefix(
+            steps in proptest::collection::vec(arb_step(), 0..80),
+        ) {
+            let mut c = Coordinator::new(config());
+            c.open_rendezvous().expect("idle");
+            let mut now = 0;
+            for step in steps {
+                // Rejections are inputs like any other.
+                let _ = match step {
+                    Step::Join(client) => c.handle_control(
+                        ControlFrame::JoinRequest { client, wire_version: WIRE_VERSION },
+                        now,
+                    ),
+                    Step::Beat(client) => {
+                        c.handle_control(ControlFrame::Heartbeat { client, tick: now }, now)
+                    }
+                    Step::Submit(client) => c.handle_control(submit(client, c.round()), now),
+                    Step::Resume(client, epoch) => c.handle_control(
+                        ControlFrame::Resume { client, epoch, last_round: c.round() },
+                        now,
+                    ),
+                    Step::StartRound => c.start_round(now),
+                    Step::Tick(dt) => {
+                        now += dt;
+                        Ok(c.tick(now))
+                    }
+                };
+                let replay = c.journal().replay().expect("clean log");
+                prop_assert_eq!(&JournalState::from_records(&replay.records), c.state());
+
+                let (r, _) = Coordinator::recover(config(), c.journal().bytes(), now)
+                    .expect("clean log");
+                if r.stats().resumed_rounds == 1 {
+                    prop_assert_eq!(r.round(), c.round());
+                    prop_assert_eq!(r.update_payloads(), c.update_payloads());
+                    // Selection, deadline and arrival order.
+                    prop_assert_eq!(&r.state().open_round, &c.state().open_round);
+                    prop_assert_eq!(&r.state().roster, &c.state().roster);
+                }
+            }
+        }
     }
 
     #[test]

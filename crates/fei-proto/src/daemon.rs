@@ -47,7 +47,8 @@ impl DaemonConfig {
     ///
     /// # Errors
     ///
-    /// [`NodeError::BadArg`] naming the offending flag or value.
+    /// [`NodeError::BadArg`] naming the offending flag or value, or the
+    /// flags whose values break a [`CoordinatorConfig::validated`] rule.
     pub fn from_args(args: &[String]) -> Result<DaemonConfig, NodeError> {
         let mut config = DaemonConfig {
             listen: "127.0.0.1:0".to_string(),
@@ -93,15 +94,24 @@ impl DaemonConfig {
                 }
                 "--quorum" => config.node.coordinator.quorum = narrow(flag, parse_u64()?)?,
                 "--epochs" => config.node.coordinator.epochs = narrow(flag, parse_u64()?)?,
+                // Both travel in the `JoinAck` as `u32`.
                 "--heartbeat-interval" => {
-                    config.node.coordinator.heartbeat_interval = parse_u64()?;
+                    let ticks: u32 = narrow(flag, parse_u64()?)?;
+                    config.node.coordinator.heartbeat_interval = ticks.into();
                 }
                 "--heartbeat-timeout" => {
-                    config.node.coordinator.heartbeat_timeout = parse_u64()?;
+                    let ticks: u32 = narrow(flag, parse_u64()?)?;
+                    config.node.coordinator.heartbeat_timeout = ticks.into();
                 }
                 "--round-deadline" => config.node.coordinator.round_deadline = parse_u64()?,
                 other => return Err(bad(format!("unknown flag {other:?}"))),
             }
+        }
+        // What `Coordinator::new` would otherwise assert.
+        if let Some((flags, message)) = config.node.coordinator.violation() {
+            return Err(NodeError::BadArg {
+                message: format!("{flags}: {message}"),
+            });
         }
         Ok(config)
     }
@@ -230,6 +240,23 @@ mod tests {
         assert!(matches!(bad, Err(NodeError::BadArg { .. })));
         let bad = DaemonConfig::from_args(&["--nope".to_string(), "1".to_string()]);
         assert!(matches!(bad, Err(NodeError::BadArg { .. })));
+        // Cross-field rules are typed too (this used to panic in
+        // `Coordinator::new`), in `validated`'s words, naming the flags.
+        let args = ["--k", "2", "--quorum", "3", "--rounds", "1"].map(str::to_string);
+        match DaemonConfig::from_args(&args) {
+            Err(NodeError::BadArg { message }) => assert_eq!(
+                message,
+                "--quorum/--k/--over-select: quorum 3 cannot exceed the selection width 2"
+            ),
+            other => panic!("quorum beyond the selection width: {other:?}"),
+        }
+        let args = ["--heartbeat-timeout", "10"].map(str::to_string);
+        match DaemonConfig::from_args(&args) {
+            Err(NodeError::BadArg { message }) => {
+                assert!(message.starts_with("--heartbeat-timeout/--heartbeat-interval: "))
+            }
+            other => panic!("timeout not beyond the interval: {other:?}"),
+        }
     }
 
     #[test]
@@ -241,6 +268,9 @@ mod tests {
             ("--quorum", usize::MAX as u128),
             ("--over-select", usize::MAX as u128),
             ("--global-bytes", usize::MAX as u128),
+            // These two used to be narrowed into the `JoinAck` by a bare `as`.
+            ("--heartbeat-interval", u128::from(u32::MAX)),
+            ("--heartbeat-timeout", u128::from(u32::MAX)),
         ];
         for (flag, max) in narrowed {
             // `--epochs 4294967297` used to wrap to 1.

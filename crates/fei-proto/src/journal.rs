@@ -1,19 +1,19 @@
 //! The coordinator's write-ahead round journal.
 //!
-//! A [`RoundJournal`] is the coordinator's only durable state: an
-//! append-only byte log of [`JournalRecord`]s, each encoded as a
+//! A [`RoundJournal`] is the coordinator's only durable state and its only
+//! owner: an append-only byte log of [`JournalRecord`]s, each encoded as a
 //! CRC32-framed [`fei_net::codec`] frame under the journal tag space
 //! (`0x20..`) with the same leading protocol-version byte as the control
-//! plane. The coordinator appends a record at every state transition
-//! *before* the transition's effects leave the machine, so a crash between
-//! any two ticks loses nothing that was acknowledged.
+//! plane, plus the [`JournalState`] those records fold to. The coordinator
+//! builds a record, the journal appends then folds it, and the coordinator
+//! reads the result back ([`RoundJournal::state`]); the fold is the only
+//! code that changes journaled state, so no transition can outrun its
+//! record and a crash between any two ticks loses nothing acknowledged.
 //!
-//! Replay is deterministic and idempotent: [`RoundJournal::replay`] decodes
-//! the log back into records (tolerating a torn tail from a crash
-//! mid-append, which is cut off cleanly), and [`JournalState::from_records`]
-//! folds them into the recovered roster, epoch, and in-flight round state.
-//! Folding a journal twice — or a journal in which any record was
-//! duplicated — produces the same state, so recovery composes with the
+//! Recovery is that same fold over the adopted log (a torn tail from a
+//! crash mid-append is cut off cleanly). It is deterministic and
+//! idempotent: folding a journal twice — or a journal in which any record
+//! was duplicated — produces the same state, so recovery composes with the
 //! at-least-once semantics of any real log device.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -115,6 +115,8 @@ record_table! {
 pub struct RoundJournal {
     bytes: Vec<u8>,
     records: u64,
+    /// What the records in `bytes` fold to.
+    state: JournalState,
     /// Torn trailing bytes dropped when the log was adopted.
     torn_bytes: usize,
 }
@@ -141,35 +143,48 @@ impl RoundJournal {
     /// reports how many bytes were cut. A log corrupt mid-way is kept
     /// whole, for `replay` to reject.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        match Self::adopt(&bytes) {
-            Ok((journal, _)) => journal,
-            Err(_) => Self {
-                bytes,
-                ..Self::default()
-            },
-        }
+        Self::adopt(&bytes).unwrap_or_else(|_| Self {
+            bytes,
+            ..Self::default()
+        })
     }
 
-    /// [`RoundJournal::from_bytes`] in one scan: the journal over the valid
-    /// prefix of `bytes`, plus the records that prefix decodes to.
+    /// [`RoundJournal::from_bytes`] that rejects a corrupt log: the journal
+    /// over the valid prefix of `bytes`, its records folded.
     ///
     /// # Errors
     ///
     /// As [`RoundJournal::replay`].
-    pub(crate) fn adopt(bytes: &[u8]) -> Result<(Self, Vec<JournalRecord>), ProtoError> {
+    pub(crate) fn adopt(bytes: &[u8]) -> Result<Self, ProtoError> {
         let (records, torn_bytes) = scan(bytes, JournalRecord::decode)?;
-        let journal = Self {
+        let mut journal = Self {
             bytes: bytes[..bytes.len() - torn_bytes].to_vec(),
             records: records.len() as u64,
             torn_bytes,
+            state: JournalState::default(),
         };
-        Ok((journal, records))
+        for record in records {
+            journal.state.apply(record);
+        }
+        Ok(journal)
     }
 
     /// Appends one record; the write is the transition's durability point.
     pub fn append(&mut self, record: &JournalRecord) {
+        self.record(record.clone());
+    }
+
+    /// [`RoundJournal::append`] by value: encode-append, then fold the
+    /// record (its payload moved, not copied) into [`RoundJournal::state`].
+    pub(crate) fn record(&mut self, record: JournalRecord) {
         record.encode_into(&mut self.bytes);
         self.records += 1;
+        self.state.apply(record);
+    }
+
+    /// What every record appended or adopted so far folds to.
+    pub fn state(&self) -> &JournalState {
+        &self.state
     }
 
     /// The durable log, byte for byte.
@@ -216,7 +231,7 @@ impl RoundJournal {
     }
 }
 
-/// An in-flight round reconstructed from the journal.
+/// The in-flight round, as the journal describes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpenRound {
     /// The round number.
@@ -233,42 +248,54 @@ pub struct OpenRound {
     pub arrivals: Vec<(u64, u64)>,
 }
 
-/// Coordinator state folded out of a journal replay.
+/// Coordinator state folded out of journal records — what the live
+/// coordinator reads and what a recovered one starts from.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JournalState {
     /// The last incarnation recorded (0 when the log is empty).
     pub epoch: u64,
     /// Clients joined and not expired, ascending.
     pub roster: BTreeSet<u64>,
-    /// The round the recovered coordinator should be at (the open round's
-    /// number, or one past the last closed round).
+    /// The round the coordinator is at (the open round's number, or one
+    /// past the last closed round).
     pub next_round: u64,
-    /// The round that was in flight at the crash, if any.
+    /// The round in flight, if any.
     pub open_round: Option<OpenRound>,
+    /// The committed payload set: the buffer of the round the last
+    /// `RoundCommitted` closed, cut down to its `accepted` list; emptied
+    /// when the next round opens.
+    pub committed: BTreeMap<u64, (u32, Vec<u8>)>,
 }
 
 impl JournalState {
-    /// Folds records into recovered state. The fold is idempotent per
-    /// record: duplicated records (an at-least-once log device) produce the
-    /// same state as the originals.
+    /// Folds records into state. The fold is idempotent per record:
+    /// duplicated records (an at-least-once log device) produce the same
+    /// state as the originals.
     pub fn from_records(records: &[JournalRecord]) -> JournalState {
         let mut state = JournalState::default();
         for record in records {
-            state.apply(record);
+            state.apply(record.clone());
         }
         state
     }
 
-    fn apply(&mut self, record: &JournalRecord) {
+    /// The one mutator of journaled state, live and in recovery.
+    fn apply(&mut self, record: JournalRecord) {
         match record {
             JournalRecord::EpochStarted { epoch, .. } => {
-                self.epoch = (*epoch).max(self.epoch);
+                self.epoch = epoch.max(self.epoch);
             }
             JournalRecord::ClientJoined { client, .. } => {
-                self.roster.insert(*client);
+                self.roster.insert(client);
             }
             JournalRecord::ClientExpired { client, .. } => {
-                self.roster.remove(client);
+                self.roster.remove(&client);
+                // Safety invariant: an expired client's update never
+                // survives to aggregation, even if it rejoins in time.
+                if let Some(open) = self.open_round.as_mut() {
+                    open.updates.remove(&client);
+                    open.arrivals.retain(|&(_, c)| c != client);
+                }
             }
             JournalRecord::RoundOpened {
                 round,
@@ -279,18 +306,19 @@ impl JournalState {
                 // Re-opening the already-open round is a duplicate; a new
                 // round supersedes (its predecessor must have closed, but a
                 // torn verdict record makes the open marker authoritative).
-                if self.open_round.as_ref().is_some_and(|o| o.round == *round) {
+                if self.open_round.as_ref().is_some_and(|o| o.round == round) {
                     return;
                 }
                 self.open_round = Some(OpenRound {
-                    round: *round,
-                    selected: selected.iter().copied().collect(),
-                    deadline_tick: *deadline_tick,
-                    opened_at: *tick,
+                    round,
+                    selected: selected.into_iter().collect(),
+                    deadline_tick,
+                    opened_at: tick,
                     updates: BTreeMap::new(),
                     arrivals: Vec::new(),
                 });
-                self.next_round = self.next_round.max(*round);
+                self.committed.clear();
+                self.next_round = self.next_round.max(round);
             }
             JournalRecord::UpdateAccepted {
                 round,
@@ -300,17 +328,23 @@ impl JournalState {
                 update,
             } => {
                 if let Some(open) = self.open_round.as_mut() {
-                    if open.round == *round && !open.updates.contains_key(client) {
-                        open.updates.insert(*client, (*samples, update.clone()));
-                        open.arrivals.push((*tick, *client));
+                    if open.round == round && !open.updates.contains_key(&client) {
+                        open.updates.insert(client, (samples, update));
+                        open.arrivals.push((tick, client));
                     }
                 }
             }
-            JournalRecord::RoundCommitted { round, .. }
-            | JournalRecord::RoundAborted { round, .. } => {
-                if self.open_round.as_ref().is_some_and(|o| o.round == *round) {
-                    self.open_round = None;
+            JournalRecord::RoundCommitted {
+                round, accepted, ..
+            } => {
+                if let Some(open) = self.open_round.take_if(|o| o.round == round) {
+                    self.committed = open.updates;
+                    self.committed.retain(|client, _| accepted.contains(client));
                 }
+                self.next_round = self.next_round.max(round + 1);
+            }
+            JournalRecord::RoundAborted { round, .. } => {
+                self.open_round.take_if(|o| o.round == round);
                 self.next_round = self.next_round.max(round + 1);
             }
         }
@@ -439,6 +473,67 @@ mod tests {
         let state = JournalState::from_records(&records);
         assert!(state.open_round.is_none());
         assert_eq!(state.next_round, 2);
+    }
+
+    #[test]
+    fn an_expiry_voids_the_buffered_update_even_if_the_client_rejoins() {
+        let records = [
+            JournalRecord::RoundOpened {
+                round: 0,
+                deadline_tick: 50,
+                tick: 0,
+                selected: vec![1, 2],
+            },
+            JournalRecord::UpdateAccepted {
+                round: 0,
+                client: 2,
+                samples: 4,
+                tick: 5,
+                update: vec![7],
+            },
+            JournalRecord::ClientExpired {
+                client: 2,
+                tick: 20,
+            },
+            JournalRecord::ClientJoined {
+                client: 2,
+                tick: 25,
+            },
+        ];
+        let journal = journal_of(&records);
+        let open = journal.state().open_round.as_ref().expect("still open");
+        assert!(!open.updates.contains_key(&2));
+        assert!(open.arrivals.is_empty());
+        assert!(journal.state().roster.contains(&2));
+        // The journal's own fold is the public one.
+        assert_eq!(journal.state(), &JournalState::from_records(&records));
+    }
+
+    #[test]
+    fn a_commit_leaves_exactly_the_accepted_payloads() {
+        let mut records = sample_records();
+        records.push(JournalRecord::UpdateAccepted {
+            round: 1,
+            client: 3,
+            samples: 2,
+            tick: 45,
+            update: vec![8],
+        });
+        records.push(JournalRecord::RoundCommitted {
+            round: 1,
+            tick: 46,
+            accepted: vec![3],
+        });
+        let state = JournalState::from_records(&records);
+        assert!(state.open_round.is_none());
+        assert_eq!(state.committed, BTreeMap::from([(3, (2, vec![8]))]));
+        records.push(JournalRecord::RoundOpened {
+            round: 2,
+            deadline_tick: 99,
+            tick: 50,
+            selected: vec![1],
+        });
+        assert!(JournalState::from_records(&records).committed.is_empty());
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //!   width, deadline admission, first-`K`-by-arrival ranking) shared with
 //!   the in-process training engines so committed sets stay bit-identical
 //!   across drivers;
-//! * [`RoundJournal`] — the coordinator's write-ahead log, appended before
-//!   every state transition; [`Coordinator::recover`] folds it back into
-//!   roster, leases, and in-flight round state after a crash, resuming the
-//!   round when quorum is still reachable in the deadline budget and
-//!   aborting it cleanly otherwise;
+//! * [`RoundJournal`] — the coordinator's write-ahead log and the owner of
+//!   the state it describes: it appends a record, then folds it into its
+//!   [`JournalState`], and the coordinator only reads that state back.
+//!   [`Coordinator::recover`] adopts the log through the same fold after a
+//!   crash, resuming the in-flight round when quorum is still reachable in
+//!   the deadline budget and aborting it cleanly otherwise;
 //! * [`node`] — `CoordinatorNode`/`ParticipantNode`, the one loop per role
 //!   that drives those state machines, generic over the sealed [`backend`]
 //!   seam (frame connection, listener, dialer, durable log). Over the
