@@ -20,11 +20,11 @@
 //! writes `target/bench/BENCH_perf.json` and leaves the committed file
 //! alone). Gates:
 //! per-kernel speedup floors (matmul >= 2.0, matmul_tn >= 2.0,
-//! axpy_shrink >= 1.6, crc32 >= 3.0, evaluate >= 1.6) and zero steady-state
-//! scratch allocations are
-//! enforced in every mode; the headline `round.speedup_vs_naive >= 1.5`
-//! gate applies to the full configuration only (smoke rounds are too
-//! short to time reliably). EXPERIMENTS.md records why the kernel floors
+//! axpy_shrink >= 1.6, crc32 >= 3.0, evaluate >= 1.6, local_job_e1 >= 1.8)
+//! and zero steady-state scratch allocations are enforced in every mode;
+//! the headline `round.speedup_vs_naive >= 1.5` gate applies to the full
+//! configuration only (smoke rounds are too short to time reliably).
+//! EXPERIMENTS.md records why the kernel floors
 //! sit where they do — the bit-identity contract forbids FMA, which caps
 //! the reachable speedup well below what a contraction-free kernel could
 //! hit.
@@ -447,9 +447,10 @@ fn bench_evaluate(sizes: &Sizes) -> KernelRow {
 
 /// One `E = 1` local job on a headline-sized client (150 x 784, the same in
 /// smoke mode): the pre-derivation composition — loss pass, gradient step,
-/// loss pass — vs `train_with`, which reads the initial loss off the step.
-/// Reported, not gated: the job is the planner's small-`E` corner, and the
-/// ratio it can reach is bounded by 3 forwards + 1 backward over 2 + 1.
+/// loss pass — vs `train_with`, which reads the initial loss off the step
+/// and measures nothing after it. The job is the planner's small-`E`
+/// corner; the ratio it can reach is bounded by 3 forwards + 1 backward
+/// over 1 + 1.
 fn bench_local_job(sizes: &Sizes) -> KernelRow {
     const CLIENT_SAMPLES: usize = 150;
     let data = SyntheticMnist::new(SyntheticMnistConfig::default()).generate(CLIENT_SAMPLES, 3);
@@ -478,7 +479,9 @@ fn bench_local_job(sizes: &Sizes) -> KernelRow {
         reps,
         baseline_ns,
         fast_ns,
-        gate: None,
+        // Measured 2.2x on the 2-core VM (1.35x while the job still ran a
+        // final-loss pass). 1.8x catches the return of any extra pass.
+        gate: Some(1.8),
         throughput: CLIENT_SAMPLES as f64 / (fast_ns * 1e-9),
         throughput_unit: "sample/s",
     }

@@ -204,6 +204,7 @@ impl<M: Model> AsyncFedAvg<M> {
         );
         assert!(config.local_epochs > 0, "E must be at least 1");
         assert!(config.eval_every > 0, "eval_every must be at least 1");
+        config.sgd.validate();
         let trainer = LocalTrainer::new(config.sgd.clone());
         Self {
             config,

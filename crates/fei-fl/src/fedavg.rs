@@ -273,7 +273,7 @@ impl<X: Executor> RoundDriver<LogisticRegression, X> {
     ///
     /// Panics if there are no clients, any client dataset is empty, shapes
     /// are inconsistent, `clients_per_round` is 0 or exceeds the client
-    /// count, `local_epochs == 0`, or `eval_every == 0`.
+    /// count, `local_epochs == 0`, `eval_every == 0`, or `sgd` has an [`SgdConfig::violation`].
     pub fn new(config: FedAvgConfig, clients: Vec<Dataset>, test: Dataset) -> Self {
         assert!(!clients.is_empty(), "need at least one client dataset");
         let global = LogisticRegression::zeros(clients[0].dim(), clients[0].num_classes());
@@ -321,6 +321,7 @@ impl<M: Model, X: Executor> RoundDriver<M, X> {
         );
         assert!(config.local_epochs > 0, "E must be at least 1");
         assert!(config.eval_every > 0, "eval_every must be at least 1");
+        config.sgd.validate();
         assert!(
             (0.0..1.0).contains(&config.dropout_prob),
             "dropout probability must be in [0, 1)"
@@ -871,12 +872,9 @@ pub(crate) mod tests {
         check(&mut threaded, n_train + n_test);
 
         // Device side of the same rounds: each of the K jobs forwards its
-        // n_k samples E + 1 times — E gradient steps and the final-loss
-        // pass; the initial loss rides on the first step.
-        assert_eq!(
-            serial.exec.scratch.forward_passes(),
-            8 * 2 * (3 + 1) * per_client
-        );
+        // n_k samples E times, once per gradient step; the initial loss
+        // rides on the first step.
+        assert_eq!(serial.exec.scratch.forward_passes(), 8 * 2 * 3 * per_client);
     }
 
     #[test]

@@ -183,7 +183,6 @@ mod tests {
                 epochs_run: 2,
                 gradient_steps: 2,
                 initial_loss: 1.0,
-                final_loss: 0.9,
                 samples: 10,
             }],
             global_train_loss: loss,

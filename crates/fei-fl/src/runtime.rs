@@ -19,7 +19,7 @@ use fei_data::Dataset;
 use fei_ml::{
     GradScratch, LocalTrainer, LogisticRegression, Model, SgdConfig, TrainStats, WorkerPool,
 };
-use fei_net::codec::{decode_frame, encode_frame, encode_frame_into, FRAME_OVERHEAD};
+use fei_net::codec::{decode_frame, encode_frame_into, encode_frame_with, FRAME_OVERHEAD};
 use fei_net::wire::{WireConfig, WireScratch};
 
 use crate::executor::{grad_pool, train_local, training_set, ClientUpdate, Executor};
@@ -37,9 +37,9 @@ const MSG_UPDATE: u8 = 2;
 
 /// Meta bytes in a global-model frame payload: round and epochs.
 const GLOBAL_META: usize = 4 + 4;
-/// Meta bytes in an update frame payload: round, client, samples, and the
-/// initial/final local losses.
-const UPDATE_META: usize = 4 + 4 + 8 + 8 + 8;
+/// Meta bytes in an update frame payload: round (`u32` BE), client (`u32`
+/// BE), samples (`u64` BE) and the initial local loss (`f64` LE).
+const UPDATE_META: usize = 4 + 4 + 8 + 8;
 
 /// Exact length of a coordinator → worker global-model frame for an
 /// `n`-parameter model. The downlink broadcast is always lossless `F64`, so
@@ -54,6 +54,12 @@ pub(crate) fn global_frame_len(n: usize) -> usize {
 /// for the frames it does not build, byte for byte.
 pub(crate) fn update_frame_len(transport: WireConfig, n: usize) -> usize {
     FRAME_OVERHEAD + UPDATE_META + transport.payload_len(n)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Worker threads [`Framed::start`] has spawned from this thread.
+    static SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Bytes moved over the wire in both directions, summed over every job.
@@ -76,9 +82,9 @@ pub struct TransportStats {
 
 enum ToWorker {
     Train {
-        round: u32,
-        epochs: u32,
-        frame: Vec<u8>,
+        /// The round's broadcast frame, shared by every planned worker: the
+        /// worker reads the round, `E` and the global model from it.
+        frame: Arc<[u8]>,
         /// Train on the label-flipped copy of this worker's dataset (the
         /// device is a compromised label-flip client).
         flip: bool,
@@ -95,16 +101,16 @@ struct Update {
     samples: usize,
     params: Vec<f64>,
     initial_loss: f64,
-    final_loss: f64,
 }
 
-fn encode_global(round: u32, epochs: u32, params: &[f64], wire: &mut WireScratch) -> Vec<u8> {
-    let mut payload =
-        Vec::with_capacity(GLOBAL_META + WireConfig::lossless().payload_len(params.len()));
-    payload.extend_from_slice(&round.to_be_bytes());
-    payload.extend_from_slice(&epochs.to_be_bytes());
-    wire.encode_into(WireConfig::lossless(), params, None, &mut payload);
-    encode_frame(MSG_GLOBAL, &payload).to_vec()
+fn encode_global(round: u32, epochs: u32, params: &[f64], wire: &mut WireScratch) -> Arc<[u8]> {
+    let mut frame = Vec::with_capacity(global_frame_len(params.len()));
+    encode_frame_with(MSG_GLOBAL, &mut frame, |payload| {
+        payload.extend_from_slice(&round.to_be_bytes());
+        payload.extend_from_slice(&epochs.to_be_bytes());
+        wire.encode_into(WireConfig::lossless(), params, None, payload);
+    });
+    frame.into()
 }
 
 #[cfg(test)]
@@ -149,7 +155,6 @@ fn encode_update(
     payload_buf.extend_from_slice(&(update.client as u32).to_be_bytes());
     payload_buf.extend_from_slice(&(update.samples as u64).to_be_bytes());
     payload_buf.extend_from_slice(&update.initial_loss.to_le_bytes());
-    payload_buf.extend_from_slice(&update.final_loss.to_le_bytes());
     wire.encode_into(transport, &update.params, Some(base), payload_buf);
     let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload_buf.len());
     encode_frame_into(MSG_UPDATE, payload_buf, &mut frame);
@@ -169,7 +174,6 @@ fn decode_update(frame: &[u8], base: &[f64], wire: &mut WireScratch) -> Update {
     let client = buf.get_u32() as usize;
     let samples = buf.get_u64() as usize;
     let initial_loss = buf.get_f64_le();
-    let final_loss = buf.get_f64_le();
     let mut params = Vec::new();
     wire.decode_into(buf, Some(base), &mut params)
         .expect("invariant: worker payloads are encoded in-process against the shared base");
@@ -179,7 +183,6 @@ fn decode_update(frame: &[u8], base: &[f64], wire: &mut WireScratch) -> Update {
         samples,
         params,
         initial_loss,
-        final_loss,
     }
 }
 
@@ -193,8 +196,8 @@ pub struct Framed {
     /// Coordinator-side wire workspace: encodes the downlink broadcast and
     /// decodes every update frame, allocation-free once warm.
     wire: WireScratch,
-    /// The run's optimizer settings: the update frame carries losses and
-    /// the sample count, and the step count follows from these.
+    /// The run's optimizer settings: the update frame carries the initial
+    /// loss and the sample count, and the step count follows from these.
     sgd: SgdConfig,
     worker_timeout: Duration,
 }
@@ -254,6 +257,8 @@ impl Executor for Framed {
                     grad_pool.as_deref(),
                 );
             }));
+            #[cfg(test)]
+            SPAWNED.with(|spawned| spawned.set(spawned.get() + 1));
         }
         Self {
             to_workers,
@@ -285,9 +290,7 @@ impl Executor for Framed {
         let mut pending = BTreeSet::new();
         for &(client, flip) in planned {
             let job = ToWorker::Train {
-                round: wire_round,
-                epochs: wire_epochs,
-                frame: frame.clone(),
+                frame: Arc::clone(&frame),
                 flip,
             };
             if self.to_workers[client].send(job).is_ok() {
@@ -315,7 +318,6 @@ impl Executor for Framed {
                                 epochs_run: epochs,
                                 gradient_steps: self.sgd.gradient_steps(epochs, update.samples),
                                 initial_loss: update.initial_loss,
-                                final_loss: update.final_loss,
                                 samples: update.samples,
                             },
                             bytes_down: frame.len() as u64,
@@ -373,15 +375,8 @@ fn worker_loop<M: Model>(
             ToWorker::Shutdown => break,
             // fei-lint: allow(no-panic, reason = "fault injection: the panic IS the injected fault the supervisor must survive")
             ToWorker::Poison => panic!("injected worker panic (client {id})"),
-            ToWorker::Train {
-                round,
-                epochs,
-                frame,
-                flip,
-            } => {
-                let (wire_round, wire_epochs) = decode_global_into(&frame, &mut params, &mut wire);
-                debug_assert_eq!(wire_round, round);
-                debug_assert_eq!(wire_epochs, epochs);
+            ToWorker::Train { frame, flip } => {
+                let (round, epochs) = decode_global_into(&frame, &mut params, &mut wire);
                 model.set_flat(&params);
                 let train_stats = train_local(
                     trainer,
@@ -398,7 +393,6 @@ fn worker_loop<M: Model>(
                     samples: data.len(),
                     params: model.to_flat().to_vec(),
                     initial_loss: train_stats.initial_loss,
-                    final_loss: train_stats.final_loss,
                 };
                 // `params` still holds this round's decoded global model —
                 // the bit-exact delta base shared with the coordinator.
@@ -572,6 +566,59 @@ mod tests {
     }
 
     #[test]
+    fn both_executors_reject_an_invalid_sgd_config_before_spawning() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (clients, test) = setup(3, 60);
+        let paper = SgdConfig::paper_default();
+        let broken = [
+            SgdConfig {
+                batch_size: Some(0),
+                ..paper.clone()
+            },
+            SgdConfig {
+                learning_rate: 0.0,
+                ..paper.clone()
+            },
+            SgdConfig {
+                decay_per_round: 1.5,
+                ..paper.clone()
+            },
+        ];
+        let message = |outcome: Result<(), Box<dyn std::any::Any + Send>>| {
+            let payload = outcome.expect_err("construction must panic");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+        for sgd in broken {
+            let want = sgd.violation().expect("a broken config");
+            let config = FedAvgConfig {
+                clients_per_round: 2,
+                local_epochs: 1,
+                sgd,
+                ..Default::default()
+            };
+            let serial = catch_unwind(AssertUnwindSafe(|| {
+                FedAvg::new(config.clone(), clients.clone(), test.clone());
+            }));
+            assert_eq!(message(serial), want);
+            let threaded = catch_unwind(AssertUnwindSafe(|| {
+                ThreadedFedAvg::new(config.clone(), clients.clone(), test.clone());
+            }));
+            assert_eq!(message(threaded), want);
+            assert_eq!(SPAWNED.with(|spawned| spawned.get()), 0, "{want}");
+        }
+        // The counter sees the spawns a valid config makes.
+        let config = FedAvgConfig {
+            sgd: paper,
+            ..Default::default()
+        };
+        drop(ThreadedFedAvg::new(config, clients.clone(), test));
+        assert_eq!(SPAWNED.with(|spawned| spawned.get()), clients.len());
+    }
+
+    #[test]
     fn drop_shuts_workers_down() {
         let (clients, test) = setup(3, 60);
         let config = FedAvgConfig {
@@ -599,7 +646,6 @@ mod tests {
             samples: 123,
             params: vec![9.0, -1.0],
             initial_loss: 2.5,
-            final_loss: 1.25,
         };
         let base = vec![8.75, -1.5];
         let mut payload_buf = Vec::new();
@@ -621,7 +667,6 @@ mod tests {
             assert_eq!(decoded.samples, 123);
             assert_eq!(decoded.params, vec![9.0, -1.0]);
             assert_eq!(decoded.initial_loss, 2.5);
-            assert_eq!(decoded.final_loss, 1.25);
         }
     }
 }

@@ -73,19 +73,37 @@ impl SgdConfig {
     /// Panics if `learning_rate <= 0`, `decay_per_round` is outside `(0, 1]`,
     /// or `batch_size == Some(0)`.
     pub fn new(learning_rate: f64, decay_per_round: f64, batch_size: Option<usize>) -> Self {
-        assert!(learning_rate > 0.0, "learning rate must be positive");
-        assert!(
-            decay_per_round > 0.0 && decay_per_round <= 1.0,
-            "decay must be in (0, 1]"
-        );
-        assert!(batch_size != Some(0), "batch size must be non-zero");
-        Self {
+        let config = Self {
             learning_rate,
             decay_per_round,
             batch_size,
-            weight_decay: 0.0,
-            grad: GradReduction::default(),
-        }
+            ..Self::paper_default()
+        };
+        config.validate();
+        config
+    }
+
+    /// The first rule the configuration breaks, if any. The fields are
+    /// public, so every engine checks the config it is given through this.
+    pub fn violation(&self) -> Option<&'static str> {
+        let (decay, weight_decay) = (self.decay_per_round, self.weight_decay);
+        [
+            (self.learning_rate > 0.0, "learning rate must be positive"),
+            (decay > 0.0 && decay <= 1.0, "decay must be in (0, 1]"),
+            (self.batch_size != Some(0), "batch size must be non-zero"),
+            (
+                weight_decay.is_finite() && weight_decay >= 0.0,
+                "weight decay must be finite and non-negative",
+            ),
+        ]
+        .into_iter()
+        .find_map(|(holds, message)| (!holds).then_some(message))
+    }
+
+    /// Panics with [`SgdConfig::violation`]'s message, if there is one.
+    pub fn validate(&self) {
+        let broken = self.violation();
+        assert!(broken.is_none(), "{}", broken.unwrap_or_default());
     }
 
     /// Returns a copy dispatching to the given gradient kernel.
@@ -100,11 +118,8 @@ impl SgdConfig {
     ///
     /// Panics if `weight_decay` is negative or not finite.
     pub fn with_weight_decay(mut self, weight_decay: f64) -> Self {
-        assert!(
-            weight_decay.is_finite() && weight_decay >= 0.0,
-            "weight decay must be finite and non-negative"
-        );
         self.weight_decay = weight_decay;
+        self.validate();
         self
     }
 
@@ -194,5 +209,21 @@ mod tests {
     #[should_panic(expected = "batch size")]
     fn rejects_zero_batch() {
         let _ = SgdConfig::new(0.01, 0.99, Some(0));
+    }
+
+    #[test]
+    fn violation_checks_configs_built_field_by_field() {
+        let paper = SgdConfig::paper_default();
+        assert_eq!(paper.violation(), None);
+        let zero_batch = SgdConfig {
+            batch_size: Some(0),
+            ..paper.clone()
+        };
+        assert_eq!(zero_batch.violation(), Some("batch size must be non-zero"));
+        let nan_lr = SgdConfig {
+            learning_rate: f64::NAN,
+            ..paper
+        };
+        assert_eq!(nan_lr.violation(), Some("learning rate must be positive"));
     }
 }

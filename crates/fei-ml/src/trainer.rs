@@ -21,8 +21,6 @@ pub struct TrainStats {
     pub gradient_steps: usize,
     /// Training loss measured before the first step.
     pub initial_loss: f64,
-    /// Training loss measured after the last step.
-    pub final_loss: f64,
     /// Number of samples in the local dataset (`n_k`).
     pub samples: usize,
 }
@@ -121,10 +119,10 @@ impl LocalTrainer {
     /// batch that is the whole dataset in dataset order, the mean it
     /// returned *is* [`Model::loss_with`] of that model — same terms, same
     /// single accumulator, same order, same bits — and is taken as is, so
-    /// `E` full-batch epochs forward the data `E + 1` times, not `E + 2`.
-    /// Otherwise (a mini-batch, the naive kernel, a model whose kernel
-    /// records no terms) the loss is measured by an explicit pass.
-    /// `final_loss` is always a pass over the trained model.
+    /// `E` full-batch epochs forward the data exactly `E` times, the passes
+    /// Eq. 5 bills. Otherwise (a mini-batch, the naive kernel, a model
+    /// whose kernel records no terms, `epochs == 0`) the loss is measured by
+    /// an explicit pass. Nothing is measured after the last step.
     fn run<M: Model>(
         &self,
         model: &mut M,
@@ -171,13 +169,11 @@ impl LocalTrainer {
             }
         }
 
-        let final_loss = model.loss_with(data, scratch);
         TrainStats {
             epochs_run: epochs,
             gradient_steps: self.config.gradient_steps(epochs, data.len()),
             // No step ran (`epochs == 0`): the model is the one passed in.
-            initial_loss: initial_loss.unwrap_or(final_loss),
-            final_loss,
+            initial_loss: initial_loss.unwrap_or_else(|| model.loss_with(data, scratch)),
             samples: data.len(),
         }
     }
@@ -255,11 +251,11 @@ mod tests {
         let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
         let stats =
             LocalTrainer::new(SgdConfig::new(0.5, 1.0, None)).train(&mut model, &data, 30, 0);
+        let trained = model.loss(&data);
         assert!(
-            stats.final_loss < stats.initial_loss * 0.8,
-            "loss {} -> {}",
+            trained < stats.initial_loss * 0.8,
+            "loss {} -> {trained}",
             stats.initial_loss,
-            stats.final_loss
         );
     }
 
@@ -306,7 +302,7 @@ mod tests {
         let stats = LocalTrainer::default().train(&mut model, &data, 0, 0);
         assert_eq!(model, before);
         assert_eq!(stats.gradient_steps, 0);
-        assert_eq!(stats.initial_loss, stats.final_loss);
+        assert_eq!(stats.initial_loss.to_bits(), model.loss(&data).to_bits());
     }
 
     #[test]
@@ -358,14 +354,10 @@ mod tests {
         );
         let mut a = LogisticRegression::zeros(data.dim(), data.num_classes());
         let mut b = LogisticRegression::zeros(data.dim(), data.num_classes());
-        let sa = fused.train(&mut a, &data, 10, 0);
-        let sb = naive.train(&mut b, &data, 10, 0);
-        assert!(
-            (sa.final_loss - sb.final_loss).abs() < 1e-9,
-            "{} vs {}",
-            sa.final_loss,
-            sb.final_loss
-        );
+        fused.train(&mut a, &data, 10, 0);
+        naive.train(&mut b, &data, 10, 0);
+        let (la, lb) = (a.loss(&data), b.loss(&data));
+        assert!((la - lb).abs() < 1e-9, "{la} vs {lb}");
     }
 
     /// A small deterministic dataset (`dim` 6, 3 classes) for the
@@ -376,9 +368,9 @@ mod tests {
         Dataset::from_parts(6, xs, (0..n).map(|i| i % 3).collect(), 3)
     }
 
-    /// Trains a fresh model and checks both `TrainStats` losses against
-    /// explicit passes over the model before and after.
-    fn assert_losses_are_honest(
+    /// Trains a fresh model and checks `TrainStats::initial_loss` against an
+    /// explicit pass over the model before training.
+    fn check_initial_loss(
         trainer: &LocalTrainer,
         data: &Arc<Dataset>,
         epochs: usize,
@@ -394,16 +386,7 @@ mod tests {
             Some(pool) => trainer.train_with_pool(&mut model, data, epochs, 3, &mut scratch, pool),
             None => trainer.train_with(&mut model, data, epochs, 3, &mut scratch),
         };
-        assert_eq!(
-            stats.initial_loss.to_bits(),
-            before.to_bits(),
-            "initial, {what}"
-        );
-        assert_eq!(
-            stats.final_loss.to_bits(),
-            model.loss(data).to_bits(),
-            "final, {what}"
-        );
+        assert_eq!(stats.initial_loss.to_bits(), before.to_bits(), "{what}");
     }
 
     const EDGE_SIZES: [usize; 6] = [1, 63, 64, 65, 130, 333];
@@ -417,16 +400,16 @@ mod tests {
         );
         for n in EDGE_SIZES {
             let data = Arc::new(small_data(n));
-            assert_losses_are_honest(&serial, &data, 3, None, &format!("serial, n = {n}"));
+            check_initial_loss(&serial, &data, 3, None, &format!("serial, n = {n}"));
             for size in 1..=4 {
                 let pool = WorkerPool::new(size);
                 let what = format!("pool of {size}, n = {n}");
-                assert_losses_are_honest(&parallel, &data, 3, Some(&pool), &what);
+                check_initial_loss(&parallel, &data, 3, Some(&pool), &what);
             }
         }
         // The paper's shape, on the paper's data.
         let data = Arc::new(clean_data(150));
-        assert_losses_are_honest(&serial, &data, 1, None, "synthetic MNIST, E = 1");
+        check_initial_loss(&serial, &data, 1, None, "synthetic MNIST, E = 1");
     }
 
     #[test]
@@ -439,10 +422,10 @@ mod tests {
         );
         for n in EDGE_SIZES {
             let data = Arc::new(small_data(n));
-            assert_losses_are_honest(&shuffled, &data, 2, None, &format!("mini-batch, n = {n}"));
+            check_initial_loss(&shuffled, &data, 2, None, &format!("mini-batch, n = {n}"));
             let what = format!("one shuffled batch, n = {n}");
-            assert_losses_are_honest(&one_shuffled_batch, &data, 2, None, &what);
-            assert_losses_are_honest(&naive, &data, 2, None, &format!("naive, n = {n}"));
+            check_initial_loss(&one_shuffled_batch, &data, 2, None, &what);
+            check_initial_loss(&naive, &data, 2, None, &format!("naive, n = {n}"));
         }
     }
 
@@ -453,14 +436,10 @@ mod tests {
         let before = Model::loss(&mlp, &data);
         let stats = LocalTrainer::new(SgdConfig::new(0.1, 0.99, None)).train(&mut mlp, &data, 2, 0);
         assert_eq!(stats.initial_loss.to_bits(), before.to_bits());
-        assert_eq!(
-            stats.final_loss.to_bits(),
-            Model::loss(&mlp, &data).to_bits()
-        );
     }
 
     #[test]
-    fn a_full_batch_job_forwards_the_data_e_plus_one_times() {
+    fn a_full_batch_job_forwards_the_data_e_times() {
         let n = 150u64;
         let data = Arc::new(small_data(n as usize));
         let pool = WorkerPool::new(3);
@@ -472,27 +451,19 @@ mod tests {
             let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
             let mut scratch = GradScratch::new();
             LocalTrainer::default().train_with(&mut model, &data, epochs as usize, 0, &mut scratch);
-            assert_eq!(
-                scratch.forward_passes(),
-                (epochs + 1) * n,
-                "serial, E = {epochs}"
-            );
+            assert_eq!(scratch.forward_passes(), epochs * n, "serial, E = {epochs}");
 
             let mut scratch = GradScratch::new();
             parallel.train_with_pool(&mut model, &data, epochs as usize, 0, &mut scratch, &pool);
-            assert_eq!(
-                scratch.forward_passes(),
-                (epochs + 1) * n,
-                "pooled, E = {epochs}"
-            );
+            assert_eq!(scratch.forward_passes(), epochs * n, "pooled, E = {epochs}");
         }
-        // No step to read the initial loss off: one pass serves both fields.
+        // No step to read the initial loss off: one explicit pass.
         let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
         let mut scratch = GradScratch::new();
         LocalTrainer::default().train_with(&mut model, &data, 0, 0, &mut scratch);
         assert_eq!(scratch.forward_passes(), n);
-        // Mini-batches cover the data once per epoch, and both losses are
-        // explicit passes.
+        // Mini-batches cover the data once per epoch, and the initial loss
+        // is an explicit pass.
         let mut scratch = GradScratch::new();
         LocalTrainer::new(SgdConfig::new(0.1, 0.99, Some(16))).train_with(
             &mut model,
@@ -501,7 +472,7 @@ mod tests {
             0,
             &mut scratch,
         );
-        assert_eq!(scratch.forward_passes(), (2 + 2) * n);
+        assert_eq!(scratch.forward_passes(), (2 + 1) * n);
     }
 
     #[test]
@@ -552,11 +523,11 @@ mod proptests {
     use crate::model::LogisticRegression;
 
     proptest! {
-        /// Whatever the size, epoch count, pool width or batching, both
-        /// `TrainStats` losses are what an explicit pass over the model
-        /// before and after training measures, to the bit.
+        /// Whatever the size, epoch count, pool width or batching,
+        /// `TrainStats::initial_loss` is what an explicit pass over the
+        /// model before training measures, to the bit.
         #[test]
-        fn train_stats_losses_equal_explicit_passes(
+        fn train_stats_initial_loss_equals_an_explicit_pass(
             n in 1usize..200,
             epochs in 0usize..4,
             pool_size in 1usize..=4,
@@ -578,7 +549,6 @@ mod proptests {
             let stats =
                 trainer.train_with_pool(&mut model, &data, epochs, 1, &mut GradScratch::new(), &pool);
             prop_assert_eq!(stats.initial_loss.to_bits(), before.to_bits());
-            prop_assert_eq!(stats.final_loss.to_bits(), model.loss(&data).to_bits());
         }
     }
 }
