@@ -55,7 +55,10 @@ impl ConvergenceBound {
     ///
     /// Returns [`CoreError::InvalidParameter`] when the resulting constants
     /// are out of domain (e.g. non-positive `γ` or distance).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per constant of the paper's convergence bound"
+    )]
     pub fn from_theory(
         gamma: f64,
         smoothness: f64,

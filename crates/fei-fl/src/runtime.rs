@@ -348,7 +348,10 @@ impl Drop for Framed {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "everything a worker thread owns is moved in once at spawn"
+)]
 fn worker_loop<M: Model>(
     id: usize,
     template: M,

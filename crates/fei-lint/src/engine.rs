@@ -1,23 +1,15 @@
-//! The lint driver: two passes over the workspace.
+//! The lint driver: one pass over the workspace's library code.
 //!
-//! Pass 1 walks every `.rs` file — library code *and* the `tests/`,
-//! `examples/`, and `benches/` trees — lexing each once and extracting
-//! its [`FileFacts`] into a [`WorkspaceModel`]. Pass 2 runs the per-file
-//! rules on library files (test trees stay exempt, as before) and the
-//! cross-file rules ([`crate::crossfile`]) over the whole model, in which
-//! every test-tree fact is flagged so production reachability is never
-//! satisfied from test code. `files_scanned` keeps its historical meaning:
-//! library files checked by per-file rules.
+//! Every `.rs` file outside [`LintConfig::skip_dirs`] — which include the
+//! `tests/`, `examples/`, and `benches/` trees, since every rule exempts
+//! test code — is lexed once and checked by each rule that applies to it.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::config::LintConfig;
-use crate::crossfile;
 use crate::lexer::LexedFile;
-use crate::model::{FileFacts, WorkspaceModel};
 use crate::report::{Report, Violation};
 use crate::rules::RuleId;
 
@@ -29,72 +21,49 @@ use crate::rules::RuleId;
 /// file deleted mid-scan); rule violations are reported, not errors.
 pub fn run(config: &LintConfig) -> io::Result<Report> {
     let mut files = Vec::new();
-    collect_rs_files(&config.root, config, false, &mut files)?;
+    collect_rs_files(&config.root, config, &mut files)?;
     // Deterministic scan order regardless of directory-entry order.
     files.sort();
 
     let mut report = Report::default();
-    let mut model = WorkspaceModel::default();
-    let mut lexed_by_path: BTreeMap<String, LexedFile> = BTreeMap::new();
-    for (path, in_test_tree) in &files {
+    for path in &files {
         let source = fs::read_to_string(path)?;
         let rel = relative_unix_path(&config.root, path);
-        let lexed = LexedFile::lex(&source);
-        model.files.push(FileFacts::extract(
-            &rel,
-            LintConfig::crate_of(&rel),
-            *in_test_tree,
-            &lexed,
-        ));
-        if !*in_test_tree {
-            report.violations.extend(lint_lexed(config, &rel, &lexed));
-            report.files_scanned += 1;
-        }
-        lexed_by_path.insert(rel, lexed);
+        report.violations.extend(lint_source(config, &rel, &source));
     }
-    report
-        .violations
-        .extend(crossfile::check(config, &model, &lexed_by_path));
+    report.files_scanned = files.len();
     report.finish();
     Ok(report)
 }
 
-/// Lints one file's source text under `config` with the per-file rules.
-/// Exposed for fixture tests; cross-file rules need [`run`].
+/// Lints one file's source text under `config`.
 pub fn lint_source(config: &LintConfig, rel_path: &str, source: &str) -> Vec<Violation> {
-    lint_lexed(config, rel_path, &LexedFile::lex(source))
-}
-
-/// The per-file pass over one already-lexed file.
-fn lint_lexed(config: &LintConfig, rel_path: &str, lexed: &LexedFile) -> Vec<Violation> {
+    let lexed = LexedFile::lex(source);
     let crate_name = LintConfig::crate_of(rel_path);
     let mut out = Vec::new();
+
+    let at_directive = |rule: &str, line: usize, message: String| Violation {
+        rule: rule.to_string(),
+        path: rel_path.to_string(),
+        line,
+        col: 1,
+        message,
+        snippet: lexed.raw_line(line).trim().to_string(),
+    };
 
     // A malformed escape comment is itself a violation: a directive that
     // silently fails to parse would un-suppress nothing and hide typos.
     let audit_reasons = is_kernel_file(config, crate_name, rel_path);
     for d in &lexed.directives {
         if let Some(err) = &d.parse_error {
-            out.push(Violation {
-                rule: "directive-syntax".to_string(),
-                path: rel_path.to_string(),
-                line: d.line,
-                col: 1,
-                message: format!("malformed fei-lint directive: {err}"),
-                snippet: lexed.raw_line(d.line).trim().to_string(),
-            });
+            let message = format!("malformed fei-lint directive: {err}");
+            out.push(at_directive("directive-syntax", d.line, message));
             continue;
         }
         for rule in &d.rules {
             if RuleId::from_name(rule).is_none() {
-                out.push(Violation {
-                    rule: "directive-syntax".to_string(),
-                    path: rel_path.to_string(),
-                    line: d.line,
-                    col: 1,
-                    message: format!("directive allows unknown rule `{rule}`"),
-                    snippet: lexed.raw_line(d.line).trim().to_string(),
-                });
+                let message = format!("directive allows unknown rule `{rule}`");
+                out.push(at_directive("directive-syntax", d.line, message));
             }
         }
         // Allow-audit: in fast-path kernel files a suppression's reason
@@ -111,25 +80,19 @@ fn lint_lexed(config: &LintConfig, rel_path: &str, lexed: &LexedFile) -> Vec<Vio
                 .iter()
                 .any(|kw| reason.contains(&kw.to_lowercase()));
             if !named {
-                out.push(Violation {
-                    rule: "allow-audit".to_string(),
-                    path: rel_path.to_string(),
-                    line: d.line,
-                    col: 1,
-                    message: format!(
-                        "allow directive in a kernel file must name the invariant \
-                         its exception preserves (one of: {})",
-                        config.invariant_vocabulary.join(", ")
-                    ),
-                    snippet: lexed.raw_line(d.line).trim().to_string(),
-                });
+                let message = format!(
+                    "allow directive in a kernel file must name the invariant \
+                     its exception preserves (one of: {})",
+                    config.invariant_vocabulary.join(", ")
+                );
+                out.push(at_directive("allow-audit", d.line, message));
             }
         }
     }
 
-    for rule in &config.rules {
+    for rule in RuleId::ALL {
         if rule.applies(config, crate_name, rel_path) {
-            out.extend(rule.check(lexed, rel_path));
+            out.extend(rule.check(&lexed, rel_path));
         }
     }
     out
@@ -148,28 +111,19 @@ fn is_kernel_file(config: &LintConfig, crate_name: &str, rel_path: &str) -> bool
         .any(|stem| file.contains(stem.as_str()))
 }
 
-/// Recursively collects `.rs` files with a test-tree flag, skipping
-/// `skip_dirs` by name. A file is test-tree once any ancestor directory
-/// name is in `test_dirs`.
-fn collect_rs_files(
-    dir: &Path,
-    config: &LintConfig,
-    in_test_tree: bool,
-    out: &mut Vec<(PathBuf, bool)>,
-) -> io::Result<()> {
+/// Recursively collects `.rs` files, skipping `skip_dirs` by name.
+fn collect_rs_files(dir: &Path, config: &LintConfig, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if config.skip_dirs.iter().any(|d| d.as_str() == name) {
-                continue;
+            if !config.skip_dirs.iter().any(|d| d.as_str() == name) {
+                collect_rs_files(&path, config, out)?;
             }
-            let test_here = in_test_tree || config.test_dirs.iter().any(|d| d.as_str() == name);
-            collect_rs_files(&path, config, test_here, out)?;
         } else if name.ends_with(".rs") {
-            out.push((path, in_test_tree));
+            out.push(path);
         }
     }
     Ok(())
@@ -216,35 +170,32 @@ mod tests {
     }
 
     #[test]
-    fn crate_scoping_applies_det_rules_only_in_det_crates() {
-        let src = "use std::collections::HashMap;\n";
-        let hit = lint_source(&config(), "crates/fei-fl/src/x.rs", src);
+    fn crate_scoping_applies_the_ledger_rule_only_in_ledger_crates() {
+        let src = "pub fn spend(&mut self, joules: f64) {}\n";
+        let hit = lint_source(&config(), "crates/fei-core/src/x.rs", src);
         assert_eq!(hit.len(), 1, "{hit:?}");
-        assert_eq!(hit[0].rule, "det-map-iter");
-        let miss = lint_source(&config(), "crates/fei-power/src/x.rs", src);
+        assert_eq!(hit[0].rule, "ledger-discipline");
+        let miss = lint_source(&config(), "crates/fei-fl/src/x.rs", src);
         assert!(miss.is_empty(), "{miss:?}");
     }
 
     #[test]
-    fn bins_are_exempt_from_no_panic_by_default() {
+    fn bins_are_exempt_from_no_panic() {
         let src = "fn main() { run().unwrap(); }\n";
         assert!(lint_source(&config(), "crates/fei-bench/src/bin/x.rs", src).is_empty());
         let lib_hit = lint_source(&config(), "crates/fei-bench/src/lib.rs", src);
         assert_eq!(lib_hit.len(), 1);
-        let mut strict = config();
-        strict.lint_bins = true;
-        assert_eq!(
-            lint_source(&strict, "crates/fei-bench/src/bin/x.rs", src).len(),
-            1
-        );
     }
 
     #[test]
-    fn unknown_rule_in_directive_is_a_violation() {
-        let src = "// fei-lint: allow(not-a-rule, reason = \"x\")\nlet a = 1;\n";
-        let v = lint_source(&config(), "crates/fei-math/src/x.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "directive-syntax");
+    fn unknown_or_retired_rule_in_directive_is_a_violation() {
+        // Rules clippy now owns are unknown here: their stale escapes fail.
+        for rule in ["not-a-rule", "det-map-iter", "truncating-cast"] {
+            let src = format!("// fei-lint: allow({rule}, reason = \"x\")\nlet a = 1;\n");
+            let v = lint_source(&config(), "crates/fei-math/src/x.rs", &src);
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert_eq!(v[0].rule, "directive-syntax");
+        }
     }
 
     #[test]

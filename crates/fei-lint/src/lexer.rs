@@ -134,27 +134,6 @@ pub(crate) fn find_idents(hay: &str, needle: &str) -> Vec<usize> {
     hits
 }
 
-/// The contiguous identifier ending at byte `end` (exclusive), if any.
-pub(crate) fn ident_ending_at(bytes: &[u8], end: usize) -> &[u8] {
-    let mut start = end;
-    while start > 0 && is_ident_byte(bytes[start - 1]) {
-        start -= 1;
-    }
-    &bytes[start..end]
-}
-
-/// The contiguous identifier starting at or after `start`, skipping spaces.
-pub(crate) fn ident_starting_at(bytes: &[u8], mut start: usize) -> (usize, &[u8]) {
-    while start < bytes.len() && (bytes[start] == b' ' || bytes[start] == b'\n') {
-        start += 1;
-    }
-    let mut end = start;
-    while end < bytes.len() && is_ident_byte(bytes[end]) {
-        end += 1;
-    }
-    (start, &bytes[start..end])
-}
-
 /// Byte offsets at which each line begins (line 1 starts at 0).
 fn line_starts(src: &str) -> Vec<usize> {
     let mut starts = vec![0];

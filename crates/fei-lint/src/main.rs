@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run -p fei-lint                 # human-readable, exit 1 on violations
 //! cargo run -p fei-lint -- --json       # machine-readable report
-//! cargo run -p fei-lint -- --only no-panic --only float-eq
 //! cargo run -p fei-lint -- --list-rules
 //! ```
 //!
@@ -18,16 +17,13 @@ use std::process::ExitCode;
 use fei_lint::{find_workspace_root, run, LintConfig, RuleId};
 
 const USAGE: &str = "\
-fei-lint: workspace invariant linter (determinism / no-panic / float-eq / ledger / codec casts)
+fei-lint: workspace invariant linter (no-panic / float-eq / ledger-discipline)
 
 USAGE: fei-lint [OPTIONS]
 
 OPTIONS:
   --json                  emit a JSON report instead of human-readable text
   --root <PATH>           workspace root to scan (default: auto-discovered)
-  --only <RULE>           run only this rule (repeatable)
-  --skip <RULE>           disable this rule (repeatable)
-  --include-bins          apply no-panic to src/bin/ and src/main.rs too
   --list-rules            print every rule with a one-line summary
   -h, --help              this help
 ";
@@ -45,30 +41,14 @@ fn main() -> ExitCode {
 fn cli() -> Result<ExitCode, String> {
     let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut only: Vec<RuleId> = Vec::new();
-    let mut skip: Vec<RuleId> = Vec::new();
-    let mut include_bins = false;
 
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--include-bins" => include_bins = true,
             "--root" => {
                 let p = args.next().ok_or("--root needs a path argument")?;
                 root = Some(PathBuf::from(p));
-            }
-            "--only" | "--skip" => {
-                let name = args
-                    .next()
-                    .ok_or_else(|| format!("{arg} needs a rule name"))?;
-                let rule = RuleId::from_name(&name)
-                    .ok_or_else(|| format!("unknown rule `{name}` (see --list-rules)"))?;
-                if arg == "--only" {
-                    only.push(rule);
-                } else {
-                    skip.push(rule);
-                }
             }
             "--list-rules" => {
                 for rule in RuleId::ALL {
@@ -86,16 +66,7 @@ fn cli() -> Result<ExitCode, String> {
 
     let cwd = env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
     let root = root.unwrap_or_else(|| find_workspace_root(&cwd));
-    let mut config = LintConfig::for_root(root);
-    config.lint_bins = include_bins;
-    if !only.is_empty() {
-        config.rules = only.into_iter().collect();
-    }
-    for rule in skip {
-        config.rules.remove(&rule);
-    }
-
-    let report = run(&config).map_err(|e| format!("scan failed: {e}"))?;
+    let report = run(&LintConfig::for_root(root)).map_err(|e| format!("scan failed: {e}"))?;
 
     if json {
         print!("{}", report.render_json());

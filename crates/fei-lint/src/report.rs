@@ -175,7 +175,7 @@ mod tests {
         assert_eq!(r.violations[0].path, "a.rs");
         assert_eq!(r.count_for(RuleId::NoPanic), 1);
         assert_eq!(r.count_for(RuleId::FloatEq), 1);
-        assert_eq!(r.count_for(RuleId::DetMapIter), 0);
+        assert_eq!(r.count_for(RuleId::LedgerDiscipline), 0);
         let json = r.render_json();
         assert!(json.contains("\"violations_total\": 2"));
         assert!(json.contains("\"no-panic\": {\"violations\": 1}"));

@@ -4,26 +4,17 @@
 //! runtime test it protects (see DESIGN.md, "Statically-enforced
 //! invariants"). Rules run over the masked view produced by
 //! [`crate::lexer::LexedFile`], so comments and string contents never
-//! trigger them, and test-gated code is exempt.
+//! trigger them, and test-gated code is exempt. The determinism and
+//! narrowing-cast contracts are clippy's (per-crate `clippy.toml`
+//! `disallowed-types`, `clippy::cast_possible_truncation`): it sees types.
 
 use crate::config::LintConfig;
-use crate::lexer::LexedFile;
+use crate::lexer::{find_idents, is_ident_byte, LexedFile};
 use crate::report::Violation;
 
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// No `HashMap`/`HashSet` in deterministic crates: their iteration
-    /// order is seeded per-process, which would break the serial/threaded
-    /// bit-identity contract (`tests/engines_agree.rs`).
-    DetMapIter,
-    /// No `Instant::now`/`SystemTime` in deterministic crates: the
-    /// simulator's logical clock (`fei_sim::SimTime`) is the only
-    /// sanctioned time source.
-    DetWallclock,
-    /// No OS entropy (`thread_rng`, `OsRng`, …) in deterministic crates:
-    /// `fei_sim::DetRng` is the only sanctioned randomness source.
-    DetEntropy,
     /// No `unwrap()`/bare `expect()`/`panic!` in library code: fallible
     /// paths return typed errors (`AggregateError`, `CoreError`, …).
     /// `expect("invariant: …")` is sanctioned for genuinely unreachable
@@ -38,63 +29,24 @@ pub enum RuleId {
     /// classification, so no joule can bypass the `EnergyLedger` buckets
     /// (`tests/energy_accounting.rs`).
     LedgerDiscipline,
-    /// Every `EnergyUse`/`AbortReason` variant must be constructed
-    /// outside its defining file and surfaced in a match arm (stats or
-    /// report path) — dead-variant detection for the energy accounting
-    /// the paper's e_U/e_P results rest on. Cross-file.
-    EnumBilling,
-    /// No bare `as` casts to ≤32-bit integers in codec/wire/frames/
-    /// journal files of the wire crates: lengths and tags must go through
-    /// checked conversions so oversized payloads fail loudly instead of
-    /// truncating on the wire. Cross-file.
-    TruncatingCast,
 }
 
 impl RuleId {
     /// Every rule, in reporting order.
-    pub const ALL: [RuleId; 8] = [
-        RuleId::DetMapIter,
-        RuleId::DetWallclock,
-        RuleId::DetEntropy,
-        RuleId::NoPanic,
-        RuleId::FloatEq,
-        RuleId::LedgerDiscipline,
-        RuleId::EnumBilling,
-        RuleId::TruncatingCast,
-    ];
-
-    /// Whether this rule runs over the pass-1 workspace model
-    /// ([`crate::crossfile`]) rather than per file.
-    pub fn is_cross_file(self) -> bool {
-        matches!(self, RuleId::EnumBilling | RuleId::TruncatingCast)
-    }
+    pub const ALL: [RuleId; 3] = [RuleId::NoPanic, RuleId::FloatEq, RuleId::LedgerDiscipline];
 
     /// The kebab-case name used in reports and allow directives.
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::DetMapIter => "det-map-iter",
-            RuleId::DetWallclock => "det-wallclock",
-            RuleId::DetEntropy => "det-entropy",
             RuleId::NoPanic => "no-panic",
             RuleId::FloatEq => "float-eq",
             RuleId::LedgerDiscipline => "ledger-discipline",
-            RuleId::EnumBilling => "enum-billing",
-            RuleId::TruncatingCast => "truncating-cast",
         }
     }
 
     /// One-line summary for `--list-rules`.
     pub fn summary(self) -> &'static str {
         match self {
-            RuleId::DetMapIter => {
-                "no HashMap/HashSet in deterministic crates (seeded iteration order)"
-            }
-            RuleId::DetWallclock => {
-                "no Instant::now/SystemTime in deterministic crates (use fei_sim::SimTime)"
-            }
-            RuleId::DetEntropy => {
-                "no OS entropy in deterministic crates (use fei_sim::DetRng)"
-            }
             RuleId::NoPanic => {
                 "no unwrap()/bare expect()/panic! in library code (typed errors or expect(\"invariant: ...\"))"
             }
@@ -104,94 +56,33 @@ impl RuleId {
             RuleId::LedgerDiscipline => {
                 "public joule-taking fns in fei-core/fei-power must take an EnergyUse classification"
             }
-            RuleId::EnumBilling => {
-                "every EnergyUse/AbortReason variant constructed outside its file and surfaced in a match"
-            }
-            RuleId::TruncatingCast => {
-                "no bare `as` casts to <=32-bit ints in codec/journal files (use try_from/from)"
-            }
         }
     }
 
-    /// Parses a rule name as used on the CLI and in directives.
+    /// Parses a rule name as used in directives.
     pub fn from_name(name: &str) -> Option<RuleId> {
         RuleId::ALL.into_iter().find(|r| r.name() == name)
     }
 
-    /// Whether this rule applies to `crate_name` / `rel_path` in the
-    /// per-file pass. Cross-file rules scope themselves inside
-    /// [`crate::crossfile`] and never run here.
+    /// Whether this rule applies to `crate_name` / `rel_path`.
     pub fn applies(self, config: &LintConfig, crate_name: &str, rel_path: &str) -> bool {
         match self {
-            RuleId::DetMapIter | RuleId::DetWallclock | RuleId::DetEntropy => {
-                config.det_crates.iter().any(|c| c == crate_name)
-            }
             RuleId::LedgerDiscipline => config.ledger_crates.iter().any(|c| c == crate_name),
-            RuleId::EnumBilling | RuleId::TruncatingCast => false,
-            RuleId::NoPanic => {
-                // Binary entry points (src/bin/, src/main.rs) may abort on
-                // operational errors; the contract covers library code.
-                config.lint_bins
-                    || !(rel_path.contains("/bin/") || rel_path.ends_with("src/main.rs"))
-            }
+            // Binary entry points (src/bin/, src/main.rs) may abort on
+            // operational errors; the contract covers library code.
+            RuleId::NoPanic => !(rel_path.contains("/bin/") || rel_path.ends_with("src/main.rs")),
             RuleId::FloatEq => true,
         }
     }
 
-    /// Runs this rule over one lexed file. Cross-file rules return
-    /// nothing here — they run in [`crate::crossfile::check`].
+    /// Runs this rule over one lexed file.
     pub fn check(self, file: &LexedFile, path: &str) -> Vec<Violation> {
         match self {
-            RuleId::EnumBilling | RuleId::TruncatingCast => Vec::new(),
-            RuleId::DetMapIter => check_idents(
-                self,
-                file,
-                path,
-                &["HashMap", "HashSet", "hash_map", "hash_set"],
-                "non-deterministic iteration order; use BTreeMap/BTreeSet or an index-keyed Vec",
-            ),
-            RuleId::DetWallclock => check_wallclock(self, file, path),
-            RuleId::DetEntropy => check_idents(
-                self,
-                file,
-                path,
-                &[
-                    "thread_rng",
-                    "ThreadRng",
-                    "OsRng",
-                    "from_entropy",
-                    "getrandom",
-                    "RandomState",
-                ],
-                "OS entropy breaks replayability; thread the campaign's fei_sim::DetRng instead",
-            ),
             RuleId::NoPanic => check_no_panic(self, file, path),
             RuleId::FloatEq => check_float_eq(self, file, path),
             RuleId::LedgerDiscipline => check_ledger(self, file, path),
         }
     }
-}
-
-/// Byte offsets of `needle` in `hay` at identifier boundaries.
-fn find_idents(hay: &str, needle: &str) -> Vec<usize> {
-    let bytes = hay.as_bytes();
-    let mut hits = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = hay[from..].find(needle) {
-        let at = from + pos;
-        let before_ok = at == 0 || !is_ident_byte(bytes[at - 1]);
-        let end = at + needle.len();
-        let after_ok = end >= bytes.len() || !is_ident_byte(bytes[end]);
-        if before_ok && after_ok {
-            hits.push(at);
-        }
-        from = at + needle.len();
-    }
-    hits
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Emits a violation at `offset` unless the site is test code or allowed.
@@ -218,49 +109,6 @@ fn emit(
         message,
         snippet: file.raw_line(line).trim().to_string(),
     });
-}
-
-fn check_idents(
-    rule: RuleId,
-    file: &LexedFile,
-    path: &str,
-    needles: &[&str],
-    hint: &str,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for needle in needles {
-        for offset in find_idents(&file.masked, needle) {
-            emit(
-                rule,
-                file,
-                path,
-                offset,
-                format!("`{needle}` in deterministic code: {hint}"),
-                &mut out,
-            );
-        }
-    }
-    out
-}
-
-fn check_wallclock(rule: RuleId, file: &LexedFile, path: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for needle in ["SystemTime", "Instant"] {
-        for offset in find_idents(&file.masked, needle) {
-            emit(
-                rule,
-                file,
-                path,
-                offset,
-                format!(
-                    "`{needle}` is wall-clock time: replays diverge under load; \
-                     use the campaign's logical clock (fei_sim::SimTime)"
-                ),
-                &mut out,
-            );
-        }
-    }
-    out
 }
 
 /// Macros whose expansion aborts the process.
@@ -584,17 +432,6 @@ mod tests {
         let v = RuleId::LedgerDiscipline.check(&lex(src), "p.rs");
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 1);
-    }
-
-    #[test]
-    fn cross_file_rules_never_run_in_the_per_file_pass() {
-        let config = LintConfig::for_root(std::path::PathBuf::from("."));
-        for rule in RuleId::ALL.into_iter().filter(|r| r.is_cross_file()) {
-            assert!(!rule.applies(&config, "fei-proto", "crates/fei-proto/src/coordinator.rs"));
-            assert!(rule
-                .check(&lex("fn f() { self.phase = Phase::Idle; }\n"), "c.rs")
-                .is_empty());
-        }
     }
 
     #[test]

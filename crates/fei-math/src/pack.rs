@@ -117,7 +117,10 @@ fn a_at(a: &[f64], order: AOrder, m: usize, kd: usize, i: usize, k: usize) -> f6
 ///
 /// Panics (via slice indexing) if any buffer is shorter than its shape
 /// implies.
-#[allow(clippy::too_many_arguments)] // the GEMM shape (a, b, out, m, kd, n) is irreducible; grouping into a struct would only move the argument list
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the GEMM shape (a, b, out, m, kd, n) is irreducible; a struct would only move the list"
+)]
 pub fn packed_gemm(
     a: &[f64],
     order: AOrder,
@@ -214,7 +217,10 @@ pub fn packed_gemm(
 /// spills to the stack — and the zero-free path is branch-free (see the
 /// module docs for why that cannot change any bits).
 #[inline(always)]
-#[allow(clippy::too_many_lines)]
+#[allow(
+    clippy::too_many_lines,
+    reason = "32 named accumulators, spelled out so they stay in registers"
+)]
 fn gemm_block_4x8(
     out: &mut [f64],
     n: usize,

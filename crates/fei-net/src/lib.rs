@@ -23,6 +23,9 @@
 //!   framed connection used by the socket runtime in `fei-proto::node`.
 
 #![forbid(unsafe_code)]
+// A silently wrapped length, tag or timer desynchronizes the wire: every
+// narrowing `as` in library code is an error (DESIGN.md §9).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod codec;
 pub mod link;

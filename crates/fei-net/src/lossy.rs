@@ -71,7 +71,9 @@ impl LossyLink {
             // sum_{i=1..m} i p q^{i-1} + m q^m
             let mut expected = m * q.powf(m);
             for i in 1..=self.max_attempts {
-                expected += i as f64 * p * q.powi(i as i32 - 1);
+                // An attempt cap past i32::MAX saturates the exponent.
+                let exponent = i32::try_from(i - 1).unwrap_or(i32::MAX);
+                expected += i as f64 * p * q.powi(exponent);
             }
             expected
         }

@@ -245,6 +245,10 @@ impl WireScratch {
             }
             Encoding::F32 => {
                 for &v in values {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "the F32 encoding is f64 -> f32 rounding by definition"
+                    )]
                     out.extend_from_slice(&(v as f32).to_le_bytes());
                 }
             }
@@ -388,6 +392,10 @@ impl WireScratch {
 /// hosts. A constant block (or a block of non-finite values, which the
 /// coordinator's screen rejects anyway) stores scale 0 and decodes to the
 /// offset.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the block's f32 scale/offset round by definition, and q is clamped to 0..=255 before `as u8`"
+)]
 fn encode_q8_block(block: &[f64], out: &mut Vec<u8>) {
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
@@ -417,7 +425,6 @@ fn encode_q8_block(block: &[f64], out: &mut Vec<u8>) {
             let q = ((v - offset64) / scale64)
                 .round_ties_even()
                 .clamp(0.0, 255.0);
-            // fei-lint: allow(truncating-cast, reason = "q is clamped to 0.0..=255.0 two lines up; float->u8 has no checked From")
             out.push(q as u8);
         }
     } else {

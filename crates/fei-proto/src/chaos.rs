@@ -95,7 +95,7 @@ struct Fate {
     /// Index of the byte to flip when corrupting.
     corrupt_at: u64,
     /// Bit to flip within that byte (1..=7 so the byte always changes).
-    corrupt_bit: u32,
+    corrupt_bit: u64,
 }
 
 /// A deterministic lossy, duplicating, reordering, corrupting link.
@@ -138,7 +138,7 @@ impl ChaosLink {
         let reorder = rng.next_f64() < self.config.reorder_prob;
         let corrupt = rng.next_f64() < self.config.corrupt_prob;
         let corrupt_at = rng.next_u64();
-        let corrupt_bit = 1 + (rng.next_below(7) as u32);
+        let corrupt_bit = 1 + rng.next_below(7);
         Fate {
             drop,
             dup,
@@ -162,7 +162,8 @@ impl ChaosLink {
         }
         let mut delivered = envelope;
         if fate.corrupt && !delivered.bytes.is_empty() {
-            let at = (fate.corrupt_at % delivered.bytes.len() as u64) as usize;
+            let at = usize::try_from(fate.corrupt_at % delivered.bytes.len() as u64)
+                .expect("invariant: a remainder below bytes.len() fits usize");
             delivered.bytes[at] ^= 1u8 << (fate.corrupt_bit & 7);
             self.stats.corrupted += 1;
         }

@@ -2,7 +2,7 @@
 //!
 //! An event-driven coordinator that speaks **only** control-plane frames
 //! ([`crate::ControlFrame`]) and advances through
-//! `Idle → Rendezvous → Selected → Training → Aggregating → RoundClosed`.
+//! `Idle → Rendezvous → Selected → Training → RoundClosed`.
 //! It owns no transport and no clock: drivers push decoded byte frames via
 //! [`Coordinator::handle_frame`] and advance virtual time via
 //! [`Coordinator::tick`]; the machine answers with [`Effect`]s (frames to
@@ -47,8 +47,6 @@ pub enum Phase {
     Selected,
     /// At least one update arrived; collecting the rest.
     Training,
-    /// Ranking arrivals and deciding commit-or-abort (transient).
-    Aggregating,
     /// The round ended; ready to open the next.
     RoundClosed,
 }
@@ -61,7 +59,6 @@ impl Phase {
             Phase::Rendezvous => "Rendezvous",
             Phase::Selected => "Selected",
             Phase::Training => "Training",
-            Phase::Aggregating => "Aggregating",
             Phase::RoundClosed => "RoundClosed",
         }
     }
@@ -93,8 +90,9 @@ impl CoordinatorConfig {
     ///
     /// Panics when `k` or `quorum` is zero, the quorum exceeds what
     /// selection can deliver, the heartbeat contract is degenerate
-    /// (zero interval/timeout, or a timeout not beyond the interval), or
-    /// the round deadline is zero.
+    /// (zero interval/timeout, or a timeout not beyond the interval), a
+    /// heartbeat timer does not fit the `JoinAck`'s `u32`, or the round
+    /// deadline is zero.
     pub fn validated(self) -> Self {
         let broken = self.violation().map(|(_, message)| message);
         assert!(broken.is_none(), "{}", broken.unwrap_or_default());
@@ -120,6 +118,13 @@ impl CoordinatorConfig {
             )
         } else if self.heartbeat_timeout <= self.heartbeat_interval {
             ("--heartbeat-timeout/--heartbeat-interval", flapping)
+        } else if u32::try_from(self.heartbeat_timeout).is_err() {
+            // Both timers travel in the `JoinAck` as u32; the interval is
+            // below the timeout, so bounding the timeout bounds both.
+            (
+                "--heartbeat-timeout",
+                "heartbeat timeout must fit the JoinAck's u32",
+            )
         } else if self.round_deadline == 0 {
             ("--round-deadline", "round deadline must be positive")
         } else {
@@ -714,8 +719,10 @@ impl Coordinator {
             client,
             ControlFrame::JoinAck {
                 client,
-                heartbeat_interval: self.config.heartbeat_interval as u32,
-                heartbeat_timeout: self.config.heartbeat_timeout as u32,
+                heartbeat_interval: u32::try_from(self.config.heartbeat_interval)
+                    .expect("invariant: validated() bounds the heartbeat timers to u32"),
+                heartbeat_timeout: u32::try_from(self.config.heartbeat_timeout)
+                    .expect("invariant: validated() bounds the heartbeat timers to u32"),
             },
         );
         Ok(vec![ack])
@@ -812,16 +819,13 @@ impl Coordinator {
         let selected: Vec<u64> = open.selected.iter().copied().collect();
         // Only arrivals whose sender is *still live* survive to ranking —
         // expiry between submission and close voids the update.
-        let arrivals: Vec<(f64, usize)> = open
+        let arrivals: Vec<(f64, u64)> = open
             .arrivals
             .iter()
             .filter(|&&(_, client)| self.liveness.is_live(client, now))
-            .map(|&(tick, client)| (tick as f64, client as usize))
+            .map(|&(tick, client)| (tick as f64, client))
             .collect();
-        let accepted: Vec<u64> = first_k_by_arrival(arrivals, self.config.k)
-            .into_iter()
-            .map(|c| c as u64)
-            .collect();
+        let accepted = first_k_by_arrival(arrivals, self.config.k);
 
         let verdict = match forced {
             Some(reason) => Err(reason),
@@ -1147,6 +1151,29 @@ mod tests {
         assert!(effects
             .iter()
             .any(|e| matches!(e, Effect::FleetShrunk { alive: 1, .. })));
+    }
+
+    #[test]
+    fn heartbeat_timers_past_the_join_acks_u32_are_rejected_by_flag() {
+        // `on_join` sends both timers as u32: unchecked, `u32::MAX + 21`
+        // would reach participants as 20 while leases expire at the real value.
+        let wrapping = CoordinatorConfig {
+            heartbeat_timeout: u64::from(u32::MAX) + 21,
+            ..config()
+        };
+        let (flags, _) = wrapping.violation().expect("a wrapping timeout");
+        assert_eq!(flags, "--heartbeat-timeout");
+        let both = CoordinatorConfig {
+            heartbeat_interval: u64::from(u32::MAX) + 1,
+            ..wrapping
+        };
+        let (flags, _) = both.violation().expect("a wrapping interval");
+        assert_eq!(flags, "--heartbeat-timeout");
+        let widest = CoordinatorConfig {
+            heartbeat_timeout: u64::from(u32::MAX),
+            ..config()
+        };
+        assert_eq!(widest.violation(), None);
     }
 
     #[test]

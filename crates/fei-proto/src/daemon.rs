@@ -94,15 +94,8 @@ impl DaemonConfig {
                 }
                 "--quorum" => config.node.coordinator.quorum = narrow(flag, parse_u64()?)?,
                 "--epochs" => config.node.coordinator.epochs = narrow(flag, parse_u64()?)?,
-                // Both travel in the `JoinAck` as `u32`.
-                "--heartbeat-interval" => {
-                    let ticks: u32 = narrow(flag, parse_u64()?)?;
-                    config.node.coordinator.heartbeat_interval = ticks.into();
-                }
-                "--heartbeat-timeout" => {
-                    let ticks: u32 = narrow(flag, parse_u64()?)?;
-                    config.node.coordinator.heartbeat_timeout = ticks.into();
-                }
+                "--heartbeat-interval" => config.node.coordinator.heartbeat_interval = parse_u64()?,
+                "--heartbeat-timeout" => config.node.coordinator.heartbeat_timeout = parse_u64()?,
                 "--round-deadline" => config.node.coordinator.round_deadline = parse_u64()?,
                 other => return Err(bad(format!("unknown flag {other:?}"))),
             }

@@ -13,10 +13,9 @@
 //!   envelope, torn-tail scan) — each record kind's tag, variant and
 //!   ordered fields are declared exactly once;
 //! * [`Coordinator`] — the server-side machine
-//!   (`Idle → Rendezvous → Selected → Training → Aggregating →
-//!   RoundClosed`) with heartbeat leases, round deadlines, quorum-gated
-//!   partial close, and typed rejections for every malformed or mistimed
-//!   frame;
+//!   (`Idle → Rendezvous → Selected → Training → RoundClosed`) with
+//!   heartbeat leases, round deadlines, quorum-gated partial close, and
+//!   typed rejections for every malformed or mistimed frame;
 //! * [`Participant`] — the device-side mirror with rejoin, heartbeating,
 //!   and retransmit-with-backoff submission;
 //! * [`RoundMachine`] — the round decision core (quorum gate, selection
@@ -60,6 +59,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A silently wrapped length, tag or timer desynchronizes the wire: every
+// narrowing `as` in library code is an error (DESIGN.md §9).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod backend;
 pub mod chaos;

@@ -45,11 +45,6 @@ impl LivenessTracker {
         self.last_beat.insert(client, now);
     }
 
-    /// Removes a client regardless of lease state.
-    pub fn remove(&mut self, client: u64) {
-        self.last_beat.remove(&client);
-    }
-
     /// Whether the client is currently registered (live or not).
     pub fn contains(&self, client: u64) -> bool {
         self.last_beat.contains_key(&client)

@@ -47,7 +47,7 @@
 //! Determinism hygiene: nodes count cycles, and only the two `run()`
 //! wrappers ever wait (on input, for as long as the [`Pacer`] says the next
 //! tick is away); there is no wall clock anywhere in this module, so the
-//! `det-wallclock` lint holds for the whole crate.
+//! crate's `clippy.toml` ban on `Instant`/`SystemTime` holds here too.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;

@@ -189,9 +189,9 @@ impl RoundMachine {
 /// keeps the first `k`, and returns the winners sorted ascending by id —
 /// the canonical ordering every engine and the frame-driven coordinator
 /// share.
-pub fn first_k_by_arrival(mut arrivals: Vec<(f64, usize)>, k: usize) -> Vec<usize> {
+pub fn first_k_by_arrival<T: Ord + Copy>(mut arrivals: Vec<(f64, T)>, k: usize) -> Vec<T> {
     arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut winners: Vec<usize> = arrivals.iter().take(k).map(|&(_, device)| device).collect();
+    let mut winners: Vec<T> = arrivals.iter().take(k).map(|&(_, device)| device).collect();
     winners.sort_unstable();
     winners
 }

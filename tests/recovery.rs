@@ -145,7 +145,7 @@ proptest! {
 /// A quiet 4-participant cluster whose staggered training times hold
 /// rounds open across many ticks, so a crash sweep over `0..=24` passes
 /// through every coordinator phase — Idle, Rendezvous, Selected, Training,
-/// Aggregating, and RoundClosed — at least once.
+/// and RoundClosed — at least once.
 fn staggered_config(crashes: Vec<CoordinatorCrash>) -> ClusterConfig {
     ClusterConfig {
         coordinator: CoordinatorConfig {
