@@ -2,14 +2,15 @@
 //!
 //! Repeatedly runs a coordinator + 3 participants over real localhost
 //! sockets — the OS scheduler, kernel read boundaries, and TCP itself in
-//! the loop — with the disk-backed fsync'd journal and the frame trace
-//! attached, and audits every run against the oracles:
+//! the loop — with the fsync'd frame trace (the write-ahead log) and the
+//! journal file it keeps attached, and audits every run against the
+//! oracles:
 //!
 //! * **replay parity** — replaying the run's frame trace through the
 //!   shared decision core must reproduce the live audit bit for bit
 //!   (journal bytes, committed model payloads, round verdicts,
 //!   `ControlStats`);
-//! * **disk parity** — the fsync'd journal file must equal the decision
+//! * **disk parity** — the journal file must equal the decision
 //!   journal, and the persisted trace must decode to the in-memory one;
 //! * **restart continuity** — half the matrix stops the coordinator
 //!   mid-campaign and restarts it against the same journal + trace: the
@@ -207,7 +208,7 @@ fn main() {
     banner("Socket soak: real TCP transport vs the deterministic oracle");
     section(&format!(
         "{} single-incarnation + {} restart campaigns, {} rounds each, \
-         3 participants over localhost TCP, journal fsync'd per transition",
+         3 participants over localhost TCP, trace fsync'd per transition",
         soak.runs, soak.runs, soak.rounds
     ));
     println!(
@@ -365,8 +366,8 @@ fn main() {
     println!(
         "\nreading: every campaign ran the real protocol over real localhost\n\
          TCP — kernel scheduling, partial reads, reconnects — and still had\n\
-         to replay bit-identically from its own frame trace, with the fsync'd\n\
-         disk journal byte-equal to the decision journal. Restart campaigns\n\
+         to replay bit-identically from its own fsync'd frame trace, with the\n\
+         journal file byte-equal to the decision journal. Restart campaigns\n\
          additionally stopped the coordinator mid-campaign and resumed it\n\
          from disk (trace replay + journal recovery) with the fleet\n\
          re-rendezvousing over fresh sockets. The control-energy figure is\n\

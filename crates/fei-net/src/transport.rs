@@ -107,7 +107,8 @@ impl FrameBuffer {
     }
 
     /// Number of buffered bytes not yet consumed by a complete frame.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.buf.len() - self.at
     }
 

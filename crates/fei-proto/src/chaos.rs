@@ -188,7 +188,8 @@ impl ChaosLink {
     }
 
     /// Frames currently held back by reordering.
-    pub fn held_len(&self) -> usize {
+    #[cfg(test)]
+    fn held_len(&self) -> usize {
         self.held.len()
     }
 }

@@ -20,8 +20,9 @@
 //!   client whose lease had lapsed is counted as a
 //!   [`ClusterReport::safety_violations`];
 //! * **crash-recovery** — scheduled [`CoordinatorCrash`] events kill the
-//!   coordinator node (keeping only the synced bytes of its journal and
-//!   trace files) and restart it through the node's own start path; the
+//!   coordinator node (keeping only the synced bytes of its trace and
+//!   journal files — the journal file's none, it is rebuilt from the
+//!   trace) and restart it through the node's own start path; the
 //!   audit then also checks that no update is ever aggregated twice across
 //!   a restart ([`ClusterReport::double_aggregations`]) and that every
 //!   round open at a crash commits or aborts within one recovery budget of
@@ -202,9 +203,11 @@ pub struct Cluster {
     net: SimNet,
     journal: SimFile,
     trace: SimFile,
-    /// Unsynced trace bytes a crash leaves on the simulated disk (a torn
-    /// tail for the restart to cut); 0 = only synced bytes survive.
+    /// Unsynced trace and journal-file bytes a crash leaves on the
+    /// simulated disk (torn tails for the restart to cut); 0 = only synced
+    /// bytes survive.
     torn_tail: usize,
+    journal_tail: usize,
     /// The live coordinator node (`None` before the run and while crashed).
     coordinator: Option<CoordinatorNode<SimNet, SimFile>>,
     participants: Vec<ParticipantNode<SimNet>>,
@@ -241,6 +244,7 @@ impl Cluster {
             journal: SimFile::default(),
             trace: SimFile::default(),
             torn_tail: 0,
+            journal_tail: 0,
             coordinator: None,
             participants,
             shadow_beat: BTreeMap::new(),
@@ -294,7 +298,7 @@ impl Cluster {
                 self.report.coordinator = node.core().stats();
                 drop(node);
                 self.net.hang_up();
-                self.journal.crash(0);
+                self.journal.crash(self.journal_tail);
                 self.trace.crash(self.torn_tail);
                 outage = Some(Outage {
                     restart: tick + crash.down_ticks.max(1),
@@ -357,7 +361,7 @@ impl Cluster {
         config.target_rounds = self.config.target_rounds;
         config.max_cycles = u64::MAX;
         config.restart_lag = restart_lag;
-        let store = DiskJournal::over(self.journal.clone()).map_err(NodeError::from);
+        let store = DiskJournal::over(self.journal.clone(), true).map_err(NodeError::from);
         let node = store.and_then(|store| {
             let sink = TraceSink::over(self.trace.clone())?;
             CoordinatorNode::boot(self.net.listen(), config, Some(store), Some(sink))
@@ -718,23 +722,29 @@ mod tests {
 mod oracle_tests {
     use super::tests::{coordinator_config, staggered_config};
     use super::*;
+    use crate::journal::JournalRecord;
     use crate::node::replay_trace;
+    use crate::record::scan;
 
     /// What one audited run left behind: its report, the simulated trace
-    /// file's bytes, and how many unsynced trace bytes its last crash lost.
+    /// file's bytes, how many unsynced trace bytes its last crash lost, and
+    /// the unsynced journal-file bytes it lost.
     struct Audited {
         report: ClusterReport,
         disk_trace: Vec<u8>,
         lost_tail: usize,
+        lost_journal: Vec<u8>,
     }
 
-    /// Runs `config` (crashes keeping `torn_tail` unsynced trace bytes) and
-    /// holds the run to the conformance oracle: the coordinator node's live
-    /// audit equals the replay of its own trace, and its files on the
-    /// simulated disk are exactly its journal and its trace.
-    fn audited(config: ClusterConfig, torn_tail: usize) -> Audited {
+    /// Runs `config` (crashes keeping `torn_tail` unsynced trace bytes and
+    /// `journal_tail` unsynced journal-file bytes) and holds the run to the
+    /// conformance oracle: the coordinator node's live audit equals the
+    /// replay of its own trace, and its files on the simulated disk are
+    /// exactly its journal and its trace.
+    fn audited(config: ClusterConfig, torn_tail: usize, journal_tail: usize) -> Audited {
         let mut cluster = Cluster::new(config.clone());
         cluster.torn_tail = torn_tail;
+        cluster.journal_tail = journal_tail;
         let (journal, trace) = (cluster.journal.clone(), cluster.trace.clone());
         let (report, node) = cluster.run_to_end();
         let node = node.expect("the run ended with the coordinator up");
@@ -751,6 +761,7 @@ mod oracle_tests {
             report,
             disk_trace: trace.bytes(),
             lost_tail: trace.lost(),
+            lost_journal: node.audit.journal[..journal.lost()].to_vec(),
         }
     }
 
@@ -814,7 +825,7 @@ mod oracle_tests {
     #[test]
     fn live_audit_equals_trace_replay_under_hostile_chaos() {
         for seed in [1u64, 3, 7, 23, 42, 99, 1234] {
-            let run = audited(protocol_config(seed), 0).report;
+            let run = audited(protocol_config(seed), 0, 0).report;
             assert!(run.liveness_ok() && run.safety_ok(), "seed {seed}: {run:?}");
         }
     }
@@ -822,7 +833,7 @@ mod oracle_tests {
     #[test]
     fn live_audit_equals_trace_replay_across_kill_and_restart() {
         for (i, config) in crash_schedules().into_iter().enumerate() {
-            let run = audited(config, 0).report;
+            let run = audited(config, 0, 0).report;
             assert!(run.coordinator_crashes >= 1, "schedule {i}: {run:?}");
             assert!(
                 run.liveness_ok() && run.safety_ok() && run.recovery_ok(),
@@ -833,27 +844,46 @@ mod oracle_tests {
 
     #[test]
     fn every_torn_trace_tail_at_every_crash_tick_recovers_through_the_start_path() {
-        let mut tails = 0;
+        let (mut tails, mut journal_cuts) = (0, 0);
         for at_tick in 0..=24 {
             let config = || {
                 let mut config = staggered_config(5);
                 config.crashes = vec![crash(at_tick, 3)];
                 config
             };
-            // With nothing kept, the crash reports how long the unsynced
-            // tail was; then keep every prefix of it in turn.
-            let unsynced = audited(config(), 0).lost_tail;
-            for keep in 0..=unsynced {
-                let run = audited(config(), keep).report;
-                let at = format!("crash at {at_tick} keeping {keep} of {unsynced}");
+            let recovers = |trace_keep: usize, journal_keep: usize| {
+                // `audited` also holds the journal file to the final journal.
+                let run = audited(config(), trace_keep, journal_keep).report;
+                let at = format!("crash at {at_tick} keeping {trace_keep}/{journal_keep} bytes");
                 assert_eq!(run.coordinator_crashes, 1, "{at}");
                 assert!(run.liveness_ok(), "{at}: {run:?}");
                 assert!(run.safety_ok() && run.recovery_ok(), "{at}: {run:?}");
                 assert_eq!(run.committed + run.aborted, 5, "{at}");
+            };
+            // With nothing kept, the crash reports what was unsynced; then
+            // keep every prefix of the trace's tail in turn.
+            let bare = audited(config(), 0, 0);
+            let unsynced = bare.lost_tail;
+            for keep in 0..=unsynced {
+                recovers(keep, 0);
             }
             tails += unsynced;
+            // The journal file is never synced: it may keep any prefix of
+            // what it was written, up to a record boundary or torn one byte
+            // into a record — under the shortest and the longest trace tail.
+            let (records, _) = scan(&bare.lost_journal, JournalRecord::decode).expect("own");
+            let (mut keeps, mut at) = (vec![0], 0);
+            for len in records.iter().map(JournalRecord::encoded_len) {
+                keeps.extend([at + 1, at + len]);
+                at += len;
+            }
+            for &keep in &keeps {
+                recovers(0, keep);
+                recovers(unsynced, keep);
+            }
+            journal_cuts += keeps.len();
         }
-        assert!(tails > 500, "the sweep must actually tear tails: {tails}");
+        assert!(tails > 500 && journal_cuts > 100, "{tails}/{journal_cuts}");
     }
 
     #[test]
@@ -861,7 +891,7 @@ mod oracle_tests {
         let mut configs = crash_schedules();
         configs.push(protocol_config(7));
         for (i, config) in configs.into_iter().enumerate() {
-            let (a, b) = (audited(config.clone(), 0), audited(config, 0));
+            let (a, b) = (audited(config.clone(), 0, 0), audited(config, 0, 0));
             assert!(!a.disk_trace.is_empty());
             assert_eq!(a.disk_trace, b.disk_trace, "campaign {i}: traces diverged");
             assert_eq!(a.report, b.report, "campaign {i}: reports diverged");

@@ -145,20 +145,6 @@ impl CoordinatorCore {
 
     /// Replaces the coordinator with one recovered from `journal_bytes`
     /// at `now`, folding the outgoing incarnation's stats into the carry.
-    ///
-    /// # Errors
-    ///
-    /// Journal decode errors from [`Coordinator::recover`].
-    pub fn recover_from(
-        &mut self,
-        journal_bytes: &[u8],
-        now: u64,
-    ) -> Result<Vec<Effect>, ProtoError> {
-        let effects = self.recover(journal_bytes, now)?;
-        self.observe(&effects, now);
-        Ok(effects)
-    }
-
     fn recover(&mut self, journal_bytes: &[u8], now: u64) -> Result<Vec<Effect>, ProtoError> {
         self.carry.absorb(self.coordinator.stats());
         let (mut recovered, effects) =

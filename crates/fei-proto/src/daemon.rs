@@ -22,9 +22,9 @@ pub struct DaemonConfig {
     pub listen: String,
     /// Port file to advertise the bound address in.
     pub port_file: Option<PathBuf>,
-    /// Disk journal path.
+    /// Journal file path: an unsynced view of the trace (needs `trace`).
     pub journal: Option<PathBuf>,
-    /// Frame-trace path.
+    /// Frame-trace path: the write-ahead log.
     pub trace: Option<PathBuf>,
     /// Stats file written (atomically) on orderly exit.
     pub stats: Option<PathBuf>,
@@ -171,6 +171,7 @@ pub fn parse_stats(text: &str) -> ControlStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::StoreError;
 
     #[test]
     fn stats_table_covers_every_counter() {
@@ -250,6 +251,31 @@ mod tests {
             }
             other => panic!("timeout not beyond the interval: {other:?}"),
         }
+        // A journal file is a view of the trace: alone it is refused before
+        // anything is opened, so no lock is left behind.
+        let journal = std::env::temp_dir().join(format!("fei-journal-only-{}", std::process::id()));
+        let persist = NodePersistence {
+            journal: Some(journal.clone()),
+            ..NodePersistence::default()
+        };
+        let refused = CoordinatorNode::start("127.0.0.1:0", config.node.clone(), persist);
+        let both = |m: &String| m.contains("--journal") && m.contains("--trace");
+        assert!(matches!(&refused, Err(NodeError::BadArg { message }) if both(message)));
+        assert!(!journal.exists() && !journal.with_extension("lock").exists());
+        // The trace is the log and has one writer: a second node on it is
+        // refused while the first lives, and starts once it is gone.
+        let trace = std::env::temp_dir().join(format!("fei-trace-only-{}", std::process::id()));
+        let persist = NodePersistence {
+            trace: Some(trace.clone()),
+            ..NodePersistence::default()
+        };
+        let start = || CoordinatorNode::start("127.0.0.1:0", config.node.clone(), persist.clone());
+        let first = start().expect("trace-only start");
+        let locked = |e: &NodeError| matches!(e, NodeError::Store(StoreError::Locked { .. }));
+        assert!(start().is_err_and(|e| locked(&e)));
+        drop(first);
+        start().expect("restart once the first writer is gone");
+        let _ = std::fs::remove_file(&trace);
     }
 
     #[test]

@@ -33,12 +33,13 @@
 //!   seam (frame connection, listener, dialer, durable log). Over the
 //!   default backend — localhost TCP ([`fei_net::transport`]) and files —
 //!   it is what `fei_coordinatord` runs ([`daemon`] wraps it in the command
-//!   line and stats file), persisting a frame trace ([`trace`]) whose
-//!   deterministic replay through the shared decision core ([`core`],
+//!   line and stats file), persisting a frame trace ([`trace`]) — its one
+//!   write-ahead log, synced before any journaled transition is announced —
+//!   whose deterministic replay through the shared decision core ([`core`],
 //!   [`replay_trace`]) must reproduce the live run's decisions bit for bit;
-//! * [`DiskJournal`] — the journal pinned to disk with append+fsync before
-//!   every transition effect, torn-tail truncation on open, and a
-//!   lock-file single-writer guarantee;
+//! * [`DiskJournal`] — the journal written to a file, torn-tail truncation
+//!   on open, and a lock-file single-writer guarantee: the node keeps it as
+//!   an unsynced view of the trace, repaired from the replay at restart;
 //! * [`ChaosLink`] and [`Cluster`] — a deterministic lossy link, and the
 //!   same node loops run in lock-step over a simulated wire and disk, with
 //!   an audit from outside of the protocol's liveness (every opened round

@@ -35,11 +35,6 @@ impl LivenessTracker {
         }
     }
 
-    /// The configured expiry timeout, ticks.
-    pub fn timeout(&self) -> u64 {
-        self.timeout
-    }
-
     /// Registers (or re-registers) a client; registration counts as a beat.
     pub fn register(&mut self, client: u64, now: u64) {
         self.last_beat.insert(client, now);

@@ -30,19 +30,23 @@
 //!
 //! ## Crash-consistency protocol
 //!
-//! With a disk journal ([`crate::DiskJournal`]) and a trace file attached,
-//! every event of a turn (a `cycle()` or a `pump()`) is trace-appended,
-//! then applied, and the frames it decided wait in an outbox; the turn ends
-//! in one group commit: (if the journal grew) trace fsync, then journal
-//! append + fsync → the outbox leaves the node. The
-//! trace is therefore always *ahead of or equal to* the journal on disk,
-//! so a restarted coordinator first replays its own trace prefix through a
-//! fresh core, verifies the disk journal is a byte prefix of the replayed
-//! journal, and records a [`TraceEvent::Recover`] carrying the disk
-//! journal's surviving length — which is exactly how the oracle replays
-//! the same recovery later: by truncating its own (bit-identical) journal
-//! to that length and handing it to
-//! [`Coordinator::recover`](crate::Coordinator::recover).
+//! The trace file is the coordinator's one write-ahead log. Every event of
+//! a turn (a `cycle()` or a `pump()`) is trace-appended, then applied, and
+//! the frames it decided wait in an outbox; the turn ends in one group
+//! commit: (if the journal grew) trace fsync, then the journal file's new
+//! suffix is appended, unsynced → the outbox leaves the node. The journal
+//! file ([`crate::DiskJournal`], optional) is a view of the trace: what it
+//! holds on disk is always a prefix of what the durable trace replays to.
+//! A restarted coordinator replays its own trace prefix through a fresh
+//! core, verifies the journal file is a byte prefix of the replayed
+//! journal, and records a [`TraceEvent::Recover`] carrying the replayed
+//! journal's length — which is exactly how the oracle replays the same
+//! recovery later, handing its own (bit-identical) journal to
+//! [`Coordinator::recover`](crate::Coordinator::recover) — and its first
+//! commit re-appends whatever suffix the journal file lost (all of it when
+//! a crash left the never-synced file damaged before its tail). One writer
+//! at a time: the trace is held under an OS file lock while the node
+//! lives, the journal file under its lock file.
 //!
 //! Determinism hygiene: nodes count cycles, and only the two `run()`
 //! wrappers ever wait (on input, for as long as the [`Pacer`] says the next
@@ -82,7 +86,8 @@ pub enum NodeError {
         /// The OS error text.
         message: String,
     },
-    /// The disk journal store failed.
+    /// The disk journal store failed, or the trace is held by another
+    /// writer ([`StoreError::Locked`]).
     Store(StoreError),
     /// A protocol-level failure that is not an ordinary frame rejection
     /// (e.g. a corrupt trace file, or recovery from a corrupt journal).
@@ -113,7 +118,7 @@ impl std::fmt::Display for NodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NodeError::Io { op, message } => write!(f, "node {op} failed: {message}"),
-            NodeError::Store(e) => write!(f, "journal store: {e}"),
+            NodeError::Store(e) => write!(f, "store: {e}"),
             NodeError::Proto(e) => write!(f, "protocol: {e}"),
             NodeError::CycleBudget { cycles } => {
                 write!(f, "cycle budget exhausted after {cycles} cycles")
@@ -214,11 +219,12 @@ impl CoordinatorNodeConfig {
 /// Optional durability attachments for a [`CoordinatorNode`].
 #[derive(Debug, Clone, Default)]
 pub struct NodePersistence {
-    /// Disk journal path ([`DiskJournal`] semantics: lock file, fsync'd
-    /// appends, torn-tail cut on open).
+    /// Disk journal path: a view of the trace, written after each trace
+    /// sync and never synced itself ([`DiskJournal`]'s lock file and
+    /// torn-tail cut on open). Requires `trace`.
     pub journal: Option<PathBuf>,
-    /// Frame-trace path (created fresh, or resumed with its torn tail
-    /// cut).
+    /// Frame-trace path, the write-ahead log (created fresh, or resumed
+    /// with its torn tail cut).
     pub trace: Option<PathBuf>,
     /// Port file to (re)write after binding, for
     /// [`CoordinatorAddr::PortFile`] followers.
@@ -270,6 +276,9 @@ pub struct CoordinatorNode<L: Listener = FrameListener, G: Log = File> {
     trace: Vec<TraceEvent>,
     sink: Option<TraceSink<G>>,
     store: Option<DiskJournal<G>>,
+    /// The journal's length at the last trace sync: a turn that grows it
+    /// past this must sync before anything leaves.
+    synced_journal: usize,
     /// Verdicts and re-plan cues of the current cycle, handed to
     /// [`CoordinatorNode::cycle`]'s caller.
     surfaced: Vec<Effect>,
@@ -281,28 +290,35 @@ pub struct CoordinatorNode<L: Listener = FrameListener, G: Log = File> {
 
 impl CoordinatorNode {
     /// Binds `listen` (e.g. `"127.0.0.1:0"`) and prepares the node —
-    /// fresh, or recovered from the persisted trace + journal when the
-    /// attached files carry a previous incarnation's history.
+    /// fresh, or recovered from the persisted trace when it carries a
+    /// previous incarnation's history.
     ///
     /// # Errors
     ///
-    /// [`NodeError::Io`] on bind/socket failures, [`NodeError::Store`] /
-    /// [`NodeError::Proto`] on journal problems, and
-    /// [`NodeError::TraceDiverged`] when the disk journal is not a prefix
-    /// of the trace-replayed journal.
+    /// [`NodeError::BadArg`] for a journal without a trace (checked before
+    /// anything is opened), [`NodeError::Io`] on bind/socket failures,
+    /// [`NodeError::Store`] / [`NodeError::Proto`] on journal or trace
+    /// problems, and [`NodeError::TraceDiverged`] when the disk journal is
+    /// not a prefix of the trace-replayed journal.
     pub fn start(
         listen: &str,
         config: CoordinatorNodeConfig,
         persist: NodePersistence,
     ) -> Result<Self, NodeError> {
+        if persist.journal.is_some() && persist.trace.is_none() {
+            // The journal file is a view of the trace; alone it is not a log.
+            return Err(NodeError::BadArg {
+                message: "--journal needs --trace: the trace is the write-ahead log".to_string(),
+            });
+        }
         let listener = FrameListener::bind(listen).map_err(io_err("bind"))?;
         if let Some(path) = &persist.port_file {
             write_atomic(path, &format!("{}\n", listener.local_addr()))?;
         }
-        let store = persist.journal.as_deref().map(DiskJournal::open);
-        let store = store.transpose()?;
         let sink = persist.trace.as_deref().map(TraceSink::open_resume);
-        Self::boot(listener, config, store, sink.transpose()?)
+        let sink = sink.transpose()?;
+        let store = persist.journal.as_deref().map(DiskJournal::open_view);
+        Self::boot(listener, config, store.transpose()?, sink)
     }
 
     /// The bound listening address.
@@ -318,10 +334,11 @@ impl CoordinatorNode {
 
 impl<L: Listener, G: Log> CoordinatorNode<L, G> {
     /// The start path of every incarnation on either backend, given the
-    /// opened journal store and trace sink with what survived in them:
-    /// fresh when both are empty, otherwise recovered — replay the
-    /// persisted trace, verify the journal is a prefix of the replayed
-    /// one, record the recovery.
+    /// opened trace sink and journal store with what survived in them:
+    /// replay the persisted trace, verify the journal file is a prefix of
+    /// the replayed journal, then open fresh (empty trace) or record the
+    /// recovery. The commit that ends it syncs the trace and re-appends
+    /// whatever suffix the journal file lost.
     pub(crate) fn boot(
         listener: L,
         config: CoordinatorNodeConfig,
@@ -340,6 +357,7 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
             trace: Vec::new(),
             sink,
             store,
+            synced_journal: 0,
             surfaced: Vec::new(),
             tick: 0,
             cycles: 0,
@@ -347,37 +365,29 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
             shutdown: false,
         };
 
-        if !prefix_events.is_empty() {
-            // Restart with a trace: rebuild the previous incarnations'
-            // exact decision state by replaying our own recorded history,
-            // then recover from what the disk journal actually retained.
-            for event in &prefix_events {
-                let _ = node.core.apply(event);
-            }
-            node.trace = prefix_events;
-            let replayed = node.core.coordinator().journal().bytes();
-            if disk_prefix.len() > replayed.len()
-                || replayed[..disk_prefix.len()] != disk_prefix[..]
-            {
-                return Err(NodeError::TraceDiverged {
-                    journal_len: disk_prefix.len(),
-                    replayed_len: replayed.len(),
-                });
-            }
+        // Rebuild the previous incarnations' exact decision state by
+        // replaying our own recorded history.
+        for event in &prefix_events {
+            let _ = node.core.apply(event);
+        }
+        node.trace = prefix_events;
+        let replayed = node.core.coordinator().journal().bytes();
+        if !replayed.starts_with(&disk_prefix) {
+            return Err(NodeError::TraceDiverged {
+                journal_len: disk_prefix.len(),
+                replayed_len: replayed.len(),
+            });
+        }
+        if node.trace.is_empty() {
+            node.step(TraceEvent::Open)?.outcome?;
+        } else {
             node.tick = last_tick(&node.trace) + node.config.restart_lag.max(1);
             let event = TraceEvent::Recover {
                 tick: node.tick,
-                journal_len: disk_prefix.len() as u64,
+                journal_len: replayed.len() as u64,
             };
             let effects = node.step(event)?.outcome?;
             node.dispatch(effects);
-        } else if !disk_prefix.is_empty() {
-            // Journal without a trace: recover directly from disk.
-            node.tick = node.config.restart_lag.max(1);
-            let effects = node.core.recover_from(&disk_prefix, node.tick)?;
-            node.dispatch(effects);
-        } else {
-            node.step(TraceEvent::Open)?.outcome?;
         }
         node.commit()?;
         Ok(node)
@@ -603,19 +613,20 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
         Ok(applied)
     }
 
-    /// The turn's group commit: makes everything it journaled durable (trace
-    /// first, then journal — the write-ahead ordering both recovery paths
-    /// rely on), one sync per file however many events there were, and only
-    /// then sends what it decided.
+    /// The turn's group commit: when the turn grew the journal, one trace
+    /// sync makes every event it recorded durable, and the journal file's
+    /// new suffix is appended after it (unsynced: `boot` re-derives what a
+    /// crash loses); only then does what it decided leave the node.
     fn commit(&mut self) -> Result<(), NodeError> {
-        if let Some(store) = self.store.as_mut() {
-            let bytes = self.core.coordinator().journal().bytes();
-            if bytes.len() > store.synced_len() {
-                if let Some(sink) = self.sink.as_mut() {
-                    sink.sync()?;
-                }
-                store.sync_to(bytes)?;
+        let journal = self.core.coordinator().journal().bytes();
+        if journal.len() > self.synced_journal {
+            if let Some(sink) = self.sink.as_mut() {
+                sink.sync()?;
             }
+            self.synced_journal = journal.len();
+        }
+        if let Some(store) = self.store.as_mut() {
+            store.append_to(journal)?;
         }
         for (to, bytes) in std::mem::take(&mut self.outbox) {
             self.deliver(to, bytes);

@@ -122,16 +122,6 @@ impl RoundMachine {
         })
     }
 
-    /// The policy this round runs under.
-    pub fn policy(&self) -> &RoundPolicy {
-        &self.policy
-    }
-
-    /// The round in progress.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// How many devices the driver should select from a fleet of `n`.
     pub fn selection_width(&self, n: usize) -> usize {
         self.policy.selection_width(n)
@@ -164,11 +154,6 @@ impl RoundMachine {
         }
         self.arrivals.push((report.arrival_s, device));
         DeviceFate::Arrived
-    }
-
-    /// Number of in-time arrivals so far.
-    pub fn arrived(&self) -> usize {
-        self.arrivals.len()
     }
 
     /// Closes the round: the first `K` arrivals win, ties broken by device

@@ -251,6 +251,7 @@ mod tests {
         ParticipantNodeConfig,
     };
     use crate::participant::ParticipantConfig;
+    use crate::record::scan;
     use crate::store::DiskJournal;
     use crate::trace::{TraceEvent, TraceSink};
 
@@ -287,6 +288,12 @@ mod tests {
         pub(crate) fn fail_at(&self, op: u64) {
             self.0.borrow_mut().fail_at = Some(op);
         }
+
+        /// Zeroes the file's first `len` bytes, as a power loss can leave
+        /// an extent that was never synced.
+        pub(crate) fn zero_head(&self, len: usize) {
+            self.0.borrow_mut().bytes[..len].fill(0);
+        }
     }
 
     type SimCoordinator = CoordinatorNode<SimNet, SimFile>;
@@ -297,6 +304,8 @@ mod tests {
         net: SimNet,
         journal: SimFile,
         trace: SimFile,
+        /// Whether the node writes the journal file (it always has a trace).
+        store: bool,
         config: CoordinatorNodeConfig,
     }
 
@@ -316,16 +325,18 @@ mod tests {
                 net: SimNet::default(),
                 journal: SimFile::default(),
                 trace: SimFile::default(),
+                store: true,
                 config,
             }
         }
 
         /// The node's start path over this rig's files.
         fn boot(&self) -> Result<SimCoordinator, NodeError> {
-            let store = DiskJournal::over(self.journal.clone())?;
-            let sink = TraceSink::over(self.trace.clone())?;
-            let listener = self.net.listen();
-            CoordinatorNode::boot(listener, self.config.clone(), Some(store), Some(sink))
+            let store = self
+                .store
+                .then(|| DiskJournal::over(self.journal.clone(), true));
+            let (store, sink) = (store.transpose()?, TraceSink::over(self.trace.clone())?);
+            CoordinatorNode::boot(self.net.listen(), self.config.clone(), store, Some(sink))
         }
 
         fn participant(&self, client: u64) -> ParticipantNode<SimNet> {
@@ -415,22 +426,35 @@ mod tests {
         }) || matches!(frame, ControlFrame::ResumeAck { .. })
     }
 
+    /// The journal records the durable trace replays to: what a crash
+    /// right now would recover.
+    fn durable_records(rig: &Rig) -> Vec<JournalRecord> {
+        let (events, torn) = scan(&rig.trace.durable(), TraceEvent::decode).expect("own trace");
+        assert_eq!(torn, 0, "a sync lands on an event boundary");
+        let audit = replay_trace(&rig.config.coordinator, &rig.config.global, &events);
+        let journal = RoundJournal::from_bytes(audit.journal);
+        journal.replay().expect("own journal").records
+    }
+
     /// Runs a two-device, three-round campaign over `rig` until it
     /// completes or the disk fails, asserting the write-ahead order on
-    /// every frame that leaves the coordinator. Returns the typed error, if
-    /// one surfaced.
+    /// every frame that leaves the coordinator, and that it took one trace
+    /// sync per turn that grew the journal and no journal sync. Returns
+    /// the typed error, if one surfaced.
     fn campaign(rig: &Rig) -> Option<NodeError> {
+        let syncs = (rig.journal.syncs(), rig.trace.syncs());
         let mut coordinator = match rig.boot() {
             Ok(node) => node,
             Err(e) => return Some(e),
         };
+        // Opening or recovering journals an epoch: the boot's one sync.
+        let mut growing_turns = 1;
+        let journal_len = |node: &SimCoordinator| node.core().coordinator().journal().len();
         let (mut a, mut b) = (rig.participant(1), rig.participant(2));
         for _ in 0..400 {
+            let before = journal_len(&coordinator);
             let (surfaced, left) = rig.tick(&mut coordinator, &mut [&mut a, &mut b]);
-            let durable = RoundJournal::from_bytes(rig.journal.durable())
-                .replay()
-                .expect("own journal")
-                .records;
+            let durable = durable_records(rig);
             for frame in &left {
                 assert!(
                     justified(frame, &durable),
@@ -439,10 +463,14 @@ mod tests {
             }
             match surfaced {
                 Err(e) => return Some(e),
-                Ok(_) if coordinator.done() => break,
-                Ok(_) => {}
+                Ok(_) => growing_turns += u64::from(journal_len(&coordinator) > before),
+            }
+            if coordinator.done() {
+                break;
             }
         }
+        assert_eq!(rig.journal.syncs(), syncs.0, "the journal file never syncs");
+        assert_eq!(rig.trace.syncs(), syncs.1 + growing_turns);
         let report = match coordinator.finish() {
             Ok(report) => report,
             Err(e) => return Some(e),
@@ -450,17 +478,19 @@ mod tests {
         assert_eq!(report.audit.round_log.len(), 3, "campaign must finish");
         let replayed = replay_trace(&rig.config.coordinator, &rig.config.global, &report.trace);
         assert_eq!(replayed, report.audit);
-        assert_eq!(rig.journal.bytes(), report.audit.journal);
+        let journal_file = rig.store.then_some(report.audit.journal);
+        assert_eq!(rig.journal.bytes(), journal_file.unwrap_or_default());
         None
     }
 
     #[test]
     fn a_failing_disk_is_a_typed_error_and_never_outruns_the_journal() {
-        // How many disk operations a fault-free campaign makes.
+        // How many disk operations a fault-free campaign makes: one journal
+        // append per turn that grew the journal, and the close's sync.
         let clean = Rig::new(2, 3);
         assert!(campaign(&clean).is_none());
         let (journal_ops, trace_ops) = (clean.journal.ops(), clean.trace.ops());
-        assert!(journal_ops > 10 && trace_ops > journal_ops);
+        assert!(journal_ops > 4 && trace_ops > journal_ops);
 
         // Fail each of them in turn, on either file.
         for (on_journal, ops) in [(true, journal_ops), (false, trace_ops)] {
@@ -484,6 +514,30 @@ mod tests {
     }
 
     #[test]
+    fn a_journal_file_damaged_before_its_tail_is_rebuilt_from_the_trace() {
+        // The journal file is never synced, so a crash can leave more than
+        // a torn tail in it: here its head is zeroed. The trace still holds
+        // every decision, so the restart empties the file and writes the
+        // replayed journal back whole; the campaign then finishes with the
+        // file equal to the journal (`campaign`'s last check).
+        let rig = Rig::new(2, 3);
+        let mut coordinator = rig.boot().expect("boot");
+        let (mut a, mut b) = (rig.participant(1), rig.participant(2));
+        for _ in 0..8 {
+            rig.tick(&mut coordinator, &mut [&mut a, &mut b])
+                .0
+                .expect("fault-free disk");
+        }
+        drop(coordinator);
+        rig.net.hang_up();
+        rig.trace.crash(0);
+        rig.journal.zero_head(16);
+        let damaged = scan(&rig.journal.bytes(), JournalRecord::decode);
+        assert!(damaged.is_err(), "damaged, not torn: {damaged:?}");
+        assert!(campaign(&rig).is_none());
+    }
+
+    #[test]
     fn aborts_are_journaled_before_they_are_announced() {
         // A campaign whose only device goes silent mid-round ends in a
         // quorum miss; the abort broadcast obeys the same write-ahead rule.
@@ -498,10 +552,7 @@ mod tests {
                 &mut []
             };
             let (surfaced, left) = rig.tick(&mut coordinator, fleet);
-            let durable = RoundJournal::from_bytes(rig.journal.durable())
-                .replay()
-                .expect("own journal")
-                .records;
+            let durable = durable_records(&rig);
             assert!(left.iter().all(|frame| justified(frame, &durable)));
             aborted |= surfaced.expect("fault-free").iter().any(|e| {
                 matches!(
@@ -516,17 +567,22 @@ mod tests {
         assert!(aborted);
     }
 
-    /// The journal records a crash right now would keep.
-    fn durable_records(rig: &Rig) -> Vec<JournalRecord> {
-        let journal = RoundJournal::from_bytes(rig.journal.durable());
-        journal.replay().expect("own journal").records
+    #[test]
+    fn a_trace_only_coordinator_syncs_before_it_acts() {
+        // No journal file: the trace alone carries the write-ahead rule, and
+        // every frame still waits for its transition to be durable in it.
+        assert!(campaign(&Rig {
+            store: false,
+            ..Rig::new(2, 3)
+        })
+        .is_none());
     }
 
     #[test]
     fn a_cycle_commits_once_however_many_events_it_journals() {
         // Three joins land in one cycle: three journaled transitions (and the
-        // round they make possible), one sync per file, and every ack leaves
-        // only after it.
+        // round they make possible), one trace sync and no journal sync, and
+        // every ack leaves only after it.
         let rig = Rig::new(3, 1);
         let mut coordinator = rig.boot().expect("boot");
         let (mut a, mut b, mut c) = (rig.participant(1), rig.participant(2), rig.participant(3));
@@ -539,7 +595,7 @@ mod tests {
         surfaced.expect("fault-free disk");
         let durable = durable_records(&rig);
         assert!(durable.len() >= before.2 + 3, "{durable:?}");
-        assert_eq!(rig.journal.syncs(), before.0 + 1);
+        assert_eq!(rig.journal.syncs(), before.0);
         assert_eq!(rig.trace.syncs(), before.1 + 1);
         let acks = left
             .iter()

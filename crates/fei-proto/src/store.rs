@@ -1,10 +1,13 @@
-//! Disk-backed round-journal store with fsync discipline.
+//! Disk-backed round-journal store.
 //!
 //! [`crate::journal::RoundJournal`] is an in-memory byte log; this module
-//! pins it to disk so a coordinator *process* can die and a successor can
-//! run [`crate::Coordinator::recover`] on what actually reached stable
-//! storage. The contract mirrors the write-ahead rule of DESIGN.md §13 at
-//! the OS level:
+//! writes it to a file. The coordinator node keeps that file as a *view*
+//! of its trace, the log it actually recovers from ([`crate::node`]): it
+//! appends with [`DiskJournal::append_to`] after each trace sync and never
+//! syncs, and a restart re-derives whatever a crash cut or scrambled (a
+//! file damaged before its tail is emptied and rewritten whole). Used as a
+//! log of its own, the store keeps the write-ahead rule of DESIGN.md §13
+//! at the OS level:
 //!
 //! * **Append + fsync before effects.** [`DiskJournal::sync_to`] appends
 //!   the journal's new suffix and calls `fdatasync` before the caller is
@@ -42,22 +45,23 @@ pub enum StoreError {
         /// The OS error text.
         message: String,
     },
-    /// The journal is (or appears) owned by another writer: the lock file
-    /// exists. Covers both a concurrent double-open and the stale lock of
-    /// a killed process; only a supervisor that has observed the writer's
-    /// death should [`DiskJournal::break_lock`].
+    /// The log is (or appears) owned by another writer. For a journal the
+    /// lock file exists — a concurrent double-open or the stale lock of a
+    /// killed process; only a supervisor that has observed the writer's
+    /// death should [`DiskJournal::break_lock`]. For a trace another open
+    /// file holds its OS lock, which dies with the process that held it.
     Locked {
-        /// The lock file path.
+        /// The journal's lock file, or the locked trace file.
         path: PathBuf,
     },
     /// Acknowledged journal bytes no longer parse: the log device broke
     /// its promise (or the file was overwritten). Recovery must not guess.
     Corrupt(ProtoError),
     /// The caller's in-memory journal is not an extension of what this
-    /// store already synced — the two histories diverged.
+    /// store already wrote — the two histories diverged.
     Diverged {
-        /// Bytes durably synced by this store.
-        synced: usize,
+        /// Bytes this store holds.
+        written: usize,
         /// Length of the journal the caller offered.
         offered: usize,
     },
@@ -68,12 +72,12 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io { op, message } => write!(f, "journal store {op} failed: {message}"),
             StoreError::Locked { path } => {
-                write!(f, "journal locked by {}", path.display())
+                write!(f, "held by another writer: {}", path.display())
             }
             StoreError::Corrupt(e) => write!(f, "journal corrupt on disk: {e}"),
-            StoreError::Diverged { synced, offered } => write!(
+            StoreError::Diverged { written, offered } => write!(
                 f,
-                "journal diverged: store synced {synced} bytes, caller offered {offered}"
+                "journal diverged: store holds {written} bytes, caller offered {offered}"
             ),
         }
     }
@@ -105,7 +109,7 @@ pub struct DiskJournal<G: Log = File> {
     /// The writer lock held (`None` over a simulated file, and once
     /// [`DiskJournal::close`] has released it).
     lock_path: Option<PathBuf>,
-    synced: usize,
+    written: usize,
 }
 
 impl DiskJournal {
@@ -124,6 +128,22 @@ impl DiskJournal {
     /// [`StoreError::Corrupt`] when acknowledged bytes before the tail no
     /// longer parse; [`StoreError::Io`] on OS failures.
     pub fn open(path: &Path) -> Result<(Self, Vec<u8>), StoreError> {
+        Self::locked(path, false)
+    }
+
+    /// [`DiskJournal::open`] for the node's journal file, a `view` of its
+    /// trace ([`DiskJournal::over`]): damage before the tail empties the
+    /// file instead of failing.
+    ///
+    /// # Errors
+    ///
+    /// As [`DiskJournal::open`], except [`StoreError::Corrupt`].
+    pub(crate) fn open_view(path: &Path) -> Result<(Self, Vec<u8>), StoreError> {
+        Self::locked(path, true)
+    }
+
+    /// Takes the writer lock on `path`, then opens the file under it.
+    fn locked(path: &Path, view: bool) -> Result<(Self, Vec<u8>), StoreError> {
         let lock_path = lock_path_for(path);
         // O_EXCL creation is the lock: exactly one winner per lock file.
         match OpenOptions::new()
@@ -140,7 +160,8 @@ impl DiskJournal {
             }
             Err(e) => return Err(io_err("lock")(e)),
         }
-        let opened = open_file(path).map_err(io_err("open")).and_then(Self::over);
+        let opened = open_file(path).map_err(io_err("open"));
+        let opened = opened.and_then(|file| Self::over(file, view));
         if opened.is_err() {
             // Don't leave a lock behind for a store that never existed.
             let _ = std::fs::remove_file(&lock_path);
@@ -171,52 +192,63 @@ impl DiskJournal {
 
 impl<G: Log> DiskJournal<G> {
     /// A store over an already-open log, without a lock: scans it to find
-    /// the valid prefix — mid-log damage is fatal, a torn tail is the
-    /// expected signature of a crash mid-append and is cut.
-    pub(crate) fn over(mut log: G) -> Result<(Self, Vec<u8>), StoreError> {
-        let (prefix, _) = open_log(&mut log, JournalRecord::decode)
-            .map_err(io_err("read"))?
-            .map_err(StoreError::Corrupt)?;
+    /// the valid prefix — a torn tail is the expected signature of a crash
+    /// mid-append and is cut. Mid-log damage is fatal, unless the file is a
+    /// `view` of a log it is rebuilt from: nothing in it was synced, so a
+    /// crash can leave any bytes behind, and it is cut to empty for the
+    /// caller to append its journal again whole.
+    pub(crate) fn over(mut log: G, view: bool) -> Result<(Self, Vec<u8>), StoreError> {
+        let prefix = match open_log(&mut log, JournalRecord::decode).map_err(io_err("read"))? {
+            Ok((prefix, _)) => prefix,
+            Err(_) if view => {
+                log.truncate(0).map_err(io_err("truncate"))?;
+                Vec::new()
+            }
+            Err(e) => return Err(StoreError::Corrupt(e)),
+        };
         let store = Self {
             log,
             lock_path: None,
-            synced: prefix.len(),
+            written: prefix.len(),
         };
         Ok((store, prefix))
     }
 
-    /// Bytes durably on disk.
-    pub fn synced_len(&self) -> usize {
-        self.synced
-    }
-
-    /// Makes `journal_bytes` durable: appends the suffix beyond what is
-    /// already synced and `fdatasync`s before returning. The caller must
-    /// not act on a journaled transition (send frames, commit models)
-    /// until this returns — that ordering *is* the write-ahead guarantee.
-    ///
-    /// Returns the number of bytes appended (zero when nothing new).
+    /// Appends the suffix of `journal_bytes` beyond what is already
+    /// written, unsynced (the node's trace is what makes it durable), and
+    /// returns its length.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Diverged`] when `journal_bytes` is shorter than the
-    /// synced prefix (the caller's journal is not an extension of this
-    /// store's history); [`StoreError::Io`] on OS failures.
-    pub fn sync_to(&mut self, journal_bytes: &[u8]) -> Result<usize, StoreError> {
-        if journal_bytes.len() < self.synced {
-            return Err(StoreError::Diverged {
-                synced: self.synced,
-                offered: journal_bytes.len(),
-            });
+    /// [`StoreError::Diverged`] when `journal_bytes` does not extend what
+    /// is written; [`StoreError::Io`] on OS failures.
+    pub fn append_to(&mut self, journal_bytes: &[u8]) -> Result<usize, StoreError> {
+        let Some(suffix) = journal_bytes.get(self.written..) else {
+            let (written, offered) = (self.written, journal_bytes.len());
+            return Err(StoreError::Diverged { written, offered });
+        };
+        if !suffix.is_empty() {
+            self.log.append(suffix).map_err(io_err("append"))?;
+            self.written += suffix.len();
         }
-        let suffix = &journal_bytes[self.synced..];
-        if suffix.is_empty() {
-            return Ok(0);
-        }
-        self.log.append(suffix).map_err(io_err("append"))?;
-        self.log.sync().map_err(io_err("fsync"))?;
-        self.synced += suffix.len();
         Ok(suffix.len())
+    }
+
+    /// [`DiskJournal::append_to`], then `fdatasync` when it appended: for a
+    /// journal that is its own log, whose caller must not act on a
+    /// transition (send frames, commit models) until this returns — the
+    /// write-ahead guarantee.
+    ///
+    /// # Errors
+    ///
+    /// As [`DiskJournal::append_to`], and [`StoreError::Io`] when the sync
+    /// fails.
+    pub fn sync_to(&mut self, journal_bytes: &[u8]) -> Result<usize, StoreError> {
+        let appended = self.append_to(journal_bytes)?;
+        if appended > 0 {
+            self.log.sync().map_err(io_err("fsync"))?;
+        }
+        Ok(appended)
     }
 
     /// Syncs outstanding data and releases the writer lock.
@@ -292,9 +324,33 @@ mod tests {
             assert_eq!(store.sync_to(&bytes).expect("sync again"), 0);
             store.close().expect("close");
         }
-        let (store, prefix) = DiskJournal::open(&path).expect("reopen");
+        let (mut store, prefix) = DiskJournal::open(&path).expect("reopen");
         assert_eq!(prefix, bytes);
-        assert_eq!(store.synced_len(), bytes.len());
+        // The reopened store resumes at the end of what survived.
+        assert_eq!(store.append_to(&bytes).expect("append nothing"), 0);
+        drop(store);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn mid_log_corruption_is_fatal_and_releases_the_lock() {
+        let path = temp_journal_path("corrupt");
+        let mut bytes = sample_bytes();
+        bytes[2] ^= 0xFF; // damage the first record, keep the length intact
+        std::fs::write(&path, &bytes).expect("seed corrupt file");
+        assert!(matches!(
+            DiskJournal::open(&path),
+            Err(StoreError::Corrupt(_))
+        ));
+        // The failed open must not leave a lock that blocks inspection.
+        assert!(!std::fs::exists(lock_path_for(&path)).expect("probe lock"));
+        // Opened as a view of a trace, the same file is emptied instead,
+        // for its writer to fill again whole.
+        let (mut store, prefix) = DiskJournal::open_view(&path).expect("a view opens");
+        assert!(prefix.is_empty());
+        assert!(std::fs::read(&path).expect("read back").is_empty());
+        let whole = sample_bytes();
+        assert_eq!(store.append_to(&whole).expect("refill"), whole.len());
         drop(store);
         cleanup(&path);
     }
@@ -307,9 +363,12 @@ mod tests {
         let record_starts = record_boundaries(&bytes);
         let last_start = record_starts[record_starts.len() - 1];
         std::fs::write(&path, &bytes[..last_start + 3]).expect("seed torn file");
-        let (store, prefix) = DiskJournal::open(&path).expect("open survives torn tail");
+        let (mut store, prefix) = DiskJournal::open(&path).expect("open survives torn tail");
         assert_eq!(prefix, &bytes[..last_start]);
-        assert_eq!(store.synced_len(), last_start);
+        assert_eq!(
+            store.append_to(&bytes[..last_start]).expect("at the cut"),
+            0
+        );
         drop(store);
         // The truncation is durable: the file itself shrank.
         assert_eq!(
@@ -347,21 +406,6 @@ mod tests {
         assert!(!DiskJournal::break_lock(&path).expect("break again"));
         let (_store, prefix) = DiskJournal::open(&path).expect("open after break");
         assert!(prefix.is_empty());
-        cleanup(&path);
-    }
-
-    #[test]
-    fn mid_log_corruption_is_fatal_and_releases_the_lock() {
-        let path = temp_journal_path("corrupt");
-        let mut bytes = sample_bytes();
-        bytes[2] ^= 0xFF; // damage the first record, keep the length intact
-        std::fs::write(&path, &bytes).expect("seed corrupt file");
-        assert!(matches!(
-            DiskJournal::open(&path),
-            Err(StoreError::Corrupt(_))
-        ));
-        // The failed open must not leave a lock that blocks inspection.
-        assert!(!std::fs::exists(lock_path_for(&path)).expect("probe lock"));
         cleanup(&path);
     }
 

@@ -3,10 +3,11 @@
 //! The [`Supervisor`] owns the coordinator's lifecycle as a *real OS
 //! process*: it spawns the daemon through a [`ProcessFactory`], detects
 //! death ([`ProcessHandle::is_alive`] via non-blocking reaping), kills it
-//! on demand (SIGKILL semantics — no cleanup runs, the journal's fsync
+//! on demand (SIGKILL semantics — no cleanup runs, the trace's fsync
 //! discipline is what keeps state safe), and respawns it against the same
-//! journal path after breaking the stale lock the dead incarnation left
-//! behind. [`Supervisor::shutdown`] is the graceful path: it dials the
+//! journal path after breaking the stale lock file the dead incarnation
+//! left behind (the trace's OS lock died with it). [`Supervisor::shutdown`]
+//! is the graceful path: it dials the
 //! coordinator and sends a [`ControlFrame::Shutdown`] frame, which
 //! cancels any open round ([`crate::AbortReason::Cancelled`]) before the
 //! process exits on its own.

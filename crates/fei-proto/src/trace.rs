@@ -1,5 +1,5 @@
 //! The coordinator's frame trace: the recorded inputs that make a socket
-//! run replayable.
+//! run replayable, and the coordinator's one write-ahead log.
 //!
 //! Every input the coordinator's decision core consumes (delivered frames,
 //! round-open attempts, tick advances, recoveries) is recorded as a
@@ -9,12 +9,13 @@
 //! them back for [`crate::core::replay_trace`], the oracle that re-drives
 //! a fresh decision core from the events alone.
 
-use std::fs::File;
+use std::fs::{File, TryLockError};
 use std::path::Path;
 
 use crate::backend::{open_file, open_log, Log};
 use crate::node::{io_err, NodeError};
 use crate::record::{record_table, scan};
+use crate::store::StoreError;
 
 record_table! {
     /// One recorded input to the coordinator's decision core. The trace of
@@ -52,16 +53,16 @@ record_table! {
         /// The new tick.
         tick: u64,
     },
-    /// Trace record: a restarted node recovered from the disk journal.
+    /// Trace record: a restarted node recovered from its replayed trace.
     0x34 TAG_TRACE_RECOVER =>
     /// A restarted node ran [`crate::Coordinator::recover`] against the
-    /// disk journal. `journal_len` is the length of the valid journal
-    /// prefix that survived on disk — replay truncates its own journal to
-    /// this length to reproduce the exact recovery input.
+    /// journal its surviving trace replays to. Replay truncates its own
+    /// journal to `journal_len` to reproduce the exact recovery input.
     Recover {
         /// The restarted node's starting tick.
         tick: u64,
-        /// Bytes of journal that survived on disk (post torn-tail cut).
+        /// Bytes of the replayed journal recovery started from (the node
+        /// records all of it).
         journal_len: u64,
     },
 }
@@ -97,16 +98,29 @@ impl TraceSink {
         Ok(Self { log })
     }
 
-    /// Opens a trace for appending, creating it when absent: reads the
-    /// surviving events, cuts a torn trailing record (truncating the file
-    /// to the valid prefix), and returns the sink plus the prefix events.
+    /// Opens a trace for appending, creating it when absent: takes its
+    /// single-writer lock, reads the surviving events, cuts a torn trailing
+    /// record (truncating the file to the valid prefix), and returns the
+    /// sink plus the prefix events.
+    ///
+    /// The lock is the OS's, on the open file: a second open is refused
+    /// while the sink lives, and a killed writer's lock dies with its
+    /// process, so there is nothing stale for a supervisor to break.
     ///
     /// # Errors
     ///
-    /// [`NodeError::Proto`] on mid-file corruption, [`NodeError::Io`] on
-    /// OS failures.
+    /// [`StoreError::Locked`] (as [`NodeError::Store`]) when another open
+    /// holds the trace, [`NodeError::Proto`] on mid-file corruption,
+    /// [`NodeError::Io`] on OS failures.
     pub fn open_resume(path: &Path) -> Result<(Self, Vec<TraceEvent>), NodeError> {
-        Self::over(open_file(path).map_err(io_err("trace open"))?)
+        let file = open_file(path).map_err(io_err("trace open"))?;
+        match file.try_lock() {
+            Ok(()) => Self::over(file),
+            Err(TryLockError::WouldBlock) => Err(NodeError::Store(StoreError::Locked {
+                path: path.to_path_buf(),
+            })),
+            Err(TryLockError::Error(e)) => Err(io_err("trace lock")(e)),
+        }
     }
 }
 
@@ -120,7 +134,8 @@ impl<G: Log> TraceSink<G> {
     }
 
     /// Appends one event (buffered; call [`TraceSink::sync`] to make it
-    /// durable — the node does so before every journal fsync).
+    /// durable — the node does so before a turn that grew the journal
+    /// sends anything).
     ///
     /// # Errors
     ///

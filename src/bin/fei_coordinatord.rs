@@ -1,12 +1,14 @@
 //! `fei_coordinatord` — the FL coordinator as a real OS process.
 //!
 //! Binds a localhost TCP listener, serves the fei-proto coordinator state
-//! machine over the CRC32 frame codec, and persists both the disk journal
-//! (append+fsync before any phase-transition effect leaves the process)
-//! and the frame trace that makes the run replayable. On restart against
-//! the same `--journal`/`--trace` paths it recovers: trace-prefix replay
-//! rebuilds the decision core, `Coordinator::recover` folds the journal's
-//! surviving prefix, and every participant is told the new epoch.
+//! machine over the CRC32 frame codec, and persists the frame trace that
+//! makes the run replayable — its one write-ahead log, fsync'd before any
+//! phase-transition effect leaves the process. `--journal` (which needs
+//! `--trace`) also writes the round journal to a file, unsynced: a view of
+//! the trace. On restart against the same paths it recovers: trace-prefix
+//! replay rebuilds the decision core, `Coordinator::recover` folds the
+//! replayed journal, the journal file gets back any suffix it lost, and
+//! every participant is told the new epoch.
 //!
 //! ```text
 //! fei_coordinatord --listen 127.0.0.1:0 --port-file /tmp/fei.port \

@@ -4,7 +4,7 @@
 //! the in-process harnesses verify:
 //!
 //! 1. **Oracle replay** — a coordinator + 3 participants complete 5 FL
-//!    rounds over real localhost TCP with the disk-backed fsync'd journal,
+//!    rounds over real localhost TCP with the trace and journal on disk,
 //!    and replaying the captured frame trace through the shared decision
 //!    core reproduces the live run bit for bit: journal bytes, committed
 //!    model payloads, round verdicts, `ControlStats`.
@@ -150,7 +150,7 @@ fn socket_run_matches_oracle_replay_bit_for_bit() {
     }
 
     // The persisted artifacts agree with the in-memory ones: the disk
-    // journal is the fsync'd image of the decision journal, and the disk
+    // journal is the image of the decision journal, and the disk
     // trace replays to the same audit.
     let disk_journal = std::fs::read(dir.join("coordinator.journal")).expect("journal file");
     assert_eq!(disk_journal, report.audit.journal, "disk journal diverged");
@@ -210,7 +210,7 @@ fn socket_run_agrees_with_the_cluster_oracle() {
 }
 
 /// Journal snapshot helpers for the supervision test: the test process
-/// observes the daemon's progress by reading its fsync'd journal.
+/// observes the daemon's progress by reading its journal file.
 fn journal_records(path: &Path) -> Vec<JournalRecord> {
     let Ok(bytes) = std::fs::read(path) else {
         return Vec::new();
