@@ -42,46 +42,6 @@ impl ConvergenceBound {
         Ok(Self { a0, a1, a2 })
     }
 
-    /// Builds the constants from the quantities of Proposition 1 (Khaled et
-    /// al., Theorem 4): learning rate `γ`, smoothness `L`, gradient variance
-    /// at the optimum `σ²`, squared initial distance `‖ω₀ − ω*‖²`, and the
-    /// theorem's three absolute constants `(α₀, α₁, α₂)`:
-    ///
-    /// ```text
-    /// A0 = α0·‖ω0 − ω*‖²/γ,   A1 = α1·γ·σ²,   A2 = α2·γ²·L·σ²
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] when the resulting constants
-    /// are out of domain (e.g. non-positive `γ` or distance).
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "one argument per constant of the paper's convergence bound"
-    )]
-    pub fn from_theory(
-        gamma: f64,
-        smoothness: f64,
-        sigma_sq: f64,
-        initial_distance_sq: f64,
-        alpha0: f64,
-        alpha1: f64,
-        alpha2: f64,
-    ) -> Result<Self, CoreError> {
-        require_positive("gamma", gamma)?;
-        require_non_negative("smoothness", smoothness)?;
-        require_non_negative("sigma_sq", sigma_sq)?;
-        require_positive("initial_distance_sq", initial_distance_sq)?;
-        require_positive("alpha0", alpha0)?;
-        require_non_negative("alpha1", alpha1)?;
-        require_non_negative("alpha2", alpha2)?;
-        Self::new(
-            alpha0 * initial_distance_sq / gamma,
-            alpha1 * gamma * sigma_sq,
-            alpha2 * gamma * gamma * smoothness * sigma_sq,
-        )
-    }
-
     /// `A₀` — the optimization (initial-distance) term coefficient.
     pub fn a0(&self) -> f64 {
         self.a0
@@ -110,19 +70,19 @@ impl ConvergenceBound {
 
     /// The irreducible gap `A1/K + A2·(E−1)` as `T → ∞`. A target `ε` below
     /// this floor is unreachable at `(K, E)`.
-    pub fn asymptotic_gap(&self, e: f64, k: f64) -> f64 {
+    pub(crate) fn asymptotic_gap(&self, e: f64, k: f64) -> f64 {
         self.a1 / k + self.a2 * (e - 1.0)
     }
 
     /// Whether the constraint (13c) `ε·K − A1 − A2·K·(E−1) > 0` holds, i.e.
     /// the target is reachable at `(K, E)` with finitely many rounds.
-    pub fn is_feasible(&self, epsilon: f64, k: f64, e: f64) -> bool {
+    pub(crate) fn is_feasible(&self, epsilon: f64, k: f64, e: f64) -> bool {
         k > 0.0 && e >= 1.0 && epsilon * k - self.a1 - self.a2 * k * (e - 1.0) > 0.0
     }
 
     /// `T*(K, E)` (Eq. 11): the continuous minimum number of global rounds to
     /// reach gap `ε`, or `None` when (13c) fails.
-    pub fn t_star(&self, epsilon: f64, k: f64, e: f64) -> Option<f64> {
+    pub(crate) fn t_star(&self, epsilon: f64, k: f64, e: f64) -> Option<f64> {
         if !self.is_feasible(epsilon, k, e) {
             return None;
         }
@@ -131,7 +91,7 @@ impl ConvergenceBound {
     }
 
     /// Integer round budget: `⌈T*⌉`, at least 1.
-    pub fn t_star_rounds(&self, epsilon: f64, k: usize, e: usize) -> Option<usize> {
+    pub(crate) fn t_star_rounds(&self, epsilon: f64, k: usize, e: usize) -> Option<usize> {
         self.t_star(epsilon, k as f64, e as f64)
             .map(|t| (t.ceil() as usize).max(1))
     }
@@ -139,20 +99,12 @@ impl ConvergenceBound {
     /// Largest feasible `E` at a given `K` (exclusive upper limit of the
     /// search domain `𝒵_E`): `E < (εK − A1 + A2K)/(A2K)`. Returns
     /// `f64::INFINITY` when `A₂ = 0`.
-    pub fn max_e(&self, epsilon: f64, k: f64) -> f64 {
+    pub(crate) fn max_e(&self, epsilon: f64, k: f64) -> f64 {
         // fei-lint: allow(float-eq, reason = "A2 = 0 is a structural sentinel (no epoch penalty term), not a measured quantity")
         if self.a2 == 0.0 {
             return f64::INFINITY;
         }
         (epsilon * k - self.a1 + self.a2 * k) / (self.a2 * k)
-    }
-
-    /// Smallest feasible `K` at a given `E` (exclusive lower limit of `𝒵_K`):
-    /// `K > A1/(ε − A2(E−1))`. Returns `None` when even `K → ∞` is
-    /// infeasible (`ε ≤ A2(E−1)`).
-    pub fn min_k(&self, epsilon: f64, e: f64) -> Option<f64> {
-        let c1 = epsilon - self.a2 * (e - 1.0);
-        (c1 > 0.0).then(|| self.a1 / c1)
     }
 }
 
@@ -249,61 +201,12 @@ mod tests {
         let e_max = b.max_e(eps, 5.0);
         assert!(b.is_feasible(eps, 5.0, e_max - 1e-6));
         assert!(!b.is_feasible(eps, 5.0, e_max + 1e-6));
-        // min_k symmetric.
-        let k_min = b.min_k(eps, 4.0).unwrap();
-        assert!(!b.is_feasible(eps, k_min - 1e-6, 4.0));
-        assert!(b.is_feasible(eps, k_min + 1e-6, 4.0));
-    }
-
-    #[test]
-    fn min_k_none_when_drift_dominates() {
-        let b = ConvergenceBound::new(1.0, 0.1, 0.1).unwrap();
-        // eps = 0.05 < A2*(E-1) = 0.9 -> no K helps.
-        assert_eq!(b.min_k(0.05, 10.0), None);
     }
 
     #[test]
     fn max_e_infinite_without_drift() {
         let b = ConvergenceBound::new(1.0, 0.1, 0.0).unwrap();
         assert_eq!(b.max_e(0.05, 5.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn from_theory_composes_proposition1() {
-        let gamma = 0.01;
-        let b = ConvergenceBound::from_theory(gamma, 4.0, 2.0, 9.0, 1.0, 0.5, 0.25).unwrap();
-        assert!((b.a0() - 9.0 / gamma).abs() < 1e-12);
-        assert!((b.a1() - 0.5 * gamma * 2.0).abs() < 1e-15);
-        assert!((b.a2() - 0.25 * gamma * gamma * 4.0 * 2.0).abs() < 1e-18);
-    }
-
-    #[test]
-    fn from_theory_zero_variance_kills_a1_a2() {
-        // sigma = 0 (deterministic gradients): only the optimization term
-        // remains, so any accuracy is reachable at K = 1 with enough rounds.
-        let b = ConvergenceBound::from_theory(0.01, 4.0, 0.0, 1.0, 1.0, 1.0, 1.0).unwrap();
-        assert_eq!(b.a1(), 0.0);
-        assert_eq!(b.a2(), 0.0);
-        assert!(b.t_star(1e-6, 1.0, 1.0).is_some());
-    }
-
-    #[test]
-    fn from_theory_smaller_lr_slows_but_stabilizes() {
-        // Halving gamma doubles A0 (slower optimization) but halves A1
-        // (less gradient noise) — the classic trade-off the paper's E/K
-        // balance exploits.
-        let fast = ConvergenceBound::from_theory(0.02, 4.0, 2.0, 1.0, 1.0, 1.0, 1.0).unwrap();
-        let slow = ConvergenceBound::from_theory(0.01, 4.0, 2.0, 1.0, 1.0, 1.0, 1.0).unwrap();
-        assert!(slow.a0() > fast.a0());
-        assert!(slow.a1() < fast.a1());
-        assert!(slow.a2() < fast.a2());
-    }
-
-    #[test]
-    fn from_theory_rejects_bad_inputs() {
-        assert!(ConvergenceBound::from_theory(0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0).is_err());
-        assert!(ConvergenceBound::from_theory(0.01, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0).is_err());
-        assert!(ConvergenceBound::from_theory(0.01, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0).is_err());
     }
 
     #[test]

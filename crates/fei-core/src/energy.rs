@@ -29,7 +29,7 @@ impl DataCollectionModel {
     }
 
     /// NB-IoT default: 7.74 mJ per byte × 785-byte samples.
-    pub fn nb_iot_default() -> Self {
+    pub(crate) fn nb_iot_default() -> Self {
         Self {
             rho: 7.74e-3 * 785.0,
         }
@@ -100,7 +100,7 @@ impl ComputationModel {
     }
 
     /// Continuous-domain version used inside the optimizer.
-    pub fn energy_joules_f(&self, e: f64, n_k: f64) -> f64 {
+    pub(crate) fn energy_joules_f(&self, e: f64, n_k: f64) -> f64 {
         self.c0 * e * n_k + self.c1 * e
     }
 }
@@ -146,7 +146,7 @@ impl UploadModel {
     /// Returns [`CoreError::InvalidParameter`] when the link's energy for
     /// this payload is not a valid `e_U` (non-finite — impossible for the
     /// bundled presets at sane sizes, but links are caller-constructible).
-    pub fn from_link(link: &fei_net::Link, payload_bytes: usize) -> Result<Self, CoreError> {
+    pub(crate) fn from_link(link: &fei_net::Link, payload_bytes: usize) -> Result<Self, CoreError> {
         Self::new(link.transfer_energy_joules(payload_bytes))
     }
 
@@ -203,7 +203,7 @@ impl RoundEnergyModel {
     /// The same model with a different upload component — the hook that
     /// swaps the constant `e_U` for a payload-derived one (see
     /// [`UploadModel::from_link`]).
-    pub fn with_upload(mut self, upload: UploadModel) -> Self {
+    pub(crate) fn with_upload(mut self, upload: UploadModel) -> Self {
         self.upload = upload;
         self
     }
@@ -238,12 +238,6 @@ impl RoundEnergyModel {
         self.data.rho * self.n_k as f64 + self.upload.e_u
     }
 
-    /// Energy of one server participating in one round with `e` local
-    /// epochs: `ρ·n + c₀·e·n + c₁·e + e_U = B₀·e + B₁`.
-    pub fn per_server_round_joules(&self, e: usize) -> f64 {
-        self.b0() * e as f64 + self.b1()
-    }
-
     /// Total system energy `ê(E, K, T) = T·K·(B₀E + B₁)` (problem (6a) with
     /// homogeneous servers).
     pub fn system_energy_joules(&self, e: usize, k: usize, t: usize) -> f64 {
@@ -251,7 +245,7 @@ impl RoundEnergyModel {
     }
 
     /// Continuous-domain version used inside the optimizer.
-    pub fn system_energy_joules_f(&self, e: f64, k: f64, t: f64) -> f64 {
+    pub(crate) fn system_energy_joules_f(&self, e: f64, k: f64, t: f64) -> f64 {
         t * k * (self.b0() * e + self.b1())
     }
 }
@@ -343,16 +337,6 @@ mod tests {
         .unwrap();
         assert!((m.b0() - (0.01 * 100.0 + 0.5)).abs() < 1e-12);
         assert!((m.b1() - (0.1 * 100.0 + 2.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_server_round_decomposes() {
-        let m = RoundEnergyModel::paper_default();
-        let e = 5;
-        let by_parts = m.data().energy_joules(m.n_k())
-            + m.compute().energy_joules(e, m.n_k())
-            + m.upload().e_u();
-        assert!((m.per_server_round_joules(e) - by_parts).abs() < 1e-9);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl Error for CoreError {}
 
 impl CoreError {
     /// Shorthand for an [`CoreError::InvalidParameter`].
-    pub fn invalid(name: &'static str, reason: impl Into<String>) -> Self {
+    pub(crate) fn invalid(name: &'static str, reason: impl Into<String>) -> Self {
         CoreError::InvalidParameter {
             name,
             reason: reason.into(),

@@ -133,25 +133,6 @@ impl EnergyLedger {
             (self.wasted_j + self.retransmit_j + self.poisoned_j + self.control_j) / total
         }
     }
-
-    /// Total charged to one round across all classifications.
-    pub fn round_joules(&self, round: usize) -> f64 {
-        self.entries
-            .iter()
-            .filter(|e| e.round == round)
-            .map(|e| e.joules)
-            .sum()
-    }
-
-    /// Folds another ledger's charges into this one.
-    pub fn absorb(&mut self, other: &EnergyLedger) {
-        self.entries.extend(other.entries.iter().cloned());
-        self.useful_j += other.useful_j;
-        self.wasted_j += other.wasted_j;
-        self.retransmit_j += other.retransmit_j;
-        self.poisoned_j += other.poisoned_j;
-        self.control_j += other.control_j;
-    }
 }
 
 #[cfg(test)]
@@ -174,17 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn per_round_accounting() {
-        let mut ledger = EnergyLedger::new();
-        ledger.charge(3, EnergyUse::Useful, 1.0, "a");
-        ledger.charge(3, EnergyUse::Wasted, 2.0, "b");
-        ledger.charge(4, EnergyUse::Useful, 4.0, "c");
-        assert_eq!(ledger.round_joules(3), 3.0);
-        assert_eq!(ledger.round_joules(4), 4.0);
-        assert_eq!(ledger.round_joules(5), 0.0);
-    }
-
-    #[test]
     fn control_charges_are_tracked_and_count_as_overhead() {
         let mut ledger = EnergyLedger::new();
         ledger.charge(0, EnergyUse::Useful, 8.0, "training");
@@ -192,32 +162,12 @@ mod tests {
         assert_eq!(ledger.control_joules(), 2.0);
         assert_eq!(ledger.total_joules(), 10.0);
         assert!((ledger.overhead_fraction() - 0.2).abs() < 1e-12);
-        let mut other = EnergyLedger::new();
-        other.charge(1, EnergyUse::Control, 3.0, "selection notices");
-        ledger.absorb(&other);
-        assert_eq!(ledger.control_joules(), 5.0);
-        assert_eq!(ledger.round_joules(1), 3.0);
     }
 
     #[test]
     fn empty_ledger_has_zero_overhead() {
         assert_eq!(EnergyLedger::new().overhead_fraction(), 0.0);
         assert_eq!(EnergyLedger::new().total_joules(), 0.0);
-    }
-
-    #[test]
-    fn absorb_merges_everything() {
-        let mut a = EnergyLedger::new();
-        a.charge(0, EnergyUse::Useful, 1.0, "x");
-        let mut b = EnergyLedger::new();
-        b.charge(1, EnergyUse::Wasted, 2.0, "y");
-        b.charge(1, EnergyUse::Retransmit, 0.5, "z");
-        b.charge(2, EnergyUse::Poisoned, 0.25, "w");
-        a.absorb(&b);
-        assert_eq!(a.entries().len(), 4);
-        assert_eq!(a.total_joules(), 3.75);
-        assert_eq!(a.wasted_joules(), 2.0);
-        assert_eq!(a.poisoned_joules(), 0.25);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   point; see DESIGN.md on the discrepancy);
 //! * [`acs`] — Alternate Convex Search (Algorithm 1) with integer
 //!   refinement;
-//! * [`grid`] — the exhaustive-search baseline used to validate ACS;
+//! * `grid` — the exhaustive-search baseline used to validate ACS;
 //! * [`calibration`] — least-squares fits for the energy coefficients
 //!   (`c₀`, `c₁` from Table I) and the bound constants (`A₀`, `A₁`, `A₂`
 //!   from training histories);
@@ -39,25 +39,24 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod acs;
 pub mod bound;
 pub mod calibration;
 pub mod energy;
-pub mod error;
-pub mod grid;
+mod error;
+mod grid;
 pub mod ledger;
 pub mod objective;
 pub mod planner;
 pub mod sensitivity;
 
-pub use acs::{AcsOptimizer, AcsSolution};
+pub use acs::AcsOptimizer;
 pub use bound::ConvergenceBound;
-pub use calibration::{fit_bound_constants, fit_timing_model, TimingFit};
 pub use energy::{ComputationModel, DataCollectionModel, RoundEnergyModel, UploadModel};
 pub use error::CoreError;
 pub use grid::GridSearch;
-pub use ledger::{EnergyLedger, EnergyUse, LedgerEntry};
+pub use ledger::{EnergyLedger, EnergyUse};
 pub use objective::EnergyObjective;
 pub use planner::{EeFeiPlan, EeFeiPlanner};
-pub use sensitivity::{SensitivityBase, SensitivityPoint, SensitivityReport};

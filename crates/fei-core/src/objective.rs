@@ -83,28 +83,15 @@ impl EnergyObjective {
         })
     }
 
-    /// The convergence bound in use.
-    pub fn bound(&self) -> &ConvergenceBound {
+    /// The convergence bound in use: the oracle the objective and planner
+    /// tests check `T*` against.
+    #[cfg(test)]
+    pub(crate) fn bound(&self) -> &ConvergenceBound {
         &self.bound
     }
 
-    /// `B₀`, joules per epoch per server-round.
-    pub fn b0(&self) -> f64 {
-        self.b0
-    }
-
-    /// `B₁`, fixed joules per server-round.
-    pub fn b1(&self) -> f64 {
-        self.b1
-    }
-
-    /// The accuracy target `ε`.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
     /// The fleet size `N` (upper limit of `K`).
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 

@@ -82,16 +82,6 @@ impl EeFeiPlanner {
         .expect("invariant: the same objective was validated in EeFeiPlanner::new")
     }
 
-    /// The energy model in use.
-    pub fn energy_model(&self) -> &RoundEnergyModel {
-        &self.energy
-    }
-
-    /// Planned fleet size `N`.
-    pub fn fleet_size(&self) -> usize {
-        self.n
-    }
-
     /// Re-plans `(K*, E*)` for a fleet that shrank to `surviving_n` devices
     /// — the graceful-degradation path when crashes take edge servers out
     /// mid-campaign. The energy model, bound, and target are unchanged;

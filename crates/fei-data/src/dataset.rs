@@ -147,7 +147,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
+    pub(crate) fn subset(&self, indices: &[usize]) -> Dataset {
         let mut out = Dataset::empty(self.dim, self.num_classes);
         for &i in indices {
             out.push(self.sample(i), self.label(i));
@@ -167,8 +167,10 @@ impl Dataset {
         (self.subset(&head), self.subset(&tail))
     }
 
-    /// Per-class sample counts (length `num_classes`).
-    pub fn class_histogram(&self) -> Vec<usize> {
+    /// Per-class sample counts (length `num_classes`): the skew oracle the
+    /// partition and generator tests measure with.
+    #[cfg(test)]
+    pub(crate) fn class_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.num_classes];
         for &l in &self.labels {
             hist[l] += 1;

@@ -16,15 +16,14 @@
 //!   network/energy models.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod dataset;
-pub mod partition;
-pub mod persist;
+mod dataset;
+mod partition;
 pub mod stream;
-pub mod synthetic;
+mod synthetic;
 
 pub use dataset::Dataset;
 pub use partition::Partition;
-pub use persist::PersistError;
 pub use stream::IotStream;
 pub use synthetic::{SyntheticMnist, SyntheticMnistConfig};

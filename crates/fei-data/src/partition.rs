@@ -155,31 +155,12 @@ impl Partition {
         Self { assignments }
     }
 
-    /// Number of clients in the partition.
-    pub fn num_clients(&self) -> usize {
-        self.assignments.len()
-    }
-
-    /// The indices assigned to `client`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` is out of range.
-    pub fn client_indices(&self, client: usize) -> &[usize] {
-        &self.assignments[client]
-    }
-
     /// Materializes one [`Dataset`] per client.
     pub fn apply(&self, dataset: &Dataset) -> Vec<Dataset> {
         self.assignments
             .iter()
             .map(|idx| dataset.subset(idx))
             .collect()
-    }
-
-    /// Total number of assigned samples across all clients.
-    pub fn total_assigned(&self) -> usize {
-        self.assignments.iter().map(Vec::len).sum()
     }
 }
 
@@ -218,9 +199,9 @@ mod tests {
     fn iid_covers_everything_exactly_once() {
         let mut rng = DetRng::new(1);
         let p = Partition::iid(100, 7, &mut rng);
-        assert_eq!(p.num_clients(), 7);
-        assert_eq!(p.total_assigned(), 100);
-        let mut all: Vec<usize> = (0..7).flat_map(|c| p.client_indices(c).to_vec()).collect();
+        assert_eq!(p.assignments.len(), 7);
+        assert_eq!(p.assignments.concat().len(), 100);
+        let mut all: Vec<usize> = p.assignments.concat();
         all.sort_unstable();
         assert_eq!(all, (0..100).collect::<Vec<_>>());
     }
@@ -229,11 +210,11 @@ mod tests {
     fn iid_balances_sizes() {
         let mut rng = DetRng::new(2);
         let p = Partition::iid(100, 7, &mut rng);
-        let sizes: Vec<usize> = (0..7).map(|c| p.client_indices(c).len()).collect();
+        let sizes: Vec<usize> = p.assignments.iter().map(Vec::len).collect();
         assert_eq!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap(), 1);
         // Paper setting: 60 000 over 20 -> exactly 3 000 each.
         let p = Partition::iid(60_000, 20, &mut rng);
-        assert!((0..20).all(|c| p.client_indices(c).len() == 3_000));
+        assert!(p.assignments.iter().all(|a| a.len() == 3_000));
     }
 
     #[test]
@@ -250,8 +231,8 @@ mod tests {
         let ds = dataset(400);
         let mut rng = DetRng::new(3);
         let p = Partition::by_label_shards(&ds, 10, 2, &mut rng);
-        assert_eq!(p.total_assigned(), 400);
-        let mut all: Vec<usize> = (0..10).flat_map(|c| p.client_indices(c).to_vec()).collect();
+        assert_eq!(p.assignments.concat().len(), 400);
+        let mut all: Vec<usize> = p.assignments.concat();
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 400);
@@ -284,7 +265,7 @@ mod tests {
         assert_eq!(parts.len(), 3);
         assert_eq!(parts.iter().map(Dataset::len).sum::<usize>(), 30);
         // Spot-check one sample round-trips.
-        let idx = p.client_indices(1)[0];
+        let idx = p.assignments[1][0];
         assert_eq!(parts[1].sample(0), ds.sample(idx));
     }
 
@@ -292,12 +273,12 @@ mod tests {
     fn dirichlet_covers_everything_exactly_once() {
         let ds = dataset(600);
         let p = Partition::dirichlet(&ds, 8, 0.3, &mut DetRng::new(11));
-        assert_eq!(p.total_assigned(), 600);
-        let mut all: Vec<usize> = (0..8).flat_map(|c| p.client_indices(c).to_vec()).collect();
+        assert_eq!(p.assignments.concat().len(), 600);
+        let mut all: Vec<usize> = p.assignments.concat();
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 600);
-        assert!((0..8).all(|c| !p.client_indices(c).is_empty()));
+        assert!(p.assignments.iter().all(|a| !a.is_empty()));
     }
 
     #[test]
@@ -372,14 +353,12 @@ mod proptests {
             clients in 1usize..21,
         ) {
             let p = Partition::iid(len, clients, &mut DetRng::new(seed));
-            prop_assert_eq!(p.num_clients(), clients);
-            prop_assert_eq!(p.total_assigned(), len);
-            let mut all: Vec<usize> = (0..clients)
-                .flat_map(|c| p.client_indices(c).to_vec())
-                .collect();
+            prop_assert_eq!(p.assignments.len(), clients);
+            prop_assert_eq!(p.assignments.concat().len(), len);
+            let mut all: Vec<usize> = p.assignments.concat();
             all.sort_unstable();
             prop_assert_eq!(all, (0..len).collect::<Vec<_>>());
-            let sizes: Vec<usize> = (0..clients).map(|c| p.client_indices(c).len()).collect();
+            let sizes: Vec<usize> = p.assignments.iter().map(Vec::len).collect();
             let spread = sizes.iter().max().unwrap() - sizes.iter().min().unwrap();
             prop_assert!(spread <= 1);
         }

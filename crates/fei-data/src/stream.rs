@@ -7,14 +7,13 @@
 //! simulated network. NB-IoT's published per-byte transmit energy
 //! (7.74 mW·s/byte, quoted in the paper) is the default.
 
-use fei_sim::{DetRng, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// NB-IoT uplink energy per byte, in joules (7.74 mW·s per byte; §IV-A).
 pub const NB_IOT_JOULES_PER_BYTE: f64 = 7.74e-3;
 
 /// Byte size of one sample: a 28 × 28 single-byte image plus a label byte.
-pub const DEFAULT_SAMPLE_BYTES: usize = 28 * 28 + 1;
+pub(crate) const DEFAULT_SAMPLE_BYTES: usize = 28 * 28 + 1;
 
 /// Description of one round's IoT data upload to a single edge server.
 ///
@@ -56,19 +55,9 @@ impl IotStream {
         Self::new(samples_per_round, DEFAULT_SAMPLE_BYTES, 10)
     }
 
-    /// Samples uploaded per round (`n_k`).
-    pub fn samples_per_round(&self) -> usize {
-        self.samples_per_round
-    }
-
     /// Size of each sample in bytes.
     pub fn bytes_per_sample(&self) -> usize {
         self.bytes_per_sample
-    }
-
-    /// Number of IoT devices feeding this edge server.
-    pub fn device_count(&self) -> usize {
-        self.device_count
     }
 
     /// Total bytes uploaded per round.
@@ -85,19 +74,6 @@ impl IotStream {
     pub fn upload_energy_joules(&self, joules_per_byte: f64) -> f64 {
         self.rho_joules(joules_per_byte) * self.samples_per_round as f64
     }
-
-    /// Draws per-sample arrival offsets for one collection window.
-    ///
-    /// Devices report asynchronously; we model sample arrivals as uniform
-    /// over the window, sorted — the standard order-statistics view of a
-    /// Poisson process conditioned on its count.
-    pub fn arrival_offsets(&self, window: SimDuration, rng: &mut DetRng) -> Vec<SimDuration> {
-        let mut offsets: Vec<SimDuration> = (0..self.samples_per_round)
-            .map(|_| window.mul_f64(rng.next_f64()))
-            .collect();
-        offsets.sort_unstable();
-        offsets
-    }
 }
 
 #[cfg(test)]
@@ -107,9 +83,9 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let s = IotStream::new(100, 785, 4);
-        assert_eq!(s.samples_per_round(), 100);
+        assert_eq!(s.samples_per_round, 100);
         assert_eq!(s.bytes_per_sample(), 785);
-        assert_eq!(s.device_count(), 4);
+        assert_eq!(s.device_count, 4);
         assert_eq!(s.total_bytes(), 78_500);
     }
 
@@ -140,17 +116,6 @@ mod tests {
         let s = IotStream::new(0, 100, 1);
         assert_eq!(s.total_bytes(), 0);
         assert_eq!(s.upload_energy_joules(NB_IOT_JOULES_PER_BYTE), 0.0);
-    }
-
-    #[test]
-    fn arrivals_are_sorted_and_within_window() {
-        let s = IotStream::new(200, 100, 5);
-        let window = SimDuration::from_secs(2);
-        let mut rng = DetRng::new(7);
-        let arr = s.arrival_offsets(window, &mut rng);
-        assert_eq!(arr.len(), 200);
-        assert!(arr.windows(2).all(|w| w[0] <= w[1]));
-        assert!(arr.iter().all(|&a| a <= window));
     }
 
     #[test]

@@ -23,11 +23,11 @@ use serde::{Deserialize, Serialize};
 use crate::dataset::Dataset;
 
 /// Width and height of the synthetic images (matches MNIST's 28 × 28).
-pub const IMAGE_SIDE: usize = 28;
+pub(crate) const IMAGE_SIDE: usize = 28;
 /// Feature dimension (`IMAGE_SIDE`², the paper's 784-entry input).
-pub const IMAGE_DIM: usize = IMAGE_SIDE * IMAGE_SIDE;
+pub(crate) const IMAGE_DIM: usize = IMAGE_SIDE * IMAGE_SIDE;
 /// Number of classes (digits 0–9).
-pub const NUM_CLASSES: usize = 10;
+pub(crate) const NUM_CLASSES: usize = 10;
 
 /// Configuration for [`SyntheticMnist`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,20 +101,6 @@ impl SyntheticMnist {
         Self { config, prototypes }
     }
 
-    /// The generator's configuration.
-    pub fn config(&self) -> &SyntheticMnistConfig {
-        &self.config
-    }
-
-    /// The noiseless prototype image for `class`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class >= NUM_CLASSES`.
-    pub fn prototype(&self, class: usize) -> &[f64] {
-        &self.prototypes[class]
-    }
-
     /// Generates `n` labelled samples. Different `stream` ids give
     /// independent draws from the same distribution (e.g. stream 0 for
     /// training data, stream 1 for test data).
@@ -138,20 +124,6 @@ impl SyntheticMnist {
             ds.push(&pixels, label);
         }
         ds
-    }
-
-    /// Generates the paper's experimental split: 60 000 training and 10 000
-    /// test samples — scaled by `scale` (e.g. `scale = 0.01` for a 600/100
-    /// smoke split).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale <= 0`.
-    pub fn generate_paper_split(&self, scale: f64) -> (Dataset, Dataset) {
-        assert!(scale > 0.0, "scale must be positive");
-        let train = self.generate((60_000.0 * scale).round() as usize, 0);
-        let test = self.generate((10_000.0 * scale).round() as usize, 1);
-        (train, test)
     }
 
     fn make_prototype(rng: &mut DetRng, blobs: usize) -> Vec<f64> {
@@ -223,17 +195,16 @@ mod tests {
             seed: 2,
             ..Default::default()
         });
-        assert_ne!(a.prototype(0), b.prototype(0));
+        assert_ne!(a.prototypes[0], b.prototypes[0]);
     }
 
     #[test]
     fn prototypes_are_distinct_across_classes() {
         let gen = small_gen();
         for c in 1..NUM_CLASSES {
-            let diff: f64 = gen
-                .prototype(0)
+            let diff: f64 = gen.prototypes[0]
                 .iter()
-                .zip(gen.prototype(c))
+                .zip(&gen.prototypes[c])
                 .map(|(a, b)| (a - b).abs())
                 .sum();
             assert!(diff > 1.0, "classes 0 and {c} are nearly identical");
@@ -268,19 +239,6 @@ mod tests {
         // The flipped generator consumes extra RNG draws, so datasets diverge;
         // just verify both are valid and differently labelled somewhere.
         assert_ne!(a.labels(), b.labels());
-    }
-
-    #[test]
-    fn paper_split_sizes() {
-        let (train, test) = small_gen().generate_paper_split(0.01);
-        assert_eq!(train.len(), 600);
-        assert_eq!(test.len(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale must be positive")]
-    fn paper_split_rejects_zero_scale() {
-        let _ = small_gen().generate_paper_split(0.0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// Deterministic label-flip transform: every label `y` becomes `C−1−y`
 /// over a copy of `data`. Both engines derive a compromised device's
 /// training set through this single function, so they poison identically.
-pub fn flip_dataset_labels(data: &Dataset) -> Dataset {
+pub(crate) fn flip_dataset_labels(data: &Dataset) -> Dataset {
     let classes = data.num_classes();
     let mut out = Dataset::empty(data.dim(), classes);
     for (x, y) in data.iter() {
@@ -110,7 +110,6 @@ impl AdversarySpec {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Adversary {
     spec: AdversarySpec,
-    fleet: usize,
     malicious: BTreeSet<usize>,
 }
 
@@ -122,37 +121,13 @@ impl Adversary {
     ///
     /// Panics on a fraction outside `[0, 1)`, a non-finite boost, or a
     /// negative noise deviation.
-    pub fn new(spec: AdversarySpec, n: usize) -> Self {
+    pub(crate) fn new(spec: AdversarySpec, n: usize) -> Self {
         spec.validate();
         let count = (spec.fraction * n as f64).floor() as usize;
         let mut ids: Vec<usize> = (0..n).collect();
         DetRng::new(spec.seed).fork(0xC0607).shuffle(&mut ids);
         let malicious: BTreeSet<usize> = ids.into_iter().take(count).collect();
-        Self {
-            spec,
-            fleet: n,
-            malicious,
-        }
-    }
-
-    /// The spec this adversary was built from.
-    pub fn spec(&self) -> &AdversarySpec {
-        &self.spec
-    }
-
-    /// Fleet size the cohort was drawn over.
-    pub fn fleet_size(&self) -> usize {
-        self.fleet
-    }
-
-    /// The compromised devices, ascending.
-    pub fn malicious_devices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.malicious.iter().copied()
-    }
-
-    /// Number of compromised devices.
-    pub fn num_malicious(&self) -> usize {
-        self.malicious.len()
+        Self { spec, malicious }
     }
 
     /// Whether `device` is compromised.
@@ -161,7 +136,7 @@ impl Adversary {
     }
 
     /// Whether `device` trains on flipped labels (label-flip cohort only).
-    pub fn flips_labels(&self, device: usize) -> bool {
+    pub(crate) fn flips_labels(&self, device: usize) -> bool {
         matches!(self.spec.behavior, AttackBehavior::LabelFlip) && self.is_malicious(device)
     }
 
@@ -172,7 +147,7 @@ impl Adversary {
     ///
     /// Pure in `(device, round)`: the Gaussian stream is re-derived from the
     /// cell, never from shared state.
-    pub fn poison(&self, device: usize, round: usize, global: &[f64], params: &mut [f64]) {
+    pub(crate) fn poison(&self, device: usize, round: usize, global: &[f64], params: &mut [f64]) {
         if !self.is_malicious(device) {
             return;
         }
@@ -222,11 +197,11 @@ mod tests {
     #[test]
     fn cohort_size_is_floor_of_fraction() {
         let adv = Adversary::new(spec(AttackBehavior::SignFlip), 10);
-        assert_eq!(adv.num_malicious(), 4);
+        assert_eq!(adv.malicious.len(), 4);
         let none = Adversary::new(AdversarySpec::sign_flip(0.0), 10);
-        assert_eq!(none.num_malicious(), 0);
+        assert_eq!(none.malicious.len(), 0);
         let small = Adversary::new(AdversarySpec::sign_flip(0.19), 10);
-        assert_eq!(small.num_malicious(), 1);
+        assert_eq!(small.malicious.len(), 1);
     }
 
     #[test]
@@ -238,8 +213,7 @@ mod tests {
         other.seed = 8;
         let c = Adversary::new(other, 20);
         assert_ne!(
-            a.malicious_devices().collect::<Vec<_>>(),
-            c.malicious_devices().collect::<Vec<_>>(),
+            a.malicious, c.malicious,
             "different seeds should draw different cohorts"
         );
     }
@@ -254,7 +228,7 @@ mod tests {
             },
             2,
         );
-        let mallory = adv.malicious_devices().next().unwrap();
+        let mallory = *adv.malicious.first().unwrap();
         let global = [1.0, -2.0];
         let mut params = vec![3.0, 0.0];
         adv.poison(mallory, 0, &global, &mut params);
@@ -280,7 +254,7 @@ mod tests {
             },
             2,
         );
-        let mallory = adv.malicious_devices().next().unwrap();
+        let mallory = *adv.malicious.first().unwrap();
         let mut params = vec![1.1];
         adv.poison(mallory, 3, &[1.0], &mut params);
         assert!((params[0] - 2.0).abs() < 1e-12);
@@ -299,7 +273,7 @@ mod tests {
             )
         };
         let (a, b) = (mk(), mk());
-        let mallory = a.malicious_devices().next().unwrap();
+        let mallory = *a.malicious.first().unwrap();
         let mut pa = vec![0.0; 8];
         let mut pb = vec![0.0; 8];
         // Query b at a decoy round first: cell purity means no state leaks.
@@ -314,7 +288,7 @@ mod tests {
     #[test]
     fn label_flip_marks_training_not_upload() {
         let adv = Adversary::new(spec(AttackBehavior::LabelFlip), 10);
-        let mallory = adv.malicious_devices().next().unwrap();
+        let mallory = *adv.malicious.first().unwrap();
         assert!(adv.flips_labels(mallory));
         let honest = (0..10).find(|&d| !adv.is_malicious(d)).unwrap();
         assert!(!adv.flips_labels(honest));

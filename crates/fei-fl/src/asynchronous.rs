@@ -18,7 +18,7 @@
 
 use fei_data::Dataset;
 use fei_ml::{Evaluation, LocalTrainer, LogisticRegression, Model, SgdConfig};
-use fei_proto::{control_round_bytes, DeviceReport, LivenessTracker, RoundMachine, RoundPolicy};
+use fei_proto::{DeviceReport, LivenessTracker, RoundMachine, RoundPolicy};
 use fei_sim::{SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
 
@@ -85,13 +85,8 @@ impl AsyncHistory {
     }
 
     /// Number of merges recorded.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
-    }
-
-    /// Whether anything was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Virtual time at which test accuracy first reached `target`, if ever.
@@ -108,11 +103,6 @@ impl AsyncHistory {
             .iter()
             .find(|r| r.test_eval.is_some_and(|e| e.accuracy >= target))
             .map(|r| r.update + 1)
-    }
-
-    /// Largest staleness observed.
-    pub fn max_staleness(&self) -> usize {
-        self.records.iter().map(|r| r.staleness).max().unwrap_or(0)
     }
 
     /// Per-client update counts (length = fleet size implied by the run).
@@ -133,13 +123,6 @@ pub struct AsyncFedAvg<M: Model = LogisticRegression> {
     test: Dataset,
     global: M,
     trainer: LocalTrainer,
-    /// Control-plane bytes of the protocol: each merge is a one-client
-    /// round (selection notice down, heartbeat up, commit back down).
-    control_bytes: u64,
-    /// Heartbeat leases that lapsed because a client went more than
-    /// `4 · fleet` merges without delivering (the client rejoins on its
-    /// next delivery; its merges still apply, discounted by staleness).
-    lease_expiries: u64,
 }
 
 impl AsyncFedAvg<LogisticRegression> {
@@ -212,31 +195,7 @@ impl<M: Model> AsyncFedAvg<M> {
             test,
             global,
             trainer,
-            control_bytes: 0,
-            lease_expiries: 0,
         }
-    }
-
-    /// The run's configuration.
-    pub fn config(&self) -> &AsyncConfig {
-        &self.config
-    }
-
-    /// The current global model.
-    pub fn global_model(&self) -> &M {
-        &self.global
-    }
-
-    /// Control-plane bytes the protocol moved so far (one selection
-    /// notice, heartbeat, and commit per applied merge).
-    pub fn control_bytes(&self) -> u64 {
-        self.control_bytes
-    }
-
-    /// Heartbeat leases that lapsed so far: merges by a client that had
-    /// gone silent past its lease and had to rejoin before delivering.
-    pub fn lease_expiries(&self) -> u64 {
-        self.lease_expiries
     }
 
     /// Runs until `max_updates` merges have been applied (or until
@@ -287,7 +246,6 @@ impl<M: Model> AsyncFedAvg<M> {
                 let _ = liveness.beat(client as u64, version as u64);
             } else {
                 // The lease lapsed while the job ran; the client rejoins.
-                self.lease_expiries += 1;
                 liveness.register(client as u64, version as u64);
             }
             let policy = RoundPolicy {
@@ -312,7 +270,6 @@ impl<M: Model> AsyncFedAvg<M> {
             if !closed.quorum_met {
                 break;
             }
-            self.control_bytes += control_round_bytes(1, 1, true, 1);
 
             let weight = self.config.mixing_rate
                 / (1.0 + staleness as f64).powf(self.config.staleness_exponent);
@@ -405,11 +362,8 @@ mod tests {
         let (clients, test) = setup(5, 100);
         let mut run = AsyncFedAvg::new(fast_config(5), clients, test);
         let history = run.run(60, None);
-        assert!(
-            history.max_staleness() <= 5,
-            "staleness {}",
-            history.max_staleness()
-        );
+        let max_staleness = history.records().iter().map(|r| r.staleness).max();
+        assert!(max_staleness <= Some(5), "staleness {max_staleness:?}");
         // The very first delivery has staleness 0.
         assert_eq!(history.records()[0].staleness, 0);
     }
@@ -438,7 +392,7 @@ mod tests {
         let ha = a.run(30, None);
         let hb = b.run(30, None);
         assert_eq!(ha, hb);
-        assert_eq!(a.global_model(), b.global_model());
+        assert_eq!(a.global, b.global);
     }
 
     #[test]
@@ -479,17 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn control_bytes_count_one_protocol_round_per_merge() {
-        let (clients, test) = setup(3, 90);
-        let mut run = AsyncFedAvg::new(fast_config(3), clients, test);
-        let history = run.run(30, None);
-        let per_merge = fei_proto::control_round_bytes(1, 1, true, 1);
-        assert_eq!(run.control_bytes(), history.len() as u64 * per_merge);
-        // An equal-speed fleet never outruns its leases.
-        assert_eq!(run.lease_expiries(), 0);
-    }
-
-    #[test]
     fn slow_client_lease_lapses_and_rejoins() {
         // A 20x-slow client goes ~40 merges between deliveries while the
         // lease allows 4·n = 12: it expires and rejoins each time — and its
@@ -501,11 +444,18 @@ mod tests {
         };
         let mut run = AsyncFedAvg::new(config, clients, test);
         let history = run.run(80, None);
-        assert!(run.lease_expiries() >= 1, "slow client never lapsed");
         assert!(
             history.updates_per_client(3)[2] >= 1,
             "lapsed client must still contribute after rejoining"
         );
+        // Its last beat is no later than the snapshot it trained on, so a
+        // staleness of a whole lease means the lease had lapsed: every one
+        // of its deliveries takes the rejoin branch.
+        let lease = 4 * 3;
+        let slow = history.records().iter().filter(|r| r.client == 2);
+        for record in slow {
+            assert!(record.staleness >= lease, "{record:?}");
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl Default for FaultSpec {
 
 impl FaultSpec {
     /// Whether this spec injects nothing at all.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         // fei-lint: allow(float-eq, reason = "configuration sentinel: only an exactly-zero probability disables injection")
         self.crash_prob == 0.0
             // fei-lint: allow(float-eq, reason = "configuration sentinel: only an exactly-zero probability disables injection")
@@ -119,13 +119,13 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Backoff before retry number `retry` (1-based), without jitter.
-    pub fn nominal_delay_s(&self, retry: usize) -> f64 {
+    pub(crate) fn nominal_delay_s(&self, retry: usize) -> f64 {
         debug_assert!(retry >= 1);
         (self.base_delay_s * self.multiplier.powi(retry as i32 - 1)).min(self.max_delay_s)
     }
 
     /// Backoff before retry number `retry` with jitter drawn from `rng`.
-    pub fn delay_s(&self, retry: usize, rng: &mut DetRng) -> f64 {
+    pub(crate) fn delay_s(&self, retry: usize, rng: &mut DetRng) -> f64 {
         let jitter = 1.0 + self.jitter * (2.0 * rng.next_f64() - 1.0);
         self.nominal_delay_s(retry) * jitter
     }
@@ -150,7 +150,7 @@ impl RetryPolicy {
 
 /// How one device's upload went this round, under the retry policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UploadOutcome {
+pub(crate) struct UploadOutcome {
     /// Attempts made (1 = clean first try).
     pub attempts: usize,
     /// Whether an intact frame eventually got through.
@@ -184,13 +184,8 @@ impl FaultInjector {
         Self { spec }
     }
 
-    /// The spec this injector was built from.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// Whether the injector can ever perturb a round.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         !self.spec.is_noop()
     }
 
@@ -206,13 +201,13 @@ impl FaultInjector {
 
     /// Whether `device` crashes at the start of `round` (the onset draw, not
     /// the down state — see [`FaultInjector::is_down`]).
-    pub fn crashes_at(&self, device: usize, round: usize) -> bool {
+    pub(crate) fn crashes_at(&self, device: usize, round: usize) -> bool {
         self.spec.crash_prob > 0.0
             && self.cell_rng(device, round, SALT_CRASH).next_f64() < self.spec.crash_prob
     }
 
     /// Whether `device` is down (crashed and not yet restarted) at `round`.
-    pub fn is_down(&self, device: usize, round: usize) -> bool {
+    pub(crate) fn is_down(&self, device: usize, round: usize) -> bool {
         // fei-lint: allow(float-eq, reason = "configuration sentinel: exactly-zero crash probability means no crash schedule exists")
         if self.spec.crash_prob == 0.0 {
             return false;
@@ -226,12 +221,12 @@ impl FaultInjector {
     }
 
     /// Devices of `0..n` that are up at `round`, ascending.
-    pub fn live_fleet(&self, n: usize, round: usize) -> Vec<usize> {
+    pub(crate) fn live_fleet(&self, n: usize, round: usize) -> Vec<usize> {
         (0..n).filter(|&d| !self.is_down(d, round)).collect()
     }
 
     /// Wall-time multiplier for `device` at `round` (`1.0` = on time).
-    pub fn straggle_factor(&self, device: usize, round: usize) -> f64 {
+    pub(crate) fn straggle_factor(&self, device: usize, round: usize) -> f64 {
         if self.spec.straggler_prob > 0.0
             && self.cell_rng(device, round, SALT_STRAGGLE).next_f64() < self.spec.straggler_prob
         {
@@ -248,7 +243,7 @@ impl FaultInjector {
     /// # Panics
     ///
     /// Panics on an invalid retry policy.
-    pub fn upload_outcome(
+    pub(crate) fn upload_outcome(
         &self,
         device: usize,
         round: usize,
@@ -285,22 +280,6 @@ impl FaultInjector {
             }
         }
         outcome
-    }
-
-    /// Virtual arrival time of `device`'s update at `round`: the nominal
-    /// round duration scaled by the straggle factor, plus retry backoff.
-    /// `None` when the upload was abandoned after exhausting its attempts.
-    pub fn arrival_time_s(
-        &self,
-        device: usize,
-        round: usize,
-        nominal_round_s: f64,
-        retry: &RetryPolicy,
-    ) -> Option<f64> {
-        let upload = self.upload_outcome(device, round, retry);
-        upload
-            .delivered
-            .then(|| nominal_round_s * self.straggle_factor(device, round) + upload.backoff_s)
     }
 }
 
@@ -455,22 +434,6 @@ mod tests {
             let nominal = retry.nominal_delay_s(retry_no);
             assert!(d >= nominal * 0.5 && d <= nominal * 1.5);
         }
-    }
-
-    #[test]
-    fn arrival_time_reflects_straggling() {
-        let inj = FaultInjector::new(FaultSpec {
-            straggler_prob: 0.999,
-            straggler_factor: 5.0,
-            ..Default::default()
-        });
-        let t = inj
-            .arrival_time_s(0, 0, 2.0, &RetryPolicy::default())
-            .expect("nothing blocks delivery");
-        assert!(
-            (t - 10.0).abs() < 1e-12,
-            "5x straggle of a 2 s round, got {t}"
-        );
     }
 
     #[test]

@@ -57,16 +57,8 @@ impl TrainingHistory {
         self.missed_target
     }
 
-    /// Best test accuracy observed across evaluation rounds.
-    pub fn best_accuracy(&self) -> Option<f64> {
-        self.accuracy_curve()
-            .into_iter()
-            .map(|(_, a)| a)
-            .max_by(f64::total_cmp)
-    }
-
     /// Rounds that committed an aggregate (fully or partially).
-    pub fn committed_rounds(&self) -> usize {
+    pub(crate) fn committed_rounds(&self) -> usize {
         self.records
             .iter()
             .filter(|r| r.outcome.committed())
@@ -141,15 +133,6 @@ impl TrainingHistory {
     /// Final global train loss, if evaluated.
     pub fn final_loss(&self) -> Option<f64> {
         self.loss_curve().last().map(|&(_, l)| l)
-    }
-
-    /// Total gradient steps executed across all servers and rounds.
-    pub fn total_gradient_steps(&self) -> usize {
-        self.records
-            .iter()
-            .flat_map(|r| &r.local_stats)
-            .map(|s| s.gradient_steps)
-            .sum()
     }
 }
 
@@ -230,7 +213,6 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(h.total_local_epochs(), 4);
-        assert_eq!(h.total_gradient_steps(), 4);
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! runs `E` local SGD epochs on its own data, uploads its model, and the
 //! coordinator averages the uploads (Eq. 2).
 //!
-//! One round driver, [`fedavg::RoundDriver`], implements that loop once —
+//! One round driver, `fedavg::RoundDriver`, implements that loop once —
 //! validation, planning, billing, screening, aggregation, checkpoints —
 //! and delegates only *where local training runs* to a sealed
-//! [`executor::Executor`]. The two public engines are type aliases over it
+//! `executor::Executor`. The two public engines are type aliases over it
 //! and produce identical results for the same configuration and seed:
 //!
-//! * [`fedavg::FedAvg`] — the [`executor::Inline`] executor: in-process,
+//! * [`fedavg::FedAvg`] — the `executor::Inline` executor: in-process,
 //!   one reused gradient and wire workspace (zero steady-state
 //!   allocations); used by experiments that sweep many `(K, E)`
 //!   combinations;
@@ -44,28 +44,28 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod adversary;
-pub mod aggregate;
-pub mod asynchronous;
-pub mod error;
-pub mod executor;
-pub mod fault;
-pub mod fedavg;
-pub mod history;
-pub mod resume;
-pub mod robust;
-pub mod runtime;
-pub mod selection;
+mod adversary;
+mod aggregate;
+mod asynchronous;
+mod error;
+mod executor;
+mod fault;
+mod fedavg;
+mod history;
+mod resume;
+mod robust;
+mod runtime;
+mod selection;
 
 pub use adversary::{Adversary, AdversarySpec, AttackBehavior};
 pub use aggregate::{aggregate, try_aggregate, AggregateError, AggregationRule};
-pub use asynchronous::{AsyncConfig, AsyncFedAvg, AsyncHistory, AsyncUpdateRecord};
+pub use asynchronous::{AsyncConfig, AsyncFedAvg, AsyncHistory};
 pub use error::FlError;
-pub use executor::{Executor, Inline};
-pub use fault::{FaultInjector, FaultSpec, RetryPolicy, UploadOutcome};
+pub use fault::{FaultInjector, FaultSpec, RetryPolicy};
 pub use fedavg::{
-    FedAvg, FedAvgConfig, RoundDriver, RoundFaultStats, RoundOutcome, RoundRecord, StopCondition,
+    FedAvg, FedAvgConfig, RoundFaultStats, RoundOutcome, RoundRecord, StopCondition,
     ToleranceConfig,
 };
 pub use fei_net::wire::{Encoding, WireConfig};

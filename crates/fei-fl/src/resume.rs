@@ -23,8 +23,8 @@ use crate::selection::ClientSelector;
 
 /// Resumable state of a FedAvg engine, generic over the trained model.
 ///
-/// Produced by [`crate::RoundDriver::checkpoint`], consumed by
-/// [`crate::RoundDriver::restore`]. Checkpoints do not name an executor:
+/// Produced by `RoundDriver::checkpoint`, consumed by
+/// `RoundDriver::restore`. Checkpoints do not name an executor:
 /// serial and threaded engines restore from the same checkpoint to the
 /// same future behavior.
 #[derive(Debug, Clone)]
@@ -49,20 +49,5 @@ impl<M: Model> EngineCheckpoint<M> {
     /// Rounds completed when the checkpoint was taken.
     pub fn round(&self) -> usize {
         self.round
-    }
-
-    /// The checkpointed global model.
-    pub fn global_model(&self) -> &M {
-        &self.global
-    }
-
-    /// `(K, E)` at checkpoint time.
-    pub fn participation(&self) -> (usize, usize) {
-        (self.clients_per_round, self.local_epochs)
-    }
-
-    /// Transport totals at checkpoint time.
-    pub fn transport_stats(&self) -> TransportStats {
-        self.transport
     }
 }

@@ -67,7 +67,7 @@ pub enum RobustRule {
 
 impl RobustRule {
     /// The rule's assumed Byzantine budget (0 for the plain mean).
-    pub fn assumed_byzantine(&self) -> usize {
+    pub(crate) fn assumed_byzantine(&self) -> usize {
         match *self {
             Self::Mean(_) => 0,
             Self::CoordinateMedian { assumed_byzantine }
@@ -148,7 +148,7 @@ impl ScreenPolicy {
 
     /// Panics on nonsensical limits: a ratio at or below 1, a non-positive
     /// z-score, or a non-finite or non-positive clip norm.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Some(r) = self.norm_ratio_limit {
             assert!(r > 1.0, "norm_ratio_limit must exceed 1, got {r}");
         }
@@ -180,11 +180,6 @@ impl ScreenReport {
     pub fn rejected_count(&self) -> usize {
         self.rejected.len()
     }
-
-    /// Whether the screen changed anything at all.
-    pub fn any(&self) -> bool {
-        !self.rejected.is_empty() || self.clipped > 0
-    }
 }
 
 /// The coordinator's screening boundary: every arriving update passes
@@ -203,11 +198,6 @@ impl UpdateScreen {
     pub fn new(policy: ScreenPolicy) -> Self {
         policy.validate();
         Self { policy }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &ScreenPolicy {
-        &self.policy
     }
 
     /// Screens `updates` in place against `expected_dim`: malformed and
@@ -714,7 +704,7 @@ mod tests {
         let mut updates = benign_set();
         let before = updates.clone();
         let report = screen.screen(&mut updates, 3);
-        assert!(!report.any());
+        assert_eq!(report, ScreenReport::default());
         assert_eq!(updates, before);
     }
 

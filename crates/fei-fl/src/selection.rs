@@ -41,11 +41,6 @@ impl ClientSelector {
         }
     }
 
-    /// The population size.
-    pub fn num_clients(&self) -> usize {
-        self.num_clients
-    }
-
     /// Selects `k` distinct client indices for round `round`, sorted
     /// ascending.
     ///

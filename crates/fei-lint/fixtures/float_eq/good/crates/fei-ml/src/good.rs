@@ -1,10 +1,8 @@
-//! Known-good: epsilon helpers for measured quantities; exact comparison
-//! only on integers.
-use fei_math::approx::{approx_eq, approx_zero};
-
+//! Known-good: tolerance comparisons for measured quantities; exact
+//! comparison only on integers.
 pub fn settled(energy_j: f64, accuracy: f64, rounds: usize) -> bool {
-    if approx_zero(energy_j) {
+    if energy_j.abs() <= 1e-12 {
         return true;
     }
-    approx_eq(accuracy, 0.93) && rounds == 0
+    (accuracy - 0.93).abs() <= 1e-9 && rounds == 0
 }

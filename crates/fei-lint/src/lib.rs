@@ -13,7 +13,7 @@
 //!   errors; `expect("invariant: …")` is the sanctioned form for provably
 //!   unreachable states;
 //! * **numeric safety** (`float-eq`) — no exact `==`/`!=` against float
-//!   literals; use `fei_math::approx` or justify the exact sentinel;
+//!   literals; compare within a tolerance or justify the exact sentinel;
 //! * **ledger discipline** (`ledger-discipline`) — public joule-taking
 //!   APIs in `fei-core`/`fei-power` must carry an `EnergyUse`
 //!   classification.

@@ -20,9 +20,9 @@ pub enum RuleId {
     /// `expect("invariant: …")` is sanctioned for genuinely unreachable
     /// states; anything else needs an allow directive.
     NoPanic,
-    /// No exact `==`/`!=` against floating-point literals: use the
-    /// `fei_math::approx` helpers, or justify an exact sentinel/zero-guard
-    /// with an allow directive.
+    /// No exact `==`/`!=` against floating-point literals: compare within a
+    /// tolerance, or justify an exact sentinel/zero-guard with an allow
+    /// directive.
     FloatEq,
     /// Public energy-accounting entry points in `fei-core`/`fei-power`
     /// that accept raw joules must also accept an `EnergyUse`
@@ -51,7 +51,7 @@ impl RuleId {
                 "no unwrap()/bare expect()/panic! in library code (typed errors or expect(\"invariant: ...\"))"
             }
             RuleId::FloatEq => {
-                "no ==/!= against float literals (use fei_math::approx or justify the sentinel)"
+                "no ==/!= against float literals (compare within a tolerance or justify the sentinel)"
             }
             RuleId::LedgerDiscipline => {
                 "public joule-taking fns in fei-core/fei-power must take an EnergyUse classification"
@@ -228,9 +228,9 @@ fn check_float_eq(rule: RuleId, file: &LexedFile, path: &str) -> Vec<Violation> 
                 path,
                 i,
                 format!(
-                    "exact `{op}` against float literal `{}`: use \
-                     fei_math::approx::approx_eq/approx_ne, or justify the \
-                     exact sentinel with an allow directive",
+                    "exact `{op}` against float literal `{}`: compare within \
+                     a tolerance, or justify the exact sentinel with an \
+                     allow directive",
                     if is_float_literal(&left) {
                         &left
                     } else {

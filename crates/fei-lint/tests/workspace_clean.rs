@@ -17,7 +17,7 @@ fn root() -> PathBuf {
 /// `#` (TOML) lines go, `#![…]` crate attributes stay.
 fn code_lines(rel: &str) -> Vec<String> {
     let text = fs::read_to_string(root().join(rel))
-        .unwrap_or_else(|e| panic!("{rel} switches on a clippy-owned rule and must exist: {e}"));
+        .unwrap_or_else(|e| panic!("{rel} switches on a lint rule and must exist: {e}"));
     text.lines()
         .map(str::trim)
         .filter(|l| !l.starts_with("//") && (!l.starts_with('#') || l.starts_with("#![")))
@@ -42,7 +42,8 @@ fn the_workspace_lints_clean() {
 }
 
 /// A misplaced or deleted `clippy.toml`, or a dropped crate attribute,
-/// switches a clippy-owned rule off without any error: pin them here.
+/// switches a clippy- or rustc-owned rule off without any error: pin them
+/// here.
 #[test]
 fn the_rules_clippy_owns_stay_switched_on() {
     let banned = [
@@ -75,6 +76,28 @@ fn the_rules_clippy_owns_stay_switched_on() {
                 .any(|l| l.starts_with("#![")
                     && l.contains("deny(clippy::cast_possible_truncation)")),
             "{rel} no longer denies clippy::cast_possible_truncation"
+        );
+    }
+    // Every product crate lets rustc see its dead surface: a `pub` item no
+    // other crate names must be `pub(crate)`, so `dead_code` can flag it.
+    for product in [
+        "fei-core",
+        "fei-data",
+        "fei-fl",
+        "fei-math",
+        "fei-ml",
+        "fei-net",
+        "fei-power",
+        "fei-proto",
+        "fei-sim",
+        "fei-testbed",
+    ] {
+        let rel = format!("crates/{product}/src/lib.rs");
+        assert!(
+            code_lines(&rel)
+                .iter()
+                .any(|l| l.as_str() == "#![warn(unreachable_pub)]"),
+            "{rel} no longer warns on unreachable_pub"
         );
     }
 }

@@ -6,13 +6,6 @@
 //! the ACS driver assert its per-coordinate slices really are convex before
 //! trusting a closed-form stationary point.
 
-/// Central second difference `f(x+h) - 2 f(x) + f(x-h)`.
-///
-/// For a convex function this is non-negative for every `x` and `h > 0`.
-pub fn second_difference<F: Fn(f64) -> f64>(f: F, x: f64, h: f64) -> f64 {
-    f(x + h) - 2.0 * f(x) + f(x - h)
-}
-
 /// Checks convexity of `f` on `[lo, hi]` by sampling `steps` interior points
 /// and verifying every central second difference is at least `-tol`.
 ///
@@ -57,18 +50,6 @@ pub fn is_convex_on_grid<F: Fn(f64) -> f64>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn second_difference_of_parabola_is_2h_squared() {
-        let d = second_difference(|x| x * x, 3.0, 0.5);
-        assert!((d - 2.0 * 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn second_difference_of_line_is_zero() {
-        let d = second_difference(|x| 4.0 * x - 7.0, 1.0, 0.25);
-        assert!(d.abs() < 1e-12);
-    }
 
     #[test]
     fn detects_convexity_of_exp() {

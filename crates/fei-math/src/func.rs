@@ -45,16 +45,6 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     max + xs.iter().map(|&x| (x - max).exp()).sum::<f64>().ln()
 }
 
-/// Logistic sigmoid `1 / (1 + e^{-x})`, stable for large `|x|`.
-pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 /// Index of the maximum element (first one on ties).
 ///
 /// # Panics
@@ -116,15 +106,6 @@ mod tests {
     #[test]
     fn log_sum_exp_all_neg_infinity() {
         assert_eq!(log_sum_exp(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn sigmoid_symmetry_and_extremes() {
-        assert_eq!(sigmoid(0.0), 0.5);
-        assert!((sigmoid(3.0) + sigmoid(-3.0) - 1.0).abs() < 1e-12);
-        assert!(sigmoid(1000.0) > 0.999999);
-        assert!(sigmoid(-1000.0) < 1e-6);
-        assert!(sigmoid(-1000.0) >= 0.0);
     }
 
     #[test]

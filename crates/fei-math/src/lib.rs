@@ -18,8 +18,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod approx;
 pub mod convex;
 pub mod func;
 pub mod linalg;
@@ -29,14 +29,6 @@ pub mod pack;
 pub mod reduce;
 pub mod stats;
 
-pub use approx::{approx_eq, approx_eq_tol, approx_ne, approx_zero};
-pub use convex::{is_convex_on_grid, second_difference};
-pub use func::{argmax, log_sum_exp, sigmoid, softmax_in_place};
-pub use linalg::{solve_linear_system, LeastSquares, LinalgError};
-pub use matrix::{Matrix, MatrixError};
-pub use optimize::{golden_section_min, minimize_over_integers, GoldenSectionResult};
+pub use matrix::Matrix;
 pub use pack::MatScratch;
-pub use stats::{
-    linear_fit, mean, percentile, r_squared, rmse, std_dev, try_mean, try_percentile, try_std_dev,
-    try_variance, variance, LinearFit,
-};
+pub use stats::{mean, percentile, rmse, std_dev, try_mean, try_percentile, try_std_dev, variance};

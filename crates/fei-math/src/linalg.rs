@@ -190,56 +190,9 @@ impl LeastSquares {
         })
     }
 
-    /// Ridge (Tikhonov-regularized) least squares: minimizes
-    /// `||X beta - y||² + lambda ||beta||²` via `(XᵀX + λI) beta = Xᵀy`.
-    ///
-    /// Regularization keeps near-collinear calibration designs solvable (a
-    /// real risk when training runs share similar `(K, E)` mixes); `lambda
-    /// = 0` reduces to [`LeastSquares::fit`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] on inconsistent inputs or a
-    /// negative `lambda`, and [`LinalgError::SingularMatrix`] when the
-    /// regularized normal matrix is still singular (only possible with
-    /// `lambda = 0`).
-    pub fn fit_ridge(design: &Matrix, targets: &[f64], lambda: f64) -> Result<Self, LinalgError> {
-        if !(lambda.is_finite() && lambda >= 0.0) {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("non-negative finite lambda, got {lambda}"),
-            });
-        }
-        if targets.len() != design.rows() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("{} targets, got {}", design.rows(), targets.len()),
-            });
-        }
-        let mut xtx = design.matmul_tn(design);
-        for i in 0..xtx.rows() {
-            xtx[(i, i)] += lambda;
-        }
-        let xty = design.transpose().matvec(targets);
-        let coefficients = solve_linear_system(&xtx, &xty)?;
-        let predictions = design.matvec(&coefficients);
-        let residual_sum_sq = predictions
-            .iter()
-            .zip(targets)
-            .map(|(p, t)| (p - t) * (p - t))
-            .sum();
-        Ok(Self {
-            coefficients,
-            residual_sum_sq,
-        })
-    }
-
     /// The fitted coefficient vector `beta`.
     pub fn coefficients(&self) -> &[f64] {
         &self.coefficients
-    }
-
-    /// Sum of squared residuals at the optimum.
-    pub fn residual_sum_sq(&self) -> f64 {
-        self.residual_sum_sq
     }
 
     /// Root-mean-square error over the `n` fitted points.
@@ -301,7 +254,7 @@ mod tests {
         let fit = LeastSquares::fit(&x, &[1.0, 3.0, 5.0, 7.0]).unwrap();
         assert!((fit.coefficients()[0] - 2.0).abs() < 1e-10);
         assert!((fit.coefficients()[1] - 1.0).abs() < 1e-10);
-        assert!(fit.residual_sum_sq() < 1e-18);
+        assert!(fit.rmse(4) < 1e-9);
     }
 
     #[test]
@@ -314,48 +267,6 @@ mod tests {
         assert!((beta[0] - 3.0).abs() < 0.1, "slope {}", beta[0]);
         assert!((beta[1] + 2.0).abs() < 0.2, "intercept {}", beta[1]);
         assert!(fit.rmse(4) < 0.2);
-    }
-
-    #[test]
-    fn ridge_with_zero_lambda_matches_ols() {
-        let x = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 1.0], &[2.0, 1.0], &[3.0, 1.0]]);
-        let y = [1.0, 3.2, 4.9, 7.1];
-        let ols = LeastSquares::fit(&x, &y).unwrap();
-        let ridge = LeastSquares::fit_ridge(&x, &y, 0.0).unwrap();
-        for (a, b) in ols.coefficients().iter().zip(ridge.coefficients()) {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn ridge_shrinks_coefficients() {
-        let x = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 1.0], &[2.0, 1.0], &[3.0, 1.0]]);
-        let y = [1.0, 3.0, 5.0, 7.0];
-        let small = LeastSquares::fit_ridge(&x, &y, 0.01).unwrap();
-        let large = LeastSquares::fit_ridge(&x, &y, 100.0).unwrap();
-        let norm = |f: &LeastSquares| f.coefficients().iter().map(|c| c * c).sum::<f64>();
-        assert!(norm(&large) < norm(&small));
-    }
-
-    #[test]
-    fn ridge_solves_collinear_designs() {
-        // Two identical columns: OLS is singular, ridge is not.
-        let x = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
-        let y = [2.0, 4.0, 6.0];
-        assert_eq!(LeastSquares::fit(&x, &y), Err(LinalgError::SingularMatrix));
-        let ridge = LeastSquares::fit_ridge(&x, &y, 1e-6).unwrap();
-        // Symmetry splits the slope evenly.
-        assert!((ridge.coefficients()[0] - 1.0).abs() < 1e-3);
-        assert!((ridge.coefficients()[1] - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn ridge_rejects_negative_lambda() {
-        let x = Matrix::identity(2);
-        assert!(matches!(
-            LeastSquares::fit_ridge(&x, &[1.0, 1.0], -1.0),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
     }
 
     #[test]

@@ -12,35 +12,6 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 
 use crate::pack::{self, AOrder, MatScratch};
-use crate::reduce;
-
-/// Typed shape error for the fallible matrix kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatrixError {
-    /// Operand shapes are incompatible for the named operation.
-    DimMismatch {
-        /// The operation that failed (`"matmul"`, `"matmul_tn"`, …).
-        op: &'static str,
-        /// Left operand shape `(rows, cols)`.
-        lhs: (usize, usize),
-        /// Right operand shape `(rows, cols)`.
-        rhs: (usize, usize),
-    },
-}
-
-impl fmt::Display for MatrixError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::DimMismatch { op, lhs, rhs } => write!(
-                f,
-                "{op}: incompatible shapes {}x{} and {}x{}",
-                lhs.0, lhs.1, rhs.0, rhs.1
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MatrixError {}
 
 /// Dense row-major matrix of `f64`.
 ///
@@ -67,7 +38,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         Self {
             rows,
@@ -132,27 +103,12 @@ impl Matrix {
         self.cols
     }
 
-    /// Borrow the flat row-major buffer.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutably borrow the flat row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix and returns the flat row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `r` as a slice.
     ///
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         assert!(
             r < self.rows,
             "row {r} out of bounds for {} rows",
@@ -166,7 +122,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
         assert!(
             r < self.rows,
             "row {r} out of bounds for {} rows",
@@ -188,8 +144,7 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if `self.cols() != rhs.rows()`; [`Matrix::try_matmul`] reports
-    /// the mismatch as a typed error instead.
+    /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         self.matmul_with(rhs, &mut MatScratch::new())
     }
@@ -219,22 +174,6 @@ impl Matrix {
             scratch,
         );
         out
-    }
-
-    /// Matrix–matrix product with a typed dimension-mismatch error.
-    ///
-    /// # Errors
-    ///
-    /// [`MatrixError::DimMismatch`] when `self.cols() != rhs.rows()`.
-    pub fn try_matmul(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
-        if self.cols != rhs.rows {
-            return Err(MatrixError::DimMismatch {
-                op: "matmul",
-                lhs: (self.rows, self.cols),
-                rhs: (rhs.rows, rhs.cols),
-            });
-        }
-        Ok(self.matmul_with(rhs, &mut MatScratch::new()))
     }
 
     /// Naive triple-loop product: the pre-fast-path reference kernel, kept
@@ -282,8 +221,7 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if `self.rows() != rhs.rows()`; [`Matrix::try_matmul_tn`]
-    /// reports the mismatch as a typed error instead.
+    /// Panics if `self.rows() != rhs.rows()`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
         self.matmul_tn_with(rhs, &mut MatScratch::new())
     }
@@ -315,28 +253,12 @@ impl Matrix {
         out
     }
 
-    /// Transposed-operand product with a typed dimension-mismatch error.
-    ///
-    /// # Errors
-    ///
-    /// [`MatrixError::DimMismatch`] when `self.rows() != rhs.rows()`.
-    pub fn try_matmul_tn(&self, rhs: &Matrix) -> Result<Matrix, MatrixError> {
-        if self.rows != rhs.rows {
-            return Err(MatrixError::DimMismatch {
-                op: "matmul_tn",
-                lhs: (self.rows, self.cols),
-                rhs: (rhs.rows, rhs.cols),
-            });
-        }
-        Ok(self.matmul_tn_with(rhs, &mut MatScratch::new()))
-    }
-
     /// Matrix–vector product `self * v`.
     ///
     /// # Panics
     ///
     /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(
             v.len(),
             self.cols,
@@ -354,82 +276,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// In-place `self += alpha * other` (AXPY over the whole buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn axpy(&mut self, alpha: f64, other: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "axpy requires equal shapes"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// In-place multiplication by a scalar.
-    pub fn scale(&mut self, alpha: f64) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
-    /// Fused `self += alpha * other` followed by multiplicative shrinkage
-    /// `self -= shrink * self`, in one pass over the buffer.
-    ///
-    /// Bit-identical to calling [`Matrix::axpy`] then shrinking element-wise
-    /// (see [`crate::reduce::fused_axpy_shrink`]), at half the memory
-    /// traffic — the SGD "gradient step + weight decay" composite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn axpy_shrink(&mut self, alpha: f64, other: &Matrix, shrink: f64) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "axpy_shrink requires equal shapes"
-        );
-        reduce::fused_axpy_shrink(&mut self.data, alpha, &other.data, shrink);
-    }
-
-    /// Sets every entry to zero.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    /// Squared Frobenius norm, `sum_ij self[i][j]^2`, via the deterministic
-    /// striped reduction ([`crate::reduce::sum_squares`]).
-    pub fn frobenius_norm_sq(&self) -> f64 {
-        reduce::sum_squares(&self.data)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.frobenius_norm_sq().sqrt()
-    }
-
-    /// Element-wise maximum absolute difference with another matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "max_abs_diff requires equal shapes"
-        );
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -496,7 +342,7 @@ mod tests {
         let m = Matrix::zeros(3, 4);
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 4);
-        assert!(m.as_slice().iter().all(|&x| x == 0.0));
+        assert!(m.data.iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -508,7 +354,7 @@ mod tests {
     #[test]
     fn from_vec_round_trips() {
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(m.data, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -555,37 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut a = Matrix::from_rows(&[&[1.0, 1.0]]);
-        let b = Matrix::from_rows(&[&[2.0, 4.0]]);
-        a.axpy(0.5, &b);
-        assert_eq!(a, Matrix::from_rows(&[&[2.0, 3.0]]));
-    }
-
-    #[test]
-    fn scale_and_fill_zero() {
-        let mut a = Matrix::from_rows(&[&[2.0, -4.0]]);
-        a.scale(-1.5);
-        assert_eq!(a, Matrix::from_rows(&[&[-3.0, 6.0]]));
-        a.fill_zero();
-        assert_eq!(a, Matrix::zeros(1, 2));
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(a.frobenius_norm_sq(), 25.0);
-        assert_eq!(a.frobenius_norm(), 5.0);
-    }
-
-    #[test]
-    fn max_abs_diff_finds_largest_gap() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[1.5, -1.0]]);
-        assert_eq!(a.max_abs_diff(&b), 3.0);
-    }
-
-    #[test]
     fn dot_known_value() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
     }
@@ -626,7 +441,7 @@ mod tests {
             let b = lcg_fill(k, n, seed ^ 0xFF);
             let fast = a.matmul(&b);
             let slow = a.matmul_reference(&b);
-            assert_eq!(fast.as_slice(), slow.as_slice(), "shape {m}x{k}x{n}");
+            assert_eq!(fast.data, slow.data, "shape {m}x{k}x{n}");
         }
     }
 
@@ -640,7 +455,7 @@ mod tests {
             }
         }
         let b = lcg_fill(80, 80, 10);
-        assert_eq!(a.matmul(&b).as_slice(), a.matmul_reference(&b).as_slice());
+        assert_eq!(a.matmul(&b).data, a.matmul_reference(&b).data);
     }
 
     #[test]
@@ -653,16 +468,16 @@ mod tests {
         let after_warmup = scratch.allocations();
         for _ in 0..3 {
             let warm = a.matmul_with(&b, &mut scratch);
-            assert_eq!(warm.as_slice(), cold.as_slice());
+            assert_eq!(warm.data, cold.data);
             let tn = a.matmul_tn_with(&a, &mut scratch);
-            assert_eq!(tn.as_slice(), a.transpose().matmul_reference(&a).as_slice());
+            assert_eq!(tn.data, a.transpose().matmul_reference(&a).data);
         }
         assert_eq!(
             scratch.allocations(),
             after_warmup,
             "warm packed products must not grow the workspace"
         );
-        assert_eq!(cold.as_slice(), a.matmul_reference(&b).as_slice());
+        assert_eq!(cold.data, a.matmul_reference(&b).data);
     }
 
     #[test]
@@ -672,48 +487,8 @@ mod tests {
             let b = lcg_fill(m, n, seed ^ 0xAB);
             let fused = a.matmul_tn(&b);
             let explicit = a.transpose().matmul_reference(&b);
-            assert_eq!(fused.as_slice(), explicit.as_slice(), "shape {m}x{k}x{n}");
+            assert_eq!(fused.data, explicit.data, "shape {m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn try_matmul_reports_dim_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let err = a.try_matmul(&b).unwrap_err();
-        assert_eq!(
-            err,
-            MatrixError::DimMismatch {
-                op: "matmul",
-                lhs: (2, 3),
-                rhs: (2, 3),
-            }
-        );
-        let msg = err.to_string();
-        assert!(msg.contains("matmul") && msg.contains("2x3"), "{msg}");
-    }
-
-    #[test]
-    fn try_matmul_accepts_conformable() {
-        let a = Matrix::identity(2);
-        let b = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.try_matmul(&b).unwrap(), b);
-    }
-
-    #[test]
-    fn try_matmul_tn_reports_row_mismatch() {
-        // selfᵀ · rhs needs equal row counts; 2x3 vs 3x3 must fail.
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(3, 3);
-        let err = a.try_matmul_tn(&b).unwrap_err();
-        assert!(matches!(
-            err,
-            MatrixError::DimMismatch {
-                op: "matmul_tn",
-                ..
-            }
-        ));
-        assert!(a.try_matmul_tn(&a).is_ok());
     }
 
     #[test]
@@ -723,50 +498,11 @@ mod tests {
         let b = Matrix::zeros(3, 3);
         let _ = a.matmul_tn(&b);
     }
-
-    #[test]
-    fn axpy_shrink_bitwise_matches_two_pass() {
-        let x = lcg_fill(3, 50, 11);
-        let base = lcg_fill(3, 50, 12);
-        let (alpha, shrink) = (-0.0125, 3.2e-4);
-
-        let mut fused = base.clone();
-        fused.axpy_shrink(alpha, &x, shrink);
-
-        let mut two_pass = base.clone();
-        two_pass.axpy(alpha, &x);
-        for v in two_pass.data.iter_mut() {
-            *v -= shrink * *v;
-        }
-        assert_eq!(fused.as_slice(), two_pass.as_slice());
-
-        // shrink = 0 must degenerate to plain axpy, bit for bit.
-        let mut no_shrink = base.clone();
-        no_shrink.axpy_shrink(alpha, &x, 0.0);
-        let mut plain = base.clone();
-        plain.axpy(alpha, &x);
-        assert_eq!(no_shrink.as_slice(), plain.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "equal shapes")]
-    fn axpy_shrink_rejects_shape_mismatch() {
-        let mut a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(2, 3);
-        a.axpy_shrink(1.0, &b, 0.0);
-    }
-
-    #[test]
-    fn frobenius_norm_sq_matches_dot_with_self() {
-        let m = lcg_fill(13, 17, 21);
-        assert_eq!(m.frobenius_norm_sq(), dot(m.as_slice(), m.as_slice()));
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::approx::approx_eq_tol;
     use proptest::prelude::*;
 
     /// Shapes that stress the tiling: degenerate 1×N / N×1, tile-aligned,
@@ -799,7 +535,7 @@ mod proptests {
             let b = fill(k, n, u64::from(seed) ^ 0x5555);
             let fast = a.matmul(&b);
             let slow = a.matmul_reference(&b);
-            prop_assert_eq!(fast.as_slice(), slow.as_slice());
+            prop_assert_eq!(fast.data, slow.data);
         }
 
         /// matmul_tn agrees with materialize-transpose-then-multiply within
@@ -812,34 +548,7 @@ mod proptests {
             let b = fill(m, n, u64::from(seed) ^ 0xAAAA);
             let fused = a.matmul_tn(&b);
             let explicit = a.transpose().matmul_reference(&b);
-            for (x, y) in fused.as_slice().iter().zip(explicit.as_slice()) {
-                prop_assert!(approx_eq_tol(*x, *y, 1e-12, 1e-9));
-            }
-            prop_assert_eq!(fused.as_slice(), explicit.as_slice());
-        }
-
-        /// Fused axpy+shrink stays within tolerance of the mathematically
-        /// equivalent two-pass update (and is bitwise equal by construction).
-        #[test]
-        fn axpy_shrink_matches_two_pass(
-            n in 1usize..200,
-            alpha in -2.0f64..2.0,
-            shrink in 0.0f64..0.5,
-            seed in any::<u32>(),
-        ) {
-            let x = fill(1, n, u64::from(seed) | 1);
-            let base = fill(1, n, u64::from(seed) ^ 0x1234);
-            let mut fused = base.clone();
-            fused.axpy_shrink(alpha, &x, shrink);
-            let mut two_pass = base.clone();
-            two_pass.axpy(alpha, &x);
-            two_pass.scale(1.0 - shrink);
-            for (f, t) in fused.as_slice().iter().zip(two_pass.as_slice()) {
-                // `t - shrink*t` vs `t*(1-shrink)` differ by at most one
-                // rounding; compare with tolerance here (the bitwise contract
-                // against the literal two-pass form is in the unit tests).
-                prop_assert!(approx_eq_tol(*f, *t, 1e-12, 1e-9), "{} vs {}", f, t);
-            }
+            prop_assert_eq!(fused.data, explicit.data);
         }
     }
 

@@ -30,13 +30,13 @@
 /// Square cache-block edge for the packed kernels, in elements — shared
 /// with the historical tiled kernels so the per-element accumulation
 /// order (and therefore every produced bit) is unchanged.
-pub const TILE: usize = 64;
+pub(crate) const TILE: usize = 64;
 
 /// Rows of the register-blocked accumulator (A-panel height).
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 
 /// Columns of the register-blocked accumulator (B-panel width).
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 
 /// Reusable pack workspace for the GEMM micro-kernels.
 ///

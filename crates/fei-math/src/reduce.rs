@@ -1,5 +1,5 @@
-//! Deterministic fast reductions: striped dot products, compensated sums,
-//! and fused update kernels.
+//! Deterministic fast reductions: striped dot products, the fixed-tree
+//! segment reduction, and fused update kernels.
 //!
 //! Every routine here is *shape-deterministic*: the order in which partial
 //! results are combined depends only on the input length, never on thread
@@ -8,21 +8,19 @@
 //! numerics bit-for-bit, and what keeps the chunked-parallel gradient in
 //! `fei-ml`/`fei-fl` bit-identical to its serial evaluation.
 //!
-//! Three reduction styles are used:
+//! Two reduction styles are used:
 //!
-//! * **striped** ([`dot`], [`sum_squares`]) — `LANES` independent
-//!   accumulators walk the slice in lock-step and are folded in a fixed
-//!   pairwise tree, with the tail appended serially. Breaking the serial
-//!   floating-point dependency chain lets the compiler vectorize, and the
+//! * **striped** ([`dot`], [`dot2`]) — `LANES` independent accumulators
+//!   walk the slice in lock-step and are folded in a fixed pairwise tree,
+//!   with the tail appended serially. Breaking the serial floating-point
+//!   dependency chain lets the compiler vectorize, and the
 //!   multi-accumulator structure is a coarse pairwise summation, so accuracy
 //!   improves over a naive left fold rather than degrading;
-//! * **Kahan** ([`sum_kahan`]) — compensated serial summation for cold paths
-//!   that want maximum accuracy at scalar speed;
-//! * **pairwise** ([`sum_pairwise`], [`tree_reduce_len`]) — recursive
-//!   halving with a fixed base-case size; also the combination schedule the
-//!   chunked gradient kernels follow.
+//! * **tree** ([`tree_reduce_into_first`]) — stride-doubling pairwise
+//!   combination of equal-length segments, the schedule the chunked
+//!   gradient kernels follow.
 
-pub mod lanes;
+pub(crate) mod lanes;
 
 use lanes::F64x8;
 
@@ -34,10 +32,7 @@ use lanes::F64x8;
 /// the bits the fast path produces, so it is fixed and public. It equals
 /// the width of [`lanes::F64x8`], the accumulator type the striped
 /// kernels are built on.
-pub const LANES: usize = 8;
-
-/// Base-case length below which [`sum_pairwise`] sums serially.
-const PAIRWISE_BASE: usize = 32;
+pub(crate) const LANES: usize = 8;
 
 /// Reference dot product: the naive serial left fold.
 ///
@@ -54,12 +49,12 @@ pub fn dot_serial(a: &[f64], b: &[f64]) -> f64 {
 
 /// Deterministic striped dot product.
 ///
-/// Multiplies element-wise into [`LANES`] independent accumulators
+/// Multiplies element-wise into `LANES` independent accumulators
 /// (element `i` goes to lane `i % LANES` within each full block), folds the
 /// lanes in a fixed pairwise tree, then adds the tail elements serially.
 /// The combination order depends only on `a.len()`, so the result is
 /// reproducible across runs, machines with the same FP semantics, and
-/// thread counts — while vectorizing roughly [`LANES`]× better than the
+/// thread counts — while vectorizing roughly `LANES`× better than the
 /// serial fold.
 ///
 /// Empty slices dot to `0.0`.
@@ -89,7 +84,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// `(dot(a0, b), dot(a1, b))`.
 ///
 /// Each output follows exactly the [`dot`] schedule (its own
-/// [`lanes::F64x8`] accumulator, same fold, same serial tail), so both
+/// `lanes::F64x8` accumulator, same fold, same serial tail), so both
 /// results are bit-identical to two separate [`dot`] calls — but `b` is
 /// streamed through cache once instead of twice, which matters when many
 /// rows are dotted against one activation vector (logits).
@@ -125,59 +120,6 @@ pub fn dot2(a0: &[f64], a1: &[f64], b: &[f64]) -> (f64, f64) {
     (r0, r1)
 }
 
-/// Deterministic striped sum of squares, `sum_i x_i^2`.
-///
-/// Same lane structure and combination tree as [`dot`]; used by
-/// `Matrix::frobenius_norm_sq` and anywhere a squared norm is hot.
-pub fn sum_squares(xs: &[f64]) -> f64 {
-    let mut acc8 = F64x8::zero();
-    let mut chunks = xs.chunks_exact(LANES);
-    for c in chunks.by_ref() {
-        acc8 = acc8.add_sq(c);
-    }
-    let mut acc = acc8.fold_pairwise();
-    for &x in chunks.remainder() {
-        acc += x * x;
-    }
-    acc
-}
-
-/// Kahan (compensated) serial sum: every addition carries a running error
-/// term, bounding the accumulated rounding error independently of length.
-///
-/// Deterministic (pure left-to-right walk) and maximally accurate, but the
-/// compensation chain defeats vectorization — use on cold accuracy-critical
-/// paths, [`sum_pairwise`] or the striped kernels when speed matters.
-pub fn sum_kahan(xs: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    let mut c = 0.0;
-    for &x in xs {
-        let y = x - c;
-        let t = sum + y;
-        c = (t - sum) - y;
-        sum = t;
-    }
-    sum
-}
-
-/// Deterministic pairwise (cascade) sum: recursively halves the slice down
-/// to a fixed base-case length, summing each base case serially and
-/// combining the halves with single additions.
-///
-/// Error grows as `O(log n)` instead of the naive fold's `O(n)`, and the
-/// combination tree is a pure function of `xs.len()`.
-pub fn sum_pairwise(xs: &[f64]) -> f64 {
-    if xs.len() <= PAIRWISE_BASE {
-        let mut acc = 0.0;
-        for &x in xs {
-            acc += x;
-        }
-        return acc;
-    }
-    let mid = xs.len() / 2;
-    sum_pairwise(&xs[..mid]) + sum_pairwise(&xs[mid..])
-}
-
 /// In-place fixed-tree reduction of `parts` equal-length vectors laid out
 /// contiguously in `buf` (`buf.len() == parts * len`), accumulating
 /// everything into the first segment.
@@ -210,12 +152,6 @@ pub fn tree_reduce_into_first(buf: &mut [f64], parts: usize, len: usize) {
     }
 }
 
-/// Number of additions the pairwise tree performs for `parts` segments —
-/// exposed so tests can pin the fixed shape.
-pub fn tree_reduce_len(parts: usize) -> usize {
-    parts.saturating_sub(1)
-}
-
 /// Fused AXPY + shrink: `y[i] = t - shrink * t` where `t = y[i] + alpha *
 /// x[i]`, in one pass.
 ///
@@ -226,10 +162,10 @@ pub fn tree_reduce_len(parts: usize) -> usize {
 /// rules included). One pass instead of two halves the memory traffic on
 /// the parameter buffer.
 ///
-/// The per-element arithmetic is [`lanes::axpy_shrink_step`]; the loop
+/// The per-element arithmetic is `lanes::axpy_shrink_step`; the loop
 /// stays in iterator form because element-wise streams vectorize best
 /// that way (explicit lane-block load/store measurably regresses — see
-/// the [`lanes`] module docs).
+/// the `lanes` module docs).
 ///
 /// # Panics
 ///
@@ -244,13 +180,18 @@ pub fn fused_axpy_shrink(y: &mut [f64], alpha: f64, x: &[f64], shrink: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::approx_eq_tol;
+
+    /// `a` and `b` agree to `tol`, absolutely or relative to the larger
+    /// magnitude.
+    pub(super) fn close(a: f64, b: f64, tol: f64) -> bool {
+        (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
+    }
 
     #[test]
     fn dot_matches_serial_reference() {
         let a: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
         let b: Vec<f64> = (0..100).map(|i| (i as f64 * 0.7).cos()).collect();
-        assert!(approx_eq_tol(dot(&a, &b), dot_serial(&a, &b), 1e-12, 1e-12));
+        assert!(close(dot(&a, &b), dot_serial(&a, &b), 1e-12));
     }
 
     #[test]
@@ -292,33 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_squares_matches_naive() {
-        let xs: Vec<f64> = (0..77).map(|i| i as f64 * 0.1 - 3.0).collect();
-        let naive: f64 = xs.iter().map(|x| x * x).sum();
-        assert!(approx_eq_tol(sum_squares(&xs), naive, 1e-12, 1e-12));
-        assert_eq!(sum_squares(&[]), 0.0);
-    }
-
-    #[test]
-    fn kahan_beats_naive_on_ill_conditioned_input() {
-        // 1.0 followed by many tiny values the naive fold drops entirely.
-        let mut xs = vec![1.0];
-        xs.extend(std::iter::repeat_n(1e-17, 10_000));
-        let naive: f64 = xs.iter().sum();
-        let kahan = sum_kahan(&xs);
-        let exact = 1.0 + 1e-13;
-        assert!((kahan - exact).abs() < (naive - exact).abs());
-    }
-
-    #[test]
-    fn pairwise_matches_exact_on_integers() {
-        let xs: Vec<f64> = (1..=1000).map(f64::from).collect();
-        assert_eq!(sum_pairwise(&xs), 500_500.0);
-        assert_eq!(sum_pairwise(&[]), 0.0);
-        assert_eq!(sum_pairwise(&[4.5]), 4.5);
-    }
-
-    #[test]
     fn tree_reduce_sums_segments() {
         // 4 segments of length 3.
         let mut buf = vec![
@@ -329,13 +243,6 @@ mod tests {
         ];
         tree_reduce_into_first(&mut buf, 4, 3);
         assert_eq!(&buf[..3], &[1111.0, 2222.0, 3333.0]);
-    }
-
-    #[test]
-    fn tree_reduce_shape_is_fixed() {
-        // The schedule depends only on `parts`.
-        assert_eq!(tree_reduce_len(5), 4);
-        assert_eq!(tree_reduce_len(0), 0);
     }
 
     #[test]
@@ -374,8 +281,8 @@ mod tests {
 mod proptests {
     use proptest::prelude::*;
 
+    use super::tests::close;
     use super::*;
-    use crate::approx::approx_eq_tol;
 
     fn vec_pair(max_len: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
         // Draw a length plus two max-length vectors, then truncate both to the
@@ -400,7 +307,7 @@ mod proptests {
         fn striped_dot_matches_serial((a, b) in vec_pair(300)) {
             let fast = dot(&a, &b);
             let slow = dot_serial(&a, &b);
-            prop_assert!(approx_eq_tol(fast, slow, 1e-9, 1e-9), "{fast} vs {slow}");
+            prop_assert!(close(fast, slow, 1e-9), "{fast} vs {slow}");
         }
 
         /// The paired dot is bit-identical to two independent striped
@@ -410,13 +317,6 @@ mod proptests {
             let (r0, r1) = dot2(&a, &b, &b);
             prop_assert_eq!(r0.to_bits(), dot(&a, &b).to_bits());
             prop_assert_eq!(r1.to_bits(), dot(&b, &b).to_bits());
-        }
-
-        /// Pairwise and Kahan sums agree with each other (both are
-        /// high-accuracy) to tight tolerance.
-        #[test]
-        fn pairwise_matches_kahan(xs in proptest::collection::vec(-1e6f64..1e6, 0..400)) {
-            prop_assert!(approx_eq_tol(sum_pairwise(&xs), sum_kahan(&xs), 1e-6, 1e-12));
         }
 
         /// Tree reduction equals per-element pairwise sums of the segments.
@@ -433,7 +333,7 @@ mod proptests {
                 .collect();
             tree_reduce_into_first(&mut buf, parts, len);
             for (got, want) in buf[..len].iter().zip(&expect) {
-                prop_assert!(approx_eq_tol(*got, *want, 1e-9, 1e-9));
+                prop_assert!(close(*got, *want, 1e-9));
             }
         }
     }

@@ -8,11 +8,10 @@
 //! contract a *type*: [`F64x4`] and [`F64x8`] are hand-unrolled lane
 //! blocks (no `std::simd`, no `unsafe` — named `f64` fields that LLVM
 //! keeps in vector registers) whose `fold_pairwise` methods are the only
-//! way lanes recombine. Every kernel built on them — `dot`, `dot2`,
-//! `sum_squares`, the packed matmul micro-kernels — therefore inherits
-//! the same combination order, which is what keeps the fast path
-//! bit-identical across serial/threaded engines and golden-numerics
-//! pins.
+//! way lanes recombine. Every kernel built on them — `dot`, `dot2`, the
+//! packed matmul micro-kernels — therefore inherits the same combination
+//! order, which is what keeps the fast path bit-identical across
+//! serial/threaded engines and golden-numerics pins.
 //!
 //! Two codegen facts shape the API, both measured on the perf harness:
 //!
@@ -31,7 +30,7 @@
 ///
 /// Fold order: `(l0 + l1) + (l2 + l3)` — fixed, public contract.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct F64x4 {
+pub(crate) struct F64x4 {
     pub l0: f64,
     pub l1: f64,
     pub l2: f64,
@@ -45,33 +44,12 @@ pub struct F64x4 {
 /// of the low [`F64x4`] half plus the fold of the high half. Fixed,
 /// public contract.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct F64x8 {
+pub(crate) struct F64x8 {
     pub lo: F64x4,
     pub hi: F64x4,
 }
 
 impl F64x4 {
-    /// All-zero accumulator.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        Self::default()
-    }
-
-    /// Loads lanes from the first four elements of `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c.len() < 4`.
-    #[inline(always)]
-    pub fn load(c: &[f64]) -> Self {
-        F64x4 {
-            l0: c[0],
-            l1: c[1],
-            l2: c[2],
-            l3: c[3],
-        }
-    }
-
     /// Lane-wise `self + a*b` over the first four elements of each slice
     /// (separate multiply and add — never contracted to FMA, so bits
     /// match the scalar arithmetic).
@@ -80,7 +58,7 @@ impl F64x4 {
     ///
     /// Panics if either slice is shorter than four elements.
     #[inline(always)]
-    pub fn add_prod(self, a: &[f64], b: &[f64]) -> Self {
+    pub(crate) fn add_prod(self, a: &[f64], b: &[f64]) -> Self {
         F64x4 {
             l0: self.l0 + a[0] * b[0],
             l1: self.l1 + a[1] * b[1],
@@ -89,25 +67,10 @@ impl F64x4 {
         }
     }
 
-    /// Lane-wise `self + a*a` over the first four elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() < 4`.
-    #[inline(always)]
-    pub fn add_sq(self, a: &[f64]) -> Self {
-        F64x4 {
-            l0: self.l0 + a[0] * a[0],
-            l1: self.l1 + a[1] * a[1],
-            l2: self.l2 + a[2] * a[2],
-            l3: self.l3 + a[3] * a[3],
-        }
-    }
-
     /// Folds the four lanes in the fixed pairwise tree
     /// `(l0 + l1) + (l2 + l3)`.
     #[inline(always)]
-    pub fn fold_pairwise(self) -> f64 {
+    pub(crate) fn fold_pairwise(self) -> f64 {
         (self.l0 + self.l1) + (self.l2 + self.l3)
     }
 }
@@ -115,21 +78,8 @@ impl F64x4 {
 impl F64x8 {
     /// All-zero accumulator.
     #[inline(always)]
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self::default()
-    }
-
-    /// Loads lanes from the first eight elements of `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c.len() < 8`.
-    #[inline(always)]
-    pub fn load(c: &[f64]) -> Self {
-        F64x8 {
-            lo: F64x4::load(&c[..4]),
-            hi: F64x4::load(&c[4..8]),
-        }
     }
 
     /// Lane-wise `self + a*b` over the first eight elements of each
@@ -140,23 +90,10 @@ impl F64x8 {
     ///
     /// Panics if either slice is shorter than eight elements.
     #[inline(always)]
-    pub fn add_prod(self, a: &[f64], b: &[f64]) -> Self {
+    pub(crate) fn add_prod(self, a: &[f64], b: &[f64]) -> Self {
         F64x8 {
             lo: self.lo.add_prod(&a[..4], &b[..4]),
             hi: self.hi.add_prod(&a[4..8], &b[4..8]),
-        }
-    }
-
-    /// Lane-wise `self + a*a` over the first eight elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() < 8`.
-    #[inline(always)]
-    pub fn add_sq(self, a: &[f64]) -> Self {
-        F64x8 {
-            lo: self.lo.add_sq(&a[..4]),
-            hi: self.hi.add_sq(&a[4..8]),
         }
     }
 
@@ -164,7 +101,7 @@ impl F64x8 {
     /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` — exactly the historical
     /// `fold_lanes` order the golden numerics pin.
     #[inline(always)]
-    pub fn fold_pairwise(self) -> f64 {
+    pub(crate) fn fold_pairwise(self) -> f64 {
         self.lo.fold_pairwise() + self.hi.fold_pairwise()
     }
 }
@@ -178,7 +115,7 @@ impl F64x8 {
 /// owner of the update formula that the two-pass/fused bit-identity
 /// tests pin.
 #[inline(always)]
-pub fn axpy_shrink_step(y: f64, x: f64, alpha: f64, shrink: f64) -> f64 {
+pub(crate) fn axpy_shrink_step(y: f64, x: f64, alpha: f64, shrink: f64) -> f64 {
     let t = y + alpha * x;
     t - shrink * t
 }
@@ -199,18 +136,9 @@ mod tests {
     #[test]
     fn f64x4_fold_is_low_half_of_f64x8() {
         let v = [0.1, 0.2, 0.4, 0.8];
-        let four = F64x4::zero().add_sq(&v);
+        let four = F64x4::default().add_prod(&v, &v);
         let manual = (v[0] * v[0] + v[1] * v[1]) + (v[2] * v[2] + v[3] * v[3]);
         assert_eq!(four.fold_pairwise().to_bits(), manual.to_bits());
-    }
-
-    #[test]
-    fn load_store_roundtrip_semantics() {
-        let c = [1.0, -2.0, 3.0, -0.0, 5.0, 6.5, -7.0, 8.25];
-        let v = F64x8::load(&c);
-        assert_eq!(v.lo.l0.to_bits(), 1.0f64.to_bits());
-        assert_eq!(v.lo.l3.to_bits(), (-0.0f64).to_bits());
-        assert_eq!(v.hi.l3.to_bits(), 8.25f64.to_bits());
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub fn try_mean(xs: &[f64]) -> Option<f64> {
 
 /// Population variance (divides by `n`).
 ///
-/// NaN inputs propagate into the result; use [`try_variance`] when the data
+/// NaN inputs propagate into the result; use `try_variance` when the data
 /// may contain non-finite values.
 ///
 /// # Panics
@@ -41,7 +41,7 @@ pub fn variance(xs: &[f64]) -> f64 {
 
 /// NaN-guarded population variance: `None` when `xs` is empty or contains
 /// any NaN.
-pub fn try_variance(xs: &[f64]) -> Option<f64> {
+pub(crate) fn try_variance(xs: &[f64]) -> Option<f64> {
     let m = try_mean(xs)?;
     Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
 }
@@ -123,7 +123,7 @@ pub fn rmse(predicted: &[f64], actual: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the slices are empty or of different lengths.
-pub fn r_squared(predicted: &[f64], actual: &[f64]) -> f64 {
+pub(crate) fn r_squared(predicted: &[f64], actual: &[f64]) -> f64 {
     assert_eq!(
         predicted.len(),
         actual.len(),
@@ -159,13 +159,6 @@ pub struct LinearFit {
     pub intercept: f64,
     /// Coefficient of determination of the fit.
     pub r_squared: f64,
-}
-
-impl LinearFit {
-    /// Evaluates the fitted line at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 /// Ordinary least-squares fit of a straight line through `(x, y)` pairs.
@@ -289,7 +282,6 @@ mod tests {
         assert!((fit.slope - 2.0).abs() < 1e-12);
         assert!((fit.intercept + 1.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(10.0) - 19.0).abs() < 1e-12);
     }
 
     #[test]

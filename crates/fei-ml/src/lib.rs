@@ -22,19 +22,20 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod metrics;
-pub mod mlp;
-pub mod model;
-pub mod optimizer;
-pub mod pool;
-pub mod scratch;
-pub mod trainer;
-pub mod traits;
+mod metrics;
+mod mlp;
+mod model;
+mod optimizer;
+mod pool;
+mod scratch;
+mod trainer;
+mod traits;
 
 pub use metrics::{accuracy, Evaluation};
 pub use mlp::Mlp;
-pub use model::{LogisticRegression, GRAD_CHUNK};
+pub use model::LogisticRegression;
 pub use optimizer::{GradReduction, SgdConfig};
 pub use pool::WorkerPool;
 pub use scratch::GradScratch;

@@ -58,11 +58,6 @@ impl Mlp {
         }
     }
 
-    /// Hidden-layer width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
     fn w1(&self) -> &[f64] {
         &self.params[..self.hidden * self.dim]
     }
@@ -249,7 +244,7 @@ mod tests {
     fn shapes_and_flat_round_trip() {
         let mlp = Mlp::new(3, 4, 2, 7);
         assert_eq!(mlp.dim(), 3);
-        assert_eq!(mlp.hidden(), 4);
+        assert_eq!(mlp.hidden, 4);
         assert_eq!(Model::num_classes(&mlp), 2);
         assert_eq!(Model::num_params(&mlp), 3 * 4 + 4 + 2 * 4 + 2);
         let mut copy = Mlp::new(3, 4, 2, 99);

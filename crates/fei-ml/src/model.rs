@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use fei_data::Dataset;
 use fei_math::func::{argmax, log_sum_exp, softmax_in_place};
-use fei_math::matrix::{dot, Matrix};
+use fei_math::matrix::dot;
 use fei_math::pack::{packed_gemm, AOrder};
 use fei_math::reduce;
 use serde::{Deserialize, Serialize};
@@ -22,7 +22,7 @@ use crate::scratch::{BandState, ChunkWork, GradScratch};
 /// and parallel evaluations produce the same bits. The value is part of the
 /// numeric contract pinned by the golden-model suite, so it is fixed and
 /// public.
-pub const GRAD_CHUNK: usize = 64;
+pub(crate) const GRAD_CHUNK: usize = 64;
 
 /// Multinomial logistic regression: `logits = W x + b`, class probabilities
 /// via softmax.
@@ -118,10 +118,9 @@ impl LogisticRegression {
     }
 
     /// Raw logits `W x + b` for one sample. With
-    /// [`LogisticRegression::predict_proba`] and
-    /// [`LogisticRegression::predict`] this is the single-sample API;
+    /// `LogisticRegression::predict` this is the single-sample API;
     /// anything that walks a dataset goes through the buffer-reusing
-    /// [`LogisticRegression::evaluate_with`] or the gradient kernels.
+    /// `LogisticRegression::evaluate_with` or the gradient kernels.
     ///
     /// # Panics
     ///
@@ -151,15 +150,8 @@ impl LogisticRegression {
         }
     }
 
-    /// Class probabilities for one sample.
-    pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut logits = self.logits(x);
-        softmax_in_place(&mut logits);
-        logits
-    }
-
     /// Most likely class for one sample.
-    pub fn predict(&self, x: &[f64]) -> usize {
+    pub(crate) fn predict(&self, x: &[f64]) -> usize {
         argmax(&self.logits(x))
     }
 
@@ -174,7 +166,7 @@ impl LogisticRegression {
     /// # Panics
     ///
     /// Panics if the dataset is empty or its shape mismatches the model.
-    pub fn evaluate_with(&self, data: &Dataset, scratch: &mut GradScratch) -> Evaluation {
+    pub(crate) fn evaluate_with(&self, data: &Dataset, scratch: &mut GradScratch) -> Evaluation {
         assert!(!data.is_empty(), "evaluation over empty dataset");
         self.check_shape(data);
         let work = scratch.work();
@@ -194,7 +186,7 @@ impl LogisticRegression {
         }
     }
 
-    /// The loss half of [`LogisticRegression::evaluate_with`] against a
+    /// The loss half of `LogisticRegression::evaluate_with` against a
     /// throwaway workspace.
     ///
     /// # Panics
@@ -211,7 +203,7 @@ impl LogisticRegression {
     /// # Panics
     ///
     /// Panics if the dataset is empty or its shape mismatches the model.
-    pub fn loss_with(&self, data: &Dataset, scratch: &mut GradScratch) -> f64 {
+    pub(crate) fn loss_with(&self, data: &Dataset, scratch: &mut GradScratch) -> f64 {
         self.evaluate_with(data, scratch).loss
     }
 
@@ -231,7 +223,7 @@ impl LogisticRegression {
     /// # Panics
     ///
     /// Panics if `indices` is empty or out of bounds, or shapes mismatch.
-    pub fn loss_and_gradient(&self, data: &Dataset, indices: &[usize]) -> (f64, Vec<f64>) {
+    pub(crate) fn loss_and_gradient(&self, data: &Dataset, indices: &[usize]) -> (f64, Vec<f64>) {
         assert!(!indices.is_empty(), "gradient over empty batch");
         self.check_shape(data);
         let mut grad = vec![0.0; self.params.len()];
@@ -290,7 +282,7 @@ impl LogisticRegression {
     /// # Panics
     ///
     /// Panics if `indices` is empty or out of bounds, or shapes mismatch.
-    pub fn fused_loss_and_gradient_into(
+    pub(crate) fn fused_loss_and_gradient_into(
         &self,
         data: &Dataset,
         indices: &[usize],
@@ -413,7 +405,7 @@ impl LogisticRegression {
     /// # Panics
     ///
     /// Panics if `indices` is empty or out of bounds, or shapes mismatch.
-    pub fn pooled_loss_and_gradient_into(
+    pub(crate) fn pooled_loss_and_gradient_into(
         &self,
         data: &Arc<Dataset>,
         indices: &[usize],
@@ -507,7 +499,7 @@ impl LogisticRegression {
     /// # Panics
     ///
     /// Panics if the gradient length mismatches.
-    pub fn apply_gradient(&mut self, gradient: &[f64], step: f64) {
+    pub(crate) fn apply_gradient(&mut self, gradient: &[f64], step: f64) {
         assert_eq!(
             gradient.len(),
             self.params.len(),
@@ -524,7 +516,7 @@ impl LogisticRegression {
     /// # Panics
     ///
     /// Panics if `step * decay` is negative or not finite.
-    pub fn apply_weight_decay(&mut self, step: f64, decay: f64) {
+    pub(crate) fn apply_weight_decay(&mut self, step: f64, decay: f64) {
         let shrink = step * decay;
         assert!(
             shrink.is_finite() && shrink >= 0.0,
@@ -546,7 +538,7 @@ impl LogisticRegression {
     ///
     /// Panics if the gradient length mismatches or `step * decay` is
     /// negative or not finite.
-    pub fn apply_gradient_decayed(&mut self, gradient: &[f64], step: f64, decay: f64) {
+    pub(crate) fn apply_gradient_decayed(&mut self, gradient: &[f64], step: f64, decay: f64) {
         assert_eq!(
             gradient.len(),
             self.params.len(),
@@ -594,15 +586,6 @@ impl LogisticRegression {
             .zip(&other.params)
             .map(|(a, b)| (a - b) * (a - b))
             .sum()
-    }
-
-    /// The weights as a `num_classes × dim` matrix (copy).
-    pub fn weights_matrix(&self) -> Matrix {
-        Matrix::from_vec(
-            self.num_classes,
-            self.dim,
-            self.params[..self.num_classes * self.dim].to_vec(),
-        )
     }
 
     fn check_shape(&self, data: &Dataset) {
@@ -706,10 +689,7 @@ mod tests {
     #[test]
     fn zero_model_is_uniform() {
         let m = LogisticRegression::zeros(3, 4);
-        let p = m.predict_proba(&[1.0, 2.0, 3.0]);
-        for &pi in &p {
-            assert!((pi - 0.25).abs() < 1e-12);
-        }
+        assert!(m.logits(&[1.0, 2.0, 3.0]).iter().all(|&z| z == 0.0));
         assert_eq!(m.num_params(), 3 * 4 + 4);
         assert_eq!(m.payload_bytes(), (3 * 4 + 4) * 8);
     }
@@ -806,13 +786,6 @@ mod tests {
         let a = LogisticRegression::from_flat(1, 2, vec![0.0, 0.0, 0.0, 0.0]);
         let b = LogisticRegression::from_flat(1, 2, vec![1.0, 2.0, 0.0, 2.0]);
         assert_eq!(a.param_distance_sq(&b), 9.0);
-    }
-
-    #[test]
-    fn weights_matrix_shape() {
-        let m = LogisticRegression::zeros(3, 2);
-        let w = m.weights_matrix();
-        assert_eq!((w.rows(), w.cols()), (2, 3));
     }
 
     #[test]
@@ -1108,19 +1081,6 @@ mod proptests {
     use super::*;
 
     proptest! {
-        /// Probabilities always form a distribution, whatever the parameters.
-        #[test]
-        fn predict_proba_is_distribution(
-            params in proptest::collection::vec(-5.0f64..5.0, 8),
-            x in proptest::collection::vec(-5.0f64..5.0, 3),
-        ) {
-            // 2 classes x 3 dims + 2 biases = 8 parameters.
-            let m = LogisticRegression::from_flat(3, 2, params);
-            let p = m.predict_proba(&x);
-            prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            prop_assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
-        }
-
         /// A gradient step with a small enough rate never increases the loss
         /// on the batch it was computed from (descent direction property).
         #[test]

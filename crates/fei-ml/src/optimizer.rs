@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// All three variants compute the same mathematical gradient; they differ in
 /// arithmetic order (and therefore in the low bits) and in speed. The fused
 /// variants share one arithmetic definition — fixed
-/// [`crate::model::GRAD_CHUNK`]-sample chunks combined by a fixed pairwise
+/// `crate::model::GRAD_CHUNK`-sample chunks combined by a fixed pairwise
 /// tree — so [`GradReduction::FusedSerial`] and
 /// [`GradReduction::FusedParallel`] are bit-identical for every thread
 /// count. See DESIGN.md §10.
@@ -112,17 +112,6 @@ impl SgdConfig {
         self
     }
 
-    /// Returns a copy with the given L2 weight-decay coefficient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight_decay` is negative or not finite.
-    pub fn with_weight_decay(mut self, weight_decay: f64) -> Self {
-        self.weight_decay = weight_decay;
-        self.validate();
-        self
-    }
-
     /// Learning rate in effect during global round `round` (0-based):
     /// `lr · decay^round`.
     pub fn lr_for_round(&self, round: usize) -> f64 {
@@ -167,16 +156,13 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_builder() {
-        let c = SgdConfig::paper_default().with_weight_decay(1e-4);
-        assert_eq!(c.weight_decay, 1e-4);
-        assert_eq!(SgdConfig::paper_default().weight_decay, 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "weight decay")]
     fn rejects_negative_weight_decay() {
-        let _ = SgdConfig::paper_default().with_weight_decay(-1.0);
+        SgdConfig {
+            weight_decay: -1.0,
+            ..SgdConfig::paper_default()
+        }
+        .validate();
     }
 
     #[test]

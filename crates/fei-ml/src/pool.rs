@@ -41,9 +41,9 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `size` worker threads. A `size` of zero is allowed and
-    /// spawns nothing — [`WorkerPool::submit`] then panics, and callers
+    /// spawns nothing — `WorkerPool::submit` then panics, and callers
     /// are expected to run inline instead (checked via
-    /// [`WorkerPool::size`]).
+    /// `WorkerPool::size`).
     pub fn new(size: usize) -> Self {
         let mut senders = Vec::with_capacity(size);
         let mut handles = Vec::with_capacity(size);
@@ -66,7 +66,7 @@ impl WorkerPool {
     }
 
     /// Number of worker threads.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.senders.len()
     }
 
@@ -77,7 +77,7 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Panics if the pool has zero workers.
-    pub fn submit(&self, worker: usize, job: impl FnOnce() + Send + 'static) {
+    pub(crate) fn submit(&self, worker: usize, job: impl FnOnce() + Send + 'static) {
         assert!(
             !self.senders.is_empty(),
             "cannot submit to an empty WorkerPool"

@@ -37,11 +37,6 @@ impl LocalTrainer {
         Self { config }
     }
 
-    /// The trainer's SGD configuration.
-    pub fn config(&self) -> &SgdConfig {
-        &self.config
-    }
-
     /// Trains `model` in place for `epochs` epochs on `data`, using the
     /// learning rate scheduled for global round `round`.
     ///
@@ -309,7 +304,10 @@ mod tests {
     fn weight_decay_keeps_parameters_smaller() {
         let data = clean_data(40);
         let plain = LocalTrainer::new(SgdConfig::new(0.2, 1.0, None));
-        let decayed = LocalTrainer::new(SgdConfig::new(0.2, 1.0, None).with_weight_decay(0.05));
+        let decayed = LocalTrainer::new(SgdConfig {
+            weight_decay: 0.05,
+            ..SgdConfig::new(0.2, 1.0, None)
+        });
         let mut a = LogisticRegression::zeros(data.dim(), data.num_classes());
         let mut b = LogisticRegression::zeros(data.dim(), data.num_classes());
         plain.train(&mut a, &data, 20, 0);

@@ -27,12 +27,18 @@
 use std::error::Error;
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Frame magic bytes.
 const MAGIC: [u8; 2] = [0xFE, 0x1A];
 /// Fixed overhead: magic + type + length + checksum.
 pub const FRAME_OVERHEAD: usize = 2 + 1 + 4 + 4;
+
+/// Largest payload a frame from a peer may declare: 16 MiB, far above the
+/// 62 807-byte model frame. A stream rejects a longer declared length as
+/// soon as the header has arrived (see `check_declared_len`), so a peer
+/// cannot make a reader buffer without bound.
+pub const MAX_PAYLOAD_LEN: usize = 16 << 20;
 
 /// How many bytes one step of the slicing CRC kernel folds.
 const CRC_SLICE: usize = 16;
@@ -176,6 +182,12 @@ pub enum CodecError {
         /// Bytes available.
         available: usize,
     },
+    /// A peer's frame header declared a payload longer than
+    /// [`MAX_PAYLOAD_LEN`].
+    Oversized {
+        /// The declared payload length.
+        declared: u32,
+    },
     /// The magic prefix did not match.
     BadMagic,
     /// The checksum did not match the payload.
@@ -210,6 +222,10 @@ impl fmt::Display for CodecError {
             CodecError::Truncated { needed, available } => {
                 write!(f, "truncated frame: need {needed} bytes, have {available}")
             }
+            CodecError::Oversized { declared } => write!(
+                f,
+                "frame declares a {declared}-byte payload, over the {MAX_PAYLOAD_LEN}-byte cap"
+            ),
             CodecError::BadMagic => write!(f, "bad frame magic"),
             CodecError::ChecksumMismatch => write!(f, "frame checksum mismatch"),
             CodecError::UnsupportedVersion { got } => {
@@ -333,6 +349,27 @@ pub fn split_frame(bytes: &[u8]) -> Result<(FrameRef<'_>, usize), CodecError> {
     Ok((FrameRef { msg_type, payload }, total))
 }
 
+/// Judges the payload length a frame header at the start of `bytes`
+/// declares against [`MAX_PAYLOAD_LEN`], once the header has arrived.
+/// Streams from a peer ask this before buffering a body; [`split_frame`]
+/// does not, because logs and in-process frames are this process's own
+/// writing and are read back uncapped.
+///
+/// # Errors
+///
+/// [`CodecError::Oversized`] for a declared length over the cap.
+pub(crate) fn check_declared_len(bytes: &[u8]) -> Result<(), CodecError> {
+    let Some((&[.., l0, l1, l2, l3], _)) = bytes.split_first_chunk::<HEADER_LEN>() else {
+        return Ok(());
+    };
+    let declared = u32::from_be_bytes([l0, l1, l2, l3]);
+    if usize::try_from(declared).is_ok_and(|len| len <= MAX_PAYLOAD_LEN) {
+        Ok(())
+    } else {
+        Err(CodecError::Oversized { declared })
+    }
+}
+
 /// Decodes one frame from the start of `bytes`, returning the frame and the
 /// number of bytes consumed.
 ///
@@ -352,67 +389,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), CodecError> {
         },
         consumed,
     ))
-}
-
-/// Serializes a slice of `f64` (model parameters) to little-endian bytes.
-pub fn encode_f64s(values: &[f64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(values.len() * 8);
-    for &v in values {
-        buf.put_f64_le(v);
-    }
-    buf.freeze()
-}
-
-/// Serializes `f64`s by appending to a caller-owned buffer — the zero-copy
-/// twin of [`encode_f64s`]. No heap allocation once `out` has capacity.
-pub fn encode_f64s_into(values: &[f64], out: &mut Vec<u8>) {
-    out.reserve(values.len() * 8);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Deserializes little-endian `f64` bytes into a caller-owned buffer — the
-/// zero-copy twin of [`decode_f64s`]. `out` is cleared first.
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] if the length is not a multiple of 8.
-pub fn decode_f64s_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), CodecError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(CodecError::Truncated {
-            needed: bytes.len().div_ceil(8) * 8,
-            available: bytes.len(),
-        });
-    }
-    out.clear();
-    out.reserve(bytes.len() / 8);
-    for chunk in bytes.chunks_exact(8) {
-        let mut le = [0u8; 8];
-        le.copy_from_slice(chunk);
-        out.push(f64::from_le_bytes(le));
-    }
-    Ok(())
-}
-
-/// Deserializes little-endian `f64` bytes produced by [`encode_f64s`].
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] if the length is not a multiple of 8.
-pub fn decode_f64s(bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(CodecError::Truncated {
-            needed: bytes.len().div_ceil(8) * 8,
-            available: bytes.len(),
-        });
-    }
-    let mut cursor = bytes;
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    while cursor.has_remaining() {
-        out.push(cursor.get_f64_le());
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -471,24 +447,6 @@ mod tests {
             decode_frame(&wire).unwrap_err(),
             CodecError::ChecksumMismatch
         );
-    }
-
-    #[test]
-    fn f64_round_trip() {
-        let values = vec![0.0, -1.5, std::f64::consts::PI, f64::MAX, f64::MIN_POSITIVE];
-        let bytes = encode_f64s(&values);
-        assert_eq!(decode_f64s(&bytes).unwrap(), values);
-    }
-
-    #[test]
-    fn f64_rejects_ragged_length() {
-        assert!(matches!(
-            decode_f64s(&[0u8; 9]),
-            Err(CodecError::Truncated {
-                needed: 16,
-                available: 9
-            })
-        ));
     }
 
     /// Legacy-checksum test vectors: frames produced by the v1 codec, whose
@@ -585,6 +543,21 @@ mod tests {
     }
 
     #[test]
+    fn declared_length_is_judged_from_the_header_alone() {
+        let mut wire = encode_frame(1, b"abc").to_vec();
+        assert_eq!(check_declared_len(&wire[..HEADER_LEN - 1]), Ok(()));
+        let cap = len_u32(MAX_PAYLOAD_LEN);
+        for (declared, verdict) in [
+            (cap, Ok(())),
+            (cap + 1, Err(CodecError::Oversized { declared: cap + 1 })),
+            (u32::MAX, Err(CodecError::Oversized { declared: u32::MAX })),
+        ] {
+            wire[3..7].copy_from_slice(&declared.to_be_bytes());
+            assert_eq!(check_declared_len(&wire[..HEADER_LEN]), verdict);
+        }
+    }
+
+    #[test]
     fn encode_frame_with_frames_an_appended_payload_in_place() {
         let mut out = b"prefix".to_vec();
         encode_frame_with(9, &mut out, |out| {
@@ -606,21 +579,6 @@ mod tests {
         // Appends rather than overwrites.
         encode_frame_into(9, b"payload", &mut out);
         assert_eq!(out.len(), 2 * (FRAME_OVERHEAD + 7));
-    }
-
-    #[test]
-    fn f64s_into_round_trip_without_stealing_capacity() {
-        let values = vec![0.25, -3.5, f64::MAX];
-        let mut bytes = Vec::new();
-        encode_f64s_into(&values, &mut bytes);
-        assert_eq!(&bytes[..], &encode_f64s(&values)[..]);
-        let mut back = Vec::new();
-        decode_f64s_into(&bytes, &mut back).unwrap();
-        assert_eq!(back, values);
-        assert!(matches!(
-            decode_f64s_into(&bytes[..5], &mut back),
-            Err(CodecError::Truncated { .. })
-        ));
     }
 
     #[test]
@@ -717,16 +675,6 @@ mod proptests {
             split.update(&bytes[b..]);
             prop_assert_eq!(split.finish(), crc32(&bytes));
             prop_assert_eq!(split.finish(), crc32_reference(&bytes));
-        }
-
-        #[test]
-        fn any_f64_slice_round_trips(values in proptest::collection::vec(any::<f64>(), 0..128)) {
-            let bytes = encode_f64s(&values);
-            let back = decode_f64s(&bytes).unwrap();
-            prop_assert_eq!(back.len(), values.len());
-            for (a, b) in values.iter().zip(&back) {
-                prop_assert!(a.to_bits() == b.to_bits());
-            }
         }
     }
 }

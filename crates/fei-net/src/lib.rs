@@ -23,20 +23,21 @@
 //!   framed connection used by the socket runtime in `fei-proto::node`.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 // A silently wrapped length, tag or timer desynchronizes the wire: every
 // narrowing `as` in library code is an error (DESIGN.md §9).
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod codec;
 pub mod link;
-pub mod lossy;
-pub mod medium;
+mod lossy;
+mod medium;
 pub mod transport;
 pub mod wire;
 
 pub use codec::{decode_frame, encode_frame, len_u32, CodecError, Frame};
 pub use link::Link;
-pub use lossy::{LossyLink, TransferOutcome};
+pub use lossy::LossyLink;
 pub use medium::SharedMedium;
-pub use transport::{FrameBuffer, FrameConn, RawFrame, TransportError};
+pub use transport::{FrameConn, TransportError};
 pub use wire::{Encoding, WireConfig, WireScratch};

@@ -37,7 +37,7 @@ impl Link {
     ///
     /// Panics if `bandwidth_bps <= 0`, or either energy term is negative or
     /// non-finite.
-    pub fn new(
+    pub(crate) fn new(
         bandwidth_bps: f64,
         latency: SimDuration,
         tx_power_watts: f64,
@@ -89,22 +89,22 @@ impl Link {
     }
 
     /// Link bandwidth in bits per second.
-    pub fn bandwidth_bps(&self) -> f64 {
+    pub(crate) fn bandwidth_bps(&self) -> f64 {
         self.bandwidth_bps
     }
 
     /// Fixed per-transfer latency.
-    pub fn latency(&self) -> SimDuration {
+    pub(crate) fn latency(&self) -> SimDuration {
         self.latency
     }
 
     /// Transmit power in watts while active.
-    pub fn tx_power_watts(&self) -> f64 {
+    pub(crate) fn tx_power_watts(&self) -> f64 {
         self.tx_power_watts
     }
 
     /// Per-byte transmit energy in joules.
-    pub fn joules_per_byte(&self) -> f64 {
+    pub(crate) fn joules_per_byte(&self) -> f64 {
         self.joules_per_byte
     }
 
@@ -119,23 +119,6 @@ impl Link {
     pub fn transfer_energy_joules(&self, bytes: usize) -> f64 {
         let airtime = self.transfer_duration(bytes).as_secs_f64();
         self.tx_power_watts * airtime + self.joules_per_byte * bytes as f64
-    }
-
-    /// Returns a copy whose bandwidth is scaled by `factor` — used by
-    /// [`crate::SharedMedium`] to model airtime sharing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor <= 0` or is not finite.
-    pub fn with_bandwidth_scaled(&self, factor: f64) -> Link {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "scale factor must be positive"
-        );
-        Link {
-            bandwidth_bps: self.bandwidth_bps * factor,
-            ..self.clone()
-        }
     }
 }
 
@@ -185,22 +168,8 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_scaling_slows_transfers() {
-        let link = Link::wifi_uplink();
-        let halved = link.with_bandwidth_scaled(0.5);
-        assert_eq!(halved.bandwidth_bps(), link.bandwidth_bps() * 0.5);
-        assert!(halved.transfer_duration(10_000) > link.transfer_duration(10_000));
-    }
-
-    #[test]
     #[should_panic(expected = "bandwidth must be positive")]
     fn rejects_zero_bandwidth() {
         let _ = Link::new(0.0, SimDuration::ZERO, 0.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale factor")]
-    fn rejects_zero_scale() {
-        let _ = Link::wifi_uplink().with_bandwidth_scaled(0.0);
     }
 }

@@ -25,11 +25,6 @@ impl SharedMedium {
         Self { link }
     }
 
-    /// The underlying link.
-    pub fn link(&self) -> &Link {
-        &self.link
-    }
-
     /// Duration of each transfer when `concurrent` equal transfers of
     /// `bytes` each start simultaneously (fair airtime sharing: all finish
     /// together at `concurrent ×` the solo serialization time, plus one
@@ -56,11 +51,6 @@ impl SharedMedium {
         self.link.tx_power_watts() * duration.as_secs_f64()
             + self.link.joules_per_byte() * bytes as f64
     }
-
-    /// Total energy across all `concurrent` participants.
-    pub fn total_transfer_energy_joules(&self, bytes: usize, concurrent: usize) -> f64 {
-        self.concurrent_transfer_energy_joules(bytes, concurrent) * concurrent as f64
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +66,7 @@ mod tests {
         let m = medium();
         assert_eq!(
             m.concurrent_transfer_duration(10_000, 1),
-            m.link().transfer_duration(10_000)
+            m.link.transfer_duration(10_000)
         );
     }
 
@@ -97,13 +87,6 @@ mod tests {
         let e1 = m.concurrent_transfer_energy_joules(1_000_000, 1);
         let e4 = m.concurrent_transfer_energy_joules(1_000_000, 4);
         assert!(e4 > e1 * 3.5, "contention should stretch airtime energy");
-    }
-
-    #[test]
-    fn total_energy_is_participants_times_each() {
-        let m = medium();
-        let each = m.concurrent_transfer_energy_joules(50_000, 3);
-        assert!((m.total_transfer_energy_joules(50_000, 3) - 3.0 * each).abs() < 1e-12);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! reassembled exactly. This module supplies the pieces the socket runtime
 //! in `fei-proto::node` needs:
 //!
-//! * [`FrameBuffer`] — a streaming reassembler: feed it arbitrary chunks
+//! * `FrameBuffer` — a streaming reassembler: feed it arbitrary chunks
 //!   (1-byte reads, coalesced writes, truncated tails) and pop complete
-//!   frames. A short tail is simply "not yet"; a bad magic or checksum is a
-//!   typed [`TransportError::Desync`] — the connection is unrecoverable
-//!   because frame boundaries are lost, but the process never panics.
+//!   frames. A short tail is simply "not yet"; a bad magic or checksum, or
+//!   a declared length over [`crate::codec::MAX_PAYLOAD_LEN`], is a typed
+//!   [`TransportError::Desync`] — the connection is unrecoverable because
+//!   frame boundaries are lost, but the process never panics.
 //! * [`FrameConn`] — the non-blocking primitive, for callers with a clock
 //!   of their own: `poll()` drains whatever the kernel has and returns at
 //!   most one frame per call; `send()` writes a whole encoded frame,
@@ -34,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::codec::{split_frame, CodecError};
+use crate::codec::{check_declared_len, split_frame, CodecError};
 
 /// One reassembled frame: the decoded tag/payload plus the exact wire bytes
 /// it was parsed from (for trace capture and re-decoding by protocol-layer
@@ -87,7 +88,7 @@ impl From<io::Error> for TransportError {
 /// shifts the tail down only once the offset passes a threshold, so a busy
 /// connection does not `memmove` on every frame.
 #[derive(Debug, Default)]
-pub struct FrameBuffer {
+pub(crate) struct FrameBuffer {
     buf: Vec<u8>,
     at: usize,
 }
@@ -97,12 +98,12 @@ const COMPACT_THRESHOLD: usize = 64 * 1024;
 
 impl FrameBuffer {
     /// Creates an empty buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a chunk of received bytes (any size, any alignment).
-    pub fn extend(&mut self, chunk: &[u8]) {
+    pub(crate) fn extend(&mut self, chunk: &[u8]) {
         self.buf.extend_from_slice(chunk);
     }
 
@@ -119,12 +120,14 @@ impl FrameBuffer {
     ///
     /// # Errors
     ///
-    /// Returns [`TransportError::Desync`] on bad magic or checksum — the
-    /// stream cannot be re-synchronized and the connection should be
-    /// dropped. The error is sticky only in the sense that the corrupt
-    /// bytes stay at the front of the buffer; callers are expected to
-    /// discard the buffer with the connection.
-    pub fn next_frame(&mut self) -> Result<Option<RawFrame>, TransportError> {
+    /// Returns [`TransportError::Desync`] on bad magic or checksum, or on a
+    /// declared length over the frame cap — the stream cannot be
+    /// re-synchronized and the connection should be dropped. The error is
+    /// sticky only in the sense that the corrupt bytes stay at the front of
+    /// the buffer; callers are expected to discard the buffer with the
+    /// connection.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<RawFrame>, TransportError> {
+        check_declared_len(&self.buf[self.at..]).map_err(TransportError::Desync)?;
         match split_frame(&self.buf[self.at..]) {
             Ok((frame, consumed)) => {
                 let raw = RawFrame {
@@ -622,6 +625,24 @@ mod tests {
         assert!(matches!(
             fb.next_frame(),
             Err(TransportError::Desync(CodecError::BadMagic))
+        ));
+    }
+
+    #[test]
+    fn oversized_declared_length_desyncs_after_the_header() {
+        // A peer declaring a 4 GiB payload is dropped once its 7-byte
+        // header is in, not buffered while it trickles the body.
+        let mut wire = encode_frame(1, b"abc").to_vec();
+        wire[3..7].copy_from_slice(&u32::MAX.to_be_bytes());
+        let mut fb = FrameBuffer::new();
+        fb.extend(&wire[..6]);
+        assert!(fb.next_frame().unwrap().is_none());
+        fb.extend(&wire[6..7]);
+        assert!(matches!(
+            fb.next_frame(),
+            Err(TransportError::Desync(CodecError::Oversized {
+                declared: u32::MAX
+            }))
         ));
     }
 

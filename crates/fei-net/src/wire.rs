@@ -44,10 +44,10 @@ use crate::codec::CodecError;
 pub const WIRE_VERSION: u8 = 2;
 
 /// Bytes of the fixed payload header (version, encoding, flags, count).
-pub const WIRE_HEADER: usize = 1 + 1 + 1 + 4;
+pub(crate) const WIRE_HEADER: usize = 1 + 1 + 1 + 4;
 
 /// Weights per Q8 quantization block.
-pub const Q8_BLOCK: usize = 256;
+pub(crate) const Q8_BLOCK: usize = 256;
 
 /// Per-block Q8 overhead: an `f32` scale plus an `f32` offset.
 const Q8_BLOCK_OVERHEAD: usize = 4 + 4;
@@ -70,7 +70,7 @@ pub enum Encoding {
 
 impl Encoding {
     /// The 1-byte tag stored in the payload header.
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             Encoding::F64 => 0,
             Encoding::F32 => 1,
@@ -83,7 +83,7 @@ impl Encoding {
     /// # Errors
     ///
     /// [`CodecError::UnknownEncoding`] for an unassigned tag.
-    pub fn from_tag(tag: u8) -> Result<Self, CodecError> {
+    pub(crate) fn from_tag(tag: u8) -> Result<Self, CodecError> {
         match tag {
             0 => Ok(Encoding::F64),
             1 => Ok(Encoding::F32),
@@ -93,7 +93,7 @@ impl Encoding {
     }
 
     /// Body bytes for `count` weights under this encoding.
-    pub fn body_len(self, count: usize) -> usize {
+    pub(crate) fn body_len(self, count: usize) -> usize {
         match self {
             Encoding::F64 => count * 8,
             Encoding::F32 => count * 4,

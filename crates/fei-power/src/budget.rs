@@ -35,24 +35,6 @@ impl BatteryFleet {
         }
     }
 
-    /// Creates a fleet with per-device capacities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacities` is empty or any capacity is non-positive.
-    pub fn from_capacities(capacities: Vec<f64>) -> Self {
-        assert!(!capacities.is_empty(), "need at least one device");
-        assert!(
-            capacities.iter().all(|c| c.is_finite() && *c > 0.0),
-            "capacities must be positive and finite"
-        );
-        let n = capacities.len();
-        Self {
-            capacity_j: capacities,
-            consumed_j: vec![0.0; n],
-        }
-    }
-
     /// Number of devices.
     pub fn len(&self) -> usize {
         self.capacity_j.len()
@@ -79,13 +61,8 @@ impl BatteryFleet {
         self.consumed_j[device] += joules;
     }
 
-    /// Energy consumed so far by `device`, joules.
-    pub fn consumed(&self, device: usize) -> f64 {
-        self.consumed_j[device]
-    }
-
     /// Remaining energy of `device`, clamped at zero.
-    pub fn remaining(&self, device: usize) -> f64 {
+    pub(crate) fn remaining(&self, device: usize) -> f64 {
         (self.capacity_j[device] - self.consumed_j[device]).max(0.0)
     }
 
@@ -95,7 +72,7 @@ impl BatteryFleet {
     }
 
     /// Whether `device` has exhausted its budget.
-    pub fn is_depleted(&self, device: usize) -> bool {
+    pub(crate) fn is_depleted(&self, device: usize) -> bool {
         self.consumed_j[device] >= self.capacity_j[device]
     }
 
@@ -124,14 +101,6 @@ impl BatteryFleet {
     pub fn total_consumed(&self) -> f64 {
         self.consumed_j.iter().sum()
     }
-
-    /// Minimum state of charge across the fleet — the "first device to die"
-    /// indicator.
-    pub fn min_state_of_charge(&self) -> f64 {
-        (0..self.len())
-            .map(|d| self.state_of_charge(d))
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +119,6 @@ mod tests {
         }
         assert_eq!(fleet.alive_devices(), vec![0, 1, 2, 3, 4]);
         assert_eq!(fleet.total_consumed(), 0.0);
-        assert_eq!(fleet.min_state_of_charge(), 1.0);
     }
 
     #[test]
@@ -158,7 +126,7 @@ mod tests {
         let mut fleet = BatteryFleet::uniform(2, 10.0);
         fleet.consume(0, 4.0);
         fleet.consume(0, 4.0);
-        assert_eq!(fleet.consumed(0), 8.0);
+        assert_eq!(fleet.consumed_j[0], 8.0);
         assert_eq!(fleet.remaining(0), 2.0);
         assert!(!fleet.is_depleted(0));
         fleet.consume(0, 5.0);
@@ -194,16 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_capacities() {
-        let mut fleet = BatteryFleet::from_capacities(vec![10.0, 100.0]);
-        fleet.consume(0, 5.0);
-        fleet.consume(1, 5.0);
-        assert_eq!(fleet.state_of_charge(0), 0.5);
-        assert_eq!(fleet.state_of_charge(1), 0.95);
-        assert_eq!(fleet.min_state_of_charge(), 0.5);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn consume_rejects_bad_device() {
         BatteryFleet::uniform(1, 1.0).consume(1, 0.1);
@@ -213,12 +171,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn consume_rejects_negative() {
         BatteryFleet::uniform(1, 1.0).consume(0, -0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn rejects_zero_capacity() {
-        let _ = BatteryFleet::from_capacities(vec![0.0]);
     }
 }
 

@@ -14,18 +14,19 @@
 //!   and the download-start spikes visible in Fig. 3;
 //! * [`meter::PowerTrace`] — sampled traces with energy integration and
 //!   per-window statistics;
-//! * [`analysis`] — recovery of per-state mean powers from a sampled trace
+//! * `analysis` — recovery of per-state mean powers from a sampled trace
 //!   (the numbers §VI-B reports);
 //! * [`budget::BatteryFleet`] — per-device energy budgets for lifetime
 //!   analysis and energy-aware participant scheduling.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod analysis;
-pub mod budget;
-pub mod meter;
-pub mod state;
-pub mod timeline;
+mod analysis;
+mod budget;
+mod meter;
+mod state;
+mod timeline;
 
 pub use analysis::per_state_mean_power;
 pub use budget::BatteryFleet;

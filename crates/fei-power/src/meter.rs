@@ -34,41 +34,21 @@ impl PowerMeter {
         }
     }
 
-    /// Creates a meter with explicit characteristics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_rate_hz <= 0`, or noise/spike amplitudes are
-    /// negative or non-finite.
-    pub fn new(
+    /// A meter with explicit characteristics: the noise-free fixture the
+    /// sampling and analysis tests compare against exact plateaus.
+    #[cfg(test)]
+    pub(crate) fn new(
         sample_rate_hz: f64,
         noise_std_w: f64,
         spike_amplitude_w: f64,
         spike_duration: SimDuration,
     ) -> Self {
-        assert!(
-            sample_rate_hz.is_finite() && sample_rate_hz > 0.0,
-            "sample rate must be positive"
-        );
-        assert!(
-            noise_std_w.is_finite() && noise_std_w >= 0.0,
-            "noise must be non-negative"
-        );
-        assert!(
-            spike_amplitude_w.is_finite() && spike_amplitude_w >= 0.0,
-            "spike amplitude must be non-negative"
-        );
         Self {
             sample_rate_hz,
             noise_std_w,
             spike_amplitude_w,
             spike_duration,
         }
-    }
-
-    /// Sampling rate in hertz.
-    pub fn sample_rate_hz(&self) -> f64 {
-        self.sample_rate_hz
     }
 
     /// Samples a timeline into a [`PowerTrace`].
@@ -130,24 +110,6 @@ pub struct PowerTrace {
 }
 
 impl PowerTrace {
-    /// Creates a trace from a sampling period and raw samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn from_samples(period: SimDuration, samples: Vec<f64>) -> Self {
-        assert!(
-            period > SimDuration::ZERO,
-            "sampling period must be non-zero"
-        );
-        Self { period, samples }
-    }
-
-    /// Sampling period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
     /// The wattage samples in order.
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -164,26 +126,13 @@ impl PowerTrace {
     }
 
     /// Timestamp of sample `i`.
-    pub fn time_of(&self, i: usize) -> SimTime {
+    pub(crate) fn time_of(&self, i: usize) -> SimTime {
         SimTime::ZERO + SimDuration::from_nanos(self.period.as_nanos() * i as u64)
     }
 
     /// Rectangle-rule energy integral of the whole trace, in joules.
     pub fn energy_joules(&self) -> f64 {
         self.samples.iter().sum::<f64>() * self.period.as_secs_f64()
-    }
-
-    /// Mean power over the samples falling in `[from, to)`, or `None` if the
-    /// window holds no samples.
-    pub fn mean_power_between(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let period_s = self.period.as_secs_f64();
-        let lo = (from.as_secs_f64() / period_s).ceil() as usize;
-        let hi = ((to.as_secs_f64() / period_s).ceil() as usize).min(self.samples.len());
-        if lo >= hi {
-            return None;
-        }
-        let window = &self.samples[lo..hi];
-        Some(window.iter().sum::<f64>() / window.len() as f64)
     }
 
     /// Peak sampled power, or `None` on an empty trace.
@@ -275,24 +224,17 @@ mod tests {
     }
 
     #[test]
-    fn mean_power_window() {
-        let tl = simple_timeline();
-        let trace = noiseless_meter().sample(&tl, &PowerProfile::default(), &mut DetRng::new(1));
-        let m = trace
-            .mean_power_between(SimTime::from_millis(300), SimTime::from_millis(700))
-            .unwrap();
-        assert!((m - 5.553).abs() < 1e-9);
-        assert!(trace
-            .mean_power_between(SimTime::from_millis(900), SimTime::from_millis(950))
-            .is_none());
-    }
-
-    #[test]
     fn peak_power_and_times() {
-        let trace = PowerTrace::from_samples(SimDuration::from_millis(1), vec![1.0, 3.0, 2.0]);
+        let trace = PowerTrace {
+            period: SimDuration::from_millis(1),
+            samples: vec![1.0, 3.0, 2.0],
+        };
         assert_eq!(trace.peak_power(), Some(3.0));
         assert_eq!(trace.time_of(2), SimTime::from_millis(2));
-        let empty = PowerTrace::from_samples(SimDuration::from_millis(1), vec![]);
+        let empty = PowerTrace {
+            period: SimDuration::from_millis(1),
+            samples: vec![],
+        };
         assert_eq!(empty.peak_power(), None);
         assert_eq!(empty.energy_joules(), 0.0);
     }
@@ -302,12 +244,6 @@ mod tests {
         let tl = PowerTimeline::new();
         let trace = noiseless_meter().sample(&tl, &PowerProfile::default(), &mut DetRng::new(1));
         assert!(trace.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "sample rate")]
-    fn rejects_zero_rate() {
-        let _ = PowerMeter::new(0.0, 0.0, 0.0, SimDuration::ZERO);
     }
 }
 

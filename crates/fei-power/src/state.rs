@@ -51,31 +51,6 @@ impl PowerProfile {
         }
     }
 
-    /// Creates a profile from explicit plateau powers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any power is negative or not finite.
-    pub fn new(waiting_w: f64, downloading_w: f64, training_w: f64, uploading_w: f64) -> Self {
-        for (name, p) in [
-            ("waiting", waiting_w),
-            ("downloading", downloading_w),
-            ("training", training_w),
-            ("uploading", uploading_w),
-        ] {
-            assert!(
-                p.is_finite() && p >= 0.0,
-                "{name} power must be finite and non-negative"
-            );
-        }
-        Self {
-            waiting_w,
-            downloading_w,
-            training_w,
-            uploading_w,
-        }
-    }
-
     /// Power draw in `state`, in watts.
     pub fn power(&self, state: PowerState) -> f64 {
         match state {
@@ -84,12 +59,6 @@ impl PowerProfile {
             PowerState::Training => self.training_w,
             PowerState::Uploading => self.uploading_w,
         }
-    }
-
-    /// Power above idle in `state` — the *marginal* cost of doing work
-    /// instead of waiting, used when attributing energy to FL steps.
-    pub fn power_above_idle(&self, state: PowerState) -> f64 {
-        (self.power(state) - self.waiting_w).max(0.0)
     }
 }
 
@@ -120,25 +89,6 @@ mod tests {
         assert!(p.waiting_w < p.downloading_w);
         assert!(p.downloading_w < p.uploading_w);
         assert!(p.uploading_w < p.training_w);
-    }
-
-    #[test]
-    fn marginal_power_is_relative_to_idle() {
-        let p = PowerProfile::raspberry_pi_4b();
-        assert!((p.power_above_idle(PowerState::Training) - 1.953).abs() < 1e-12);
-        assert_eq!(p.power_above_idle(PowerState::Waiting), 0.0);
-    }
-
-    #[test]
-    fn marginal_power_clamps_below_idle() {
-        let p = PowerProfile::new(5.0, 1.0, 5.0, 5.0);
-        assert_eq!(p.power_above_idle(PowerState::Downloading), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "training power")]
-    fn rejects_negative_power() {
-        let _ = PowerProfile::new(1.0, 1.0, -2.0, 1.0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct Segment {
 
 impl Segment {
     /// The instant just past the end of the segment.
-    pub fn end(&self) -> SimTime {
+    pub(crate) fn end(&self) -> SimTime {
         self.start + self.duration
     }
 }
@@ -81,7 +81,7 @@ impl PowerTimeline {
     }
 
     /// End time of the timeline (total span).
-    pub fn end(&self) -> SimTime {
+    pub(crate) fn end(&self) -> SimTime {
         self.segments.last().map_or(SimTime::ZERO, Segment::end)
     }
 
@@ -93,7 +93,7 @@ impl PowerTimeline {
     /// Device state at time `t`, or `None` past the end.
     ///
     /// Segment intervals are half-open `[start, end)`.
-    pub fn state_at(&self, t: SimTime) -> Option<PowerState> {
+    pub(crate) fn state_at(&self, t: SimTime) -> Option<PowerState> {
         // Binary search over segment starts.
         let idx = self.segments.partition_point(|s| s.start <= t);
         if idx == 0 {
@@ -118,14 +118,6 @@ impl PowerTimeline {
             .filter(|s| s.state == state)
             .map(|s| profile.power(s.state) * s.duration.as_secs_f64())
             .sum()
-    }
-
-    /// Total time spent in one state.
-    pub fn time_in_state(&self, state: PowerState) -> SimDuration {
-        self.segments
-            .iter()
-            .filter(|s| s.state == state)
-            .fold(SimDuration::ZERO, |acc, s| acc + s.duration)
     }
 
     /// Appends all segments of `other`, preserving their durations (the
@@ -207,17 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn time_in_state_accumulates_across_rounds() {
-        let mut tl = round_timeline();
-        tl.extend_with(&round_timeline());
-        assert_eq!(
-            tl.time_in_state(PowerState::Training),
-            SimDuration::from_millis(2_400)
-        );
-        assert_eq!(tl.total_duration(), SimDuration::from_millis(4_000));
-    }
-
-    #[test]
     fn adjacent_same_state_segments_merge() {
         let mut tl = PowerTimeline::new();
         tl.push(PowerState::Waiting, SimDuration::from_secs(1));
@@ -266,10 +247,6 @@ mod proptests {
                 .map(|&s| tl.energy_in_state_joules(&p, s))
                 .sum();
             prop_assert!((split - tl.energy_joules(&p)).abs() < 1e-6);
-            let time_split = PowerState::ALL
-                .iter()
-                .fold(SimDuration::ZERO, |acc, &s| acc + tl.time_in_state(s));
-            prop_assert_eq!(time_split, tl.total_duration());
         }
 
         /// `state_at` agrees with a linear scan.

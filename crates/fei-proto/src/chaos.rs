@@ -11,7 +11,7 @@ use fei_sim::DetRng;
 
 /// One addressed frame in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Where the frame is going, in the driver's own addressing (the
     /// [`crate::Cluster`] routes by connection id).
     pub to: u64,
@@ -52,7 +52,7 @@ impl ChaosConfig {
     /// # Panics
     ///
     /// Panics when any probability is outside `[0, 1]` or not finite.
-    pub fn validated(self) -> Self {
+    pub(crate) fn validated(self) -> Self {
         for (name, p) in [
             ("drop_prob", self.drop_prob),
             ("dup_prob", self.dup_prob),
@@ -112,7 +112,7 @@ pub struct ChaosLink {
 
 impl ChaosLink {
     /// Creates a link with the given misbehaviour profile.
-    pub fn new(config: ChaosConfig) -> Self {
+    pub(crate) fn new(config: ChaosConfig) -> Self {
         let config = config.validated();
         Self {
             rng: DetRng::new(config.seed),
@@ -124,7 +124,7 @@ impl ChaosLink {
     }
 
     /// Counters of the link's misbehaviour so far.
-    pub fn stats(&self) -> ChaosStats {
+    pub(crate) fn stats(&self) -> ChaosStats {
         self.stats
     }
 
@@ -152,7 +152,7 @@ impl ChaosLink {
     /// Offers one frame to the link, delivering into `out` whatever
     /// survives this cycle (held-back frames surface on the next
     /// [`ChaosLink::drain`]).
-    pub fn push(&mut self, envelope: Envelope, out: &mut Vec<Envelope>) {
+    pub(crate) fn push(&mut self, envelope: Envelope, out: &mut Vec<Envelope>) {
         let fate = self.fate(self.sequence);
         self.sequence += 1;
         self.stats.offered += 1;
@@ -182,7 +182,7 @@ impl ChaosLink {
     }
 
     /// Releases every held-back frame, ending the current delivery cycle.
-    pub fn drain(&mut self, out: &mut Vec<Envelope>) {
+    pub(crate) fn drain(&mut self, out: &mut Vec<Envelope>) {
         self.stats.delivered += self.held.len() as u64;
         out.append(&mut self.held);
     }

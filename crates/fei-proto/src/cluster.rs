@@ -115,7 +115,7 @@ impl RoundVerdict {
         let (round, accepted, reason) = match effect {
             Effect::RoundCommitted { round, accepted } => (*round, accepted.clone(), None),
             Effect::RoundAborted { round, reason } => (*round, Vec::new(), Some(*reason)),
-            Effect::Send { .. } | Effect::FleetShrunk { .. } => return None,
+            Effect::Send { .. } => return None,
         };
         Some(Self {
             round,
@@ -153,9 +153,6 @@ pub struct ClusterReport {
     /// committed twice, across restarts — a recovery-safety failure. Must
     /// be zero.
     pub double_aggregations: u64,
-    /// `(round, alive)` fleet-shrink events, in emission order — each is a
-    /// cue for the driver to re-plan `(K*, E*)` for the surviving fleet.
-    pub replan_events: Vec<(u64, usize)>,
     /// Chronological verdict log.
     pub round_log: Vec<RoundVerdict>,
     /// Uplink misbehaviour counters.
@@ -429,9 +426,6 @@ impl Cluster {
     /// and the audits.
     fn absorb(&mut self, effects: Vec<Effect>, tick: u64) {
         for effect in effects {
-            if let Effect::FleetShrunk { round, alive } = effect {
-                self.report.replan_events.push((round, alive));
-            }
             let Some(verdict) = RoundVerdict::of(&effect, tick) else {
                 continue;
             };
@@ -696,9 +690,9 @@ mod tests {
     }
 
     #[test]
-    fn fleet_shrink_emits_replan_cues() {
+    fn a_fleet_smaller_than_k_commits_at_quorum() {
         // K = 3 but only 2 participants ever join: every round opens with
-        // a shrunken fleet and cues a re-plan.
+        // a shrunken fleet and commits on the quorum it has.
         let config = CoordinatorConfig {
             k: 3,
             over_select: 0,
@@ -710,8 +704,8 @@ mod tests {
         };
         let report = Cluster::new(ClusterConfig::quiet(config, 2, 3)).run();
         assert!(report.liveness_ok(), "{report:?}");
-        assert!(!report.replan_events.is_empty());
-        assert!(report.replan_events.iter().all(|&(_, alive)| alive == 2));
+        assert_eq!(report.committed, 3, "{report:?}");
+        assert!(report.round_log.iter().all(|v| v.accepted == [0, 1]));
     }
 }
 

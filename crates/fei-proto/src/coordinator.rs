@@ -6,7 +6,7 @@
 //! It owns no transport and no clock: drivers push decoded byte frames via
 //! [`Coordinator::handle_frame`] and advance virtual time via
 //! [`Coordinator::tick`]; the machine answers with [`Effect`]s (frames to
-//! send, rounds committed or aborted, re-plan hooks). Identical inputs
+//! send, rounds committed or aborted). Identical inputs
 //! produce identical outputs — the chaos campaign leans on that to replay
 //! fault schedules bit-for-bit.
 //!
@@ -93,7 +93,7 @@ impl CoordinatorConfig {
     /// (zero interval/timeout, or a timeout not beyond the interval), a
     /// heartbeat timer does not fit the `JoinAck`'s `u32`, or the round
     /// deadline is zero.
-    pub fn validated(self) -> Self {
+    pub(crate) fn validated(self) -> Self {
         let broken = self.violation().map(|(_, message)| message);
         assert!(broken.is_none(), "{}", broken.unwrap_or_default());
         self
@@ -158,14 +158,6 @@ pub enum Effect {
         /// Why.
         reason: AbortReason,
     },
-    /// The live fleet is smaller than the planned `K` — the driver should
-    /// re-plan `(K*, E*)` for the surviving fleet.
-    FleetShrunk {
-        /// The round about to open (or in progress).
-        round: u64,
-        /// Live clients remaining.
-        alive: usize,
-    },
 }
 
 /// Per-reason round-abort counters.
@@ -183,28 +175,13 @@ pub struct AbortBreakdown {
 
 impl AbortBreakdown {
     /// Counts one abort under its reason.
-    pub fn record(&mut self, reason: AbortReason) {
+    pub(crate) fn record(&mut self, reason: AbortReason) {
         match reason {
             AbortReason::QuorumMiss => self.quorum_miss += 1,
             AbortReason::FleetCollapse => self.fleet_collapse += 1,
             AbortReason::Cancelled => self.cancelled += 1,
             AbortReason::CoordinatorCrash => self.coordinator_crash += 1,
         }
-    }
-
-    /// The counter for one reason.
-    pub fn count(&self, reason: AbortReason) -> u64 {
-        match reason {
-            AbortReason::QuorumMiss => self.quorum_miss,
-            AbortReason::FleetCollapse => self.fleet_collapse,
-            AbortReason::Cancelled => self.cancelled,
-            AbortReason::CoordinatorCrash => self.coordinator_crash,
-        }
-    }
-
-    /// All aborts, any reason.
-    pub fn total(&self) -> u64 {
-        AbortReason::ALL.iter().map(|&r| self.count(r)).sum()
     }
 }
 
@@ -272,7 +249,7 @@ impl ControlStats {
 
     /// Folds another incarnation's counters into this one — how a driver
     /// totals traffic across coordinator restarts.
-    pub fn absorb(&mut self, mut other: ControlStats) {
+    pub(crate) fn absorb(&mut self, mut other: ControlStats) {
         for (_, field) in Self::FIELDS {
             *field(self) += *field(&mut other);
         }
@@ -303,7 +280,7 @@ impl Coordinator {
     ///
     /// # Panics
     ///
-    /// Same validation as [`CoordinatorConfig::validated`].
+    /// Same validation as `CoordinatorConfig::validated`.
     pub fn new(config: CoordinatorConfig) -> Self {
         let config = config.validated();
         let liveness = LivenessTracker::new(config.heartbeat_timeout);
@@ -346,7 +323,7 @@ impl Coordinator {
     ///
     /// # Panics
     ///
-    /// Same configuration validation as [`CoordinatorConfig::validated`].
+    /// Same configuration validation as `CoordinatorConfig::validated`.
     pub fn recover(
         config: CoordinatorConfig,
         journal_bytes: &[u8],
@@ -439,7 +416,7 @@ impl Coordinator {
     }
 
     /// The write-ahead journal, by value (the coordinator is finished).
-    pub fn into_journal(self) -> RoundJournal {
+    pub(crate) fn into_journal(self) -> RoundJournal {
         self.journal
     }
 
@@ -448,24 +425,14 @@ impl Coordinator {
         self.recovered_round
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CoordinatorConfig {
-        &self.config
-    }
-
     /// Traffic counters.
     pub fn stats(&self) -> ControlStats {
         self.stats
     }
 
     /// Live clients at `now`, ascending.
-    pub fn live_clients(&self, now: u64) -> Vec<u64> {
+    pub(crate) fn live_clients(&self, now: u64) -> Vec<u64> {
         self.liveness.live_clients(now)
-    }
-
-    /// Whether `client` is registered and inside its lease.
-    pub fn is_live(&self, client: u64, now: u64) -> bool {
-        self.liveness.is_live(client, now)
     }
 
     /// Buffered update payloads of the open round (client → samples,
@@ -534,12 +501,6 @@ impl Coordinator {
             });
         }
         let mut effects = Vec::new();
-        if live.len() < self.config.k {
-            effects.push(Effect::FleetShrunk {
-                round,
-                alive: live.len(),
-            });
-        }
         live.truncate(policy.selection_width(live.len()));
         let deadline_tick = now + self.config.round_deadline;
         self.record(JournalRecord::RoundOpened {
@@ -587,7 +548,7 @@ impl Coordinator {
     /// # Errors
     ///
     /// The decode's [`ProtoError`], counted in [`ControlStats::rejected`].
-    pub fn admit(&mut self, bytes: &[u8]) -> Result<ControlFrame, ProtoError> {
+    pub(crate) fn admit(&mut self, bytes: &[u8]) -> Result<ControlFrame, ProtoError> {
         let (frame, consumed) = ControlFrame::decode(bytes).inspect_err(|_| {
             self.stats.rejected += 1;
         })?;
@@ -647,14 +608,8 @@ impl Coordinator {
         let Some(open) = self.state().open_round.as_ref() else {
             return Vec::new();
         };
-        let alive = self.liveness.live_count(now);
-        if alive < self.config.quorum {
-            let mut effects = vec![Effect::FleetShrunk {
-                round: open.round,
-                alive,
-            }];
-            effects.extend(self.close_round(now, Some(AbortReason::FleetCollapse)));
-            return effects;
+        if self.liveness.live_count(now) < self.config.quorum {
+            return self.close_round(now, Some(AbortReason::FleetCollapse));
         }
         if now >= open.deadline_tick {
             return self.close_round(now, None);
@@ -676,7 +631,7 @@ impl Coordinator {
     /// before the caller exits, so participants stop training instead of
     /// burning energy on a round nobody will aggregate. With no round open
     /// this is a no-op — the coordinator can exit without ceremony.
-    pub fn cancel_round(&mut self, now: u64) -> Vec<Effect> {
+    pub(crate) fn cancel_round(&mut self, now: u64) -> Vec<Effect> {
         self.close_round(now, Some(AbortReason::Cancelled))
     }
 
@@ -984,7 +939,7 @@ mod tests {
             })
             .count();
         assert_eq!(aborts, 3);
-        assert_eq!(c.stats().aborts.count(AbortReason::Cancelled), 1);
+        assert_eq!(c.stats().aborts.cancelled, 1);
         // Durable: the journaled verdict replays as a cancelled round.
         let replay = c.journal().replay().expect("clean journal");
         let state = crate::journal::JournalState::from_records(&replay.records);
@@ -1104,14 +1059,11 @@ mod tests {
     }
 
     #[test]
-    fn fleet_collapse_aborts_and_requests_replan() {
+    fn fleet_collapse_aborts_the_round() {
         let mut c = joined(2);
         c.start_round(0).expect("exactly at quorum");
         // Nobody heartbeats: both leases lapse at tick 20.
         let effects = c.tick(20);
-        assert!(effects
-            .iter()
-            .any(|e| matches!(e, Effect::FleetShrunk { alive: 0, .. })));
         assert!(effects.iter().any(|e| matches!(
             e,
             Effect::RoundAborted {
@@ -1122,7 +1074,7 @@ mod tests {
     }
 
     #[test]
-    fn shrunken_fleet_triggers_replan_hook_on_open() {
+    fn a_shrunken_fleet_opens_only_at_quorum() {
         let mut c = joined(1);
         // quorum is 2 > 1 live → cannot open.
         assert_eq!(
@@ -1133,8 +1085,8 @@ mod tests {
                 required: 2
             })
         );
-        // Relax to a 1-quorum coordinator: opening with 1 < k = 2 live
-        // clients emits the re-plan hook.
+        // Relax to a 1-quorum coordinator: with 1 < k = 2 live clients the
+        // round opens on the one that is live.
         let mut config = config();
         config.quorum = 1;
         let mut c = Coordinator::new(config);
@@ -1148,9 +1100,17 @@ mod tests {
         )
         .expect("join");
         let effects = c.start_round(1).expect("1-quorum");
-        assert!(effects
+        let selected: Vec<u64> = effects
             .iter()
-            .any(|e| matches!(e, Effect::FleetShrunk { alive: 1, .. })));
+            .filter_map(|e| match e {
+                Effect::Send {
+                    to,
+                    frame: ControlFrame::Select { .. },
+                } => Some(*to),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(selected, vec![0]);
     }
 
     #[test]
@@ -1335,7 +1295,7 @@ mod tests {
         let (r, _) = Coordinator::recover(config(), &full[..full.len() - 5], 20).expect("torn");
         // The boot marker and two joins survived; the torn fragment is gone,
         // so the new epoch marker extends a clean log.
-        assert_eq!(r.journal().records(), 4);
+        assert_eq!(r.journal().replay().expect("clean").records.len(), 4);
         let (again, _) = Coordinator::recover(config(), r.journal().bytes(), 30).expect("clean");
         assert_eq!(again.epoch(), r.epoch() + 1);
         assert_eq!(again.live_clients(30), r.live_clients(30));
@@ -1477,7 +1437,6 @@ mod tests {
         c.tick(50); // quorum miss: nobody submitted
         assert_eq!(c.stats().aborted_rounds, 1);
         assert_eq!(c.stats().aborts.quorum_miss, 1);
-        assert_eq!(c.stats().aborts.total(), 1);
 
         c.start_round(51).expect("still live");
         c.tick(75); // all leases lapse at 60 → fleet collapse

@@ -36,7 +36,7 @@ pub struct NodeAudit {
 
 /// What [`CoordinatorCore::apply`] did with one event.
 #[derive(Debug)]
-pub struct Applied {
+pub(crate) struct Applied {
     /// The transition's effects, or its typed rejection.
     ///
     /// Frame rejections are already counted in the stats; replay callers
@@ -57,7 +57,7 @@ pub struct Applied {
 /// the trace-replay oracle drive **this** type with the same
 /// [`TraceEvent`]s — conformance is structural, not aspirational.
 #[derive(Debug)]
-pub struct CoordinatorCore {
+pub(crate) struct CoordinatorCore {
     config: CoordinatorConfig,
     global: Vec<u8>,
     coordinator: Coordinator,
@@ -69,7 +69,7 @@ pub struct CoordinatorCore {
 
 impl CoordinatorCore {
     /// A fresh core (coordinator idle, rendezvous not yet open).
-    pub fn new(config: CoordinatorConfig, global: Vec<u8>) -> Self {
+    pub(crate) fn new(config: CoordinatorConfig, global: Vec<u8>) -> Self {
         let mut coordinator = Coordinator::new(config.clone());
         coordinator.set_global(global.clone());
         Self {
@@ -83,22 +83,17 @@ impl CoordinatorCore {
     }
 
     /// The live coordinator.
-    pub fn coordinator(&self) -> &Coordinator {
+    pub(crate) fn coordinator(&self) -> &Coordinator {
         &self.coordinator
     }
 
     /// Rounds that have closed (committed or aborted) across the run.
-    pub fn rounds_closed(&self) -> u64 {
+    pub(crate) fn rounds_closed(&self) -> u64 {
         self.round_log.len() as u64
     }
 
-    /// Rounds that committed across the run.
-    pub fn rounds_committed(&self) -> u64 {
-        self.round_log.iter().filter(|v| v.committed).count() as u64
-    }
-
     /// Traffic counters folded across incarnations.
-    pub fn stats(&self) -> ControlStats {
+    pub(crate) fn stats(&self) -> ControlStats {
         let mut stats = self.carry;
         stats.absorb(self.coordinator.stats());
         stats
@@ -108,7 +103,7 @@ impl CoordinatorCore {
     /// does — this method *is* the conformance boundary. A delivered frame
     /// is decoded (and its CRC verified) here and nowhere else; what the
     /// caller needs to know about it rides back in the [`Applied`].
-    pub fn apply(&mut self, event: &TraceEvent) -> Applied {
+    pub(crate) fn apply(&mut self, event: &TraceEvent) -> Applied {
         let (mut sender, mut shutdown) = (None, false);
         let outcome = match event {
             TraceEvent::Open => self.coordinator.open_rendezvous().map(|()| Vec::new()),
@@ -171,7 +166,7 @@ impl CoordinatorCore {
     /// The comparable summary of everything decided. By value: the journal
     /// and every committed payload move into the audit instead of being
     /// copied beside themselves.
-    pub fn into_audit(self) -> NodeAudit {
+    pub(crate) fn into_audit(self) -> NodeAudit {
         NodeAudit {
             stats: self.stats(),
             epoch: self.coordinator.epoch(),

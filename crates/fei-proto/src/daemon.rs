@@ -8,7 +8,10 @@
 
 use std::path::PathBuf;
 
+use fei_net::codec::{FRAME_OVERHEAD, MAX_PAYLOAD_LEN};
+
 use crate::coordinator::{ControlStats, CoordinatorConfig};
+use crate::frames::{select_frame_len, update_submit_frame_len};
 use crate::node::{
     write_atomic, CoordinatorNode, CoordinatorNodeConfig, NodeError, NodePersistence, NodeReport,
 };
@@ -48,7 +51,7 @@ impl DaemonConfig {
     /// # Errors
     ///
     /// [`NodeError::BadArg`] naming the offending flag or value, or the
-    /// flags whose values break a [`CoordinatorConfig::validated`] rule.
+    /// flags whose values break a `CoordinatorConfig::validated` rule.
     pub fn from_args(args: &[String]) -> Result<DaemonConfig, NodeError> {
         let mut config = DaemonConfig {
             listen: "127.0.0.1:0".to_string(),
@@ -87,7 +90,17 @@ impl DaemonConfig {
                 "--max-cycles" => config.node.max_cycles = parse_u64()?,
                 "--tick-ms" => config.node.cycle_sleep_ms = parse_u64()?,
                 "--restart-lag" => config.node.restart_lag = parse_u64()?,
-                "--global-bytes" => config.node.global = vec![0xAB; narrow(flag, parse_u64()?)?],
+                "--global-bytes" => {
+                    let len: usize = narrow(flag, parse_u64()?)?;
+                    let max = max_global_len();
+                    if len > max {
+                        return Err(bad(format!(
+                            "{flag} value {len} is over {max}: its selection notice would \
+                             break the {MAX_PAYLOAD_LEN}-byte frame cap"
+                        )));
+                    }
+                    config.node.global = vec![0xAB; len];
+                }
                 "--k" => config.node.coordinator.k = narrow(flag, parse_u64()?)?,
                 "--over-select" => {
                     config.node.coordinator.over_select = narrow(flag, parse_u64()?)?
@@ -108,6 +121,13 @@ impl DaemonConfig {
         }
         Ok(config)
     }
+}
+
+/// The largest global payload whose selection notice, and the update that
+/// echoes it back, a peer's stream still accepts under the frame cap.
+fn max_global_len() -> usize {
+    let header = select_frame_len(0).max(update_submit_frame_len(0)) - FRAME_OVERHEAD;
+    MAX_PAYLOAD_LEN - header
 }
 
 /// Range-checks a parsed flag value into its (narrower) config field type.
@@ -140,7 +160,7 @@ pub fn run_daemon(config: DaemonConfig) -> Result<NodeReport, NodeError> {
 
 /// Serializes [`ControlStats`] as `key value` lines (the daemon's stats
 /// file format; [`parse_stats`] is the inverse).
-pub fn format_stats(stats: &ControlStats) -> String {
+pub(crate) fn format_stats(stats: &ControlStats) -> String {
     let mut stats = *stats;
     let mut out = String::new();
     for (key, field) in ControlStats::FIELDS {
@@ -149,7 +169,7 @@ pub fn format_stats(stats: &ControlStats) -> String {
     out
 }
 
-/// Parses a [`format_stats`] stats file. Unknown keys are ignored so the
+/// Parses a `format_stats` stats file. Unknown keys are ignored so the
 /// format can grow; missing keys read as zero.
 pub fn parse_stats(text: &str) -> ControlStats {
     let mut stats = ControlStats::default();
@@ -170,7 +190,12 @@ pub fn parse_stats(text: &str) -> ControlStats {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
     use super::*;
+    use crate::node::{CoordinatorAddr, ParticipantNode, ParticipantNodeConfig};
+    use crate::participant::ParticipantConfig;
     use crate::store::StoreError;
 
     #[test]
@@ -302,5 +327,70 @@ mod tests {
         let args = ["--epochs".to_string(), u32::MAX.to_string()];
         let config = DaemonConfig::from_args(&args).expect("in range");
         assert_eq!(config.node.coordinator.epochs, u32::MAX);
+    }
+
+    #[test]
+    fn global_bytes_over_the_frame_cap_are_rejected_by_name() {
+        // Checked before the payload is allocated, against the frame that
+        // carries it: a selection notice over the cap is refused by every
+        // participant's stream, so no round could ever open.
+        let max = max_global_len();
+        assert!(max < MAX_PAYLOAD_LEN);
+        assert_eq!(select_frame_len(max) - FRAME_OVERHEAD, MAX_PAYLOAD_LEN);
+        for len in [max + 1, MAX_PAYLOAD_LEN] {
+            let args = ["--global-bytes".to_string(), len.to_string()];
+            match DaemonConfig::from_args(&args) {
+                Err(NodeError::BadArg { message }) => {
+                    assert!(message.contains("--global-bytes"), "{message}")
+                }
+                other => panic!("an over-cap global payload must be rejected, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_largest_accepted_global_still_completes_a_round_over_tcp() {
+        // The selection notice and the update echoing it are both at, or
+        // under, the cap the real streams enforce: the device reads the
+        // notice, and the coordinator commits on its update.
+        let args: Vec<String> = [
+            "--global-bytes",
+            &max_global_len().to_string(),
+            "--k",
+            "1",
+            "--quorum",
+            "1",
+            "--rounds",
+            "1",
+            "--heartbeat-timeout",
+            "60000",
+            "--round-deadline",
+            "60000",
+        ]
+        .map(String::from)
+        .to_vec();
+        let config = DaemonConfig::from_args(&args).expect("the largest accepted value");
+        let node = CoordinatorNode::start(&config.listen, config.node, NodePersistence::default())
+            .expect("coordinator start");
+        let addr = node.local_addr().expect("local addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let device = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let config = ParticipantNodeConfig::new(ParticipantConfig::new(1, 0));
+                ParticipantNode::new(CoordinatorAddr::Fixed(addr), config)
+                    .run(&stop)
+                    .expect("participant run")
+            })
+        };
+        let report = node.run().expect("coordinator run");
+        stop.store(true, Ordering::Relaxed);
+        let device = device.join().expect("participant thread");
+        let stats = report.audit.stats;
+        assert_eq!(stats.committed_rounds, 1, "{stats:?}");
+        assert_eq!(stats.rejected, 0, "{stats:?}");
+        // The coordinator may exit before its commit reaches the device;
+        // the device read the notice and answered it.
+        assert!(device.stats.submits >= 1, "{:?}", device.stats);
     }
 }

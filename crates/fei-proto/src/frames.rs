@@ -14,7 +14,7 @@
 //! protocol stack owns three disjoint ranges — `0x10..=0x1A` for the
 //! control plane (this module), `0x20..=0x26` for the durable round
 //! journal ([`crate::journal`]) and `0x30..=0x34` for the coordinator's
-//! frame trace ([`crate::trace`]):
+//! frame trace (`crate::trace`):
 //!
 //! | Tag  | Constant                | Range   | Meaning                                |
 //! |------|-------------------------|---------|----------------------------------------|
@@ -43,7 +43,7 @@
 //! | 0x34 | `TAG_TRACE_RECOVER`     | trace   | restart recovered from the journal     |
 //!
 //! This table is documentation; the code form is the three `record_table!`
-//! invocations (here, in [`crate::journal`] and in [`crate::trace`]), each
+//! invocations (here, in [`crate::journal`] and in `crate::trace`), each
 //! of which declares a kind's tag, variant and ordered fields exactly once.
 //! `record.rs` derives the enum, the `TAG_*` consts, [`CONTROL_TAGS`] /
 //! [`crate::journal::JOURNAL_TAGS`] / [`crate::trace::TRACE_TAGS`] and the
@@ -72,7 +72,7 @@ pub enum AbortReason {
 
 impl AbortReason {
     /// One-byte wire representation.
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             AbortReason::QuorumMiss => 0,
             AbortReason::FleetCollapse => 1,
@@ -82,7 +82,7 @@ impl AbortReason {
     }
 
     /// Parses the wire byte.
-    pub fn from_tag(tag: u8) -> Option<AbortReason> {
+    pub(crate) fn from_tag(tag: u8) -> Option<AbortReason> {
         match tag {
             0 => Some(AbortReason::QuorumMiss),
             1 => Some(AbortReason::FleetCollapse),
@@ -101,14 +101,6 @@ impl AbortReason {
             AbortReason::CoordinatorCrash => "coordinator crash",
         }
     }
-
-    /// Every reason, in tag order (for breakdown tables).
-    pub const ALL: [AbortReason; 4] = [
-        AbortReason::QuorumMiss,
-        AbortReason::FleetCollapse,
-        AbortReason::Cancelled,
-        AbortReason::CoordinatorCrash,
-    ];
 }
 
 record_table! {
@@ -119,7 +111,7 @@ record_table! {
     pub const CONTROL_TAGS;
 
     /// Tag space for control frames; model payload frames use low tags.
-    0x10 TAG_JOIN_REQUEST =>
+    0x10 pub(crate) TAG_JOIN_REQUEST =>
     /// Participant → coordinator: request to join the federation,
     /// declaring the wire-codec version it encodes payloads with.
     JoinRequest {
@@ -130,7 +122,7 @@ record_table! {
         wire_version: u8,
     },
     /// Coordinator's acceptance of a join, carrying the heartbeat contract.
-    0x11 TAG_JOIN_ACK =>
+    0x11 pub TAG_JOIN_ACK =>
     /// Coordinator → participant: join accepted; heartbeat contract.
     JoinAck {
         /// The accepted client id.
@@ -141,7 +133,7 @@ record_table! {
         heartbeat_timeout: u32,
     },
     /// Periodic liveness beacon from a participant.
-    0x12 TAG_HEARTBEAT =>
+    0x12 pub TAG_HEARTBEAT =>
     /// Participant → coordinator: liveness beacon.
     Heartbeat {
         /// Sending client id.
@@ -150,7 +142,7 @@ record_table! {
         tick: u64,
     },
     /// Round-selection notice (with the global model payload) to one client.
-    0x13 TAG_SELECT =>
+    0x13 pub(crate) TAG_SELECT =>
     /// Coordinator → participant: you are selected this round; train on
     /// the carried global model and submit before the deadline.
     Select {
@@ -166,7 +158,7 @@ record_table! {
         global: Vec<u8>,
     },
     /// A participant's trained-update submission.
-    0x14 TAG_UPDATE_SUBMIT =>
+    0x14 pub(crate) TAG_UPDATE_SUBMIT =>
     /// Participant → coordinator: the trained update.
     UpdateSubmit {
         /// Round the update belongs to.
@@ -179,7 +171,7 @@ record_table! {
         update: Vec<u8>,
     },
     /// Round closed without commit.
-    0x15 TAG_ROUND_ABORT =>
+    0x15 pub(crate) TAG_ROUND_ABORT =>
     /// Coordinator → participants: round closed without commit.
     RoundAbort {
         /// The aborted round.
@@ -188,7 +180,7 @@ record_table! {
         reason: AbortReason,
     },
     /// Round committed, listing the aggregated clients.
-    0x16 TAG_ROUND_COMMIT =>
+    0x16 pub(crate) TAG_ROUND_COMMIT =>
     /// Coordinator → participants: round committed.
     RoundCommit {
         /// The committed round.
@@ -197,7 +189,7 @@ record_table! {
         accepted: Vec<u64>,
     },
     /// Recovered coordinator announcing its new incarnation to the roster.
-    0x17 TAG_EPOCH_NOTICE =>
+    0x17 pub(crate) TAG_EPOCH_NOTICE =>
     /// Coordinator → participant: a recovered coordinator announcing its
     /// new incarnation; the receiver must answer with [`Resume`] or rejoin.
     ///
@@ -209,7 +201,7 @@ record_table! {
         round: u64,
     },
     /// Participant asking to resume its session after a coordinator restart.
-    0x18 TAG_RESUME =>
+    0x18 pub(crate) TAG_RESUME =>
     /// Participant → coordinator: session-resume request after a
     /// coordinator restart, carrying the last state the participant saw.
     Resume {
@@ -221,7 +213,7 @@ record_table! {
         last_round: u64,
     },
     /// Coordinator's resume-vs-rejoin verdict on a resume request.
-    0x19 TAG_RESUME_ACK =>
+    0x19 pub(crate) TAG_RESUME_ACK =>
     /// Coordinator → participant: resume verdict. `resume = true` keeps the
     /// session (lease re-armed, in-flight uploads still wanted);
     /// `resume = false` orders a fresh join handshake.
@@ -234,7 +226,7 @@ record_table! {
         resume: bool,
     },
     /// Supervisor-ordered graceful shutdown of the coordinator process.
-    0x1A TAG_SHUTDOWN =>
+    0x1A pub(crate) TAG_SHUTDOWN =>
     /// Supervisor → coordinator: shut down gracefully. An open round is
     /// cancelled ([`AbortReason::Cancelled`] journaled and broadcast) before
     /// the process exits; a coordinator between rounds just exits.
@@ -245,7 +237,7 @@ impl ControlFrame {
     /// The participant an upstream frame identifies itself as (`None` for
     /// downstream frames and [`ControlFrame::Shutdown`], which name no
     /// sender).
-    pub fn sender(&self) -> Option<u64> {
+    pub(crate) fn sender(&self) -> Option<u64> {
         match self {
             ControlFrame::JoinRequest { client, .. }
             | ControlFrame::Heartbeat { client, .. }
@@ -274,7 +266,7 @@ pub fn select_frame_len(payload: usize) -> usize {
 }
 
 /// Encoded length of an update submission carrying a `payload`-byte model.
-pub fn update_submit_frame_len(payload: usize) -> usize {
+pub(crate) fn update_submit_frame_len(payload: usize) -> usize {
     let empty = ControlFrame::UpdateSubmit {
         round: 0,
         client: 0,
@@ -402,10 +394,16 @@ mod tests {
 
     #[test]
     fn abort_reasons_round_trip_tags() {
-        for reason in AbortReason::ALL {
+        let all = [
+            AbortReason::QuorumMiss,
+            AbortReason::FleetCollapse,
+            AbortReason::Cancelled,
+            AbortReason::CoordinatorCrash,
+        ];
+        for reason in all {
             assert_eq!(AbortReason::from_tag(reason.tag()), Some(reason));
         }
-        assert_eq!(AbortReason::from_tag(AbortReason::ALL.len() as u8), None);
+        assert_eq!(AbortReason::from_tag(all.len() as u8), None);
     }
 
     /// `frame` re-framed (valid CRC) with its first or last payload byte

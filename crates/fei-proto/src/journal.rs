@@ -31,7 +31,7 @@ record_table! {
 
     /// Journal tag space: a new coordinator epoch began (fresh start or
     /// recovery).
-    0x20 TAG_EPOCH_STARTED =>
+    0x20 pub(crate) TAG_EPOCH_STARTED =>
     /// A coordinator incarnation began (epoch 0 is the first boot; each
     /// recovery bumps it).
     EpochStarted {
@@ -41,7 +41,7 @@ record_table! {
         tick: u64,
     },
     /// A client joined the roster.
-    0x21 TAG_CLIENT_JOINED =>
+    0x21 pub(crate) TAG_CLIENT_JOINED =>
     /// `client` joined the roster.
     ClientJoined {
         /// The joined client id.
@@ -50,7 +50,7 @@ record_table! {
         tick: u64,
     },
     /// A client's heartbeat lease lapsed and it left the roster.
-    0x22 TAG_CLIENT_EXPIRED =>
+    0x22 pub(crate) TAG_CLIENT_EXPIRED =>
     /// `client`'s lease lapsed; it left the roster.
     ClientExpired {
         /// The expired client id.
@@ -59,7 +59,7 @@ record_table! {
         tick: u64,
     },
     /// A round opened with a selection set and a deadline.
-    0x23 TAG_ROUND_OPENED =>
+    0x23 pub(crate) TAG_ROUND_OPENED =>
     /// A round opened.
     RoundOpened {
         /// The opened round.
@@ -72,7 +72,7 @@ record_table! {
         selected: Vec<u64>,
     },
     /// An update was accepted into the open round's buffer.
-    0x24 TAG_UPDATE_ACCEPTED =>
+    0x24 pub(crate) TAG_UPDATE_ACCEPTED =>
     /// An update entered the open round's buffer.
     UpdateAccepted {
         /// The round the update belongs to.
@@ -87,7 +87,7 @@ record_table! {
         update: Vec<u8>,
     },
     /// The open round committed.
-    0x25 TAG_ROUND_COMMITTED =>
+    0x25 pub(crate) TAG_ROUND_COMMITTED =>
     /// The open round committed.
     RoundCommitted {
         /// The committed round.
@@ -98,7 +98,7 @@ record_table! {
         accepted: Vec<u64>,
     },
     /// The open round aborted.
-    0x26 TAG_ROUND_ABORTED =>
+    0x26 pub(crate) TAG_ROUND_ABORTED =>
     /// The open round aborted.
     RoundAborted {
         /// The aborted round.
@@ -114,7 +114,6 @@ record_table! {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundJournal {
     bytes: Vec<u8>,
-    records: u64,
     /// What the records in `bytes` fold to.
     state: JournalState,
     /// Torn trailing bytes dropped when the log was adopted.
@@ -159,7 +158,6 @@ impl RoundJournal {
         let (records, torn_bytes) = scan(bytes, JournalRecord::decode)?;
         let mut journal = Self {
             bytes: bytes[..bytes.len() - torn_bytes].to_vec(),
-            records: records.len() as u64,
             torn_bytes,
             state: JournalState::default(),
         };
@@ -178,7 +176,6 @@ impl RoundJournal {
     /// record (its payload moved, not copied) into [`RoundJournal::state`].
     pub(crate) fn record(&mut self, record: JournalRecord) {
         record.encode_into(&mut self.bytes);
-        self.records += 1;
         self.state.apply(record);
     }
 
@@ -193,23 +190,13 @@ impl RoundJournal {
     }
 
     /// The durable log, by value.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.bytes
     }
 
-    /// Records appended so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
     /// Total log size, bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// Whether nothing has been journaled.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// Decodes the log back into records. A truncated trailing frame — the
@@ -425,7 +412,6 @@ mod tests {
         let replay = journal.replay().expect("clean log");
         assert_eq!(replay.records, records);
         assert_eq!(replay.torn_bytes, 0);
-        assert_eq!(journal.records(), records.len() as u64);
     }
 
     #[test]

@@ -29,13 +29,13 @@
 //!   crash, resuming the in-flight round when quorum is still reachable in
 //!   the deadline budget and aborting it cleanly otherwise;
 //! * [`node`] — `CoordinatorNode`/`ParticipantNode`, the one loop per role
-//!   that drives those state machines, generic over the sealed [`backend`]
+//!   that drives those state machines, generic over the sealed `backend`
 //!   seam (frame connection, listener, dialer, durable log). Over the
 //!   default backend — localhost TCP ([`fei_net::transport`]) and files —
-//!   it is what `fei_coordinatord` runs ([`daemon`] wraps it in the command
-//!   line and stats file), persisting a frame trace ([`trace`]) — its one
+//!   it is what `fei_coordinatord` runs (`daemon` wraps it in the command
+//!   line and stats file), persisting a frame trace (`trace`) — its one
 //!   write-ahead log, synced before any journaled transition is announced —
-//!   whose deterministic replay through the shared decision core ([`core`],
+//!   whose deterministic replay through the shared decision core (`core`,
 //!   [`replay_trace`]) must reproduce the live run's decisions bit for bit;
 //! * [`DiskJournal`] — the journal written to a file, torn-tail truncation
 //!   on open, and a lock-file single-writer guarantee: the node keeps it as
@@ -59,49 +59,43 @@
 //! is required (and tested) to be bit-identical.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 // A silently wrapped length, tag or timer desynchronizes the wire: every
 // narrowing `as` in library code is an error (DESIGN.md §9).
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-pub mod backend;
-pub mod chaos;
-pub mod cluster;
-pub mod coordinator;
-pub mod core;
-pub mod daemon;
-pub mod error;
+mod backend;
+mod chaos;
+mod cluster;
+mod coordinator;
+mod core;
+mod daemon;
+mod error;
 pub mod frames;
 pub mod journal;
-pub mod liveness;
+mod liveness;
 pub mod node;
-pub mod participant;
+mod participant;
 mod record;
-pub mod round;
+mod round;
 mod sim;
-pub mod store;
-pub mod supervisor;
-pub mod trace;
+mod store;
+mod supervisor;
+mod trace;
 
-pub use chaos::{ChaosConfig, ChaosLink, ChaosStats, Envelope};
-pub use cluster::{Cluster, ClusterConfig, ClusterReport, CoordinatorCrash, RoundVerdict};
-pub use coordinator::{
-    AbortBreakdown, ControlStats, Coordinator, CoordinatorConfig, Effect, Phase,
-};
+pub use chaos::{ChaosConfig, ChaosLink};
+pub use cluster::{Cluster, ClusterConfig, ClusterReport, CoordinatorCrash};
+pub use coordinator::{ControlStats, Coordinator, CoordinatorConfig, Effect, Phase};
 pub use error::ProtoError;
 pub use frames::{control_round_bytes, AbortReason, ControlFrame, PROTO_VERSION};
-pub use journal::{JournalRecord, JournalReplay, JournalState, OpenRound, RoundJournal};
+pub use journal::{JournalRecord, JournalState, RoundJournal};
 pub use liveness::LivenessTracker;
 pub use node::{
-    replay_trace, CoordinatorAddr, CoordinatorNode, CoordinatorNodeConfig, NodeAudit, NodeError,
-    NodeReport, ParticipantNode, ParticipantNodeConfig, ParticipantReport, TraceEvent,
+    replay_trace, CoordinatorAddr, CoordinatorNode, CoordinatorNodeConfig, NodeAudit, NodeReport,
+    ParticipantNode, ParticipantNodeConfig, TraceEvent,
 };
-pub use participant::{Participant, ParticipantConfig, ParticipantPhase, ParticipantStats};
-pub use round::{
-    first_k_by_arrival, ClosedRound, DeviceFate, DeviceReport, RoundMachine, RoundPolicy,
-    RoundTally,
-};
+pub use participant::{Participant, ParticipantConfig, ParticipantStats};
+pub use round::{DeviceReport, RoundMachine, RoundPolicy};
 pub use store::{DiskJournal, StoreError};
-pub use supervisor::{
-    ChildHandle, CommandFactory, ProcessFactory, ProcessHandle, Supervisor, SupervisorError,
-};
+pub use supervisor::{CommandFactory, Supervisor};

@@ -86,7 +86,7 @@ impl LivenessTracker {
     }
 
     /// Registered clients inside their lease at `now`, ascending.
-    pub fn live_clients(&self, now: u64) -> Vec<u64> {
+    pub(crate) fn live_clients(&self, now: u64) -> Vec<u64> {
         self.last_beat
             .iter()
             .filter(|&(_, &last)| now.saturating_sub(last) < self.timeout)
@@ -95,7 +95,7 @@ impl LivenessTracker {
     }
 
     /// Number of live clients at `now`.
-    pub fn live_count(&self, now: u64) -> usize {
+    pub(crate) fn live_count(&self, now: u64) -> usize {
         self.last_beat
             .values()
             .filter(|&&last| now.saturating_sub(last) < self.timeout)

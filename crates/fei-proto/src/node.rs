@@ -2,7 +2,7 @@
 //!
 //! [`CoordinatorNode`] and [`ParticipantNode`] are the only drivers of the
 //! [`Coordinator`](crate::Coordinator)/[`Participant`] state machines. Each
-//! is one loop body generic over the [`crate::backend`] seam: `cycle()`
+//! is one loop body generic over the `crate::backend` seam: `cycle()`
 //! advances the node's clock one tick, `pump()` does the same work between
 //! ticks. Over the default backend (localhost TCP sockets from
 //! [`fei_net::transport`], files on disk) `run()` — what `fei_coordinatord`
@@ -10,10 +10,10 @@
 //! cycles; over the simulated backend the deterministic [`crate::Cluster`]
 //! calls `cycle()` only, in lock-step.
 //! On real sockets the OS scheduler and the kernel's read boundaries
-//! introduce nondeterminism — and the **frame trace** ([`crate::trace`])
+//! introduce nondeterminism — and the **frame trace** (`crate::trace`)
 //! pins it back down:
 //!
-//! * every input the coordinator's decision core ([`crate::core`])
+//! * every input the coordinator's decision core (`crate::core`)
 //!   consumes (delivered frames, round-open attempts, tick advances,
 //!   recoveries) is recorded as a [`TraceEvent`] *before* it is applied;
 //! * [`replay_trace`] re-drives a fresh decision core from the recorded
@@ -25,7 +25,7 @@
 //!   [`crate::Cluster`] run.
 //!
 //! The trace codec, the decision core and the daemon wrapper live in
-//! [`crate::trace`], [`crate::core`] and [`crate::daemon`]; their public
+//! `crate::trace`, `crate::core` and `crate::daemon`; their public
 //! names are re-exported here, where they were first defined.
 //!
 //! ## Crash-consistency protocol
@@ -69,12 +69,10 @@ use crate::frames::ControlFrame;
 use crate::participant::{Participant, ParticipantConfig, ParticipantStats};
 use crate::store::{DiskJournal, StoreError};
 
-pub use crate::core::{replay_trace, Applied, CoordinatorCore, NodeAudit};
-pub use crate::daemon::{format_stats, parse_stats, run_daemon, DaemonConfig};
-pub use crate::trace::{
-    read_trace, TraceEvent, TraceSink, TAG_TRACE_DELIVER, TAG_TRACE_OPEN, TAG_TRACE_RECOVER,
-    TAG_TRACE_START_ROUND, TAG_TRACE_TICK, TRACE_TAGS,
-};
+pub use crate::core::{replay_trace, NodeAudit};
+pub(crate) use crate::core::{Applied, CoordinatorCore};
+pub use crate::daemon::{parse_stats, run_daemon, DaemonConfig};
+pub use crate::trace::{read_trace, TraceEvent, TraceSink, TRACE_TAGS};
 
 /// Errors from the socket nodes.
 #[derive(Debug)]
@@ -259,7 +257,7 @@ struct ClientConn<C> {
 /// The coordinator as a frame server: accepts participant connections,
 /// pumps frames into the shared decision core, and persists trace +
 /// journal with the crash-consistency ordering described in the module
-/// docs. Generic over the [`crate::backend`] seam; the defaults are real
+/// docs. Generic over the `crate::backend` seam; the defaults are real
 /// sockets and files.
 #[derive(Debug)]
 pub struct CoordinatorNode<L: Listener = FrameListener, G: Log = File> {
@@ -279,7 +277,7 @@ pub struct CoordinatorNode<L: Listener = FrameListener, G: Log = File> {
     /// The journal's length at the last trace sync: a turn that grows it
     /// past this must sync before anything leaves.
     synced_journal: usize,
-    /// Verdicts and re-plan cues of the current cycle, handed to
+    /// Verdicts of the current cycle, handed to
     /// [`CoordinatorNode::cycle`]'s caller.
     surfaced: Vec<Effect>,
     tick: u64,
@@ -722,7 +720,7 @@ pub struct ParticipantReport {
 /// A participant as a frame client: connects (and reconnects, following
 /// the port file across coordinator respawns), pumps frames between the
 /// connection and the [`Participant`] state machine, and stops when told.
-/// Generic over how it dials ([`crate::backend::Dialer`]); the default is
+/// Generic over how it dials (`crate::backend::Dialer`); the default is
 /// a TCP connect to a [`CoordinatorAddr`].
 #[derive(Debug)]
 pub struct ParticipantNode<D: Dialer = CoordinatorAddr> {

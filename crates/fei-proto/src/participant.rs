@@ -77,7 +77,7 @@ impl ParticipantConfig {
 
 /// Participant protocol states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParticipantPhase {
+pub(crate) enum ParticipantPhase {
     /// Not yet started.
     Idle,
     /// JoinRequest sent; waiting for the ack.
@@ -95,7 +95,7 @@ pub enum ParticipantPhase {
 
 impl ParticipantPhase {
     /// Human-readable state name, used in typed rejections.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ParticipantPhase::Idle => "Idle",
             ParticipantPhase::Joining => "Joining",
@@ -195,11 +195,8 @@ pub struct Participant {
     train_done: u64,
     /// Submission deadline announced by the selection notice.
     deadline_tick: u64,
-    /// Global payload from the selection notice; by default echoed back as
-    /// the update (drivers running real training call
-    /// [`Participant::set_update`] before the job completes).
+    /// Global payload from the selection notice, echoed back as the update.
     global: Vec<u8>,
-    update_override: Option<(u32, Vec<u8>)>,
     pending: Option<PendingUpload>,
     /// Submit-to-verdict latency learned from this session's verdicts
     /// (`None` until one has acknowledged an upload).
@@ -229,7 +226,6 @@ impl Participant {
             train_done: 0,
             deadline_tick: 0,
             global: Vec::new(),
-            update_override: None,
             pending: None,
             verdict_latency: None,
             epoch: 0,
@@ -241,36 +237,9 @@ impl Participant {
         }
     }
 
-    /// The newest coordinator epoch this device has confirmed.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// This device's client id.
-    pub fn client(&self) -> u64 {
-        self.config.client
-    }
-
-    /// Current protocol state.
-    pub fn phase(&self) -> ParticipantPhase {
-        self.phase
-    }
-
     /// Traffic counters.
     pub fn stats(&self) -> ParticipantStats {
         self.stats
-    }
-
-    /// The global payload received with the last selection notice.
-    pub fn global_payload(&self) -> &[u8] {
-        &self.global
-    }
-
-    /// Overrides the update payload submitted for the current round (the
-    /// default echoes the received global — a transport-level identity
-    /// trainer).
-    pub fn set_update(&mut self, samples: u32, payload: Vec<u8>) {
-        self.update_override = Some((samples, payload));
     }
 
     /// Kicks off the join handshake at `now`, returning the first
@@ -358,7 +327,6 @@ impl Participant {
                         self.deadline_tick = deadline_tick;
                         self.global = global;
                         self.train_done = now + self.config.train_ticks;
-                        self.update_override = None;
                         self.pending = None;
                         self.phase = ParticipantPhase::Training;
                         Ok(Vec::new())
@@ -504,14 +472,10 @@ impl Participant {
             });
         }
         if self.phase == ParticipantPhase::Training && now >= self.train_done {
-            let (samples, payload) = self
-                .update_override
-                .take()
-                .unwrap_or_else(|| (1, self.global.clone()));
             self.pending = Some(PendingUpload {
                 round: self.round,
-                samples,
-                payload,
+                samples: 1,
+                payload: self.global.clone(),
                 attempts: 0,
                 next_send: now,
                 first_sent: None,
@@ -654,7 +618,7 @@ mod tests {
         let join = p.start(0);
         assert!(matches!(join, ControlFrame::JoinRequest { client: 7, .. }));
         p.handle_control(ack(7), 1).expect("ack accepted");
-        assert_eq!(p.phase(), ParticipantPhase::Ready);
+        assert_eq!(p.phase, ParticipantPhase::Ready);
         p
     }
 
@@ -662,7 +626,7 @@ mod tests {
     fn trains_then_submits_then_heartbeats() {
         let mut p = ready_participant();
         p.handle_control(select(0, 7, 2), 2).expect("selected");
-        assert_eq!(p.phase(), ParticipantPhase::Training);
+        assert_eq!(p.phase, ParticipantPhase::Training);
         assert!(p.tick(3).is_empty(), "still training");
         // Training done at 2 + 3 = 5; submission fires.
         let frames = p.tick(5);
@@ -674,7 +638,7 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(p.phase(), ParticipantPhase::Uploading);
+        assert_eq!(p.phase, ParticipantPhase::Uploading);
         // Heartbeats keep flowing on the lease interval.
         let frames = p.tick(6);
         assert!(frames
@@ -719,7 +683,7 @@ mod tests {
             8,
         )
         .expect("commit");
-        assert_eq!(p.phase(), ParticipantPhase::Ready);
+        assert_eq!(p.phase, ParticipantPhase::Ready);
         assert_eq!(p.stats().commits, 1);
         for t in 9..200 {
             assert!(p
@@ -743,7 +707,7 @@ mod tests {
         )
         .expect("abort");
         assert_eq!(p.stats().aborts, 1);
-        assert_eq!(p.phase(), ParticipantPhase::Ready);
+        assert_eq!(p.phase, ParticipantPhase::Ready);
         // A stale verdict for an old round is ignored, not an error.
         let stale = p.handle_control(
             ControlFrame::RoundAbort {
@@ -769,7 +733,7 @@ mod tests {
         }
         assert!(retries >= 2, "lost handshake must keep retrying");
         p.handle_control(ack(3), 40).expect("late ack");
-        assert_eq!(p.phase(), ParticipantPhase::Ready);
+        assert_eq!(p.phase, ParticipantPhase::Ready);
         assert!(p
             .tick(41)
             .iter()
@@ -894,7 +858,7 @@ mod tests {
         for t in at + 1..=at + watch {
             if verdict_after.is_some_and(|after| t == submit_at + after) {
                 p.handle_control(commit(round), t).expect("verdict");
-                assert_eq!(p.phase(), ParticipantPhase::Ready);
+                assert_eq!(p.phase, ParticipantPhase::Ready);
                 break;
             }
             if p.tick(t)
@@ -1059,13 +1023,13 @@ mod tests {
         let mut p = ready_participant();
         p.handle_control(select(0, 7, 0), 0).expect("selected");
         p.tick(3); // submission sent, attempts = 1
-        assert_eq!(p.phase(), ParticipantPhase::Uploading);
+        assert_eq!(p.phase, ParticipantPhase::Uploading);
 
         // The coordinator restarts as epoch 1.
         let frames = p
             .handle_control(ControlFrame::EpochNotice { epoch: 1, round: 0 }, 5)
             .expect("notice");
-        assert_eq!(p.phase(), ParticipantPhase::Resuming);
+        assert_eq!(p.phase, ParticipantPhase::Resuming);
         assert!(matches!(
             frames[0],
             ControlFrame::Resume {
@@ -1095,8 +1059,8 @@ mod tests {
             8,
         )
         .expect("resume ack");
-        assert_eq!(p.phase(), ParticipantPhase::Uploading);
-        assert_eq!(p.epoch(), 1);
+        assert_eq!(p.phase, ParticipantPhase::Uploading);
+        assert_eq!(p.epoch, 1);
         assert_eq!(p.stats().sessions_resumed, 1);
         let frames = p.tick(8);
         assert!(frames
@@ -1144,9 +1108,9 @@ mod tests {
             frames[0],
             ControlFrame::JoinRequest { client: 7, .. }
         ));
-        assert_eq!(p.phase(), ParticipantPhase::Joining);
+        assert_eq!(p.phase, ParticipantPhase::Joining);
         assert_eq!(p.stats().sessions_rejoined, 1);
-        assert_eq!(p.epoch(), 1);
+        assert_eq!(p.epoch, 1);
         // The stale ResumeAck arriving again is a no-op.
         assert_eq!(
             p.handle_control(
@@ -1187,7 +1151,7 @@ mod tests {
             6,
         )
         .expect("resume ack");
-        assert_eq!(p.phase(), ParticipantPhase::Ready);
+        assert_eq!(p.phase, ParticipantPhase::Ready);
         for t in 7..60 {
             assert!(p
                 .tick(t)

@@ -222,8 +222,9 @@ pub(crate) fn scan<T>(
 }
 
 /// Declares a record enum from its table: one entry per kind, written as
-/// `tag value, TAG_ const name => variant { ordered typed fields }`. The
-/// wire form of a kind is its fields in the order written here.
+/// `tag value, visibility and TAG_ const name => variant { ordered typed
+/// fields }`. The wire form of a kind is its fields in the order written
+/// here.
 macro_rules! record_table {
     (
         $(#[$enum_meta:meta])*
@@ -232,14 +233,14 @@ macro_rules! record_table {
         pub const $tags:ident;
         $(
             $(#[$tag_meta:meta])*
-            $tag:literal $tag_const:ident =>
+            $tag:literal $tag_vis:vis $tag_const:ident =>
             $(#[$variant_meta:meta])*
             $variant:ident $({
                 $( $(#[$field_meta:meta])* $field:ident: $ty:ty ),* $(,)?
             })?
         ),* $(,)?
     ) => {
-        $( $(#[$tag_meta])* pub const $tag_const: u8 = $tag; )*
+        $( $(#[$tag_meta])* $tag_vis const $tag_const: u8 = $tag; )*
 
         $(#[$tags_meta])*
         pub const $tags: [u8; [$($tag_const),*].len()] = [$($tag_const),*];

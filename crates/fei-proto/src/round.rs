@@ -29,7 +29,7 @@ pub struct RoundPolicy {
 impl RoundPolicy {
     /// How many devices to select from a fleet of `n`: `K + m`, capped at
     /// the fleet size.
-    pub fn selection_width(&self, n: usize) -> usize {
+    pub(crate) fn selection_width(&self, n: usize) -> usize {
         (self.k + self.over_select).min(n)
     }
 }
@@ -174,7 +174,7 @@ impl RoundMachine {
 /// keeps the first `k`, and returns the winners sorted ascending by id —
 /// the canonical ordering every engine and the frame-driven coordinator
 /// share.
-pub fn first_k_by_arrival<T: Ord + Copy>(mut arrivals: Vec<(f64, T)>, k: usize) -> Vec<T> {
+pub(crate) fn first_k_by_arrival<T: Ord + Copy>(mut arrivals: Vec<(f64, T)>, k: usize) -> Vec<T> {
     arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut winners: Vec<T> = arrivals.iter().take(k).map(|&(_, device)| device).collect();
     winners.sort_unstable();

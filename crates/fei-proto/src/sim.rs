@@ -242,6 +242,8 @@ impl Log for SimFile {
 
 #[cfg(test)]
 mod tests {
+    use fei_net::codec::{encode_frame, FRAME_OVERHEAD, MAX_PAYLOAD_LEN};
+
     use super::*;
     use crate::coordinator::{CoordinatorConfig, Effect};
     use crate::frames::{AbortReason, ControlFrame};
@@ -535,6 +537,45 @@ mod tests {
         let damaged = scan(&rig.journal.bytes(), JournalRecord::decode);
         assert!(damaged.is_err(), "damaged, not torn: {damaged:?}");
         assert!(campaign(&rig).is_none());
+    }
+
+    #[test]
+    fn a_frame_at_the_stream_cap_is_traced_and_read_back_on_restart() {
+        // The largest frame a peer's stream admits is traced whole, under a
+        // record header of its own, so its trace record is over the cap. A
+        // restart reads it back: the cap judges streams, not logs.
+        let rig = Rig::new(2, 3);
+        let mut coordinator = rig.boot().expect("boot");
+        let mut stranger = rig.net.clone().dial().expect("listening");
+        let oversized = encode_frame(0x7F, &vec![0xAB; MAX_PAYLOAD_LEN]);
+        stranger.send(&oversized).expect("live connection");
+        let (mut a, mut b) = (rig.participant(1), rig.participant(2));
+        for _ in 0..4 {
+            rig.tick(&mut coordinator, &mut [&mut a, &mut b])
+                .0
+                .expect("fault-free disk");
+        }
+        let (events, _) = scan(&rig.trace.durable(), TraceEvent::decode).expect("own trace");
+        let frame_len = MAX_PAYLOAD_LEN + FRAME_OVERHEAD;
+        let at_the_cap = |e: &TraceEvent| matches!(e, TraceEvent::Deliver { bytes, .. } if bytes.len() == frame_len);
+        assert!(events.iter().any(at_the_cap), "the frame is durable");
+        drop(coordinator);
+        rig.net.hang_up();
+        rig.journal.crash(0);
+        rig.trace.crash(0);
+        let mut coordinator = rig.boot().expect("restart over the traced frame");
+        for _ in 0..200 {
+            rig.tick(&mut coordinator, &mut [&mut a, &mut b])
+                .0
+                .expect("fault-free disk");
+            if coordinator.done() {
+                break;
+            }
+        }
+        assert!(
+            coordinator.done(),
+            "the campaign finishes after the restart"
+        );
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn lock_path_for(path: &Path) -> PathBuf {
 }
 
 /// A single-writer, fsync-disciplined disk image of a
-/// [`crate::journal::RoundJournal`]. Generic over the [`Log`] that holds
+/// [`crate::journal::RoundJournal`]. Generic over the `Log` that holds
 /// the bytes; the default is a real file guarded by a lock file.
 #[derive(Debug)]
 pub struct DiskJournal<G: Log = File> {
@@ -222,7 +222,7 @@ impl<G: Log> DiskJournal<G> {
     ///
     /// [`StoreError::Diverged`] when `journal_bytes` does not extend what
     /// is written; [`StoreError::Io`] on OS failures.
-    pub fn append_to(&mut self, journal_bytes: &[u8]) -> Result<usize, StoreError> {
+    pub(crate) fn append_to(&mut self, journal_bytes: &[u8]) -> Result<usize, StoreError> {
         let Some(suffix) = journal_bytes.get(self.written..) else {
             let (written, offered) = (self.written, journal_bytes.len());
             return Err(StoreError::Diverged { written, offered });
@@ -234,14 +234,14 @@ impl<G: Log> DiskJournal<G> {
         Ok(suffix.len())
     }
 
-    /// [`DiskJournal::append_to`], then `fdatasync` when it appended: for a
+    /// `DiskJournal::append_to`, then `fdatasync` when it appended: for a
     /// journal that is its own log, whose caller must not act on a
     /// transition (send frames, commit models) until this returns — the
     /// write-ahead guarantee.
     ///
     /// # Errors
     ///
-    /// As [`DiskJournal::append_to`], and [`StoreError::Io`] when the sync
+    /// As `DiskJournal::append_to`, and [`StoreError::Io`] when the sync
     /// fails.
     pub fn sync_to(&mut self, journal_bytes: &[u8]) -> Result<usize, StoreError> {
         let appended = self.append_to(journal_bytes)?;

@@ -99,13 +99,8 @@ pub struct ChildHandle {
 
 impl ChildHandle {
     /// Wraps a spawned child.
-    pub fn new(child: Child) -> Self {
+    pub(crate) fn new(child: Child) -> Self {
         Self { child }
-    }
-
-    /// The OS process id.
-    pub fn pid(&self) -> u32 {
-        self.child.id()
     }
 }
 
@@ -129,7 +124,7 @@ impl ProcessHandle for ChildHandle {
     }
 }
 
-/// A [`ProcessFactory`] that builds a fresh [`Command`] per incarnation
+/// A `ProcessFactory` that builds a fresh [`Command`] per incarnation
 /// via a closure — the production path for spawning `fei_coordinatord`.
 pub struct CommandFactory<B: FnMut(u64) -> Command> {
     build: B,
@@ -168,7 +163,7 @@ pub struct Supervisor<F: ProcessFactory> {
 
 impl<F: ProcessFactory> Supervisor<F> {
     /// A supervisor with no journal management.
-    pub fn new(factory: F) -> Self {
+    pub(crate) fn new(factory: F) -> Self {
         Self {
             factory,
             handle: None,
@@ -212,7 +207,7 @@ impl<F: ProcessFactory> Supervisor<F> {
     ///
     /// # Errors
     ///
-    /// [`SupervisorError::NotRunning`] when nothing is supervised.
+    /// `SupervisorError::NotRunning` when nothing is supervised.
     pub fn kill(&mut self) -> Result<(), SupervisorError> {
         match self.handle.as_mut() {
             Some(handle) => {
@@ -227,11 +222,11 @@ impl<F: ProcessFactory> Supervisor<F> {
 
     /// Spawns the next incarnation, breaking the journal's stale lock
     /// first (the previous incarnation is dead and reaped by now — see
-    /// [`Supervisor::kill`] / [`Supervisor::ensure_alive`]).
+    /// [`Supervisor::kill`] / [`Supervisor::is_alive`]).
     ///
     /// # Errors
     ///
-    /// [`SupervisorError::Lock`] when the lock cannot be broken, or the
+    /// `SupervisorError::Lock` when the lock cannot be broken, or the
     /// factory's spawn error.
     pub fn respawn(&mut self) -> Result<(), SupervisorError> {
         if let Some(handle) = self.handle.as_mut() {
@@ -250,20 +245,6 @@ impl<F: ProcessFactory> Supervisor<F> {
         let handle = self.factory.spawn(self.incarnation)?;
         self.handle = Some(handle);
         Ok(())
-    }
-
-    /// Detect-and-restart: if the child is dead (or never started),
-    /// respawns it. Returns whether a respawn happened.
-    ///
-    /// # Errors
-    ///
-    /// As [`Supervisor::respawn`].
-    pub fn ensure_alive(&mut self) -> Result<bool, SupervisorError> {
-        if self.is_alive() {
-            return Ok(false);
-        }
-        self.respawn()?;
-        Ok(true)
     }
 
     /// Incarnations killed by the supervisor.
@@ -288,7 +269,7 @@ impl<F: ProcessFactory> Supervisor<F> {
     ///
     /// # Errors
     ///
-    /// [`SupervisorError::Io`] when the dial or send fails.
+    /// `SupervisorError::Io` when the dial or send fails.
     pub fn shutdown(addr: SocketAddr) -> Result<(), SupervisorError> {
         let mut conn = FrameConn::connect(addr).map_err(|e| SupervisorError::Io {
             op: "shutdown dial",
@@ -363,13 +344,11 @@ mod tests {
         assert!(!sup.is_alive());
         assert_eq!(kills.load(Ordering::Relaxed), 1);
 
-        assert!(sup.ensure_alive().expect("ensure"));
+        sup.respawn().expect("respawn");
         assert!(sup.is_alive());
         assert_eq!(sup.incarnation(), 1);
         assert_eq!(sup.kills(), 1);
         assert_eq!(sup.respawns(), 1);
-        // Alive child: ensure_alive is a no-op.
-        assert!(!sup.ensure_alive().expect("ensure"));
     }
 
     #[test]

@@ -26,11 +26,11 @@ record_table! {
     pub const TRACE_TAGS;
 
     /// Trace record: the coordinator opened its rendezvous (fresh boot).
-    0x30 TAG_TRACE_OPEN =>
+    0x30 pub(crate) TAG_TRACE_OPEN =>
     /// Fresh boot: the rendezvous opened (always the first event).
     Open,
     /// Trace record: one inbound frame was delivered to the decision core.
-    0x31 TAG_TRACE_DELIVER =>
+    0x31 pub(crate) TAG_TRACE_DELIVER =>
     /// An inbound frame, byte for byte as it arrived off the socket.
     Deliver {
         /// The node's tick when the frame was applied.
@@ -39,7 +39,7 @@ record_table! {
         bytes: Vec<u8>,
     },
     /// Trace record: the node attempted to open the next round.
-    0x32 TAG_TRACE_START_ROUND =>
+    0x32 pub(crate) TAG_TRACE_START_ROUND =>
     /// A round-open attempt (recorded even when it fails quorum: the
     /// attempt expires leases, mutating the journal).
     StartRound {
@@ -47,14 +47,14 @@ record_table! {
         tick: u64,
     },
     /// Trace record: the node advanced the decision core's virtual clock.
-    0x33 TAG_TRACE_TICK =>
+    0x33 pub(crate) TAG_TRACE_TICK =>
     /// A virtual-clock advance (deadline and lease checks run here).
     Tick {
         /// The new tick.
         tick: u64,
     },
     /// Trace record: a restarted node recovered from its replayed trace.
-    0x34 TAG_TRACE_RECOVER =>
+    0x34 pub(crate) TAG_TRACE_RECOVER =>
     /// A restarted node ran [`crate::Coordinator::recover`] against the
     /// journal its surviving trace replays to. Replay truncates its own
     /// journal to `journal_len` to reproduce the exact recovery input.
@@ -69,7 +69,7 @@ record_table! {
 
 impl TraceEvent {
     /// The tick the event carries (0 for [`TraceEvent::Open`]).
-    pub fn tick(&self) -> u64 {
+    pub(crate) fn tick(&self) -> u64 {
         match self {
             TraceEvent::Open => 0,
             TraceEvent::Deliver { tick, .. }
@@ -81,7 +81,7 @@ impl TraceEvent {
 }
 
 /// Append-only, torn-tail-aware persistence for the frame trace, over any
-/// [`Log`] (a real file by default).
+/// `Log` (a real file by default).
 #[derive(Debug)]
 pub struct TraceSink<G: Log = File> {
     log: G,
@@ -112,7 +112,7 @@ impl TraceSink {
     /// [`StoreError::Locked`] (as [`NodeError::Store`]) when another open
     /// holds the trace, [`NodeError::Proto`] on mid-file corruption,
     /// [`NodeError::Io`] on OS failures.
-    pub fn open_resume(path: &Path) -> Result<(Self, Vec<TraceEvent>), NodeError> {
+    pub(crate) fn open_resume(path: &Path) -> Result<(Self, Vec<TraceEvent>), NodeError> {
         let file = open_file(path).map_err(io_err("trace open"))?;
         match file.try_lock() {
             Ok(()) => Self::over(file),

@@ -29,11 +29,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod queue;
-pub mod rng;
-pub mod sim;
-pub mod time;
+mod queue;
+mod rng;
+mod sim;
+mod time;
 
 pub use queue::EventQueue;
 pub use rng::DetRng;

@@ -78,21 +78,6 @@ impl<Ev> EventQueue<Ev> {
     pub fn pop(&mut self) -> Option<(SimTime, Ev)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue has no pending events.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 impl<Ev> Default for EventQueue<Ev> {
@@ -118,7 +103,7 @@ mod tests {
     #[test]
     fn fifo_among_equal_times() {
         let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
+        let t = SimTime::from_millis(1_000);
         for i in 0..10 {
             q.push(t, i);
         }
@@ -127,22 +112,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(2), "x");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        let _ = q.pop();
-        assert_eq!(q.peek_time(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn default_is_empty() {
-        let q: EventQueue<u8> = EventQueue::default();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+        let mut q: EventQueue<u8> = EventQueue::default();
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -162,6 +134,7 @@ mod proptests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::time::SimDuration;
 
     proptest! {
         /// Popping everything yields a sequence sorted by time, with equal
@@ -170,7 +143,7 @@ mod proptests {
         fn pop_order_is_stable_sort(times in proptest::collection::vec(0u64..50, 1..128)) {
             let mut q = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
-                q.push(SimTime::from_nanos(t), i);
+                q.push(SimTime::ZERO + SimDuration::from_nanos(t), i);
             }
             let mut popped = Vec::new();
             while let Some((t, idx)) = q.pop() {
@@ -179,7 +152,7 @@ mod proptests {
             let mut expected: Vec<(SimTime, usize)> = times
                 .iter()
                 .enumerate()
-                .map(|(i, &t)| (SimTime::from_nanos(t), i))
+                .map(|(i, &t)| (SimTime::ZERO + SimDuration::from_nanos(t), i))
                 .collect();
             expected.sort_by_key(|&(t, i)| (t, i));
             prop_assert_eq!(popped, expected);

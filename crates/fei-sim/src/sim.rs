@@ -1,9 +1,8 @@
 //! The simulation run loop.
 //!
-//! [`Simulation`] owns the clock and the event queue; callers either pull
-//! events one at a time with [`Simulation::step`] or drive the whole run with
-//! [`Simulation::run`], scheduling follow-up events from inside the handler
-//! through the [`Scheduler`] handle.
+//! [`Simulation`] owns the clock and the event queue; callers pull events
+//! one at a time with [`Simulation::step`] and schedule follow-ups on the
+//! simulation itself.
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
@@ -15,39 +14,6 @@ pub struct Simulation<Ev> {
     now: SimTime,
 }
 
-/// Handle passed to [`Simulation::run`] handlers for scheduling new events.
-#[derive(Debug)]
-pub struct Scheduler<'a, Ev> {
-    queue: &'a mut EventQueue<Ev>,
-    now: SimTime,
-}
-
-impl<Ev> Scheduler<'_, Ev> {
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `event` to fire `delay` after the current instant.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: Ev) {
-        self.queue.push(self.now + delay, event);
-    }
-
-    /// Schedules `event` at an absolute time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the simulated past.
-    pub fn schedule_at(&mut self, at: SimTime, event: Ev) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past ({at} < {now})",
-            now = self.now
-        );
-        self.queue.push(at, event);
-    }
-}
-
 impl<Ev> Simulation<Ev> {
     /// Creates an empty simulation at time zero.
     pub fn new() -> Self {
@@ -55,16 +21,6 @@ impl<Ev> Simulation<Ev> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
         }
-    }
-
-    /// The current simulated time (the timestamp of the last delivered event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedules `event` at an absolute time.
@@ -92,52 +48,6 @@ impl<Ev> Simulation<Ev> {
         self.now = time;
         Some((time, event))
     }
-
-    /// Runs until the queue drains, calling `handler` for every event.
-    ///
-    /// The handler receives a [`Scheduler`] through which it may schedule
-    /// follow-up events. Returns the final simulated time.
-    pub fn run<F>(&mut self, mut handler: F) -> SimTime
-    where
-        F: FnMut(SimTime, Ev, &mut Scheduler<'_, Ev>),
-    {
-        while let Some((time, event)) = self.queue.pop() {
-            self.now = time;
-            let mut scheduler = Scheduler {
-                queue: &mut self.queue,
-                now: time,
-            };
-            handler(time, event, &mut scheduler);
-        }
-        self.now
-    }
-
-    /// Runs until the queue drains or the clock passes `deadline`; events
-    /// scheduled after the deadline stay in the queue. Returns the number of
-    /// delivered events.
-    pub fn run_until<F>(&mut self, deadline: SimTime, mut handler: F) -> usize
-    where
-        F: FnMut(SimTime, Ev, &mut Scheduler<'_, Ev>),
-    {
-        let mut delivered = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (time, event) = self
-                .queue
-                .pop()
-                .expect("invariant: peek_time just returned Some, so pop cannot fail");
-            self.now = time;
-            let mut scheduler = Scheduler {
-                queue: &mut self.queue,
-                now: time,
-            };
-            handler(time, event, &mut scheduler);
-            delivered += 1;
-        }
-        delivered
-    }
 }
 
 #[cfg(test)]
@@ -147,87 +57,29 @@ mod tests {
     #[test]
     fn step_advances_clock() {
         let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_secs(3), "x");
-        assert_eq!(sim.now(), SimTime::ZERO);
+        sim.schedule_at(SimTime::from_millis(3_000), "x");
         let (t, e) = sim.step().unwrap();
-        assert_eq!(t, SimTime::from_secs(3));
+        assert_eq!(t, SimTime::from_millis(3_000));
         assert_eq!(e, "x");
-        assert_eq!(sim.now(), SimTime::from_secs(3));
         assert!(sim.step().is_none());
-    }
-
-    #[test]
-    fn run_delivers_cascading_events() {
-        // A "process" that re-schedules itself three times.
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_millis(1), 0u32);
-        let mut seen = Vec::new();
-        sim.run(|t, ev, s| {
-            seen.push((t, ev));
-            if ev < 3 {
-                s.schedule_after(SimDuration::from_millis(10), ev + 1);
-            }
-        });
-        assert_eq!(
-            seen,
-            vec![
-                (SimTime::from_millis(1), 0),
-                (SimTime::from_millis(11), 1),
-                (SimTime::from_millis(21), 2),
-                (SimTime::from_millis(31), 3),
-            ]
-        );
-        assert_eq!(sim.now(), SimTime::from_millis(31));
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut sim = Simulation::new();
-        for i in 1..=10u64 {
-            sim.schedule_at(SimTime::from_secs(i), i);
-        }
-        let delivered = sim.run_until(SimTime::from_secs(4), |_, _, _| {});
-        assert_eq!(delivered, 4);
-        assert_eq!(sim.pending(), 6);
-        assert_eq!(sim.now(), SimTime::from_secs(4));
-    }
-
-    #[test]
-    fn scheduler_now_matches_event_time() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_secs(7), ());
-        sim.run(|t, _, s| {
-            assert_eq!(s.now(), t);
-            assert_eq!(t, SimTime::from_secs(7));
-        });
     }
 
     #[test]
     #[should_panic(expected = "into the past")]
     fn scheduling_into_past_panics() {
         let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_secs(5), ());
+        sim.schedule_at(SimTime::from_millis(5_000), ());
         let _ = sim.step();
-        sim.schedule_at(SimTime::from_secs(1), ());
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn scheduler_handle_rejects_past() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_secs(5), ());
-        sim.run(|_, _, s| {
-            s.schedule_at(SimTime::from_secs(1), ());
-        });
+        sim.schedule_at(SimTime::from_millis(1_000), ());
     }
 
     #[test]
     fn schedule_after_uses_current_time() {
         let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_secs(2), "first");
+        sim.schedule_at(SimTime::from_millis(2_000), "first");
         let _ = sim.step();
         sim.schedule_after(SimDuration::from_secs(3), "second");
         let (t, _) = sim.step().unwrap();
-        assert_eq!(t, SimTime::from_secs(5));
+        assert_eq!(t, SimTime::from_millis(5_000));
     }
 }

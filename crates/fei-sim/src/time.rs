@@ -26,24 +26,9 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Creates a time point from whole nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimTime(ns)
-    }
-
-    /// Creates a time point from whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
-
     /// Creates a time point from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
-    }
-
-    /// Creates a time point from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
     }
 
     /// Creates a time point from fractional seconds, rounding to nanoseconds.
@@ -57,11 +42,6 @@ impl SimTime {
             "time must be finite and non-negative"
         );
         SimTime((secs * 1e9).round() as u64)
-    }
-
-    /// This time point as whole nanoseconds.
-    pub const fn as_nanos(self) -> u64 {
-        self.0
     }
 
     /// This time point as fractional seconds.
@@ -81,11 +61,6 @@ impl SimTime {
         );
         SimDuration(self.0 - earlier.0)
     }
-
-    /// Saturating difference: zero if `earlier` is after `self`.
-    pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -95,11 +70,6 @@ impl SimDuration {
     /// Creates a duration from whole nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
-    }
-
-    /// Creates a duration from whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
     }
 
     /// Creates a duration from whole milliseconds.
@@ -212,10 +182,12 @@ mod tests {
 
     #[test]
     fn constructors_agree() {
-        assert_eq!(SimTime::from_secs(1), SimTime::from_millis(1_000));
-        assert_eq!(SimTime::from_millis(1), SimTime::from_micros(1_000));
-        assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1_000));
         assert_eq!(SimTime::from_secs_f64(0.5), SimTime::from_millis(500));
+        assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
+        assert_eq!(
+            SimDuration::from_millis(1),
+            SimDuration::from_nanos(1_000_000)
+        );
     }
 
     #[test]
@@ -234,24 +206,13 @@ mod tests {
         );
         let mut u = SimTime::ZERO;
         u += SimDuration::from_secs(2);
-        assert_eq!(u, SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn saturating_difference() {
-        let early = SimTime::from_millis(1);
-        let late = SimTime::from_millis(9);
-        assert_eq!(early.saturating_duration_since(late), SimDuration::ZERO);
-        assert_eq!(
-            late.saturating_duration_since(early),
-            SimDuration::from_millis(8)
-        );
+        assert_eq!(u, SimTime::from_millis(2_000));
     }
 
     #[test]
     #[should_panic(expected = "duration_since")]
     fn duration_since_panics_on_reversal() {
-        let _ = SimTime::ZERO.duration_since(SimTime::from_nanos(1));
+        let _ = SimTime::ZERO.duration_since(SimTime::from_millis(1));
     }
 
     #[test]
@@ -271,13 +232,13 @@ mod tests {
 
     #[test]
     fn ordering_is_chronological() {
-        assert!(SimTime::from_nanos(5) < SimTime::from_nanos(6));
+        assert!(SimTime::from_millis(5) < SimTime::from_millis(6));
         assert!(SimDuration::from_secs(1) > SimDuration::from_millis(999));
     }
 
     #[test]
     fn display_nonempty() {
         assert_eq!(format!("{}", SimTime::from_millis(1500)), "1.500000s");
-        assert_eq!(format!("{}", SimDuration::from_micros(250)), "0.000250s");
+        assert_eq!(format!("{}", SimDuration::from_nanos(250_000)), "0.000250s");
     }
 }

@@ -9,14 +9,11 @@
 //! * **safety** — no commit ever aggregates an update from a client whose
 //!   heartbeat lease had lapsed (probed by heartbeat-muted participants).
 //!
-//! The campaign also closes two loops with the rest of the workspace:
-//! control-plane bytes are charged to an [`EnergyLedger`] under
-//! [`EnergyUse::Control`] at WiFi link energy, and fleet-shrink cues from
-//! the coordinator are answered by [`EeFeiPlanner::replan_for_fleet`] —
-//! the paper's `(K*, E*)` optimization re-run against the survivors.
+//! The campaign also closes the energy loop with the rest of the
+//! workspace: control-plane bytes are charged to an [`EnergyLedger`] under
+//! [`EnergyUse::Control`] at WiFi link energy.
 
 use fei_core::ledger::{EnergyLedger, EnergyUse};
-use fei_core::planner::EeFeiPlanner;
 use fei_net::link::Link;
 use fei_proto::{
     ChaosConfig, Cluster, ClusterConfig, ClusterReport, CoordinatorConfig, CoordinatorCrash,
@@ -97,9 +94,6 @@ pub struct ChaosRun {
     pub report: ClusterReport,
     /// Joules charged for this run's control traffic.
     pub control_joules: f64,
-    /// `K*` from re-planning against the smallest fleet the coordinator
-    /// saw, when a planner was attached and a shrink cue fired.
-    pub replanned_k: Option<usize>,
 }
 
 /// Everything a chaos campaign produced.
@@ -148,23 +142,12 @@ impl ChaosCampaignReport {
 #[derive(Debug)]
 pub struct ChaosCampaign {
     config: ChaosCampaignConfig,
-    planner: Option<EeFeiPlanner>,
 }
 
 impl ChaosCampaign {
-    /// Creates a campaign without re-planning.
+    /// Creates a campaign.
     pub fn new(config: ChaosCampaignConfig) -> Self {
-        Self {
-            config,
-            planner: None,
-        }
-    }
-
-    /// Attaches a planner answering the coordinator's fleet-shrink cues
-    /// with a fresh `(K*, E*)` against the survivors.
-    pub fn with_replanning(mut self, planner: EeFeiPlanner) -> Self {
-        self.planner = Some(planner);
-        self
+        Self { config }
     }
 
     /// Runs the whole seed matrix and reports.
@@ -191,25 +174,10 @@ impl ChaosCampaign {
                 ledger.charge(index, EnergyUse::Wasted, wasted_joules, "pre-crash uploads");
             }
 
-            // Graceful degradation: answer the deepest shrink cue with a
-            // re-plan for the surviving fleet, exactly as a live
-            // coordinator driver would.
-            let replanned_k = self.planner.as_ref().and_then(|planner| {
-                report
-                    .replan_events
-                    .iter()
-                    .map(|&(_, alive)| alive)
-                    .min()
-                    .filter(|&alive| alive > 0)
-                    .and_then(|alive| planner.replan_for_fleet(alive).ok())
-                    .map(|plan| plan.solution.k)
-            });
-
             runs.push(ChaosRun {
                 seed,
                 report,
                 control_joules,
-                replanned_k,
             });
         }
         ChaosCampaignReport { runs, ledger }
@@ -260,16 +228,7 @@ impl ChaosCampaign {
 
 #[cfg(test)]
 mod tests {
-    use fei_core::bound::ConvergenceBound;
-    use fei_core::energy::RoundEnergyModel;
-
     use super::*;
-
-    fn planner() -> EeFeiPlanner {
-        let energy = RoundEnergyModel::paper_default();
-        let bound = ConvergenceBound::new(1.0, 0.05, 1e-4).expect("valid bound");
-        EeFeiPlanner::new(energy, bound, 0.1, 20).expect("paper-default planner")
-    }
 
     #[test]
     fn campaign_is_live_and_safe_across_the_matrix() {
@@ -319,21 +278,5 @@ mod tests {
             abandoned > 0 || wasted == 0,
             "wasted bytes without an abandoned round: {report:?}"
         );
-    }
-
-    #[test]
-    fn shrink_cues_are_answered_with_a_replan() {
-        // K = 3 but only 2 participants exist: every round opens shrunken.
-        let mut config = ChaosCampaignConfig::default_matrix(vec![4]);
-        config.fleet = 2;
-        config.muted = 0;
-        config.coordinator.quorum = 2;
-        config.profile = ChaosConfig::quiet(0);
-        let report = ChaosCampaign::new(config).with_replanning(planner()).run();
-        assert!(report.liveness_ok(), "{report:?}");
-        let run = &report.runs[0];
-        assert!(!run.report.replan_events.is_empty());
-        let k_star = run.replanned_k.expect("planner attached and cue fired");
-        assert!((1..=2).contains(&k_star), "K* = {k_star} for 2 survivors");
     }
 }

@@ -1,14 +1,14 @@
-//! Discrete-event execution of testbed experiments.
+//! Discrete-event execution of testbed experiments: the test oracle for
+//! the closed-form executor.
 //!
 //! [`crate::Testbed::run_synchronous`] computes round timelines in closed
 //! form. This module executes the *same* experiment as a discrete-event
 //! simulation on the `fei-sim` kernel: downloads, per-device training
 //! completions, the synchronous barrier, and the shared upload window are
 //! all scheduled as events. Both paths consume identical random draws, so
-//! they must produce identical energies — an equivalence the tests (and the
-//! `des_matches_closed_form` integration test) pin down. The DES path is
-//! the extension point for behaviours closed forms cannot express
-//! (asynchronous aggregation, in-round failures, queueing at the router).
+//! they must produce identical energies; the `des_matches_closed_form_*`
+//! unit tests below pin that equivalence. The module is compiled for tests
+//! only.
 
 use fei_power::{PowerState, PowerTimeline};
 use fei_sim::{DetRng, SimDuration, SimTime, Simulation};
@@ -51,7 +51,7 @@ impl Testbed {
     /// # Panics
     ///
     /// Same domain checks as [`Testbed::run`].
-    pub fn run_des(&self, k: usize, epochs: usize, rounds: usize) -> (ExperimentRun, f64) {
+    pub(crate) fn run_des(&self, k: usize, epochs: usize, rounds: usize) -> (ExperimentRun, f64) {
         assert!(k >= 1 && k <= self.config().num_devices, "K out of range");
         assert!(epochs >= 1, "E must be at least 1");
         assert!(rounds >= 1, "T must be at least 1");

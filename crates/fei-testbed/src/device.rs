@@ -40,30 +40,13 @@ impl RaspberryPi {
         }
     }
 
-    /// Creates a Pi with explicit characteristics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timing_jitter_frac` is negative or not finite.
-    pub fn new(profile: PowerProfile, timing: TimingFit, timing_jitter_frac: f64) -> Self {
-        assert!(
-            timing_jitter_frac.is_finite() && timing_jitter_frac >= 0.0,
-            "jitter must be finite and non-negative"
-        );
-        Self {
-            profile,
-            timing,
-            timing_jitter_frac,
-        }
-    }
-
     /// The device's power plateaus.
     pub fn profile(&self) -> &PowerProfile {
         &self.profile
     }
 
     /// The calibrated timing law.
-    pub fn timing(&self) -> &TimingFit {
+    pub(crate) fn timing(&self) -> &TimingFit {
         &self.timing
     }
 
@@ -75,7 +58,7 @@ impl RaspberryPi {
 
     /// One *measured* duration of step (3): the law plus multiplicative
     /// Gaussian jitter — what the prototype's stopwatch would record.
-    pub fn measure_training_duration(
+    pub(crate) fn measure_training_duration(
         &self,
         epochs: usize,
         samples: usize,
@@ -166,11 +149,10 @@ mod tests {
 
     #[test]
     fn zero_jitter_measures_exactly() {
-        let pi = RaspberryPi::new(
-            PowerProfile::raspberry_pi_4b(),
-            *RaspberryPi::paper_calibrated().timing(),
-            0.0,
-        );
+        let pi = RaspberryPi {
+            timing_jitter_frac: 0.0,
+            ..RaspberryPi::paper_calibrated()
+        };
         let mut rng = DetRng::new(1);
         assert_eq!(
             pi.measure_training_duration(10, 500, &mut rng),
@@ -187,15 +169,5 @@ mod tests {
         let fit = fit_timing_model(&rows).unwrap();
         let c0 = fit.seconds_per_sample_epoch * TRAINING_POWER_WATTS;
         assert!((c0 - 7.79e-5).abs() / 7.79e-5 < 0.15, "c0 = {c0}");
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter")]
-    fn rejects_negative_jitter() {
-        let _ = RaspberryPi::new(
-            PowerProfile::raspberry_pi_4b(),
-            *RaspberryPi::paper_calibrated().timing(),
-            -0.1,
-        );
     }
 }

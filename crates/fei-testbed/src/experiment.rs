@@ -22,7 +22,7 @@ pub struct EnergyBreakdown {
 
 impl EnergyBreakdown {
     /// Total energy across all components.
-    pub fn total_joules(&self) -> f64 {
+    pub(crate) fn total_joules(&self) -> f64 {
         self.collection_j + self.waiting_j + self.download_j + self.training_j + self.upload_j
     }
 }

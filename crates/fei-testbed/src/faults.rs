@@ -125,11 +125,6 @@ impl FaultCampaign {
         self
     }
 
-    /// The fault schedule in force.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// Runs the campaign from `(k, e)` until `stop`, charging every joule to
     /// the ledger as it is spent.
     ///

@@ -181,11 +181,6 @@ impl FlExperiment {
         self.clients[0].len()
     }
 
-    /// Per-device sample counts.
-    pub fn device_sample_counts(&self) -> Vec<usize> {
-        self.clients.iter().map(Dataset::len).collect()
-    }
-
     /// The held-out test set.
     pub fn test_set(&self) -> &Dataset {
         &self.test
@@ -232,28 +227,11 @@ impl FlExperiment {
         ThreadedFedAvg::new(config, self.clients.clone(), self.test.clone())
     }
 
-    /// Builds a fault-injected FedAvg engine for `(K, E)`: the injector
-    /// perturbs every round and the coordinator responds with `tolerance`
-    /// (over-selection, deadline, retry, quorum).
-    pub fn faulty_engine(
-        &self,
-        k: usize,
-        e: usize,
-        tolerance: fei_fl::ToleranceConfig,
-        injector: fei_fl::FaultInjector,
-    ) -> FedAvg {
-        let config = FedAvgConfig {
-            tolerance,
-            ..self.fedavg_config(k, e)
-        };
-        FedAvg::new(config, self.clients.clone(), self.test.clone()).with_faults(injector)
-    }
-
     /// Builds a FedAvg engine for `(K, E)` under Byzantine conditions: an
     /// optional fault schedule, an optional adversarial cohort, and an
     /// optional coordinator defense (screen + robust rule). All three
     /// `None` reproduces [`FlExperiment::engine`] exactly.
-    pub fn byzantine_engine(
+    pub(crate) fn byzantine_engine(
         &self,
         k: usize,
         e: usize,
@@ -372,7 +350,7 @@ mod tests {
         let mut cfg = small_config();
         cfg.partition = PartitionStrategy::Dirichlet { alpha: 0.1 };
         let exp = FlExperiment::prepare(cfg);
-        let counts = exp.device_sample_counts();
+        let counts: Vec<usize> = exp.clients.iter().map(Dataset::len).collect();
         assert_eq!(counts.iter().sum::<usize>(), 600);
         let max = *counts.iter().max().unwrap();
         let min = *counts.iter().min().unwrap();

@@ -16,18 +16,19 @@
 //!   observations for the bound fit.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod chaos;
-pub mod des;
-pub mod device;
+mod chaos;
+#[cfg(test)]
+mod des;
+mod device;
 pub mod experiment;
-pub mod faults;
-pub mod fl;
-pub mod testbed;
+mod faults;
+mod fl;
+mod testbed;
 
-pub use chaos::{ChaosCampaign, ChaosCampaignConfig, ChaosCampaignReport, ChaosRun};
+pub use chaos::{ChaosCampaign, ChaosCampaignConfig, ChaosCampaignReport};
 pub use device::RaspberryPi;
-pub use experiment::{EnergyBreakdown, ExperimentRun};
-pub use faults::{FaultCampaign, FaultCampaignReport, ReplanEvent};
+pub use faults::FaultCampaign;
 pub use fl::{FlExperiment, FlExperimentConfig, PartitionStrategy, EASY_TARGET, STRINGENT_TARGET};
 pub use testbed::{Testbed, TestbedConfig};

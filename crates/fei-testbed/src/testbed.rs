@@ -116,8 +116,9 @@ impl Testbed {
         self
     }
 
-    /// The per-device speed factors.
-    pub fn speed_factors(&self) -> &[f64] {
+    /// The per-device speed factors, for the discrete-event cross-check.
+    #[cfg(test)]
+    pub(crate) fn speed_factors(&self) -> &[f64] {
         &self.speed_factors
     }
 
@@ -129,11 +130,6 @@ impl Testbed {
     /// The device model.
     pub fn pi(&self) -> &RaspberryPi {
         &self.pi
-    }
-
-    /// The meter used for trace sampling.
-    pub fn meter(&self) -> &PowerMeter {
-        &self.meter
     }
 
     /// Duration of the model download (step 2) for one device.
@@ -155,7 +151,7 @@ impl Testbed {
     /// unselected devices wait for the whole round. `round_span` (the
     /// selected-device round length) is returned so unselected timelines can
     /// be aligned.
-    pub fn device_round_timeline(
+    pub(crate) fn device_round_timeline(
         &self,
         selected: bool,
         epochs: usize,
