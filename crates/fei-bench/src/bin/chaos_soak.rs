@@ -123,13 +123,14 @@ impl ProfileResult {
             .sum()
     }
 
-    fn resumes(&self) -> (u64, u64) {
-        self.report.runs.iter().fold((0, 0), |(acc, rej), r| {
-            (
-                acc + r.report.coordinator.resumes_accepted,
-                rej + r.report.coordinator.resumes_rejoined,
-            )
-        })
+    /// Re-admissions: sessions the fleet restarted on a `Rejoin` nudge.
+    fn rejoins(&self) -> u64 {
+        self.report
+            .runs
+            .iter()
+            .flat_map(|r| &r.report.participants)
+            .map(|p| p.sessions_rejoined)
+            .sum()
     }
 
     fn aborts(&self) -> (u64, u64, u64, u64) {
@@ -149,15 +150,13 @@ impl ProfileResult {
 
     fn json_row(&self, last: bool) -> String {
         let (quorum_miss, fleet_collapse, cancelled, coordinator_crash) = self.aborts();
-        let (resumes_accepted, resumes_rejoined) = self.resumes();
         let comma = if last { "" } else { "," };
         format!(
             "    {{\"profile\": \"{}\", \"committed\": {}, \"aborted\": {}, \
              \"aborts\": {{\"quorum_miss\": {quorum_miss}, \"fleet_collapse\": {fleet_collapse}, \
              \"cancelled\": {cancelled}, \"coordinator_crash\": {coordinator_crash}}}, \
              \"rejected\": {}, \"control_bytes\": {}, \"control_joules\": {:.6}, \
-             \"wasted_joules\": {:.6}, \"crashes\": {}, \"resumes_accepted\": {resumes_accepted}, \
-             \"resumes_rejoined\": {resumes_rejoined}, \"recovery_violations\": {}, \
+             \"wasted_joules\": {:.6}, \"crashes\": {}, \"rejoins\": {}, \"recovery_violations\": {}, \
              \"double_aggregations\": {}, \"liveness_ok\": {}, \"safety_ok\": {}, \
              \"recovery_ok\": {}, \"replay_identical\": {}}}{comma}\n",
             self.name,
@@ -168,6 +167,7 @@ impl ProfileResult {
             self.report.ledger.control_joules(),
             self.report.ledger.wasted_joules(),
             self.report.total_crashes(),
+            self.rejoins(),
             self.recovery_violations(),
             self.double_aggregations(),
             self.report.liveness_ok(),

@@ -208,10 +208,6 @@ pub struct ControlStats {
     pub aborts: AbortBreakdown,
     /// In-flight rounds carried across a crash by [`Coordinator::recover`].
     pub resumed_rounds: u64,
-    /// Resume requests answered with a session resume.
-    pub resumes_accepted: u64,
-    /// Resume requests bounced into a full rejoin.
-    pub resumes_rejoined: u64,
     /// Updates rejected because their round was abandoned by recovery.
     pub recovered_rejections: u64,
     /// Upload bytes whose rounds were abandoned by recovery — pre-crash
@@ -225,7 +221,7 @@ pub(crate) type StatField = (&'static str, fn(&mut ControlStats) -> &mut u64);
 impl ControlStats {
     /// Every counter, once — the list [`ControlStats::absorb`] and the
     /// daemon's stats-file format and parser all walk.
-    pub(crate) const FIELDS: [StatField; 17] = [
+    pub(crate) const FIELDS: [StatField; 15] = [
         ("frames_in", |s| &mut s.frames_in),
         ("bytes_in", |s| &mut s.bytes_in),
         ("frames_out", |s| &mut s.frames_out),
@@ -241,8 +237,6 @@ impl ControlStats {
             &mut s.aborts.coordinator_crash
         }),
         ("resumed_rounds", |s| &mut s.resumed_rounds),
-        ("resumes_accepted", |s| &mut s.resumes_accepted),
-        ("resumes_rejoined", |s| &mut s.resumes_rejoined),
         ("recovered_rejections", |s| &mut s.recovered_rejections),
         ("wasted_update_bytes", |s| &mut s.wasted_update_bytes),
     ];
@@ -302,8 +296,8 @@ impl Coordinator {
     /// every append, so roster, epoch and any in-flight round are back as
     /// it held them; every roster member gets its lease re-armed at `now`
     /// (they will be re-expired on their usual timeout if they do not
-    /// answer the epoch notice). A round in flight is **resumed** as it
-    /// stood — minus any buffered update an expiry had already voided —
+    /// heartbeat). A round in flight is **resumed** as it stood — minus
+    /// any buffered update an expiry had already voided —
     /// when its deadline has not passed and enough selected clients survive
     /// in the roster to still reach quorum; otherwise it is **aborted** with
     /// [`AbortReason::CoordinatorCrash`], its buffered upload bytes are
@@ -312,8 +306,8 @@ impl Coordinator {
     /// verdict lands within one recovery step of the restart.
     ///
     /// The returned effects carry the abort broadcast (if any) and an
-    /// [`ControlFrame::EpochNotice`] to every roster member; participants
-    /// answer with [`ControlFrame::Resume`] or a fresh join.
+    /// [`ControlFrame::EpochNotice`] to every roster member — a one-way
+    /// hint on which a participant re-sends any pending upload at once.
     ///
     /// # Errors
     ///
@@ -589,7 +583,6 @@ impl Coordinator {
                 samples,
                 update,
             } => self.on_update(round, client, samples, update, now),
-            ControlFrame::Resume { client, epoch, .. } => self.on_resume(client, epoch, now),
             ControlFrame::Shutdown => Ok(self.cancel_round(now)),
             // Downstream frames have no coordinator-side transition in any
             // state.
@@ -678,34 +671,6 @@ impl Coordinator {
                     .expect("invariant: validated() bounds the heartbeat timers to u32"),
                 heartbeat_timeout: u32::try_from(self.config.heartbeat_timeout)
                     .expect("invariant: validated() bounds the heartbeat timers to u32"),
-            },
-        );
-        Ok(vec![ack])
-    }
-
-    /// Answers a session-resume request: resume when the journal roster
-    /// still knows the client and its observed epoch is not ahead of ours,
-    /// otherwise order a fresh join handshake.
-    fn on_resume(&mut self, client: u64, epoch: u64, now: u64) -> Result<Vec<Effect>, ProtoError> {
-        if self.phase == Phase::Idle {
-            return Err(ProtoError::UnexpectedFrame {
-                state: self.phase.name(),
-                frame: "Resume",
-            });
-        }
-        let resume = self.state().roster.contains(&client) && epoch <= self.epoch();
-        if resume {
-            self.stats.resumes_accepted += 1;
-            self.liveness.register(client, now);
-        } else {
-            self.stats.resumes_rejoined += 1;
-        }
-        let ack = self.send(
-            client,
-            ControlFrame::ResumeAck {
-                client,
-                epoch: self.epoch(),
-                resume,
             },
         );
         Ok(vec![ack])
@@ -1302,57 +1267,6 @@ mod tests {
         assert_eq!(again.live_clients(30).len(), 2);
     }
 
-    #[test]
-    fn resume_requests_split_on_roster_membership() {
-        let mut c = joined(2);
-        c.start_round(5).expect("at quorum");
-        let snapshot = c.journal().bytes().to_vec();
-        let (mut r, _) = Coordinator::recover(config(), &snapshot, 10).expect("clean log");
-
-        // A roster member resumes; its lease is re-armed.
-        let effects = r
-            .handle_control(
-                ControlFrame::Resume {
-                    client: 0,
-                    epoch: 0,
-                    last_round: 0,
-                },
-                11,
-            )
-            .expect("resume answered");
-        assert!(matches!(
-            effects[0],
-            Effect::Send {
-                to: 0,
-                frame: ControlFrame::ResumeAck {
-                    client: 0,
-                    epoch: 1,
-                    resume: true,
-                },
-            }
-        ));
-        // A stranger is bounced into the join handshake.
-        let effects = r
-            .handle_control(
-                ControlFrame::Resume {
-                    client: 99,
-                    epoch: 0,
-                    last_round: 0,
-                },
-                11,
-            )
-            .expect("resume answered");
-        assert!(matches!(
-            effects[0],
-            Effect::Send {
-                to: 99,
-                frame: ControlFrame::ResumeAck { resume: false, .. },
-            }
-        ));
-        assert_eq!(r.stats().resumes_accepted, 1);
-        assert_eq!(r.stats().resumes_rejoined, 1);
-    }
-
     /// One input of the prefix property: any frame a device can send, a
     /// round open, or a clock jump long enough to lapse a quiet lease.
     #[derive(Debug, Clone)]
@@ -1360,7 +1274,6 @@ mod tests {
         Join(u64),
         Beat(u64),
         Submit(u64),
-        Resume(u64, u64),
         StartRound,
         Tick(u64),
     }
@@ -1370,8 +1283,7 @@ mod tests {
         prop_oneof![
             2 => client.clone().prop_map(Step::Join),
             3 => client.clone().prop_map(Step::Beat),
-            3 => client.clone().prop_map(Step::Submit),
-            1 => (client, 0u64..3).prop_map(|(client, epoch)| Step::Resume(client, epoch)),
+            3 => client.prop_map(Step::Submit),
             1 => Just(Step::StartRound),
             3 => (1u64..12).prop_map(Step::Tick),
         ]
@@ -1400,10 +1312,6 @@ mod tests {
                         c.handle_control(ControlFrame::Heartbeat { client, tick: now }, now)
                     }
                     Step::Submit(client) => c.handle_control(submit(client, c.round()), now),
-                    Step::Resume(client, epoch) => c.handle_control(
-                        ControlFrame::Resume { client, epoch, last_round: c.round() },
-                        now,
-                    ),
                     Step::StartRound => c.start_round(now),
                     Step::Tick(dt) => {
                         now += dt;

@@ -218,10 +218,8 @@ mod tests {
                 coordinator_crash: 12,
             },
             resumed_rounds: 13,
-            resumes_accepted: 14,
-            resumes_rejoined: 15,
-            recovered_rejections: 16,
-            wasted_update_bytes: 17,
+            recovered_rejections: 14,
+            wasted_update_bytes: 15,
         };
         assert_eq!(parse_stats(&format_stats(&stats)), stats);
         let mut doubled = stats;

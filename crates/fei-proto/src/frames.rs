@@ -11,7 +11,7 @@
 //! ## The authoritative tag table
 //!
 //! Model payload frames use low tags (caller-defined, below 0x10). The
-//! protocol stack owns three disjoint ranges — `0x10..=0x1A` for the
+//! protocol stack owns three disjoint ranges — `0x10..=0x1B` for the
 //! control plane (this module), `0x20..=0x26` for the durable round
 //! journal ([`crate::journal`]) and `0x30..=0x34` for the coordinator's
 //! frame trace (`crate::trace`):
@@ -26,9 +26,10 @@
 //! | 0x15 | `TAG_ROUND_ABORT`       | control | round closed without commit            |
 //! | 0x16 | `TAG_ROUND_COMMIT`      | control | round committed, aggregated clients    |
 //! | 0x17 | `TAG_EPOCH_NOTICE`      | control | recovered coordinator's new epoch      |
-//! | 0x18 | `TAG_RESUME`            | control | participant asks to resume a session   |
-//! | 0x19 | `TAG_RESUME_ACK`        | control | resume-vs-rejoin verdict               |
+//! | 0x18 | —                       | retired | was `Resume`; never reused             |
+//! | 0x19 | —                       | retired | was `ResumeAck`; never reused          |
 //! | 0x1A | `TAG_SHUTDOWN`          | control | supervisor-ordered graceful shutdown   |
+//! | 0x1B | `TAG_REJOIN`            | control | unknown sender: join the roster again  |
 //! | 0x20 | `TAG_EPOCH_STARTED`     | journal | incarnation began                      |
 //! | 0x21 | `TAG_CLIENT_JOINED`     | journal | roster admission became durable        |
 //! | 0x22 | `TAG_CLIENT_EXPIRED`    | journal | lease expiry became durable            |
@@ -191,39 +192,13 @@ record_table! {
     /// Recovered coordinator announcing its new incarnation to the roster.
     0x17 pub(crate) TAG_EPOCH_NOTICE =>
     /// Coordinator → participant: a recovered coordinator announcing its
-    /// new incarnation; the receiver must answer with [`Resume`] or rejoin.
-    ///
-    /// [`Resume`]: ControlFrame::Resume
+    /// new incarnation. A one-way hint: the roster and its leases survived
+    /// the restart, so the receiver only re-sends a pending upload now.
     EpochNotice {
         /// The coordinator's journal epoch after recovery.
         epoch: u64,
         /// The round the recovered coordinator is at.
         round: u64,
-    },
-    /// Participant asking to resume its session after a coordinator restart.
-    0x18 pub(crate) TAG_RESUME =>
-    /// Participant → coordinator: session-resume request after a
-    /// coordinator restart, carrying the last state the participant saw.
-    Resume {
-        /// Resuming client id.
-        client: u64,
-        /// The newest coordinator epoch the client has observed.
-        epoch: u64,
-        /// The last round the client saw open (or closed).
-        last_round: u64,
-    },
-    /// Coordinator's resume-vs-rejoin verdict on a resume request.
-    0x19 pub(crate) TAG_RESUME_ACK =>
-    /// Coordinator → participant: resume verdict. `resume = true` keeps the
-    /// session (lease re-armed, in-flight uploads still wanted);
-    /// `resume = false` orders a fresh join handshake.
-    ResumeAck {
-        /// The client being answered.
-        client: u64,
-        /// The coordinator's current epoch.
-        epoch: u64,
-        /// Whether the session resumes (vs. full rejoin).
-        resume: bool,
     },
     /// Supervisor-ordered graceful shutdown of the coordinator process.
     0x1A pub(crate) TAG_SHUTDOWN =>
@@ -231,6 +206,16 @@ record_table! {
     /// cancelled ([`AbortReason::Cancelled`] journaled and broadcast) before
     /// the process exits; a coordinator between rounds just exits.
     Shutdown,
+    /// An unknown sender told to rejoin.
+    0x1B pub(crate) TAG_REJOIN =>
+    /// Coordinator → participant: you are not on the roster at this epoch
+    /// (your lease lapsed); start the join handshake again.
+    Rejoin {
+        /// The client being answered.
+        client: u64,
+        /// The coordinator's current epoch.
+        epoch: u64,
+    },
 }
 
 impl ControlFrame {
@@ -241,8 +226,7 @@ impl ControlFrame {
         match self {
             ControlFrame::JoinRequest { client, .. }
             | ControlFrame::Heartbeat { client, .. }
-            | ControlFrame::UpdateSubmit { client, .. }
-            | ControlFrame::Resume { client, .. } => Some(*client),
+            | ControlFrame::UpdateSubmit { client, .. } => Some(*client),
             _ => None,
         }
     }
@@ -361,22 +345,11 @@ mod tests {
                 accepted: vec![1, 4, 7],
             },
             ControlFrame::EpochNotice { epoch: 2, round: 3 },
-            ControlFrame::Resume {
-                client: 7,
-                epoch: 1,
-                last_round: 3,
-            },
-            ControlFrame::ResumeAck {
-                client: 7,
-                epoch: 2,
-                resume: true,
-            },
-            ControlFrame::ResumeAck {
-                client: 7,
-                epoch: 2,
-                resume: false,
-            },
             ControlFrame::Shutdown,
+            ControlFrame::Rejoin {
+                client: 7,
+                epoch: 2,
+            },
         ]
     }
 
@@ -417,19 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_resume_verdict_byte_is_rejected() {
-        let ack = ControlFrame::ResumeAck {
-            client: 7,
-            epoch: 2,
-            resume: true,
-        };
-        assert_eq!(
-            ControlFrame::decode(&with_payload_byte(&ack, true, 9)),
-            Err(ProtoError::UnknownFrameType { tag: 9 })
-        );
-    }
-
-    #[test]
     fn version_mismatch_is_typed_not_a_crc_failure() {
         // A well-formed frame (valid CRC) from a future protocol version:
         // the rejection must name the version, not fall through to a
@@ -460,11 +420,14 @@ mod tests {
 
     #[test]
     fn unknown_tags_and_truncated_bodies_are_typed() {
-        let bytes = encode_frame(0x7E, &[PROTO_VERSION, 0, 0]).to_vec();
-        assert_eq!(
-            ControlFrame::decode(&bytes),
-            Err(ProtoError::UnknownFrameType { tag: 0x7E })
-        );
+        // 0x18 and 0x19 are the retired session-resume pair: never reused.
+        for tag in [0x7E, 0x18, 0x19] {
+            let bytes = encode_frame(tag, &[PROTO_VERSION, 0, 0]).to_vec();
+            assert_eq!(
+                ControlFrame::decode(&bytes),
+                Err(ProtoError::UnknownFrameType { tag })
+            );
+        }
         // A heartbeat body cut short (but correctly framed and checksummed).
         let bytes = encode_frame(TAG_HEARTBEAT, &[PROTO_VERSION, 1, 2, 3]).to_vec();
         assert!(matches!(

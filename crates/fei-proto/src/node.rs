@@ -533,14 +533,13 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
             Ok(effects) => self.dispatch(effects),
             Err(ProtoError::UnknownClient { client }) => {
                 // Node-layer nudge (not part of the decision history): an
-                // unknown sender is told the current epoch, on the
-                // connection it just identified itself on, so it
-                // renegotiates via Resume/rejoin.
-                let notice = ControlFrame::EpochNotice {
+                // unknown sender — a device whose lease lapsed — is told to
+                // rejoin, on the connection it just identified itself on.
+                let rejoin = ControlFrame::Rejoin {
+                    client,
                     epoch: self.core.coordinator().epoch(),
-                    round: self.core.coordinator().round(),
                 };
-                self.outbox.push((client, notice.encode()));
+                self.outbox.push((client, rejoin.encode()));
             }
             // Any other rejection is typed, counted, and final.
             Err(_) => {}

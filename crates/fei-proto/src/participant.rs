@@ -6,18 +6,20 @@
 //! [`crate::ControlFrame::JoinAck`] lease, trains when selected, and
 //! submits its update — retransmitting with exponential backoff until the
 //! round's commit-or-abort broadcast arrives, so a dropped frame costs
-//! retries, never a stuck device. When a recovered coordinator announces a
-//! new incarnation ([`crate::ControlFrame::EpochNotice`]), the participant
-//! enters [`ParticipantPhase::Resuming`] and negotiates session resume
-//! with backoff; the coordinator's journal decides resume-vs-rejoin. Like
-//! the coordinator it owns no transport and no clock: drivers feed frames
-//! and ticks, it answers with frames to send.
+//! retries, never a stuck device. The join handshake is the one way onto
+//! the roster: a coordinator that no longer knows this device (its lease
+//! lapsed) answers its next heartbeat with [`crate::ControlFrame::Rejoin`],
+//! and the participant drops its session and joins again. A recovered
+//! coordinator's [`crate::ControlFrame::EpochNotice`] is only a hint — the
+//! roster and its leases survived the restart, so a pending upload is just
+//! re-sent at once. Like the coordinator it owns no transport and no
+//! clock: drivers feed frames and ticks, it answers with frames to send.
 //!
 //! Retransmit discipline: backoff state (attempt counts, next-send ticks,
 //! the verdict-latency estimate) is only ever touched by the frame that
 //! *acknowledges* the pending message — the round verdict for an update,
-//! the ack for a join or resume. Unrelated inbound frames (duplicate acks,
-//! stale verdicts, repeated epoch notices) never reset a schedule.
+//! the ack for a join. Unrelated inbound frames (duplicate acks, stale
+//! verdicts, repeated epoch notices) never reset a schedule.
 //!
 //! ## The update retransmit timer
 //!
@@ -88,9 +90,6 @@ pub(crate) enum ParticipantPhase {
     Training,
     /// Update submitted; awaiting the round verdict (retransmitting).
     Uploading,
-    /// A recovered coordinator announced a new epoch; negotiating session
-    /// resume (retransmitting [`crate::ControlFrame::Resume`]).
-    Resuming,
 }
 
 impl ParticipantPhase {
@@ -102,7 +101,6 @@ impl ParticipantPhase {
             ParticipantPhase::Ready => "Ready",
             ParticipantPhase::Training => "Training",
             ParticipantPhase::Uploading => "Uploading",
-            ParticipantPhase::Resuming => "Resuming",
         }
     }
 }
@@ -122,11 +120,7 @@ pub struct ParticipantStats {
     pub commits: u64,
     /// Abort broadcasts received.
     pub aborts: u64,
-    /// Resume requests sent (first attempt and retransmits).
-    pub resumes: u64,
-    /// Sessions carried across a coordinator restart by a resume ack.
-    pub sessions_resumed: u64,
-    /// Sessions the coordinator bounced into a full rejoin.
+    /// Sessions the coordinator bounced into a fresh join handshake.
     pub sessions_rejoined: u64,
 }
 
@@ -187,6 +181,8 @@ pub struct Participant {
     /// Heartbeat interval granted by the coordinator's lease (0 = none yet).
     heartbeat_interval: u64,
     last_beat: u64,
+    /// Join requests sent in the current handshake (reset by its ack).
+    join_attempts: u32,
     /// Next tick a join (re)attempt fires while unacknowledged.
     next_join: u64,
     /// The round last selected for.
@@ -201,15 +197,8 @@ pub struct Participant {
     /// Submit-to-verdict latency learned from this session's verdicts
     /// (`None` until one has acknowledged an upload).
     verdict_latency: Option<VerdictLatency>,
-    /// The newest coordinator epoch this device has confirmed (via ack).
+    /// The newest coordinator epoch this device has heard of.
     epoch: u64,
-    /// The epoch announced by the notice currently being resumed toward.
-    notice_epoch: u64,
-    /// The phase to return to when a resume is granted.
-    resume_from: ParticipantPhase,
-    /// Resume retransmit schedule (exponential backoff, like uploads).
-    resume_attempts: u32,
-    next_resume: u64,
     stats: ParticipantStats,
 }
 
@@ -221,6 +210,7 @@ impl Participant {
             phase: ParticipantPhase::Idle,
             heartbeat_interval: 0,
             last_beat: 0,
+            join_attempts: 0,
             next_join: 0,
             round: 0,
             train_done: 0,
@@ -229,10 +219,6 @@ impl Participant {
             pending: None,
             verdict_latency: None,
             epoch: 0,
-            notice_epoch: 0,
-            resume_from: ParticipantPhase::Ready,
-            resume_attempts: 0,
-            next_resume: 0,
             stats: ParticipantStats::default(),
         }
     }
@@ -247,6 +233,7 @@ impl Participant {
     pub fn start(&mut self, now: u64) -> ControlFrame {
         self.phase = ParticipantPhase::Joining;
         self.next_join = now + self.config.retry_base.max(1);
+        self.join_attempts += 1;
         self.stats.joins += 1;
         ControlFrame::JoinRequest {
             client: self.config.client,
@@ -293,6 +280,7 @@ impl Participant {
                 // join retries) are pure no-ops — in particular they must
                 // not touch the heartbeat or retransmit schedules.
                 if self.phase == ParticipantPhase::Joining {
+                    self.join_attempts = 0;
                     self.heartbeat_interval = heartbeat_interval as u64;
                     self.last_beat = now;
                     self.phase = ParticipantPhase::Ready;
@@ -346,13 +334,9 @@ impl Participant {
                 self.finish_round(round, now)
             }
             ControlFrame::EpochNotice { epoch, .. } => self.on_epoch_notice(epoch, now),
-            ControlFrame::ResumeAck {
-                client,
-                epoch,
-                resume,
-            } => {
+            ControlFrame::Rejoin { client, epoch } => {
                 self.check_recipient(client)?;
-                self.on_resume_ack(epoch, resume, now)
+                self.on_rejoin(epoch, now)
             }
             // Upstream frames have no participant-side transition.
             other => Err(ProtoError::UnexpectedFrame {
@@ -362,81 +346,48 @@ impl Participant {
         }
     }
 
-    /// A recovered coordinator announced incarnation `epoch`: enter the
-    /// resume negotiation (keeping the interrupted session state on ice)
-    /// and send the first resume request.
+    /// A recovered coordinator announced incarnation `epoch`. Recovery
+    /// re-armed every roster lease, so the session survives as it is: a
+    /// newer epoch is adopted and an interrupted upload goes out again now,
+    /// keeping its attempt count (the notice acknowledges no update, so the
+    /// backoff schedule is preserved). A stale or repeated notice is a
+    /// no-op.
     fn on_epoch_notice(&mut self, epoch: u64, now: u64) -> Result<Vec<ControlFrame>, ProtoError> {
-        match self.phase {
-            ParticipantPhase::Idle => Err(ProtoError::UnexpectedFrame {
+        if self.phase == ParticipantPhase::Idle {
+            return Err(ProtoError::UnexpectedFrame {
                 state: self.phase.name(),
                 frame: "EpochNotice",
-            }),
-            // Mid-handshake there is no session to resume; the join retry
-            // loop already converges on the new incarnation.
-            ParticipantPhase::Joining => Ok(Vec::new()),
-            // A stale or duplicated notice must not restart the
-            // negotiation (or reset its backoff).
-            _ if epoch <= self.epoch
-                || (self.phase == ParticipantPhase::Resuming && epoch <= self.notice_epoch) =>
-            {
-                Ok(Vec::new())
-            }
-            _ => {
-                if self.phase != ParticipantPhase::Resuming {
-                    self.resume_from = self.phase;
-                }
-                self.notice_epoch = epoch;
-                self.phase = ParticipantPhase::Resuming;
-                self.resume_attempts = 1;
-                self.next_resume = now + self.config.retry_base.max(1) * 2;
-                self.stats.resumes += 1;
-                Ok(vec![self.resume_frame()])
-            }
+            });
         }
-    }
-
-    /// The coordinator's resume verdict: restore the interrupted session,
-    /// or fall back to a fresh join handshake.
-    fn on_resume_ack(
-        &mut self,
-        epoch: u64,
-        resume: bool,
-        now: u64,
-    ) -> Result<Vec<ControlFrame>, ProtoError> {
-        if self.phase != ParticipantPhase::Resuming {
-            // Duplicate ack after the negotiation ended: no-op — it must
-            // not disturb any schedule.
-            return Ok(Vec::new());
-        }
-        self.epoch = epoch.max(self.notice_epoch);
-        if resume {
-            self.stats.sessions_resumed += 1;
-            self.last_beat = now;
-            self.phase = self.resume_from;
-            // The session survives, so an interrupted upload resumes
-            // immediately — but the ack acknowledges the *resume*, not the
-            // update, so the attempt count (and with it the backoff
-            // schedule) is preserved.
+        if epoch > self.epoch {
+            self.epoch = epoch;
             if let Some(pending) = &mut self.pending {
                 pending.next_send = now;
             }
-            Ok(Vec::new())
-        } else {
-            self.stats.sessions_rejoined += 1;
-            self.heartbeat_interval = 0;
-            self.pending = None;
-            // A new session: what the old one learned about its rounds'
-            // pace went with it.
-            self.verdict_latency = None;
-            Ok(vec![self.start(now)])
         }
+        Ok(Vec::new())
     }
 
-    fn resume_frame(&self) -> ControlFrame {
-        ControlFrame::Resume {
-            client: self.config.client,
-            epoch: self.epoch,
-            last_round: self.round,
+    /// The coordinator no longer knows this device (its lease lapsed): the
+    /// session is gone, so drop what belonged to it — the pending upload,
+    /// the heartbeat lease and what it learned about its rounds' pace —
+    /// and start a fresh join handshake. Mid-handshake the join retry loop
+    /// already answers it.
+    fn on_rejoin(&mut self, epoch: u64, now: u64) -> Result<Vec<ControlFrame>, ProtoError> {
+        match self.phase {
+            ParticipantPhase::Idle => Err(ProtoError::UnexpectedFrame {
+                state: self.phase.name(),
+                frame: "Rejoin",
+            }),
+            ParticipantPhase::Joining => Ok(Vec::new()),
+            _ => {
+                self.stats.sessions_rejoined += 1;
+                self.epoch = self.epoch.max(epoch);
+                self.heartbeat_interval = 0;
+                self.pending = None;
+                self.verdict_latency = None;
+                Ok(vec![self.start(now)])
+            }
         }
     }
 
@@ -448,8 +399,10 @@ impl Participant {
         let mut out = Vec::new();
         if self.phase == ParticipantPhase::Joining && now >= self.next_join {
             // The join or its ack was lost: retry with linear backoff (the
-            // handshake is idempotent).
-            self.next_join = now + self.config.retry_base.max(1) * (1 + self.stats.joins.min(8));
+            // handshake is idempotent), spaced by this handshake's attempts.
+            let step = 1 + u64::from(self.join_attempts.min(8));
+            self.next_join = now + self.config.retry_base.max(1) * step;
+            self.join_attempts += 1;
             self.stats.joins += 1;
             out.push(ControlFrame::JoinRequest {
                 client: self.config.client,
@@ -481,18 +434,6 @@ impl Participant {
                 first_sent: None,
             });
             self.phase = ParticipantPhase::Uploading;
-        }
-        if self.phase == ParticipantPhase::Resuming
-            && now >= self.next_resume
-            && self.resume_attempts <= self.config.max_retries
-        {
-            // The resume request or its ack was lost: retransmit with the
-            // same exponential backoff as uploads.
-            self.resume_attempts += 1;
-            let shift = self.resume_attempts.min(16);
-            self.next_resume = now + self.config.retry_base.max(1) * (1u64 << shift);
-            self.stats.resumes += 1;
-            out.push(self.resume_frame());
         }
         if self.phase == ParticipantPhase::Uploading {
             let first_timeout = self.first_upload_timeout();
@@ -553,37 +494,22 @@ impl Participant {
     /// Handles a round verdict: the matching round clears any pending
     /// upload — and, being the upload's acknowledgement, is the one frame
     /// that feeds the verdict-latency estimate; verdicts for other rounds
-    /// are stale broadcasts and ignored. A verdict landing mid-resume
-    /// settles the round (nothing left to retransmit) but the negotiation
-    /// itself still awaits its ack.
+    /// are stale broadcasts and ignored.
     fn finish_round(&mut self, round: u64, now: u64) -> Result<Vec<ControlFrame>, ProtoError> {
-        if round != self.round {
+        let working = matches!(
+            self.phase,
+            ParticipantPhase::Training | ParticipantPhase::Uploading
+        );
+        if round != self.round || !working {
             return Ok(Vec::new());
         }
-        let settled = match self.phase {
-            ParticipantPhase::Training | ParticipantPhase::Uploading => {
-                self.phase = ParticipantPhase::Ready;
-                true
-            }
-            ParticipantPhase::Resuming
-                if matches!(
-                    self.resume_from,
-                    ParticipantPhase::Training | ParticipantPhase::Uploading
-                ) =>
-            {
-                self.resume_from = ParticipantPhase::Ready;
-                true
-            }
-            _ => false,
-        };
-        if settled {
-            let acknowledged = self.pending.take().and_then(|pending| pending.first_sent);
-            if let Some(first_sent) = acknowledged {
-                self.verdict_latency = Some(VerdictLatency::sampled(
-                    self.verdict_latency,
-                    now.saturating_sub(first_sent),
-                ));
-            }
+        self.phase = ParticipantPhase::Ready;
+        let acknowledged = self.pending.take().and_then(|pending| pending.first_sent);
+        if let Some(first_sent) = acknowledged {
+            self.verdict_latency = Some(VerdictLatency::sampled(
+                self.verdict_latency,
+                now.saturating_sub(first_sent),
+            ));
         }
         Ok(Vec::new())
     }
@@ -970,17 +896,7 @@ mod tests {
         let mut p = ready_participant();
         upload_ticks(&mut p, 0, 0, Some(40), 100);
         assert!(p.first_upload_timeout() > 4);
-        p.handle_control(ControlFrame::EpochNotice { epoch: 1, round: 1 }, 60)
-            .expect("notice");
-        p.handle_control(
-            ControlFrame::ResumeAck {
-                client: 7,
-                epoch: 1,
-                resume: false,
-            },
-            61,
-        )
-        .expect("rejoin ordered");
+        p.handle_control(rejoin(0), 61).expect("rejoin ordered");
         p.handle_control(ack(7), 62).expect("rejoined");
         // Back to the fixed schedule of a first round.
         assert_eq!(
@@ -1018,146 +934,116 @@ mod tests {
         assert!(a_sends.iter().all(|sends| !sends.is_empty()));
     }
 
+    fn rejoin(epoch: u64) -> ControlFrame {
+        ControlFrame::Rejoin { client: 7, epoch }
+    }
+
+    /// Ticks in `from..to` at which `p` sent a join request.
+    fn join_ticks(p: &mut Participant, from: u64, to: u64) -> Vec<u64> {
+        (from..to)
+            .filter(|&t| {
+                p.tick(t)
+                    .iter()
+                    .any(|f| matches!(f, ControlFrame::JoinRequest { .. }))
+            })
+            .collect()
+    }
+
     #[test]
-    fn epoch_notice_triggers_resume_and_session_survives() {
+    fn a_newer_epoch_notice_resends_the_pending_upload_now() {
         let mut p = ready_participant();
         p.handle_control(select(0, 7, 0), 0).expect("selected");
-        p.tick(3); // submission sent, attempts = 1
+        p.tick(3); // submission sent, attempts = 1, retransmit due at 7
         assert_eq!(p.phase, ParticipantPhase::Uploading);
 
-        // The coordinator restarts as epoch 1.
+        // The coordinator restarts as epoch 1: the session survives and
+        // the interrupted upload goes out at once, attempts intact.
         let frames = p
             .handle_control(ControlFrame::EpochNotice { epoch: 1, round: 0 }, 5)
             .expect("notice");
-        assert_eq!(p.phase, ParticipantPhase::Resuming);
-        assert!(matches!(
-            frames[0],
-            ControlFrame::Resume {
-                client: 7,
-                epoch: 0,
-                last_round: 0,
-            }
-        ));
-        // A duplicated notice neither restarts nor re-sends.
-        assert_eq!(
-            p.handle_control(ControlFrame::EpochNotice { epoch: 1, round: 0 }, 6),
-            Ok(Vec::new())
-        );
-        // No update retransmits while the session is unconfirmed.
+        assert_eq!(frames, Vec::new(), "a notice needs no answer");
+        assert_eq!((p.phase, p.epoch), (ParticipantPhase::Uploading, 1));
         assert!(p
-            .tick(7)
-            .iter()
-            .all(|f| !matches!(f, ControlFrame::UpdateSubmit { .. })));
-
-        // Resume granted: upload continues immediately, attempts intact.
-        p.handle_control(
-            ControlFrame::ResumeAck {
-                client: 7,
-                epoch: 1,
-                resume: true,
-            },
-            8,
-        )
-        .expect("resume ack");
-        assert_eq!(p.phase, ParticipantPhase::Uploading);
-        assert_eq!(p.epoch, 1);
-        assert_eq!(p.stats().sessions_resumed, 1);
-        let frames = p.tick(8);
-        assert!(frames
+            .tick(5)
             .iter()
             .any(|f| matches!(f, ControlFrame::UpdateSubmit { round: 0, .. })));
         // attempts was 1 before the crash, so this retransmit is the 2nd.
         assert_eq!(p.stats().retries, 1);
+        // A repeated notice re-arms nothing: the next send keeps its slot.
+        p.handle_control(ControlFrame::EpochNotice { epoch: 1, round: 0 }, 6)
+            .expect("repeated notice");
+        let sends: Vec<u64> = (6..14)
+            .filter(|&t| {
+                p.tick(t)
+                    .iter()
+                    .any(|f| matches!(f, ControlFrame::UpdateSubmit { .. }))
+            })
+            .collect();
+        assert_eq!(sends, vec![13], "5 + 2·4");
     }
 
     #[test]
-    fn resume_request_retransmits_with_backoff_until_acked() {
+    fn rejoin_drops_the_session_and_restarts_the_handshake() {
         let mut p = ready_participant();
-        p.handle_control(ControlFrame::EpochNotice { epoch: 1, round: 0 }, 0)
-            .expect("notice");
-        assert_eq!(p.stats().resumes, 1);
-        let mut sends = Vec::new();
-        for t in 1..40u64 {
-            if p.tick(t)
-                .iter()
-                .any(|f| matches!(f, ControlFrame::Resume { .. }))
-            {
-                sends.push(t);
-            }
-        }
-        // First send at 0 scheduled the retry at 4; then 4+8=12, 12+16=28.
-        assert_eq!(sends, vec![4, 12, 28]);
-    }
-
-    #[test]
-    fn resume_rejection_falls_back_to_rejoin() {
-        let mut p = ready_participant();
-        p.handle_control(ControlFrame::EpochNotice { epoch: 1, round: 0 }, 0)
-            .expect("notice");
-        let frames = p
-            .handle_control(
-                ControlFrame::ResumeAck {
-                    client: 7,
-                    epoch: 1,
-                    resume: false,
-                },
-                2,
-            )
-            .expect("rejection");
-        assert!(matches!(
-            frames[0],
-            ControlFrame::JoinRequest { client: 7, .. }
-        ));
-        assert_eq!(p.phase, ParticipantPhase::Joining);
-        assert_eq!(p.stats().sessions_rejoined, 1);
-        assert_eq!(p.epoch, 1);
-        // The stale ResumeAck arriving again is a no-op.
+        p.handle_control(select(0, 7, 0), 0).expect("selected");
+        p.tick(3);
         assert_eq!(
             p.handle_control(
-                ControlFrame::ResumeAck {
-                    client: 7,
-                    epoch: 1,
-                    resume: false,
+                ControlFrame::Rejoin {
+                    client: 9,
+                    epoch: 0
                 },
-                3,
+                4
             ),
-            Ok(Vec::new())
+            Err(ProtoError::WrongRecipient { client: 7, got: 9 })
+        );
+        let frames = p.handle_control(rejoin(2), 4).expect("rejoin");
+        assert!(matches!(
+            frames[..],
+            [ControlFrame::JoinRequest { client: 7, .. }]
+        ));
+        assert_eq!(p.phase, ParticipantPhase::Joining);
+        assert_eq!((p.epoch, p.pending.is_none()), (2, true));
+        assert_eq!(p.stats().sessions_rejoined, 1);
+        // Mid-handshake a repeated nudge is a no-op; the retry loop owns it.
+        assert_eq!(p.handle_control(rejoin(2), 5), Ok(Vec::new()));
+        assert_eq!(p.stats().sessions_rejoined, 1);
+        // No heartbeat and no upload until the new lease is granted.
+        assert!(p
+            .tick(9)
+            .iter()
+            .all(|f| matches!(f, ControlFrame::JoinRequest { .. })));
+        p.handle_control(ack(7), 10).expect("rejoined");
+        assert_eq!(p.phase, ParticipantPhase::Ready);
+        // A device that never started has no session to drop.
+        let mut idle = Participant::new(ParticipantConfig::new(7, 3));
+        assert_eq!(
+            idle.handle_control(rejoin(0), 0),
+            Err(ProtoError::UnexpectedFrame {
+                state: "Idle",
+                frame: "Rejoin"
+            })
         );
     }
 
     #[test]
-    fn verdict_landing_mid_resume_settles_the_round() {
+    fn join_retries_space_out_per_handshake_not_per_lifetime() {
         let mut p = ready_participant();
-        p.handle_control(select(0, 7, 0), 0).expect("selected");
-        p.tick(3);
-        p.handle_control(ControlFrame::EpochNotice { epoch: 1, round: 0 }, 4)
-            .expect("notice");
-        // The reordered abort for our round arrives during the
-        // negotiation: nothing left to retransmit afterwards.
-        p.handle_control(
-            ControlFrame::RoundAbort {
-                round: 0,
-                reason: AbortReason::CoordinatorCrash,
-            },
-            5,
-        )
-        .expect("abort");
-        p.handle_control(
-            ControlFrame::ResumeAck {
-                client: 7,
-                epoch: 1,
-                resume: true,
-            },
-            6,
-        )
-        .expect("resume ack");
-        assert_eq!(p.phase, ParticipantPhase::Ready);
-        for t in 7..60 {
-            assert!(p
-                .tick(t)
-                .iter()
-                .all(|f| !matches!(f, ControlFrame::UpdateSubmit { .. })));
+        // Five earlier handshakes, each losing a few requests before its ack.
+        for n in 0..5u64 {
+            let at = 100 * (n + 1);
+            p.handle_control(rejoin(0), at).expect("rejoin");
+            assert_eq!(join_ticks(&mut p, at + 1, at + 8), vec![at + 2, at + 6]);
+            p.handle_control(ack(7), at + 8).expect("ack");
         }
+        assert_eq!(p.stats().joins, 16);
+        // The sixth handshake starts over: +retry_base, then +2·retry_base,
+        // +3·retry_base, …
+        p.handle_control(rejoin(0), 1_000).expect("rejoin");
+        assert_eq!(
+            join_ticks(&mut p, 1_001, 1_043),
+            vec![1_002, 1_006, 1_012, 1_020, 1_030, 1_042]
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! byte followed by the record's fields, big-endian, in declaration order.
 //! This module is the only place that layout is written down:
 //!
-//! * [`Field`] — put / take / wire length for the seven field kinds the
+//! * [`Field`] — put / take / wire length for the six field kinds the
 //!   records use;
 //! * [`Reader`] — the bounds-checked payload cursor every decode runs on;
 //! * [`encode`] / [`decode`] — the envelope (version byte checked before
@@ -94,23 +94,6 @@ macro_rules! int_fields {
     )*};
 }
 int_fields!(u8, u32, u64);
-
-/// One byte, 0 or 1; anything else is rejected by value.
-impl Field for bool {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-    fn take(reader: &mut Reader<'_>) -> Result<Self, ProtoError> {
-        match u8::take(reader)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(ProtoError::UnknownFrameType { tag }),
-        }
-    }
-    fn wire_len(&self) -> usize {
-        1
-    }
-}
 
 impl Field for AbortReason {
     fn put(&self, out: &mut Vec<u8>) {

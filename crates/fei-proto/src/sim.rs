@@ -243,6 +243,7 @@ impl Log for SimFile {
 #[cfg(test)]
 mod tests {
     use fei_net::codec::{encode_frame, FRAME_OVERHEAD, MAX_PAYLOAD_LEN};
+    use proptest::prelude::*;
 
     use super::*;
     use crate::coordinator::{CoordinatorConfig, Effect};
@@ -421,11 +422,11 @@ mod tests {
                 JournalRecord::RoundAborted { round: r, .. },
             ) => round == r,
             (
-                ControlFrame::EpochNotice { epoch, .. },
+                ControlFrame::EpochNotice { epoch, .. } | ControlFrame::Rejoin { epoch, .. },
                 JournalRecord::EpochStarted { epoch: e, .. },
             ) => epoch == e,
             _ => false,
-        }) || matches!(frame, ControlFrame::ResumeAck { .. })
+        })
     }
 
     /// The journal records the durable trace replays to: what a crash
@@ -678,7 +679,7 @@ mod tests {
             tick: 1,
         };
         stranger.send(&hello.encode()).expect("live connection");
-        let mut notices = 0;
+        let (mut notices, mut nudges) = (0, 0);
         for _ in 0..40 {
             let (surfaced, left) = rig.tick(&mut coordinator, &mut [&mut a, &mut b]);
             surfaced.expect("fault-free disk");
@@ -689,14 +690,75 @@ mod tests {
             );
             let notice = |f: &&ControlFrame| matches!(f, ControlFrame::EpochNotice { .. });
             notices += left.iter().filter(notice).count();
+            let nudge = |f: &&ControlFrame| matches!(f, ControlFrame::Rejoin { client: 99, .. });
+            nudges += left.iter().filter(nudge).count();
         }
         // Two out of the queue (recovery found no connection to send them
-        // on), one nudge to the stranger.
-        assert!(notices >= 3, "{notices} epoch notices left");
-        assert!(
-            stranger.poll().expect("live connection").is_some(),
-            "the stranger was nudged"
+        // on), and one rejoin nudge to the stranger.
+        assert!(notices >= 2, "{notices} epoch notices left");
+        assert_eq!(nudges, 1);
+        let nudged = stranger.poll().expect("live connection");
+        let nudge = nudged.map(|bytes| ControlFrame::decode(&bytes).expect("own frame").0);
+        assert_eq!(
+            nudge,
+            Some(ControlFrame::Rejoin {
+                client: 99,
+                epoch: 1
+            })
         );
+    }
+
+    /// Whether `client` is on the coordinator's journaled roster.
+    fn on_roster(coordinator: &SimCoordinator, client: u64) -> bool {
+        let journal = coordinator.core().coordinator().journal();
+        journal.state().roster.contains(&client)
+    }
+
+    proptest! {
+        /// Re-admission: a device left out of the loop for at least a lease
+        /// lapses off the roster with no coordinator restart; once it runs
+        /// again its next heartbeat draws a `Rejoin`, and it is back on the
+        /// roster within `heartbeat_timeout + 2·retry_base·2^max_retries`
+        /// ticks — and selected again.
+        #[test]
+        fn a_lapsed_device_is_back_on_the_roster_in_bounded_time(
+            pause_at in 4u64..60,
+            pause_for in 20u64..90,
+        ) {
+            // K = quorum = 1: device 2 keeps the rounds going meanwhile.
+            let rig = Rig::new(1, 10_000);
+            let mut coordinator = rig.boot().expect("boot");
+            let (mut lapsing, mut steady) = (rig.participant(1), rig.participant(2));
+            for _ in 0..pause_at {
+                rig.tick(&mut coordinator, &mut [&mut lapsing, &mut steady]).0.expect("fault-free");
+            }
+            for _ in 0..pause_for {
+                rig.tick(&mut coordinator, &mut [&mut steady]).0.expect("fault-free");
+            }
+            prop_assert!(!on_roster(&coordinator, 1), "the lease lapsed");
+
+            let participant = ParticipantConfig::new(1, 2);
+            let timeout = rig.config.coordinator.heartbeat_timeout;
+            let bound = timeout + 2 * participant.retry_base * (1 << participant.max_retries);
+            let mut back = None;
+            let mut selected = false;
+            for tick in 1..=bound + timeout {
+                let (surfaced, left) = rig.tick(&mut coordinator, &mut [&mut lapsing, &mut steady]);
+                surfaced.expect("fault-free");
+                if back.is_none() && on_roster(&coordinator, 1) {
+                    back = Some(tick);
+                }
+                selected |= back.is_some()
+                    && left.iter().any(|f| matches!(f, ControlFrame::Select { client: 1, .. }));
+                if selected {
+                    break;
+                }
+            }
+            prop_assert!(back.is_some_and(|tick| tick <= bound), "back after {back:?} > {bound}");
+            prop_assert!(selected, "re-admitted but never selected");
+            lapsing.cycle();
+            prop_assert_eq!(lapsing.report().stats.sessions_rejoined, 1);
+        }
     }
 
     #[test]

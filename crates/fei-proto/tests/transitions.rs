@@ -82,22 +82,8 @@ fn arb_frame() -> impl Strategy<Value = ControlFrame> {
             .prop_map(|(round, reason)| ControlFrame::RoundAbort { round, reason }),
         (round.clone(), proptest::collection::vec(0u64..6, 0..4))
             .prop_map(|(round, accepted)| ControlFrame::RoundCommit { round, accepted }),
-        (0u64..4, round.clone())
-            .prop_map(|(epoch, round)| ControlFrame::EpochNotice { epoch, round }),
-        (client.clone(), 0u64..4, round).prop_map(|(client, epoch, last_round)| {
-            ControlFrame::Resume {
-                client,
-                epoch,
-                last_round,
-            }
-        }),
-        (client, 0u64..4, any::<bool>()).prop_map(|(client, epoch, resume)| {
-            ControlFrame::ResumeAck {
-                client,
-                epoch,
-                resume,
-            }
-        }),
+        (0u64..4, round).prop_map(|(epoch, round)| ControlFrame::EpochNotice { epoch, round }),
+        (client, 0u64..4).prop_map(|(client, epoch)| ControlFrame::Rejoin { client, epoch }),
     ]
 }
 

@@ -1,6 +1,7 @@
-//! Golden wire vectors: one hex frame per record kind (both `ResumeAck`
-//! verdicts, every `AbortReason`), captured from the hand-written codecs at
-//! commit ad07d6a, before the `record.rs` table replaced them. The codec
+//! Golden wire vectors: one hex frame per record kind (every
+//! `AbortReason`), captured from the hand-written codecs at commit ad07d6a,
+//! before the `record.rs` table replaced them (`Rejoin`, added later, from
+//! the table). The codec
 //! must reproduce each byte for byte and decode it back; every strict
 //! prefix must fail as `Truncated`, a foreign version byte as
 //! `VersionMismatch`, and the vectors must exercise exactly the tags the
@@ -129,31 +130,14 @@ fn control_frames_match_their_golden_bytes() {
             "fe1a160000002501000000000000000300000003000000000000000100000000000000040000000000000007b539728d",
         ),
         (ControlFrame::EpochNotice { epoch: 2, round: 3 }, "fe1a1700000011010000000000000002000000000000000395af9d67"),
-        (
-            ControlFrame::Resume {
-                client: 7,
-                epoch: 1,
-                last_round: 3,
-            },
-            "fe1a1800000019010000000000000007000000000000000100000000000000035b936559",
-        ),
-        (
-            ControlFrame::ResumeAck {
-                client: 7,
-                epoch: 2,
-                resume: true,
-            },
-            "fe1a1900000012010000000000000007000000000000000201c751c98d",
-        ),
-        (
-            ControlFrame::ResumeAck {
-                client: 7,
-                epoch: 2,
-                resume: false,
-            },
-            "fe1a1900000012010000000000000007000000000000000200b056f91b",
-        ),
         (ControlFrame::Shutdown, "fe1a1a00000001017d938189"),
+        (
+            ControlFrame::Rejoin {
+                client: 7,
+                epoch: 2,
+            },
+            "fe1a1b0000001101000000000000000700000000000000024ddd5dbe",
+        ),
     ];
     check(
         &vectors,

@@ -99,7 +99,7 @@ fn an_update_voided_by_expiry_is_not_resurrected_by_recovery() {
 
 /// Fixed-seed twin of fei-proto's `recover_equals_live_at_every_prefix`
 /// property: a long random interleaving of joins, heartbeats, submits,
-/// resumes, round opens and clock jumps (leases lapse and clients rejoin
+/// rejoins, round opens and clock jumps (leases lapse and clients rejoin
 /// mid-round); after every step the journal's own fold equals a fold of
 /// its replayed records, and a recovery that resumes sees the live round.
 #[test]
@@ -117,15 +117,12 @@ fn recover_equals_live_at_every_prefix_of_a_seeded_run() {
             0..=1 => live.handle_control(join(client), now),
             2..=4 => live.handle_control(beat(client, now), now),
             5..=6 => live.handle_control(submit(client, live.round()), now),
-            7 => {
-                let (epoch, last_round) = (rng.next_below(2), live.round());
-                let resume = ControlFrame::Resume {
-                    client,
-                    epoch,
-                    last_round,
-                };
-                live.handle_control(resume, now)
-            }
+            // A beat the coordinator answers `UnknownClient` (its lease
+            // lapsed) is nudged with `Rejoin`, and the device joins again.
+            7 => match live.handle_control(beat(client, now), now) {
+                Err(ProtoError::UnknownClient { .. }) => live.handle_control(join(client), now),
+                other => other,
+            },
             8 => live.start_round(now),
             _ => {
                 now += 1 + rng.next_below(9);
