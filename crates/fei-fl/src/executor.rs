@@ -10,10 +10,11 @@
 //!   every update through the wire codec in place. It owns the
 //!   **zero steady-state allocations** invariant: one [`GradScratch`], one
 //!   [`WireScratch`] and one staging buffer serve every client and round.
-//! * [`crate::runtime::Framed`] keeps one OS thread per edge server and moves
-//!   real byte frames over channels. It owns **frame fidelity** (the bytes it
-//!   reports are the frames it sent) and **worker-loss liveness** (a dead or
-//!   wedged worker becomes a dropout, never a hang).
+//! * [`crate::runtime::Framed`] runs the round's jobs on a pool of worker
+//!   threads sized to the cores, sharing one job queue, and moves real byte
+//!   frames over channels. It owns **frame fidelity** (the bytes it reports
+//!   are the frames it sent) and **worker-loss liveness** (a server whose
+//!   job panics, or a wedged job, becomes a dropout, never a hang).
 //!
 //! The trait is sealed: no executor can be implemented outside this crate.
 

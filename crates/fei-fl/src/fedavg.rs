@@ -143,8 +143,9 @@ pub struct RoundFaultStats {
     pub corrupted_frames: usize,
     /// Delivered updates discarded for missing the round deadline.
     pub deadline_misses: usize,
-    /// Worker threads that died or timed out mid-round (threaded engine
-    /// only; counted as dropouts, never a hang).
+    /// Servers the threaded engine lost mid-round: a job that panicked (then
+    /// and in every later round) or timed out. Counted as dropouts, never a
+    /// hang.
     pub worker_losses: usize,
     /// Delivered updates rejected by the coordinator's update screen
     /// (non-finite values, wrong dimension, or norm outliers).

@@ -15,11 +15,11 @@
 //!   one reused gradient and wire workspace (zero steady-state
 //!   allocations); used by experiments that sweep many `(K, E)`
 //!   combinations;
-//! * [`runtime::ThreadedFedAvg`] — the [`runtime::Framed`] executor: one OS
-//!   thread per edge server, with model parameters serialized into byte
-//!   frames (via `fei-net`) and moved over crossbeam channels, exercising
-//!   the communication code path a real deployment would use, including
-//!   surviving a dead worker.
+//! * [`runtime::ThreadedFedAvg`] — the [`runtime::Framed`] executor: a pool
+//!   of worker threads sized to the cores serves every edge server, with
+//!   model parameters serialized into byte frames (via `fei-net`) and moved
+//!   over crossbeam channels, exercising the communication code path a real
+//!   deployment would use, including surviving a server whose job panics.
 //!
 //! A barrier-free engine — [`asynchronous::AsyncFedAvg`], a different
 //! algorithm rather than a third executor — merges staleness-discounted

@@ -1,15 +1,16 @@
-//! The framed executor: one OS thread per edge server.
-//!
-//! Exercises the full communication path of a real deployment: the
+//! The framed executor: a pool of worker threads, one per core, serving
+//! every edge server over the full communication path of a deployment. The
 //! coordinator serializes the global model into a byte frame (`fei-net`
-//! codec), sends it over a channel to each planned worker, and workers ship
-//! their trained models back the same way. Everything else about a round is
-//! [`crate::RoundDriver`]'s, shared with the in-process engine — so given
-//! equal configuration and seed the results are bit-identical to
-//! [`crate::FedAvg`], an invariant the integration tests pin down.
+//! codec) and queues one job per planned server; each job ships its trained
+//! model back the same way. Everything else about a round is
+//! [`crate::RoundDriver`]'s, shared with the in-process engine — so the
+//! results are bit-identical to [`crate::FedAvg`], as the tests pin down.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -22,12 +23,12 @@ use fei_ml::{
 use fei_net::codec::{decode_frame, encode_frame_into, encode_frame_with, FRAME_OVERHEAD};
 use fei_net::wire::{WireConfig, WireScratch};
 
-use crate::executor::{grad_pool, train_local, training_set, ClientUpdate, Executor};
+use crate::adversary::flip_dataset_labels;
+use crate::executor::{grad_pool, train_local, ClientUpdate, Executor};
 use crate::fedavg::{FedAvgConfig, RoundDriver};
 
-/// Wall-clock safety net for a worker reply. Fault schedules are virtual —
-/// this only fires when a worker thread genuinely died or wedged, in which
-/// case the round proceeds without it instead of hanging.
+/// Wall-clock safety net for a wedged job (a panicking one reports at once):
+/// the round proceeds without it instead of hanging.
 const DEFAULT_WORKER_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Frame tag for coordinator → worker global-model dispatch.
@@ -56,12 +57,6 @@ pub(crate) fn update_frame_len(transport: WireConfig, n: usize) -> usize {
     FRAME_OVERHEAD + UPDATE_META + transport.payload_len(n)
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Worker threads [`Framed::start`] has spawned from this thread.
-    static SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// Bytes moved over the wire in both directions, summed over every job.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransportStats {
@@ -80,26 +75,30 @@ pub struct TransportStats {
     pub jobs: u64,
 }
 
-enum ToWorker {
-    Train {
-        /// The round's broadcast frame, shared by every planned worker: the
-        /// worker reads the round, `E` and the global model from it.
-        frame: Arc<[u8]>,
-        /// Train on the label-flipped copy of this worker's dataset (the
-        /// device is a compromised label-flip client).
-        flip: bool,
-    },
-    /// Test/chaos hook: the worker panics on receipt, simulating a process
-    /// crash mid-deployment.
-    Poison,
-    Shutdown,
+/// One edge server: every worker serving it shares its dataset and the
+/// label-flipped copy, built on first use.
+struct Server {
+    data: Arc<Dataset>,
+    flipped: OnceLock<Arc<Dataset>>,
+    /// Chaos hook: every job of this server panics inside its worker.
+    poisoned: AtomicBool,
+    /// A job of this server panicked: it is lost for the rest of the run.
+    dead: AtomicBool,
 }
 
-struct Update {
+/// One server's round: the server, the round's shared broadcast frame (round,
+/// `E`, global model), and whether it trains on its label-flipped copy.
+type Job = (usize, Arc<[u8]>, bool);
+
+/// A job's reply: the update frame, or the server whose job panicked.
+type Reply = Result<Vec<u8>, usize>;
+
+/// An update frame's fields: borrowed to encode, owned once decoded.
+struct Update<P> {
     round: u32,
     client: usize,
     samples: usize,
-    params: Vec<f64>,
+    params: P,
     initial_loss: f64,
 }
 
@@ -113,24 +112,14 @@ fn encode_global(round: u32, epochs: u32, params: &[f64], wire: &mut WireScratch
     frame.into()
 }
 
-#[cfg(test)]
-fn decode_global(frame: &[u8]) -> (u32, u32, Vec<f64>) {
-    let mut params = Vec::new();
-    let mut wire = WireScratch::new();
-    let (round, epochs) = decode_global_into(frame, &mut params, &mut wire);
-    (round, epochs, params)
-}
-
-/// Decodes a global-model frame into a reused parameter buffer, so a worker
-/// that keeps the buffer across rounds pays no per-frame allocation once the
-/// buffer reaches model size.
+/// Decodes a global-model frame into a reused parameter buffer, allocation-free
+/// once the buffer reaches model size.
 fn decode_global_into(frame: &[u8], params: &mut Vec<f64>, wire: &mut WireScratch) -> (u32, u32) {
     let (frame, _) = decode_frame(frame)
         .expect("invariant: coordinator frames are encoded in-process and cannot be malformed");
     assert_eq!(frame.msg_type, MSG_GLOBAL, "expected a global-model frame");
     let mut buf = &frame.payload[..];
-    let round = buf.get_u32();
-    let epochs = buf.get_u32();
+    let (round, epochs) = (buf.get_u32(), buf.get_u32());
     let config = wire
         .decode_into(buf, None, params)
         .expect("invariant: coordinator payloads are encoded in-process and cannot be malformed");
@@ -138,13 +127,12 @@ fn decode_global_into(frame: &[u8], params: &mut Vec<f64>, wire: &mut WireScratc
     (round, epochs)
 }
 
-/// Encodes an update frame under the run's transport tier. With a delta
-/// tier, `base` is the worker's bit-exact copy of this round's global model.
-/// The wire payload is staged in the worker's persistent `payload_buf`, so
-/// the codec hot path allocates nothing once warm; only the returned frame
-/// (whose ownership the channel takes) is fresh.
-fn encode_update(
-    update: &Update,
+/// Encodes an update frame under the run's transport tier; with a delta tier
+/// `base` is the worker's bit-exact copy of this round's global model. The
+/// parameters are borrowed and the payload staged in `payload_buf`, so once
+/// warm only the returned frame (the channel takes it) is allocated.
+fn encode_update<P: AsRef<[f64]>>(
+    update: &Update<P>,
     transport: WireConfig,
     base: &[f64],
     wire: &mut WireScratch,
@@ -155,124 +143,130 @@ fn encode_update(
     payload_buf.extend_from_slice(&(update.client as u32).to_be_bytes());
     payload_buf.extend_from_slice(&(update.samples as u64).to_be_bytes());
     payload_buf.extend_from_slice(&update.initial_loss.to_le_bytes());
-    wire.encode_into(transport, &update.params, Some(base), payload_buf);
+    wire.encode_into(transport, update.params.as_ref(), Some(base), payload_buf);
     let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload_buf.len());
     encode_frame_into(MSG_UPDATE, payload_buf, &mut frame);
     frame
 }
 
-/// Decodes an update frame. `base` is the coordinator's current global model
-/// (not yet aggregated this round), the same base every worker encoded
-/// deltas against.
-fn decode_update(frame: &[u8], base: &[f64], wire: &mut WireScratch) -> Update {
+/// Decodes an update frame against `base`, the coordinator's global model
+/// (not yet aggregated this round) that every worker encoded deltas against.
+fn decode_update(frame: &[u8], base: &[f64], wire: &mut WireScratch) -> Update<Vec<f64>> {
     let (frame, _) = decode_frame(frame).expect(
         "invariant: worker frames survived the codec checksum before reaching the coordinator",
     );
     assert_eq!(frame.msg_type, MSG_UPDATE, "expected an update frame");
     let mut buf = &frame.payload[..];
-    let round = buf.get_u32();
-    let client = buf.get_u32() as usize;
-    let samples = buf.get_u64() as usize;
-    let initial_loss = buf.get_f64_le();
-    let mut params = Vec::new();
-    wire.decode_into(buf, Some(base), &mut params)
+    let mut update = Update {
+        round: buf.get_u32(),
+        client: buf.get_u32() as usize,
+        samples: buf.get_u64() as usize,
+        initial_loss: buf.get_f64_le(),
+        params: Vec::new(),
+    };
+    wire.decode_into(buf, Some(base), &mut update.params)
         .expect("invariant: worker payloads are encoded in-process against the shared base");
-    Update {
-        round,
-        client,
-        samples,
-        params,
-        initial_loss,
-    }
+    update
 }
 
-/// The thread-per-server executor: every edge server is a persistent OS
-/// thread, and models cross to it and back as real `fei-net` byte frames
-/// over channels — the communication path of a real deployment.
+/// The pooled executor: `min(cores, servers)` worker threads pull jobs from
+/// one shared queue, and models cross to them and back as `fei-net` byte
+/// frames. A server whose job panics is lost; its worker serves on.
 pub struct Framed {
-    to_workers: Vec<Sender<ToWorker>>,
-    from_workers: Receiver<Vec<u8>>,
+    jobs: Sender<Job>,
+    replies: Receiver<Reply>,
     handles: Vec<JoinHandle<()>>,
-    /// Coordinator-side wire workspace: encodes the downlink broadcast and
-    /// decodes every update frame, allocation-free once warm.
+    servers: Arc<[Server]>,
+    /// Encodes the broadcast and decodes every update, allocation-free warm.
     wire: WireScratch,
-    /// The run's optimizer settings: the update frame carries the initial
-    /// loss and the sample count, and the step count follows from these.
+    /// Derives each update's gradient steps from its sample count.
     sgd: SgdConfig,
     worker_timeout: Duration,
 }
 
-/// FedAvg with edge servers running on dedicated threads (multinomial
-/// logistic regression by default): the round driver over the [`Framed`]
-/// executor. Given equal configuration and seed the results are
-/// bit-identical to [`crate::FedAvg`].
+/// FedAvg over the [`Framed`] executor (multinomial logistic regression by
+/// default): bit-identical to [`crate::FedAvg`] for equal configuration and
+/// seed.
 pub type ThreadedFedAvg<M = LogisticRegression> = RoundDriver<M, Framed>;
 
 impl<M: Model> RoundDriver<M, Framed> {
-    /// Overrides the wall-clock reply timeout used to detect dead workers.
+    /// Overrides the wall-clock reply timeout used to detect wedged jobs.
     pub fn with_worker_timeout(mut self, timeout: Duration) -> Self {
         self.exec.worker_timeout = timeout;
         self
     }
 
-    /// Chaos hook: makes `client`'s worker thread panic on its next message,
-    /// simulating a process crash. Subsequent rounds count the dead worker
-    /// as a dropout — they never hang on it.
+    /// Chaos hook: `client`'s next job panics inside its worker (a process
+    /// crash); that round and every later one count it a dropout at once.
     ///
     /// # Panics
     ///
     /// Panics if `client` is out of range.
     pub fn inject_worker_panic(&self, client: usize) {
-        let _ = self.exec.to_workers[client].send(ToWorker::Poison);
+        // The job queue orders this store before the job that reads it.
+        self.exec.servers[client].poisoned.store(true, Relaxed);
     }
 }
 
-impl Executor for Framed {
-    /// Spawns one worker thread per client dataset.
-    fn start<M: Model>(config: &FedAvgConfig, clients: &[Arc<Dataset>], template: &M) -> Self {
-        let (result_tx, from_workers) = unbounded::<Vec<u8>>();
-        // One gradient pool shared by every client worker; dropped when the
-        // last of them exits.
-        let grad_pool = grad_pool(&config.sgd);
-        let mut to_workers = Vec::with_capacity(clients.len());
-        let mut handles = Vec::with_capacity(clients.len());
-        for (id, data) in clients.iter().enumerate() {
-            let (tx, rx) = unbounded::<ToWorker>();
-            to_workers.push(tx);
-            let data = Arc::clone(data);
-            let result_tx = result_tx.clone();
-            let trainer = LocalTrainer::new(config.sgd.clone());
-            let template = template.clone();
-            let transport = config.transport;
-            let grad_pool = grad_pool.clone();
-            handles.push(std::thread::spawn(move || {
-                worker_loop(
-                    id,
-                    template,
-                    &data,
-                    &trainer,
-                    transport,
-                    &rx,
-                    &result_tx,
-                    grad_pool.as_deref(),
-                );
-            }));
-            #[cfg(test)]
-            SPAWNED.with(|spawned| spawned.set(spawned.get() + 1));
-        }
+impl Framed {
+    /// Spawns `workers` threads serving every client dataset.
+    pub(crate) fn with_workers<M: Model>(
+        config: &FedAvgConfig,
+        clients: &[Arc<Dataset>],
+        template: &M,
+        workers: usize,
+    ) -> Self {
+        let (jobs, job_rx) = unbounded::<Job>();
+        let (reply_tx, replies) = unbounded::<Reply>();
+        let servers: Arc<[Server]> = clients
+            .iter()
+            .map(|data| Server {
+                data: Arc::clone(data),
+                flipped: OnceLock::new(),
+                poisoned: AtomicBool::new(false),
+                dead: AtomicBool::new(false),
+            })
+            .collect();
+        let worker = Worker {
+            servers: Arc::clone(&servers),
+            trainer: LocalTrainer::new(config.sgd.clone()),
+            transport: config.transport,
+            grad_pool: grad_pool(&config.sgd),
+            model: template.clone(),
+            params: Vec::new(),
+            scratch: GradScratch::new(),
+            wire: WireScratch::new(),
+            payload: Vec::new(),
+        };
+        let handles = (0..workers)
+            .map(|_| {
+                let (worker, job_rx, reply_tx) = (worker.clone(), job_rx.clone(), reply_tx.clone());
+                #[cfg(test)]
+                tests::SPAWNED.with(|spawned| spawned.set(spawned.get() + 1));
+                std::thread::spawn(move || worker.run(&job_rx, &reply_tx))
+            })
+            .collect();
         Self {
-            to_workers,
-            from_workers,
+            jobs,
+            replies,
             handles,
+            servers,
             wire: WireScratch::new(),
             sgd: config.sgd.clone(),
             worker_timeout: DEFAULT_WORKER_TIMEOUT,
         }
     }
+}
 
-    /// Broadcasts the global frame and collects the update frames. A send
-    /// to a dead worker or a missing reply (panic, wedge) counts the worker
-    /// as lost after a wall-clock timeout — the call always returns.
+impl Executor for Framed {
+    fn start<M: Model>(config: &FedAvgConfig, clients: &[Arc<Dataset>], template: &M) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::with_workers(config, clients, template, cores.min(clients.len()))
+    }
+
+    /// Queues the planned jobs and collects the update frames. A server
+    /// whose job panics is lost at once; a wedged job is lost after a
+    /// wall-clock timeout — the call always returns.
     fn execute<M: Model>(
         &mut self,
         round: usize,
@@ -281,35 +275,30 @@ impl Executor for Framed {
         planned: &[(usize, bool)],
     ) -> (Vec<ClientUpdate>, usize) {
         let base = global.to_flat();
-        let (wire_round, wire_epochs) = (round as u32, epochs as u32);
-        let frame = encode_global(wire_round, wire_epochs, base, &mut self.wire);
+        let frame = encode_global(round as u32, epochs as u32, base, &mut self.wire);
 
-        // Dispatch. A send failure means the worker's thread is gone (e.g.
-        // it panicked): count it as lost rather than crashing the run.
         let mut lost = 0;
         let mut pending = BTreeSet::new();
         for &(client, flip) in planned {
-            let job = ToWorker::Train {
-                frame: Arc::clone(&frame),
-                flip,
-            };
-            if self.to_workers[client].send(job).is_ok() {
+            // A dead server is a dropout without a job.
+            let job = (client, Arc::clone(&frame), flip);
+            if !self.servers[client].dead.load(Relaxed) && self.jobs.send(job).is_ok() {
                 pending.insert(client);
             } else {
                 lost += 1;
             }
         }
 
-        // Collect replies. The wall-clock timeout is a liveness safety net:
-        // a worker that dies mid-job stops the wait, and its absence is a
-        // dropout — the round never hangs and never poisons shared state.
+        // Collect replies. A panicked or (after the timeout) wedged job is a
+        // dropout: the round never hangs and never poisons shared state.
         let mut updates = Vec::with_capacity(pending.len());
         while !pending.is_empty() {
-            match self.from_workers.recv_timeout(self.worker_timeout) {
-                Ok(reply) => {
+            match self.replies.recv_timeout(self.worker_timeout) {
+                Ok(Err(client)) => lost += usize::from(pending.remove(&client)),
+                Ok(Ok(reply)) => {
                     let update = decode_update(&reply, base, &mut self.wire);
-                    // Discard stale frames from rounds a dead worker missed.
-                    if update.round == wire_round && pending.remove(&update.client) {
+                    // Discard stale frames from rounds that timed out.
+                    if update.round == round as u32 && pending.remove(&update.client) {
                         updates.push(ClientUpdate {
                             client: update.client,
                             samples: update.samples,
@@ -325,10 +314,7 @@ impl Executor for Framed {
                         });
                     }
                 }
-                Err(_) => {
-                    lost += pending.len();
-                    pending.clear();
-                }
+                Err(_) => lost += std::mem::take(&mut pending).len(),
             }
         }
         // Restore deterministic order: workers reply in arbitrary order.
@@ -339,72 +325,84 @@ impl Executor for Framed {
 
 impl Drop for Framed {
     fn drop(&mut self) {
-        for tx in &self.to_workers {
-            let _ = tx.send(ToWorker::Shutdown);
-        }
+        // Closing the queue ends every worker's loop once it is drained.
+        drop(std::mem::replace(&mut self.jobs, unbounded().0));
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-#[allow(
-    clippy::too_many_arguments,
-    reason = "everything a worker thread owns is moved in once at spawn"
-)]
-fn worker_loop<M: Model>(
-    id: usize,
-    template: M,
-    data: &Arc<Dataset>,
-    trainer: &LocalTrainer,
+/// A worker thread: what it is given at spawn, and the model, gradient
+/// scratch, decode buffer, wire workspace and payload stage it reuses across
+/// every server and round it serves, so a warm job allocates only its reply.
+#[derive(Clone)]
+struct Worker<M> {
+    servers: Arc<[Server]>,
+    trainer: LocalTrainer,
     transport: WireConfig,
-    rx: &Receiver<ToWorker>,
-    result_tx: &Sender<Vec<u8>>,
-    grad_pool: Option<&WorkerPool>,
-) {
-    // Lazily built label-flipped copy, for compromised label-flip clients.
-    let mut flipped: Option<Arc<Dataset>> = None;
-    // Persistent per-worker hot state, reused across jobs: the model is
-    // overwritten by `set_flat` each round, the gradient scratch keeps local
-    // epochs allocation-free, and the decode buffer, wire workspace, and
-    // payload stage absorb each frame without fresh allocations.
-    let mut model = template;
-    let mut params: Vec<f64> = Vec::new();
-    let mut scratch = GradScratch::new();
-    let mut wire = WireScratch::new();
-    let mut payload_buf: Vec<u8> = Vec::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ToWorker::Shutdown => break,
-            // fei-lint: allow(no-panic, reason = "fault injection: the panic IS the injected fault the supervisor must survive")
-            ToWorker::Poison => panic!("injected worker panic (client {id})"),
-            ToWorker::Train { frame, flip } => {
-                let (round, epochs) = decode_global_into(&frame, &mut params, &mut wire);
-                model.set_flat(&params);
-                let train_stats = train_local(
-                    trainer,
-                    grad_pool,
-                    &mut model,
-                    training_set(data, &mut flipped, flip),
-                    epochs as usize,
-                    round as usize,
-                    &mut scratch,
-                );
-                let update = Update {
-                    round,
-                    client: id,
-                    samples: data.len(),
-                    params: model.to_flat().to_vec(),
-                    initial_loss: train_stats.initial_loss,
-                };
-                // `params` still holds this round's decoded global model —
-                // the bit-exact delta base shared with the coordinator.
-                let reply = encode_update(&update, transport, &params, &mut wire, &mut payload_buf);
-                if result_tx.send(reply).is_err() {
-                    break;
-                }
+    /// The gradient pool shared by every worker; dropped with the last.
+    grad_pool: Option<Arc<WorkerPool>>,
+    model: M,
+    params: Vec<f64>,
+    scratch: GradScratch,
+    wire: WireScratch,
+    payload: Vec<u8>,
+}
+
+impl<M: Model> Worker<M> {
+    /// Serves jobs until the queue closes, on a copy of `self` renewed after a panic.
+    fn run(self, jobs: &Receiver<Job>, replies: &Sender<Reply>) {
+        let mut worker = self.clone();
+        while let Ok(job) = jobs.recv() {
+            let reply = catch_unwind(AssertUnwindSafe(|| worker.serve(&job))).map_err(|_| {
+                // The reply orders this store before the next round's check.
+                self.servers[job.0].dead.store(true, Relaxed);
+                worker = self.clone();
+                job.0
+            });
+            if replies.send(reply).is_err() {
+                break;
             }
         }
+    }
+
+    /// Decodes the broadcast, trains the job's server and encodes its update.
+    fn serve(&mut self, &(client, ref frame, flip): &Job) -> Vec<u8> {
+        let server = &self.servers[client];
+        if server.poisoned.load(Relaxed) {
+            // fei-lint: allow(no-panic, reason = "fault injection: the panic IS the injected fault the supervisor must survive")
+            panic!("injected worker panic (client {client})");
+        }
+        let (round, epochs) = decode_global_into(frame, &mut self.params, &mut self.wire);
+        self.model.set_flat(&self.params);
+        let data = if flip {
+            server
+                .flipped
+                .get_or_init(|| Arc::new(flip_dataset_labels(&server.data)))
+        } else {
+            &server.data
+        };
+        let stats = train_local(
+            &self.trainer,
+            self.grad_pool.as_deref(),
+            &mut self.model,
+            data,
+            epochs as usize,
+            round as usize,
+            &mut self.scratch,
+        );
+        let update = Update {
+            round,
+            client,
+            samples: server.data.len(),
+            params: self.model.to_flat(),
+            initial_loss: stats.initial_loss,
+        };
+        // `params` still holds this round's decoded global model — the
+        // bit-exact delta base shared with the coordinator.
+        let (base, wire, payload) = (&self.params, &mut self.wire, &mut self.payload);
+        encode_update(&update, self.transport, base, wire, payload)
     }
 }
 
@@ -413,6 +411,18 @@ mod tests {
     use super::*;
     use crate::fedavg::tests::setup;
     use crate::fedavg::{FedAvg, StopCondition};
+
+    thread_local! {
+        /// Worker threads [`Framed::with_workers`] has spawned from this thread.
+        pub(super) static SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn decode_global(frame: &[u8]) -> (u32, u32, Vec<f64>) {
+        let mut params = Vec::new();
+        let mut wire = WireScratch::new();
+        let (round, epochs) = decode_global_into(frame, &mut params, &mut wire);
+        (round, epochs, params)
+    }
 
     #[test]
     fn threaded_matches_in_process_bit_for_bit() {
@@ -618,7 +628,86 @@ mod tests {
             ..Default::default()
         };
         drop(ThreadedFedAvg::new(config, clients.clone(), test));
-        assert_eq!(SPAWNED.with(|spawned| spawned.get()), clients.len());
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(
+            SPAWNED.with(|spawned| spawned.get()),
+            cores.min(clients.len())
+        );
+    }
+
+    /// The engine with a pool of `workers` threads in place of the default.
+    fn pooled(
+        config: &FedAvgConfig,
+        clients: &[Dataset],
+        test: &Dataset,
+        workers: usize,
+    ) -> ThreadedFedAvg {
+        let mut engine = ThreadedFedAvg::new(config.clone(), clients.to_vec(), test.clone());
+        let shared: Vec<Arc<Dataset>> = clients.iter().cloned().map(Arc::new).collect();
+        let template = LogisticRegression::zeros(clients[0].dim(), clients[0].num_classes());
+        engine.exec = Framed::with_workers(config, &shared, &template, workers);
+        engine
+    }
+
+    #[test]
+    fn every_pool_size_matches_in_process_bit_for_bit() {
+        use crate::adversary::{AdversarySpec, AttackBehavior};
+        let (clients, test) = setup(6, 150);
+        let config = FedAvgConfig {
+            clients_per_round: 5,
+            local_epochs: 2,
+            transport: WireConfig {
+                encoding: fei_net::wire::Encoding::Q8,
+                delta: true,
+            },
+            ..Default::default()
+        };
+        // Half the fleet trains on flipped labels: whichever worker serves a
+        // compromised server reads the one flipped copy it shares.
+        let spec = AdversarySpec {
+            fraction: 0.5,
+            behavior: AttackBehavior::LabelFlip,
+            seed: 11,
+        };
+        for workers in [1, 2, 3, clients.len()] {
+            let mut serial =
+                FedAvg::new(config.clone(), clients.clone(), test.clone()).with_adversary(spec);
+            let mut threaded = pooled(&config, &clients, &test, workers).with_adversary(spec);
+            for _ in 0..4 {
+                assert_eq!(
+                    serial.run_round(),
+                    threaded.run_round(),
+                    "{workers} workers"
+                );
+            }
+            assert_eq!(
+                serial.global_model(),
+                threaded.global_model(),
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_takes_out_its_server_not_its_pool_mates() {
+        let (clients, test) = setup(5, 100);
+        let config = FedAvgConfig {
+            clients_per_round: 5,
+            local_epochs: 1,
+            ..Default::default()
+        };
+        for workers in [1, 2] {
+            let mut engine = pooled(&config, &clients, &test, workers);
+            engine.inject_worker_panic(2);
+            for round in 0..3 {
+                let record = engine.run_round();
+                let context = format!("{workers} workers, round {round}");
+                assert_eq!(record.faults.worker_losses, 1, "{context}");
+                assert_eq!(record.responded, [0, 1, 3, 4], "{context}");
+                assert!(record.outcome.committed(), "{context}");
+            }
+            assert_eq!(engine.rounds_completed(), 3);
+        }
     }
 
     #[test]

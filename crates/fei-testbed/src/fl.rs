@@ -218,7 +218,7 @@ impl FlExperiment {
         FedAvg::new(config, self.clients.clone(), self.test.clone())
     }
 
-    /// Builds the thread-per-server transport-backed engine for the same
+    /// Builds the pooled, transport-backed engine for the same
     /// `(K, E)` combination — configured identically to
     /// [`FlExperiment::engine`], so the two runs are bit-for-bit
     /// interchangeable (see `tests/golden_numerics.rs`).

@@ -1,8 +1,8 @@
-//! Threaded FedAvg deployment: edge servers as OS threads with serialized
-//! model transport.
+//! Threaded FedAvg deployment: edge servers served by a pool of worker
+//! threads with serialized model transport.
 //!
 //! Runs the same federation twice — once in-process, once with every edge
-//! server on its own thread exchanging byte frames over channels — and shows
+//! server's job on a worker pool exchanging byte frames over channels — and shows
 //! they produce bit-identical models while the threaded run reports real
 //! transport volumes.
 //!
@@ -28,7 +28,7 @@ fn main() {
     let mut serial = FedAvg::new(config.clone(), clients.clone(), test.clone());
     let serial_history = serial.run_until(StopCondition::rounds(10));
 
-    println!("running 10 rounds with one thread per edge server…");
+    println!("running 10 rounds on a worker pool sized to the cores…");
     let mut threaded = ThreadedFedAvg::new(config, clients, test);
     let threaded_history = threaded.run_until(StopCondition::rounds(10));
 

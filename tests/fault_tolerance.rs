@@ -130,6 +130,37 @@ fn worker_panic_becomes_dropout_not_hang() {
 }
 
 #[test]
+fn a_crash_round_returns_without_waiting_out_the_worker_timeout() {
+    // At the default 30 s timeout, a crash that left its own round waiting
+    // for the dead server's reply would blow the 5 s budget many times over.
+    for iteration in 0..20 {
+        let (clients, test) = federation(41);
+        let config = FedAvgConfig {
+            clients_per_round: 5, // the poisoned server is always selected
+            local_epochs: 1,
+            ..Default::default()
+        };
+        let mut engine = ThreadedFedAvg::new(config, clients, test);
+        engine.inject_worker_panic(2);
+        let start = std::time::Instant::now();
+        let record = engine.run_round();
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "iteration {iteration}: the crash round took {elapsed:?}"
+        );
+        assert_eq!(record.faults.worker_losses, 1, "iteration {iteration}");
+        let survivors: Vec<usize> = record
+            .selected
+            .iter()
+            .copied()
+            .filter(|&c| c != 2)
+            .collect();
+        assert_eq!(record.responded, survivors, "iteration {iteration}");
+    }
+}
+
+#[test]
 fn quorum_miss_abandons_round_and_preserves_model() {
     let (clients, test) = federation(43);
     let config = FedAvgConfig {
