@@ -739,7 +739,7 @@ fn main() {
     // The headline gate sits at 1.5x, not the 2.5x one might expect from
     // the per-kernel numbers: the bit-identity contract forbids FMA
     // contraction (one rounding vs two), which halves the FLOP ceiling of
-    // the gradient phases, and the single-core host nullifies the pool.
+    // the gradient phases, and the round runs its local jobs one at a time.
     // Measured full-mode headline spread is 1.58x-1.82x; the analysis
     // lives in EXPERIMENTS.md.
     if !smoke && round.speedup_vs_naive() < 1.5 {

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use fei_data::Dataset;
-use fei_ml::{GradReduction, GradScratch, LocalTrainer, Model, SgdConfig, TrainStats, WorkerPool};
+use fei_ml::{GradScratch, LocalTrainer, Model, TrainStats};
 use fei_net::wire::{WireConfig, WireScratch};
 
 use crate::adversary::flip_dataset_labels;
@@ -71,47 +71,18 @@ pub trait Executor: sealed::Sealed + Sized {
     ) -> (Vec<ClientUpdate>, usize);
 }
 
-/// The persistent pool for the parallel gradient reduction, shared by every
-/// client's local training across all rounds (`None` for the serial
-/// reductions). The pooled kernel is bit-identical to the serial one, so
-/// executors with and without a pool agree exactly.
-pub(crate) fn grad_pool(sgd: &SgdConfig) -> Option<Arc<WorkerPool>> {
-    match sgd.grad {
-        GradReduction::FusedParallel { threads } if threads > 1 => {
-            Some(Arc::new(WorkerPool::new(threads)))
-        }
-        _ => None,
-    }
-}
-
 /// The dataset a client trains on this round: its own, or — for a
 /// compromised label-flip client, which trains honestly but on poisoned
 /// data — the flipped copy, built once into `flipped`.
-pub(crate) fn training_set<'a>(
-    data: &'a Arc<Dataset>,
-    flipped: &'a mut Option<Arc<Dataset>>,
+fn training_set<'a>(
+    data: &'a Dataset,
+    flipped: &'a mut Option<Dataset>,
     flip: bool,
-) -> &'a Arc<Dataset> {
+) -> &'a Dataset {
     if flip {
-        flipped.get_or_insert_with(|| Arc::new(flip_dataset_labels(data)))
+        flipped.get_or_insert_with(|| flip_dataset_labels(data))
     } else {
         data
-    }
-}
-
-/// One client's local epochs, on the pool when the run has one.
-pub(crate) fn train_local<M: Model>(
-    trainer: &LocalTrainer,
-    pool: Option<&WorkerPool>,
-    model: &mut M,
-    data: &Arc<Dataset>,
-    epochs: usize,
-    round: usize,
-    scratch: &mut GradScratch,
-) -> TrainStats {
-    match pool {
-        Some(pool) => trainer.train_with_pool(model, data, epochs, round, scratch, pool),
-        None => trainer.train_with(model, data, epochs, round, scratch),
     }
 }
 
@@ -122,9 +93,8 @@ pub struct Inline {
     clients: Vec<Arc<Dataset>>,
     /// Label-flipped copies of compromised clients' datasets, built on
     /// first use.
-    pub(crate) flipped: Vec<Option<Arc<Dataset>>>,
+    pub(crate) flipped: Vec<Option<Dataset>>,
     trainer: LocalTrainer,
-    pool: Option<Arc<WorkerPool>>,
     transport: WireConfig,
     /// Gradient workspace reused across every client and round: after the
     /// first round sizes it, local training runs allocation-free.
@@ -143,7 +113,6 @@ impl Executor for Inline {
             clients: clients.to_vec(),
             flipped: vec![None; clients.len()],
             trainer: LocalTrainer::new(config.sgd.clone()),
-            pool: grad_pool(&config.sgd),
             transport: config.transport,
             scratch: GradScratch::new(),
             wire: WireScratch::new(),
@@ -168,15 +137,9 @@ impl Executor for Inline {
             .map(|&(client, flip)| {
                 let mut local = global.clone();
                 let data = training_set(&self.clients[client], &mut self.flipped[client], flip);
-                let stats = train_local(
-                    &self.trainer,
-                    self.pool.as_deref(),
-                    &mut local,
-                    data,
-                    epochs,
-                    round,
-                    &mut self.scratch,
-                );
+                let stats =
+                    self.trainer
+                        .train_with(&mut local, data, epochs, round, &mut self.scratch);
                 let mut params = local.to_flat().to_vec();
                 self.wire
                     .round_trip(self.transport, &mut params, Some(base), &mut self.wire_buf);

@@ -17,14 +17,12 @@ use std::time::Duration;
 use bytes::Buf;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fei_data::Dataset;
-use fei_ml::{
-    GradScratch, LocalTrainer, LogisticRegression, Model, SgdConfig, TrainStats, WorkerPool,
-};
+use fei_ml::{GradScratch, LocalTrainer, LogisticRegression, Model, SgdConfig, TrainStats};
 use fei_net::codec::{decode_frame, encode_frame_into, encode_frame_with, FRAME_OVERHEAD};
 use fei_net::wire::{WireConfig, WireScratch};
 
 use crate::adversary::flip_dataset_labels;
-use crate::executor::{grad_pool, train_local, ClientUpdate, Executor};
+use crate::executor::{ClientUpdate, Executor};
 use crate::fedavg::{FedAvgConfig, RoundDriver};
 
 /// Wall-clock safety net for a wedged job (a panicking one reports at once):
@@ -79,7 +77,7 @@ pub struct TransportStats {
 /// label-flipped copy, built on first use.
 struct Server {
     data: Arc<Dataset>,
-    flipped: OnceLock<Arc<Dataset>>,
+    flipped: OnceLock<Dataset>,
     /// Chaos hook: every job of this server panics inside its worker.
     poisoned: AtomicBool,
     /// A job of this server panicked: it is lost for the rest of the run.
@@ -231,7 +229,6 @@ impl Framed {
             servers: Arc::clone(&servers),
             trainer: LocalTrainer::new(config.sgd.clone()),
             transport: config.transport,
-            grad_pool: grad_pool(&config.sgd),
             model: template.clone(),
             params: Vec::new(),
             scratch: GradScratch::new(),
@@ -341,8 +338,6 @@ struct Worker<M> {
     servers: Arc<[Server]>,
     trainer: LocalTrainer,
     transport: WireConfig,
-    /// The gradient pool shared by every worker; dropped with the last.
-    grad_pool: Option<Arc<WorkerPool>>,
     model: M,
     params: Vec<f64>,
     scratch: GradScratch,
@@ -379,13 +374,11 @@ impl<M: Model> Worker<M> {
         let data = if flip {
             server
                 .flipped
-                .get_or_init(|| Arc::new(flip_dataset_labels(&server.data)))
+                .get_or_init(|| flip_dataset_labels(&server.data))
         } else {
             &server.data
         };
-        let stats = train_local(
-            &self.trainer,
-            self.grad_pool.as_deref(),
+        let stats = self.trainer.train_with(
             &mut self.model,
             data,
             epochs as usize,

@@ -44,7 +44,6 @@ impl LintConfig {
                 "model".to_string(),
                 "mlp".to_string(),
                 "scratch".to_string(),
-                "pool".to_string(),
             ],
             invariant_vocabulary: vec![
                 "bit-identity".to_string(),

@@ -68,6 +68,24 @@ fn the_rules_clippy_owns_stay_switched_on() {
             );
         }
     }
+    // The gradient kernels stay on the caller's thread: no second pool.
+    let rel = "crates/fei-ml/clippy.toml";
+    let lines = code_lines(rel);
+    assert!(
+        lines.iter().any(|l| l.starts_with("disallowed-methods")),
+        "{rel} has no disallowed-methods list"
+    );
+    for path in [
+        "std::thread::spawn",
+        "std::thread::Builder::spawn",
+        "std::thread::scope",
+    ] {
+        let entry = format!("path = \"{path}\", reason = ");
+        assert!(
+            lines.iter().any(|l| l.contains(&entry)),
+            "{rel} no longer bans {path} (with a reason)"
+        );
+    }
     for wire_crate in ["fei-net", "fei-proto"] {
         let rel = format!("crates/{wire_crate}/src/lib.rs");
         assert!(

@@ -126,9 +126,9 @@ pub fn dot2(a0: &[f64], a1: &[f64], b: &[f64]) -> (f64, f64) {
 ///
 /// The combination schedule is stride-doubling — `parts[i] += parts[i+gap]`
 /// for `gap = 1, 2, 4, …` — a pairwise tree whose shape depends only on
-/// `parts`. Chunked gradient kernels compute per-chunk partials (serially
-/// or on worker threads) and then call this on one thread, which is what
-/// makes the parallel option bit-identical to the serial one.
+/// `parts`. The chunked gradient kernel computes per-chunk partials and
+/// then calls this, so its reduction order is fixed by the chunk count
+/// alone.
 ///
 /// # Panics
 ///

@@ -28,7 +28,6 @@ mod metrics;
 mod mlp;
 mod model;
 mod optimizer;
-mod pool;
 mod scratch;
 mod trainer;
 mod traits;
@@ -37,7 +36,6 @@ pub use metrics::{accuracy, Evaluation};
 pub use mlp::Mlp;
 pub use model::LogisticRegression;
 pub use optimizer::{GradReduction, SgdConfig};
-pub use pool::WorkerPool;
 pub use scratch::GradScratch;
 pub use trainer::{LocalTrainer, TrainStats};
 pub use traits::Model;

@@ -1,7 +1,5 @@
 //! The multinomial logistic-regression model.
 
-use std::sync::Arc;
-
 use fei_data::Dataset;
 use fei_math::func::{argmax, log_sum_exp, softmax_in_place};
 use fei_math::matrix::dot;
@@ -10,18 +8,16 @@ use fei_math::reduce;
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::Evaluation;
-use crate::pool::WorkerPool;
-use crate::scratch::{BandState, ChunkWork, GradScratch};
+use crate::scratch::{ChunkWork, GradScratch};
 
 /// Samples per fixed-shape chunk in the fused gradient kernel.
 ///
 /// The fused path computes one unnormalized partial gradient per chunk and
 /// combines the partials with a fixed pairwise tree
-/// ([`fei_math::reduce::tree_reduce_into_first`]). Because the chunking is a
-/// pure function of the batch length — never of thread count — the serial
-/// and parallel evaluations produce the same bits. The value is part of the
-/// numeric contract pinned by the golden-model suite, so it is fixed and
-/// public.
+/// ([`fei_math::reduce::tree_reduce_into_first`]). The chunking is a pure
+/// function of the batch length, so the reduction order — and with it every
+/// bit of the gradient — is fixed by the batch alone. The value is part of
+/// the numeric contract pinned by the golden-model suite, so it is fixed.
 pub(crate) const GRAD_CHUNK: usize = 64;
 
 /// Multinomial logistic regression: `logits = W x + b`, class probabilities
@@ -265,13 +261,10 @@ impl LogisticRegression {
     /// The batch is split into fixed [`GRAD_CHUNK`]-sample chunks; each chunk
     /// accumulates an unnormalized partial gradient and records its
     /// samples' loss terms, and the partials are combined by the fixed
-    /// pairwise tree in [`fei_math::reduce`]. This is the serial reference:
-    /// every chunk runs on the calling thread. Each chunk's arithmetic and
-    /// the combination schedule are pure functions of `indices.len()`,
-    /// which is what lets
-    /// [`LogisticRegression::pooled_loss_and_gradient_into`] deal the same
-    /// chunks to pool workers and land on **the same bits for every pool
-    /// size**.
+    /// pairwise tree in [`fei_math::reduce`], every chunk on the calling
+    /// thread. Each chunk's arithmetic and the combination schedule are
+    /// pure functions of `indices.len()`: that is the numeric contract the
+    /// golden-model suite pins to the bit.
     ///
     /// Returns the mean loss of the batch under the current parameters —
     /// the recorded per-sample terms summed in batch order and divided by
@@ -306,8 +299,8 @@ impl LogisticRegression {
 
     /// One chunk of the fused kernel: accumulates the unnormalized gradient
     /// of `chunk` into `out` and writes each sample's loss term into
-    /// `terms`. Pure in `(self, data, chunk)`, which is what makes
-    /// chunk-to-thread assignment irrelevant to the result.
+    /// `terms`. Pure in `(self, data, chunk)`: a chunk's bits do not depend
+    /// on the chunks before it, only the fixed tree combines them.
     ///
     /// Two phases. **Phase A** walks the chunk's samples in order: logits
     /// (paired striped dots), the loss term, softmax, the error row
@@ -385,112 +378,6 @@ impl LogisticRegression {
                 dim,
                 &mut work.pack,
             );
-        }
-    }
-
-    /// [`LogisticRegression::fused_loss_and_gradient_into`] on a persistent
-    /// [`WorkerPool`] — the one parallel gradient path. The batch is dealt
-    /// to `min(pool.size(), n_chunks)` contiguous chunk bands by a static
-    /// `base + (w < extra)` formula (band boundaries decide only which
-    /// worker computes a chunk, never its content or the reduction order),
-    /// each band is computed by pool worker `w` against worker-owned buffers
-    /// (shipped in and out of the job via a result channel — no shared
-    /// mutable state), and the partials are combined by the identical fixed
-    /// pairwise tree. **Bit-identical to the serial kernel for every pool
-    /// size**, and no threads are spawned or joined per gradient step.
-    ///
-    /// Worker panics are re-raised on the calling thread after every band
-    /// has reported, so the pool and the scratch stay reusable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or out of bounds, or shapes mismatch.
-    pub(crate) fn pooled_loss_and_gradient_into(
-        &self,
-        data: &Arc<Dataset>,
-        indices: &[usize],
-        scratch: &mut GradScratch,
-        pool: &WorkerPool,
-    ) -> f64 {
-        assert!(!indices.is_empty(), "gradient over empty batch");
-        self.check_shape(data);
-        let np = self.params.len();
-        let nc = self.num_classes;
-        let n_chunks = indices.len().div_ceil(GRAD_CHUNK);
-        let workers = pool.size().min(n_chunks);
-        if workers <= 1 {
-            return self.fused_loss_and_gradient_into(data, indices, scratch);
-        }
-        scratch.prepare_pooled(np, n_chunks, indices.len(), workers);
-        let snapshot = scratch.refresh_snapshot(self);
-
-        let base = n_chunks / workers;
-        let extra = n_chunks % workers;
-        let (result_tx, result_rx) = std::sync::mpsc::channel();
-        let mut chunk0 = 0usize;
-        for w in 0..workers {
-            let band = base + usize::from(w < extra);
-            let s0 = chunk0 * GRAD_CHUNK;
-            let s1 = ((chunk0 + band) * GRAD_CHUNK).min(indices.len());
-            let mut state = scratch.take_band(w);
-            state.load(np, nc, band, &indices[s0..s1]);
-            chunk0 += band;
-            let model = Arc::clone(&snapshot);
-            let data = Arc::clone(data);
-            let tx = result_tx.clone();
-            pool.submit(w, move || {
-                // The Arc handles ride inside the result so they are fully
-                // released (on success *and* on panic) before the caller's
-                // next snapshot refresh observes the refcount.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    model.run_band(&data, &mut state);
-                    (state, model, data)
-                }));
-                let _ = tx.send((w, outcome));
-            });
-        }
-        drop(result_tx);
-
-        let mut worker_panic = None;
-        for _ in 0..workers {
-            let (w, outcome) = result_rx
-                .recv()
-                .expect("invariant: every pool job reports exactly once");
-            match outcome {
-                Ok((state, _model, _data)) => {
-                    let band = base + usize::from(w < extra);
-                    let start = w * base + w.min(extra);
-                    scratch.absorb_band(w, state, np, start, band);
-                }
-                Err(payload) => worker_panic = Some(payload),
-            }
-        }
-        drop(snapshot);
-        if let Some(payload) = worker_panic {
-            std::panic::resume_unwind(payload);
-        }
-
-        scratch.reduce_mean(np, n_chunks)
-    }
-
-    /// Computes one band of chunks into `state` (the pool-worker side of
-    /// [`LogisticRegression::pooled_loss_and_gradient_into`]). Chunking and
-    /// per-chunk arithmetic are exactly those of the serial kernel.
-    pub(crate) fn run_band(&self, data: &Dataset, state: &mut BandState) {
-        let np = self.params.len();
-        let BandState {
-            partials,
-            terms,
-            indices,
-            work,
-            ..
-        } = state;
-        for ((chunk, part), terms) in indices
-            .chunks(GRAD_CHUNK)
-            .zip(partials.chunks_mut(np))
-            .zip(terms.chunks_mut(GRAD_CHUNK))
-        {
-            self.grad_chunk_into(data, chunk, part, terms, work);
         }
     }
 
@@ -650,16 +537,6 @@ impl crate::traits::Model for LogisticRegression {
 
     fn evaluate_with(&self, data: &Dataset, scratch: &mut GradScratch) -> Evaluation {
         LogisticRegression::evaluate_with(self, data, scratch)
-    }
-
-    fn loss_and_gradient_pooled(
-        &self,
-        data: &Arc<Dataset>,
-        indices: &[usize],
-        scratch: &mut GradScratch,
-        pool: &WorkerPool,
-    ) -> f64 {
-        LogisticRegression::pooled_loss_and_gradient_into(self, data, indices, scratch, pool)
     }
 
     fn apply_gradient_decayed(&mut self, gradient: &[f64], step: f64, decay: f64) {
@@ -826,16 +703,23 @@ mod tests {
     fn fused_matches_naive_within_tolerance() {
         let data = chunky_dataset(200, 9, 3);
         let model = warm_model(9, 3);
-        let indices: Vec<usize> = (0..data.len()).collect();
-        let (naive_loss, naive_grad) = model.loss_and_gradient(&data, &indices);
-        let mut scratch = GradScratch::new();
-        let fused_loss = model.fused_loss_and_gradient_into(&data, &indices, &mut scratch);
-        assert!(
-            (fused_loss - naive_loss).abs() < 1e-12,
-            "{fused_loss} vs {naive_loss}"
-        );
-        for (f, n) in scratch.grad().iter().zip(&naive_grad) {
-            assert!((f - n).abs() < 1e-12, "{f} vs {n}");
+        // The identity batch borrows each chunk's rows straight from the
+        // dataset; non-consecutive indices send every chunk through the
+        // gather block instead.
+        let identity: Vec<usize> = (0..data.len()).collect();
+        let mut shuffled: Vec<usize> = (0..data.len()).rev().collect();
+        shuffled.swap(5, 170);
+        for (indices, what) in [(identity, "identity"), (shuffled, "gathered")] {
+            let (naive_loss, naive_grad) = model.loss_and_gradient(&data, &indices);
+            let mut scratch = GradScratch::new();
+            let fused_loss = model.fused_loss_and_gradient_into(&data, &indices, &mut scratch);
+            assert!(
+                (fused_loss - naive_loss).abs() < 1e-12,
+                "{what}: {fused_loss} vs {naive_loss}"
+            );
+            for (f, n) in scratch.grad().iter().zip(&naive_grad) {
+                assert!((f - n).abs() < 1e-12, "{what}: {f} vs {n}");
+            }
         }
     }
 
@@ -980,11 +864,10 @@ mod tests {
     #[test]
     fn kernel_loss_is_the_serial_mean_of_its_sample_terms() {
         // Over the identity batch the kernel's returned loss is loss_with
-        // of the same model, bit for bit, serial and pooled alike; the
-        // recorded terms are the per-sample losses in batch order.
-        let pool = WorkerPool::new(3);
+        // of the same model, bit for bit; the recorded terms are the
+        // per-sample losses in batch order.
         for n in EDGE_SIZES {
-            let data = Arc::new(chunky_dataset(n, 9, 4));
+            let data = chunky_dataset(n, 9, 4);
             let model = warm_model(9, 4);
             let indices: Vec<usize> = (0..n).collect();
             let want = two_call_reference(&model, &data).loss;
@@ -998,79 +881,7 @@ mod tests {
                 let expect = log_sum_exp(&logits) - logits[data.label(i)];
                 assert_eq!(term.to_bits(), expect.to_bits(), "term {i}, n = {n}");
             }
-
-            let mut pooled = GradScratch::new();
-            let loss = model.pooled_loss_and_gradient_into(&data, &indices, &mut pooled, &pool);
-            assert_eq!(loss.to_bits(), want.to_bits(), "pooled, n = {n}");
-            assert_eq!(pooled.sample_losses(), serial.sample_losses());
-            assert_eq!(pooled.forward_passes(), n as u64);
         }
-    }
-
-    #[test]
-    fn pooled_kernel_bit_identical_to_serial_for_every_pool_size() {
-        // 300 samples -> 5 chunks of GRAD_CHUNK=64 (last partial); every
-        // pool size, including one wider than the chunk count, must produce
-        // the same bits as the serial evaluation.
-        let data = Arc::new(chunky_dataset(300, 12, 4));
-        let model = warm_model(12, 4);
-        let indices: Vec<usize> = (0..data.len()).collect();
-
-        let mut serial = GradScratch::new();
-        let loss_serial = model.fused_loss_and_gradient_into(&data, &indices, &mut serial);
-        for size in (1..=8).chain([64]) {
-            let pool = WorkerPool::new(size);
-            let mut pooled = GradScratch::new();
-            let loss_pooled =
-                model.pooled_loss_and_gradient_into(&data, &indices, &mut pooled, &pool);
-            assert_eq!(
-                loss_serial.to_bits(),
-                loss_pooled.to_bits(),
-                "loss differs at pool size {size}"
-            );
-            assert_eq!(
-                serial.grad(),
-                pooled.grad(),
-                "gradient differs at pool size {size}"
-            );
-        }
-    }
-
-    #[test]
-    fn pooled_kernel_handles_shuffled_indices_via_gather() {
-        // Non-consecutive indices force the mini-batch gather path in every
-        // chunk; the result must still match the serial kernel bit for bit.
-        let data = Arc::new(chunky_dataset(260, 10, 3));
-        let model = warm_model(10, 3);
-        let mut indices: Vec<usize> = (0..data.len()).rev().collect();
-        indices.swap(5, 170);
-
-        let mut serial = GradScratch::new();
-        let loss_serial = model.fused_loss_and_gradient_into(&data, &indices, &mut serial);
-        let pool = WorkerPool::new(3);
-        let mut pooled = GradScratch::new();
-        let loss_pooled = model.pooled_loss_and_gradient_into(&data, &indices, &mut pooled, &pool);
-        assert_eq!(loss_serial.to_bits(), loss_pooled.to_bits());
-        assert_eq!(serial.grad(), pooled.grad());
-    }
-
-    #[test]
-    fn pooled_kernel_is_allocation_free_when_warm() {
-        let data = Arc::new(chunky_dataset(300, 12, 4));
-        let model = warm_model(12, 4);
-        let indices: Vec<usize> = (0..data.len()).collect();
-        let pool = WorkerPool::new(4);
-        let mut scratch = GradScratch::new();
-        model.pooled_loss_and_gradient_into(&data, &indices, &mut scratch, &pool);
-        let warm = scratch.allocations();
-        for _ in 0..20 {
-            model.pooled_loss_and_gradient_into(&data, &indices, &mut scratch, &pool);
-        }
-        assert_eq!(
-            scratch.allocations(),
-            warm,
-            "warm pooled kernel must not allocate"
-        );
     }
 }
 
@@ -1116,30 +927,6 @@ mod proptests {
             let got = model.evaluate_with(&data, &mut GradScratch::new());
             prop_assert_eq!(got.loss.to_bits(), want.loss.to_bits());
             prop_assert_eq!(got.accuracy.to_bits(), want.accuracy.to_bits());
-        }
-
-        /// Pool partitioning is a pure function of chunk count, never
-        /// worker count: for any batch size and any pool size 1..=8 the
-        /// pooled kernel lands on exactly the serial evaluation's bits.
-        #[test]
-        fn pooled_partitioning_matches_serial_for_any_pool_size(
-            n in 65usize..300,
-            size in 1usize..=8,
-        ) {
-            let data = std::sync::Arc::new(super::tests::chunky_dataset(n, 9, 3));
-            let model = super::tests::warm_model(9, 3);
-            let indices: Vec<usize> = (0..n).collect();
-
-            let mut serial = GradScratch::new();
-            let loss_serial =
-                model.fused_loss_and_gradient_into(&data, &indices, &mut serial);
-
-            let pool = WorkerPool::new(size);
-            let mut pooled = GradScratch::new();
-            let loss_pooled =
-                model.pooled_loss_and_gradient_into(&data, &indices, &mut pooled, &pool);
-            prop_assert_eq!(loss_serial.to_bits(), loss_pooled.to_bits());
-            prop_assert_eq!(serial.grad(), pooled.grad());
         }
     }
 }

@@ -4,13 +4,12 @@ use serde::{Deserialize, Serialize};
 
 /// How the trainer computes each batch gradient.
 ///
-/// All three variants compute the same mathematical gradient; they differ in
-/// arithmetic order (and therefore in the low bits) and in speed. The fused
-/// variants share one arithmetic definition — fixed
+/// Both variants compute the same mathematical gradient on the calling
+/// thread; they differ in arithmetic order (and therefore in the low bits)
+/// and in speed. [`GradReduction::FusedSerial`]'s arithmetic — fixed
 /// `crate::model::GRAD_CHUNK`-sample chunks combined by a fixed pairwise
-/// tree — so [`GradReduction::FusedSerial`] and
-/// [`GradReduction::FusedParallel`] are bit-identical for every thread
-/// count. See DESIGN.md §10.
+/// tree — is a pure function of the batch, the numeric contract the
+/// golden-model suite pins. See DESIGN.md §10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum GradReduction {
     /// The pre-fast-path reference kernel: per-sample logit allocation and a
@@ -22,14 +21,6 @@ pub enum GradReduction {
     /// reused scratch workspace. The default.
     #[default]
     FusedSerial,
-    /// Same arithmetic as [`GradReduction::FusedSerial`] with chunk bands
-    /// computed on a persistent [`crate::WorkerPool`] — bit-identical by
-    /// construction for every pool size.
-    FusedParallel {
-        /// Pool size the engines build; `0` and `1` run on the calling
-        /// thread.
-        threads: usize,
-    },
 }
 
 /// Stochastic-gradient-descent hyper-parameters.
@@ -149,9 +140,8 @@ mod tests {
 
     #[test]
     fn grad_reduction_builder() {
-        let c = SgdConfig::paper_default()
-            .with_grad_reduction(GradReduction::FusedParallel { threads: 4 });
-        assert_eq!(c.grad, GradReduction::FusedParallel { threads: 4 });
+        let c = SgdConfig::paper_default().with_grad_reduction(GradReduction::Naive);
+        assert_eq!(c.grad, GradReduction::Naive);
         assert_eq!(SgdConfig::paper_default().grad, GradReduction::FusedSerial);
     }
 

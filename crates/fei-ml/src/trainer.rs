@@ -1,13 +1,10 @@
 //! Local training: `E` epochs of SGD on one edge server's dataset.
 
-use std::sync::Arc;
-
 use fei_data::Dataset;
 use fei_sim::DetRng;
 use serde::{Deserialize, Serialize};
 
 use crate::optimizer::{GradReduction, SgdConfig};
-use crate::pool::WorkerPool;
 use crate::scratch::GradScratch;
 use crate::traits::Model;
 
@@ -59,16 +56,26 @@ impl LocalTrainer {
         self.train_with(model, data, epochs, round, &mut scratch)
     }
 
-    /// [`LocalTrainer::train`] with an explicit reusable workspace.
+    /// [`LocalTrainer::train`] with an explicit reusable workspace: the one
+    /// epoch / mini-batch loop, every step on the calling thread.
     ///
     /// Full-batch mode (the paper's setting) performs one gradient step per
     /// epoch over the whole dataset; mini-batch mode shuffles deterministic
     /// batches via an internal generator seeded from `(round, data length)`.
-    /// The gradient kernel is selected by [`SgdConfig::grad`]; the fused
-    /// variants run against `scratch` without per-epoch heap allocations.
-    /// Without a pool, [`GradReduction::FusedParallel`] runs the same chunked
-    /// kernel as [`GradReduction::FusedSerial`] on the calling thread
-    /// (see DESIGN.md §10).
+    /// The gradient kernel is selected by [`SgdConfig::grad`];
+    /// [`GradReduction::FusedSerial`] runs against `scratch` without
+    /// per-epoch heap allocations (see DESIGN.md §10).
+    ///
+    /// `initial_loss` is settled at the job's first step, between computing
+    /// the gradient and applying it, while `model` is still the untrained
+    /// one. When the kernel recorded a loss term for every sample of a
+    /// batch that is the whole dataset in dataset order, the mean it
+    /// returned *is* [`Model::loss_with`] of that model — same terms, same
+    /// single accumulator, same order, same bits — and is taken as is, so
+    /// `E` full-batch epochs forward the data exactly `E` times, the passes
+    /// Eq. 5 bills. Otherwise (a mini-batch, the naive kernel, a model
+    /// whose kernel records no terms, `epochs == 0`) the loss is measured by
+    /// an explicit pass. Nothing is measured after the last step.
     ///
     /// # Panics
     ///
@@ -81,58 +88,12 @@ impl LocalTrainer {
         round: usize,
         scratch: &mut GradScratch,
     ) -> TrainStats {
-        self.run(model, data, None, epochs, round, scratch)
-    }
-
-    /// [`LocalTrainer::train_with`] with [`GradReduction::FusedParallel`]
-    /// gradient steps executed on a persistent [`WorkerPool`]. Bit-identical
-    /// to `train_with` for every pool size: the pooled kernel deals the same
-    /// fixed chunks to workers and combines them by the same pairwise tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is empty or shapes mismatch.
-    pub fn train_with_pool<M: Model>(
-        &self,
-        model: &mut M,
-        data: &Arc<Dataset>,
-        epochs: usize,
-        round: usize,
-        scratch: &mut GradScratch,
-        pool: &WorkerPool,
-    ) -> TrainStats {
-        self.run(model, data, Some((data, pool)), epochs, round, scratch)
-    }
-
-    /// The one epoch / mini-batch loop behind every `train*` entry point.
-    /// `pooled` carries the shared dataset handle and pool for the parallel
-    /// reduction; `None` keeps every step on the calling thread.
-    ///
-    /// `initial_loss` is settled at the job's first step, between computing
-    /// the gradient and applying it, while `model` is still the untrained
-    /// one. When the kernel recorded a loss term for every sample of a
-    /// batch that is the whole dataset in dataset order, the mean it
-    /// returned *is* [`Model::loss_with`] of that model — same terms, same
-    /// single accumulator, same order, same bits — and is taken as is, so
-    /// `E` full-batch epochs forward the data exactly `E` times, the passes
-    /// Eq. 5 bills. Otherwise (a mini-batch, the naive kernel, a model
-    /// whose kernel records no terms, `epochs == 0`) the loss is measured by
-    /// an explicit pass. Nothing is measured after the last step.
-    fn run<M: Model>(
-        &self,
-        model: &mut M,
-        data: &Dataset,
-        pooled: Option<(&Arc<Dataset>, &WorkerPool)>,
-        epochs: usize,
-        round: usize,
-        scratch: &mut GradScratch,
-    ) -> TrainStats {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
         let lr = self.config.lr_for_round(round);
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut initial_loss = None;
         let mut step = |model: &mut M, batch: &[usize], scratch: &mut GradScratch| {
-            let batch_loss = self.gradient(model, data, pooled, batch, scratch);
+            let batch_loss = self.gradient(model, data, batch, scratch);
             if initial_loss.is_none() {
                 let whole_dataset_in_order = batch.iter().copied().eq(0..data.len())
                     && scratch.sample_losses().len() == batch.len();
@@ -179,24 +140,18 @@ impl LocalTrainer {
         &self,
         model: &M,
         data: &Dataset,
-        pooled: Option<(&Arc<Dataset>, &WorkerPool)>,
         batch: &[usize],
         scratch: &mut GradScratch,
     ) -> f64 {
-        match (self.config.grad, pooled) {
+        match self.config.grad {
             // The reference path reproduces the pre-fast-path arithmetic
             // exactly: the allocating kernel.
-            (GradReduction::Naive, _) => {
+            GradReduction::Naive => {
                 let (loss, grad) = model.loss_and_gradient(data, batch);
                 scratch.store_allocated_grad(grad);
                 loss
             }
-            (GradReduction::FusedParallel { .. }, Some((shared, pool))) => {
-                model.loss_and_gradient_pooled(shared, batch, scratch, pool)
-            }
-            (GradReduction::FusedSerial | GradReduction::FusedParallel { .. }, _) => {
-                model.loss_and_gradient_into(data, batch, scratch)
-            }
+            GradReduction::FusedSerial => model.loss_and_gradient_into(data, batch, scratch),
         }
     }
 
@@ -325,25 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_parallel_training_bit_identical_to_serial() {
-        let data = Arc::new(clean_data(130));
-        let serial = LocalTrainer::new(
-            SgdConfig::new(0.1, 0.99, None).with_grad_reduction(GradReduction::FusedSerial),
-        );
-        let parallel = LocalTrainer::new(
-            SgdConfig::new(0.1, 0.99, None)
-                .with_grad_reduction(GradReduction::FusedParallel { threads: 4 }),
-        );
-        let pool = WorkerPool::new(4);
-        let mut a = LogisticRegression::zeros(data.dim(), data.num_classes());
-        let mut b = LogisticRegression::zeros(data.dim(), data.num_classes());
-        let sa = serial.train(&mut a, &data, 3, 2);
-        let sb = parallel.train_with_pool(&mut b, &data, 3, 2, &mut GradScratch::new(), &pool);
-        assert_eq!(a, b, "parallel gradient must not change the trained bits");
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
     fn fused_and_naive_reach_similar_loss() {
         let data = clean_data(80);
         let fused = LocalTrainer::new(SgdConfig::new(0.2, 1.0, None));
@@ -368,22 +304,12 @@ mod tests {
 
     /// Trains a fresh model and checks `TrainStats::initial_loss` against an
     /// explicit pass over the model before training.
-    fn check_initial_loss(
-        trainer: &LocalTrainer,
-        data: &Arc<Dataset>,
-        epochs: usize,
-        pool: Option<&WorkerPool>,
-        what: &str,
-    ) {
+    fn check_initial_loss(trainer: &LocalTrainer, data: &Dataset, epochs: usize, what: &str) {
         let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
         // Not the zero model: a uniform softmax would hide ordering bugs.
         LocalTrainer::default().train(&mut model, data, 2, 0);
         let before = model.loss(data);
-        let mut scratch = GradScratch::new();
-        let stats = match pool {
-            Some(pool) => trainer.train_with_pool(&mut model, data, epochs, 3, &mut scratch, pool),
-            None => trainer.train_with(&mut model, data, epochs, 3, &mut scratch),
-        };
+        let stats = trainer.train_with(&mut model, data, epochs, 3, &mut GradScratch::new());
         assert_eq!(stats.initial_loss.to_bits(), before.to_bits(), "{what}");
     }
 
@@ -392,22 +318,11 @@ mod tests {
     #[test]
     fn derived_initial_loss_equals_an_explicit_pass_bit_for_bit() {
         let serial = LocalTrainer::new(SgdConfig::new(0.1, 0.99, None));
-        let parallel = LocalTrainer::new(
-            SgdConfig::new(0.1, 0.99, None)
-                .with_grad_reduction(GradReduction::FusedParallel { threads: 4 }),
-        );
         for n in EDGE_SIZES {
-            let data = Arc::new(small_data(n));
-            check_initial_loss(&serial, &data, 3, None, &format!("serial, n = {n}"));
-            for size in 1..=4 {
-                let pool = WorkerPool::new(size);
-                let what = format!("pool of {size}, n = {n}");
-                check_initial_loss(&parallel, &data, 3, Some(&pool), &what);
-            }
+            check_initial_loss(&serial, &small_data(n), 3, &format!("n = {n}"));
         }
         // The paper's shape, on the paper's data.
-        let data = Arc::new(clean_data(150));
-        check_initial_loss(&serial, &data, 1, None, "synthetic MNIST, E = 1");
+        check_initial_loss(&serial, &clean_data(150), 1, "synthetic MNIST, E = 1");
     }
 
     #[test]
@@ -419,11 +334,11 @@ mod tests {
             SgdConfig::new(0.1, 0.99, None).with_grad_reduction(GradReduction::Naive),
         );
         for n in EDGE_SIZES {
-            let data = Arc::new(small_data(n));
-            check_initial_loss(&shuffled, &data, 2, None, &format!("mini-batch, n = {n}"));
+            let data = small_data(n);
+            check_initial_loss(&shuffled, &data, 2, &format!("mini-batch, n = {n}"));
             let what = format!("one shuffled batch, n = {n}");
-            check_initial_loss(&one_shuffled_batch, &data, 2, None, &what);
-            check_initial_loss(&naive, &data, 2, None, &format!("naive, n = {n}"));
+            check_initial_loss(&one_shuffled_batch, &data, 2, &what);
+            check_initial_loss(&naive, &data, 2, &format!("naive, n = {n}"));
         }
     }
 
@@ -439,21 +354,12 @@ mod tests {
     #[test]
     fn a_full_batch_job_forwards_the_data_e_times() {
         let n = 150u64;
-        let data = Arc::new(small_data(n as usize));
-        let pool = WorkerPool::new(3);
-        let parallel = LocalTrainer::new(
-            SgdConfig::new(0.1, 0.99, None)
-                .with_grad_reduction(GradReduction::FusedParallel { threads: 3 }),
-        );
+        let data = small_data(n as usize);
         for epochs in [1u64, 2, 10] {
             let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
             let mut scratch = GradScratch::new();
             LocalTrainer::default().train_with(&mut model, &data, epochs as usize, 0, &mut scratch);
-            assert_eq!(scratch.forward_passes(), epochs * n, "serial, E = {epochs}");
-
-            let mut scratch = GradScratch::new();
-            parallel.train_with_pool(&mut model, &data, epochs as usize, 0, &mut scratch, &pool);
-            assert_eq!(scratch.forward_passes(), epochs * n, "pooled, E = {epochs}");
+            assert_eq!(scratch.forward_passes(), epochs * n, "E = {epochs}");
         }
         // No step to read the initial loss off: one explicit pass.
         let mut model = LogisticRegression::zeros(data.dim(), data.num_classes());
@@ -521,31 +427,25 @@ mod proptests {
     use crate::model::LogisticRegression;
 
     proptest! {
-        /// Whatever the size, epoch count, pool width or batching,
+        /// Whatever the size, epoch count or batching,
         /// `TrainStats::initial_loss` is what an explicit pass over the
         /// model before training measures, to the bit.
         #[test]
         fn train_stats_initial_loss_equals_an_explicit_pass(
             n in 1usize..200,
             epochs in 0usize..4,
-            pool_size in 1usize..=4,
             batch in 0usize..80,
             seed in 0u64..1000,
         ) {
             let mut rng = DetRng::new(seed);
             let xs = (0..n * 4).map(|_| rng.gaussian_with(0.0, 1.0)).collect();
-            let data = Arc::new(Dataset::from_parts(4, xs, (0..n).map(|i| i % 3).collect(), 3));
-            let trainer = LocalTrainer::new(
-                // Batch size 0 draws the full-batch mode.
-                SgdConfig::new(0.2, 0.99, (batch > 0).then_some(batch))
-                    .with_grad_reduction(GradReduction::FusedParallel { threads: pool_size }),
-            );
-            let pool = WorkerPool::new(pool_size);
+            let data = Dataset::from_parts(4, xs, (0..n).map(|i| i % 3).collect(), 3);
+            // Batch size 0 draws the full-batch mode.
+            let trainer = LocalTrainer::new(SgdConfig::new(0.2, 0.99, (batch > 0).then_some(batch)));
             let mut model = LogisticRegression::zeros(4, 3);
             trainer.train(&mut model, &data, 1, 0);
             let before = model.loss(&data);
-            let stats =
-                trainer.train_with_pool(&mut model, &data, epochs, 1, &mut GradScratch::new(), &pool);
+            let stats = trainer.train_with(&mut model, &data, epochs, 1, &mut GradScratch::new());
             prop_assert_eq!(stats.initial_loss.to_bits(), before.to_bits());
         }
     }

@@ -6,12 +6,9 @@
 //! the runtime in `fei-fl` trains [`crate::LogisticRegression`] and
 //! [`crate::Mlp`] (and any future model) through one code path.
 
-use std::sync::Arc;
-
 use fei_data::Dataset;
 
 use crate::metrics::Evaluation;
-use crate::pool::WorkerPool;
 use crate::scratch::GradScratch;
 
 /// A trainable classification model with flat-vector parameters.
@@ -120,25 +117,6 @@ pub trait Model: Clone + Send + 'static {
             loss,
             accuracy: correct as f64 / data.len() as f64,
         }
-    }
-
-    /// [`Model::loss_and_gradient_into`] executed on a persistent
-    /// [`WorkerPool`]. Must be bit-identical to `loss_and_gradient_into`
-    /// for every pool size; the default ignores the pool and runs that
-    /// serial path, which satisfies the contract trivially. Models with a
-    /// pool-aware kernel (the fused logistic regression) override this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or out of bounds, or shapes mismatch.
-    fn loss_and_gradient_pooled(
-        &self,
-        data: &Arc<Dataset>,
-        indices: &[usize],
-        scratch: &mut GradScratch,
-        _pool: &WorkerPool,
-    ) -> f64 {
-        self.loss_and_gradient_into(data, indices, scratch)
     }
 
     /// Gradient step fused with weight decay: equivalent to

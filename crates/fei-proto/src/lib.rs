@@ -19,9 +19,10 @@
 //! * [`Participant`] — the device-side mirror with rejoin, heartbeating,
 //!   and retransmit-with-backoff submission;
 //! * [`RoundMachine`] — the round decision core (quorum gate, selection
-//!   width, deadline admission, first-`K`-by-arrival ranking) shared with
-//!   the in-process training engines so committed sets stay bit-identical
-//!   across drivers;
+//!   width, deadline admission, first-`K`-by-arrival ranking) that the
+//!   in-process training engines execute, so their committed sets stay
+//!   bit-identical; the [`Coordinator`] shares its [`RoundPolicy`] and
+//!   arrival ranking but selects the first `K + m` live clients by id;
 //! * [`RoundJournal`] — the coordinator's write-ahead log and the owner of
 //!   the state it describes: it appends a record, then folds it into its
 //!   [`JournalState`], and the coordinator only reads that state back.

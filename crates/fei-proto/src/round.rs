@@ -5,11 +5,14 @@
 //! as a dropout hedge), *which offers survive* (delivery and the round
 //! deadline), and *which arrivals win* (first `K` by arrival time, ties by
 //! device id). [`RoundMachine`] owns those decisions. The in-process
-//! engines ([`fei_fl`-style] serial and threaded) and the frame-driven
-//! [`crate::Coordinator`] all execute this same machine, which is what
-//! keeps their committed sets bit-identical.
+//! engines (`fei_fl`'s serial, threaded and async drivers) execute this
+//! same machine on their fault path, which is what keeps their committed
+//! sets bit-identical.
 //!
-//! [`fei_fl`-style]: crate::RoundMachine
+//! The frame-driven [`crate::Coordinator`] does not run the machine. It
+//! shares [`RoundPolicy`] (the quorum gate and the selection width) and the
+//! first-`K`-by-arrival ranking, but makes its own selection: the first
+//! `K + m` live clients in id order, not the engines' seeded draw.
 
 use crate::error::ProtoError;
 

@@ -1,5 +1,6 @@
-//! The two FedAvg engines — in-process and one-thread-per-server with
-//! serialized transport — must be observationally identical.
+//! The two FedAvg engines — in-process, and a pool of worker threads sized
+//! to the cores with serialized transport — must be observationally
+//! identical.
 
 use ee_fei::prelude::*;
 
@@ -130,23 +131,16 @@ fn engines_agree_when_training_an_mlp() {
 
 #[test]
 fn serial_threaded_and_chunked_parallel_records_are_identical() {
-    // Three executions of the same campaign — in-process serial gradients,
-    // thread-per-server transport, and in-process chunked-parallel
-    // gradients — must produce *identical* RoundRecords: the fixed-shape
-    // pairwise reduction makes the intra-client parallel gradient
-    // bit-identical to its serial evaluation, and the transport layer adds
-    // nothing numeric.
+    // Two executions of the same campaign — in-process, and worker-pool
+    // transport — must produce *identical* RoundRecords: every job runs
+    // the same chunked gradient on its worker's thread, and the transport
+    // layer adds nothing numeric.
     let (clients, test) = federation(29);
     let serial_cfg = FedAvgConfig {
         clients_per_round: 3,
         local_epochs: 2,
         sgd: SgdConfig::new(0.05, 0.99, None).with_grad_reduction(GradReduction::FusedSerial),
         ..Default::default()
-    };
-    let parallel_cfg = FedAvgConfig {
-        sgd: SgdConfig::new(0.05, 0.99, None)
-            .with_grad_reduction(GradReduction::FusedParallel { threads: 4 }),
-        ..serial_cfg.clone()
     };
 
     // One more input: mini-batch SGD. The update frame carries no step
@@ -166,76 +160,14 @@ fn serial_threaded_and_chunked_parallel_records_are_identical() {
     }
 
     let mut serial = FedAvg::new(serial_cfg.clone(), clients.clone(), test.clone());
-    let mut threaded = ThreadedFedAvg::new(serial_cfg, clients.clone(), test.clone());
-    let mut parallel = FedAvg::new(parallel_cfg, clients, test);
+    let mut threaded = ThreadedFedAvg::new(serial_cfg, clients, test);
 
     for round in 0..5 {
         let a = serial.run_round();
         let b = threaded.run_round();
-        let c = parallel.run_round();
         assert_eq!(a, b, "round {round}: threaded record diverges from serial");
-        assert_eq!(a, c, "round {round}: chunked-parallel record diverges");
     }
     assert_eq!(serial.global_model(), threaded.global_model());
-    assert_eq!(serial.global_model(), parallel.global_model());
-}
-
-#[test]
-fn chunked_parallel_agrees_across_thread_counts() {
-    // The reduction shape depends only on batch size, never thread count:
-    // any worker count must land on the same bits.
-    let (clients, test) = federation(31);
-    let engine_with = |threads: usize| {
-        let config = FedAvgConfig {
-            clients_per_round: 2,
-            local_epochs: 3,
-            sgd: SgdConfig::new(0.08, 1.0, None)
-                .with_grad_reduction(GradReduction::FusedParallel { threads }),
-            ..Default::default()
-        };
-        let mut engine = FedAvg::new(config, clients.clone(), test.clone());
-        for _ in 0..3 {
-            engine.run_round();
-        }
-        engine.global_model().clone()
-    };
-    let reference = engine_with(1);
-    for threads in [2, 3, 8, 64] {
-        assert_eq!(
-            engine_with(threads),
-            reference,
-            "{threads} worker threads changed the trained bits"
-        );
-    }
-}
-
-#[test]
-fn pooled_round_records_identical_for_any_pool_size() {
-    // FusedParallel now runs on a persistent worker pool owned by the
-    // engine and reused across every client and round. The pool deals
-    // chunk bands by the same static formula for every size, so the full
-    // RoundRecord stream — selections, evaluations, losses, fault stats —
-    // must be identical from one worker (inline fallback) through eight,
-    // and identical to the serial reduction.
-    let (clients, test) = federation(37);
-    let records_with = |reduction: GradReduction| {
-        let config = FedAvgConfig {
-            clients_per_round: 3,
-            local_epochs: 2,
-            sgd: SgdConfig::new(0.05, 0.99, None).with_grad_reduction(reduction),
-            ..Default::default()
-        };
-        let mut engine = FedAvg::new(config, clients.clone(), test.clone());
-        (0..3).map(|_| engine.run_round()).collect::<Vec<_>>()
-    };
-    let reference = records_with(GradReduction::FusedSerial);
-    for size in 1..=8 {
-        assert_eq!(
-            records_with(GradReduction::FusedParallel { threads: size }),
-            reference,
-            "pool size {size} changed a RoundRecord"
-        );
-    }
 }
 
 #[test]

@@ -249,7 +249,7 @@ fn serial_checkpoint_resumes_the_threaded_engine_bit_identically() {
         crashed.run_round();
     }
     // The driver loses the serial engine in a crash, keeps its checkpoint,
-    // and restarts on the thread-per-server runtime instead.
+    // and restarts on the worker-pool runtime instead.
     let checkpoint = crashed.checkpoint();
     assert_eq!(checkpoint.round(), 3);
     let mut resumed = ThreadedFedAvg::new(config, clients, test);
