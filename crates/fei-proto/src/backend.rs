@@ -21,7 +21,7 @@ use fei_net::transport::{FrameListener, FrameStream, TransportError};
 
 use crate::error::ProtoError;
 use crate::node::CoordinatorAddr;
-use crate::record::scan;
+use crate::record::walk;
 
 pub(crate) mod sealed {
     pub trait Sealed {}
@@ -95,28 +95,30 @@ pub trait Log: Sealed + Debug {
     fn sync(&mut self) -> io::Result<()>;
 }
 
-/// What [`open_log`] found: the valid bytes and the records in them, or the
-/// mid-log damage that makes the file unusable.
-pub(crate) type Opened<T> = Result<(Vec<u8>, Vec<T>), ProtoError>;
+/// What [`open_log`] found: the valid bytes, or the mid-log damage that
+/// makes the file unusable.
+pub(crate) type Opened = Result<Vec<u8>, ProtoError>;
 
 /// The one open path of every record log (disk journal, trace file,
-/// simulated file): read it, walk its records, and cut a torn trailing
-/// record — the signature of a crash mid-append — so appends extend a clean
-/// log.
+/// simulated file): read it, walk its records, handing each to `each` as it
+/// decodes, and cut a torn trailing record — the signature of a crash
+/// mid-append — so appends extend a clean log. On mid-log damage the
+/// records before it have been handed over and the file is left whole.
 pub(crate) fn open_log<G: Log, T>(
     log: &mut G,
     decode: impl Fn(&[u8]) -> Result<(T, usize), ProtoError>,
-) -> io::Result<Opened<T>> {
+    each: impl FnMut(T),
+) -> io::Result<Opened> {
     let mut bytes = log.contents()?;
-    let (records, torn_bytes) = match scan(&bytes, decode) {
-        Ok(scanned) => scanned,
+    let torn_bytes = match walk(&bytes, decode, each) {
+        Ok(torn_bytes) => torn_bytes,
         Err(e) => return Ok(Err(e)),
     };
     if torn_bytes > 0 {
         bytes.truncate(bytes.len() - torn_bytes);
         log.truncate(bytes.len())?;
     }
-    Ok(Ok((bytes, records)))
+    Ok(Ok(bytes))
 }
 
 impl Sealed for FrameStream {}

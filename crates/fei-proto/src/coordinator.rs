@@ -292,9 +292,11 @@ impl Coordinator {
     /// Rebuilds a coordinator from the durable journal of a crashed
     /// incarnation, at tick `now`.
     ///
-    /// Adopting the journal runs the fold the crashed incarnation ran on
-    /// every append, so roster, epoch and any in-flight round are back as
-    /// it held them; every roster member gets its lease re-armed at `now`
+    /// Adopting the journal (`RoundJournal::adopt`) runs the fold the
+    /// crashed incarnation ran on every append, so roster, epoch and any
+    /// in-flight round are back as it held them; the rest is the
+    /// continuation every recovery shares, in place or from bytes. Every
+    /// roster member gets its lease re-armed at `now`
     /// (they will be re-expired on their usual timeout if they do not
     /// heartbeat). A round in flight is **resumed** as it stood — minus
     /// any buffered update an expiry had already voided —
@@ -323,8 +325,27 @@ impl Coordinator {
         journal_bytes: &[u8],
         now: u64,
     ) -> Result<(Self, Vec<Effect>), ProtoError> {
-        let mut c = Self::new(config);
-        c.journal = RoundJournal::adopt(journal_bytes)?;
+        let journal = RoundJournal::adopt(journal_bytes)?;
+        Ok(Self::resume(config, journal, now))
+    }
+
+    /// [`Coordinator::recover`] in place: the next incarnation takes this
+    /// one's journal over as it stands — already folded, neither copied
+    /// nor decoded again — and replaces it.
+    pub(crate) fn restart(&mut self, now: u64) -> Vec<Effect> {
+        let journal = std::mem::take(&mut self.journal);
+        let (next, effects) = Self::resume(self.config.clone(), journal, now);
+        *self = next;
+        effects
+    }
+
+    /// The continuation of every recovery: a new incarnation over
+    /// `journal`, whose state already holds the fold of its records.
+    fn resume(config: CoordinatorConfig, journal: RoundJournal, now: u64) -> (Self, Vec<Effect>) {
+        let mut c = Self {
+            journal,
+            ..Self::new(config)
+        };
         let roster: Vec<u64> = c.state().roster.iter().copied().collect();
         for &client in &roster {
             c.liveness.register(client, now);
@@ -370,7 +391,7 @@ impl Coordinator {
             };
             effects.push(c.send(client, notice));
         }
-        Ok((c, effects))
+        (c, effects)
     }
 
     /// Current protocol state.
@@ -1329,6 +1350,67 @@ mod tests {
                     // Selection, deadline and arrival order.
                     prop_assert_eq!(&r.state().open_round, &c.state().open_round);
                     prop_assert_eq!(&r.state().roster, &c.state().roster);
+                }
+            }
+        }
+    }
+
+    impl Step {
+        /// Feeds the step to `c` at the clock `now`, which a tick advances.
+        /// Rejections are inputs like any other.
+        fn drive(self, c: &mut Coordinator, now: &mut u64) {
+            let _ = match self {
+                Step::Join(client) => c.handle_control(
+                    ControlFrame::JoinRequest {
+                        client,
+                        wire_version: WIRE_VERSION,
+                    },
+                    *now,
+                ),
+                Step::Beat(client) => {
+                    c.handle_control(ControlFrame::Heartbeat { client, tick: *now }, *now)
+                }
+                Step::Submit(client) => c.handle_control(submit(client, c.round()), *now),
+                Step::StartRound => c.start_round(*now),
+                Step::Tick(dt) => {
+                    *now += dt;
+                    Ok(c.tick(*now))
+                }
+            };
+        }
+    }
+
+    proptest! {
+        /// In place ≡ from bytes at every prefix: the next incarnation that
+        /// takes the live journal over as it stands is the one
+        /// `Coordinator::recover` rebuilds from a copy of its bytes —
+        /// journal, state, phase, counters and effects alike. It starts
+        /// `down` ticks later (past a round's deadline, it aborts the
+        /// round), and where `restarted` says so the run goes on from it,
+        /// so restarts chain.
+        #[test]
+        fn restart_in_place_equals_recover_from_bytes_at_every_prefix(
+            steps in proptest::collection::vec((arb_step(), 0u64..60, any::<bool>()), 0..80),
+        ) {
+            let mut c = Coordinator::new(config());
+            c.open_rendezvous().expect("idle");
+            let mut now = 0;
+            for (step, down, restarted) in steps {
+                step.drive(&mut c, &mut now);
+                let at = now + down;
+                let mut in_place = c.clone();
+                let in_place_effects = in_place.restart(at);
+                let (from_bytes, effects) = Coordinator::recover(config(), c.journal().bytes(), at)
+                    .expect("clean log");
+                prop_assert_eq!(in_place.journal().bytes(), from_bytes.journal().bytes());
+                prop_assert_eq!(in_place.state(), from_bytes.state());
+                prop_assert_eq!(in_place.phase(), from_bytes.phase());
+                prop_assert_eq!(in_place.stats(), from_bytes.stats());
+                prop_assert_eq!(in_place.recovered_round(), from_bytes.recovered_round());
+                prop_assert_eq!(in_place.live_clients(at), from_bytes.live_clients(at));
+                prop_assert_eq!(in_place_effects, effects);
+                if restarted {
+                    (c, now) = (in_place, at);
                 }
             }
         }

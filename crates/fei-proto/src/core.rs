@@ -4,10 +4,15 @@
 //! runs comparable ([`NodeAudit`]). The live socket node
 //! ([`crate::node::CoordinatorNode`]) and [`replay_trace`] drive **this**
 //! type with the same [`TraceEvent`]s, so a socket run is *conformant* iff
-//! its live audit equals the replay of its own trace — journal bytes,
-//! committed model bytes, round verdicts and [`ControlStats`], bit for bit.
-
-use std::collections::BTreeMap;
+//! its live audit equals the replay of its own trace — journal bytes, round
+//! verdicts and [`ControlStats`], bit for bit. The committed model sets
+//! need no audit of their own: each is [`crate::JournalState::committed`]
+//! at its commit, a fold of the journal bytes.
+//!
+//! The core holds the decision history once, in its coordinator's journal.
+//! A [`TraceEvent::Recover`] hands that journal, already folded, to the new
+//! incarnation in place ([`Coordinator::recover`] would decode a copy of
+//! its bytes again).
 
 use crate::cluster::RoundVerdict;
 use crate::coordinator::{ControlStats, Coordinator, CoordinatorConfig, Effect};
@@ -17,8 +22,8 @@ use crate::trace::TraceEvent;
 
 /// Everything a run's coordinator decided, in comparable form. Two audits
 /// being `==` means the underlying decision histories were bit-identical:
-/// same journal bytes, same committed model payloads, same round verdicts,
-/// same traffic counters.
+/// same journal bytes (and so the same committed model payloads, which
+/// they fold to), same round verdicts, same traffic counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeAudit {
     /// Traffic and verdict counters, folded across incarnations.
@@ -27,9 +32,6 @@ pub struct NodeAudit {
     pub journal: Vec<u8>,
     /// Every round verdict, in close order.
     pub round_log: Vec<RoundVerdict>,
-    /// Committed model payloads: round → (client → (samples, bytes)),
-    /// snapshotted at the commit instant.
-    pub committed_models: BTreeMap<u64, BTreeMap<u64, (u32, Vec<u8>)>>,
     /// The final incarnation number.
     pub epoch: u64,
 }
@@ -64,7 +66,6 @@ pub(crate) struct CoordinatorCore {
     /// Stats of previous incarnations (folded in at each recovery).
     carry: ControlStats,
     round_log: Vec<RoundVerdict>,
-    committed_models: BTreeMap<u64, BTreeMap<u64, (u32, Vec<u8>)>>,
 }
 
 impl CoordinatorCore {
@@ -78,7 +79,6 @@ impl CoordinatorCore {
             coordinator,
             carry: ControlStats::default(),
             round_log: Vec::new(),
-            committed_models: BTreeMap::new(),
         }
     }
 
@@ -120,13 +120,7 @@ impl CoordinatorCore {
                 Ok(self.coordinator.start_round(*tick).unwrap_or_default())
             }
             TraceEvent::Tick { tick } => Ok(self.coordinator.tick(*tick)),
-            TraceEvent::Recover { tick, journal_len } => {
-                let len = usize::try_from(*journal_len)
-                    .unwrap_or(usize::MAX)
-                    .min(self.coordinator.journal().len());
-                let bytes = self.coordinator.journal().bytes()[..len].to_vec();
-                self.recover(&bytes, *tick)
-            }
+            TraceEvent::Recover { tick, journal_len } => self.recover(*journal_len, *tick),
         };
         if let Ok(effects) = &outcome {
             self.observe(effects, event.tick());
@@ -138,41 +132,42 @@ impl CoordinatorCore {
         }
     }
 
-    /// Replaces the coordinator with one recovered from `journal_bytes`
-    /// at `now`, folding the outgoing incarnation's stats into the carry.
-    fn recover(&mut self, journal_bytes: &[u8], now: u64) -> Result<Vec<Effect>, ProtoError> {
+    /// Replaces the coordinator with the next incarnation, recovered at
+    /// `now` from the first `journal_len` bytes of its journal, and folds
+    /// the outgoing incarnation's stats into the carry. A node records its
+    /// whole journal, which the new incarnation takes over in place; a
+    /// shorter length (no node records one) recovers from a copy of that
+    /// prefix, folded again.
+    fn recover(&mut self, journal_len: u64, now: u64) -> Result<Vec<Effect>, ProtoError> {
         self.carry.absorb(self.coordinator.stats());
-        let (mut recovered, effects) =
-            Coordinator::recover(self.config.clone(), journal_bytes, now)?;
-        recovered.set_global(self.global.clone());
-        self.coordinator = recovered;
+        let journal = self.coordinator.journal();
+        let effects = match usize::try_from(journal_len) {
+            Ok(len) if len < journal.len() => {
+                let (recovered, effects) =
+                    Coordinator::recover(self.config.clone(), &journal.bytes()[..len], now)?;
+                self.coordinator = recovered;
+                effects
+            }
+            _ => self.coordinator.restart(now),
+        };
+        self.coordinator.set_global(self.global.clone());
         Ok(effects)
     }
 
-    /// Records round verdicts and snapshots committed model payloads.
+    /// Records round verdicts.
     fn observe(&mut self, effects: &[Effect], tick: u64) {
-        for verdict in effects.iter().filter_map(|e| RoundVerdict::of(e, tick)) {
-            if verdict.committed {
-                // The payload snapshot at the commit instant is the
-                // committed model set — identical capture point live and
-                // in replay.
-                let payloads = self.coordinator.update_payloads().clone();
-                self.committed_models.insert(verdict.round, payloads);
-            }
-            self.round_log.push(verdict);
-        }
+        let verdicts = effects.iter().filter_map(|e| RoundVerdict::of(e, tick));
+        self.round_log.extend(verdicts);
     }
 
     /// The comparable summary of everything decided. By value: the journal
-    /// and every committed payload move into the audit instead of being
-    /// copied beside themselves.
+    /// moves into the audit instead of being copied beside itself.
     pub(crate) fn into_audit(self) -> NodeAudit {
         NodeAudit {
             stats: self.stats(),
             epoch: self.coordinator.epoch(),
             journal: self.coordinator.into_journal().into_bytes(),
             round_log: self.round_log,
-            committed_models: self.committed_models,
         }
     }
 }

@@ -15,14 +15,16 @@
 //!
 //! * every input the coordinator's decision core (`crate::core`)
 //!   consumes (delivered frames, round-open attempts, tick advances,
-//!   recoveries) is recorded as a [`TraceEvent`] *before* it is applied;
+//!   recoveries) is recorded as a [`TraceEvent`] *before* it is applied —
+//!   to the trace file only: the node keeps no copy of its events;
 //! * [`replay_trace`] re-drives a fresh decision core from the recorded
-//!   events alone, with no sockets, producing a [`NodeAudit`];
+//!   events alone (read back with [`read_trace`]), with no sockets,
+//!   producing a [`NodeAudit`];
 //! * the conformance tests assert the live run's audit and the replayed
-//!   audit are **bit-identical** — journal bytes, committed model bytes,
-//!   round verdicts, and [`ControlStats`](crate::ControlStats) — and
-//!   cross-check the round outcomes against a matched deterministic
-//!   [`crate::Cluster`] run.
+//!   audit are **bit-identical** — journal bytes (which fold to the
+//!   committed model payloads), round verdicts, and
+//!   [`ControlStats`](crate::ControlStats) — and cross-check the round
+//!   outcomes against a matched deterministic [`crate::Cluster`] run.
 //!
 //! The trace codec, the decision core and the daemon wrapper live in
 //! `crate::trace`, `crate::core` and `crate::daemon`; their public
@@ -38,12 +40,12 @@
 //! file ([`crate::DiskJournal`], optional) is a view of the trace: what it
 //! holds on disk is always a prefix of what the durable trace replays to.
 //! A restarted coordinator replays its own trace prefix through a fresh
-//! core, verifies the journal file is a byte prefix of the replayed
+//! core in one pass, applying each event as soon as it decodes from the
+//! file's bytes, verifies the journal file is a byte prefix of the replayed
 //! journal, and records a [`TraceEvent::Recover`] carrying the replayed
 //! journal's length — which is exactly how the oracle replays the same
-//! recovery later, handing its own (bit-identical) journal to
-//! [`Coordinator::recover`](crate::Coordinator::recover) — and its first
-//! commit re-appends whatever suffix the journal file lost (all of it when
+//! recovery later, handing its own (bit-identical) journal, as it stands,
+//! to the new incarnation — and its first commit re-appends whatever suffix the journal file lost (all of it when
 //! a crash left the never-synced file damaged before its tail). One writer
 //! at a time: the trace is held under an OS file lock while the node
 //! lives, the journal file under its lock file.
@@ -229,13 +231,13 @@ pub struct NodePersistence {
     pub port_file: Option<PathBuf>,
 }
 
-/// What a coordinator node run produced.
+/// What a coordinator node run produced. The node keeps no copy of its
+/// trace: the events are on disk (appended before each is applied), and a
+/// conformance check reads them back ([`read_trace`]).
 #[derive(Debug, Clone)]
 pub struct NodeReport {
-    /// The live audit (compare with [`replay_trace`] of `trace`).
+    /// The live audit: compare with [`replay_trace`] of the trace file.
     pub audit: NodeAudit,
-    /// The full in-memory trace, including any prefix recovered from disk.
-    pub trace: Vec<TraceEvent>,
     /// Cycles spent: the ticks of this incarnation's clock.
     pub cycles: u64,
     /// Turns taken between ticks because input arrived.
@@ -271,7 +273,6 @@ pub struct CoordinatorNode<L: Listener = FrameListener, G: Log = File> {
     /// [`CoordinatorNode::commit`] sends.
     outbox: Vec<(u64, Vec<u8>)>,
     core: CoordinatorCore,
-    trace: Vec<TraceEvent>,
     sink: Option<TraceSink<G>>,
     store: Option<DiskJournal<G>>,
     /// The journal's length at the last trace sync: a turn that grows it
@@ -313,10 +314,10 @@ impl CoordinatorNode {
         if let Some(path) = &persist.port_file {
             write_atomic(path, &format!("{}\n", listener.local_addr()))?;
         }
-        let sink = persist.trace.as_deref().map(TraceSink::open_resume);
-        let sink = sink.transpose()?;
+        let trace = persist.trace.as_deref().map(TraceSink::lock);
+        let trace = trace.transpose()?;
         let store = persist.journal.as_deref().map(DiskJournal::open_view);
-        Self::boot(listener, config, store.transpose()?, sink)
+        Self::boot(listener, config, store.transpose()?, trace)
     }
 
     /// The bound listening address.
@@ -332,27 +333,45 @@ impl CoordinatorNode {
 
 impl<L: Listener, G: Log> CoordinatorNode<L, G> {
     /// The start path of every incarnation on either backend, given the
-    /// opened trace sink and journal store with what survived in them:
-    /// replay the persisted trace, verify the journal file is a prefix of
-    /// the replayed journal, then open fresh (empty trace) or record the
-    /// recovery. The commit that ends it syncs the trace and re-appends
-    /// whatever suffix the journal file lost.
+    /// opened journal store with what survived in it and the opened trace
+    /// log: replay the persisted trace as it is read, verify the journal
+    /// file is a prefix of the replayed journal, then open fresh (empty
+    /// trace) or record the recovery. The commit that ends it syncs the
+    /// trace and re-appends whatever suffix the journal file lost.
     pub(crate) fn boot(
         listener: L,
         config: CoordinatorNodeConfig,
         store: Option<(DiskJournal<G>, Vec<u8>)>,
-        sink: Option<(TraceSink<G>, Vec<TraceEvent>)>,
+        trace: Option<G>,
     ) -> Result<Self, NodeError> {
         let (store, disk_prefix) = store.map_or((None, Vec::new()), |(s, p)| (Some(s), p));
-        let (sink, prefix_events) = sink.map_or((None, Vec::new()), |(s, e)| (Some(s), e));
+        // Rebuild the previous incarnations' exact decision state by
+        // replaying our own recorded history, one event at a time.
+        let mut core = CoordinatorCore::new(config.coordinator.clone(), config.global.clone());
+        let mut last_tick = None;
+        let sink = trace.map(|log| {
+            TraceSink::resume(log, |event| {
+                last_tick = last_tick.max(Some(event.tick()));
+                let _ = core.apply(&event);
+            })
+        });
+        let sink = sink.transpose()?;
+        let replayed = core.coordinator().journal().bytes();
+        if !replayed.starts_with(&disk_prefix) {
+            return Err(NodeError::TraceDiverged {
+                journal_len: disk_prefix.len(),
+                replayed_len: replayed.len(),
+            });
+        }
+        let journal_len = replayed.len() as u64;
+        drop(disk_prefix);
         let mut node = Self {
-            core: CoordinatorCore::new(config.coordinator.clone(), config.global.clone()),
+            core,
             config,
             listener,
             conns: Vec::new(),
             queued: BTreeMap::new(),
             outbox: Vec::new(),
-            trace: Vec::new(),
             sink,
             store,
             synced_journal: 0,
@@ -362,31 +381,18 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
             pumps: 0,
             shutdown: false,
         };
-
-        // Rebuild the previous incarnations' exact decision state by
-        // replaying our own recorded history.
-        for event in &prefix_events {
-            let _ = node.core.apply(event);
-        }
-        node.trace = prefix_events;
-        let replayed = node.core.coordinator().journal().bytes();
-        if !replayed.starts_with(&disk_prefix) {
-            return Err(NodeError::TraceDiverged {
-                journal_len: disk_prefix.len(),
-                replayed_len: replayed.len(),
-            });
-        }
-        if node.trace.is_empty() {
-            node.step(TraceEvent::Open)?.outcome?;
-        } else {
-            node.tick = last_tick(&node.trace) + node.config.restart_lag.max(1);
-            let event = TraceEvent::Recover {
-                tick: node.tick,
-                journal_len: replayed.len() as u64,
-            };
-            let effects = node.step(event)?.outcome?;
-            node.dispatch(effects);
-        }
+        let event = match last_tick {
+            None => TraceEvent::Open,
+            Some(last_tick) => {
+                node.tick = last_tick + node.config.restart_lag.max(1);
+                TraceEvent::Recover {
+                    tick: node.tick,
+                    journal_len,
+                }
+            }
+        };
+        let effects = node.step(event)?.outcome?;
+        node.dispatch(effects);
         node.commit()?;
         Ok(node)
     }
@@ -487,7 +493,6 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
         }
         Ok(NodeReport {
             audit: self.core.into_audit(),
-            trace: self.trace,
             cycles: self.cycles,
             pumps: self.pumps,
             shutdown: self.shutdown,
@@ -599,15 +604,13 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
     }
 
     /// Feeds one input to the decision core: the event joins the trace
-    /// (buffered in the sink, then in memory) → it is applied. Nothing is
-    /// durable, and nothing leaves, before the turn's `commit`.
+    /// (buffered in the sink) → it is applied. Nothing is durable, and
+    /// nothing leaves, before the turn's `commit`.
     fn step(&mut self, event: TraceEvent) -> Result<Applied, NodeError> {
         if let Some(sink) = self.sink.as_mut() {
             sink.append(&event)?;
         }
-        let applied = self.core.apply(&event);
-        self.trace.push(event);
-        Ok(applied)
+        Ok(self.core.apply(&event))
     }
 
     /// The turn's group commit: when the turn grew the journal, one trace
@@ -657,11 +660,6 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
             queue.push(bytes);
         }
     }
-}
-
-/// The last tick recorded in `events` (0 when empty).
-fn last_tick(events: &[TraceEvent]) -> u64 {
-    events.iter().map(TraceEvent::tick).max().unwrap_or(0)
 }
 
 /// Atomically (re)writes `path`: the contents land in `<path>.tmp` and are

@@ -179,20 +179,32 @@ pub(crate) fn decode<T>(
 }
 
 /// Decodes a concatenation of records, returning them and the length of a
-/// torn tail. A truncated trailing record — the signature of a crash
-/// mid-append — ends the walk cleanly; any other malformation (CRC failure,
-/// foreign tag or version) is an error, because it means acknowledged bytes
-/// changed underneath us.
+/// torn tail, as [`walk`] does.
 pub(crate) fn scan<T>(
     bytes: &[u8],
     decode: impl Fn(&[u8]) -> Result<(T, usize), ProtoError>,
 ) -> Result<(Vec<T>, usize), ProtoError> {
     let mut records = Vec::new();
+    let torn = walk(bytes, decode, |record| records.push(record))?;
+    Ok((records, torn))
+}
+
+/// Decodes a concatenation of records one at a time, handing each to
+/// `each` as soon as it decodes, and returns the length of a torn tail. A
+/// truncated trailing record — the signature of a crash mid-append — ends
+/// the walk cleanly; any other malformation (CRC failure, foreign tag or
+/// version) is an error, because it means acknowledged bytes changed
+/// underneath us. The records before it have been handed over by then.
+pub(crate) fn walk<T>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<(T, usize), ProtoError>,
+    mut each: impl FnMut(T),
+) -> Result<usize, ProtoError> {
     let mut at = 0;
     while at < bytes.len() {
         match decode(&bytes[at..]) {
             Ok((record, consumed)) => {
-                records.push(record);
+                each(record);
                 at += consumed;
             }
             // Only the *last* thing in the log can be torn: the decode
@@ -201,7 +213,7 @@ pub(crate) fn scan<T>(
             Err(e) => return Err(e),
         }
     }
-    Ok((records, bytes.len() - at))
+    Ok(bytes.len() - at)
 }
 
 /// Declares a record enum from its table: one entry per kind, written as

@@ -256,7 +256,7 @@ mod tests {
     use crate::participant::ParticipantConfig;
     use crate::record::scan;
     use crate::store::DiskJournal;
-    use crate::trace::{TraceEvent, TraceSink};
+    use crate::trace::TraceEvent;
 
     /// What the tests need to see of, and do to, a simulated file.
     impl SimFile {
@@ -296,6 +296,12 @@ mod tests {
         /// an extent that was never synced.
         pub(crate) fn zero_head(&self, len: usize) {
             self.0.borrow_mut().bytes[..len].fill(0);
+        }
+
+        /// Flips every bit of the byte at `at`, as a device that corrupted
+        /// an acknowledged write would.
+        pub(crate) fn flip(&self, at: usize) {
+            self.0.borrow_mut().bytes[at] ^= 0xFF;
         }
     }
 
@@ -338,8 +344,8 @@ mod tests {
             let store = self
                 .store
                 .then(|| DiskJournal::over(self.journal.clone(), true));
-            let (store, sink) = (store.transpose()?, TraceSink::over(self.trace.clone())?);
-            CoordinatorNode::boot(self.net.listen(), self.config.clone(), store, Some(sink))
+            let (store, trace) = (store.transpose()?, Some(self.trace.clone()));
+            CoordinatorNode::boot(self.net.listen(), self.config.clone(), store, trace)
         }
 
         fn participant(&self, client: u64) -> ParticipantNode<SimNet> {
@@ -429,11 +435,17 @@ mod tests {
         })
     }
 
+    /// The events of a trace file's bytes, which end on an event boundary.
+    fn events_of(trace: &[u8]) -> Vec<TraceEvent> {
+        let (events, torn) = scan(trace, TraceEvent::decode).expect("own trace");
+        assert_eq!(torn, 0, "a sync lands on an event boundary");
+        events
+    }
+
     /// The journal records the durable trace replays to: what a crash
     /// right now would recover.
     fn durable_records(rig: &Rig) -> Vec<JournalRecord> {
-        let (events, torn) = scan(&rig.trace.durable(), TraceEvent::decode).expect("own trace");
-        assert_eq!(torn, 0, "a sync lands on an event boundary");
+        let events = events_of(&rig.trace.durable());
         let audit = replay_trace(&rig.config.coordinator, &rig.config.global, &events);
         let journal = RoundJournal::from_bytes(audit.journal);
         journal.replay().expect("own journal").records
@@ -479,7 +491,8 @@ mod tests {
             Err(e) => return Some(e),
         };
         assert_eq!(report.audit.round_log.len(), 3, "campaign must finish");
-        let replayed = replay_trace(&rig.config.coordinator, &rig.config.global, &report.trace);
+        let events = events_of(&rig.trace.bytes());
+        let replayed = replay_trace(&rig.config.coordinator, &rig.config.global, &events);
         assert_eq!(replayed, report.audit);
         let journal_file = rig.store.then_some(report.audit.journal);
         assert_eq!(rig.journal.bytes(), journal_file.unwrap_or_default());
@@ -538,6 +551,39 @@ mod tests {
         let damaged = scan(&rig.journal.bytes(), JournalRecord::decode);
         assert!(damaged.is_err(), "damaged, not torn: {damaged:?}");
         assert!(campaign(&rig).is_none());
+    }
+
+    #[test]
+    fn a_trace_corrupt_mid_file_is_refused_and_left_whole() {
+        // Boot applies each event as soon as it reads it, so it is halfway
+        // through the history when it meets a byte flipped inside the
+        // record that spans the middle of a finished campaign's trace. That
+        // is damage, not a torn tail: boot refuses, typed, and cuts
+        // nothing, writes nothing and sends nothing.
+        let rig = Rig::new(2, 3);
+        assert!(campaign(&rig).is_none());
+        let trace = rig.trace.bytes();
+        let mut end = 0;
+        for event in events_of(&trace) {
+            end += event.encoded_len();
+            if end > trace.len() / 2 {
+                break;
+            }
+        }
+        // The record's last body byte, just ahead of its 4-byte CRC.
+        rig.trace.flip(end - 5);
+        let (damaged, journal) = (rig.trace.bytes(), rig.journal.bytes());
+        rig.net.hang_up();
+        rig.net.take_sent(DOWN);
+        let error = rig.boot().expect_err("a corrupt trace is refused");
+        assert!(matches!(error, NodeError::Proto(_)), "{error:?}");
+        assert_eq!(
+            rig.trace.bytes(),
+            damaged,
+            "the trace keeps its full length"
+        );
+        assert_eq!(rig.journal.bytes(), journal);
+        assert!(rig.net.take_sent(DOWN).is_empty(), "nothing left the node");
     }
 
     #[test]
@@ -807,11 +853,11 @@ mod tests {
         assert!(report.pumps >= 20);
         // The clock stood still: every event of the pumped span carries the
         // last tick's label, a burst of deliveries included, and none is a Tick.
-        let last_tick = report
-            .trace
+        let events = events_of(&rig.trace.bytes());
+        let last_tick = events
             .iter()
             .rposition(|e| matches!(e, TraceEvent::Tick { .. }));
-        let pumped = &report.trace[last_tick.expect("ticked before") + 1..];
+        let pumped = &events[last_tick.expect("ticked before") + 1..];
         let delivers = pumped
             .iter()
             .filter(|e| matches!(e, TraceEvent::Deliver { .. }));
@@ -821,7 +867,7 @@ mod tests {
             "{pumped:?}"
         );
         // And the oracle replays it bit for bit.
-        let replayed = replay_trace(&rig.config.coordinator, &rig.config.global, &report.trace);
+        let replayed = replay_trace(&rig.config.coordinator, &rig.config.global, &events);
         assert_eq!(replayed, report.audit);
         assert_eq!(rig.journal.bytes(), report.audit.journal);
     }

@@ -198,8 +198,9 @@ impl<G: Log> DiskJournal<G> {
     /// crash can leave any bytes behind, and it is cut to empty for the
     /// caller to append its journal again whole.
     pub(crate) fn over(mut log: G, view: bool) -> Result<(Self, Vec<u8>), StoreError> {
-        let prefix = match open_log(&mut log, JournalRecord::decode).map_err(io_err("read"))? {
-            Ok((prefix, _)) => prefix,
+        let opened = open_log(&mut log, JournalRecord::decode, drop);
+        let prefix = match opened.map_err(io_err("read"))? {
+            Ok(prefix) => prefix,
             Err(_) if view => {
                 log.truncate(0).map_err(io_err("truncate"))?;
                 Vec::new()

@@ -85,6 +85,8 @@ impl TraceEvent {
 #[derive(Debug)]
 pub struct TraceSink<G: Log = File> {
     log: G,
+    /// The encode buffer every append reuses.
+    buf: Vec<u8>,
 }
 
 impl TraceSink {
@@ -95,27 +97,24 @@ impl TraceSink {
     /// [`NodeError::Io`] on OS failures.
     pub fn create(path: &Path) -> Result<Self, NodeError> {
         let log = File::create(path).map_err(io_err("trace create"))?;
-        Ok(Self { log })
+        Ok(Self::new(log))
     }
 
-    /// Opens a trace for appending, creating it when absent: takes its
-    /// single-writer lock, reads the surviving events, cuts a torn trailing
-    /// record (truncating the file to the valid prefix), and returns the
-    /// sink plus the prefix events.
+    /// Opens a trace for resuming, creating it when absent, and takes its
+    /// single-writer lock; [`TraceSink::resume`] reads it back.
     ///
     /// The lock is the OS's, on the open file: a second open is refused
-    /// while the sink lives, and a killed writer's lock dies with its
+    /// while the file stays open, and a killed writer's lock dies with its
     /// process, so there is nothing stale for a supervisor to break.
     ///
     /// # Errors
     ///
     /// [`StoreError::Locked`] (as [`NodeError::Store`]) when another open
-    /// holds the trace, [`NodeError::Proto`] on mid-file corruption,
-    /// [`NodeError::Io`] on OS failures.
-    pub(crate) fn open_resume(path: &Path) -> Result<(Self, Vec<TraceEvent>), NodeError> {
+    /// holds the trace, [`NodeError::Io`] on OS failures.
+    pub(crate) fn lock(path: &Path) -> Result<File, NodeError> {
         let file = open_file(path).map_err(io_err("trace open"))?;
         match file.try_lock() {
-            Ok(()) => Self::over(file),
+            Ok(()) => Ok(file),
             Err(TryLockError::WouldBlock) => Err(NodeError::Store(StoreError::Locked {
                 path: path.to_path_buf(),
             })),
@@ -125,12 +124,26 @@ impl TraceSink {
 }
 
 impl<G: Log> TraceSink<G> {
-    /// A sink over an already-open log: the surviving events come back,
-    /// a torn trailing record is cut.
-    pub(crate) fn over(mut log: G) -> Result<(Self, Vec<TraceEvent>), NodeError> {
-        let (_, events) =
-            open_log(&mut log, TraceEvent::decode).map_err(io_err("trace read"))??;
-        Ok((Self { log }, events))
+    fn new(log: G) -> Self {
+        Self {
+            log,
+            buf: Vec::new(),
+        }
+    }
+
+    /// A sink over an already-open log, resumed: in one pass over the
+    /// log's bytes, each surviving event is handed to `apply` as soon as it
+    /// decodes; then a torn trailing record is cut (truncating the file to
+    /// the valid prefix).
+    ///
+    /// # Errors
+    ///
+    /// [`NodeError::Proto`] on mid-file corruption (the events before it
+    /// have been applied, and the file is left whole), [`NodeError::Io`] on
+    /// OS failures.
+    pub(crate) fn resume(mut log: G, apply: impl FnMut(TraceEvent)) -> Result<Self, NodeError> {
+        open_log(&mut log, TraceEvent::decode, apply).map_err(io_err("trace read"))??;
+        Ok(Self::new(log))
     }
 
     /// Appends one event (buffered; call [`TraceSink::sync`] to make it
@@ -141,9 +154,9 @@ impl<G: Log> TraceSink<G> {
     ///
     /// [`NodeError::Io`] on OS failures.
     pub fn append(&mut self, event: &TraceEvent) -> Result<(), NodeError> {
-        self.log
-            .append(&event.encode())
-            .map_err(io_err("trace append"))
+        self.buf.clear();
+        event.encode_into(&mut self.buf);
+        self.log.append(&self.buf).map_err(io_err("trace append"))
     }
 
     /// `fdatasync`s the trace file.
@@ -224,8 +237,10 @@ mod tests {
         // Tear the tail by hand.
         let bytes = std::fs::read(&path).expect("read");
         std::fs::write(&path, &bytes[..bytes.len() - 2]).expect("tear");
-        let (mut sink, survivors) = TraceSink::open_resume(&path).expect("resume");
-        assert_eq!(survivors.len(), events.len() - 1);
+        let mut survivors = 0;
+        let locked = TraceSink::lock(&path).expect("lock");
+        let mut sink = TraceSink::resume(locked, |_| survivors += 1).expect("resume");
+        assert_eq!(survivors, events.len() - 1);
         sink.append(&TraceEvent::Tick { tick: 10 }).expect("append");
         sink.sync().expect("sync");
         let (reread, torn) = read_trace(&path).expect("reread");

@@ -5,9 +5,10 @@
 //!
 //! 1. **Oracle replay** — a coordinator + 3 participants complete 5 FL
 //!    rounds over real localhost TCP with the trace and journal on disk,
-//!    and replaying the captured frame trace through the shared decision
-//!    core reproduces the live run bit for bit: journal bytes, committed
-//!    model payloads, round verdicts, `ControlStats`.
+//!    and replaying the frame trace read back from disk through the shared
+//!    decision core reproduces the live run bit for bit: journal bytes
+//!    (which fold to the committed model payloads), round verdicts,
+//!    `ControlStats`.
 //! 2. **Cluster agreement** — the same campaign's round outcomes match a
 //!    deterministic [`Cluster`] run of the same configuration.
 //! 3. **Supervision** — the coordinator runs as a real OS process
@@ -119,9 +120,11 @@ fn socket_run_matches_oracle_replay_bit_for_bit() {
     );
     assert!(!report.audit.journal.is_empty());
 
-    // Golden parity: replaying the captured trace through the shared
-    // decision core reproduces the live run exactly.
-    let replayed = replay_trace(&coordinator_config(), &[0xAB; 64], &report.trace);
+    // Golden parity: replaying the trace the node wrote through the
+    // shared decision core reproduces the live run exactly.
+    let (disk_trace, torn) = read_trace(&dir.join("coordinator.trace")).expect("trace file");
+    assert_eq!(torn, 0, "clean shutdown leaves no torn trace tail");
+    let replayed = replay_trace(&coordinator_config(), &[0xAB; 64], &disk_trace);
     assert_eq!(
         replayed.journal, report.audit.journal,
         "journal bytes diverged"
@@ -130,33 +133,37 @@ fn socket_run_matches_oracle_replay_bit_for_bit() {
         replayed.round_log, report.audit.round_log,
         "round verdicts diverged"
     );
-    assert_eq!(
-        replayed.committed_models, report.audit.committed_models,
-        "committed model bytes diverged"
-    );
     assert_eq!(replayed.stats, report.audit.stats, "ControlStats diverged");
     assert_eq!(replayed, report.audit, "full audit diverged");
 
-    // Committed models are the identity-trained echo of the global model.
-    for (round, models) in &report.audit.committed_models {
-        assert!(!models.is_empty(), "round {round} committed without models");
-        for (client, (_samples, payload)) in models {
-            assert_eq!(
-                payload,
-                &vec![0xAB; 64],
+    // The disk journal is the image of the decision journal.
+    let journal = dir.join("coordinator.journal");
+    let disk_journal = std::fs::read(&journal).expect("journal file");
+    assert_eq!(disk_journal, report.audit.journal, "disk journal diverged");
+
+    // Committed models are the identity-trained echo of the global model:
+    // every update the journal accepted is, and every commit has some.
+    for record in journal_records(&journal) {
+        match record {
+            JournalRecord::UpdateAccepted {
+                round,
+                client,
+                update,
+                ..
+            } => assert_eq!(
+                update,
+                vec![0xAB; 64],
                 "round {round} client {client} payload is not the trained echo"
-            );
+            ),
+            JournalRecord::RoundCommitted {
+                round, accepted, ..
+            } => assert!(
+                !accepted.is_empty(),
+                "round {round} committed without models"
+            ),
+            _ => {}
         }
     }
-
-    // The persisted artifacts agree with the in-memory ones: the disk
-    // journal is the image of the decision journal, and the disk
-    // trace replays to the same audit.
-    let disk_journal = std::fs::read(dir.join("coordinator.journal")).expect("journal file");
-    assert_eq!(disk_journal, report.audit.journal, "disk journal diverged");
-    let (disk_trace, torn) = read_trace(&dir.join("coordinator.trace")).expect("trace file");
-    assert_eq!(torn, 0, "clean shutdown leaves no torn trace tail");
-    assert_eq!(disk_trace, report.trace, "disk trace diverged");
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
