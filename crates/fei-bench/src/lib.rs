@@ -1,15 +1,20 @@
 //! Shared infrastructure for the table/figure regeneration binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). This library holds the pieces they
-//! share: the calibration pipeline that fits the convergence-bound constants
-//! from real training runs, and small text-report formatting helpers.
+//! The `repro` binary regenerates the paper's tables and figures (see
+//! DESIGN.md §4 for the index); the other binaries are ablations, soaks and
+//! harnesses. This library holds what they share: the campaign [`Surface`]
+//! every figure reads its training runs from, the calibration that fits the
+//! convergence-bound constants from those runs, the [`Rows`] of printed
+//! numbers behind `BENCH_repro.json`, and small text-report helpers.
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeMap;
+use std::fmt;
+
 use fei_core::calibration::{fit_bound_constants, GapObservation};
 use fei_core::{ConvergenceBound, CoreError};
-use fei_fl::TrainingHistory;
+use fei_fl::{EngineCheckpoint, RoundRecord, StopCondition, TrainingHistory};
 use fei_ml::{LocalTrainer, LogisticRegression, SgdConfig};
 use fei_testbed::experiment::gap_observations;
 use fei_testbed::{FlExperiment, STRINGENT_TARGET};
@@ -27,17 +32,6 @@ pub struct Calibration {
     pub epsilon: f64,
 }
 
-/// One training run retained for calibration.
-#[derive(Debug, Clone)]
-pub struct CalibrationRun {
-    /// Participants per round.
-    pub k: usize,
-    /// Local epochs per round.
-    pub e: usize,
-    /// The recorded history.
-    pub history: TrainingHistory,
-}
-
 /// The `(K, E, rounds)` combinations trained for calibration. Chosen to
 /// spread the design matrix across all three bound terms — `1/(TE)`, `1/K`,
 /// and `E−1` — and run for a *fixed* number of rounds (no early stop) so the
@@ -51,84 +45,180 @@ pub const CALIBRATION_COMBOS: [(usize, usize, usize); 6] = [
     (20, 10, 60),
 ];
 
-/// Executes the calibration campaign: trains every combo in
-/// [`CALIBRATION_COMBOS`] for its fixed round budget.
-pub fn run_calibration_campaign(exp: &FlExperiment) -> Vec<CalibrationRun> {
-    CALIBRATION_COMBOS
-        .iter()
-        .map(|&(k, e, rounds)| CalibrationRun {
-            k,
-            e,
-            history: exp.run_rounds(k, e, rounds),
-        })
-        .collect()
+/// One `(K, E)` campaign as far as it has been trained: its rounds and the
+/// engine state after the last of them.
+#[derive(Debug, Default)]
+struct Campaign {
+    history: TrainingHistory,
+    checkpoint: Option<EngineCheckpoint>,
 }
 
-/// Estimates the minimal training loss `F(ω*)` by centralized training on
-/// the union of all client data — the reference the loss gaps in Eq. 10 are
-/// measured against. A small slack keeps every observed gap positive.
-pub fn estimate_loss_floor(exp: &FlExperiment) -> f64 {
-    let union = exp.training_union();
-    let mut model = LogisticRegression::zeros(union.dim(), union.num_classes());
-    let trainer = LocalTrainer::new(SgdConfig::new(0.02, 1.0, None));
-    trainer.train(&mut model, &union, 800, 0);
-    model.loss(&union) - 0.01
+/// The `(K, E) → loss/accuracy-vs-T` surface of one FL campaign, the one
+/// source every paper figure reads its training runs from.
+///
+/// Each `(K, E)` is trained once, as far as the longest request so far, and
+/// kept as its history plus an [`EngineCheckpoint`]. A shorter request is a
+/// prefix of the stored run; a longer one restores the checkpoint into a
+/// fresh engine and trains only the missing rounds. Both are exact: a run's
+/// seed depends on `(K, E)` alone, and a restored engine continues bit for
+/// bit, so every answer equals the run [`FlExperiment::run_rounds`] or
+/// [`FlExperiment::run_to_accuracy`] would train from scratch.
+#[derive(Debug)]
+pub struct Surface {
+    exp: FlExperiment,
+    campaigns: BTreeMap<(usize, usize), Campaign>,
+    calibration: Option<Calibration>,
 }
 
-/// Fits the bound constants and the `ε` translation from calibration runs.
-///
-/// `f_star` is the estimated minimal training loss (see
-/// [`estimate_loss_floor`]); it is clamped below the smallest observed loss
-/// so every retained gap is positive. `ε` is the mean gap at the rounds
-/// where runs first crossed the stringent accuracy target.
-///
-/// # Errors
-///
-/// Propagates [`CoreError::CalibrationFailed`] from the regression, and
-/// fails if no run ever crossed the stringent target.
-pub fn calibrate(runs: &[CalibrationRun], f_star: f64) -> Result<Calibration, CoreError> {
-    let min_loss = runs
-        .iter()
-        .flat_map(|r| r.history.loss_curve())
-        .map(|(_, l)| l)
-        .fold(f64::INFINITY, f64::min);
-    if !min_loss.is_finite() {
-        return Err(CoreError::CalibrationFailed {
-            detail: "no loss observations in calibration runs".into(),
-        });
-    }
-    let f_star = f_star.min(min_loss - 0.002);
-
-    let mut observations: Vec<GapObservation> = Vec::new();
-    for run in runs {
-        observations.extend(gap_observations(&run.history, run.e, run.k, f_star, 2));
-    }
-    let bound = fit_bound_constants(&observations)?;
-
-    let mut crossing_gaps = Vec::new();
-    for run in runs {
-        if let Some(t) = run.history.rounds_to_accuracy(STRINGENT_TARGET) {
-            if let Some(&(_, loss)) = run
-                .history
-                .loss_curve()
-                .iter()
-                .find(|&&(round, _)| round + 1 == t)
-            {
-                crossing_gaps.push(loss - f_star);
-            }
+impl Surface {
+    /// An untrained surface over `exp`.
+    pub fn new(exp: FlExperiment) -> Self {
+        Self {
+            exp,
+            campaigns: BTreeMap::new(),
+            calibration: None,
         }
     }
-    if crossing_gaps.is_empty() {
-        return Err(CoreError::CalibrationFailed {
-            detail: "no calibration run reached the stringent accuracy target".into(),
-        });
+
+    /// The campaign's data and partition.
+    pub fn experiment(&self) -> &FlExperiment {
+        &self.exp
     }
-    let epsilon = crossing_gaps.iter().sum::<f64>() / crossing_gaps.len() as f64;
-    Ok(Calibration {
-        bound,
-        f_star,
-        epsilon,
-    })
+
+    /// The rounds of `(K, E)` trained so far, trained on until `stop` first
+    /// when one is given.
+    fn trained(&mut self, k: usize, e: usize, stop: Option<StopCondition>) -> &[RoundRecord] {
+        let campaign = self.campaigns.entry((k, e)).or_default();
+        if let Some(stop) = stop {
+            let mut engine = self.exp.engine(k, e);
+            if let Some(checkpoint) = campaign.checkpoint.take() {
+                engine.restore(checkpoint);
+            }
+            let more = engine.run_until(stop);
+            campaign.history.extend(more.records().iter().cloned());
+            campaign.checkpoint = Some(engine.checkpoint());
+        }
+        campaign.history.records()
+    }
+
+    /// The first `rounds` rounds of `(K, E)`: what
+    /// [`FlExperiment::run_rounds`] returns.
+    pub fn history(&mut self, k: usize, e: usize, rounds: usize) -> TrainingHistory {
+        let have = self.trained(k, e, None).len();
+        let more = (have < rounds).then(|| StopCondition::rounds(rounds - have));
+        self.trained(k, e, more)[..rounds].iter().cloned().collect()
+    }
+
+    /// `(K, E)` trained until `target` accuracy, capped at `cap` rounds: what
+    /// [`FlExperiment::run_to_accuracy`] returns, the history's
+    /// [`TrainingHistory::missed_target`] included.
+    pub fn rounds_to(
+        &mut self,
+        k: usize,
+        e: usize,
+        target: f64,
+        cap: usize,
+    ) -> (TrainingHistory, Option<usize>) {
+        let crossing = |records: &[RoundRecord]| {
+            records
+                .iter()
+                .take(cap)
+                .position(|r| r.test_eval.is_some_and(|eval| eval.accuracy >= target))
+                .map(|i| i + 1)
+        };
+        let have = self.trained(k, e, None);
+        let more = (have.len() < cap && crossing(have).is_none())
+            .then(|| StopCondition::accuracy(target, cap - have.len()));
+        let records = self.trained(k, e, more);
+        let t = crossing(records);
+        let mut history: TrainingHistory = records[..t.unwrap_or(cap)].iter().cloned().collect();
+        if t.is_none() {
+            history.record_missed_target(target);
+        }
+        (history, t)
+    }
+
+    /// The paper campaign's calibration: [`Surface::calibrate`] over
+    /// [`CALIBRATION_COMBOS`], fitted once and read back after that.
+    ///
+    /// # Errors
+    ///
+    /// As [`Surface::calibrate`].
+    pub fn calibration(&mut self) -> Result<Calibration, CoreError> {
+        if let Some(cal) = &self.calibration {
+            return Ok(cal.clone());
+        }
+        let cal = self.calibrate(&CALIBRATION_COMBOS)?;
+        self.calibration = Some(cal.clone());
+        Ok(cal)
+    }
+
+    /// Fits the bound constants and the `ε` translation from fixed-round
+    /// runs of `combos` (`(K, E, rounds)` each).
+    ///
+    /// `F(ω*)`, the reference the loss gaps in Eq. 10 are measured
+    /// against, is estimated by centralized training on the union of all
+    /// client data, less a small slack, and clamped below the smallest
+    /// observed loss so every retained gap is positive. `ε` is the mean gap
+    /// at the rounds where runs first crossed the stringent accuracy target.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CoreError::CalibrationFailed`] from the regression, and
+    /// fails if no run ever crossed the stringent target.
+    pub fn calibrate(
+        &mut self,
+        combos: &[(usize, usize, usize)],
+    ) -> Result<Calibration, CoreError> {
+        let runs: Vec<(usize, usize, TrainingHistory)> = combos
+            .iter()
+            .map(|&(k, e, rounds)| (k, e, self.history(k, e, rounds)))
+            .collect();
+        let min_loss = runs
+            .iter()
+            .flat_map(|(_, _, history)| history.loss_curve())
+            .map(|(_, l)| l)
+            .fold(f64::INFINITY, f64::min);
+        if !min_loss.is_finite() {
+            return Err(CoreError::CalibrationFailed {
+                detail: "no loss observations in calibration runs".into(),
+            });
+        }
+        let union = self.exp.training_union();
+        let mut model = LogisticRegression::zeros(union.dim(), union.num_classes());
+        LocalTrainer::new(SgdConfig::new(0.02, 1.0, None)).train(&mut model, &union, 800, 0);
+        let f_star = (model.loss(&union) - 0.01).min(min_loss - 0.002);
+
+        let mut observations: Vec<GapObservation> = Vec::new();
+        for (k, e, history) in &runs {
+            observations.extend(gap_observations(history, *e, *k, f_star, 2));
+        }
+        let bound = fit_bound_constants(&observations)?;
+
+        let mut crossing_gaps = Vec::new();
+        for (_, _, history) in &runs {
+            if let Some(t) = history.rounds_to_accuracy(STRINGENT_TARGET) {
+                if let Some(&(_, loss)) = history
+                    .loss_curve()
+                    .iter()
+                    .find(|&&(round, _)| round + 1 == t)
+                {
+                    crossing_gaps.push(loss - f_star);
+                }
+            }
+        }
+        if crossing_gaps.is_empty() {
+            return Err(CoreError::CalibrationFailed {
+                detail: "no calibration run reached the stringent accuracy target".into(),
+            });
+        }
+        let epsilon = crossing_gaps.iter().sum::<f64>() / crossing_gaps.len() as f64;
+        Ok(Calibration {
+            bound,
+            f_star,
+            epsilon,
+        })
+    }
 }
 
 /// Prints a banner for a table/figure report.
@@ -158,6 +248,76 @@ pub fn write_bench_report(name: &str, smoke: bool, json: &str) -> std::io::Resul
     std::fs::write(&path, json)?;
     println!("\nwrote {path}");
     Ok(())
+}
+
+/// Every number the paper artifacts print, as `(artifact, key, value)`
+/// rows: the content of `BENCH_repro.json`. A value is written exactly (an
+/// `f64` in Rust's round-trip `{:?}` form), so the regenerated file differs
+/// from the committed one exactly when some printed number moved.
+#[derive(Debug, Default)]
+pub struct Rows {
+    artifact: &'static str,
+    rows: Vec<(&'static str, String, String)>,
+}
+
+/// A number a [`Rows`] row holds, rendered as a JSON value.
+pub trait RowValue: Copy {
+    /// The exact JSON rendering.
+    fn json(&self) -> String;
+}
+
+impl RowValue for f64 {
+    fn json(&self) -> String {
+        if self.is_finite() {
+            format!("{self:?}")
+        } else {
+            format!("\"{self:?}\"")
+        }
+    }
+}
+
+impl RowValue for usize {
+    fn json(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl<T: RowValue> RowValue for Option<T> {
+    fn json(&self) -> String {
+        self.as_ref().map_or_else(|| "null".into(), RowValue::json)
+    }
+}
+
+impl Rows {
+    /// Files the rows that follow under `artifact`.
+    pub fn artifact(&mut self, artifact: &'static str) {
+        self.artifact = artifact;
+    }
+
+    /// Records one printed number and hands it back to be printed.
+    pub fn put<V: RowValue>(&mut self, key: impl fmt::Display, value: V) -> V {
+        let key = key.to_string();
+        debug_assert!(!key.contains(['"', '\\']), "row keys need no escaping");
+        self.rows.push((self.artifact, key, value.json()));
+        value
+    }
+
+    /// The `BENCH_repro.json` document.
+    pub fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|(artifact, key, value)| {
+                format!(
+                    "    {{\"artifact\": \"{artifact}\", \"key\": \"{key}\", \"value\": {value}}}"
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"schema\": \"BENCH_repro.v1\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+            rows.join(",\n")
+        )
+    }
 }
 
 /// Renders a crude ASCII sparkline of `values` scaled into `height` rows —
@@ -225,36 +385,58 @@ mod tests {
     }
 
     #[test]
+    fn surface_reads_equal_fresh_runs() {
+        // Requests in an order that exercises every path: a fresh campaign,
+        // an extension from a checkpoint, a prefix of a longer run, an
+        // early stop and a missed target, each against a from-scratch run.
+        let config = FlExperimentConfig {
+            num_devices: 4,
+            scale: 0.005,
+            test_scale: 0.02,
+            ..FlExperimentConfig::paper_like()
+        };
+        let exp = FlExperiment::prepare(config);
+        let mut surface = Surface::new(exp.clone());
+        assert_eq!(surface.history(2, 3, 4), exp.run_rounds(2, 3, 4));
+        assert_eq!(surface.history(2, 3, 9), exp.run_rounds(2, 3, 9));
+        assert_eq!(surface.history(2, 3, 6), exp.run_rounds(2, 3, 6));
+        // A target the run first reaches at round 5, inside the stored run.
+        let reached = exp.run_rounds(2, 3, 5).accuracy_curve()[4].1;
+        for (target, cap) in [(reached, 30), (reached, 3), (0.999, 12)] {
+            assert_eq!(
+                surface.rounds_to(2, 3, target, cap),
+                exp.run_to_accuracy(2, 3, target, cap),
+                "target {target}, cap {cap}"
+            );
+        }
+        assert_eq!(
+            surface.rounds_to(1, 2, 0.999, 5),
+            exp.run_to_accuracy(1, 2, 0.999, 5)
+        );
+        assert_eq!(surface.history(1, 2, 7), exp.run_rounds(1, 2, 7));
+    }
+
+    #[test]
     fn calibration_pipeline_on_tiny_campaign() {
-        // A miniature end-to-end calibration: small fleet, easy data.
-        let cfg = FlExperimentConfig {
+        // A miniature end-to-end calibration: small fleet, small test set.
+        // Its seeded runs top out at 90.6 % test accuracy, below the
+        // stringent target, so the fit has no `ε` to translate and must say
+        // so, typed, rather than panic or invent one.
+        let mut surface = Surface::new(FlExperiment::prepare(FlExperimentConfig {
             num_devices: 4,
             scale: 0.01,
             test_scale: 0.05,
             ..FlExperimentConfig::paper_like()
-        };
-        let exp = FlExperiment::prepare(cfg);
-        let runs: Vec<CalibrationRun> =
-            [(1usize, 1usize), (2, 5), (4, 10), (1, 10), (2, 1), (4, 1)]
-                .iter()
-                .map(|&(k, e)| {
-                    let (history, _) = exp.run_to_accuracy(k, e, STRINGENT_TARGET, 150);
-                    CalibrationRun { k, e, history }
-                })
-                .collect();
-        let f_star = estimate_loss_floor(&exp);
-        match calibrate(&runs, f_star) {
-            Ok(cal) => {
-                assert!(cal.epsilon > 0.0);
-                assert!(cal.bound.a0() > 0.0);
-                assert!(cal.f_star.is_finite());
+        }));
+        let combos = [(1, 1), (2, 5), (4, 10), (1, 10), (2, 1), (4, 1)].map(|(k, e)| (k, e, 150));
+        let error = surface
+            .calibrate(&combos)
+            .expect_err("no run crosses the stringent target");
+        assert_eq!(
+            error,
+            CoreError::CalibrationFailed {
+                detail: "no calibration run reached the stringent accuracy target".into()
             }
-            // A tiny campaign may legitimately fail to cross the stringent
-            // target; the error must say so rather than panic.
-            Err(CoreError::CalibrationFailed { detail }) => {
-                assert!(!detail.is_empty());
-            }
-            Err(other) => panic!("unexpected error {other}"),
-        }
+        );
     }
 }

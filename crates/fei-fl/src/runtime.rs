@@ -14,7 +14,6 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::Buf;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fei_data::Dataset;
 use fei_ml::{GradScratch, LocalTrainer, LogisticRegression, Model, SgdConfig, TrainStats};
@@ -110,6 +109,16 @@ fn encode_global(round: u32, epochs: u32, params: &[f64], wire: &mut WireScratch
     frame.into()
 }
 
+/// Splits the next `N` bytes off the front of an in-process frame's
+/// payload, for its fixed-width header fields.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (field, rest) = buf
+        .split_first_chunk::<N>()
+        .expect("invariant: in-process frames carry their whole header");
+    *buf = rest;
+    *field
+}
+
 /// Decodes a global-model frame into a reused parameter buffer, allocation-free
 /// once the buffer reaches model size.
 fn decode_global_into(frame: &[u8], params: &mut Vec<f64>, wire: &mut WireScratch) -> (u32, u32) {
@@ -117,7 +126,8 @@ fn decode_global_into(frame: &[u8], params: &mut Vec<f64>, wire: &mut WireScratc
         .expect("invariant: coordinator frames are encoded in-process and cannot be malformed");
     assert_eq!(frame.msg_type, MSG_GLOBAL, "expected a global-model frame");
     let mut buf = &frame.payload[..];
-    let (round, epochs) = (buf.get_u32(), buf.get_u32());
+    let round = u32::from_be_bytes(take(&mut buf));
+    let epochs = u32::from_be_bytes(take(&mut buf));
     let config = wire
         .decode_into(buf, None, params)
         .expect("invariant: coordinator payloads are encoded in-process and cannot be malformed");
@@ -156,10 +166,10 @@ fn decode_update(frame: &[u8], base: &[f64], wire: &mut WireScratch) -> Update<V
     assert_eq!(frame.msg_type, MSG_UPDATE, "expected an update frame");
     let mut buf = &frame.payload[..];
     let mut update = Update {
-        round: buf.get_u32(),
-        client: buf.get_u32() as usize,
-        samples: buf.get_u64() as usize,
-        initial_loss: buf.get_f64_le(),
+        round: u32::from_be_bytes(take(&mut buf)),
+        client: u32::from_be_bytes(take(&mut buf)) as usize,
+        samples: u64::from_be_bytes(take(&mut buf)) as usize,
+        initial_loss: f64::from_le_bytes(take(&mut buf)),
         params: Vec::new(),
     };
     wire.decode_into(buf, Some(base), &mut update.params)

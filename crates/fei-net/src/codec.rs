@@ -27,8 +27,6 @@
 use std::error::Error;
 use std::fmt;
 
-use bytes::Bytes;
-
 /// Frame magic bytes.
 const MAGIC: [u8; 2] = [0xFE, 0x1A];
 /// Fixed overhead: magic + type + length + checksum.
@@ -169,7 +167,7 @@ pub struct Frame {
     /// Caller-defined message type tag.
     pub msg_type: u8,
     /// Payload bytes.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 /// Errors from [`decode_frame`].
@@ -269,10 +267,10 @@ const HEADER_LEN: usize = 2 + 1 + 4;
 /// # Ok(())
 /// # }
 /// ```
-pub fn encode_frame(msg_type: u8, payload: &[u8]) -> Bytes {
+pub fn encode_frame(msg_type: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     encode_frame_into(msg_type, payload, &mut out);
-    Bytes::from(out)
+    out
 }
 
 /// Encodes a frame by appending to a caller-owned buffer — the zero-copy
@@ -385,7 +383,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), CodecError> {
     Ok((
         Frame {
             msg_type: frame.msg_type,
-            payload: Bytes::copy_from_slice(frame.payload),
+            payload: frame.payload.to_vec(),
         },
         consumed,
     ))
@@ -406,7 +404,7 @@ mod tests {
 
     #[test]
     fn round_trip_with_trailing_garbage() {
-        let mut wire = encode_frame(3, b"abc").to_vec();
+        let mut wire = encode_frame(3, b"abc");
         wire.extend_from_slice(b"garbage");
         let (frame, consumed) = decode_frame(&wire).unwrap();
         assert_eq!(&frame.payload[..], b"abc");
@@ -434,14 +432,14 @@ mod tests {
 
     #[test]
     fn bad_magic_detected() {
-        let mut wire = encode_frame(1, b"x").to_vec();
+        let mut wire = encode_frame(1, b"x");
         wire[0] = 0x00;
         assert_eq!(decode_frame(&wire).unwrap_err(), CodecError::BadMagic);
     }
 
     #[test]
     fn corrupted_payload_detected() {
-        let mut wire = encode_frame(1, b"xyz").to_vec();
+        let mut wire = encode_frame(1, b"xyz");
         wire[8] ^= 0xFF;
         assert_eq!(
             decode_frame(&wire).unwrap_err(),
@@ -489,7 +487,7 @@ mod tests {
     fn crc_detects_reordered_payload_bytes() {
         // "ab" and "ba" have equal byte sums — the failure mode that
         // motivated CRC32. Swapping bytes must now fail the checksum.
-        let mut wire = encode_frame(1, b"ab").to_vec();
+        let mut wire = encode_frame(1, b"ab");
         wire.swap(7, 8);
         assert_eq!(
             decode_frame(&wire).unwrap_err(),
@@ -500,13 +498,13 @@ mod tests {
     #[test]
     fn corrupted_type_or_length_detected() {
         // The CRC covers type and length: flipping either must fail.
-        let mut wire = encode_frame(1, b"xyz").to_vec();
+        let mut wire = encode_frame(1, b"xyz");
         wire[2] ^= 0x01; // type byte
         assert_eq!(
             decode_frame(&wire).unwrap_err(),
             CodecError::ChecksumMismatch
         );
-        let mut wire = encode_frame(1, b"xyz").to_vec();
+        let mut wire = encode_frame(1, b"xyz");
         wire[6] -= 1; // length 3 -> 2: CRC input changes, mismatch
         assert_eq!(
             decode_frame(&wire).unwrap_err(),
@@ -527,7 +525,7 @@ mod tests {
         // A peer-supplied length of u32::MAX: `FRAME_OVERHEAD + len` does
         // not fit a 32-bit usize. Either way the answer is the typed "not
         // enough bytes yet" the streaming callers already handle.
-        let mut wire = encode_frame(1, b"abc").to_vec();
+        let mut wire = encode_frame(1, b"abc");
         wire[3..7].copy_from_slice(&u32::MAX.to_be_bytes());
         let needed = usize::try_from(u32::MAX)
             .ok()
@@ -544,7 +542,7 @@ mod tests {
 
     #[test]
     fn declared_length_is_judged_from_the_header_alone() {
-        let mut wire = encode_frame(1, b"abc").to_vec();
+        let mut wire = encode_frame(1, b"abc");
         assert_eq!(check_declared_len(&wire[..HEADER_LEN - 1]), Ok(()));
         let cap = len_u32(MAX_PAYLOAD_LEN);
         for (declared, verdict) in [
@@ -626,7 +624,7 @@ mod proptests {
             byte_sel in any::<u16>(),
             bit in 0usize..8,
         ) {
-            let mut wire = encode_frame(5, &payload).to_vec();
+            let mut wire = encode_frame(5, &payload);
             let idx = 7 + byte_sel as usize % payload.len();
             wire[idx] ^= 1 << bit;
             prop_assert_eq!(decode_frame(&wire).unwrap_err(), CodecError::ChecksumMismatch);

@@ -632,7 +632,7 @@ mod tests {
     fn oversized_declared_length_desyncs_after_the_header() {
         // A peer declaring a 4 GiB payload is dropped once its 7-byte
         // header is in, not buffered while it trickles the body.
-        let mut wire = encode_frame(1, b"abc").to_vec();
+        let mut wire = encode_frame(1, b"abc");
         wire[3..7].copy_from_slice(&u32::MAX.to_be_bytes());
         let mut fb = FrameBuffer::new();
         fb.extend(&wire[..6]);
@@ -648,7 +648,7 @@ mod tests {
 
     #[test]
     fn checksum_corruption_is_typed_desync() {
-        let mut wire = encode_frame(1, b"xyz").to_vec();
+        let mut wire = encode_frame(1, b"xyz");
         wire[8] ^= 0xFF;
         let mut fb = FrameBuffer::new();
         fb.extend(&wire);
@@ -685,10 +685,7 @@ mod tests {
         for (i, frame) in got.iter().enumerate() {
             let i = u8::try_from(i).unwrap();
             assert_eq!(frame.msg_type, i);
-            assert_eq!(
-                frame.bytes,
-                encode_frame(i, &vec![i; usize::from(i) * 37]).to_vec()
-            );
+            assert_eq!(frame.bytes, encode_frame(i, &vec![i; usize::from(i) * 37]));
         }
     }
 
@@ -761,7 +758,7 @@ mod tests {
             }
         }
         assert_eq!(got[0].bytes, big.to_vec());
-        assert_eq!(got[10].bytes, encode_frame(9, &[9; 5]).to_vec());
+        assert_eq!(got[10].bytes, encode_frame(9, &[9; 5]));
         accepted.send(&encode_frame(7, b"back")).unwrap();
         assert_eq!(collect(&mut dialed, 1)[0].msg_type, 7);
 
@@ -791,7 +788,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut conn = FrameStream::connect(listener.local_addr().unwrap()).unwrap();
         let (mut peer, _) = listener.accept().unwrap();
-        let mut wire = encode_frame(1, b"good").to_vec();
+        let mut wire = encode_frame(1, b"good");
         wire.extend_from_slice(&[0u8; 32]);
         peer.write_all(&wire).unwrap();
         assert_eq!(collect(&mut conn, 1)[0].msg_type, 1);
@@ -949,7 +946,7 @@ mod proptests {
             prop_assert_eq!(got.len(), frames.len());
             for (frame, (tag, payload)) in got.iter().zip(&frames) {
                 prop_assert_eq!(frame.msg_type, *tag);
-                prop_assert_eq!(&frame.bytes, &encode_frame(*tag, payload).to_vec());
+                prop_assert_eq!(&frame.bytes, &encode_frame(*tag, payload));
             }
             prop_assert_eq!(fb.pending(), 0);
         }
@@ -962,7 +959,7 @@ mod proptests {
             payload in proptest::collection::vec(any::<u8>(), 0..96),
             keep_frames in 0usize..4,
         ) {
-            let wire = encode_frame(tag, &payload).to_vec();
+            let wire = encode_frame(tag, &payload);
             let mut stream = Vec::new();
             for _ in 0..keep_frames {
                 stream.extend_from_slice(&wire);
@@ -990,7 +987,7 @@ mod proptests {
             flip_at in any::<u16>(),
             flip_bit in 0usize..8,
         ) {
-            let mut wire = encode_frame(tag, &payload).to_vec();
+            let mut wire = encode_frame(tag, &payload);
             let idx = usize::from(flip_at) % wire.len();
             wire[idx] ^= 1 << flip_bit;
             let mut fb = FrameBuffer::new();

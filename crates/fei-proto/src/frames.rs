@@ -383,10 +383,10 @@ mod tests {
     /// replaced — a peer that speaks the container but not the schema.
     fn with_payload_byte(frame: &ControlFrame, last: bool, byte: u8) -> Vec<u8> {
         let (framed, _) = decode_frame(&frame.encode()).expect("own encoding");
-        let mut payload = framed.payload.to_vec();
+        let mut payload = framed.payload;
         let at = if last { payload.len() - 1 } else { 0 };
         payload[at] = byte;
-        encode_frame(framed.msg_type, &payload).to_vec()
+        encode_frame(framed.msg_type, &payload)
     }
 
     #[test]
@@ -422,14 +422,14 @@ mod tests {
     fn unknown_tags_and_truncated_bodies_are_typed() {
         // 0x18 and 0x19 are the retired session-resume pair: never reused.
         for tag in [0x7E, 0x18, 0x19] {
-            let bytes = encode_frame(tag, &[PROTO_VERSION, 0, 0]).to_vec();
+            let bytes = encode_frame(tag, &[PROTO_VERSION, 0, 0]);
             assert_eq!(
                 ControlFrame::decode(&bytes),
                 Err(ProtoError::UnknownFrameType { tag })
             );
         }
         // A heartbeat body cut short (but correctly framed and checksummed).
-        let bytes = encode_frame(TAG_HEARTBEAT, &[PROTO_VERSION, 1, 2, 3]).to_vec();
+        let bytes = encode_frame(TAG_HEARTBEAT, &[PROTO_VERSION, 1, 2, 3]);
         assert!(matches!(
             ControlFrame::decode(&bytes),
             Err(ProtoError::Codec(CodecError::Truncated { .. }))

@@ -680,8 +680,7 @@ mod tests {
         let reframed = fei_net::codec::encode_frame(
             crate::frames::TAG_JOIN_ACK,
             &bytes[payload_start..bytes.len() - 4],
-        )
-        .to_vec();
+        );
         assert_eq!(
             p.handle_frame(&reframed, 2),
             Err(ProtoError::VersionMismatch {

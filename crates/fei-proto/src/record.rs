@@ -195,6 +195,15 @@ pub(crate) fn scan<T>(
 /// the walk cleanly; any other malformation (CRC failure, foreign tag or
 /// version) is an error, because it means acknowledged bytes changed
 /// underneath us. The records before it have been handed over by then.
+///
+/// A record whose length field was damaged to overrun the file also reads
+/// as truncated. What tells it from a torn tail is what follows: a crash
+/// leaves nothing after the record it cut, so if a whole record of this
+/// log's own (one `decode` accepts, CRC included) starts anywhere inside
+/// the supposed tail, the truncation is damage and is refused. Records of
+/// other kinds do not count: a trace event embeds whole control frames,
+/// whose tags no trace record uses, so a crash torn after one is still a
+/// tear.
 pub(crate) fn walk<T>(
     bytes: &[u8],
     decode: impl Fn(&[u8]) -> Result<(T, usize), ProtoError>,
@@ -209,7 +218,12 @@ pub(crate) fn walk<T>(
             }
             // Only the *last* thing in the log can be torn: the decode
             // failed because the bytes ran out.
-            Err(ProtoError::Codec(CodecError::Truncated { .. })) => break,
+            Err(e @ ProtoError::Codec(CodecError::Truncated { .. })) => {
+                if (at + 1..bytes.len()).any(|later| decode(&bytes[later..]).is_ok()) {
+                    return Err(e);
+                }
+                break;
+            }
             Err(e) => return Err(e),
         }
     }
@@ -374,9 +388,12 @@ mod tests {
         let (survivors, torn) = scan(&bytes[..bytes.len() - 3], TraceEvent::decode).expect("torn");
         assert_eq!(survivors, events()[..2]);
         assert_eq!(torn, last - 3);
-        // Mid-log corruption is fatal.
-        let mut corrupt = bytes;
-        corrupt[2] ^= 0xFF;
-        assert!(scan(&corrupt, TraceEvent::decode).is_err());
+        // Mid-log corruption is fatal: a flipped tag, and a length field
+        // flipped to overrun the file with whole records still after it.
+        for at in [2, 3] {
+            let mut corrupt = bytes.clone();
+            corrupt[at] ^= 0xFF;
+            assert!(scan(&corrupt, TraceEvent::decode).is_err(), "flip at {at}");
+        }
     }
 }

@@ -559,31 +559,82 @@ mod tests {
         // through the history when it meets a byte flipped inside the
         // record that spans the middle of a finished campaign's trace. That
         // is damage, not a torn tail: boot refuses, typed, and cuts
-        // nothing, writes nothing and sends nothing.
-        let rig = Rig::new(2, 3);
-        assert!(campaign(&rig).is_none());
-        let trace = rig.trace.bytes();
-        let mut end = 0;
-        for event in events_of(&trace) {
-            end += event.encoded_len();
-            if end > trace.len() / 2 {
-                break;
+        // nothing, writes nothing and sends nothing. The flipped byte is
+        // the record's last body byte (its CRC fails), or the high byte of
+        // its length field: the record then claims more bytes than the file
+        // holds and reads as truncated, but whole records follow it.
+        let last_body_byte = |_start: usize, end: usize| end - 5;
+        let length_high_byte = |start: usize, _end: usize| start + 3;
+        for flip_at in [last_body_byte, length_high_byte] {
+            let rig = Rig::new(2, 3);
+            assert!(campaign(&rig).is_none());
+            let trace = rig.trace.bytes();
+            let (mut start, mut end) = (0, 0);
+            for event in events_of(&trace) {
+                (start, end) = (end, end + event.encoded_len());
+                if end > trace.len() / 2 {
+                    break;
+                }
             }
+            rig.trace.flip(flip_at(start, end));
+            let (damaged, journal) = (rig.trace.bytes(), rig.journal.bytes());
+            rig.net.hang_up();
+            rig.net.take_sent(DOWN);
+            let error = rig.boot().expect_err("a corrupt trace is refused");
+            assert!(matches!(error, NodeError::Proto(_)), "{error:?}");
+            assert_eq!(
+                rig.trace.bytes(),
+                damaged,
+                "the trace keeps its full length"
+            );
+            assert_eq!(rig.journal.bytes(), journal);
+            assert!(rig.net.take_sent(DOWN).is_empty(), "nothing left the node");
         }
-        // The record's last body byte, just ahead of its 4-byte CRC.
-        rig.trace.flip(end - 5);
-        let (damaged, journal) = (rig.trace.bytes(), rig.journal.bytes());
+    }
+
+    #[test]
+    fn a_trace_torn_inside_a_trailing_deliver_cuts_only_that_record() {
+        // A traced `Deliver` embeds the whole control frame it delivered.
+        // A crash that tears the event after that frame, in its CRC, leaves
+        // a complete, CRC-valid frame inside the torn tail; it is not one
+        // of the trace's own records, so the tail is still a tear and boot
+        // cuts that one event and nothing before it.
+        let rig = Rig::new(2, 3);
+        let mut coordinator = rig.boot().expect("boot");
+        let (mut a, mut b) = (rig.participant(1), rig.participant(2));
+        for _ in 0..8 {
+            rig.tick(&mut coordinator, &mut [&mut a, &mut b])
+                .0
+                .expect("fault-free disk");
+        }
+        drop(coordinator);
         rig.net.hang_up();
-        rig.net.take_sent(DOWN);
-        let error = rig.boot().expect_err("a corrupt trace is refused");
-        assert!(matches!(error, NodeError::Proto(_)), "{error:?}");
+        let trace = rig.trace.bytes();
+        let (mut at, mut deliver) = (0, None);
+        for event in events_of(&trace) {
+            if matches!(event, TraceEvent::Deliver { .. }) {
+                deliver = Some((at, at + event.encoded_len()));
+            }
+            at += event.encoded_len();
+        }
+        let (start, end) = deliver.expect("the campaign delivered frames");
+        let torn = &trace[..end - 4];
+        let (kept, torn_len) = scan(torn, TraceEvent::decode).expect("a tear, not damage");
+        assert_eq!(torn_len, end - 4 - start, "only the torn event is cut");
+        rig.trace
+            .clone()
+            .truncate(torn.len())
+            .expect("simulated file");
+        rig.journal.crash(0);
+        let coordinator = rig.boot().expect("boot over a torn trace");
+        drop(coordinator);
+        let rebooted = rig.trace.bytes();
         assert_eq!(
-            rig.trace.bytes(),
-            damaged,
-            "the trace keeps its full length"
+            rebooted[..start],
+            trace[..start],
+            "nothing before it is cut"
         );
-        assert_eq!(rig.journal.bytes(), journal);
-        assert!(rig.net.take_sent(DOWN).is_empty(), "nothing left the node");
+        assert_eq!(events_of(&rebooted[..start]), kept);
     }
 
     #[test]

@@ -121,3 +121,39 @@ fn table1_shape_holds_on_the_simulated_pi() {
         assert!((1.7..2.3).contains(&ratio), "E-scaling ratio {ratio}");
     }
 }
+
+#[test]
+fn shorter_runs_are_prefixes_of_longer_ones() {
+    // The paper artifacts read every run off one campaign surface that
+    // trains each (K, E) once: a shorter request is a prefix of the stored
+    // run, a longer one resumes it from a checkpoint. Both are exact only
+    // while a run's random streams depend on (K, E) alone, never on its
+    // round cap or accuracy target.
+    let exp = experiment();
+    for (k, e, cap) in [(1, 1, 40), (3, 4, 12), (6, 8, 5)] {
+        let long = exp.run_rounds(k, e, 2 * cap);
+        let prefix = |rounds: usize| &long.records()[..rounds];
+
+        let (capped, t) = exp.run_to_accuracy(k, e, 0.999, cap);
+        assert_eq!((t, capped.missed_target()), (None, Some(0.999)));
+        assert_eq!(capped.records(), prefix(cap), "K={k} E={e}: capped");
+
+        // A target the long run first reaches by half the cap.
+        let target = long.accuracy_curve()[cap / 2].1;
+        let (stopped, t) = exp.run_to_accuracy(k, e, target, 2 * cap);
+        let t = t.expect("the long run reaches it");
+        assert_eq!(Some(t), long.rounds_to_accuracy(target));
+        assert_eq!(stopped.records(), prefix(t), "K={k} E={e}: early stop");
+
+        let mut first = exp.engine(k, e);
+        let head = first.run_until(StopCondition::rounds(cap));
+        let mut resumed = exp.engine(k, e);
+        resumed.restore(first.checkpoint());
+        let tail = resumed.run_until(StopCondition::rounds(cap));
+        assert_eq!(
+            [head.records(), tail.records()].concat(),
+            long.records(),
+            "K={k} E={e}: resumed from a checkpoint"
+        );
+    }
+}
