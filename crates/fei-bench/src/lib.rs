@@ -21,7 +21,7 @@ use fei_testbed::{FlExperiment, STRINGENT_TARGET};
 
 /// A completed calibration: bound constants plus the accuracy-target
 /// translation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Fitted convergence-bound constants.
     pub bound: ConvergenceBound,
@@ -357,6 +357,7 @@ pub fn fmt_joules(j: f64) -> String {
 
 #[cfg(test)]
 mod tests {
+    use fei_data::SyntheticMnistConfig;
     use fei_testbed::FlExperimentConfig;
 
     use super::*;
@@ -437,6 +438,39 @@ mod tests {
             CoreError::CalibrationFailed {
                 detail: "no calibration run reached the stringent accuracy target".into()
             }
+        );
+    }
+
+    #[test]
+    fn calibration_succeeds_on_a_tiny_campaign() {
+        // The same miniature with 2 % label noise instead of 8 %: the data
+        // no longer caps accuracy at the stringent target, so the E = 10 and
+        // E = 5 runs cross it (at rounds 16, 17 and 30) and the fit goes
+        // through, `ε` translation included.
+        let paper_like = FlExperimentConfig::paper_like();
+        let mut surface = Surface::new(FlExperiment::prepare(FlExperimentConfig {
+            num_devices: 4,
+            scale: 0.01,
+            test_scale: 0.05,
+            data: SyntheticMnistConfig {
+                label_flip_prob: 0.02,
+                ..paper_like.data.clone()
+            },
+            ..paper_like
+        }));
+        let combos = [(1, 1), (2, 5), (4, 10), (1, 10), (2, 1), (4, 1)].map(|(k, e)| (k, e, 40));
+        assert_eq!(
+            surface.calibrate(&combos),
+            Ok(Calibration {
+                bound: ConvergenceBound::new(
+                    9.06751408753524,
+                    1.5425904907010168,
+                    0.026365816577414825
+                )
+                .expect("a valid bound"),
+                f_star: 0.1361742781954431,
+                epsilon: 1.2601357324374651,
+            })
         );
     }
 }

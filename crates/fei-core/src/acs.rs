@@ -8,13 +8,11 @@
 //! *integer* objective (whole rounds `T = ⌈T*⌉`) on the neighbourhood of the
 //! continuous solution.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::objective::EnergyObjective;
 
 /// One continuous ACS iterate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcsIterate {
     /// `K` after this iteration.
     pub k: f64,
@@ -26,7 +24,7 @@ pub struct AcsIterate {
 
 /// The result of an ACS run: integer operating point plus the continuous
 /// trajectory that produced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcsSolution {
     /// Optimal number of participating servers per round.
     pub k: usize,
@@ -47,7 +45,7 @@ pub struct AcsSolution {
 }
 
 /// The ACS driver (Algorithm 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcsOptimizer {
     /// Target residual `ξ`: stop when successive objective values differ by
     /// less than this.

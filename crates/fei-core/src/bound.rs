@@ -16,12 +16,10 @@
 //! T*(K, E) = A0·K / ((ε·K − A1 − A2·K·(E − 1)) · E)       (Eq. 11)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{require_non_negative, require_positive, CoreError};
 
 /// The convergence bound constants `(A₀, A₁, A₂)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceBound {
     a0: f64,
     a1: f64,

@@ -14,14 +14,13 @@
 
 use fei_math::linalg::LeastSquares;
 use fei_math::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::bound::ConvergenceBound;
 use crate::energy::ComputationModel;
 use crate::error::CoreError;
 
 /// One row of a Table-I-style timing measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingRow {
     /// Local epochs `E`.
     pub epochs: usize,
@@ -32,7 +31,7 @@ pub struct TimingRow {
 }
 
 /// The fitted timing law `time = a·E·n + b·E`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingFit {
     /// Seconds per sample per epoch (`a`).
     pub seconds_per_sample_epoch: f64,
@@ -97,7 +96,7 @@ pub fn fit_timing_model(rows: &[TimingRow]) -> Result<TimingFit, CoreError> {
 }
 
 /// One loss-gap observation from a training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GapObservation {
     /// Global rounds completed when the gap was measured.
     pub rounds: usize,

@@ -4,13 +4,11 @@
 //! linear in the knobs — with the coefficients either taken from the paper's
 //! fits or recalibrated from testbed traces via [`crate::calibration`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{require_non_negative, CoreError};
 
 /// Data-collection energy: `e_I(n_k) = ρ·n_k` (Eq. 4), the IoT network's cost
 /// of uploading `n_k` samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataCollectionModel {
     /// Energy per uploaded sample, joules (`ρ_k`).
     rho: f64,
@@ -47,7 +45,7 @@ impl DataCollectionModel {
 }
 
 /// Local-training energy: `e_P(E, n_k) = c₀·E·n_k + c₁·E` (Eq. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputationModel {
     /// Energy per sample per epoch, joules (`c₀`).
     c0: f64,
@@ -106,7 +104,7 @@ impl ComputationModel {
 }
 
 /// Model-upload energy: a constant `e_U` per selected server per round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UploadModel {
     /// Joules per model upload (`e_U`).
     e_u: f64,
@@ -158,7 +156,7 @@ impl UploadModel {
 
 /// The composed per-round, per-server energy model with a fixed local
 /// dataset size `n_k` — everything problem (6a) needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundEnergyModel {
     data: DataCollectionModel,
     compute: ComputationModel,

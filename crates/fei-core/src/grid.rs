@@ -4,13 +4,11 @@
 //! Exact by construction, but `Θ(N · E)` evaluations versus ACS's handful of
 //! closed-form steps; the `acs` Criterion bench quantifies the gap.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CoreError;
 use crate::objective::EnergyObjective;
 
 /// Result of a grid scan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSolution {
     /// Optimal `K`.
     pub k: usize,
@@ -25,7 +23,7 @@ pub struct GridSolution {
 }
 
 /// Exhaustive search over the integer domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridSearch {
     /// Upper bound on `E` to scan (the feasible region may end earlier).
     pub e_cap: usize,

@@ -7,10 +7,8 @@
 //! [`EnergyLedger`] makes that split explicit so fault campaigns can report
 //! *useful* energy-to-accuracy next to raw totals.
 
-use serde::{Deserialize, Serialize};
-
 /// What a charged joule bought.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnergyUse {
     /// Spend from a committed round — it moved the global model.
     Useful,
@@ -30,7 +28,7 @@ pub enum EnergyUse {
 }
 
 /// One charge against the ledger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
     /// Global round the charge belongs to.
     pub round: usize,
@@ -43,14 +41,13 @@ pub struct LedgerEntry {
 }
 
 /// An append-only account of where a campaign's energy went.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EnergyLedger {
     entries: Vec<LedgerEntry>,
     useful_j: f64,
     wasted_j: f64,
     retransmit_j: f64,
     poisoned_j: f64,
-    #[serde(default)]
     control_j: f64,
 }
 

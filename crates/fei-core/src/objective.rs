@@ -26,14 +26,12 @@
 //! [`EnergyObjective::e_star_paper`] for comparison, and verify the exact
 //! form against numeric golden-section search in the tests.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bound::ConvergenceBound;
 use crate::error::{require_non_negative, require_positive, CoreError};
 
 /// The energy objective of problem (13a): minimize `ê(K, E)` subject to
 /// `1 ≤ K ≤ N` and feasibility (13c).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyObjective {
     bound: ConvergenceBound,
     b0: f64,

@@ -5,8 +5,6 @@
 //! operating point next to the paper's `K = 1, E = 1` baseline — the
 //! comparison behind the 49.8 % headline.
 
-use serde::{Deserialize, Serialize};
-
 use crate::acs::{AcsOptimizer, AcsSolution};
 use crate::bound::ConvergenceBound;
 use crate::energy::RoundEnergyModel;
@@ -14,7 +12,7 @@ use crate::error::CoreError;
 use crate::objective::EnergyObjective;
 
 /// An optimized EE-FEI operating point with its baseline comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EeFeiPlan {
     /// The ACS solution (optimal `K`, `E`, `T`, energy).
     pub solution: AcsSolution,
@@ -28,7 +26,7 @@ pub struct EeFeiPlan {
 }
 
 /// Composes energy model + bound + target into a solvable plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EeFeiPlanner {
     energy: RoundEnergyModel,
     bound: ConvergenceBound,

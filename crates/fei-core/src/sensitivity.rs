@@ -8,8 +8,6 @@
 //! The `sensitivity` bench binary prints these tables; the tests pin the
 //! directions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::acs::AcsOptimizer;
 use crate::bound::ConvergenceBound;
 use crate::energy::RoundEnergyModel;
@@ -17,7 +15,7 @@ use crate::error::CoreError;
 use crate::objective::EnergyObjective;
 
 /// One sweep point: a parameter value and the re-optimized plan at it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensitivityPoint {
     /// The swept parameter's value at this point.
     pub value: f64,
@@ -35,7 +33,7 @@ pub struct SensitivityPoint {
 }
 
 /// A parameter sweep result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityReport {
     /// Human-readable name of the swept parameter.
     pub parameter: String,
@@ -44,7 +42,7 @@ pub struct SensitivityReport {
 }
 
 /// The base system a sweep perturbs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensitivityBase {
     /// Per-round energy model.
     pub energy: RoundEnergyModel,

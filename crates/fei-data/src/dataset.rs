@@ -1,7 +1,5 @@
 //! A dense labelled classification dataset.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense dataset: `len` samples of dimension `dim`, each with a class label
 /// in `0..num_classes`.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ds.sample(1), &[1.0, 0.0]);
 /// assert_eq!(ds.label(1), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     dim: usize,
     num_classes: usize,

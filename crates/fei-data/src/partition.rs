@@ -7,12 +7,11 @@
 //! `(K, E)` can be explored beyond the paper.
 
 use fei_sim::DetRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 
 /// An assignment of dataset indices to clients.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     assignments: Vec<Vec<usize>>,
 }

@@ -7,8 +7,6 @@
 //! simulated network. NB-IoT's published per-byte transmit energy
 //! (7.74 mW·s/byte, quoted in the paper) is the default.
 
-use serde::{Deserialize, Serialize};
-
 /// NB-IoT uplink energy per byte, in joules (7.74 mW·s per byte; §IV-A).
 pub const NB_IOT_JOULES_PER_BYTE: f64 = 7.74e-3;
 
@@ -25,7 +23,7 @@ pub(crate) const DEFAULT_SAMPLE_BYTES: usize = 28 * 28 + 1;
 /// let stream = IotStream::new(3_000, 785, 10);
 /// assert_eq!(stream.total_bytes(), 3_000 * 785);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IotStream {
     samples_per_round: usize,
     bytes_per_sample: usize,

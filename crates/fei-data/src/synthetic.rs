@@ -18,7 +18,6 @@
 //! ceiling and smoothness is what preserves downstream behaviour.
 
 use fei_sim::DetRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 
@@ -30,7 +29,7 @@ pub(crate) const IMAGE_DIM: usize = IMAGE_SIDE * IMAGE_SIDE;
 pub(crate) const NUM_CLASSES: usize = 10;
 
 /// Configuration for [`SyntheticMnist`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticMnistConfig {
     /// Per-pixel Gaussian noise standard deviation added to the prototype.
     pub pixel_noise_std: f64,

@@ -23,7 +23,6 @@ use std::collections::BTreeSet;
 
 use fei_data::Dataset;
 use fei_sim::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// Deterministic label-flip transform: every label `y` becomes `C−1−y`
 /// over a copy of `data`. Both engines derive a compromised device's
@@ -41,7 +40,7 @@ pub(crate) fn flip_dataset_labels(data: &Dataset) -> Dataset {
 const SALT_NOISE: u64 = 0xBAD_5EED;
 
 /// What a compromised device does each round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackBehavior {
     /// Upload the local progress reflected through the global model.
     SignFlip,
@@ -60,7 +59,7 @@ pub enum AttackBehavior {
 }
 
 /// Configuration of the adversarial cohort.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversarySpec {
     /// Fraction of the fleet that is compromised, in `[0, 1)`. The
     /// malicious device count is `⌊fraction · N⌋`.
@@ -107,7 +106,7 @@ impl AdversarySpec {
 ///
 /// Construct once per campaign; query per `(device, round)`. Identical
 /// `(spec, n)` yield identical cohorts and attacks on every engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adversary {
     spec: AdversarySpec,
     malicious: BTreeSet<usize>,

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How uploaded local models are combined into the next global model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AggregationRule {
     /// Unweighted mean `ω ← (1/|𝒦_t|) Σ ω_k` — the paper's Eq. 2, exact for
     /// its uniform 3 000-samples-per-server split.

@@ -20,10 +20,9 @@ use fei_data::Dataset;
 use fei_ml::{Evaluation, LocalTrainer, LogisticRegression, Model, SgdConfig};
 use fei_proto::{DeviceReport, LivenessTracker, RoundMachine, RoundPolicy};
 use fei_sim::{SimDuration, SimTime, Simulation};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an asynchronous run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsyncConfig {
     /// Local SGD epochs per job (`E`).
     pub local_epochs: usize,
@@ -56,7 +55,7 @@ impl AsyncConfig {
 }
 
 /// One applied asynchronous update.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsyncUpdateRecord {
     /// 0-based index of the merge.
     pub update: usize,
@@ -73,7 +72,7 @@ pub struct AsyncUpdateRecord {
 }
 
 /// History of an asynchronous run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AsyncHistory {
     records: Vec<AsyncUpdateRecord>,
 }

@@ -13,7 +13,6 @@
 //! its seed.
 
 use fei_sim::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// Stream salts keeping the per-(device, round) draws decorrelated.
 const SALT_CRASH: u64 = 0xC4A5;
@@ -23,7 +22,7 @@ const SALT_CORRUPT: u64 = 0xC0_44BF;
 const SALT_JITTER: u64 = 0x71_77E4;
 
 /// Probabilities and shape of the injected fault mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Per-(device, round) probability that the device crashes at the start
     /// of that round.
@@ -89,7 +88,7 @@ impl FaultSpec {
 }
 
 /// Bounded retry with exponential backoff and deterministic jitter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum upload attempts per round (first try included). Must be at
     /// least 1.
@@ -149,7 +148,7 @@ impl RetryPolicy {
 }
 
 /// How one device's upload went this round, under the retry policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct UploadOutcome {
     /// Attempts made (1 = clean first try).
     pub attempts: usize,
@@ -167,7 +166,7 @@ pub(crate) struct UploadOutcome {
 ///
 /// Construct once per campaign; query per `(device, round)`. Identical
 /// seeds yield identical schedules on every engine and every run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultInjector {
     spec: FaultSpec,
 }

@@ -7,8 +7,6 @@ use fei_data::Dataset;
 use fei_ml::{Evaluation, GradScratch, LogisticRegression, Model, SgdConfig, TrainStats};
 use fei_net::wire::WireConfig;
 use fei_proto::{control_round_bytes, DeviceReport, RoundMachine, RoundPolicy};
-use fei_sim::DetRng;
-use serde::{Deserialize, Serialize};
 
 use crate::adversary::{Adversary, AdversarySpec};
 use crate::aggregate::{try_aggregate, AggregationRule};
@@ -22,7 +20,7 @@ use crate::runtime::TransportStats;
 use crate::selection::{ClientSelector, SelectionStrategy};
 
 /// Configuration of a FedAvg run — the knobs of the paper's §III-A loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FedAvgConfig {
     /// `K`: edge servers selected per global round.
     pub clients_per_round: usize,
@@ -36,10 +34,6 @@ pub struct FedAvgConfig {
     pub aggregation: AggregationRule,
     /// Evaluate the global model every this many rounds (1 = every round).
     pub eval_every: usize,
-    /// Probability that a selected server fails to deliver its update this
-    /// round (crash, radio loss). The coordinator aggregates the survivors;
-    /// a round in which everyone drops leaves the global model unchanged.
-    pub dropout_prob: f64,
     /// Coordinator-side tolerance knobs: over-selection, quorum, deadline,
     /// and upload retry policy.
     pub tolerance: ToleranceConfig,
@@ -53,14 +47,13 @@ pub struct FedAvgConfig {
     /// tiers shrink uplink bytes (and upload energy) at a bounded accuracy
     /// cost. The downlink broadcast is always lossless `F64`, so every
     /// device holds the bit-exact delta base.
-    #[serde(default)]
     pub transport: WireConfig,
-    /// Seed for selection and dropout randomness.
+    /// Seed for selection randomness.
     pub seed: u64,
 }
 
 /// Coordinator-side fault-tolerance settings for each global round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ToleranceConfig {
     /// Over-selection margin `m`: the coordinator selects `K + m` servers
     /// and aggregates the first `K` arrivals, hedging against dropouts.
@@ -99,7 +92,7 @@ impl ToleranceConfig {
 }
 
 /// How a round concluded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundOutcome {
     /// Every selected server's update was aggregated.
     Full,
@@ -129,7 +122,7 @@ impl RoundOutcome {
 }
 
 /// Per-round fault bookkeeping (all zero on a clean round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundFaultStats {
     /// Selected servers that were down (crashed, not yet restarted).
     pub crashed: usize,
@@ -170,7 +163,6 @@ impl Default for FedAvgConfig {
             selection: SelectionStrategy::UniformRandom,
             aggregation: AggregationRule::Uniform,
             eval_every: 1,
-            dropout_prob: 0.0,
             tolerance: ToleranceConfig::default(),
             defense: None,
             transport: WireConfig::default(),
@@ -180,7 +172,7 @@ impl Default for FedAvgConfig {
 }
 
 /// When a `FedAvg::run_until` loop stops.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StopCondition {
     /// Hard cap on global rounds.
     pub max_rounds: usize,
@@ -208,14 +200,14 @@ impl StopCondition {
 }
 
 /// What happened in one global round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
     /// 0-based round index `t`.
     pub round: usize,
     /// Selected edge servers `𝒦_t`, ascending.
     pub selected: Vec<usize>,
     /// The subset of `selected` that actually delivered an update (equal to
-    /// `selected` unless dropout is enabled), ascending.
+    /// `selected` unless a fault injector dropped someone), ascending.
     pub responded: Vec<usize>,
     /// Per-responding-server local training statistics, in `responded`
     /// order.
@@ -236,7 +228,7 @@ pub struct RoundRecord {
 /// and over *where* local training runs (the sealed [`Executor`]).
 ///
 /// Everything a round decides lives here exactly once — constructor
-/// validation, selection, dropout and fault planning, poisoning, retransmit
+/// validation, selection and fault planning, poisoning, retransmit
 /// billing, screening, quorum, control bytes, aggregation, the record,
 /// checkpoints. The executor only trains the planned clients and carries
 /// their updates back, so both public engines, [`FedAvg`] and
@@ -248,7 +240,6 @@ pub struct RoundDriver<M: Model, X: Executor> {
     test: Dataset,
     global: M,
     selector: ClientSelector,
-    dropout_rng: DetRng,
     injector: Option<FaultInjector>,
     adversary: Option<Adversary>,
     /// Transport totals, summed from the frame bytes the executor reports.
@@ -323,10 +314,6 @@ impl<M: Model, X: Executor> RoundDriver<M, X> {
         assert!(config.local_epochs > 0, "E must be at least 1");
         assert!(config.eval_every > 0, "eval_every must be at least 1");
         config.sgd.validate();
-        assert!(
-            (0.0..1.0).contains(&config.dropout_prob),
-            "dropout probability must be in [0, 1)"
-        );
         if let Some(defense) = &config.defense {
             defense.screen.validate();
         }
@@ -335,7 +322,6 @@ impl<M: Model, X: Executor> RoundDriver<M, X> {
         let exec = X::start(&config, &clients, &global);
         Self {
             selector: ClientSelector::new(config.selection, clients.len(), config.seed),
-            dropout_rng: DetRng::new(config.seed).fork(0xD80),
             config,
             clients,
             test,
@@ -355,16 +341,7 @@ impl<M: Model, X: Executor> RoundDriver<M, X> {
     /// [`FedAvgConfig::tolerance`]. Fault decisions are made
     /// coordinator-side from a pure schedule, so every executor sees the
     /// same faults under the same seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `dropout_prob` is also set — the injector subsumes it,
-    /// and mixing the two RNG streams would break reproducibility.
     pub fn with_faults(mut self, injector: FaultInjector) -> Self {
-        assert_eq!(
-            self.config.dropout_prob, 0.0,
-            "use either dropout_prob or a fault injector, not both"
-        );
         self.injector = Some(injector);
         self
     }
@@ -457,9 +434,9 @@ impl<M: Model, X: Executor> RoundDriver<M, X> {
 
     /// Executes one global round (§III-A steps 2–4) and returns its record.
     ///
-    /// With dropout enabled, each selected server independently fails to
-    /// respond with the configured probability; the coordinator aggregates
-    /// whoever answered. A fully dropped round leaves the model unchanged.
+    /// Under a fault injector ([`RoundDriver::with_faults`]) a selected
+    /// server may fail to respond; the coordinator aggregates whoever
+    /// answered. A fully dropped round leaves the model unchanged.
     ///
     /// # Panics
     ///
@@ -518,14 +495,7 @@ impl<M: Model, X: Executor> RoundDriver<M, X> {
         let mut faults = RoundFaultStats::default();
         let Some(injector) = self.injector.as_ref().filter(|i| i.is_enabled()) else {
             let selected = self.selector.select(t, self.config.clients_per_round);
-            let dropout = self.config.dropout_prob;
-            let planned = selected
-                .iter()
-                .copied()
-                // fei-lint: allow(float-eq, reason = "configuration sentinel: exactly-zero dropout must not consume RNG draws, or seeds diverge")
-                .filter(|_| dropout == 0.0 || self.dropout_rng.next_f64() >= dropout)
-                .collect();
-            return Ok((selected, planned, faults));
+            return Ok((selected.clone(), selected, faults));
         };
         let tol = &self.config.tolerance;
         let n = self.clients.len();
@@ -671,7 +641,6 @@ impl<M: Model, X: Executor> RoundDriver<M, X> {
             round: self.round,
             global: self.global.clone(),
             selector: self.selector.clone(),
-            dropout_rng: self.dropout_rng.clone(),
             transport: self.transport,
             clients_per_round: self.config.clients_per_round,
             local_epochs: self.config.local_epochs,
@@ -711,7 +680,6 @@ impl<M: Model, X: Executor> RoundDriver<M, X> {
         self.round = checkpoint.round;
         self.global = checkpoint.global;
         self.selector = checkpoint.selector;
-        self.dropout_rng = checkpoint.dropout_rng;
         self.transport = checkpoint.transport;
         self.config.clients_per_round = checkpoint.clients_per_round;
         self.config.local_epochs = checkpoint.local_epochs;
@@ -782,7 +750,28 @@ pub(crate) mod tests {
     use fei_sim::DetRng;
 
     use super::*;
+    use crate::fault::FaultSpec;
     use crate::runtime::Framed;
+
+    /// Uploads lost with probability `p`; under [`no_retry`] a lost upload is
+    /// a dropout, so each selected server drops out independently.
+    fn lossy_uploads(p: f64) -> FaultInjector {
+        FaultInjector::new(FaultSpec {
+            upload_loss_prob: p,
+            ..Default::default()
+        })
+    }
+
+    /// One upload attempt per round: nothing lost is ever resent.
+    fn no_retry() -> ToleranceConfig {
+        ToleranceConfig {
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
 
     pub(crate) fn setup(n_clients: usize, samples: usize) -> (Vec<Dataset>, Dataset) {
         let gen = SyntheticMnist::new(SyntheticMnistConfig {
@@ -938,10 +927,10 @@ pub(crate) mod tests {
         let config = FedAvgConfig {
             clients_per_round: 6,
             local_epochs: 1,
-            dropout_prob: 0.4,
+            tolerance: no_retry(),
             ..Default::default()
         };
-        let mut fed = FedAvg::new(config, clients, test);
+        let mut fed = FedAvg::new(config, clients, test).with_faults(lossy_uploads(0.4));
         let mut dropped_any = false;
         let initial_loss = fed.global_train_loss();
         for _ in 0..10 {
@@ -955,25 +944,6 @@ pub(crate) mod tests {
             fed.global_train_loss() < initial_loss,
             "training still progresses"
         );
-    }
-
-    #[test]
-    fn zero_dropout_is_the_default_and_identical() {
-        let (clients, test) = setup(4, 80);
-        let base = FedAvgConfig {
-            clients_per_round: 2,
-            local_epochs: 1,
-            ..Default::default()
-        };
-        let explicit = FedAvgConfig {
-            dropout_prob: 0.0,
-            ..base.clone()
-        };
-        let mut a = FedAvg::new(base, clients.clone(), test.clone());
-        let mut b = FedAvg::new(explicit, clients, test);
-        for _ in 0..3 {
-            assert_eq!(a.run_round(), b.run_round());
-        }
     }
 
     #[test]
@@ -1111,11 +1081,15 @@ pub(crate) mod tests {
         let config = FedAvgConfig {
             clients_per_round: 3,
             local_epochs: 2,
-            dropout_prob: 0.3,
+            tolerance: no_retry(),
             ..Default::default()
         };
-        let mut straight = FedAvg::new(config.clone(), clients.clone(), test.clone());
-        let mut crashed = FedAvg::new(config.clone(), clients.clone(), test.clone());
+        let engine = || {
+            FedAvg::new(config.clone(), clients.clone(), test.clone())
+                .with_faults(lossy_uploads(0.3))
+        };
+        let mut straight = engine();
+        let mut crashed = engine();
         for _ in 0..3 {
             straight.run_round();
             crashed.run_round();
@@ -1124,7 +1098,7 @@ pub(crate) mod tests {
         // and rebuilds from construction inputs.
         let ckpt = crashed.checkpoint();
         assert_eq!(ckpt.round(), 3);
-        let mut rebuilt = FedAvg::new(config, clients, test);
+        let mut rebuilt = engine();
         rebuilt.restore(ckpt);
         for _ in 0..3 {
             assert_eq!(straight.run_round(), rebuilt.run_round());
@@ -1173,10 +1147,11 @@ pub(crate) mod tests {
             let config = FedAvgConfig {
                 clients_per_round: 1,
                 local_epochs: 1,
-                dropout_prob: 0.999_999,
+                tolerance: no_retry(),
                 ..Default::default()
             };
-            let mut fed = RoundDriver::<_, X>::new(config, clients, test);
+            let mut fed =
+                RoundDriver::<_, X>::new(config, clients, test).with_faults(lossy_uploads(0.999_999));
             let before = fed.global_model().clone();
             let rec = fed.run_round();
             assert!(rec.responded.is_empty());
@@ -1217,16 +1192,6 @@ pub(crate) mod tests {
             };
             let mut fed = RoundDriver::<_, X>::new(shrunk, small_clients, small_test);
             fed.restore(ckpt);
-        }
-
-        #[should_panic(expected = "dropout probability")]
-        fn rejects_certain_dropout<X>() {
-            let (clients, test) = setup(2, 40);
-            let config = FedAvgConfig {
-                dropout_prob: 1.0,
-                ..Default::default()
-            };
-            let _ = RoundDriver::<_, X>::new(config, clients, test);
         }
 
         #[should_panic(expected = "exceeds N")]

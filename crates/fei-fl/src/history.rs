@@ -1,11 +1,9 @@
 //! Training histories: the raw material of Fig. 4's convergence curves.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fedavg::RoundRecord;
 
 /// An ordered collection of [`RoundRecord`]s from one FedAvg run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainingHistory {
     records: Vec<RoundRecord>,
     /// Accuracy target the run was asked to reach but did not before its

@@ -18,8 +18,9 @@
 //! * [`runtime::ThreadedFedAvg`] — the [`runtime::Framed`] executor: a pool
 //!   of worker threads sized to the cores serves every edge server, with
 //!   model parameters serialized into byte frames (via `fei-net`) and moved
-//!   over crossbeam channels, exercising the communication code path a real
-//!   deployment would use, including surviving a server whose job panics.
+//!   over `std::sync::mpsc` channels, exercising the communication code
+//!   path a real deployment would use, including surviving a server whose
+//!   job panics.
 //!
 //! A barrier-free engine — [`asynchronous::AsyncFedAvg`], a different
 //! algorithm rather than a third executor — merges staleness-discounted

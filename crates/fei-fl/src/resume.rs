@@ -3,12 +3,11 @@
 //! When the protocol coordinator restarts from its journal
 //! (`fei_proto::Coordinator::recover`), the driver also has to put the
 //! *training* engine back where it was: same global model, same round
-//! counter, same selection and dropout RNG streams, same transport
-//! totals. An [`EngineCheckpoint`] captures exactly that state — all of it
-//! lives in the one [`crate::RoundDriver`], none in an executor — so a
-//! checkpoint taken from the serial [`crate::FedAvg`] resumes a
-//! [`crate::ThreadedFedAvg`] (and vice versa) with bit-identical future
-//! rounds.
+//! counter, same selection RNG stream, same transport totals. An
+//! [`EngineCheckpoint`] captures exactly that state — all of it lives in the
+//! one [`crate::RoundDriver`], none in an executor — so a checkpoint taken
+//! from the serial [`crate::FedAvg`] resumes a [`crate::ThreadedFedAvg`] (and
+//! vice versa) with bit-identical future rounds.
 //!
 //! The checkpoint deliberately excludes anything derivable from the
 //! engine's construction inputs (datasets, fault schedules, adversary
@@ -16,7 +15,6 @@
 //! engine after a crash already has them.
 
 use fei_ml::{LogisticRegression, Model};
-use fei_sim::DetRng;
 
 use crate::runtime::TransportStats;
 use crate::selection::ClientSelector;
@@ -35,8 +33,6 @@ pub struct EngineCheckpoint<M: Model = LogisticRegression> {
     pub(crate) global: M,
     /// Selection stream, mid-sequence.
     pub(crate) selector: ClientSelector,
-    /// Dropout stream, mid-sequence.
-    pub(crate) dropout_rng: DetRng,
     /// Transport totals accumulated so far.
     pub(crate) transport: TransportStats,
     /// `K` at checkpoint time (it may have been re-planned mid-run).

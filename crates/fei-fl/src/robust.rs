@@ -22,8 +22,6 @@
 //! assumed attackers the defended engines reproduce plain FedAvg
 //! **bit-identically** (an invariant `tests/byzantine.rs` pins down).
 
-use serde::{Deserialize, Serialize};
-
 use crate::aggregate::{check_dims, try_aggregate, uniform_mean, AggregateError, AggregationRule};
 
 /// How the post-screen update set is combined into the next global model.
@@ -32,7 +30,7 @@ use crate::aggregate::{check_dims, try_aggregate, uniform_mean, AggregateError, 
 /// arriving updates the coordinator is prepared to distrust. With `f = 0`
 /// every rule reduces to the plain uniform mean, bit-identically (see the
 /// module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RobustRule {
     /// Plain aggregation under an [`AggregationRule`] — no robustness, the
     /// undefended baseline.
@@ -90,7 +88,7 @@ impl RobustRule {
 }
 
 /// Why the screen rejected an update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScreenReason {
     /// The update contains NaN or infinite parameters.
     NonFinite,
@@ -107,7 +105,7 @@ pub enum ScreenReason {
 /// what is certainly malformed (non-finite values, wrong dimensions) plus
 /// gross norm outliers; they are loose enough that benign IID fleets pass
 /// untouched (preserving the zero-budget bit-identity guarantee).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScreenPolicy {
     /// Reject an update whose L2 norm differs from the round's *median*
     /// norm by more than this factor in either direction. `None` disables
@@ -165,7 +163,7 @@ impl ScreenPolicy {
 }
 
 /// What the screen did to one round's update set.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScreenReport {
     /// `(index into the screened set, reason)` for every rejected update,
     /// ascending by index.
@@ -184,7 +182,7 @@ impl ScreenReport {
 
 /// The coordinator's screening boundary: every arriving update passes
 /// through [`UpdateScreen::screen`] before aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateScreen {
     policy: ScreenPolicy,
 }
@@ -298,7 +296,7 @@ fn l2_norm(xs: &[f64]) -> f64 {
 
 /// Coordinator-side defense configuration: the screen at the boundary plus
 /// the robust combine rule behind it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefenseConfig {
     /// Screening thresholds applied to every arriving update.
     pub screen: ScreenPolicy,

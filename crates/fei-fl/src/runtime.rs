@@ -10,11 +10,11 @@ use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use fei_data::Dataset;
 use fei_ml::{GradScratch, LocalTrainer, LogisticRegression, Model, SgdConfig, TrainStats};
 use fei_net::codec::{decode_frame, encode_frame_into, encode_frame_with, FRAME_OVERHEAD};
@@ -89,6 +89,14 @@ type Job = (usize, Arc<[u8]>, bool);
 
 /// A job's reply: the update frame, or the server whose job panicked.
 type Reply = Result<Vec<u8>, usize>;
+
+/// Takes the next job off the shared queue, or `None` once it is closed and
+/// drained. The lock is held only while waiting, never while a job runs, and
+/// `recv` cannot leave the queue half-updated, so a poisoned lock is reused.
+fn next_job(jobs: &Mutex<Receiver<Job>>) -> Option<Job> {
+    let queue = jobs.lock().unwrap_or_else(PoisonError::into_inner);
+    queue.recv().ok()
+}
 
 /// An update frame's fields: borrowed to encode, owned once decoded.
 struct Update<P> {
@@ -224,8 +232,9 @@ impl Framed {
         template: &M,
         workers: usize,
     ) -> Self {
-        let (jobs, job_rx) = unbounded::<Job>();
-        let (reply_tx, replies) = unbounded::<Reply>();
+        let (jobs, job_rx) = mpsc::channel::<Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let (reply_tx, replies) = mpsc::channel::<Reply>();
         let servers: Arc<[Server]> = clients
             .iter()
             .map(|data| Server {
@@ -247,7 +256,8 @@ impl Framed {
         };
         let handles = (0..workers)
             .map(|_| {
-                let (worker, job_rx, reply_tx) = (worker.clone(), job_rx.clone(), reply_tx.clone());
+                let (worker, job_rx, reply_tx) =
+                    (worker.clone(), Arc::clone(&job_rx), reply_tx.clone());
                 #[cfg(test)]
                 tests::SPAWNED.with(|spawned| spawned.set(spawned.get() + 1));
                 std::thread::spawn(move || worker.run(&job_rx, &reply_tx))
@@ -333,7 +343,7 @@ impl Executor for Framed {
 impl Drop for Framed {
     fn drop(&mut self) {
         // Closing the queue ends every worker's loop once it is drained.
-        drop(std::mem::replace(&mut self.jobs, unbounded().0));
+        drop(std::mem::replace(&mut self.jobs, mpsc::channel().0));
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -357,9 +367,9 @@ struct Worker<M> {
 
 impl<M: Model> Worker<M> {
     /// Serves jobs until the queue closes, on a copy of `self` renewed after a panic.
-    fn run(self, jobs: &Receiver<Job>, replies: &Sender<Reply>) {
+    fn run(self, jobs: &Mutex<Receiver<Job>>, replies: &Sender<Reply>) {
         let mut worker = self.clone();
-        while let Ok(job) = jobs.recv() {
+        while let Some(job) = next_job(jobs) {
             let reply = catch_unwind(AssertUnwindSafe(|| worker.serve(&job))).map_err(|_| {
                 // The reply orders this store before the next round's check.
                 self.servers[job.0].dead.store(true, Relaxed);

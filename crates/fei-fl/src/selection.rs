@@ -5,10 +5,9 @@
 //! provided for ablations.
 
 use fei_sim::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// How the coordinator picks the `K` participants of each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionStrategy {
     /// Uniformly random `K`-subset per round (the paper's setting).
     #[default]

@@ -2,11 +2,13 @@
 //! clean with the default configuration. This is the test-suite twin of the
 //! CI `lint` job — it keeps `cargo test --workspace` and the blocking CI
 //! lane enforcing the same contract: zero findings. It also pins the
-//! switches of the rules clippy owns, which fail open when moved.
+//! switches of the rules clippy owns, which fail open when moved, and keeps
+//! the source std-only.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use fei_lint::lexer::LexedFile;
 use fei_lint::{find_workspace_root, run, LintConfig};
 
 fn root() -> PathBuf {
@@ -118,4 +120,75 @@ fn the_rules_clippy_owns_stay_switched_on() {
             "{rel} no longer warns on unreachable_pub"
         );
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("invariant: a listed entry is readable").path();
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The identifiers of `code` with the byte offset each starts at.
+fn identifiers(code: &str) -> impl Iterator<Item = (usize, &str)> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.char_indices()
+        .filter(move |&(i, c)| is_ident(c) && !code[..i].ends_with(is_ident))
+        .map(move |(i, _)| {
+            let len = code[i..].find(|c| !is_ident(c)).unwrap_or(code.len() - i);
+            (i, &code[i..i + len])
+        })
+}
+
+/// The vendored runtime crates (`vendor/`) are still declared in the
+/// manifests, so nothing but this test stops a stray `use` or derive from
+/// bringing one back: no code under `crates/`, `src/`, `tests/` or
+/// `examples/` names one. Comments and string literals are masked out, which
+/// is also why the names below do not match themselves.
+#[test]
+fn the_source_names_no_vendored_runtime_crate() {
+    const CRATES: [&str; 7] = [
+        "serde",
+        "serde_derive",
+        "Serialize",
+        "Deserialize",
+        "crossbeam",
+        "parking_lot",
+        "criterion",
+    ];
+    let root = root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rs_files(&root.join(dir), &mut files);
+    }
+    assert!(
+        files.len() >= 95,
+        "suspiciously few files ({})",
+        files.len()
+    );
+    let mut hits = Vec::new();
+    for path in &files {
+        let raw = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let file = LexedFile::lex(&raw);
+        for (at, ident) in identifiers(&file.masked) {
+            let path_head = file.masked[at + ident.len()..]
+                .trim_start()
+                .starts_with("::");
+            if CRATES.contains(&ident) || (ident == "bytes" && path_head) {
+                let rel = path.strip_prefix(&root).unwrap_or(path);
+                hits.push(format!("{}:{}: {ident}", rel.display(), file.line_of(at)));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "source names a vendored runtime crate:\n{}",
+        hits.join("\n")
+    );
 }

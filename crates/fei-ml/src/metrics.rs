@@ -1,7 +1,6 @@
 //! Model-quality metrics: accuracy and loss over a dataset.
 
 use fei_data::Dataset;
-use serde::{Deserialize, Serialize};
 
 use crate::scratch::GradScratch;
 use crate::traits::Model;
@@ -28,7 +27,7 @@ pub fn accuracy<M: Model>(model: &M, data: &Dataset) -> f64 {
 
 /// A paired loss/accuracy measurement of a model on a dataset — one point of
 /// the convergence curves in Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Evaluation {
     /// Mean cross-entropy loss.
     pub loss: f64,

@@ -11,12 +11,11 @@ use fei_data::Dataset;
 use fei_math::func::{argmax, log_sum_exp, softmax_in_place};
 use fei_math::matrix::dot;
 use fei_sim::DetRng;
-use serde::{Deserialize, Serialize};
 
 use crate::traits::Model;
 
 /// A one-hidden-layer tanh MLP with softmax output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     dim: usize,
     hidden: usize,

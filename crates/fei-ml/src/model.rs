@@ -5,7 +5,6 @@ use fei_math::func::{argmax, log_sum_exp, softmax_in_place};
 use fei_math::matrix::dot;
 use fei_math::pack::{packed_gemm, AOrder};
 use fei_math::reduce;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::Evaluation;
 use crate::scratch::{ChunkWork, GradScratch};
@@ -27,7 +26,7 @@ pub(crate) const GRAD_CHUNK: usize = 64;
 /// [`LogisticRegression::to_flat`] / [`LogisticRegression::from_flat`]
 /// expose the parameters as one flat vector — the unit of exchange for
 /// FedAvg aggregation and network transfer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     dim: usize,
     num_classes: usize,

@@ -1,7 +1,5 @@
 //! SGD configuration matching the paper's Table II.
 
-use serde::{Deserialize, Serialize};
-
 /// How the trainer computes each batch gradient.
 ///
 /// Both variants compute the same mathematical gradient on the calling
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// `crate::model::GRAD_CHUNK`-sample chunks combined by a fixed pairwise
 /// tree — is a pure function of the batch, the numeric contract the
 /// golden-model suite pins. See DESIGN.md §10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GradReduction {
     /// The pre-fast-path reference kernel: per-sample logit allocation and a
     /// single serial accumulator. Kept as the baseline the perf harness
@@ -28,7 +26,7 @@ pub enum GradReduction {
 /// The paper trains with learning rate 0.01, a fixed multiplicative decay of
 /// 0.99 applied per *global* round, and full-batch gradients
 /// (`batch_size = None`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SgdConfig {
     /// Initial learning rate `γ`.
     pub learning_rate: f64,

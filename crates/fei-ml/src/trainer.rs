@@ -2,7 +2,6 @@
 
 use fei_data::Dataset;
 use fei_sim::DetRng;
-use serde::{Deserialize, Serialize};
 
 use crate::optimizer::{GradReduction, SgdConfig};
 use crate::scratch::GradScratch;
@@ -10,7 +9,7 @@ use crate::traits::Model;
 
 /// Statistics from one local-training invocation (one edge server, one global
 /// round).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainStats {
     /// Number of local epochs executed (`E`).
     pub epochs_run: usize,

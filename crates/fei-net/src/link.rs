@@ -7,7 +7,6 @@
 //! both terms so each preset uses whichever the paper used.
 
 use fei_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A point-to-point link with a bandwidth, a fixed latency, and energy costs.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let dur = wifi.transfer_duration(62_800);
 /// assert!(dur.as_secs_f64() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     bandwidth_bps: f64,
     latency: SimDuration,

@@ -9,12 +9,10 @@
 //! success probability `p` delivers a sample in `Geometric(p)` attempts,
 //! giving expected energy `ρ/p` per delivered sample.
 
-use serde::{Deserialize, Serialize};
-
 use crate::link::Link;
 
 /// A link whose transfers succeed independently with fixed probability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LossyLink {
     link: Link,
     success_probability: f64,

@@ -9,12 +9,11 @@
 //! testbed uses to place upload windows on the timeline.
 
 use fei_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::link::Link;
 
 /// A link shared fairly among concurrent transmitters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharedMedium {
     link: Link,
 }

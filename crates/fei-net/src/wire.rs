@@ -36,8 +36,6 @@
 //!
 //! [`fei_ml::GradScratch`]: https://docs.rs/fei-ml
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::CodecError;
 
 /// Current payload format version.
@@ -56,7 +54,7 @@ const Q8_BLOCK_OVERHEAD: usize = 4 + 4;
 const FLAG_DELTA: u8 = 0b0000_0001;
 
 /// How model weights are encoded on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Encoding {
     /// Lossless 8-byte little-endian `f64`s — byte-identical semantics to
     /// the v1 path, and the default.
@@ -113,15 +111,13 @@ impl Encoding {
 
 /// Transport configuration: which encoding ships model updates, and whether
 /// they are encoded as deltas against the round's global model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct WireConfig {
     /// Weight encoding tier.
-    #[serde(default)]
     pub encoding: Encoding,
     /// Encode `w_local − w_global` instead of absolute weights. Requires a
     /// shared base vector on both sides (the coordinator's current global
     /// model, which every worker holds after the lossless downlink).
-    #[serde(default)]
     pub delta: bool,
 }
 

@@ -7,10 +7,8 @@
 //! energy-aware participant scheduling (the online policy of the paper's
 //! reference \[12\]).
 
-use serde::{Deserialize, Serialize};
-
 /// A fleet of device batteries with fixed capacities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatteryFleet {
     capacity_j: Vec<f64>,
     consumed_j: Vec<f64>,

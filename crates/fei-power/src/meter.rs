@@ -8,13 +8,12 @@
 //! (the "two peaks" of step (2) in Fig. 3).
 
 use fei_sim::{DetRng, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::state::{PowerProfile, PowerState};
 use crate::timeline::PowerTimeline;
 
 /// Configuration and sampler for the simulated power meter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerMeter {
     sample_rate_hz: f64,
     noise_std_w: f64,
@@ -103,7 +102,7 @@ impl Default for PowerMeter {
 }
 
 /// A sampled power trace: regularly spaced wattage readings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     period: SimDuration,
     samples: Vec<f64>,

@@ -1,10 +1,8 @@
 //! Device power states and plateau powers.
 
-use serde::{Deserialize, Serialize};
-
 /// The four power states of an edge server during a global round, in the
 /// order the paper observes them (Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PowerState {
     /// Step (1): waiting for the coordinator/IoT data; idle draw.
     Waiting,
@@ -27,7 +25,7 @@ impl PowerState {
 }
 
 /// A device's mean power draw in each state, in watts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
     /// Idle / waiting power.
     pub waiting_w: f64,

@@ -6,12 +6,11 @@
 //! segment durations (power × time per segment).
 
 use fei_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::state::{PowerProfile, PowerState};
 
 /// One contiguous segment of a timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// Segment start time.
     pub start: SimTime,
@@ -42,7 +41,7 @@ impl Segment {
 /// let e = tl.energy_joules(&PowerProfile::raspberry_pi_4b());
 /// assert!((e - (3.6 + 2.0 * 5.553)).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PowerTimeline {
     segments: Vec<Segment>,
 }

@@ -158,7 +158,7 @@ pub fn run_daemon(config: DaemonConfig) -> Result<NodeReport, NodeError> {
     Ok(report)
 }
 
-/// Serializes [`ControlStats`] as `key value` lines (the daemon's stats
+/// Writes [`ControlStats`] as `key value` lines (the daemon's stats
 /// file format; [`parse_stats`] is the inverse).
 pub(crate) fn format_stats(stats: &ControlStats) -> String {
     let mut stats = *stats;

@@ -289,7 +289,7 @@ macro_rules! record_table {
                 }
             }
 
-            /// Serializes into one complete frame (magic, tag, length,
+            /// Encodes into one complete frame (magic, tag, length,
             /// version byte, body, CRC).
             pub fn encode(&self) -> Vec<u8> {
                 let mut out = Vec::with_capacity(self.encoded_len());

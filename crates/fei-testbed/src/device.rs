@@ -3,7 +3,6 @@
 use fei_core::calibration::{fit_timing_model, paper_table1, TimingFit, TimingRow};
 use fei_power::PowerProfile;
 use fei_sim::{DetRng, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// A Raspberry Pi 4B edge server: the paper's measured power plateaus plus
 /// the Table-I-calibrated training-time law, with a configurable relative
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// // Table I row (10, 1000) is 0.1471 s; the fitted law is within a few ms.
 /// assert!((d.as_secs_f64() - 0.1471).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RaspberryPi {
     profile: PowerProfile,
     timing: TimingFit,

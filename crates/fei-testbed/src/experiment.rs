@@ -3,10 +3,9 @@
 use fei_core::calibration::GapObservation;
 use fei_fl::TrainingHistory;
 use fei_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Energy attribution across the paper's steps, in joules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// IoT data collection (Eq. 4).
     pub collection_j: f64,
@@ -28,7 +27,7 @@ impl EnergyBreakdown {
 }
 
 /// Result of one `(K, E, T)` testbed experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentRun {
     /// Participants per round.
     pub k: usize,

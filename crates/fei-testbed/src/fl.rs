@@ -12,7 +12,6 @@ use fei_data::{Dataset, Partition, SyntheticMnist, SyntheticMnistConfig};
 use fei_fl::{FedAvg, FedAvgConfig, StopCondition, ThreadedFedAvg, TrainingHistory, WireConfig};
 use fei_ml::SgdConfig;
 use fei_sim::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// The "relatively low" accuracy target of Fig. 4(b) — reached quickly at
 /// any `K`. (Paper: 0.89 on MNIST; same position relative to our synthetic
@@ -25,7 +24,7 @@ pub const EASY_TARGET: f64 = 0.89;
 pub const STRINGENT_TARGET: f64 = 0.92;
 
 /// How training data is spread across the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PartitionStrategy {
     /// Uniform random split — the paper's prototype setting.
     #[default]
@@ -43,7 +42,7 @@ pub enum PartitionStrategy {
 }
 
 /// Configuration of an FL convergence campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlExperimentConfig {
     /// Number of edge servers `N`.
     pub num_devices: usize,
@@ -63,7 +62,6 @@ pub struct FlExperimentConfig {
     pub partition: PartitionStrategy,
     /// Uplink wire encoding for model uploads (lossless `F64` by default;
     /// see [`fei_fl::WireConfig`]).
-    #[serde(default)]
     pub transport: WireConfig,
     /// Seed for partitioning and client selection.
     pub seed: u64,

@@ -7,13 +7,12 @@ use fei_data::IotStream;
 use fei_net::{Link, SharedMedium};
 use fei_power::{PowerMeter, PowerState, PowerTimeline, PowerTrace};
 use fei_sim::{DetRng, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::device::RaspberryPi;
 use crate::experiment::{EnergyBreakdown, ExperimentRun};
 
 /// Configuration of the simulated prototype.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestbedConfig {
     /// Fleet size `N` (the paper: 20).
     pub num_devices: usize,

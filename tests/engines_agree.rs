@@ -77,11 +77,25 @@ fn engines_agree_under_dropout() {
     let config = FedAvgConfig {
         clients_per_round: 4,
         local_epochs: 2,
-        dropout_prob: 0.3,
+        // One attempt per upload: a lost upload is a dropout.
+        tolerance: ToleranceConfig {
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
         ..Default::default()
     };
-    let mut serial = FedAvg::new(config.clone(), clients.clone(), test.clone());
-    let mut threaded = ThreadedFedAvg::new(config, clients, test);
+    let dropouts = || {
+        FaultInjector::new(FaultSpec {
+            upload_loss_prob: 0.3,
+            ..Default::default()
+        })
+    };
+    let mut serial =
+        FedAvg::new(config.clone(), clients.clone(), test.clone()).with_faults(dropouts());
+    let mut threaded = ThreadedFedAvg::new(config, clients, test).with_faults(dropouts());
     let mut saw_drop = false;
     for _ in 0..8 {
         let a = serial.run_round();

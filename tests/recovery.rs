@@ -232,18 +232,35 @@ fn resume_config() -> FedAvgConfig {
     FedAvgConfig {
         clients_per_round: 3,
         local_epochs: 2,
-        dropout_prob: 0.2,
         sgd: SgdConfig::new(0.05, 0.99, None),
+        tolerance: ToleranceConfig {
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
         ..Default::default()
     }
+}
+
+/// A fifth of the uploads are lost and, with one attempt each, never
+/// resent: every selected server drops out with probability 0.2.
+fn resume_faults() -> FaultInjector {
+    FaultInjector::new(FaultSpec {
+        upload_loss_prob: 0.2,
+        ..Default::default()
+    })
 }
 
 #[test]
 fn serial_checkpoint_resumes_the_threaded_engine_bit_identically() {
     let (clients, test) = federation(41);
     let config = resume_config();
-    let mut reference = FedAvg::new(config.clone(), clients.clone(), test.clone());
-    let mut crashed = FedAvg::new(config.clone(), clients.clone(), test.clone());
+    let mut reference =
+        FedAvg::new(config.clone(), clients.clone(), test.clone()).with_faults(resume_faults());
+    let mut crashed =
+        FedAvg::new(config.clone(), clients.clone(), test.clone()).with_faults(resume_faults());
     for _ in 0..3 {
         reference.run_round();
         crashed.run_round();
@@ -252,7 +269,7 @@ fn serial_checkpoint_resumes_the_threaded_engine_bit_identically() {
     // and restarts on the worker-pool runtime instead.
     let checkpoint = crashed.checkpoint();
     assert_eq!(checkpoint.round(), 3);
-    let mut resumed = ThreadedFedAvg::new(config, clients, test);
+    let mut resumed = ThreadedFedAvg::new(config, clients, test).with_faults(resume_faults());
     resumed.restore(checkpoint);
     for round in 3..6 {
         assert_eq!(
@@ -280,15 +297,17 @@ fn serial_checkpoint_resumes_the_threaded_engine_bit_identically() {
 fn threaded_checkpoint_resumes_the_serial_engine_bit_identically() {
     let (clients, test) = federation(43);
     let config = resume_config();
-    let mut reference = ThreadedFedAvg::new(config.clone(), clients.clone(), test.clone());
-    let mut crashed = ThreadedFedAvg::new(config.clone(), clients.clone(), test.clone());
+    let mut reference = ThreadedFedAvg::new(config.clone(), clients.clone(), test.clone())
+        .with_faults(resume_faults());
+    let mut crashed = ThreadedFedAvg::new(config.clone(), clients.clone(), test.clone())
+        .with_faults(resume_faults());
     for _ in 0..3 {
         reference.run_round();
         crashed.run_round();
     }
     let checkpoint = crashed.checkpoint();
     assert_eq!(checkpoint.round(), 3);
-    let mut resumed = FedAvg::new(config, clients, test);
+    let mut resumed = FedAvg::new(config, clients, test).with_faults(resume_faults());
     resumed.restore(checkpoint);
     for round in 3..6 {
         assert_eq!(
