@@ -12,7 +12,7 @@
 //!    [`fit_bound_constants`] solves the regression so the optimizer can be
 //!    driven by measured convergence behaviour.
 
-use fei_math::linalg::LeastSquares;
+use fei_math::linalg::{LeastSquares, LinalgError};
 use fei_math::matrix::Matrix;
 
 use crate::bound::ConvergenceBound;
@@ -109,11 +109,12 @@ pub struct GapObservation {
 }
 
 /// Fits `(A₀, A₁, A₂)` to gap observations by least squares on the linear
-/// model `gap = A0·[1/(T·E)] + A1·[1/K] + A2·[E−1]`.
+/// model `gap = A0·[1/(T·E)] + A1·[1/K] + A2·[E−1]`, with `A₁, A₂ ≥ 0`.
 ///
-/// Small negative `A₁`/`A₂` estimates (possible under noise) are clamped to
-/// zero; a non-positive `A₀` estimate fails the calibration, since it would
-/// mean convergence without doing any optimization.
+/// When the unconstrained fit has a negative `A₁` or `A₂` (possible under
+/// noise), the constants are the best non-negative fit instead (see
+/// `nonnegative_fit`); a non-positive `A₀` estimate fails the calibration,
+/// since it would mean convergence without doing any optimization.
 ///
 /// # Errors
 ///
@@ -128,31 +129,69 @@ pub fn fit_bound_constants(observations: &[GapObservation]) -> Result<Convergenc
             ),
         });
     }
-    let design_rows: Vec<Vec<f64>> = observations
+    let design_rows: Vec<[f64; 3]> = observations
         .iter()
         .map(|o| {
-            vec![
+            [
                 1.0 / (o.rounds as f64 * o.epochs as f64),
                 1.0 / o.clients as f64,
                 o.epochs as f64 - 1.0,
             ]
         })
         .collect();
-    let refs: Vec<&[f64]> = design_rows.iter().map(Vec::as_slice).collect();
-    let design = Matrix::from_rows(&refs);
     let targets: Vec<f64> = observations.iter().map(|o| o.gap).collect();
-    let fit = LeastSquares::fit(&design, &targets).map_err(|e| CoreError::CalibrationFailed {
-        detail: format!("bound regression failed: {e}"),
-    })?;
-    let a0 = fit.coefficients()[0];
-    let a1 = fit.coefficients()[1].max(0.0);
-    let a2 = fit.coefficients()[2].max(0.0);
+    let [a0, a1, a2] = nonnegative_fit(&design_rows, &targets)?;
     if a0 <= 0.0 {
         return Err(CoreError::CalibrationFailed {
             detail: format!("fitted A0 = {a0} is non-positive; observations are inconsistent"),
         });
     }
     ConvergenceBound::new(a0, a1, a2)
+}
+
+/// Least squares for `design · [A0, A1, A2] ≈ targets` with `A1, A2 ≥ 0`
+/// (`A0` is free).
+///
+/// The unconstrained fit when it is feasible. Otherwise the optimum has
+/// `A1`, `A2` or both at zero, so each of those active sets is refitted on
+/// the reduced design, and the feasible refit with the least residual wins
+/// (a singular reduced design drops out).
+///
+/// # Errors
+///
+/// [`CoreError::CalibrationFailed`] when the full design is degenerate or
+/// no refit is feasible.
+fn nonnegative_fit(design: &[[f64; 3]], targets: &[f64]) -> Result<[f64; 3], CoreError> {
+    // The fit on the columns in `keep`, scattered back into the full
+    // coefficient vector (dropped columns read 0), with its residual.
+    let fit_on = |keep: &[usize]| {
+        let data = design
+            .iter()
+            .flat_map(|row| keep.iter().map(|&c| row[c]))
+            .collect();
+        let fit = LeastSquares::fit(&Matrix::from_vec(design.len(), keep.len(), data), targets)?;
+        let mut coefficients = [0.0; 3];
+        for (&c, &v) in keep.iter().zip(fit.coefficients()) {
+            coefficients[c] = v;
+        }
+        Ok::<_, LinalgError>((coefficients, fit.rmse(design.len())))
+    };
+    let feasible = |c: &[f64; 3]| c[1] >= 0.0 && c[2] >= 0.0;
+    let (full, _) = fit_on(&[0, 1, 2]).map_err(|e| CoreError::CalibrationFailed {
+        detail: format!("bound regression failed: {e}"),
+    })?;
+    if feasible(&full) {
+        return Ok(full);
+    }
+    [&[0, 1][..], &[0, 2], &[0]]
+        .into_iter()
+        .filter_map(|keep| fit_on(keep).ok())
+        .filter(|(c, _)| feasible(c))
+        .min_by(|(_, a), (_, b)| a.total_cmp(b))
+        .map(|(c, _)| c)
+        .ok_or_else(|| CoreError::CalibrationFailed {
+            detail: "no non-negative bound fit exists".into(),
+        })
 }
 
 /// The paper's Table I, verbatim: step-(3) durations on the Raspberry Pi 4B
@@ -323,6 +362,42 @@ mod tests {
         assert!(bound.a1() >= 0.0);
         assert!(bound.a2() >= 0.0);
         assert!((bound.a0() - 3.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn bound_fit_refits_without_a_negative_a2() {
+        // Gaps that shrink with E: the unconstrained fit recovers
+        // A2 = -0.002, so the constrained optimum pins A2 = 0 and refits
+        // A0 and A1 on the two remaining columns.
+        let mut obs = Vec::new();
+        for &t in &[20usize, 50, 100, 200] {
+            for &e in &[1usize, 4, 10] {
+                for &k in &[2usize, 8] {
+                    obs.push(GapObservation {
+                        rounds: t,
+                        epochs: e,
+                        clients: k,
+                        gap: 2.0 / (t as f64 * e as f64) + 0.2 / k as f64
+                            - 0.002 * (e as f64 - 1.0),
+                    });
+                }
+            }
+        }
+        let rows: Vec<f64> = obs
+            .iter()
+            .flat_map(|o| {
+                [
+                    1.0 / (o.rounds as f64 * o.epochs as f64),
+                    1.0 / o.clients as f64,
+                ]
+            })
+            .collect();
+        let targets: Vec<f64> = obs.iter().map(|o| o.gap).collect();
+        let two = LeastSquares::fit(&Matrix::from_vec(obs.len(), 2, rows), &targets).unwrap();
+        let bound = fit_bound_constants(&obs).unwrap();
+        assert_eq!(bound.a0().to_bits(), two.coefficients()[0].to_bits());
+        assert_eq!(bound.a1().to_bits(), two.coefficients()[1].to_bits());
+        assert_eq!(bound.a2(), 0.0);
     }
 
     #[test]

@@ -19,6 +19,37 @@
 /// assert!((v[0] - 0.5).abs() < 1e-12);
 /// ```
 pub fn softmax_in_place(logits: &mut [f64]) {
+    let (_, sum) = exp_shifted_in_place(logits);
+    for l in logits.iter_mut() {
+        *l /= sum;
+    }
+}
+
+/// [`softmax_in_place`] that also returns [`log_sum_exp`] of the logits it
+/// overwrote, from one `exp` per logit instead of two.
+///
+/// Bit-identical to calling [`log_sum_exp`] and then [`softmax_in_place`]:
+/// both take the same max, the same exps, and sum them left to right in
+/// index order from a zero (exps are never `-0.0`, so the zero's sign
+/// cannot show).
+///
+/// # Panics
+///
+/// Panics if `logits` is empty.
+pub fn softmax_log_sum_exp(logits: &mut [f64]) -> f64 {
+    let (max, sum) = exp_shifted_in_place(logits);
+    for l in logits.iter_mut() {
+        *l /= sum;
+    }
+    if max == f64::NEG_INFINITY {
+        return f64::NEG_INFINITY;
+    }
+    max + sum.ln()
+}
+
+/// Replaces each logit `l` by `exp(l − max)` and returns `(max, sum)`, the
+/// sum taken left to right in index order.
+fn exp_shifted_in_place(logits: &mut [f64]) -> (f64, f64) {
     assert!(!logits.is_empty(), "softmax needs at least one logit");
     let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
@@ -26,9 +57,7 @@ pub fn softmax_in_place(logits: &mut [f64]) {
         *l = (*l - max).exp();
         sum += *l;
     }
-    for l in logits.iter_mut() {
-        *l /= sum;
-    }
+    (max, sum)
 }
 
 /// Numerically stable `log(sum_i exp(x_i))`.
@@ -106,6 +135,31 @@ mod tests {
     #[test]
     fn log_sum_exp_all_neg_infinity() {
         assert_eq!(log_sum_exp(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn softmax_log_sum_exp_is_the_two_calls_bit_for_bit() {
+        let mut state = 0x5EEDu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 60.0 - 30.0
+        };
+        let cases = if cfg!(miri) { 200 } else { 20_000 };
+        for n in (2..=12).cycle().take(cases) {
+            let logits: Vec<f64> = (0..n).map(|_| next()).collect();
+            let mut fused = logits.clone();
+            let lse = softmax_log_sum_exp(&mut fused);
+            let mut probs = logits.clone();
+            softmax_in_place(&mut probs);
+            assert_eq!(lse.to_bits(), log_sum_exp(&logits).to_bits());
+            for (f, p) in fused.iter().zip(&probs) {
+                assert_eq!(f.to_bits(), p.to_bits());
+            }
+        }
+        let mut all_neg_inf = [f64::NEG_INFINITY; 3];
+        assert_eq!(softmax_log_sum_exp(&mut all_neg_inf), f64::NEG_INFINITY);
     }
 
     #[test]

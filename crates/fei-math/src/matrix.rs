@@ -459,6 +459,35 @@ mod tests {
     }
 
     #[test]
+    fn packed_gemm_matches_reference_on_both_sides_of_the_pack_rule() {
+        use crate::pack::{MR, PACK_MIN_PANELS};
+        // Row counts that read B in place (the gradient's 10, one panel
+        // short of the rule) and that pack it (at the rule, plus a row
+        // tail); a B width with two full panels and a column tail; an
+        // inner dimension that straddles a tile natively.
+        let k = if cfg!(miri) { 9 } else { 70 };
+        let rule = MR * PACK_MIN_PANELS;
+        for m in [10, rule - MR, rule, rule + 3] {
+            let mut a = lcg_fill(m, k, m as u64);
+            // Exact zeros: every third entry and all of row 1.
+            for (i, v) in a.data.iter_mut().enumerate() {
+                if i % 3 == 0 || i / k == 1 {
+                    *v = 0.0;
+                }
+            }
+            let b = lcg_fill(k, 19, 77);
+            assert_eq!(a.matmul(&b).data, a.matmul_reference(&b).data, "{m}x{k}x19");
+            let at = a.transpose();
+            let tn = at.matmul_tn(&b);
+            assert_eq!(
+                tn.data,
+                a.matmul_reference(&b).data,
+                "{m}x{k}x19, transposed"
+            );
+        }
+    }
+
+    #[test]
     fn matmul_with_reuses_scratch_without_steady_allocations() {
         let a = lcg_fill(70, 130, 31);
         let b = lcg_fill(130, 67, 32);

@@ -10,7 +10,7 @@
 //!
 //! Two reduction styles are used:
 //!
-//! * **striped** ([`dot`], [`dot2`]) — `LANES` independent accumulators
+//! * **striped** ([`dot`], [`dot_rows`]) — `LANES` independent accumulators
 //!   walk the slice in lock-step and are folded in a fixed pairwise tree,
 //!   with the tail appended serially. Breaking the serial floating-point
 //!   dependency chain lets the compiler vectorize, and the
@@ -80,44 +80,118 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Two striped dot products against a shared right-hand side in one pass:
-/// `(dot(a0, b), dot(a1, b))`.
+/// Rows per group of [`dot_rows`]: five `F64x8` accumulators take ten
+/// of the sixteen AVX2 `ymm` registers, leaving room for the two halves
+/// of `x`'s lane block and a weight load.
+pub const ROW_GROUP: usize = 5;
+
+/// Copies the row-major `rows × dim` block `w` into `out` (the same
+/// length) in the layout [`dot_rows`] streams.
 ///
-/// Each output follows exactly the [`dot`] schedule (its own
-/// `lanes::F64x8` accumulator, same fold, same serial tail), so both
-/// results are bit-identical to two separate [`dot`] calls — but `b` is
-/// streamed through cache once instead of twice, which matters when many
-/// rows are dotted against one activation vector (logits).
+/// Each full group of [`ROW_GROUP`] rows is stored lane block by lane
+/// block: for block `b`, the group's rows' `LANES`-wide chunks `b` sit
+/// back to back, so one pass over the group reads every weight the five
+/// accumulators need in order. The rows' `dim % LANES` tails follow the
+/// group's blocks, row after row. Rows past the last full group are
+/// copied as they are. `out` is a permutation of `w`.
 ///
 /// # Panics
 ///
-/// Panics if any length differs.
-pub fn dot2(a0: &[f64], a1: &[f64], b: &[f64]) -> (f64, f64) {
-    assert_eq!(a0.len(), b.len(), "dot product requires equal lengths");
-    assert_eq!(a1.len(), b.len(), "dot product requires equal lengths");
-    let mut acc0 = F64x8::zero();
-    let mut acc1 = F64x8::zero();
-    let mut chunks_a0 = a0.chunks_exact(LANES);
-    let mut chunks_a1 = a1.chunks_exact(LANES);
-    let mut chunks_b = b.chunks_exact(LANES);
-    for ((c0, c1), cb) in chunks_a0
-        .by_ref()
-        .zip(chunks_a1.by_ref())
-        .zip(chunks_b.by_ref())
+/// Panics if `dim == 0`, `w.len()` is not a multiple of `dim`, or
+/// `out.len() != w.len()`.
+pub fn interleave_rows(w: &[f64], dim: usize, out: &mut [f64]) {
+    assert!(dim > 0, "rows need a non-zero dimension");
+    assert_eq!(w.len() % dim, 0, "weights must be whole rows");
+    assert_eq!(
+        out.len(),
+        w.len(),
+        "interleaved copy has the weights' length"
+    );
+    let body = dim / LANES * LANES;
+    let group_len = ROW_GROUP * dim;
+    let mut groups = w.chunks_exact(group_len);
+    let mut dst = out.chunks_exact_mut(group_len);
+    for (rows, dst) in groups.by_ref().zip(dst.by_ref()) {
+        let (blocks, tails) = dst.split_at_mut(ROW_GROUP * body);
+        for (r, row) in rows.chunks_exact(dim).enumerate() {
+            let (row_body, row_tail) = row.split_at(body);
+            for (b, chunk) in row_body.chunks_exact(LANES).enumerate() {
+                let at = (b * ROW_GROUP + r) * LANES;
+                blocks[at..at + LANES].copy_from_slice(chunk);
+            }
+            let tail = dim - body;
+            tails[r * tail..(r + 1) * tail].copy_from_slice(row_tail);
+        }
+    }
+    dst.into_remainder().copy_from_slice(groups.remainder());
+}
+
+/// One striped dot product per weight row against a shared `x`:
+/// `out[r] = dot(W[r], x)` for the `out.len() × dim` block `W` that
+/// [`interleave_rows`] laid out as `packed`.
+///
+/// Each full group of [`ROW_GROUP`] rows runs five `F64x8` accumulators
+/// over the group's interleaved lane blocks, so every load of `x` feeds
+/// five rows. Each output follows exactly the [`dot`] schedule — lane
+/// `i % LANES` of its own accumulator, the same `fold_pairwise`, then the
+/// same serial tail — so it is bit-identical to [`dot`] on the row. Rows
+/// past the last full group go through [`dot`] itself.
+///
+/// # Panics
+///
+/// Panics if `dim == 0`, `packed.len() != out.len() * dim` or
+/// `x.len() != dim`.
+pub fn dot_rows(packed: &[f64], dim: usize, x: &[f64], out: &mut [f64]) {
+    assert!(dim > 0, "rows need a non-zero dimension");
+    assert_eq!(packed.len(), out.len() * dim, "one weight row per output");
+    assert_eq!(x.len(), dim, "dot product requires equal lengths");
+    let body = dim / LANES * LANES;
+    let (x_body, x_tail) = x.split_at(body);
+    let group_len = ROW_GROUP * dim;
+    let mut groups = packed.chunks_exact(group_len);
+    let mut outs = out.chunks_exact_mut(ROW_GROUP);
+    for (group, outs) in groups.by_ref().zip(outs.by_ref()) {
+        let (blocks, tails) = group.split_at(ROW_GROUP * body);
+        let mut a0 = F64x8::zero();
+        let (mut a1, mut a2, mut a3, mut a4) = (a0, a0, a0, a0);
+        for (w, xb) in blocks
+            .chunks_exact(ROW_GROUP * LANES)
+            .zip(x_body.chunks_exact(LANES))
+        {
+            a0 = a0.add_prod(&w[..LANES], xb);
+            a1 = a1.add_prod(&w[LANES..2 * LANES], xb);
+            a2 = a2.add_prod(&w[2 * LANES..3 * LANES], xb);
+            a3 = a3.add_prod(&w[3 * LANES..4 * LANES], xb);
+            a4 = a4.add_prod(&w[4 * LANES..], xb);
+        }
+        fold_group(&[a0, a1, a2, a3, a4], outs);
+        if !x_tail.is_empty() {
+            for (o, w_tail) in outs.iter_mut().zip(tails.chunks_exact(x_tail.len())) {
+                for (w, xi) in w_tail.iter().zip(x_tail) {
+                    *o += w * xi;
+                }
+            }
+        }
+    }
+    for (o, row) in outs
+        .into_remainder()
+        .iter_mut()
+        .zip(groups.remainder().chunks_exact(dim))
     {
-        acc0 = acc0.add_prod(c0, cb);
-        acc1 = acc1.add_prod(c1, cb);
+        *o = dot(row, x);
     }
-    let mut r0 = acc0.fold_pairwise();
-    let mut r1 = acc1.fold_pairwise();
-    let tail_b = chunks_b.remainder();
-    for (x, y) in chunks_a0.remainder().iter().zip(tail_b) {
-        r0 += x * y;
+}
+
+/// Folds a group's accumulators into its outputs. Kept out of line on
+/// purpose: inlined, LLVM's SLP vectorizer transposes the five
+/// accumulators to store the folds as vectors, and the streaming loop
+/// above stops running on whole `ymm` registers (see the `lanes` module
+/// docs).
+#[inline(never)]
+fn fold_group(acc: &[F64x8; ROW_GROUP], out: &mut [f64]) {
+    for (o, a) in out.iter_mut().zip(acc) {
+        *o = a.fold_pairwise();
     }
-    for (x, y) in chunks_a1.remainder().iter().zip(tail_b) {
-        r1 += x * y;
-    }
-    (r0, r1)
 }
 
 /// In-place fixed-tree reduction of `parts` equal-length vectors laid out
@@ -220,16 +294,55 @@ mod tests {
         let _ = dot(&[1.0], &[1.0, 2.0]);
     }
 
-    #[test]
-    fn dot2_bit_identical_to_two_dots() {
-        for n in [0usize, 1, 7, 8, 9, 100, 783, 784] {
-            let a0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
-            let a1: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).cos()).collect();
-            let b: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 0.5)).collect();
-            let (r0, r1) = dot2(&a0, &a1, &b);
-            assert_eq!(r0.to_bits(), dot(&a0, &b).to_bits(), "row 0 at n={n}");
-            assert_eq!(r1.to_bits(), dot(&a1, &b).to_bits(), "row 1 at n={n}");
+    /// `dot_rows` through `interleave_rows` against `dot` per row, bit
+    /// for bit.
+    pub(super) fn assert_rows_match_dot(w: &[f64], dim: usize, x: &[f64]) {
+        let rows = w.len() / dim;
+        let mut packed = vec![f64::NAN; w.len()];
+        interleave_rows(w, dim, &mut packed);
+        let mut out = vec![f64::NAN; rows];
+        dot_rows(&packed, dim, x, &mut out);
+        for (r, (got, row)) in out.iter().zip(w.chunks_exact(dim)).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                dot(row, x).to_bits(),
+                "row {r} of {rows}, dim {dim}"
+            );
         }
+    }
+
+    #[test]
+    fn dot_rows_bit_identical_to_dot_per_row() {
+        // Sub-lane, lane-aligned and lane-tailed dims; rows from one to
+        // past two full groups.
+        for dim in [1usize, 3, 8, 16, 19, 784] {
+            let x: Vec<f64> = (0..dim).map(|i| 1.0 / (i as f64 + 0.5)).collect();
+            for rows in 1..=12 {
+                let w: Vec<f64> = (0..rows * dim)
+                    .map(|i| (i as f64 * 0.31).sin() * 1e3_f64.powi((i % 7) as i32 - 3))
+                    .collect();
+                assert_rows_match_dot(&w, dim, &x);
+            }
+        }
+    }
+
+    #[test]
+    fn interleave_rows_is_a_permutation_with_groups_blocked() {
+        // Two rows past one group, dim 10 = one lane block + a 2-tail.
+        let dim = 10;
+        let w: Vec<f64> = (0..7 * dim).map(|i| i as f64).collect();
+        let mut packed = vec![0.0; w.len()];
+        interleave_rows(&w, dim, &mut packed);
+        // Block 0 of rows 0..5, then the five 2-element tails.
+        for r in 0..ROW_GROUP {
+            assert_eq!(
+                &packed[r * LANES..(r + 1) * LANES],
+                &w[r * dim..r * dim + LANES]
+            );
+            let at = ROW_GROUP * LANES + r * 2;
+            assert_eq!(&packed[at..at + 2], &w[r * dim + LANES..(r + 1) * dim]);
+        }
+        assert_eq!(&packed[ROW_GROUP * dim..], &w[ROW_GROUP * dim..]);
     }
 
     #[test]
@@ -310,13 +423,17 @@ mod proptests {
             prop_assert!(close(fast, slow, 1e-9), "{fast} vs {slow}");
         }
 
-        /// The paired dot is bit-identical to two independent striped
-        /// dots for arbitrary lengths (tails included).
+        /// Every row of the grouped kernel is bit-identical to `dot` on
+        /// it, for 1..=12 rows and dims with no full lane block, with a
+        /// lane tail and with none.
         #[test]
-        fn dot2_matches_dot_bitwise((a, b) in vec_pair(300)) {
-            let (r0, r1) = dot2(&a, &b, &b);
-            prop_assert_eq!(r0.to_bits(), dot(&a, &b).to_bits());
-            prop_assert_eq!(r1.to_bits(), dot(&b, &b).to_bits());
+        fn dot_rows_matches_dot_bitwise(
+            rows in 1usize..13,
+            dim in prop_oneof![1usize..8, Just(8usize), Just(16usize), 9usize..24],
+            w in proptest::collection::vec(-100.0f64..100.0, 12 * 24),
+            x in proptest::collection::vec(-100.0f64..100.0, 24),
+        ) {
+            tests::assert_rows_match_dot(&w[..rows * dim], dim, &x[..dim]);
         }
 
         /// Tree reduction equals per-element pairwise sums of the segments.

@@ -8,12 +8,12 @@
 //! contract a *type*: [`F64x4`] and [`F64x8`] are hand-unrolled lane
 //! blocks (no `std::simd`, no `unsafe` — named `f64` fields that LLVM
 //! keeps in vector registers) whose `fold_pairwise` methods are the only
-//! way lanes recombine. Every kernel built on them — `dot`, `dot2`, the
-//! packed matmul micro-kernels — therefore inherits the same combination
-//! order, which is what keeps the fast path bit-identical across
-//! serial/threaded engines and golden-numerics pins.
+//! way lanes recombine. Every kernel built on them — `dot`, `dot_rows`,
+//! the packed matmul micro-kernel — therefore inherits the same
+//! combination order, which is what keeps the fast path bit-identical
+//! across serial/threaded engines and golden-numerics pins.
 //!
-//! Two codegen facts shape the API, both measured on the perf harness:
+//! Three codegen facts shape the API, all measured:
 //!
 //! * **Named fields, not arrays.** An indexed `[f64; 8]` accumulator
 //!   round-trips through the stack; named locals stay in `ymm`
@@ -24,7 +24,17 @@
 //!   iterator loop it auto-vectorizes. Element-wise kernels therefore
 //!   route through the scalar lane op ([`axpy_shrink_step`]) applied in
 //!   loop form; the lane *types* are reserved for accumulation, where
-//!   they win.
+//!   they win. A GEMM accumulator block is accumulation too: it is
+//!   loaded and stored once per block (`load`/`store`), not per element.
+//! * **Fold out of line when several accumulators fold at once.** If
+//!   `dot_rows` stores its five `fold_pairwise` results to adjacent
+//!   outputs in the kernel body, LLVM's SLP vectorizer transposes the five
+//!   accumulators to vectorize the folds (shuffles after the loop, stack
+//!   spills inside it), and a 150-sample, 10-class, 784-dim forward pass
+//!   takes 218–225 µs, against 262–283 µs for the two-row striped dots it
+//!   replaced. With the fold in an `#[inline(never)]` helper, the inner
+//!   loop is ten `vmulpd`/`vaddpd` pairs on `ymm` registers (checked with
+//!   `objdump`), and the same pass takes 116–144 µs.
 
 /// Four-lane `f64` accumulator block (one AVX2 register).
 ///
@@ -67,6 +77,39 @@ impl F64x4 {
         }
     }
 
+    /// Lane-wise `self + a*b[i]` over the first four elements of `b`
+    /// (separate multiply and add). Panics if `b` is shorter.
+    #[inline(always)]
+    pub(crate) fn add_scaled(self, a: f64, b: &[f64]) -> Self {
+        F64x4 {
+            l0: self.l0 + a * b[0],
+            l1: self.l1 + a * b[1],
+            l2: self.l2 + a * b[2],
+            l3: self.l3 + a * b[3],
+        }
+    }
+
+    /// The first four elements of `v`. Panics if `v` is shorter.
+    #[inline(always)]
+    pub(crate) fn load(v: &[f64]) -> Self {
+        F64x4 {
+            l0: v[0],
+            l1: v[1],
+            l2: v[2],
+            l3: v[3],
+        }
+    }
+
+    /// Writes the lanes to the first four elements of `v`. Panics if `v`
+    /// is shorter.
+    #[inline(always)]
+    pub(crate) fn store(self, v: &mut [f64]) {
+        v[0] = self.l0;
+        v[1] = self.l1;
+        v[2] = self.l2;
+        v[3] = self.l3;
+    }
+
     /// Folds the four lanes in the fixed pairwise tree
     /// `(l0 + l1) + (l2 + l3)`.
     #[inline(always)]
@@ -95,6 +138,33 @@ impl F64x8 {
             lo: self.lo.add_prod(&a[..4], &b[..4]),
             hi: self.hi.add_prod(&a[4..8], &b[4..8]),
         }
+    }
+
+    /// Lane-wise `self + a*b[i]` over the first eight elements of `b`:
+    /// one row of a GEMM accumulator block. Panics if `b` is shorter.
+    #[inline(always)]
+    pub(crate) fn add_scaled(self, a: f64, b: &[f64]) -> Self {
+        F64x8 {
+            lo: self.lo.add_scaled(a, &b[..4]),
+            hi: self.hi.add_scaled(a, &b[4..8]),
+        }
+    }
+
+    /// The first eight elements of `v`. Panics if `v` is shorter.
+    #[inline(always)]
+    pub(crate) fn load(v: &[f64]) -> Self {
+        F64x8 {
+            lo: F64x4::load(&v[..4]),
+            hi: F64x4::load(&v[4..8]),
+        }
+    }
+
+    /// Writes the lanes to the first eight elements of `v`. Panics if
+    /// `v` is shorter.
+    #[inline(always)]
+    pub(crate) fn store(self, v: &mut [f64]) {
+        self.lo.store(&mut v[..4]);
+        self.hi.store(&mut v[4..8]);
     }
 
     /// Folds the eight lanes in the fixed pairwise tree

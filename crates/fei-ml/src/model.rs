@@ -1,7 +1,7 @@
 //! The multinomial logistic-regression model.
 
 use fei_data::Dataset;
-use fei_math::func::{argmax, log_sum_exp, softmax_in_place};
+use fei_math::func::{argmax, log_sum_exp, softmax_in_place, softmax_log_sum_exp};
 use fei_math::matrix::dot;
 use fei_math::pack::{packed_gemm, AOrder};
 use fei_math::reduce;
@@ -102,6 +102,11 @@ impl LogisticRegression {
         m
     }
 
+    /// The row-major `num_classes × dim` weight block.
+    fn weights(&self) -> &[f64] {
+        &self.params[..self.num_classes * self.dim]
+    }
+
     /// Weight row for `class` (length `dim`).
     fn weights_row(&self, class: usize) -> &[f64] {
         &self.params[class * self.dim..(class + 1) * self.dim]
@@ -127,21 +132,15 @@ impl LogisticRegression {
             .collect()
     }
 
-    /// [`LogisticRegression::logits`] into a caller-provided row. Pairs of
-    /// weight rows go through [`fei_math::reduce::dot2`], which shares each
-    /// load of `x` between two rows; `dot2` is bit-identical to two
-    /// [`dot`] calls, so this matches the allocating version exactly.
-    fn logits_into(&self, x: &[f64], logits: &mut [f64]) {
-        let nc = self.num_classes;
-        let mut c = 0;
-        while c + 1 < nc {
-            let (d0, d1) = reduce::dot2(self.weights_row(c), self.weights_row(c + 1), x);
-            logits[c] = d0 + self.bias(c);
-            logits[c + 1] = d1 + self.bias(c + 1);
-            c += 2;
-        }
-        if c < nc {
-            logits[c] = dot(self.weights_row(c), x) + self.bias(c);
+    /// [`LogisticRegression::logits`] into a caller-provided row, from the
+    /// weights as [`ChunkWork::load_weights`] laid them out. Groups of five
+    /// rows go through [`fei_math::reduce::dot_rows`], which shares each
+    /// load of `x` between the group; every row is bit-identical to its
+    /// [`dot`], so this matches the allocating version exactly.
+    fn forward_into(&self, interleaved: &[f64], x: &[f64], logits: &mut [f64]) {
+        reduce::dot_rows(interleaved, self.dim, x, logits);
+        for (c, l) in logits.iter_mut().enumerate() {
+            *l += self.bias(c);
         }
     }
 
@@ -152,9 +151,10 @@ impl LogisticRegression {
 
     /// Mean cross-entropy loss (the local loss `F_k`, Eq. 1) and accuracy
     /// over a dataset, from **one** forward pass per sample — the crate's
-    /// only dataset-level forward loop outside the gradient kernels. Logits
-    /// land in the workspace's reused row (paired striped dots, no
-    /// allocation once `scratch` is warm); the loss terms go into a single
+    /// only dataset-level forward loop outside the gradient kernels. The
+    /// weights are interleaved once per pass; logits land in the
+    /// workspace's reused row (five-row striped dots, no allocation once
+    /// `scratch` is warm); the loss terms go into a single
     /// accumulator in sample order and are divided by `n`, and a sample
     /// counts as correct when [`argmax`] (first on ties) hits its label.
     ///
@@ -166,11 +166,12 @@ impl LogisticRegression {
         self.check_shape(data);
         let work = scratch.work();
         work.forward_passes += data.len() as u64;
-        let logits = work.logits_row(self.num_classes);
+        work.load_weights(self.weights(), self.dim);
+        let logits = &mut work.logits;
         let mut total = 0.0;
         let mut correct = 0usize;
         for (x, y) in data.iter() {
-            self.logits_into(x, logits);
+            self.forward_into(&work.weights, x, logits);
             total += log_sum_exp(logits) - logits[y];
             correct += usize::from(argmax(logits) == y);
         }
@@ -286,6 +287,7 @@ impl LogisticRegression {
         let n_chunks = indices.len().div_ceil(GRAD_CHUNK);
         let (partials, terms, work) =
             scratch.prepare(np, self.num_classes, n_chunks, indices.len());
+        work.load_weights(self.weights(), self.dim);
         for ((chunk, part), terms) in indices
             .chunks(GRAD_CHUNK)
             .zip(partials.chunks_mut(np))
@@ -302,8 +304,9 @@ impl LogisticRegression {
     /// on the chunks before it, only the fixed tree combines them.
     ///
     /// Two phases. **Phase A** walks the chunk's samples in order: logits
-    /// (paired striped dots), the loss term, softmax, the error row
-    /// `E[s, ·]`, and the bias gradients. **Phase B** accumulates the whole
+    /// (five-row striped dots over the step's interleaved weights), the
+    /// loss term and softmax from one set of exps, the error row `E[s, ·]`,
+    /// and the bias gradients. **Phase B** accumulates the whole
     /// weight-block gradient as one packed GEMM, `G += Eᵀ X`, over the
     /// chunk's sample rows. The packed kernel adds contributions `k`(=sample)-ascending
     /// per output element with an exact per-`(i, k)` zero skip on `E` —
@@ -328,9 +331,9 @@ impl LogisticRegression {
             let x = data.sample(i);
             let y = data.label(i);
             let logits = &mut work.logits[..nc];
-            self.logits_into(x, logits);
-            terms[s] = log_sum_exp(logits) - logits[y];
-            softmax_in_place(logits);
+            self.forward_into(&work.weights, x, logits);
+            let logit_y = logits[y];
+            terms[s] = softmax_log_sum_exp(logits) - logit_y;
             for c in 0..nc {
                 let err = work.logits[c] - f64::from(u8::from(c == y));
                 work.errs[s * nc + c] = err;
@@ -815,8 +818,8 @@ mod tests {
     #[test]
     fn single_pass_evaluation_matches_the_two_call_reference_bits() {
         let mut scratch = GradScratch::new();
-        // Even and odd class counts: the odd one exercises the single-row
-        // tail of logits_into.
+        // Class counts below one five-row group: every row goes through
+        // dot_rows' per-row remainder.
         for (dim, classes) in [(11, 4), (7, 3)] {
             let model = warm_model(dim, classes);
             for n in EDGE_SIZES {
@@ -836,6 +839,78 @@ mod tests {
                     want.accuracy.to_bits(),
                     "{what}"
                 );
+            }
+        }
+    }
+
+    /// The fused kernel's gradient the long way: the naive kernel's
+    /// per-sample loop (same exact-zero skip, same sample order), but with
+    /// the striped logits of [`LogisticRegression::logits`], run per
+    /// [`GRAD_CHUNK`] chunk and combined by the same fixed tree.
+    fn striped_reference_gradient(
+        model: &LogisticRegression,
+        data: &Dataset,
+        indices: &[usize],
+    ) -> Vec<f64> {
+        let (nc, dim) = (model.num_classes(), model.dim());
+        let np = model.num_params();
+        let chunks = indices.chunks(GRAD_CHUNK);
+        let n_chunks = chunks.len();
+        let mut partials = vec![0.0; n_chunks * np];
+        for (chunk, part) in chunks.zip(partials.chunks_mut(np)) {
+            for &i in chunk {
+                let (x, y) = (data.sample(i), data.label(i));
+                let mut probs = model.logits(x);
+                softmax_in_place(&mut probs);
+                for (c, &p) in probs.iter().enumerate() {
+                    let err = p - f64::from(u8::from(c == y));
+                    if err == 0.0 {
+                        continue;
+                    }
+                    for (g, &xi) in part[c * dim..(c + 1) * dim].iter_mut().zip(x) {
+                        *g += err * xi;
+                    }
+                    part[nc * dim + c] += err;
+                }
+            }
+        }
+        reduce::tree_reduce_into_first(&mut partials, n_chunks, np);
+        let inv_n = 1.0 / indices.len() as f64;
+        partials[..np].iter().map(|g| g * inv_n).collect()
+    }
+
+    #[test]
+    fn five_row_groups_match_the_striped_reference_bits() {
+        // One full group, a group plus a 2-row remainder, two groups, two
+        // groups plus two; dim 19 = two lane blocks plus a 3-lane tail.
+        let dim = 19;
+        let mut scratch = GradScratch::new();
+        for classes in [5, 7, 10, 12] {
+            let model = warm_model(dim, classes);
+            for n in [1, 64, 150] {
+                let data = chunky_dataset(n, dim, classes);
+                let what = format!("{classes} classes, n = {n}");
+                let want = two_call_reference(&model, &data);
+                assert_same_bits(model.evaluate_with(&data, &mut scratch), want, &what);
+
+                let identity: Vec<usize> = (0..n).collect();
+                let mut gathered: Vec<usize> = (0..n).rev().collect();
+                gathered.swap(0, n / 2);
+                for indices in [identity, gathered] {
+                    let loss = model.fused_loss_and_gradient_into(&data, &indices, &mut scratch);
+                    let grad = striped_reference_gradient(&model, &data, &indices);
+                    for (g, r) in scratch.grad().iter().zip(&grad) {
+                        assert_eq!(g.to_bits(), r.to_bits(), "gradient, {what}");
+                    }
+                    for (&i, &term) in indices.iter().zip(scratch.sample_losses()) {
+                        let logits = model.logits(data.sample(i));
+                        let expect = log_sum_exp(&logits) - logits[data.label(i)];
+                        assert_eq!(term.to_bits(), expect.to_bits(), "term {i}, {what}");
+                    }
+                    if indices[0] == 0 {
+                        assert_eq!(loss.to_bits(), want.loss.to_bits(), "loss, {what}");
+                    }
+                }
             }
         }
     }

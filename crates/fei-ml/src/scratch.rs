@@ -3,11 +3,12 @@
 //! Every buffer the fused logistic-regression kernel needs — the flat
 //! gradient, the per-chunk partial gradients its fixed pairwise tree
 //! combines, the per-sample loss terms, and the `ChunkWork` buffers
-//! (logits row, error matrix, gather block, GEMM pack scratch) — lives
-//! here, so a trainer that reuses one [`GradScratch`] across epochs (and
-//! across rounds) performs **zero heap allocations per epoch** in steady
-//! state. The evaluation pass ([`crate::Model::evaluate_with`]) borrows the
-//! same logits row. The workspace also counts its own allocation events
+//! (interleaved weights, logits row, error matrix, gather block, GEMM pack
+//! scratch) — lives here, so a trainer that reuses one [`GradScratch`]
+//! across epochs (and across rounds) performs **zero heap allocations per
+//! epoch** in steady state. The evaluation pass
+//! ([`crate::Model::evaluate_with`]) borrows the same weights and logits
+//! row. The workspace also counts its own allocation events
 //! (including those of the nested [`fei_math::MatScratch`] pack buffers),
 //! which the perf harness reports in `BENCH_perf.json` (see EXPERIMENTS.md):
 //! after warm-up, the counter must stop moving.
@@ -29,12 +30,17 @@ fn ensure_exact(buf: &mut Vec<f64>, need: usize, allocations: &mut u64) {
     buf.truncate(need);
 }
 
-/// The working buffers of the fused gradient kernel's chunk loop: one
-/// logits row, the chunk's error matrix `E` (`GRAD_CHUNK × num_classes`, row
-/// per sample), a gather block for non-consecutive mini-batch chunks, and
-/// the pack scratch for the `G += Eᵀ X` GEMM.
+/// The working buffers of the fused gradient kernel's chunk loop: the
+/// interleaved weights, one logits row, the chunk's error matrix `E`
+/// (`GRAD_CHUNK × num_classes`, row per sample), a gather block for
+/// non-consecutive mini-batch chunks, and the pack scratch for the
+/// `G += Eᵀ X` GEMM.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChunkWork {
+    /// The `num_classes × dim` weights in
+    /// [`reduce::interleave_rows`]'s layout, copied once per gradient
+    /// step or evaluation pass.
+    pub(crate) weights: Vec<f64>,
     /// Logits / probabilities row: `num_classes` long.
     pub(crate) logits: Vec<f64>,
     /// Softmax error rows for one chunk: `GRAD_CHUNK × num_classes`.
@@ -51,15 +57,17 @@ pub(crate) struct ChunkWork {
 }
 
 impl ChunkWork {
-    /// Sizes the logits row and returns it.
-    pub(crate) fn logits_row(&mut self, num_classes: usize) -> &mut [f64] {
-        ensure_exact(&mut self.logits, num_classes, &mut self.allocations);
-        &mut self.logits
+    /// Readies a forward pass over the row-major weight block `w` (one
+    /// row of `dim` per class): sizes the logits row and copies `w` into
+    /// [`ChunkWork::weights`] in the layout the forward kernel streams.
+    pub(crate) fn load_weights(&mut self, w: &[f64], dim: usize) {
+        ensure_exact(&mut self.logits, w.len() / dim, &mut self.allocations);
+        ensure_exact(&mut self.weights, w.len(), &mut self.allocations);
+        reduce::interleave_rows(w, dim, &mut self.weights);
     }
 
-    /// Sizes the fixed-shape buffers (logits row, error matrix).
+    /// Sizes the chunk's error matrix.
     pub(crate) fn prepare(&mut self, num_classes: usize) {
-        self.logits_row(num_classes);
         ensure_exact(
             &mut self.errs,
             crate::model::GRAD_CHUNK * num_classes,
@@ -176,8 +184,8 @@ impl GradScratch {
         self.terms.iter().fold(0.0, |total, &term| total + term) / n
     }
 
-    /// The chunk-loop buffers (the evaluation pass sizes and borrows their
-    /// logits row).
+    /// The chunk-loop buffers (the evaluation pass loads its weights and
+    /// borrows their logits row).
     pub(crate) fn work(&mut self) -> &mut ChunkWork {
         &mut self.work
     }
