@@ -20,7 +20,9 @@
 //! lossless, and the codec performs zero steady-state allocations.
 //!
 //! Results are printed as a table and written to `BENCH_compression.json`
-//! (schema in EXPERIMENTS.md).
+//! (schema in EXPERIMENTS.md). The file holds only what a rerun reproduces:
+//! the codec timings are printed, not written (perfbench's
+//! `net.encode_update_us`/`net.decode_update_us` own that measurement).
 //!
 //! Run: `cargo run --release -p fei-bench --bin ablation_compression`
 //! CI smoke: append `-- --smoke` for a seconds-scale configuration.
@@ -101,7 +103,7 @@ const TIERS: [WireConfig; 6] = [
 ];
 
 /// One sweep cell, also emitted as a JSON object (schema in
-/// EXPERIMENTS.md).
+/// EXPERIMENTS.md) without its timings.
 struct Row {
     tier: WireConfig,
     payload_bytes: usize,
@@ -191,7 +193,7 @@ fn json_row(row: &Row, lossless: &Row) -> String {
         concat!(
             r#"{{"tier":"{}","encoding":"{}","delta":{},"payload_bytes":{},"#,
             r#""uplink_bytes_per_round":{},"reduction_vs_f64":{:.3},"#,
-            r#""encode_ns":{:.1},"decode_ns":{:.1},"end_accuracy":{:.4},"#,
+            r#""end_accuracy":{:.4},"#,
             r#""accuracy_delta_pp":{:.3},"wifi_k":{},"wifi_e":{},"#,
             r#""wifi_energy_j":{:.3},"wifi_energy_delta_vs_f64_j":{:.3},"#,
             r#""nb_iot_k":{},"nb_iot_e":{},"nb_iot_energy_j":{:.3},"#,
@@ -204,8 +206,6 @@ fn json_row(row: &Row, lossless: &Row) -> String {
         row.payload_bytes,
         row.uplink_bytes_per_round,
         lossless.uplink_bytes_per_round as f64 / row.uplink_bytes_per_round as f64,
-        row.encode_ns,
-        row.decode_ns,
         row.end_accuracy,
         (row.end_accuracy - lossless.end_accuracy) * 100.0,
         row.planned_k,
@@ -325,7 +325,7 @@ fn main() {
     let mut report = String::new();
     report.push_str("{\n");
     report.push_str(&format!(
-        "  \"schema\": \"BENCH_compression.v1\",\n  \"smoke\": {smoke},\n"
+        "  \"schema\": \"BENCH_compression.v2\",\n  \"smoke\": {smoke},\n"
     ));
     report.push_str(&format!(
         "  \"devices\": {}, \"k\": {}, \"e\": {}, \"rounds\": {},\n",

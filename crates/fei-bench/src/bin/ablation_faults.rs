@@ -12,7 +12,7 @@
 //!   fleet) instead of stalling below quorum.
 //!
 //! Results — including the abandoned-round (abort) accounting per sweep
-//! cell — are also written to `BENCH_ablation_faults.json`.
+//! cell — are also written to `target/bench/BENCH_ablation_faults.json`.
 //!
 //! Run: `cargo run --release -p fei-bench --bin ablation_faults`
 
@@ -206,9 +206,9 @@ fn main() {
     json.push_str("  }\n");
     json.push_str("}\n");
     print!("{json}");
-    std::fs::write("BENCH_ablation_faults.json", &json)
+    // Not a committed record: the file goes where smoke reports go.
+    fei_bench::write_bench_report("ablation_faults", true, &json)
         .expect("failed to write BENCH_ablation_faults.json");
-    println!("\nwrote BENCH_ablation_faults.json");
 
     println!(
         "\nreading: with quorum 1 dropouts mostly cost retransmissions and partial\n\

@@ -34,8 +34,7 @@ use crate::chaos::{ChaosConfig, ChaosLink, ChaosStats};
 use crate::coordinator::{ControlStats, CoordinatorConfig, Effect, Phase};
 use crate::frames::{AbortReason, ControlFrame};
 use crate::node::{
-    CoordinatorNode, CoordinatorNodeConfig, NodeError, NodeReport, ParticipantNode,
-    ParticipantNodeConfig,
+    CoordinatorNode, CoordinatorNodeConfig, NodeReport, ParticipantNode, ParticipantNodeConfig,
 };
 use crate::participant::{ParticipantConfig, ParticipantStats};
 use crate::sim::{SimFile, SimNet, DOWN, UP};
@@ -357,11 +356,9 @@ impl Cluster {
         config.target_rounds = self.config.target_rounds;
         config.max_cycles = u64::MAX;
         config.restart_lag = restart_lag;
-        let store = DiskJournal::over(self.journal.clone(), true).map_err(NodeError::from);
-        let node = store.and_then(|store| {
-            let trace = Some(self.trace.clone());
-            CoordinatorNode::boot(self.net.listen(), config, Some(store), trace)
-        });
+        let store = Some(DiskJournal::view(self.journal.clone()));
+        let trace = Some(self.trace.clone());
+        let node = CoordinatorNode::boot(self.net.listen(), config, store, trace);
         self.coordinator =
             Some(node.expect("invariant: the simulated files hold only this run's own history"));
     }
@@ -389,6 +386,12 @@ impl Cluster {
 
     fn rounds_closed(&self) -> u64 {
         self.report.committed + self.report.aborted
+    }
+
+    /// The simulated journal and trace files, shared with the run.
+    #[cfg(test)]
+    pub(crate) fn files(&self) -> (SimFile, SimFile) {
+        (self.journal.clone(), self.trace.clone())
     }
 
     /// Carries every frame the nodes sent in direction `dir` across that

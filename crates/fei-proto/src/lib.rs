@@ -40,7 +40,8 @@
 //!   [`replay_trace`]) must reproduce the live run's decisions bit for bit;
 //! * [`DiskJournal`] — the journal written to a file, torn-tail truncation
 //!   on open, and a lock-file single-writer guarantee: the node keeps it as
-//!   an unsynced view of the trace, repaired from the replay at restart;
+//!   an unsynced view of the trace, compared with the replay at restart
+//!   and repaired from it;
 //! * [`ChaosLink`] and [`Cluster`] — a deterministic lossy link, and the
 //!   same node loops run in lock-step over a simulated wire and disk, with
 //!   an audit from outside of the protocol's liveness (every opened round

@@ -40,15 +40,18 @@
 //! file ([`crate::DiskJournal`], optional) is a view of the trace: what it
 //! holds on disk is always a prefix of what the durable trace replays to.
 //! A restarted coordinator replays its own trace prefix through a fresh
-//! core in one pass, applying each event as soon as it decodes from the
-//! file's bytes, verifies the journal file is a byte prefix of the replayed
-//! journal, and records a [`TraceEvent::Recover`] carrying the replayed
-//! journal's length — which is exactly how the oracle replays the same
-//! recovery later, handing its own (bit-identical) journal, as it stands,
-//! to the new incarnation — and its first commit re-appends whatever suffix the journal file lost (all of it when
-//! a crash left the never-synced file damaged before its tail). One writer
-//! at a time: the trace is held under an OS file lock while the node
-//! lives, the journal file under its lock file.
+//! core in one pass, reading the file once through a bounded buffer and
+//! applying each event as soon as it decodes; then it compares the journal
+//! file with the replayed journal (without decoding it: a file whose valid
+//! records are no prefix of the replay is [`NodeError::TraceDiverged`]),
+//! and records a [`TraceEvent::Recover`] carrying the replayed journal's
+//! length — which is exactly how the oracle replays the same recovery
+//! later, handing its own (bit-identical) journal, as it stands, to the new
+//! incarnation. Its first commit re-appends whatever suffix the journal
+//! file lost (all of it when a crash left the never-synced file damaged
+//! before its tail). The replayed journal is the only copy of the history
+//! the restart holds. One writer at a time: the trace is held under an OS
+//! file lock while the node lives, the journal file under its lock file.
 //!
 //! Determinism hygiene: nodes count cycles, and only the two `run()`
 //! wrappers ever wait (on input, for as long as the [`Pacer`] says the next
@@ -220,8 +223,10 @@ impl CoordinatorNodeConfig {
 #[derive(Debug, Clone, Default)]
 pub struct NodePersistence {
     /// Disk journal path: a view of the trace, written after each trace
-    /// sync and never synced itself ([`DiskJournal`]'s lock file and
-    /// torn-tail cut on open). Requires `trace`.
+    /// sync and never synced itself, not even at close ([`DiskJournal`]'s
+    /// lock file; compared with the replayed journal on a restart, and cut
+    /// or emptied only when it is not a byte prefix of it). Requires
+    /// `trace`.
     pub journal: Option<PathBuf>,
     /// Frame-trace path, the write-ahead log (created fresh, or resumed
     /// with its torn tail cut).
@@ -333,18 +338,17 @@ impl CoordinatorNode {
 
 impl<L: Listener, G: Log> CoordinatorNode<L, G> {
     /// The start path of every incarnation on either backend, given the
-    /// opened journal store with what survived in it and the opened trace
-    /// log: replay the persisted trace as it is read, verify the journal
-    /// file is a prefix of the replayed journal, then open fresh (empty
-    /// trace) or record the recovery. The commit that ends it syncs the
-    /// trace and re-appends whatever suffix the journal file lost.
+    /// journal file's unread view and the opened trace log: replay the
+    /// persisted trace as it is read, align the journal file with the
+    /// replayed journal, then open fresh (empty trace) or record the
+    /// recovery. The commit that ends it syncs the trace and re-appends
+    /// whatever suffix the journal file lost.
     pub(crate) fn boot(
         listener: L,
         config: CoordinatorNodeConfig,
-        store: Option<(DiskJournal<G>, Vec<u8>)>,
+        mut store: Option<DiskJournal<G>>,
         trace: Option<G>,
     ) -> Result<Self, NodeError> {
-        let (store, disk_prefix) = store.map_or((None, Vec::new()), |(s, p)| (Some(s), p));
         // Rebuild the previous incarnations' exact decision state by
         // replaying our own recorded history, one event at a time.
         let mut core = CoordinatorCore::new(config.coordinator.clone(), config.global.clone());
@@ -357,14 +361,16 @@ impl<L: Listener, G: Log> CoordinatorNode<L, G> {
         });
         let sink = sink.transpose()?;
         let replayed = core.coordinator().journal().bytes();
-        if !replayed.starts_with(&disk_prefix) {
-            return Err(NodeError::TraceDiverged {
-                journal_len: disk_prefix.len(),
-                replayed_len: replayed.len(),
-            });
+        if let Some(store) = store.as_mut() {
+            store.align(replayed).map_err(|e| match e {
+                StoreError::Diverged { written, offered } => NodeError::TraceDiverged {
+                    journal_len: written,
+                    replayed_len: offered,
+                },
+                e => NodeError::Store(e),
+            })?;
         }
         let journal_len = replayed.len() as u64;
-        drop(disk_prefix);
         let mut node = Self {
             core,
             config,

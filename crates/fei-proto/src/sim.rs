@@ -182,6 +182,8 @@ struct Disk {
     syncs: u64,
     /// Unsynced bytes the most recent crash discarded.
     lost: usize,
+    /// Bytes read back so far.
+    read: usize,
 }
 
 impl Disk {
@@ -213,8 +215,17 @@ impl SimFile {
 
 impl Sealed for SimFile {}
 impl Log for SimFile {
-    fn contents(&mut self) -> io::Result<Vec<u8>> {
-        Ok(self.0.borrow().bytes.clone())
+    fn len(&mut self) -> io::Result<usize> {
+        Ok(self.0.borrow().bytes.len())
+    }
+
+    fn read_at(&mut self, at: usize, buf: &mut [u8]) -> io::Result<usize> {
+        let mut disk = self.0.borrow_mut();
+        let from = disk.bytes.get(at..).unwrap_or_default();
+        let read = from.len().min(buf.len());
+        buf[..read].copy_from_slice(&from[..read]);
+        disk.read += read;
+        Ok(read)
     }
 
     fn truncate(&mut self, len: usize) -> io::Result<()> {
@@ -286,6 +297,11 @@ mod tests {
             self.0.borrow().syncs
         }
 
+        /// Bytes read back so far.
+        pub(crate) fn read(&self) -> usize {
+            self.0.borrow().read
+        }
+
         /// Makes the `op`-th append-or-sync (counted from the file's
         /// creation) fail.
         pub(crate) fn fail_at(&self, op: u64) {
@@ -341,10 +357,8 @@ mod tests {
 
         /// The node's start path over this rig's files.
         fn boot(&self) -> Result<SimCoordinator, NodeError> {
-            let store = self
-                .store
-                .then(|| DiskJournal::over(self.journal.clone(), true));
-            let (store, trace) = (store.transpose()?, Some(self.trace.clone()));
+            let store = self.store.then(|| DiskJournal::view(self.journal.clone()));
+            let trace = Some(self.trace.clone());
             CoordinatorNode::boot(self.net.listen(), self.config.clone(), store, trace)
         }
 
@@ -484,12 +498,12 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(rig.journal.syncs(), syncs.0, "the journal file never syncs");
         assert_eq!(rig.trace.syncs(), syncs.1 + growing_turns);
         let report = match coordinator.finish() {
             Ok(report) => report,
             Err(e) => return Some(e),
         };
+        assert_eq!(rig.journal.syncs(), syncs.0, "the journal file never syncs");
         assert_eq!(report.audit.round_log.len(), 3, "campaign must finish");
         let events = events_of(&rig.trace.bytes());
         let replayed = replay_trace(&rig.config.coordinator, &rig.config.global, &events);
@@ -502,7 +516,8 @@ mod tests {
     #[test]
     fn a_failing_disk_is_a_typed_error_and_never_outruns_the_journal() {
         // How many disk operations a fault-free campaign makes: one journal
-        // append per turn that grew the journal, and the close's sync.
+        // append per turn that grew the journal (the file is never synced,
+        // not even by its close).
         let clean = Rig::new(2, 3);
         assert!(campaign(&clean).is_none());
         let (journal_ops, trace_ops) = (clean.journal.ops(), clean.trace.ops());
@@ -529,6 +544,24 @@ mod tests {
         }
     }
 
+    /// A two-device, three-round rig whose coordinator ran the first eight
+    /// ticks of the campaign with `clients` and was killed; the files are
+    /// as it left them, nothing crashed away yet.
+    fn killed_after_eight_ticks(clients: [u64; 2]) -> Rig {
+        let rig = Rig::new(2, 3);
+        let mut coordinator = rig.boot().expect("boot");
+        let (mut a, mut b) = (rig.participant(clients[0]), rig.participant(clients[1]));
+        for _ in 0..8 {
+            rig.tick(&mut coordinator, &mut [&mut a, &mut b])
+                .0
+                .expect("fault-free disk");
+        }
+        drop(coordinator);
+        rig.net.hang_up();
+        rig.net.take_sent(DOWN);
+        rig
+    }
+
     #[test]
     fn a_journal_file_damaged_before_its_tail_is_rebuilt_from_the_trace() {
         // The journal file is never synced, so a crash can leave more than
@@ -536,8 +569,26 @@ mod tests {
         // every decision, so the restart empties the file and writes the
         // replayed journal back whole; the campaign then finishes with the
         // file equal to the journal (`campaign`'s last check).
+        let rig = killed_after_eight_ticks([1, 2]);
+        rig.trace.crash(0);
+        rig.journal.zero_head(16);
+        let damaged = scan(&rig.journal.bytes(), JournalRecord::decode);
+        assert!(damaged.is_err(), "damaged, not torn: {damaged:?}");
+        assert!(campaign(&rig).is_none());
+    }
+
+    #[test]
+    fn a_restart_reads_each_file_once() {
+        // A restart streams the trace through its bounded buffer, a traced
+        // frame longer than the buffer included, and compares the journal
+        // file with the replayed journal: it reads each file's bytes once.
+        // The journal file's last record is torn, but its bytes are the
+        // replay's, so it is kept and the boot's commit completes it.
         let rig = Rig::new(2, 3);
         let mut coordinator = rig.boot().expect("boot");
+        let mut stranger = rig.net.clone().dial().expect("listening");
+        let long = encode_frame(0x7F, &vec![0xAB; 2 << 20]);
+        stranger.send(&long).expect("live connection");
         let (mut a, mut b) = (rig.participant(1), rig.participant(2));
         for _ in 0..8 {
             rig.tick(&mut coordinator, &mut [&mut a, &mut b])
@@ -547,10 +598,93 @@ mod tests {
         drop(coordinator);
         rig.net.hang_up();
         rig.trace.crash(0);
-        rig.journal.zero_head(16);
-        let damaged = scan(&rig.journal.bytes(), JournalRecord::decode);
-        assert!(damaged.is_err(), "damaged, not torn: {damaged:?}");
-        assert!(campaign(&rig).is_none());
+        rig.journal.crash(rig.journal.bytes().len() - 3);
+        let is_long =
+            |e: &TraceEvent| matches!(e, TraceEvent::Deliver { bytes, .. } if *bytes == long);
+        assert!(events_of(&rig.trace.bytes()).iter().any(is_long));
+        let (trace, journal) = (rig.trace.bytes(), rig.journal.bytes());
+        let read = (rig.trace.read(), rig.journal.read());
+        let coordinator = rig.boot().expect("restart");
+        let read = (rig.trace.read() - read.0, rig.journal.read() - read.1);
+        assert_eq!(read, (trace.len(), journal.len()));
+        let replayed = coordinator.core().coordinator().journal().bytes();
+        assert!(replayed.starts_with(&journal));
+        assert_eq!(rig.journal.bytes(), replayed);
+        assert_eq!(rig.journal.syncs(), 0, "the journal file never syncs");
+    }
+
+    /// The journal the durable trace replays to.
+    fn replayed(rig: &Rig) -> Vec<u8> {
+        let events = events_of(&rig.trace.durable());
+        replay_trace(&rig.config.coordinator, &rig.config.global, &events).journal
+    }
+
+    /// Replaces the journal file's contents with `bytes`.
+    fn rewrite(file: &SimFile, bytes: &[u8]) {
+        let mut file = file.clone();
+        file.truncate(0).expect("simulated file");
+        file.append(bytes).expect("simulated file");
+    }
+
+    /// Boots `rig` over a journal file holding `view`, which is not a
+    /// prefix of the replayed journal: the boot refuses, typed, and writes
+    /// and sends nothing.
+    fn refused(rig: &Rig, view: &[u8], journal_len: usize) {
+        rig.trace.crash(0);
+        rewrite(&rig.journal, view);
+        let trace = rig.trace.bytes();
+        let replayed_len = replayed(rig).len();
+        match rig.boot() {
+            Err(NodeError::TraceDiverged {
+                journal_len: found,
+                replayed_len: replayed,
+            }) => assert_eq!((found, replayed), (journal_len, replayed_len)),
+            other => panic!("expected TraceDiverged, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(rig.journal.bytes(), view, "the journal file is left whole");
+        assert_eq!(rig.trace.bytes(), trace, "nothing is traced");
+        assert!(rig.net.take_sent(DOWN).is_empty(), "nothing left the node");
+    }
+
+    #[test]
+    fn a_journal_file_of_another_history_is_refused() {
+        // Both histories' journals parse; they part at the first join.
+        let ours = killed_after_eight_ticks([1, 2]);
+        let theirs = killed_after_eight_ticks([3, 4]);
+        let view = theirs.journal.bytes();
+        refused(&ours, &view, view.len());
+    }
+
+    #[test]
+    fn a_journal_file_longer_than_the_replay_is_refused() {
+        // Every byte of the replayed journal is there, and one more record
+        // the trace never decided.
+        let rig = killed_after_eight_ticks([1, 2]);
+        rig.trace.crash(0);
+        let mut view = replayed(&rig);
+        JournalRecord::ClientJoined { client: 9, tick: 8 }.encode_into(&mut view);
+        refused(&rig, &view, view.len());
+    }
+
+    #[test]
+    fn a_torn_journal_file_whose_records_are_a_prefix_boots() {
+        // The file's last record is torn and its kept bytes are not the
+        // replay's (a byte flipped in them): the file is no byte prefix of
+        // the replayed journal, but its whole records are, so the tear is
+        // cut, the boot goes on, and its commit appends the rest.
+        let rig = killed_after_eight_ticks([1, 2]);
+        rig.trace.crash(0);
+        let replayed = replayed(&rig);
+        let (records, _) = scan(&replayed, JournalRecord::decode).expect("own journal");
+        let last = records.last().expect("journaled").encoded_len();
+        let kept = replayed.len() - last;
+        let mut view = replayed[..replayed.len() - 3].to_vec();
+        *view.last_mut().expect("non-empty") ^= 0xFF;
+        rewrite(&rig.journal, &view);
+        let coordinator = rig.boot().expect("a torn view boots");
+        let journal = coordinator.core().coordinator().journal().bytes();
+        assert_eq!(journal[..kept], replayed[..kept]);
+        assert_eq!(rig.journal.bytes(), journal);
     }
 
     #[test]
@@ -599,16 +733,7 @@ mod tests {
         // a complete, CRC-valid frame inside the torn tail; it is not one
         // of the trace's own records, so the tail is still a tear and boot
         // cuts that one event and nothing before it.
-        let rig = Rig::new(2, 3);
-        let mut coordinator = rig.boot().expect("boot");
-        let (mut a, mut b) = (rig.participant(1), rig.participant(2));
-        for _ in 0..8 {
-            rig.tick(&mut coordinator, &mut [&mut a, &mut b])
-                .0
-                .expect("fault-free disk");
-        }
-        drop(coordinator);
-        rig.net.hang_up();
+        let rig = killed_after_eight_ticks([1, 2]);
         let trace = rig.trace.bytes();
         let (mut at, mut deliver) = (0, None);
         for event in events_of(&trace) {

@@ -4,10 +4,11 @@
 //! writes it to a file. The coordinator node keeps that file as a *view*
 //! of its trace, the log it actually recovers from ([`crate::node`]): it
 //! appends with [`DiskJournal::append_to`] after each trace sync and never
-//! syncs, and a restart re-derives whatever a crash cut or scrambled (a
-//! file damaged before its tail is emptied and rewritten whole). Used as a
-//! log of its own, the store keeps the write-ahead rule of DESIGN.md §13
-//! at the OS level:
+//! syncs, and a restart compares the file with the journal the trace
+//! replays to instead of decoding it, and re-derives whatever a crash cut
+//! or scrambled (a file damaged before its tail is emptied and rewritten
+//! whole). Used as a log of its own, the store keeps the write-ahead rule
+//! of DESIGN.md §13 at the OS level:
 //!
 //! * **Append + fsync before effects.** [`DiskJournal::sync_to`] appends
 //!   the journal's new suffix and calls `fdatasync` before the caller is
@@ -31,7 +32,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::backend::{open_file, open_log, Log};
+use crate::backend::{common_prefix, open_file, open_log, Log};
 use crate::error::ProtoError;
 use crate::journal::JournalRecord;
 
@@ -110,6 +111,9 @@ pub struct DiskJournal<G: Log = File> {
     /// [`DiskJournal::close`] has released it).
     lock_path: Option<PathBuf>,
     written: usize,
+    /// Whether the file is a view of a log it is rebuilt from, and so is
+    /// never synced.
+    view: bool,
 }
 
 impl DiskJournal {
@@ -128,22 +132,25 @@ impl DiskJournal {
     /// [`StoreError::Corrupt`] when acknowledged bytes before the tail no
     /// longer parse; [`StoreError::Io`] on OS failures.
     pub fn open(path: &Path) -> Result<(Self, Vec<u8>), StoreError> {
-        Self::locked(path, false)
+        Self::locked(path, Self::over)
     }
 
-    /// [`DiskJournal::open`] for the node's journal file, a `view` of its
-    /// trace ([`DiskJournal::over`]): damage before the tail empties the
-    /// file instead of failing.
+    /// Takes the writer lock on the node's journal file, a view of its
+    /// trace ([`DiskJournal::view`]), and opens it without reading it:
+    /// [`DiskJournal::align`] compares it with the replayed journal later.
     ///
     /// # Errors
     ///
     /// As [`DiskJournal::open`], except [`StoreError::Corrupt`].
-    pub(crate) fn open_view(path: &Path) -> Result<(Self, Vec<u8>), StoreError> {
-        Self::locked(path, true)
+    pub(crate) fn open_view(path: &Path) -> Result<Self, StoreError> {
+        Self::locked(path, |file| Ok((Self::view(file), ()))).map(|(store, ())| store)
     }
 
     /// Takes the writer lock on `path`, then opens the file under it.
-    fn locked(path: &Path, view: bool) -> Result<(Self, Vec<u8>), StoreError> {
+    fn locked<T>(
+        path: &Path,
+        open: impl FnOnce(File) -> Result<(Self, T), StoreError>,
+    ) -> Result<(Self, T), StoreError> {
         let lock_path = lock_path_for(path);
         // O_EXCL creation is the lock: exactly one winner per lock file.
         match OpenOptions::new()
@@ -160,15 +167,14 @@ impl DiskJournal {
             }
             Err(e) => return Err(io_err("lock")(e)),
         }
-        let opened = open_file(path).map_err(io_err("open"));
-        let opened = opened.and_then(|file| Self::over(file, view));
+        let opened = open_file(path).map_err(io_err("open")).and_then(open);
         if opened.is_err() {
             // Don't leave a lock behind for a store that never existed.
             let _ = std::fs::remove_file(&lock_path);
         }
-        opened.map(|(mut store, prefix)| {
+        opened.map(|(mut store, found)| {
             store.lock_path = Some(lock_path);
-            (store, prefix)
+            (store, found)
         })
     }
 
@@ -191,28 +197,73 @@ impl DiskJournal {
 }
 
 impl<G: Log> DiskJournal<G> {
-    /// A store over an already-open log, without a lock: scans it to find
-    /// the valid prefix — a torn tail is the expected signature of a crash
-    /// mid-append and is cut. Mid-log damage is fatal, unless the file is a
-    /// `view` of a log it is rebuilt from: nothing in it was synced, so a
-    /// crash can leave any bytes behind, and it is cut to empty for the
-    /// caller to append its journal again whole.
-    pub(crate) fn over(mut log: G, view: bool) -> Result<(Self, Vec<u8>), StoreError> {
-        let opened = open_log(&mut log, JournalRecord::decode, drop);
-        let prefix = match opened.map_err(io_err("read"))? {
-            Ok(prefix) => prefix,
-            Err(_) if view => {
-                log.truncate(0).map_err(io_err("truncate"))?;
-                Vec::new()
-            }
-            Err(e) => return Err(StoreError::Corrupt(e)),
+    /// A store over an already-open log that is its own record, without a
+    /// lock: streams it to find the valid prefix, which it returns — a torn
+    /// tail is the expected signature of a crash mid-append and is cut.
+    /// Mid-log damage is fatal.
+    fn over(mut log: G) -> Result<(Self, Vec<u8>), StoreError> {
+        let mut prefix = Vec::new();
+        let decode = |bytes: &[u8]| {
+            let (_, len) = JournalRecord::decode(bytes)?;
+            Ok((bytes[..len].to_vec(), len))
         };
+        let opened = open_log(&mut log, decode, |record| prefix.extend(record));
+        let written = opened.map_err(io_err("read"))?;
         let store = Self {
             log,
             lock_path: None,
-            written: prefix.len(),
+            written: written.map_err(StoreError::Corrupt)?,
+            view: false,
         };
         Ok((store, prefix))
+    }
+
+    /// A store over a `view` of a log it is rebuilt from, without a lock
+    /// and unread until [`DiskJournal::align`]. Nothing in it is ever
+    /// synced, so a crash can leave any bytes behind.
+    pub(crate) fn view(log: G) -> Self {
+        Self {
+            log,
+            lock_path: None,
+            written: 0,
+            view: true,
+        }
+    }
+
+    /// Lines the view up with `replayed`, the journal its log replays to,
+    /// so that appends continue it. A file that is a byte prefix of it —
+    /// a torn last record included, which the next append completes — is
+    /// only compared. Otherwise it is opened as a log: a torn tail is cut,
+    /// and damage before the tail empties it for the caller to append
+    /// `replayed` again whole; its valid records must then be a prefix of
+    /// `replayed`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Diverged`] (with the length of the valid records)
+    /// when they are not; [`StoreError::Io`] on OS failures.
+    pub(crate) fn align(&mut self, replayed: &[u8]) -> Result<(), StoreError> {
+        let len = self.log.len().map_err(io_err("read"))?;
+        let same = common_prefix(&mut self.log, replayed).map_err(io_err("read"))?;
+        if same == len {
+            self.written = len;
+            return Ok(());
+        }
+        let opened = open_log(&mut self.log, JournalRecord::decode, drop);
+        self.written = match opened.map_err(io_err("read"))? {
+            Ok(valid) => valid,
+            Err(_) => {
+                self.log.truncate(0).map_err(io_err("truncate"))?;
+                0
+            }
+        };
+        // The valid records are a prefix of `replayed` iff they end inside
+        // the bytes the two share.
+        if self.written > same {
+            let (written, offered) = (self.written, replayed.len());
+            return Err(StoreError::Diverged { written, offered });
+        }
+        Ok(())
     }
 
     /// Appends the suffix of `journal_bytes` beyond what is already
@@ -252,13 +303,16 @@ impl<G: Log> DiskJournal<G> {
         Ok(appended)
     }
 
-    /// Syncs outstanding data and releases the writer lock.
+    /// Syncs outstanding data — unless the file is a view, which is never
+    /// synced — and releases the writer lock.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] if the final fsync or the lock removal fails.
     pub fn close(mut self) -> Result<(), StoreError> {
-        self.log.sync().map_err(io_err("fsync"))?;
+        if !self.view {
+            self.log.sync().map_err(io_err("fsync"))?;
+        }
         match self.lock_path.take() {
             Some(lock) => std::fs::remove_file(lock).map_err(io_err("unlock")),
             None => Ok(()),
@@ -345,12 +399,13 @@ mod tests {
         ));
         // The failed open must not leave a lock that blocks inspection.
         assert!(!std::fs::exists(lock_path_for(&path)).expect("probe lock"));
-        // Opened as a view of a trace, the same file is emptied instead,
-        // for its writer to fill again whole.
-        let (mut store, prefix) = DiskJournal::open_view(&path).expect("a view opens");
-        assert!(prefix.is_empty());
-        assert!(std::fs::read(&path).expect("read back").is_empty());
+        // Opened as a view of a trace, the same file is emptied instead
+        // when it is aligned with the journal it views, for its writer to
+        // fill again whole.
+        let mut store = DiskJournal::open_view(&path).expect("a view opens");
         let whole = sample_bytes();
+        store.align(&whole).expect("damage is no divergence");
+        assert!(std::fs::read(&path).expect("read back").is_empty());
         assert_eq!(store.append_to(&whole).expect("refill"), whole.len());
         drop(store);
         cleanup(&path);

@@ -131,10 +131,10 @@ impl<G: Log> TraceSink<G> {
         }
     }
 
-    /// A sink over an already-open log, resumed: in one pass over the
-    /// log's bytes, each surviving event is handed to `apply` as soon as it
-    /// decodes; then a torn trailing record is cut (truncating the file to
-    /// the valid prefix).
+    /// A sink over an already-open log, resumed: in one pass that reads
+    /// the log's bytes once, through a bounded buffer, each surviving event
+    /// is handed to `apply` as soon as it decodes; then a torn trailing
+    /// record is cut (truncating the file to the valid prefix).
     ///
     /// # Errors
     ///
